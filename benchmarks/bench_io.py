@@ -1,11 +1,11 @@
-"""Trace IO throughput per format, and the columnar-pipeline payoff.
+"""Trace IO throughput, and the columnar-pipeline payoff.
 
 Two measurements, written to ``BENCH_io.json`` at the repository root:
 
-* **Per-format serialization throughput** — serialize and parse the
-  same real workload traces as v1 (legacy text), v2 (chunked text) and
-  v3 (binary columnar), reporting wall time, records/second and bytes
-  on disk for each.
+* **v3 serialization throughput** — write and read real workload
+  traces the way the pipeline does (record-batch columns in, columns
+  out), reporting wall time, records/second and bytes for each.  v3 is
+  the only format written; v1/v2 are read-only legacy formats.
 * **Warm-cache `runner all`** — the full ten-experiment single-pass
   suite over a warm trace cache (the same harness as
   ``benchmarks/bench_analysis.py``), compared against the pre-columnar
@@ -19,6 +19,7 @@ Run::
 """
 
 import argparse
+import io
 import json
 import os
 import shutil
@@ -26,9 +27,10 @@ import sys
 import tempfile
 import time
 
+from repro.cpu import ChunkedCFTracer
 from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
 from repro.pipeline import PipelineConfig, SimulationSession
-from repro.trace import dumps_cf_trace, loads_cf_trace
+from repro.trace import dump_cf_batches, loads_cf_batches
 from repro.workloads import get
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,48 +49,46 @@ def best(rounds, fn):
     return result
 
 
+def _dumps(header, batches):
+    buf = io.BytesIO()
+    dump_cf_batches(header, batches, buf)
+    return buf.getvalue()
+
+
 def bench_formats(workload_names, limit, rounds):
-    """Per-version write/read wall time over real traces."""
-    traces = [get(name).cf_trace(1, max_instructions=limit)
+    """v3 write/read wall time over real traces."""
+    traces = [ChunkedCFTracer(get(name).program(1), limit).columns()
               for name in workload_names]
-    records = sum(len(trace.records) for trace in traces)
-    out = {}
-    for version in (1, 2, 3):
-        def write_all():
-            start = time.perf_counter()
-            for trace in traces:
-                dumps_cf_trace(trace, version=version)
-            return time.perf_counter() - start
+    records = sum(header.records for header, _ in traces)
 
-        payloads = [dumps_cf_trace(trace, version=version)
-                    for trace in traces]
+    def write_all():
+        start = time.perf_counter()
+        for header, batches in traces:
+            _dumps(header, batches)
+        return time.perf_counter() - start
 
-        def read_all():
-            start = time.perf_counter()
-            for payload in payloads:
-                loads_cf_trace(payload)
-            return time.perf_counter() - start
+    payloads = [_dumps(header, batches) for header, batches in traces]
 
-        write_s = best(rounds, write_all)
-        read_s = best(rounds, read_all)
-        size = sum(len(p) for p in payloads)
-        out["v%d" % version] = {
+    def read_all():
+        start = time.perf_counter()
+        for payload in payloads:
+            loads_cf_batches(payload)
+        return time.perf_counter() - start
+
+    write_s = best(rounds, write_all)
+    read_s = best(rounds, read_all)
+    return {
+        "records": records,
+        "v3": {
             "write_seconds": round(write_s, 4),
             "read_seconds": round(read_s, 4),
             "write_records_per_second": int(records / write_s)
             if write_s else None,
             "read_records_per_second": int(records / read_s)
             if read_s else None,
-            "bytes": size,
-        }
-    out["records"] = records
-    out["v3_read_speedup_vs_v2"] = round(
-        out["v2"]["read_seconds"] / out["v3"]["read_seconds"], 2) \
-        if out["v3"]["read_seconds"] else None
-    out["v3_size_ratio_vs_v2"] = round(
-        out["v3"]["bytes"] / out["v2"]["bytes"], 3) \
-        if out["v2"]["bytes"] else None
-    return out
+            "bytes": sum(len(p) for p in payloads),
+        },
+    }
 
 
 def run_single_pass(cache_dir, workloads, max_instructions):
@@ -142,7 +142,7 @@ def load_baseline():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Benchmark trace IO formats and the warm pipeline.")
+        description="Benchmark v3 trace IO and the warm pipeline.")
     parser.add_argument("--workloads", default=None, metavar="A,B,...",
                         help="workload subset for the warm runner-all "
                              "measurement (default: full suite)")
@@ -170,7 +170,7 @@ def main(argv=None):
     baseline = load_baseline() if workloads is None \
         and args.max_instructions is None else None
     results = {
-        "benchmark": "trace IO formats + warm columnar runner all",
+        "benchmark": "v3 trace IO + warm columnar runner all",
         "formats": formats,
         "warm_runner_all": {
             "experiments": list(EXPERIMENT_ORDER),

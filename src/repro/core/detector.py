@@ -250,10 +250,9 @@ class LoopDetector:
         """Convenience: feed an entire trace and return a LoopIndex.
 
         *trace* is either a :class:`~repro.trace.stream.CFTrace` or any
-        iterable of CF records — e.g. the streaming record iterator of
-        :func:`repro.trace.io.open_cf_records` — in which case
-        *total_instructions* must be given explicitly (detection never
-        needs the full record list in memory).
+        iterable of CF records, in which case *total_instructions* must
+        be given explicitly.  The pipeline feeds columns through
+        :meth:`run_batches` instead.
         """
         records = getattr(trace, "records", trace)
         if total_instructions is None:

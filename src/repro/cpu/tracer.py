@@ -1,17 +1,22 @@
 """High-throughput tracing interpreters.
 
-Two loops over the packed program form:
+One control-flow loop, :meth:`ChunkedCFTracer.batches`, interprets the
+packed program form and appends every control transfer straight to
+:class:`~repro.trace.batch.RecordBatch` columns -- the input to loop
+detection and thread speculation.  Everything else that needs a
+control-flow trace lowers onto it: the pipeline keeps the columns
+(``(TraceHeader, [RecordBatch])``), and :func:`trace_control_flow` is
+a decoding adapter for callers that want a record list.
 
-* :func:`trace_control_flow` records only control-transfer instructions
-  (:class:`~repro.trace.record.CFRecord`) -- the input to loop detection
-  and thread speculation.
-* :func:`trace_full` records every instruction with register and memory
-  effects (:class:`~repro.trace.record.FullRecord`) -- the input to the
-  data-speculation study.
+:class:`ChunkedFullTracer` is the full-effects twin (register and
+memory effects of every instruction, for the data-speculation study).
 
-Both deliberately duplicate the dispatch of :class:`repro.cpu.machine.
-Machine`; the duplication is the price of a usable simulation rate in
-pure Python, and equivalence is pinned by differential tests.
+Two slower loops stay as references that the differential tests pin
+the fast loops against: :class:`repro.cpu.machine.Machine`, the
+readable instruction-by-instruction interpreter, and
+:func:`trace_full`, which builds :class:`~repro.trace.record.
+FullRecord` tuples with everything :class:`~repro.trace.batch.
+FullBatch` leaves out (register-write values, register-0 effects).
 """
 
 from array import array
@@ -21,17 +26,15 @@ from repro.isa.instructions import InstrKind
 from repro.isa.registers import NUM_REGISTERS, REG_SP
 from repro.cpu.machine import (
     BRANCH_CODES,
-    C_ADD, C_ADDI, C_AND, C_ANDI, C_BEQ, C_BGE, C_BGT, C_BLE, C_BLT, C_BNE,
-    C_CALL, C_DIV, C_DIVI, C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MIN,
-    C_MV, C_MUL, C_MULI, C_NOP, C_OR, C_ORI, C_REM, C_REMI, C_RET, C_SEQ,
-    C_SLE, C_SLL, C_SLLI, C_SLT, C_SLTI, C_SNE, C_SRA, C_SRAI, C_SRL,
-    C_SRLI, C_ST, C_SUB, C_SUBI, C_XOR, C_XORI,
+    C_ADD, C_ADDI, C_CALL, C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MUL,
+    C_MULI, C_MV, C_NOP, C_RET, C_SLTI, C_ST, C_SUB,
     STACK_TOP,
     _ALU, _BRANCH, _IMM_TO_REG,
     pack_program, wrap64,
 )
 from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
-from repro.trace.record import CFRecord, FullRecord
+from repro.trace.io import TRACE_FORMAT_VERSION, TraceHeader
+from repro.trace.record import FullRecord
 from repro.trace.stream import CFTrace, FullTrace
 
 _K_BRANCH = int(InstrKind.BRANCH)
@@ -50,133 +53,14 @@ class TraceBudgetExceeded(ProgramError):
     and ``allow_truncation`` is False."""
 
 
-def trace_control_flow(program, max_instructions=5_000_000,
-                       allow_truncation=True):
-    """Run *program* and return its control-flow trace.
-
-    When the budget is exhausted before ``halt`` the trace is returned
-    truncated (``trace.halted`` is False) unless *allow_truncation* is
-    False, in which case :class:`TraceBudgetExceeded` is raised.
-    """
-    packed = pack_program(program)
-    regs = [0] * NUM_REGISTERS
-    regs[REG_SP] = STACK_TOP
-    mem = dict(program.data.initial)
-    mem_get = mem.get
-    records = []
-    append = records.append
-    pc = program.entry
-    seq = 0
-    halted = False
-    alu = _ALU
-    branch = _BRANCH
-
-    while seq < max_instructions:
-        code, rd, rs1, rs2, imm, target = packed[pc]
-        if code == C_ADDI:
-            v = regs[rs1] + imm
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_LD:
-            if rd:
-                regs[rd] = mem_get(regs[rs1] + imm, 0)
-            pc += 1
-        elif code == C_ST:
-            mem[regs[rs1] + imm] = regs[rs2]
-            pc += 1
-        elif code in BRANCH_CODES:
-            taken = branch[code](regs[rs1], regs[rs2])
-            append(CFRecord(seq, pc, _K_BRANCH, taken, target))
-            pc = target if taken else pc + 1
-        elif code == C_ADD:
-            v = regs[rs1] + regs[rs2]
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_LI:
-            if rd:
-                regs[rd] = imm
-            pc += 1
-        elif code == C_MV:
-            if rd:
-                regs[rd] = regs[rs1]
-            pc += 1
-        elif code == C_SUB:
-            v = regs[rs1] - regs[rs2]
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_MUL:
-            v = regs[rs1] * regs[rs2]
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_MULI:
-            v = regs[rs1] * imm
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_JMP:
-            append(CFRecord(seq, pc, _K_JUMP, True, target))
-            pc = target
-        elif code == C_CALL:
-            regs[1] = pc + 1
-            append(CFRecord(seq, pc, _K_CALL, True, target))
-            pc = target
-        elif code == C_RET:
-            nxt = regs[1]
-            append(CFRecord(seq, pc, _K_RET, True, nxt))
-            pc = nxt
-        elif code == C_JR:
-            nxt = regs[rs1]
-            append(CFRecord(seq, pc, _K_IJUMP, True, nxt))
-            pc = nxt
-        elif code == C_HALT:
-            append(CFRecord(seq, pc, _K_HALT, False, None))
-            seq += 1
-            halted = True
-            break
-        elif code == C_NOP:
-            pc += 1
-        else:
-            # Remaining ALU forms (immediate and register) via the tables.
-            if code in _IMM_TO_REG:
-                v = alu[_IMM_TO_REG[code]](regs[rs1], imm)
-            else:
-                v = alu[code](regs[rs1], regs[rs2])
-            if rd:
-                regs[rd] = v
-            pc += 1
-        seq += 1
-
-    if not halted and not allow_truncation:
-        raise TraceBudgetExceeded(
-            "program %r did not halt within %d instructions"
-            % (program.name, max_instructions))
-    return CFTrace(records=records, total_instructions=seq, halted=halted,
-                   program_name=program.name)
-
-
 class ChunkedCFTracer:
-    """Control-flow tracing with bounded-memory chunked emission.
+    """The control-flow interpreter, emitting bounded column batches.
 
-    Same dispatch as :func:`trace_control_flow` (the duplication is this
-    module's stated price of speed; equivalence is pinned by tests), but
-    records are handed out in lists of at most ``chunk_size`` via
-    :meth:`chunks` so a consumer — the on-disk trace cache writer, or a
-    :class:`~repro.core.detector.LoopDetector` fed record by record —
-    never holds the whole trace.
+    :meth:`batches` hands out :class:`~repro.trace.batch.RecordBatch`
+    columns of at most ``chunk_size`` records, so a streaming consumer
+    (the v3 cache writer, the loop detector's ``feed_batch``) never
+    holds the whole trace; :meth:`columns` runs to completion and keeps
+    them.
 
     ``total_instructions`` and ``halted`` are only valid once the
     generator is exhausted; reading them earlier raises
@@ -201,31 +85,31 @@ class ChunkedCFTracer:
     @property
     def total_instructions(self):
         if not self._finished:
-            raise RuntimeError("trace not finished; exhaust chunks() first")
+            raise RuntimeError("trace not finished; exhaust batches() first")
         return self._total
 
     @property
     def halted(self):
         if not self._finished:
-            raise RuntimeError("trace not finished; exhaust chunks() first")
+            raise RuntimeError("trace not finished; exhaust batches() first")
         return self._halted
 
-    def chunks(self):
-        """Generate lists of :class:`CFRecord`, each at most
-        ``chunk_size`` long, in execution order (decoding adapter over
-        :meth:`batches`)."""
-        for batch in self.batches():
-            yield list(batch.iter_records())
+    def columns(self):
+        """Trace to completion: ``(TraceHeader, [RecordBatch])``, the
+        in-memory shape of a control-flow trace."""
+        batches = list(self.batches())
+        header = TraceHeader(TRACE_FORMAT_VERSION, self.program_name,
+                             self.total_instructions, self.halted,
+                             sum(len(batch) for batch in batches))
+        return header, batches
 
     def batches(self):
         """Generate :class:`~repro.trace.batch.RecordBatch` columns of
         at most ``chunk_size`` records, in execution order.
 
-        This is the native emission path: the interpretation loop
-        appends directly to the batch columns, so no
-        :class:`CFRecord` is ever constructed between the machine and
-        a batch consumer (the v3 cache writer, the loop detector's
-        ``feed_batch``).
+        The interpretation loop appends directly to the batch columns:
+        no :class:`~repro.trace.record.CFRecord` is constructed between
+        the machine and a batch consumer.
         """
         program = self.program
         chunk = self.chunk_size
@@ -386,6 +270,19 @@ class ChunkedCFTracer:
         self._total = seq
         self._halted = halted
         self._finished = True
+
+
+def trace_control_flow(program, max_instructions=5_000_000,
+                       allow_truncation=True):
+    """Run *program* and return its control-flow trace as a record list.
+
+    A decoding adapter over :meth:`ChunkedCFTracer.batches`.  When the
+    budget is exhausted before ``halt`` the trace is returned truncated
+    (``trace.halted`` is False) unless *allow_truncation* is False, in
+    which case :class:`TraceBudgetExceeded` is raised.
+    """
+    return CFTrace.from_batches(*ChunkedCFTracer(
+        program, max_instructions, allow_truncation).columns())
 
 
 def trace_full(program, max_instructions=1_000_000, allow_truncation=True):

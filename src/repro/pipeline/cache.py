@@ -16,8 +16,10 @@ prune``/``clear`` removes them).  Writes go through a temp file and
 entry safely: last writer wins with identical content.
 
 Corrupt entries (truncated, tampered) fail header/count validation in
-:mod:`repro.trace.io`; :meth:`TraceCache.load` treats that as a miss,
-evicts the entry, and callers simply re-trace.
+:mod:`repro.trace.io`: :meth:`TraceCache.open_batches` treats a bad
+header as a miss, and a stream that fails mid-way raises
+:class:`ValueError`, on which the session re-traces and overwrites the
+entry.
 """
 
 import hashlib
@@ -26,13 +28,9 @@ import os
 from repro.cpu.machine import pack_program
 from repro.obs import collector as obs
 from repro.trace.io import (
-    BatchTraceWriter,
     TRACE_FORMAT_VERSION,
-    atomic_writer,
-    dump_cf_trace,
-    load_cf_trace,
+    dump_cf_batches,
     open_cf_batches,
-    open_cf_records,
     read_cf_header,
 )
 
@@ -86,39 +84,6 @@ class TraceCache:
             return False
         return True
 
-    def load(self, name, scale, max_instructions, fingerprint):
-        """The cached :class:`CFTrace`, or ``None`` on miss/corruption.
-
-        Corrupt entries are evicted so the next writer regenerates them
-        (a writer's ``has`` pre-check can pass on a corrupt file whose
-        header survived truncation)."""
-        path = self.path(name, scale, max_instructions, fingerprint)
-        try:
-            return load_cf_trace(path)
-        except OSError:
-            return None
-        except ValueError:
-            self._evict(path)
-            return None
-
-    def _evict(self, path):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def open_records(self, name, scale, max_instructions, fingerprint):
-        """Streaming access: ``(header, record_iterator)`` or ``None``.
-
-        The iterator raises :class:`ValueError` if the file turns out to
-        be truncated mid-stream.
-        """
-        path = self.path(name, scale, max_instructions, fingerprint)
-        try:
-            return open_cf_records(path)
-        except (OSError, ValueError):
-            return None
-
     def open_batches(self, name, scale, max_instructions, fingerprint):
         """Columnar streaming access: ``(header, batch_iterator)`` or
         ``None`` -- the session's replay path.
@@ -135,13 +100,12 @@ class TraceCache:
 
     # -- writes --------------------------------------------------------------
 
-    def store(self, trace, name, scale, max_instructions, fingerprint):
-        """Atomically write a fully materialized trace."""
-        os.makedirs(self.root, exist_ok=True)
-        path = self.path(name, scale, max_instructions, fingerprint)
-        dump_cf_trace(trace, path, version=TRACE_FORMAT_VERSION)
-        self._note_written(path)
-        return path
+    def store(self, header, batches, name, scale, max_instructions,
+              fingerprint):
+        """Atomically write a trace held in memory as columns
+        (*header* is its :class:`~repro.trace.io.TraceHeader`)."""
+        return self._write(header, batches, name, scale, max_instructions,
+                           fingerprint)
 
     def store_stream(self, tracer, name, scale, max_instructions,
                      fingerprint):
@@ -152,22 +116,19 @@ class TraceCache:
         :class:`~repro.trace.batch.RecordBatch` plus
         ``total_instructions``/``halted``/``program_name`` valid after
         exhaustion.  Columns go from the interpretation loop to disk
-        without a record object or text line in between.
+        without the whole trace ever being held.
         """
+        return self._write(tracer, tracer.batches(), name, scale,
+                           max_instructions, fingerprint)
+
+    def _write(self, source, batches, name, scale, max_instructions,
+               fingerprint):
         os.makedirs(self.root, exist_ok=True)
         path = self.path(name, scale, max_instructions, fingerprint)
-        with atomic_writer(path, binary=True) as fh:
-            writer = BatchTraceWriter(fh, tracer.program_name)
-            for batch in tracer.batches():
-                writer.write_batch(batch)
-            writer.close(tracer.total_instructions, tracer.halted)
-        self._note_written(path)
-        return path
-
-    @staticmethod
-    def _note_written(path):
+        dump_cf_batches(source, batches, path)
         if obs.active() is not None:
             try:
                 obs.add("cache.bytes_written", os.path.getsize(path))
             except OSError:
                 pass
+        return path

@@ -13,15 +13,19 @@ pipeline
 2. persists traces through the content-keyed on-disk
    :class:`~repro.pipeline.cache.TraceCache`, so a warm session skips
    interpretation entirely; and
-3. streams cached :class:`~repro.trace.batch.RecordBatch` columns
-   straight into :meth:`LoopDetector.feed_batch` — neither detection
-   nor analysis requires the full record list in memory, and no
-   record object is constructed between disk and the column loops.
+3. moves every trace as :class:`~repro.trace.batch.RecordBatch`
+   columns.  A freshly traced workload is kept as ``(TraceHeader,
+   [RecordBatch])``, the shape a cache stream has, and every source --
+   the in-memory columns, the cache stream, a pooled v3 payload, a
+   retrace after a corrupt cache entry -- feeds the same batched
+   replay into :meth:`LoopDetector.feed_batch`.  No record object is
+   constructed between the interpreter (or the disk) and the column
+   loops.
 
-The legacy per-experiment surface (:meth:`trace`, :meth:`index`,
-:meth:`indexes`) remains for interactive use; the old sequential
-``SuiteRunner`` shim is gone (construct a session with
-``cache_dir=None`` for its behaviour).
+:meth:`index` and :meth:`indexes` serve loop indexes directly (the
+sweep and search path); :meth:`trace` decodes a memoized record-list
+view for interactive use.  The old sequential ``SuiteRunner`` shim is
+gone (construct a session with ``cache_dir=None`` for its behaviour).
 """
 
 import dataclasses
@@ -34,7 +38,7 @@ from repro.pipeline import worker
 from repro.pipeline.cache import TraceCache, program_fingerprint
 from repro.pipeline.derived import DerivedCache
 from repro.pipeline.config import PipelineConfig
-from repro.trace.batch import iter_batches
+from repro.trace.stream import CFTrace
 from repro.workloads import get, suite
 
 
@@ -110,7 +114,8 @@ class SimulationSession:
                        if config.cache_dir is not None else None)
         self._derived = (DerivedCache(config.cache_dir)
                          if config.cache_dir is not None else None)
-        self._traces = {}
+        self._columns = {}  # name -> (TraceHeader, [RecordBatch])
+        self._traces = {}   # name -> decoded CFTrace view (trace())
         self._indexes = {}
         self._sources = {}   # name -> "cache" | "traced", first touch
 
@@ -133,48 +138,24 @@ class SimulationSession:
         return list(self._workloads)
 
     def trace(self, name):
-        """The control-flow trace of *name*, materialized and memoized."""
+        """The control-flow trace of *name* as a record list, decoded
+        from its columns and memoized."""
         if name not in self._traces:
-            workload = self._get(name)
-            limit = self.config.limit_for(workload)
-            trace = self._from_cache(name, limit)
-            if trace is None:
-                trace = self._trace_now(name, limit)
-            self._traces[name] = trace
+            def decode(header, batches, _source):
+                return CFTrace.from_batches(header, batches)
+            self._traces[name] = self._consume(name, decode)
         return self._traces[name]
 
     def index(self, name):
-        """The loop index of *name*, memoized.
-
-        When the trace lives only in the cache, records are streamed
-        into the detector without materializing the trace.
-        """
+        """The loop index of *name*, memoized; cached columns stream
+        into the detector without the trace being held."""
         if name not in self._indexes:
-            workload = self._get(name)
-            detector = LoopDetector(cls_capacity=self.config.cls_capacity)
-            if name in self._traces:
-                index = detector.run(self._traces[name])
-            else:
-                limit = self.config.limit_for(workload)
-                stream = (self._cache.open_batches(
-                              name, self.scale, limit,
-                              self._fingerprint(name))
-                          if self._cache is not None else None)
-                if stream is not None:
-                    self._mark(name, cached=True)
-                    header, batches = stream
-                    try:
-                        index = detector.run_batches(
-                            batches, header.total_instructions)
-                    except ValueError:
-                        # Entry truncated past its (valid) header; fall
-                        # back to re-tracing with a fresh detector.
-                        detector = LoopDetector(
-                            cls_capacity=self.config.cls_capacity)
-                        index = detector.run(self.trace(name))
-                else:
-                    index = detector.run(self.trace(name))
-            self._indexes[name] = index
+            def detect(header, batches, _source):
+                detector = LoopDetector(
+                    cls_capacity=self.config.cls_capacity)
+                return detector.run_batches(batches,
+                                            header.total_instructions)
+            self._indexes[name] = self._consume(name, detect)
         return self._indexes[name]
 
     def indexes(self):
@@ -187,9 +168,9 @@ class SimulationSession:
     def analyze(self, suite):
         """Stream every workload once through *suite*.
 
-        The single analysis entrypoint: per workload, cached trace
-        records (or the in-memory trace, or a fresh inline trace) are
-        replayed exactly once through the canonical
+        The single analysis entrypoint: per workload, the trace's
+        columns (in memory, streamed from the cache, or freshly traced)
+        are replayed exactly once through the canonical
         :class:`LoopDetector`; the suite receives every record and loop
         event as it happens and each pass's ``finish`` sees the
         completed index.  ``stats.replays`` counts the replays — one
@@ -203,51 +184,15 @@ class SimulationSession:
         return suite.results()
 
     def _analyze_one(self, workload, suite):
-        name = workload.name
-        limit = self.config.limit_for(workload)
-        trace = self._traces.get(name)
-        stream = None
-        source = "memory"
-        if trace is None and self._cache is not None:
-            stream = self._cache.open_batches(name, self.scale, limit,
-                                              self._fingerprint(name))
-        if trace is None and stream is None:
-            trace = self.trace(name)
-            source = "traced"
+        def replay(header, batches, source):
+            return self._replay(workload, suite, batches,
+                                header.total_instructions, source)
 
-        if trace is not None:
-            batches = iter_batches(trace.records)
-            total = trace.total_instructions
-        else:
-            self._mark(name, cached=True)
-            source = "cache"
-            if obs.active() is not None:
-                try:
-                    obs.add("cache.bytes_read", os.path.getsize(
-                        self._cache.path(name, self.scale, limit,
-                                         self._fingerprint(name))))
-                except OSError:
-                    pass
-            header, cached_batches = stream
-            batches = _guard_stream(cached_batches)
-            total = header.total_instructions
+        def abort(header):
+            suite.abort(self._context(workload, header.total_instructions))
 
-        try:
-            index = self._replay(workload, suite, batches, total,
-                                 source=source)
-        except _CorruptStream:
-            # The cache entry was truncated past its (valid) header:
-            # drop the partially fed state and replay from a fresh
-            # trace (trace() re-traces; load() evicted the entry).
-            # Exceptions raised by analysis passes themselves are NOT
-            # retried — only the stream's own ValueError is wrapped.
-            suite.abort(self._context(workload, total))
-            trace = self.trace(name)
-            index = self._replay(workload, suite,
-                                 iter_batches(trace.records),
-                                 trace.total_instructions,
-                                 source="retraced")
-        self._indexes.setdefault(name, index)
+        index = self._consume(workload.name, replay, abort=abort)
+        self._indexes.setdefault(workload.name, index)
 
     def _context(self, workload, total, detector=None):
         from repro.analysis.base import WorkloadContext
@@ -274,8 +219,8 @@ class SimulationSession:
         the loop index built by the canonical detector along the way.
 
         *batches* is an iterable of :class:`~repro.trace.batch.
-        RecordBatch` (a cached v3 stream, or an in-memory trace through
-        :func:`~repro.trace.batch.iter_batches`).  Per batch, records
+        RecordBatch` (a cached v3 stream, or in-memory columns).  Per
+        batch, records
         fan out to the suite's record consumers and the timing model,
         then the detector's columnar fast path turns them into loop
         events -- event order is identical to the per-record replay.
@@ -342,7 +287,7 @@ class SimulationSession:
             names = [self._get(n).name for n in names]
         missing = []
         for name in names:
-            if name in self._traces:
+            if name in self._columns:
                 continue
             limit = self.config.limit_for(self._by_name[name])
             if self._cache is not None and self._cache.has(
@@ -367,7 +312,7 @@ class SimulationSession:
                                     len(pooled))) as pool:
                 futures = [
                     pool.submit(worker.trace_workload, name, self.scale,
-                                limit, cache_dir, shared=True,
+                                limit, cache_dir, pooled=True,
                                 observe=observe)
                     for name, limit in pooled]
                 # Futures are drained in submission order (the
@@ -387,12 +332,12 @@ class SimulationSession:
                 if payload is not None:
                     # Cacheless pool results arrive through a shared-
                     # memory segment (or raw v3 bytes as the fallback).
-                    self._traces[name] = \
+                    self._columns[name] = \
                         worker.load_trace_payload(payload)
-                # else: the worker streamed it into the cache; load
-                # lazily (index() streams it straight off disk).
+                # else: the worker streamed it into the cache; replays
+                # stream it straight off disk.
             else:
-                self._trace_now(name, limit, memoize=True)
+                self._trace_now(name)
 
     # -- internals -----------------------------------------------------------
 
@@ -435,23 +380,61 @@ class SimulationSession:
         except KeyError:
             return False
 
-    def _from_cache(self, name, limit):
+    def _consume(self, name, consume, abort=None):
+        """``consume(header, batches, source)`` over *name*'s trace --
+        the in-memory columns, else the cache stream, else a fresh
+        inline trace -- and return its result; *source* names which
+        (``"memory"``, ``"cache"``, ``"traced"``, ``"retraced"``).
+
+        A cache entry truncated past its (valid) header raises mid-
+        stream; *abort(header)* then drops the partially fed state and
+        *consume* runs again over a fresh trace, which also overwrites
+        the entry.  Exceptions raised by *consume* itself are NOT
+        retried -- only the stream's own ValueError is wrapped.
+        """
+        columns = self._columns.get(name)
+        if columns is not None:
+            return consume(*columns, "memory")
+        stream = self._open_cached(name)
+        if stream is None:
+            return consume(*self._trace_now(name), "traced")
+        header, batches = stream
+        try:
+            return consume(header, _guard_stream(batches), "cache")
+        except _CorruptStream:
+            if abort is not None:
+                abort(header)
+            return consume(*self._trace_now(name), "retraced")
+
+    def _open_cached(self, name):
+        """The cache's ``(header, batch_iterator)`` for *name*, or
+        ``None`` on a miss (or without a cache)."""
         if self._cache is None:
             return None
-        trace = self._cache.load(name, self.scale, limit,
-                                 self._fingerprint(name))
-        if trace is not None:
-            self._mark(name, cached=True)
-        return trace
+        limit = self.config.limit_for(self._by_name[name])
+        fingerprint = self._fingerprint(name)
+        stream = self._cache.open_batches(name, self.scale, limit,
+                                          fingerprint)
+        if stream is None:
+            return None
+        self._mark(name, cached=True)
+        if obs.active() is not None:
+            try:
+                obs.add("cache.bytes_read", os.path.getsize(
+                    self._cache.path(name, self.scale, limit,
+                                     fingerprint)))
+            except OSError:
+                pass
+        return stream
 
-    def _trace_now(self, name, limit, memoize=False):
-        """Trace inline through the shared worker entry point; returns
-        the in-memory trace directly (no disk round-trip)."""
+    def _trace_now(self, name):
+        """Trace inline through the shared worker entry point and keep
+        the columns in memory (written to the cache too, if any)."""
         self._mark(name, cached=False)
+        workload = self._by_name[name]
         with obs.span("trace", workload=name, mode="inline"):
-            _, trace = worker.trace_workload(
-                self._by_name[name], self.scale, limit,
-                self.config.cache_dir, materialize=True)
-        if memoize:
-            self._traces[name] = trace
-        return trace
+            _, columns = worker.trace_workload(
+                workload, self.scale, self.config.limit_for(workload),
+                self.config.cache_dir)
+        self._columns[name] = columns
+        return columns

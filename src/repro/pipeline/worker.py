@@ -8,27 +8,26 @@ top level (the pool pickles it by reference) and must not depend on any
 parent-process state beyond its arguments: under the ``spawn`` start
 method a fresh interpreter imports this module and nothing else.
 
-Pooled callers pass the workload *name* (resolved through the registry
-in the child) and get the trace via the cache — batches streamed to
-disk as columnar v3 chunks, nothing shipped over the result pipe — or,
-without a cache, as serialized v3 bytes.  With ``shared=True`` those
-bytes travel through a :mod:`multiprocessing.shared_memory` segment
-instead of being pickled over the pipe: the child ships only a tiny
-:class:`SharedTracePayload` descriptor, and the parent attaches, parses
-the segment zero-copy, and unlinks it (see
-:func:`load_trace_payload`).  Inline callers pass the Workload object
-itself (which also supports unregistered workloads) with
-``materialize=True`` and get the in-memory :class:`CFTrace` directly,
-with no disk round-trip.
+Inline callers pass the Workload object itself (which also supports
+unregistered workloads) and get the trace's columns,
+``(TraceHeader, [RecordBatch])``, also written to the cache when there
+is one.  Pooled callers (``pooled=True``) pass the workload *name*
+(resolved through the registry in the child) and get the trace via the
+cache -- batches streamed to disk as columnar v3 chunks, nothing
+shipped over the result pipe -- or, without a cache, as v3 bytes in a
+:mod:`multiprocessing.shared_memory` segment: the child ships only a
+tiny :class:`SharedTracePayload` descriptor, and the parent attaches,
+parses the segment zero-copy, and unlinks it (see
+:func:`load_trace_payload`).
 """
 
+import io
 from typing import NamedTuple
 
 from repro.cpu.tracer import ChunkedCFTracer
 from repro.obs import collector as obs
 from repro.pipeline.cache import TraceCache, program_fingerprint
-from repro.trace.io import TRACE_FORMAT_VERSION, dumps_cf_trace, \
-    loads_cf_trace
+from repro.trace.io import dump_cf_batches, loads_cf_batches
 
 
 class SharedTracePayload(NamedTuple):
@@ -46,19 +45,19 @@ class SharedTracePayload(NamedTuple):
 
 
 def trace_workload(workload, scale=1, max_instructions=None,
-                   cache_dir=None, materialize=False, shared=False,
-                   observe=False):
+                   cache_dir=None, pooled=False, observe=False):
     """Trace one workload (a registered name or a Workload object).
 
     Returns ``(name, payload)`` where *payload* is:
 
-    * the :class:`CFTrace` itself when ``materialize=True``;
-    * ``None`` when the trace was written to (or already present in)
-      the cache;
-    * with ``shared=True``, a :class:`SharedTracePayload` descriptor
-      for a shared-memory segment holding the serialized v3 trace
-      (falling back to plain bytes when no segment can be created);
-    * otherwise the serialized v3 trace bytes.
+    * inline (``pooled=False``): the columns ``(TraceHeader,
+      [RecordBatch])``, written to the cache first when *cache_dir* is
+      given;
+    * pooled, with a cache: ``None`` -- the trace was streamed into (or
+      already present in) the cache;
+    * pooled, without a cache: a :class:`SharedTracePayload` descriptor
+      for a shared-memory segment holding the v3 trace, or the v3
+      bytes themselves when no segment can be created.
 
     With ``observe=True`` (pooled callers whose parent session has an
     active obs collector) the work runs under a worker-local
@@ -82,7 +81,7 @@ def trace_workload(workload, scale=1, max_instructions=None,
             with obs.span("trace", workload=label, mode="pool"):
                 name, payload = trace_workload(
                     workload, scale, max_instructions, cache_dir,
-                    materialize=materialize, shared=shared)
+                    pooled=pooled)
         finally:
             obs.deactivate()
         return name, payload, collector.export()
@@ -92,28 +91,24 @@ def trace_workload(workload, scale=1, max_instructions=None,
         workload = get(workload)
     name = workload.name
     limit = max_instructions or workload.default_max_instructions
-
-    if cache_dir is not None:
-        cache = TraceCache(cache_dir)
-        fingerprint = program_fingerprint(workload.program(scale))
-        if materialize:
-            trace = workload.cf_trace(scale, limit)
-            cache.store(trace, name, scale, limit, fingerprint)
-            return name, trace
-        if not cache.has(name, scale, limit, fingerprint):
-            tracer = ChunkedCFTracer(workload.program(scale), limit)
-            cache.store_stream(tracer, name, scale, limit, fingerprint)
-        return name, None
-
-    trace = workload.cf_trace(scale, limit)
-    if materialize:
-        return name, trace
-    data = dumps_cf_trace(trace, version=TRACE_FORMAT_VERSION)
-    if shared:
+    tracer = ChunkedCFTracer(workload.program(scale), limit)
+    if cache_dir is None:
+        if not pooled:
+            return name, tracer.columns()
+        buf = io.BytesIO()
+        dump_cf_batches(tracer, tracer.batches(), buf)
+        data = buf.getvalue()
         descriptor = _ship_shared(data)
-        if descriptor is not None:
-            return name, descriptor
-    return name, data
+        return name, (descriptor if descriptor is not None else data)
+    cache = TraceCache(cache_dir)
+    key = (name, scale, limit, program_fingerprint(tracer.program))
+    if not pooled:
+        header, batches = tracer.columns()
+        cache.store(header, batches, *key)
+        return name, (header, batches)
+    if not cache.has(*key):
+        cache.store_stream(tracer, *key)
+    return name, None
 
 
 def _ship_shared(data):
@@ -151,8 +146,8 @@ def _ship_shared(data):
 
 
 def load_trace_payload(payload):
-    """Decode a non-``materialize`` worker *payload* into a
-    :class:`CFTrace`.
+    """Decode a pooled, cacheless worker *payload* into the trace's
+    columns, ``(TraceHeader, [RecordBatch])``.
 
     Serialized bytes parse directly; a :class:`SharedTracePayload` is
     attached, parsed zero-copy out of the segment, and the segment is
@@ -163,7 +158,7 @@ def load_trace_payload(payload):
         obs.add("shm.bytes", payload.size)
         segment = shared_memory.SharedMemory(name=payload.segment)
         try:
-            return loads_cf_trace(segment.buf[:payload.size])
+            return loads_cf_batches(segment.buf[:payload.size])
         finally:
             try:
                 segment.close()
@@ -173,4 +168,4 @@ def load_trace_payload(payload):
                 segment.unlink()
             except OSError:
                 pass
-    return loads_cf_trace(payload)
+    return loads_cf_batches(payload)

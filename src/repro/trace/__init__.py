@@ -11,15 +11,15 @@ from repro.trace.stream import CFTrace, FullTrace, clip, straight_line_runs
 from repro.trace.stats import CFStats, basic_block_profile, collect_cf_stats
 from repro.trace.io import (
     BatchTraceWriter,
-    CFTraceWriter,
     TRACE_FORMAT_VERSION,
     TraceHeader,
+    dump_cf_batches,
     dump_cf_trace,
     dumps_cf_trace,
     load_cf_trace,
+    loads_cf_batches,
     loads_cf_trace,
     open_cf_batches,
-    open_cf_records,
     read_cf_header,
 )
 
@@ -38,14 +38,14 @@ __all__ = [
     "basic_block_profile",
     "collect_cf_stats",
     "BatchTraceWriter",
-    "CFTraceWriter",
     "TRACE_FORMAT_VERSION",
     "TraceHeader",
+    "dump_cf_batches",
     "dump_cf_trace",
     "dumps_cf_trace",
     "load_cf_trace",
+    "loads_cf_batches",
     "loads_cf_trace",
     "open_cf_batches",
-    "open_cf_records",
     "read_cf_header",
 ]

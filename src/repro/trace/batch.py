@@ -32,6 +32,7 @@ materializing :class:`~repro.trace.record.FullRecord` objects.
 
 from array import array
 from bisect import bisect_left
+from itertools import islice
 
 from repro.trace.record import CFRecord
 
@@ -149,35 +150,18 @@ class RecordBatch:
 def iter_batches(records, batch_records=DEFAULT_BATCH_RECORDS):
     """Adapt an iterable of :class:`CFRecord` to a batch stream.
 
-    The bridge from the legacy per-record world (an in-memory
+    The bridge from record lists (an in-memory
     :class:`~repro.trace.stream.CFTrace`, the v1/v2 text readers) into
     batch consumers; emits no empty batches.
     """
     if batch_records < 1:
         raise ValueError("batch_records must be >= 1")
-    seqs = array("q")
-    pcs = array("q")
-    kinds = array("b")
-    takens = array("b")
-    targets = array("q")
-    count = 0
-    for rec in records:
-        seqs.append(rec.seq)
-        pcs.append(rec.pc)
-        kinds.append(rec.kind)
-        takens.append(1 if rec.taken else 0)
-        targets.append(NO_TARGET if rec.target is None else rec.target)
-        count += 1
-        if count >= batch_records:
-            yield RecordBatch(seqs, pcs, kinds, takens, targets)
-            seqs = array("q")
-            pcs = array("q")
-            kinds = array("b")
-            takens = array("b")
-            targets = array("q")
-            count = 0
-    if count:
-        yield RecordBatch(seqs, pcs, kinds, takens, targets)
+    records = iter(records)
+    while True:
+        batch = RecordBatch.from_records(islice(records, batch_records))
+        if not len(batch):
+            return
+        yield batch
 
 
 class FullBatch:

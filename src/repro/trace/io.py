@@ -3,7 +3,7 @@
 Control-flow traces are persisted so experiment pipelines can cache the
 expensive interpretation step (the on-disk trace cache in
 :mod:`repro.pipeline.cache` builds on this module).  Three format
-versions are readable; **v3 is the only format written by default**:
+versions are readable; **only v3 is written**:
 
 * **v1** (legacy text, read-only)::
 
@@ -11,13 +11,10 @@ versions are readable; **v3 is the only format written by default**:
       <seq> <pc> <kind> <taken> <target|->
 
   Older v1 files lack the ``records=`` field; they still load, but
-  without truncation detection.  v1 is never written by default
-  anymore (pass ``version=1`` explicitly to produce fixtures).
+  without truncation detection.
 
-* **v2** (text, chunked): same line layout as v1, but written and read
-  in bounded chunks, with a back-patchable header
-  (:class:`CFTraceWriter`) so a trace can stream to disk while it is
-  generated.
+* **v2** (legacy chunked text, read-only): same line layout as v1,
+  with a mandatory ``records=`` field.
 
 * **v3** (binary, columnar -- the cache format): a struct-packed
   header followed by column chunks that map one-to-one onto
@@ -42,6 +39,10 @@ versions are readable; **v3 is the only format written by default**:
   undecodable chunk, a record-count mismatch, or trailing garbage --
   a v3 file is either bit-exact or rejected.
 
+One writer (:class:`BatchTraceWriter`, driven by
+:func:`dump_cf_batches`) and one chunk walker (:func:`_batches_v3`)
+serve every v3 path; the record-list helpers (:func:`dump_cf_trace`,
+:func:`load_cf_trace` and their string forms) are adapters over them.
 All loaders validate the declared record count and raise
 :class:`ValueError` on truncated, padded, or malformed files.
 
@@ -59,7 +60,7 @@ import zlib
 from array import array
 from typing import NamedTuple, Optional
 
-from repro.trace.batch import NO_TARGET, RecordBatch, iter_batches
+from repro.trace.batch import RecordBatch, iter_batches
 from repro.trace.record import CFRecord
 from repro.trace.stream import CFTrace
 
@@ -73,11 +74,9 @@ MAGIC_V3 = b"CFT3"
 #: Bump when the on-disk record layout changes; cache keys include it.
 TRACE_FORMAT_VERSION = 3
 
-#: Records per chunk for the batched v2/v3 writers.
+#: Records per chunk when a record list is written or a text trace is
+#: read as batches.
 CHUNK_RECORDS = 8192
-
-#: Room reserved in a back-patched v2 header for the numeric fields.
-_BACKPATCH_SLACK = 64
 
 #: v3 end-of-chunks marker (an impossible chunk record count).
 _END_MARKER = 0xFFFFFFFF
@@ -102,12 +101,6 @@ class TraceHeader(NamedTuple):
     total_instructions: int
     halted: bool
     records: Optional[int]    #: declared record count (None: legacy v1)
-
-
-def _format_record(rec):
-    return "%d %d %d %d %s" % (
-        rec.seq, rec.pc, rec.kind, 1 if rec.taken else 0,
-        "-" if rec.target is None else str(rec.target))
 
 
 def _parse_record(line, lineno):
@@ -297,28 +290,29 @@ def _read_chunk_v3(fh, count):
 
 
 def _batches_v3(fh, header):
-    """Generate the file's batches, enforcing count/end/EOF invariants;
-    closes *fh* when exhausted or garbage-collected."""
+    """Generate the batches after *header*, enforcing the count, end
+    marker and end-of-file invariants -- the one v3 chunk walker."""
+    seen = 0
+    while True:
+        (count,) = _COUNT_STRUCT.unpack(
+            _exactly(fh, _COUNT_STRUCT.size, "chunk count"))
+        if count == _END_MARKER:
+            break
+        if count == 0 or count > _MAX_CHUNK_RECORDS:
+            raise ValueError("malformed v3 chunk record count %d" % count)
+        yield _read_chunk_v3(fh, count)
+        seen += count
+        if seen > header.records:
+            break    # fail the count check below with the real total
+    _check_count(header, seen)
+    if fh.read(1):
+        raise ValueError("trailing garbage after v3 end marker")
+
+
+def _closing(fh, items):
+    """Re-yield *items*; closes *fh* when exhausted or garbage-collected."""
     try:
-        seen = 0
-        while True:
-            (count,) = _COUNT_STRUCT.unpack(
-                _exactly(fh, _COUNT_STRUCT.size, "chunk count"))
-            if count == _END_MARKER:
-                break
-            if count == 0 or count > _MAX_CHUNK_RECORDS:
-                raise ValueError("malformed v3 chunk record count %d"
-                                 % count)
-            yield _read_chunk_v3(fh, count)
-            seen += count
-            if seen > header.records:
-                break    # fail the count check below with the real total
-        if seen != header.records:
-            raise ValueError(
-                "trace declares %d records but file contains %d "
-                "(truncated or tampered?)" % (header.records, seen))
-        if fh.read(1):
-            raise ValueError("trailing garbage after v3 end marker")
+        yield from items
     finally:
         fh.close()
 
@@ -336,16 +330,12 @@ def _write_chunk_v3(fh, batch):
 # -- writing -----------------------------------------------------------------
 
 @contextlib.contextmanager
-def atomic_writer(path, binary=False):
-    """A file handle that atomically replaces *path* on success and
-    leaves no temp file behind on error."""
+def atomic_writer(path):
+    """A binary file handle that atomically replaces *path* on success
+    and leaves no temp file behind on error."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
     try:
-        if binary:
-            fh = open(tmp, "wb")
-        else:
-            fh = open(tmp, "w", encoding="ascii")
-        with fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -354,143 +344,25 @@ def atomic_writer(path, binary=False):
         raise
 
 
-def dump_cf_trace(trace, path_or_file, version=TRACE_FORMAT_VERSION):
-    """Write *trace* to a path (atomically) or file object.
-
-    The default is the current format (binary v3).  ``version=2``
-    writes the chunked text format; ``version=1`` exists only to
-    produce legacy fixtures and should not be used for new files (it
-    has no truncation detection on old readers).  File objects must be
-    binary for v3 and text for v1/v2.
-    """
-    if version not in (1, 2, 3):
-        raise ValueError("unknown trace format version %r" % (version,))
-    if hasattr(path_or_file, "write"):
-        _write(trace, path_or_file, version)
-        return
-    with atomic_writer(path_or_file, binary=(version == 3)) as fh:
-        _write(trace, fh, version)
-
-
-def _write(trace, fh, version):
-    if version == 3:
-        _write_v3(trace, fh)
-        return
-    if version == 1:
-        fh.write("%sname=%s total=%d halted=%d records=%d\n"
-                 % (_HEADER_V1, trace.program_name,
-                    trace.total_instructions, 1 if trace.halted else 0,
-                    len(trace.records)))
-        for rec in trace.records:
-            fh.write(_format_record(rec))
-            fh.write("\n")
-    elif version == 2:
-        fh.write("%sname=%s total=%d halted=%d records=%d\n"
-                 % (_HEADER_V2, trace.program_name,
-                    trace.total_instructions, 1 if trace.halted else 0,
-                    len(trace.records)))
-        _write_record_chunks(trace.records, fh)
-    else:
-        raise ValueError("unknown trace format version %r" % (version,))
-
-
-def _write_v3(trace, fh):
-    try:
-        fh.write(MAGIC_V3)
-    except TypeError:
-        raise TypeError("v3 traces are binary; pass a binary-mode file "
-                        "object (or a path)") from None
-    name = trace.program_name.encode("utf-8")
-    fh.write(_NAME_STRUCT.pack(len(name)))
-    fh.write(name)
-    fh.write(_META_STRUCT.pack(trace.total_instructions,
-                               1 if trace.halted else 0,
-                               len(trace.records)))
-    for batch in iter_batches(trace.records, CHUNK_RECORDS):
-        _write_chunk_v3(fh, batch)
-    fh.write(_COUNT_STRUCT.pack(_END_MARKER))
-
-
-def _write_record_chunks(records, fh):
-    batch = []
-    for rec in records:
-        batch.append(_format_record(rec))
-        if len(batch) >= CHUNK_RECORDS:
-            fh.write("\n".join(batch))
-            fh.write("\n")
-            del batch[:]
-    if batch:
-        fh.write("\n".join(batch))
-        fh.write("\n")
-
-
-class CFTraceWriter:
-    """Streaming *v2 text* writer for traces of unknown final length.
-
-    Kept for producing v2 fixtures and for text-consuming tools; the
-    cache writes v3 through :class:`BatchTraceWriter`.  The header
-    needs ``total``/``halted``/``records``, which a streaming producer
-    only knows at the end, so a fixed-width placeholder header is
-    written first and back-patched by :meth:`close`.  The file object
-    must therefore be seekable.
-    """
-
-    def __init__(self, fh, program_name):
-        self._fh = fh
-        self._name = program_name
-        self._count = 0
-        self._batch = []
-        self._width = (len(_HEADER_V2) + len("name=%s" % program_name)
-                       + _BACKPATCH_SLACK)
-        fh.write("#" + " " * (self._width - 1) + "\n")
-
-    def write(self, records):
-        """Append an iterable of records."""
-        batch = self._batch
-        for rec in records:
-            batch.append(_format_record(rec))
-            self._count += 1
-            if len(batch) >= CHUNK_RECORDS:
-                self._flush()
-
-    def _flush(self):
-        if self._batch:
-            self._fh.write("\n".join(self._batch))
-            self._fh.write("\n")
-            del self._batch[:]
-
-    def close(self, total_instructions, halted):
-        """Flush records and back-patch the real header."""
-        self._flush()
-        header = "%sname=%s total=%d halted=%d records=%d" % (
-            _HEADER_V2, self._name, total_instructions,
-            1 if halted else 0, self._count)
-        if len(header) > self._width:
-            raise ValueError("header exceeds reserved width")
-        self._fh.seek(0)
-        self._fh.write(header.ljust(self._width))
-
-    @property
-    def records_written(self):
-        return self._count
-
-
 class BatchTraceWriter:
     """Streaming v3 writer: batches in, columnar chunks out.
 
-    Mirrors :class:`CFTraceWriter` for the binary format: the header's
-    ``total``/``halted``/``records`` fields sit at a fixed offset (the
-    program name's length is known up front), are written as ``-1``
-    placeholders, and are back-patched by :meth:`close` -- so a file
-    abandoned mid-write fails validation instead of loading short.
-    The file object must be binary and seekable.
+    The header's ``total``/``halted``/``records`` fields sit at a fixed
+    offset (the program name's length is known up front), are written
+    as ``-1`` placeholders, and are back-patched by :meth:`close` -- so
+    a file abandoned mid-write fails validation instead of loading
+    short.  The file object must be binary and seekable.
     """
 
     def __init__(self, fh, program_name):
         self._fh = fh
         self._count = 0
         name = program_name.encode("utf-8")
-        fh.write(MAGIC_V3)
+        try:
+            fh.write(MAGIC_V3)
+        except TypeError:
+            raise TypeError("v3 traces are binary; pass a binary-mode file "
+                            "object (or a path)") from None
         fh.write(_NAME_STRUCT.pack(len(name)))
         fh.write(name)
         self._meta_offset = (len(MAGIC_V3) + _NAME_STRUCT.size
@@ -503,11 +375,6 @@ class BatchTraceWriter:
             _write_chunk_v3(self._fh, batch)
             self._count += len(batch)
 
-    def write(self, records):
-        """Append an iterable of records (convenience adapter)."""
-        for batch in iter_batches(records, CHUNK_RECORDS):
-            self.write_batch(batch)
-
     def close(self, total_instructions, halted):
         """Write the end marker and back-patch the real header."""
         fh = self._fh
@@ -519,6 +386,33 @@ class BatchTraceWriter:
     @property
     def records_written(self):
         return self._count
+
+
+def dump_cf_batches(source, batches, path_or_file):
+    """Write *batches* as one v3 trace to a path (atomically) or a
+    binary, seekable file object.
+
+    *source* names the program up front and supplies
+    ``total_instructions``/``halted`` once *batches* is exhausted: a
+    :class:`TraceHeader`, a :class:`~repro.trace.stream.CFTrace`, or a
+    :class:`~repro.cpu.tracer.ChunkedCFTracer` whose ``batches()``
+    generator *batches* is.
+    """
+    if not hasattr(path_or_file, "write"):
+        with atomic_writer(path_or_file) as fh:
+            dump_cf_batches(source, batches, fh)
+        return
+    writer = BatchTraceWriter(path_or_file, source.program_name)
+    for batch in batches:
+        writer.write_batch(batch)
+    writer.close(source.total_instructions, source.halted)
+
+
+def dump_cf_trace(trace, path_or_file):
+    """Write a record-list :class:`~repro.trace.stream.CFTrace` as v3
+    (see :func:`dump_cf_batches`)."""
+    dump_cf_batches(trace, iter_batches(trace.records, CHUNK_RECORDS),
+                    path_or_file)
 
 
 # -- reading -----------------------------------------------------------------
@@ -539,20 +433,17 @@ def _open_sniffed(path):
 
 
 def load_cf_trace(path_or_file):
-    """Read a trace written by :func:`dump_cf_trace` (any version).
+    """Read a trace file (any version) into a record-list
+    :class:`~repro.trace.stream.CFTrace`.
 
-    Paths are sniffed; file objects must be binary for v3, text for
-    v1/v2 (matching how they are written).
+    Paths are sniffed; file objects must be binary for v3 and text for
+    v1/v2.
     """
     if hasattr(path_or_file, "read"):
-        if _is_binary_file(path_or_file):
-            return _read_v3(path_or_file)
-        return _read(path_or_file)
+        return _load(path_or_file, _is_binary_file(path_or_file))
     family, fh = _open_sniffed(path_or_file)
     with fh:
-        if family == "binary":
-            return _read_v3(fh)
-        return _read(fh)
+        return _load(fh, family == "binary")
 
 
 def _is_binary_file(fh):
@@ -560,39 +451,12 @@ def _is_binary_file(fh):
     return isinstance(probe, (bytes, bytearray, memoryview))
 
 
-def _read_v3(fh):
-    header = _read_header_v3(fh)
-    records = []
-    seen = 0
-    while True:
-        (count,) = _COUNT_STRUCT.unpack(
-            _exactly(fh, _COUNT_STRUCT.size, "chunk count"))
-        if count == _END_MARKER:
-            break
-        if count == 0 or count > _MAX_CHUNK_RECORDS:
-            raise ValueError("malformed v3 chunk record count %d" % count)
-        records.extend(_read_chunk_v3(fh, count).iter_records())
-        seen += count
-    _check_count(header, seen)
-    if fh.read(1):
-        raise ValueError("trailing garbage after v3 end marker")
-    return CFTrace(records=records,
-                   total_instructions=header.total_instructions,
-                   halted=header.halted, program_name=header.program_name)
-
-
-def _read(fh):
+def _load(fh, binary):
+    if binary:
+        header = _read_header_v3(fh)
+        return CFTrace.from_batches(header, _batches_v3(fh, header))
     header = _parse_header(fh.readline())
-    records = []
-    lineno = 1
-    for line in fh:
-        lineno += 1
-        line = line.strip()
-        if not line:
-            continue
-        records.append(_parse_record(line, lineno))
-    _check_count(header, len(records))
-    return CFTrace(records=records,
+    return CFTrace(records=list(_text_records(fh, header)),
                    total_instructions=header.total_instructions,
                    halted=header.halted, program_name=header.program_name)
 
@@ -639,68 +503,56 @@ def open_cf_batches(path):
             if mapped is not None:
                 fh = mapped
             header = _read_header_v3(fh)
-            return header, _batches_v3(fh, header)
-        header = _parse_header(fh.readline())
+            batches = _batches_v3(fh, header)
+        else:
+            header = _parse_header(fh.readline())
+            batches = iter_batches(_text_records(fh, header),
+                                   CHUNK_RECORDS)
     except BaseException:
         fh.close()
         raise
-    return header, iter_batches(_record_stream(fh, header),
-                                CHUNK_RECORDS)
+    return header, _closing(fh, batches)
 
 
-def open_cf_records(path):
-    """Open *path* for streaming: ``(header, record_iterator)``.
-
-    Like :func:`open_cf_batches` but yielding one :class:`CFRecord` at
-    a time (the batch layer decodes them on the fly for v3).
-    """
-    header, batches = open_cf_batches(path)
-    return header, _records_of(batches)
-
-
-def _records_of(batches):
-    for batch in batches:
-        yield from batch.iter_records()
-
-
-def _record_stream(fh, header):
-    try:
-        seen = 0
-        lineno = 1
-        for line in fh:
-            lineno += 1
-            line = line.strip()
-            if not line:
-                continue
-            yield _parse_record(line, lineno)
-            seen += 1
-        _check_count(header, seen)
-    finally:
-        fh.close()
+def _text_records(fh, header):
+    seen = 0
+    lineno = 1
+    for line in fh:
+        lineno += 1
+        line = line.strip()
+        if not line:
+            continue
+        yield _parse_record(line, lineno)
+        seen += 1
+    _check_count(header, seen)
 
 
 # -- string/bytes helpers ----------------------------------------------------
 
-def dumps_cf_trace(trace, version=TRACE_FORMAT_VERSION):
-    """Serialize to ``bytes`` (v3) or ``str`` (v1/v2) -- the round-trip
-    helper for tests and pool workers."""
-    if version == 3:
-        buf = io.BytesIO()
-    else:
-        buf = io.StringIO()
-    _write(trace, buf, version)
+def dumps_cf_trace(trace):
+    """Serialize to v3 ``bytes`` -- the round-trip helper for tests."""
+    buf = io.BytesIO()
+    dump_cf_trace(trace, buf)
     return buf.getvalue()
 
 
-def loads_cf_trace(data):
-    """Inverse of :func:`dumps_cf_trace`; accepts ``str`` or any
-    bytes-like buffer (``bytes``, ``memoryview``, a shared-memory
-    segment's ``buf``).  Binary input is parsed zero-copy -- no view
-    of *data* outlives the call."""
-    if isinstance(data, str):
-        return _read(io.StringIO(data))
+def loads_cf_batches(data):
+    """``(header, [RecordBatch])`` from a v3 trace in any bytes-like
+    buffer (``bytes``, ``memoryview``, a shared-memory segment's
+    ``buf``).  The buffer is parsed zero-copy, and no view of *data*
+    outlives the call: each batch owns its decompressed columns."""
     reader = _BufferReader(data)
     try:
-        return _read_v3(reader)
+        header = _read_header_v3(reader)
+        return header, list(_batches_v3(reader, header))
     finally:
         reader.close()
+
+
+def loads_cf_trace(data):
+    """Inverse of :func:`dumps_cf_trace`: a record-list
+    :class:`~repro.trace.stream.CFTrace` from a v3 buffer (see
+    :func:`loads_cf_batches`), or from a legacy v1/v2 ``str``."""
+    if isinstance(data, str):
+        return _load(io.StringIO(data), binary=False)
+    return CFTrace.from_batches(*loads_cf_batches(data))

@@ -20,6 +20,18 @@ class CFTrace:
         self.halted = halted
         self.program_name = program_name
 
+    @classmethod
+    def from_batches(cls, header, batches):
+        """Decode a :class:`~repro.trace.batch.RecordBatch` stream into a
+        record-list trace; *header* supplies ``program_name``,
+        ``total_instructions`` and ``halted`` (a
+        :class:`~repro.trace.io.TraceHeader`)."""
+        records = []
+        for batch in batches:
+            records.extend(batch.iter_records())
+        return cls(records, header.total_instructions, header.halted,
+                   header.program_name)
+
     def __iter__(self):
         return iter(self.records)
 

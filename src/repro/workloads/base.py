@@ -9,7 +9,7 @@ the paper's whole-run vs 10^9-instruction-prefix distinction.
 """
 
 from repro.core.detector import LoopDetector
-from repro.cpu import trace_control_flow, trace_full
+from repro.cpu import ChunkedCFTracer, trace_control_flow, trace_full
 from repro.lang.compiler import compile_module
 
 
@@ -46,8 +46,11 @@ class Workload:
         return trace_full(self.program(scale), limit)
 
     def loop_index(self, scale=1, cls_capacity=16, max_instructions=None):
-        trace = self.cf_trace(scale, max_instructions)
-        return LoopDetector(cls_capacity=cls_capacity).run(trace)
+        limit = max_instructions or self.default_max_instructions
+        header, batches = ChunkedCFTracer(self.program(scale),
+                                          limit).columns()
+        return LoopDetector(cls_capacity=cls_capacity).run_batches(
+            batches, header.total_instructions)
 
     def __repr__(self):
         return "Workload(%r, %s)" % (self.name, self.category)

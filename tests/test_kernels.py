@@ -20,8 +20,8 @@ from repro.core.branchpred import BimodalPredictor, \
 from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
-from repro.trace import RecordBatch, dump_cf_trace, dumps_cf_trace, \
-    iter_batches, kernels, loads_cf_trace, open_cf_batches
+from repro.trace import CFTrace, RecordBatch, dump_cf_trace, \
+    dumps_cf_trace, iter_batches, kernels, loads_cf_trace, open_cf_batches
 from repro.workloads import get
 
 BR = int(InstrKind.BRANCH)
@@ -188,14 +188,6 @@ class TestBatchBoundaries:
         with open(path, "w+b") as fh:
             writer = BatchTraceWriter(fh, loop_trace.program_name)
             # 7 records per chunk: every chunk seam lands mid-loop.
-            writer.write(iter(loop_trace.records))
-            for batch in ():
-                writer.write_batch(batch)
-            writer.close(loop_trace.total_instructions,
-                         loop_trace.halted)
-        # Rewrite with tiny chunks via explicit batches.
-        with open(path, "w+b") as fh:
-            writer = BatchTraceWriter(fh, loop_trace.program_name)
             for batch in iter_batches(loop_trace.records, 7):
                 writer.write_batch(batch)
             writer.close(loop_trace.total_instructions,
@@ -377,16 +369,23 @@ class TestSharedMemoryPayload:
         from repro.pipeline import worker
 
         name, payload = worker.trace_workload("swim", 1, 5_000, None,
-                                              shared=True)
+                                              pooled=True)
         assert name == "swim"
         if not isinstance(payload, worker.SharedTracePayload):
             pytest.skip("shared memory unavailable on this platform")
-        via_shm = worker.load_trace_payload(payload)
-        _, data = worker.trace_workload("swim", 1, 5_000, None)
-        assert isinstance(data, bytes)
-        via_bytes = worker.load_trace_payload(data)
-        assert via_shm.records == via_bytes.records
-        assert via_shm.total_instructions == via_bytes.total_instructions
+        header, batches = worker.load_trace_payload(payload)
+        _, (ref_header, ref_batches) = worker.trace_workload(
+            "swim", 1, 5_000, None)
+        assert header == ref_header
+
+        def records(columns):
+            return [r for b in columns for r in b.iter_records()]
+
+        assert records(batches) == records(ref_batches)
+        # The plain-bytes fallback decodes to the same columns.
+        data = dumps_cf_trace(CFTrace.from_batches(ref_header, ref_batches))
+        assert records(worker.load_trace_payload(data)[1]) \
+            == records(ref_batches)
         # The parent unlinked the segment after reading it.
         from multiprocessing import shared_memory
         with pytest.raises(FileNotFoundError):

@@ -29,7 +29,7 @@ def config(**kwargs):
 
 
 def trace_bytes(session):
-    return {name: dumps_cf_trace(session.trace(name), version=2)
+    return {name: dumps_cf_trace(session.trace(name))
             for name in WORKLOADS}
 
 
@@ -203,7 +203,8 @@ class TestStreamingDetection:
         streamed = SimulationSession(config(cache_dir=cache_dir))
         # index() before trace() streams records from the cache ...
         streamed_idx = {name: streamed.index(name) for name in WORKLOADS}
-        assert not streamed._traces, "streaming must not materialize"
+        assert not streamed._traces and not streamed._columns, \
+            "streaming must not hold the trace"
         inmem = SimulationSession(config())
         for name in WORKLOADS:
             assert index_shape(streamed_idx[name]) \
@@ -212,32 +213,102 @@ class TestStreamingDetection:
 
 class TestWorker:
     def test_worker_payload_roundtrip(self):
-        from repro.trace.io import loads_cf_trace
-        name, payload = worker.trace_workload("go", 1, LIMIT, None)
+        name, payload = worker.trace_workload("go", 1, LIMIT, None,
+                                              pooled=True)
         assert name == "go"
-        trace = loads_cf_trace(payload)
-        assert trace.total_instructions == LIMIT or trace.halted
+        header, batches = worker.load_trace_payload(payload)
+        assert header.total_instructions == LIMIT or header.halted
+        assert header.records == sum(len(b) for b in batches)
 
     def test_worker_writes_cache_entry(self, tmp_path):
         from repro.pipeline.cache import program_fingerprint
         from repro.workloads import get
         cache_dir = str(tmp_path / "cache")
-        _, payload = worker.trace_workload("go", 1, LIMIT, cache_dir)
+        _, payload = worker.trace_workload("go", 1, LIMIT, cache_dir,
+                                           pooled=True)
         assert payload is None
         cache = TraceCache(cache_dir)
         fp = program_fingerprint(get("go").program(1))
         assert cache.has("go", 1, LIMIT, fp)
-        header, records = cache.open_records("go", 1, LIMIT, fp)
-        count = sum(1 for _ in records)
+        header, batches = cache.open_batches("go", 1, LIMIT, fp)
+        count = sum(len(b) for b in batches)
         assert count == header.records
 
-    def test_worker_materialize_skips_disk_roundtrip(self, tmp_path):
-        from repro.trace.stream import CFTrace
+    def test_inline_worker_keeps_columns(self, tmp_path):
+        from repro.trace.batch import RecordBatch
         cache_dir = str(tmp_path / "cache")
-        name, trace = worker.trace_workload("go", 1, LIMIT, cache_dir,
-                                            materialize=True)
-        assert isinstance(trace, CFTrace)
+        name, (header, batches) = worker.trace_workload("go", 1, LIMIT,
+                                                        cache_dir)
+        assert all(isinstance(b, RecordBatch) for b in batches)
+        assert header.records == sum(len(b) for b in batches)
         assert os.listdir(cache_dir)   # still persisted for next time
+
+
+class TestColumnsEndToEnd:
+    """Cold tracing never decodes records: the interpreter's columns
+    feed the cache writer, the detector and every pass directly."""
+
+    EXPERIMENTS = ["table1", "figure4", "figure5", "figure6", "table2",
+                   "baselines", "ablations"]
+
+    def _analyze(self, cache_dir):
+        from repro.experiments.runner import build_suite
+        session = SimulationSession(config(cache_dir=cache_dir))
+        suite, _ = build_suite(self.EXPERIMENTS)
+        rendered = []
+        for result in session.analyze(suite):
+            for table in (result if isinstance(result, list)
+                          else [result]):
+                rendered.append(table.render())
+        return rendered, session
+
+    def _indexes(self, cache_dir):
+        session = SimulationSession(config(cache_dir=cache_dir))
+        shapes = {name: index_shape(session.index(name))
+                  for name in WORKLOADS}
+        return shapes, session
+
+    @staticmethod
+    def _stats(session):
+        stats = session.stats
+        return stats.traced, stats.cache_hits, stats.replays
+
+    def _forbid_record_decoding(self, monkeypatch):
+        import repro.cpu
+        import repro.workloads.base
+        from repro.core.detector import LoopDetector
+        from repro.cpu import tracer
+        from repro.trace.batch import RecordBatch
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a column path decoded records")
+
+        monkeypatch.setattr(RecordBatch, "iter_records", boom)
+        monkeypatch.setattr(LoopDetector, "run", boom)
+        for module in (tracer, repro.cpu, repro.workloads.base):
+            monkeypatch.setattr(module, "trace_control_flow", boom)
+
+    def test_cold_paths_never_decode_records(self, tmp_path, monkeypatch):
+        primed = str(tmp_path / "primed")
+        self._analyze(primed)
+        warm, warm_session = self._analyze(primed)
+        assert self._stats(warm_session) == (0, 2, 2)
+        warm_indexes, _ = self._indexes(primed)
+
+        self._forbid_record_decoding(monkeypatch)
+        cold, session = self._analyze(str(tmp_path / "cold"))
+        assert cold == warm
+        assert self._stats(session) == (2, 0, 2)
+        inline, session = self._analyze(None)
+        assert inline == warm
+        assert self._stats(session) == (2, 0, 2)
+        indexes, session = self._indexes(str(tmp_path / "sweep"))
+        assert indexes == warm_indexes
+        assert self._stats(session) == (2, 0, 0)
+        # The entries written while tracing stream back warm.
+        indexes, session = self._indexes(str(tmp_path / "sweep"))
+        assert indexes == warm_indexes
+        assert self._stats(session) == (0, 2, 0)
 
 
 class TestUnregisteredWorkloads:

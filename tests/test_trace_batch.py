@@ -10,14 +10,19 @@ prediction, and the data-speculation study.
 
 import io
 import os
+import shutil
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import InstrKind, assemble
-from repro.cpu import trace_control_flow
-from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer, trace_full
+from repro.cpu.tracer import (
+    ChunkedCFTracer,
+    ChunkedFullTracer,
+    trace_control_flow,
+    trace_full,
+)
 from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.trace import (
@@ -31,7 +36,6 @@ from repro.trace import (
     load_cf_trace,
     loads_cf_trace,
     open_cf_batches,
-    open_cf_records,
     read_cf_header,
 )
 
@@ -140,7 +144,7 @@ class TestSerializationV3:
     @given(random_records())
     def test_round_trip_random_records(self, records):
         trace = CFTrace(records, 2 * len(records) + 5, False, "rand")
-        clone = loads_cf_trace(dumps_cf_trace(trace, version=3))
+        clone = loads_cf_trace(dumps_cf_trace(trace))
         assert clone.records == trace.records
         assert clone.total_instructions == trace.total_instructions
         assert clone.halted == trace.halted
@@ -159,7 +163,7 @@ class TestSerializationV3:
         assert clone.total_instructions == 0
 
     def test_header_read(self, loop_trace):
-        data = dumps_cf_trace(loop_trace, version=3)
+        data = dumps_cf_trace(loop_trace)
         header = read_cf_header(io.BytesIO(data))
         assert header.version == 3
         assert header.records == len(loop_trace.records)
@@ -182,7 +186,7 @@ class TestSerializationV3:
         with open(path, "wb") as fh:
             writer = BatchTraceWriter(fh, loop_trace.program_name)
             for rec in loop_trace.records:          # one at a time
-                writer.write([rec])
+                writer.write_batch(RecordBatch.from_records([rec]))
             assert writer.records_written == len(loop_trace.records)
             writer.close(loop_trace.total_instructions,
                          loop_trace.halted)
@@ -196,7 +200,8 @@ class TestSerializationV3:
         path = str(tmp_path / "u.cft")
         with open(path, "wb") as fh:
             writer = BatchTraceWriter(fh, "unfinished")
-            writer.write(loop_trace.records)
+            writer.write_batch(RecordBatch.from_records(
+                loop_trace.records))
             # no close(): header still holds the -1 placeholders
         with pytest.raises(ValueError, match="never finalized"):
             load_cf_trace(path)
@@ -206,7 +211,7 @@ class TestCorruptV3Files:
     """A v3 file is either bit-exact or rejected."""
 
     def _data(self, loop_trace):
-        return dumps_cf_trace(loop_trace, version=3)
+        return dumps_cf_trace(loop_trace)
 
     def test_bad_magic_rejected(self, loop_trace):
         data = b"XXT3" + self._data(loop_trace)[4:]
@@ -253,7 +258,7 @@ class TestCorruptV3Files:
 
         trace = CFTrace([CFRecord(0, 5, HALT, False, None)], 1, True,
                         "bomb")
-        data = bytearray(dumps_cf_trace(trace, version=3))
+        data = bytearray(dumps_cf_trace(trace))
         name_len = struct.unpack_from("<H", data, 4)[0]
         chunk_off = 4 + 2 + name_len + 17
         bomb = zlib.compress(b"\x00" * 1_000_000)
@@ -265,7 +270,7 @@ class TestCorruptV3Files:
             loads_cf_trace(patched)
 
     def test_oversized_payload_length_rejected(self, loop_trace):
-        data = bytearray(dumps_cf_trace(loop_trace, version=3))
+        data = bytearray(dumps_cf_trace(loop_trace))
         name_len = struct.unpack_from("<H", data, 4)[0]
         chunk_off = 4 + 2 + name_len + 17
         # Keep the record count, declare an absurd payload length.
@@ -276,7 +281,7 @@ class TestCorruptV3Files:
     def test_streaming_reader_raises_mid_stream(self, loop_trace,
                                                 tmp_path):
         path = str(tmp_path / "t.cft")
-        dump_cf_trace(loop_trace, path, version=3)
+        dump_cf_trace(loop_trace, path)
         data = open(path, "rb").read()
         open(path, "wb").write(data[:len(data) - 6])
         _header, batches = open_cf_batches(path)
@@ -318,13 +323,13 @@ class TestFixtureMatrix:
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_streaming_matches_fixture(self, version):
         path = os.path.join(FIXTURES, "loop_v%d.cft" % version)
-        header, records = open_cf_records(path)
-        assert list(records) == self._load(version).records
+        header, batches = open_cf_batches(path)
+        assert [r for b in batches for r in b.iter_records()] \
+            == self._load(version).records
 
     def test_nothing_writes_v1_by_default(self, loop_trace, tmp_path):
-        """The legacy format (no truncation detection on old readers)
-        must be opt-in everywhere: the module default, the cache, and
-        the pool worker all produce v3."""
+        """Only v3 is written: the module writer, the cache, and the
+        pool worker all produce it."""
         from repro.pipeline.cache import TraceCache, program_fingerprint
         from repro.pipeline import worker
 
@@ -336,11 +341,18 @@ class TestFixtureMatrix:
         cache = TraceCache(str(tmp_path / "cache"))
         program = assemble(LOOP_SRC)
         fp = program_fingerprint(program)
-        stored = cache.store(loop_trace, "fixture", 1, 1000, fp)
+        header, batches = ChunkedCFTracer(program).columns()
+        stored = cache.store(header, batches, "fixture", 1, 1000, fp)
         assert open(stored, "rb").read(4) == b"CFT3"
+        assert load_cf_trace(stored).records == loop_trace.records
 
-        _, payload = worker.trace_workload("swim", 1, 5000, None)
-        assert isinstance(payload, bytes) and payload[:4] == b"CFT3"
+        _, payload = worker.trace_workload("swim", 1, 5000, None,
+                                           pooled=True)
+        if isinstance(payload, worker.SharedTracePayload):
+            header, _ = worker.load_trace_payload(payload)
+            assert header.version == 3
+        else:
+            assert payload[:4] == b"CFT3"
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +566,6 @@ class TestTracerBatches:
         assert tracer.total_instructions == loop_trace.total_instructions
         assert tracer.halted == loop_trace.halted
 
-    def test_chunks_adapter_still_yields_record_lists(self, loop_trace):
-        tracer = ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=4)
-        chunks = list(tracer.chunks())
-        assert all(isinstance(rec, CFRecord)
-                   for chunk in chunks for rec in chunk)
-        assert [r for chunk in chunks for r in chunk] \
-            == loop_trace.records
-
     def test_results_not_ready_before_exhaustion(self):
         tracer = ChunkedCFTracer(assemble(LOOP_SRC))
         with pytest.raises(RuntimeError):
@@ -613,10 +617,9 @@ class TestTraceCacheTool:
 
     def _populate(self, root, loop_trace):
         os.makedirs(root, exist_ok=True)
-        dump_cf_trace(loop_trace, os.path.join(root, "a-v3-x.cft"),
-                      version=3)
-        dump_cf_trace(loop_trace, os.path.join(root, "b-v2-x.cft"),
-                      version=2)
+        dump_cf_trace(loop_trace, os.path.join(root, "a-v3-x.cft"))
+        shutil.copy(os.path.join(FIXTURES, "loop_v2.cft"),
+                    os.path.join(root, "b-v2-x.cft"))
         with open(os.path.join(root, "c-v3-x.cft"), "wb") as fh:
             fh.write(b"CFT3 garbage")
 

@@ -1,6 +1,7 @@
 """Tests for trace containers, statistics, serialization and utilities."""
 
 import io
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,15 @@ from repro.trace import (
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def fixture_text(version):
+    """The committed legacy text trace (nothing writes v1/v2 anymore)."""
+    with open(os.path.join(FIXTURES, "loop_v%d.cft" % version),
+              encoding="ascii") as fh:
+        return fh.read()
 
 LOOP_SRC = """
 main:
@@ -143,16 +153,14 @@ class TestSerialization:
         clone = load_cf_trace(buf)
         assert clone.records == loop_trace.records
 
-    def test_text_file_object_round_trip(self, loop_trace):
-        buf = io.StringIO()
-        dump_cf_trace(loop_trace, buf, version=2)
-        buf.seek(0)
-        clone = load_cf_trace(buf)
-        assert clone.records == loop_trace.records
+    def test_text_file_object_round_trip(self):
+        clone = load_cf_trace(io.StringIO(fixture_text(2)))
+        assert clone.records == loads_cf_trace(fixture_text(1)).records
+        assert clone.total_instructions == 78
 
     def test_text_file_object_rejected_for_v3(self, loop_trace):
         with pytest.raises(TypeError, match="binary"):
-            dump_cf_trace(loop_trace, io.StringIO(), version=3)
+            dump_cf_trace(loop_trace, io.StringIO())
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
@@ -222,90 +230,71 @@ class TestFormattingUtilities:
 
 
 class TestSerializationV2:
-    """The chunked v2 cache format and the streaming reader/writer."""
+    """The legacy text formats stay readable (committed fixtures)."""
 
-    def test_v2_round_trip(self, loop_trace):
-        from repro.trace import dumps_cf_trace, loads_cf_trace
-        text = dumps_cf_trace(loop_trace, version=2)
+    def test_v2_round_trip(self):
+        from repro.trace import loads_cf_trace
+        text = fixture_text(2)
         assert text.startswith("#cftrace v2 ")
         clone = loads_cf_trace(text)
-        assert clone.records == loop_trace.records
-        assert clone.total_instructions == loop_trace.total_instructions
-        assert clone.halted == loop_trace.halted
-        assert clone.program_name == loop_trace.program_name
+        assert len(clone.records) == 25
+        assert clone.total_instructions == 78
+        assert clone.halted
+        assert clone.program_name == "fixture-loop"
 
-    def test_v1_and_v2_record_lines_identical(self, loop_trace):
-        from repro.trace import dumps_cf_trace
-        v1 = dumps_cf_trace(loop_trace, version=1).splitlines()[1:]
-        v2 = dumps_cf_trace(loop_trace, version=2).splitlines()[1:]
+    def test_v1_and_v2_record_lines_identical(self):
+        v1 = fixture_text(1).splitlines()[1:]
+        v2 = fixture_text(2).splitlines()[1:]
         assert v1 == v2
 
-    def test_unknown_version_rejected(self, loop_trace):
-        from repro.trace import dumps_cf_trace
+    def test_unknown_version_rejected(self):
+        from repro.trace import read_cf_header
         with pytest.raises(ValueError):
-            dumps_cf_trace(loop_trace, version=99)
+            read_cf_header(io.StringIO(
+                "#cftrace v9 name=x total=1 halted=1 records=0\n"))
 
-    def test_header_declares_record_count(self, loop_trace):
-        from repro.trace import dumps_cf_trace, read_cf_header
+    def test_header_declares_record_count(self):
+        from repro.trace import read_cf_header
         for version in (1, 2):
-            text = dumps_cf_trace(loop_trace, version=version)
-            header = read_cf_header(io.StringIO(text))
+            header = read_cf_header(io.StringIO(fixture_text(version)))
             assert header.version == version
-            assert header.records == len(loop_trace.records)
-            assert header.total_instructions \
-                == loop_trace.total_instructions
+            assert header.records == 25
+            assert header.total_instructions == 78
 
-    def test_streaming_writer_backpatches_header(self, loop_trace,
-                                                 tmp_path):
-        from repro.trace import CFTraceWriter, load_cf_trace
-        path = tmp_path / "stream.cft"
-        with open(path, "w", encoding="ascii") as fh:
-            writer = CFTraceWriter(fh, loop_trace.program_name)
-            for rec in loop_trace.records:   # one at a time
-                writer.write([rec])
-            writer.close(loop_trace.total_instructions, loop_trace.halted)
-        clone = load_cf_trace(str(path))
-        assert clone.records == loop_trace.records
-        assert clone.total_instructions == loop_trace.total_instructions
-
-    def test_open_cf_records_streams_and_validates(self, loop_trace,
-                                                   tmp_path):
-        from repro.trace import dump_cf_trace, open_cf_records
+    def test_open_cf_batches_streams_and_validates(self, tmp_path):
+        from repro.trace import open_cf_batches
         path = tmp_path / "t.cft"
-        dump_cf_trace(loop_trace, str(path), version=2)
-        header, records = open_cf_records(str(path))
-        assert list(records) == loop_trace.records
-        assert header.program_name == loop_trace.program_name
+        path.write_text(fixture_text(2))
+        header, batches = open_cf_batches(str(path))
+        assert [r for b in batches for r in b.iter_records()] \
+            == loads_cf_trace(fixture_text(1)).records
+        assert header.program_name == "fixture-loop"
 
 
 class TestCorruptTraceFiles:
     """Truncated or tampered trace files must raise, not load short."""
 
-    def _dump(self, trace, version):
-        from repro.trace import dumps_cf_trace
-        return dumps_cf_trace(trace, version=version)
-
     @pytest.mark.parametrize("version", [1, 2])
-    def test_truncated_file_rejected(self, loop_trace, version):
+    def test_truncated_file_rejected(self, version):
         from repro.trace import loads_cf_trace
-        lines = self._dump(loop_trace, version).splitlines(keepends=True)
+        lines = fixture_text(version).splitlines(keepends=True)
         assert len(lines) > 3
         with pytest.raises(ValueError, match="truncated or tampered"):
             loads_cf_trace("".join(lines[:-2]))
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_appended_records_rejected(self, loop_trace, version):
+    def test_appended_records_rejected(self, version):
         from repro.trace import loads_cf_trace
-        text = self._dump(loop_trace, version) + "9 9 1 0 -\n"
+        text = fixture_text(version) + "9 9 1 0 -\n"
         with pytest.raises(ValueError, match="truncated or tampered"):
             loads_cf_trace(text)
 
     @pytest.mark.parametrize("junk", ["20128 14", "a b c d e",
                                       "1 2 3 7 -", "1 2 3 4 5 6"])
     @pytest.mark.parametrize("version", [1, 2])
-    def test_malformed_line_rejected(self, loop_trace, version, junk):
+    def test_malformed_line_rejected(self, version, junk):
         from repro.trace import loads_cf_trace
-        lines = self._dump(loop_trace, version).splitlines()
+        lines = fixture_text(version).splitlines()
         lines[2] = junk
         with pytest.raises(ValueError, match="malformed"):
             loads_cf_trace("\n".join(lines) + "\n")
@@ -317,21 +306,19 @@ class TestCorruptTraceFiles:
         with pytest.raises(ValueError):
             loads_cf_trace("#cftrace v2 name=x total=5 halted=1\n")
 
-    def test_legacy_v1_header_without_count_still_loads(self, loop_trace):
-        from repro.trace import dumps_cf_trace, loads_cf_trace
-        lines = dumps_cf_trace(loop_trace, version=1).splitlines()
-        legacy = lines[0].replace(
-            " records=%d" % len(loop_trace.records), "")
+    def test_legacy_v1_header_without_count_still_loads(self):
+        from repro.trace import loads_cf_trace
+        lines = fixture_text(1).splitlines()
+        legacy = lines[0].replace(" records=25", "")
+        assert legacy != lines[0]
         clone = loads_cf_trace("\n".join([legacy] + lines[1:]) + "\n")
-        assert clone.records == loop_trace.records
+        assert clone.records == loads_cf_trace(fixture_text(1)).records
 
-    def test_streaming_reader_raises_on_truncation(self, loop_trace,
-                                                   tmp_path):
-        from repro.trace import dump_cf_trace, open_cf_records
+    def test_streaming_reader_raises_on_truncation(self, tmp_path):
+        from repro.trace import open_cf_batches
         path = tmp_path / "t.cft"
-        dump_cf_trace(loop_trace, str(path), version=2)
-        data = path.read_text().splitlines(keepends=True)
+        data = fixture_text(2).splitlines(keepends=True)
         path.write_text("".join(data[:-1]))
-        _header, records = open_cf_records(str(path))
+        _header, batches = open_cf_batches(str(path))
         with pytest.raises(ValueError, match="truncated or tampered"):
-            list(records)
+            list(batches)

@@ -182,28 +182,30 @@ def _chunk_fixture():
 
 
 class TestChunkedTracer:
-    """The chunked/streaming tracer is pinned to the monolithic one."""
+    """The chunked tracer is the one control-flow loop; it is pinned to
+    the reference machine at every chunking."""
 
     def test_chunks_concatenate_to_full_trace(self):
         from repro.cpu import ChunkedCFTracer
         program = _chunk_fixture()
-        full = trace_control_flow(program, 50_000)
-        tracer = ChunkedCFTracer(program, 50_000, chunk_size=7)
-        records = []
-        for chunk in tracer.chunks():
-            assert 0 < len(chunk) <= 7
-            records.extend(chunk)
-        assert records == full.records
-        assert tracer.total_instructions == full.total_instructions
-        assert tracer.halted == full.halted
-        assert tracer.program_name == full.program_name
+        expected, count = machine_cf_records(program, budget=50_000)
+        for chunk_size in (1, 7, ChunkedCFTracer.DEFAULT_CHUNK):
+            tracer = ChunkedCFTracer(program, 50_000, chunk_size=chunk_size)
+            records = []
+            for batch in tracer.batches():
+                assert 0 < len(batch) <= chunk_size
+                records.extend(batch.iter_records())
+            assert records == expected, chunk_size
+            assert tracer.total_instructions == count
+            assert tracer.halted is False
+            assert tracer.program_name == program.name
 
     def test_metadata_unavailable_before_exhaustion(self):
         from repro.cpu import ChunkedCFTracer
-        tracer = ChunkedCFTracer(_chunk_fixture(), 1_000)
+        tracer = ChunkedCFTracer(_chunk_fixture(), 1_000, chunk_size=16)
         with pytest.raises(RuntimeError):
             tracer.total_instructions
-        gen = tracer.chunks()
+        gen = tracer.batches()
         next(gen)
         with pytest.raises(RuntimeError):
             tracer.halted
@@ -214,7 +216,7 @@ class TestChunkedTracer:
         tracer = ChunkedCFTracer(_chunk_fixture(), 10,
                                  allow_truncation=False)
         with pytest.raises(TraceBudgetExceeded):
-            list(tracer.chunks())
+            list(tracer.batches())
 
     def test_bad_chunk_size_rejected(self):
         from repro.cpu import ChunkedCFTracer
