@@ -44,7 +44,9 @@ def run_single_pass(cache_dir, workloads, max_instructions):
     start = time.perf_counter()
     session.analyze(suite)
     elapsed = time.perf_counter() - start
-    assert session.stats.replays == len(session.workloads)
+    # At most one trace walk per workload (none once the derived
+    # store holds every pass's result).
+    assert session.stats.replays <= len(session.workloads)
     return elapsed, session.stats.replays
 
 
@@ -57,7 +59,7 @@ def run_per_experiment(cache_dir, workloads, max_instructions):
         session.analyze(suite)
     elapsed = time.perf_counter() - start
     assert session.stats.replays \
-        == len(EXPERIMENT_ORDER) * len(session.workloads)
+        <= len(EXPERIMENT_ORDER) * len(session.workloads)
     return elapsed, session.stats.replays
 
 

@@ -101,7 +101,9 @@ def run_single_pass(cache_dir, workloads, max_instructions):
     start = time.perf_counter()
     session.analyze(suite)
     elapsed = time.perf_counter() - start
-    assert session.stats.replays == len(session.workloads)
+    # At most one trace walk per workload (none once the derived
+    # store holds every pass's result).
+    assert session.stats.replays <= len(session.workloads)
     return elapsed, session.stats.replays
 
 

@@ -25,6 +25,12 @@ completed loop index as an oracle (the speculation engine reads future
 iteration boundaries) do their work in ``finish`` against ``ctx.index``
 -- the single index shared by every pass, not a per-experiment copy.
 
+A workload whose passes neither want records (``wants_records``, read
+after ``begin``) nor override ``feed`` is not replayed at all: the
+session calls ``finish`` right after ``begin``, and ``ctx.index``
+resolves lazily on first read.  Passes whose results are already in
+the derived store therefore make a warm run a lookup.
+
 ``abort(ctx)`` discards partial per-workload state: the session calls
 it when a cached trace proves corrupt mid-stream, then re-traces and
 calls ``begin`` again for the same workload.  Suite-level accumulators
@@ -38,11 +44,19 @@ class WorkloadContext:
     replayed.
 
     ``total_instructions`` is known from the start (the trace header
-    carries it), so passes can size prefixes up front.  ``index`` is
-    ``None`` until the replay completes; it is set before ``finish``.
-    ``detector`` is the live canonical detector -- :meth:`execution`
-    resolves an event's ``exec_id`` to its (mutable) execution record,
-    which is complete by the time that execution's end event is fed.
+    carries it), so passes can size prefixes up front.  During a
+    replay, ``index`` is ``None`` until the replay completes; it is set
+    before ``finish``.  ``detector`` is the live canonical detector --
+    :meth:`execution` resolves an event's ``exec_id`` to its (mutable)
+    execution record, which is complete by the time that execution's
+    end event is fed.
+
+    When no pass needs the record or event stream the session skips
+    the replay and calls ``finish`` straight after ``begin``; ``index``
+    and ``detector`` are then *lazy* (:meth:`defer`): the first read of
+    either walks the trace, so a pass that reads them still gets the
+    canonical index, and one that does not costs no walk.
+
     ``shared`` is a per-workload scratch dict for values several passes
     want to compute exactly once (e.g. the full-trace data-speculation
     statistics shared by figure8 and the extensions study).
@@ -62,8 +76,8 @@ class WorkloadContext:
     """
 
     __slots__ = ("name", "workload", "scale", "cls_capacity",
-                 "total_instructions", "detector", "index", "shared",
-                 "timing", "derived")
+                 "total_instructions", "shared", "timing", "derived",
+                 "_detector", "_index", "_resolve")
 
     def __init__(self, name, total_instructions, workload=None, scale=1,
                  cls_capacity=16, detector=None, timing=None,
@@ -73,11 +87,39 @@ class WorkloadContext:
         self.scale = scale
         self.cls_capacity = cls_capacity
         self.total_instructions = total_instructions
-        self.detector = detector
-        self.index = None
+        self._detector = detector
+        self._index = None
+        self._resolve = None
         self.shared = {}
         self.timing = timing
         self.derived = derived
+
+    def defer(self, resolve):
+        """Make ``index`` and ``detector`` lazy: the first read of
+        either calls ``resolve()`` for the ``(detector, index)`` pair.
+        The session does this when it skips a workload's replay."""
+        self._detector = self._index = None
+        self._resolve = resolve
+
+    def _resolved(self):
+        self._detector, self._index = self._resolve()
+        self._resolve = None
+
+    @property
+    def detector(self):
+        if self._resolve is not None:
+            self._resolved()
+        return self._detector
+
+    @property
+    def index(self):
+        if self._resolve is not None:
+            self._resolved()
+        return self._index
+
+    @index.setter
+    def index(self, index):
+        self._index = index
 
     def execution(self, exec_id):
         """The live execution record behind *exec_id* (complete once its
@@ -100,6 +142,9 @@ class Analysis:
     """
 
     #: True to receive every CF record through :meth:`feed_record`.
+    #: Read per workload *after* :meth:`begin`, so a pass may clear it
+    #: there when it will not need this workload's records (e.g. its
+    #: result is already in ``ctx.derived``).
     wants_records = False
 
     def begin(self, ctx):
@@ -132,7 +177,9 @@ class Analysis:
         will be called again before any further feeding."""
 
     def finish(self, ctx):
-        """Workload replay complete; ``ctx.index`` is available."""
+        """Workload replay complete (or skipped); ``ctx.index`` is
+        available -- read it only when needed, since in a skipped
+        replay the first read walks the trace."""
 
     def result(self):
         """The pass's final product, after all workloads finished."""

@@ -6,9 +6,10 @@ simulations, and the shared full-trace data-speculation study.
 """
 
 from repro.core.events import ExecutionEnd, SingleIteration
-from repro.core.loopstats import LoopStatistics
+from repro.core.loopstats import LoopStatistics, loop_coverage
 from repro.core.speculation import simulate, simulate_grid, \
     simulate_infinite
+from repro.core.speculation.metrics import SpeculationResult
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.dataspec.stats import DataSpecStats
 from repro.core.tables import POLICY_LRU, TableHitRatioSimulator
@@ -53,20 +54,59 @@ def effective_timing(ctx, timing=None):
     return timing
 
 
+def restore(derived, dkey, from_state):
+    """``from_state(value)`` of the derived entry *dkey*, or ``None``
+    without a store, on a miss, or when the entry is malformed
+    (``from_state`` raising ``KeyError``/``TypeError``/``ValueError``)
+    -- a malformed entry is recomputed like a missing one."""
+    if derived is None:
+        return None
+    state = derived.get(dkey)
+    if state is None:
+        return None
+    try:
+        return from_state(state)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def loopstats_key(cls_capacity):
+    """The derived key of a workload's loop statistics and coverage --
+    also the sweep's loop-statistics cell key, so direct runs and
+    sweep cells share the entry."""
+    return derived_key("loopstats") + "/c%d" % cls_capacity
+
+
+def loopstats_state(stats, coverage):
+    """The derived-store value under :func:`loopstats_key`."""
+    return {"stats": stats.state(), "coverage": coverage}
+
+
+def loopstats_from_state(state):
+    """``(LoopStatistics, coverage)`` from :func:`loopstats_state`."""
+    coverage = state["coverage"]
+    if not isinstance(coverage, float):
+        raise TypeError("non-float loop coverage")
+    return LoopStatistics.from_state(state["stats"]), coverage
+
+
 class LoopStatisticsPass(Analysis):
-    """Table-1 statistics, one :class:`LoopStatistics` per workload.
+    """Table-1 statistics, one :class:`LoopStatistics` per workload,
+    plus the workload's loop coverage (:attr:`coverage`).
 
     Every execution record is complete by the time its
     :class:`~repro.core.events.ExecutionEnd` (or
     :class:`~repro.core.events.SingleIteration`) event exists -- the
     CLS guarantees exactly one terminating event per execution, end of
     trace included.  The pass therefore consumes no per-event stream at
-    all: at ``finish`` it walks the terminating positions of the
-    index's event columns and observes each execution in event order.
+    all: at ``finish`` it restores both from the derived store, or
+    walks the terminating positions of the index's event columns,
+    observing each execution in event order, and persists them.
     """
 
     def __init__(self):
         self.by_name = {}
+        self.coverage = {}
         self._stats = None
 
     def begin(self, ctx):
@@ -77,6 +117,20 @@ class LoopStatisticsPass(Analysis):
         self._stats = None
 
     def finish(self, ctx):
+        dkey = loopstats_key(ctx.cls_capacity)
+        restored = restore(ctx.derived, dkey, loopstats_from_state)
+        if restored is None:
+            stats = self._observe(ctx).finalize()
+            coverage = loop_coverage(ctx.index)
+            if ctx.derived is not None:
+                ctx.derived.put(dkey, loopstats_state(stats, coverage))
+        else:
+            stats, coverage = restored
+        self.by_name[ctx.name] = stats
+        self.coverage[ctx.name] = coverage
+        self._stats = None
+
+    def _observe(self, ctx):
         from repro.core.detector import EV_EXEC_END, EV_SINGLE
 
         stats = self._stats
@@ -97,8 +151,7 @@ class LoopStatisticsPass(Analysis):
                 etype = type(event)
                 if etype is ExecutionEnd or etype is SingleIteration:
                     stats.observe(ctx.execution(event.exec_id))
-        self.by_name[ctx.name] = stats.finalize()
-        self._stats = None
+        return stats
 
     def result(self):
         return self.by_name
@@ -149,25 +202,31 @@ _TABLE_SIM_KEY = "table-sim"
 
 
 def shared_table_sim(ctx, let_entries, lit_entries, policy=POLICY_LRU):
-    """A :class:`TableHitRatioSimulator` shared across passes for this
-    replay; returns ``(sim, owned)``.
+    """The :class:`TableHitRatioSimulator` of one table configuration
+    for this workload, with its counters valid; call it in ``finish``.
 
     Several experiments sweep the same table configuration (figure4's
-    size-2/4 LRU pairs reappear in the replacement-policy ablation).
-    The simulator is *not* fed during the replay: every consumer calls
-    :meth:`~repro.core.tables.TableHitRatioSimulator.ensure_replayed`
-    on the finished ``ctx.index`` at ``finish`` and then reads the
-    counters -- the first call performs the (columnar) walk, the rest
-    are free.  ``owned`` reports whether this call created the
-    simulator, for passes that care about setup (listeners etc.).
+    size-2/4 LRU pairs reappear in the replacement-policy ablation), so
+    the simulator is memoized in ``ctx.shared``.  The first call
+    restores its counters from the derived store, or replays it once
+    over ``ctx.index`` (a columnar walk) and persists them; the rest
+    are free.  Consumers only read the counters.
     """
     key = (_TABLE_SIM_KEY, let_entries, lit_entries, policy)
     sim = ctx.shared.get(key)
-    if sim is not None:
-        return sim, False
-    sim = TableHitRatioSimulator(let_entries, lit_entries, policy)
-    ctx.shared[key] = sim
-    return sim, True
+    if sim is None:
+        dkey = derived_key(*key) + "/c%d" % ctx.cls_capacity
+        sim = restore(
+            ctx.derived, dkey,
+            lambda counters: TableHitRatioSimulator.from_counters(
+                let_entries, lit_entries, policy, counters))
+        if sim is None:
+            sim = TableHitRatioSimulator(let_entries, lit_entries, policy)
+            sim.ensure_replayed(ctx.index)
+            if ctx.derived is not None:
+                ctx.derived.put(dkey, sim.counters())
+        ctx.shared[key] = sim
+    return sim
 
 
 #: ``ctx.shared`` key prefix for memoized speculation simulations.
@@ -199,7 +258,7 @@ def shared_simulate(ctx, num_tus, policy, timing=None):
     result = ctx.shared.get(key)
     if result is None:
         dkey = derived_key(*key) + "/c%d" % ctx.cls_capacity
-        result = _restore_result(ctx.derived, dkey)
+        result = restore(ctx.derived, dkey, SpeculationResult.from_state)
         if result is None:
             result = simulate(ctx.index, num_tus=num_tus, policy=policy,
                               name=ctx.name, timing=timing)
@@ -232,7 +291,8 @@ def shared_simulate_many(ctx, specs):
         result = ctx.shared.get(key)
         if result is None and key not in pending:
             dkey = derived_key(*key) + "/c%d" % ctx.cls_capacity
-            result = _restore_result(ctx.derived, dkey)
+            result = restore(ctx.derived, dkey,
+                             SpeculationResult.from_state)
             if result is None:
                 missing.append((key, dkey, (num_tus, policy, timing)))
                 pending[key] = []
@@ -258,22 +318,6 @@ def shared_simulate_many(ctx, specs):
     return results
 
 
-def _restore_result(derived, dkey):
-    """A :class:`SpeculationResult` from the derived store, or ``None``
-    on miss/malformed payload."""
-    if derived is None:
-        return None
-    state = derived.get(dkey)
-    if state is None:
-        return None
-    from repro.core.speculation.metrics import SpeculationResult
-
-    try:
-        return SpeculationResult.from_state(state)
-    except (KeyError, TypeError):
-        return None
-
-
 #: ``ctx.shared`` key prefix for memoized data-speculation statistics.
 _DATASPEC_KEY = "dataspec-stats"
 
@@ -296,13 +340,7 @@ def shared_dataspec_stats(ctx, max_instructions):
     if stats is None:
         dkey = derived_key(_DATASPEC_KEY, max_instructions) \
             + "/c%d" % ctx.cls_capacity
-        if ctx.derived is not None:
-            state = ctx.derived.get(dkey)
-            if state is not None:
-                try:
-                    stats = DataSpecStats.from_state(state)
-                except (KeyError, TypeError):
-                    stats = None
+        stats = restore(ctx.derived, dkey, DataSpecStats.from_state)
         if stats is None:
             from repro.cpu.tracer import ChunkedFullTracer
 

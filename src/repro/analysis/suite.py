@@ -52,6 +52,9 @@ class AnalysisSuite:
 
     @property
     def wants_records(self):
+        """Whether any pass wants records; passes may decide per
+        workload in ``begin``, so the session reads this after
+        :meth:`begin`."""
         return any(a.wants_records for a in self._analyses)
 
     # -- lifecycle fan-out ---------------------------------------------------
@@ -60,13 +63,6 @@ class AnalysisSuite:
         from repro.analysis.base import Analysis
         from repro.obs import collector as obs
 
-        # Hot-path pruning: records/events only reach passes that
-        # actually consume them (oracle passes override finish only).
-        self._record_consumers = tuple(
-            a for a in self._analyses if a.wants_records)
-        self._event_consumers = tuple(
-            a for a in self._analyses
-            if type(a).feed is not Analysis.feed)
         # Per-pass feed timing only exists while a collector is active;
         # the disabled fan-out below is byte-for-byte the untimed loop.
         self._feed_seconds = None
@@ -77,6 +73,15 @@ class AnalysisSuite:
             self._feed_seconds = {name: 0.0 for name in self._names}
         for analysis in self._analyses:
             analysis.begin(ctx)
+        # Hot-path pruning: records/events only reach passes that
+        # actually consume them (oracle passes override finish only).
+        # wants_records is read after begin, which may clear it for
+        # this workload.
+        self._record_consumers = tuple(
+            a for a in self._analyses if a.wants_records)
+        self._event_consumers = tuple(
+            a for a in self._analyses
+            if type(a).feed is not Analysis.feed)
 
     def feed_record(self, record):
         for analysis in self._record_consumers:

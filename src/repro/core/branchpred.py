@@ -104,6 +104,26 @@ class BranchPredictionReport:
             return 0.0
         return (self.closing_correct + self.other_correct) / total
 
+    def state(self):
+        """Every field as a JSON-serializable dict -- the exact inverse
+        of :meth:`from_state`."""
+        return {field: getattr(self, field) for field in self.__slots__}
+
+    @classmethod
+    def from_state(cls, state):
+        """Rebuild a report from :meth:`state` output.
+
+        Raises ``KeyError``/``TypeError`` on malformed input (derived
+        caches treat that as a miss).
+        """
+        report = cls(state["name"])
+        for field in cls.__slots__[1:]:
+            value = state[field]
+            if type(value) is not int:
+                raise TypeError("non-integer counter %r" % field)
+            setattr(report, field, value)
+        return report
+
     def __repr__(self):
         return ("BranchPredictionReport(%s: closing=%.1f%%, other=%.1f%%)"
                 % (self.name, 100 * self.closing_accuracy,

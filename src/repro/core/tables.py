@@ -335,6 +335,32 @@ class TableHitRatioSimulator:
         if entry is not None:
             entry.completed += 1
 
+    # -- persistence ------------------------------------------------------------
+
+    def counters(self):
+        """``[let_hits, let_accesses, lit_hits, lit_accesses]`` -- the
+        JSON-serializable form :meth:`from_counters` restores."""
+        return [self.let_hits, self.let_accesses, self.lit_hits,
+                self.lit_accesses]
+
+    @classmethod
+    def from_counters(cls, let_entries, lit_entries, policy, counters):
+        """A simulator reporting *counters* as if it had replayed.
+
+        Only the counters are restored, not the table contents, so the
+        result is marked replayed (:meth:`ensure_replayed` is a no-op).
+        Raises ``TypeError`` on malformed input (derived caches treat
+        that as a miss).
+        """
+        if (not isinstance(counters, list) or len(counters) != 4
+                or not all(type(c) is int for c in counters)):
+            raise TypeError("table-simulator counters must be four ints")
+        sim = cls(let_entries, lit_entries, policy)
+        (sim.let_hits, sim.let_accesses, sim.lit_hits,
+         sim.lit_accesses) = counters
+        sim._replayed = True
+        return sim
+
     # -- results ----------------------------------------------------------------
 
     @property

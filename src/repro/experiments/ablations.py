@@ -11,12 +11,15 @@
 All three ride the shared replay: the replacement sweep replays one
 table-simulator pair per (size, policy) over the finished loop index
 (a columnar walk, shared with figure4), and the CLS sweep feeds one
-detector per capacity with each record batch -- no per-ablation trace
-re-replays.
+bare CLS per capacity with each record batch -- no per-ablation trace
+re-replays.  Every per-workload count is persisted in the derived
+store; when all of a workload's counts are there, the pass wants no
+records and the workload needs no replay for it.
 """
 
 from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
+from repro.analysis.passes import restore
 from repro.core.cls import CurrentLoopStack
 from repro.core.events import ExecutionStart, SingleIteration
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
@@ -29,6 +32,14 @@ WAITING_NUM_TUS = 4
 
 
 ALL_PARTS = ("replacement", "waiting", "cls")
+
+
+def _cls_counts(counts):
+    """Validate a persisted ``[overflow drops, executions]`` pair."""
+    if (not isinstance(counts, list) or len(counts) != 2
+            or not all(type(c) is int for c in counts)):
+        raise TypeError("CLS-sweep counts must be two ints")
+    return counts
 
 
 @register_analysis("ablations")
@@ -44,8 +55,6 @@ class AblationsAnalysis(Analysis):
         self.sizes = sizes
         self.capacities = capacities
         self.num_tus = num_tus
-        # Records are only needed for the CLS capacity sweep.
-        self.wants_records = "cls" in self.parts
         # replacement sweep: (size, policy) -> [let_h, let_a, lit_h, lit_a]
         self._replacement = {(size, policy): [0, 0, 0, 0]
                              for size in sizes
@@ -54,20 +63,11 @@ class AblationsAnalysis(Analysis):
         self._waiting_timing = TimingMeta()
         # CLS sweep: capacity -> [overflow drops, executions]
         self._cls = {capacity: [0, 0] for capacity in capacities}
-        self._sims = None
-        self._stacks = None
+        self._stacks = {}
         self._stack_list = ()
         self._cls_cached = {}
 
     def begin(self, ctx):
-        if "replacement" in self.parts:
-            # Table simulators are shared per configuration across the
-            # suite (figure4 sweeps the same LRU sizes); each replays
-            # the finished index once, at the first consumer's finish.
-            self._sims = {}
-            for size, policy in self._replacement:
-                sim, _ = shared_table_sim(ctx, size, size, policy)
-                self._sims[(size, policy)] = sim
         if "cls" in self.parts:
             # The sweep only asks how often each CLS size drops a live
             # loop, so it feeds bare CurrentLoopStacks (no event list,
@@ -75,24 +75,21 @@ class AblationsAnalysis(Analysis):
             # entry matching the session's own capacity is exactly the
             # canonical detector; it is read from the context at
             # finish.  Counts already in the derived store skip their
-            # stack's record walk entirely.
-            self._canonical_capacity = ctx.cls_capacity
+            # stack's record walk entirely, and with every count there
+            # this workload needs no records at all.
             self._cls_cached = {}
-            if ctx.derived is not None:
-                for capacity in self.capacities:
-                    if capacity == self._canonical_capacity:
-                        continue
-                    counts = ctx.derived.get(self._cls_key(capacity))
-                    if (isinstance(counts, list) and len(counts) == 2
-                            and all(isinstance(c, int)
-                                    for c in counts)):
-                        self._cls_cached[capacity] = counts
+            for capacity in self.capacities:
+                counts = restore(ctx.derived, self._cls_key(capacity),
+                                 _cls_counts)
+                if counts is not None:
+                    self._cls_cached[capacity] = counts
             self._stacks = {
                 capacity: [CurrentLoopStack(capacity=capacity), 0]
                 for capacity in self.capacities
-                if capacity != self._canonical_capacity
+                if capacity != ctx.cls_capacity
                 and capacity not in self._cls_cached}
             self._stack_list = tuple(self._stacks.values())
+            self.wants_records = bool(self._stack_list)
 
     @staticmethod
     def _cls_key(capacity):
@@ -125,16 +122,16 @@ class AblationsAnalysis(Analysis):
                     or type(event) is SingleIteration)
 
     def abort(self, ctx):
-        self._sims = None
-        self._stacks = None
+        self._stacks = {}
         self._stack_list = ()
         self._cls_cached = {}
 
     def finish(self, ctx):
         if "replacement" in self.parts:
-            for key, sim in self._sims.items():
-                sim.ensure_replayed(ctx.index)
-                totals = self._replacement[key]
+            # Table simulators are shared per configuration across the
+            # suite (figure4 sweeps the same LRU sizes).
+            for (size, policy), totals in self._replacement.items():
+                sim = shared_table_sim(ctx, size, size, policy)
                 totals[0] += sim.let_hits
                 totals[1] += sim.let_accesses
                 totals[2] += sim.lit_hits
@@ -148,26 +145,22 @@ class AblationsAnalysis(Analysis):
                                        round(incl.tpc_executing, 2)))
         if "cls" in self.parts:
             for capacity in self.capacities:
-                entry = self._stacks.get(capacity)
-                cached = self._cls_cached.get(capacity)
-                if entry is not None:
-                    # flush() emits only ExecutionEnds: neither count
-                    # moves.
-                    overflowed = entry[0].overflow_count
-                    executions = entry[1]
+                counts = self._cls_cached.get(capacity)
+                if counts is None:
+                    entry = self._stacks.get(capacity)
+                    if entry is not None:
+                        # flush() emits only ExecutionEnds: neither
+                        # count moves.
+                        counts = [entry[0].overflow_count, entry[1]]
+                    else:
+                        counts = [ctx.detector.cls.overflow_count,
+                                  len(ctx.index.executions)]
                     if ctx.derived is not None:
-                        ctx.derived.put(self._cls_key(capacity),
-                                        [overflowed, executions])
-                elif cached is not None:
-                    overflowed, executions = cached
-                else:
-                    overflowed = ctx.detector.cls.overflow_count
-                    executions = len(ctx.index.executions)
+                        ctx.derived.put(self._cls_key(capacity), counts)
                 totals = self._cls[capacity]
-                totals[0] += overflowed
-                totals[1] += executions
-        self._sims = None
-        self._stacks = None
+                totals[0] += counts[0]
+                totals[1] += counts[1]
+        self._stacks = {}
         self._stack_list = ()
         self._cls_cached = {}
 

@@ -7,16 +7,32 @@ reference [13]) accuracy split into closing vs other branches.
 
 Both predictors ride the shared record stream through one
 :class:`~repro.core.branchpred.BranchPredictionStream` per workload --
-one pass instead of the former two-passes-per-predictor replay.
+one pass instead of the former two-passes-per-predictor replay.  The
+two reports persist in the derived store; a workload whose reports are
+there wants no records.
 """
 
 from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import restore
 from repro.core.branchpred import (
     BimodalPredictor,
+    BranchPredictionReport,
     BranchPredictionStream,
     GSharePredictor,
 )
 from repro.experiments.report import ExperimentResult
+from repro.pipeline.derived import derived_key
+
+#: Predictor geometries (also part of the derived-store key).
+BIMODAL_ENTRIES = 2048
+GSHARE_ENTRIES = 4096
+GSHARE_HISTORY_BITS = 10
+
+
+def _reports_from_state(states):
+    bimodal, gshare = states
+    return (BranchPredictionReport.from_state(bimodal),
+            BranchPredictionReport.from_state(gshare))
 
 
 @register_analysis("baselines")
@@ -29,10 +45,22 @@ class BaselinesAnalysis(Analysis):
         self._totals = {"closing_c": 0, "closing_t": 0, "other_c": 0,
                         "other_t": 0, "gshare_c": 0, "gshare_t": 0}
         self._stream = None
+        self._cached = None
+
+    @staticmethod
+    def _key(ctx):
+        return (derived_key("branchpred", BIMODAL_ENTRIES, GSHARE_ENTRIES,
+                            GSHARE_HISTORY_BITS)
+                + "/c%d" % ctx.cls_capacity)
 
     def begin(self, ctx):
-        self._stream = BranchPredictionStream(
-            [BimodalPredictor(), GSharePredictor()])
+        self._cached = restore(ctx.derived, self._key(ctx),
+                               _reports_from_state)
+        self._stream = None if self._cached is not None else \
+            BranchPredictionStream([
+                BimodalPredictor(BIMODAL_ENTRIES),
+                GSharePredictor(GSHARE_ENTRIES, GSHARE_HISTORY_BITS)])
+        self.wants_records = self._stream is not None
 
     def feed_record(self, record):
         self._stream.feed(record)
@@ -42,10 +70,18 @@ class BaselinesAnalysis(Analysis):
 
     def abort(self, ctx):
         self._stream = None
+        self._cached = None
 
     def finish(self, ctx):
-        bimodal, gshare = self._stream.reports(ctx.name)
+        if self._cached is not None:
+            bimodal, gshare = self._cached
+        else:
+            bimodal, gshare = self._stream.reports(ctx.name)
+            if ctx.derived is not None:
+                ctx.derived.put(self._key(ctx),
+                                [bimodal.state(), gshare.state()])
         self._stream = None
+        self._cached = None
         self._reports[ctx.name] = {"bimodal": bimodal, "gshare": gshare}
         self._rows.append((ctx.name,
                            round(100 * bimodal.closing_accuracy, 2),

@@ -24,7 +24,6 @@ adding e.g. figure6 to the same run re-uses the sweeps' simulations).
 
 from repro.analysis import Analysis, LoopStatisticsPass, \
     register_analysis, shared_simulate
-from repro.core.loopstats import loop_coverage
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 #: Policies characterized per workload (one simulation each, shared
@@ -174,14 +173,15 @@ class CharacterizeAnalysis(Analysis):
     def abort(self, ctx):
         self._stats.abort(ctx)
 
-    # Oracle part: coverage and speculation need the completed index.
+    # Oracle part: speculation needs the completed index (loop
+    # statistics and coverage come from the derived store when warm).
 
     def finish(self, ctx):
         self._stats.finish(ctx)
         self._tables.add_workload(
             ctx.name,
             self._stats.by_name[ctx.name],
-            loop_coverage(ctx.index),
+            self._stats.coverage[ctx.name],
             lambda policy: shared_simulate(ctx, self.num_tus, policy))
 
     def result(self):

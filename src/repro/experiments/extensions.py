@@ -18,9 +18,55 @@ both experiments costs one full trace per workload, not two.
 
 from repro.analysis import Analysis, effective_timing, \
     register_analysis, shared_dataspec_stats, shared_simulate
+from repro.analysis.passes import restore
 from repro.core.speculation import SpeculationDisableTable, simulate
+from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult, TimingMeta
+from repro.pipeline.derived import derived_key
+
+#: The disable table's geometry: capacity, samples before a verdict,
+#: and the hit rate below which a loop is blocked.
+DISABLE_CAPACITY = 16
+DISABLE_MIN_SAMPLES = 5
+DISABLE_HIT_THRESHOLD = 0.5
+
+
+def guarded_state(result, blocked):
+    """The derived-store value of a disable-table run: its result and
+    how many loops the table blocked."""
+    return {"result": result.state(), "blocked": blocked}
+
+
+def guarded_from_state(state):
+    """``(SpeculationResult, blocked)`` from :func:`guarded_state`."""
+    blocked = state["blocked"]
+    if type(blocked) is not int:
+        raise TypeError("non-integer blocked-loop count")
+    return SpeculationResult.from_state(state["result"]), blocked
+
+
+def guarded_simulate(ctx, num_tus):
+    """STR with *num_tus* TUs behind a speculation disable table:
+    ``(result, blocked loops)``, restored from the derived store or
+    simulated over ``ctx.index`` and persisted."""
+    timing = effective_timing(ctx)
+    parts = ["simulate-disable", num_tus, "str", DISABLE_CAPACITY,
+             DISABLE_MIN_SAMPLES, DISABLE_HIT_THRESHOLD]
+    if timing is not None:
+        parts.append(timing.key())
+    dkey = derived_key(*parts) + "/c%d" % ctx.cls_capacity
+    restored = restore(ctx.derived, dkey, guarded_from_state)
+    if restored is not None:
+        return restored
+    table = SpeculationDisableTable(capacity=DISABLE_CAPACITY,
+                                    min_samples=DISABLE_MIN_SAMPLES,
+                                    hit_threshold=DISABLE_HIT_THRESHOLD)
+    result = simulate(ctx.index, num_tus=num_tus, policy="str",
+                      name=ctx.name, disable_table=table, timing=timing)
+    if ctx.derived is not None:
+        ctx.derived.put(dkey, guarded_state(result, len(table)))
+    return result, len(table)
 
 
 @register_analysis("extensions")
@@ -40,18 +86,14 @@ class ExtensionsAnalysis(Analysis):
         # 1. Disable table.
         plain = self._sync_timing.fold(self._disable_timing.fold(
             shared_simulate(ctx, self.num_tus, "str")))
-        table = SpeculationDisableTable(capacity=16, min_samples=5,
-                                        hit_threshold=0.5)
-        guarded = self._disable_timing.fold(
-            simulate(ctx.index, num_tus=self.num_tus, policy="str",
-                     name=ctx.name, disable_table=table,
-                     timing=effective_timing(ctx)))
+        guarded, blocked = guarded_simulate(ctx, self.num_tus)
+        self._disable_timing.fold(guarded)
         self._disable_rows.append((ctx.name,
                                    round(100 * plain.hit_ratio, 2),
                                    round(100 * guarded.hit_ratio, 2),
                                    round(plain.tpc, 2),
                                    round(guarded.tpc, 2),
-                                   len(table)))
+                                   blocked))
         # 2. Synchronization-free bound.
         data = shared_dataspec_stats(ctx, self.full_trace_limit)
         sync_free_tpc = 1.0 + (plain.tpc - 1.0) * data.all_data

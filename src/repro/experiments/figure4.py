@@ -6,8 +6,9 @@ It highlights 4 LIT entries (90.50%) and 16 LET entries (91.98%) as the
 suggested trade-off.
 
 Every table size rides the *same* replay: one
-:class:`~repro.core.tables.TableHitRatioSimulator` pair per size is fed
-each loop event as it happens, so sweeping sizes costs no extra passes.
+:class:`~repro.core.tables.TableHitRatioSimulator` pair per size walks
+the finished loop index at ``finish`` (or restores its counters from
+the derived store), so sweeping sizes costs no extra trace passes.
 """
 
 from repro.analysis import Analysis, register_analysis, shared_table_sim
@@ -22,24 +23,14 @@ class Figure4Analysis(Analysis):
         self.table_sizes = table_sizes
         self._totals = {size: [0, 0, 0, 0] for size in table_sizes}
         self._per_bench = {size: {} for size in table_sizes}
-        self._sims = None
-
-    def begin(self, ctx):
-        # Simulators are shared per (size, size, LRU) across the suite
-        # (the replacement ablation sweeps the same configurations);
-        # each is replayed over the finished index exactly once, at the
-        # first consumer's finish (TableHitRatioSimulator.ensure_replayed).
-        self._sims = {}
-        for size in self.table_sizes:
-            sim, _ = shared_table_sim(ctx, size, size)
-            self._sims[size] = sim
-
-    def abort(self, ctx):
-        self._sims = None
 
     def finish(self, ctx):
-        for size, sim in self._sims.items():
-            sim.ensure_replayed(ctx.index)
+        # Simulators are shared per (size, size, LRU) across the suite
+        # (the replacement ablation sweeps the same configurations) and
+        # restored from the derived store when present; otherwise each
+        # replays the finished index once, for its first consumer.
+        for size in self.table_sizes:
+            sim = shared_table_sim(ctx, size, size)
             totals = self._totals[size]
             totals[0] += sim.let_hits
             totals[1] += sim.let_accesses
@@ -47,7 +38,6 @@ class Figure4Analysis(Analysis):
             totals[3] += sim.lit_accesses
             self._per_bench[size][ctx.name] = (sim.let_hit_ratio,
                                                sim.lit_hit_ratio)
-        self._sims = None
 
     def result(self):
         per_size = {}

@@ -12,27 +12,23 @@ rides the same record stream, fed only the records inside the prefix
 """
 
 from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import restore
 from repro.core.detector import LoopDetector
 from repro.core.speculation import simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult
 
 
-def _cached_infinite(ctx, dkey, index):
-    """An infinite-TU simulation of *index*, via the workload's derived
-    store when present (the result is a pure function of the trace and
-    the index parameters baked into *dkey*)."""
-    derived = ctx.derived
-    if derived is not None:
-        state = derived.get(dkey)
-        if state is not None:
-            try:
-                return SpeculationResult.from_state(state)
-            except (KeyError, TypeError):
-                pass
-    result = simulate_infinite(index, name=ctx.name)
-    if derived is not None:
-        derived.put(dkey, result.state())
+def _cached_infinite(ctx, dkey, build_index):
+    """An infinite-TU simulation of ``build_index()``, via the
+    workload's derived store when present (the result is a pure
+    function of the trace and the index parameters baked into *dkey*);
+    *build_index* is only called on a miss."""
+    result = restore(ctx.derived, dkey, SpeculationResult.from_state)
+    if result is None:
+        result = simulate_infinite(build_index(), name=ctx.name)
+        if ctx.derived is not None:
+            ctx.derived.put(dkey, result.state())
     return result
 
 
@@ -54,18 +50,13 @@ class Figure5Analysis(Analysis):
                                  ctx.total_instructions)
         # When the reduced-run result is already in the derived store,
         # the whole prefix detection pass is unnecessary -- the prefix
-        # index existed only to feed that one simulation.
-        self._reduced_cached = None
-        if ctx.derived is not None:
-            state = ctx.derived.get(self._reduced_key(ctx))
-            if state is not None:
-                try:
-                    self._reduced_cached = \
-                        SpeculationResult.from_state(state)
-                except (KeyError, TypeError):
-                    self._reduced_cached = None
+        # index existed only to feed that one simulation -- and so are
+        # this workload's records.
+        self._reduced_cached = restore(ctx.derived, self._reduced_key(ctx),
+                                       SpeculationResult.from_state)
         self._prefix_detector = None if self._reduced_cached is not None \
             else LoopDetector(cls_capacity=ctx.cls_capacity)
+        self.wants_records = self._prefix_detector is not None
 
     def _reduced_key(self, ctx):
         return ("simulate-inf/prefix%d/c%d"
@@ -91,14 +82,14 @@ class Figure5Analysis(Analysis):
 
     def finish(self, ctx):
         full = _cached_infinite(
-            ctx, "simulate-inf/c%d" % ctx.cls_capacity, ctx.index)
+            ctx, "simulate-inf/c%d" % ctx.cls_capacity, lambda: ctx.index)
         reduced = self._reduced_cached
         if reduced is None:
-            self._prefix_detector.finish(self._prefix_limit)
-            reduced_index = self._prefix_detector.index(
-                self._prefix_limit)
-            reduced = _cached_infinite(ctx, self._reduced_key(ctx),
-                                       reduced_index)
+            detector = self._prefix_detector
+            detector.finish(self._prefix_limit)
+            reduced = _cached_infinite(
+                ctx, self._reduced_key(ctx),
+                lambda: detector.index(self._prefix_limit))
         self._rows.append((ctx.name, round(full.tpc, 2),
                            round(reduced.tpc, 2)))
         self._series[ctx.name] = {"full": full, "reduced": reduced}

@@ -77,12 +77,17 @@ class TraceCache:
 
     def has(self, name, scale, max_instructions, fingerprint):
         """True when a loadable entry exists (header is validated)."""
+        return self.header(name, scale, max_instructions,
+                           fingerprint) is not None
+
+    def header(self, name, scale, max_instructions, fingerprint):
+        """The entry's validated :class:`~repro.trace.io.TraceHeader`,
+        or ``None`` when there is no loadable entry."""
         path = self.path(name, scale, max_instructions, fingerprint)
         try:
-            read_cf_header(path)
+            return read_cf_header(path)
         except (OSError, ValueError):
-            return False
-        return True
+            return None
 
     def open_batches(self, name, scale, max_instructions, fingerprint):
         """Columnar streaming access: ``(header, batch_iterator)`` or

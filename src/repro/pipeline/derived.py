@@ -21,11 +21,17 @@ holding a flat ``key -> value`` map of JSON-serializable results.
 Values are written back atomically (temp file + ``os.replace``) after
 each workload's analysis completes, and any unreadable or
 wrong-version file is treated as empty -- corruption means
-recomputation, never failure.  Sessions constructed with
+recomputation, never failure.  A write holds an exclusive ``flock`` on
+the ``derived/`` directory while it re-reads the file and merges this
+store's new entries over it, so concurrent runners flushing the same
+entry never drop each other's keys (locking the directory, rather than
+a lock file beside each entry, leaves ``derived/`` holding nothing but
+the entries themselves).  Sessions constructed with
 ``cache_dir=None`` (and ``runner --no-cache``) have no derived store
 at all; every consumer treats the missing store as a permanent miss.
 """
 
+import fcntl
 import json
 import os
 
@@ -53,22 +59,25 @@ class DerivedStore:
     def __init__(self, path):
         self.path = path
         self._entries = None
-        self._dirty = False
+        self._puts = {}     # entries recorded since the last flush
+
+    def _read(self):
+        """The entries on disk; an unreadable file reads as empty."""
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if (not isinstance(payload, dict)
+                    or payload.get("version") != DERIVED_SCHEMA_VERSION
+                    or not isinstance(payload.get("entries"), dict)):
+                raise ValueError("unusable derived-results file")
+            return payload["entries"]
+        except (OSError, ValueError):
+            return {}
 
     def _load(self):
         entries = self._entries
         if entries is None:
-            try:
-                with open(self.path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                if (not isinstance(payload, dict)
-                        or payload.get("version") != DERIVED_SCHEMA_VERSION
-                        or not isinstance(payload.get("entries"), dict)):
-                    raise ValueError("unusable derived-results file")
-                entries = payload["entries"]
-            except (OSError, ValueError):
-                entries = {}
-            self._entries = entries
+            entries = self._entries = self._read()
         return entries
 
     def get(self, key):
@@ -83,7 +92,7 @@ class DerivedStore:
         entries = self._load()
         if entries.get(key) != value:
             entries[key] = value
-            self._dirty = True
+            self._puts[key] = value
 
     def put_cells(self, cells):
         """Record a batch of ``(key, value)`` pairs in one pass.
@@ -95,29 +104,44 @@ class DerivedStore:
         both directions.
         """
         entries = self._load()
+        puts = self._puts
         for key, value in cells:
             if entries.get(key) != value:
                 entries[key] = value
-                self._dirty = True
+                puts[key] = value
 
     def flush(self):
-        """Atomically persist any new entries; best-effort (a read-only
-        cache directory silently disables persistence)."""
-        if not self._dirty:
+        """Atomically persist the entries recorded since the last flush,
+        merged over whatever the file holds now; best-effort (a
+        read-only cache directory silently disables persistence)."""
+        if not self._puts:
             return
-        self._dirty = False
+        puts, self._puts = self._puts, {}
+        directory = os.path.dirname(self.path)
         tmp = self.path + ".tmp.%d" % os.getpid()
+        lock = None
         try:
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
+            lock = os.open(directory, os.O_RDONLY)
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            # Under the lock: another runner may have flushed keys since
+            # this store loaded, so merge over the file as it is now
+            # rather than over the entries loaded earlier.
+            entries = self._read()
+            entries.update(puts)
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump({"version": DERIVED_SCHEMA_VERSION,
-                           "entries": self._entries}, fh)
+                           "entries": entries}, fh)
             os.replace(tmp, self.path)
+            self._entries = entries
         except OSError:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
+        finally:
+            if lock is not None:
+                os.close(lock)      # releases the flock
 
 
 class DerivedCache:

@@ -3,9 +3,10 @@
 :class:`SimulationSession` is the one way experiments obtain results,
 traces, and loop indexes.  Its primary entrypoint is :meth:`~
 SimulationSession.analyze`: one :class:`~repro.analysis.suite.
-AnalysisSuite` of streaming passes, fed from exactly one record-stream
-replay per workload (see ``docs/ANALYSIS.md``).  Underneath, the
-pipeline
+AnalysisSuite` of streaming passes, fed from at most one record-stream
+replay per workload -- none when no pass needs the stream, as in a
+warm run served by the derived store (see ``docs/ANALYSIS.md``).
+Underneath, the pipeline
 
 1. fans workload tracing out across a ``ProcessPoolExecutor`` when
    ``config.jobs > 1``, absorbing results in the configured workload
@@ -50,7 +51,7 @@ class SessionStats:
     def __init__(self):
         self.traced = 0        #: workloads interpreted by this session
         self.cache_hits = 0    #: workloads served from the on-disk cache
-        self.replays = 0       #: full record-stream replays performed
+        self.replays = 0       #: trace walks: replays + index builds
 
     def __repr__(self):
         return ("SessionStats(traced=%d, cache_hits=%d, replays=%d)"
@@ -59,6 +60,18 @@ class SessionStats:
 
 class _CorruptStream(Exception):
     """A cached batch stream raised ValueError mid-iteration."""
+
+
+def _tally(batches, collector):
+    """Re-yield *batches*, adding their count and total length to the
+    ``replay.batches``/``replay.records`` counters once exhausted."""
+    n_batches = n_records = 0
+    for batch in batches:
+        n_batches += 1
+        n_records += len(batch)
+        yield batch
+    collector.add("replay.batches", n_batches)
+    collector.add("replay.records", n_records)
 
 
 def _guard_stream(batches):
@@ -116,7 +129,7 @@ class SimulationSession:
                          if config.cache_dir is not None else None)
         self._columns = {}  # name -> (TraceHeader, [RecordBatch])
         self._traces = {}   # name -> decoded CFTrace view (trace())
-        self._indexes = {}
+        self._detected = {}  # name -> (LoopDetector, LoopIndex)
         self._sources = {}   # name -> "cache" | "traced", first touch
 
     # -- direct trace/index surface ------------------------------------------
@@ -149,14 +162,28 @@ class SimulationSession:
     def index(self, name):
         """The loop index of *name*, memoized; cached columns stream
         into the detector without the trace being held."""
-        if name not in self._indexes:
-            def detect(header, batches, _source):
+        return self._detect(name)[1]
+
+    def _detect(self, name):
+        """``(detector, index)`` of *name*, memoized: at most one walk
+        of the trace through a canonical detector (counted in
+        ``stats.replays``), shared by :meth:`index` and the lazy
+        ``ctx.index`` of a skipped replay."""
+        detected = self._detected.get(name)
+        if detected is None:
+            def detect(header, batches, source):
+                self.stats.replays += 1
+                collector = obs.active()
+                if collector is not None:
+                    batches = _tally(batches, collector)
                 detector = LoopDetector(
                     cls_capacity=self.config.cls_capacity)
-                return detector.run_batches(batches,
-                                            header.total_instructions)
-            self._indexes[name] = self._consume(name, detect)
-        return self._indexes[name]
+                with obs.span("replay", workload=name, source=source):
+                    index = detector.run_batches(
+                        batches, header.total_instructions)
+                return detector, index
+            detected = self._detected[name] = self._consume(name, detect)
+        return detected
 
     def indexes(self):
         """``(name, index)`` for every workload, in configured order."""
@@ -166,15 +193,22 @@ class SimulationSession:
     # -- streaming analysis --------------------------------------------------
 
     def analyze(self, suite):
-        """Stream every workload once through *suite*.
+        """Stream every workload at most once through *suite*.
 
-        The single analysis entrypoint: per workload, the trace's
-        columns (in memory, streamed from the cache, or freshly traced)
-        are replayed exactly once through the canonical
-        :class:`LoopDetector`; the suite receives every record and loop
-        event as it happens and each pass's ``finish`` sees the
-        completed index.  ``stats.replays`` counts the replays — one
-        per workload, however many passes are registered.
+        The single analysis entrypoint.  Per workload, the suite's
+        ``begin`` runs first; then, if any pass wants the record
+        stream, any pass overrides ``feed``, or a record-fed timing
+        model is configured, the trace's columns (in memory, streamed
+        from the cache, or freshly traced) are replayed exactly once
+        through the canonical :class:`LoopDetector`: the suite receives
+        every record and loop event as it happens and each pass's
+        ``finish`` sees the completed index.  Otherwise nothing needs
+        the stream, so ``finish`` runs straight away with
+        ``total_instructions`` from the trace header and ``ctx.index``
+        resolving lazily -- a warm run whose results all sit in the
+        derived store walks no trace at all.  ``stats.replays`` counts
+        the walks: at most one per workload, however many passes are
+        registered.
 
         Returns ``suite.results()``.
         """
@@ -184,17 +218,50 @@ class SimulationSession:
         return suite.results()
 
     def _analyze_one(self, workload, suite):
+        name = workload.name
+        ctx = self._context(workload, self._total_instructions(name))
+        suite.begin(ctx)
+        timing = ctx.timing
+        if not (suite.wants_records
+                or getattr(suite, "has_event_consumers", True)
+                or (timing is not None and timing.wants_records)):
+            ctx.defer(lambda: self._detect(name))
+            with obs.span("finish", workload=name):
+                suite.finish(ctx)
+            if ctx.derived is not None:
+                ctx.derived.flush()
+            return
+
+        contexts = [ctx]
+
         def replay(header, batches, source):
-            return self._replay(workload, suite, batches,
-                                header.total_instructions, source)
+            return self._replay(suite, contexts[-1], batches, source)
 
         def abort(header):
-            suite.abort(self._context(workload, header.total_instructions))
+            suite.abort(contexts[-1])
+            retry = self._context(workload, header.total_instructions)
+            contexts.append(retry)
+            suite.begin(retry)
 
-        index = self._consume(workload.name, replay, abort=abort)
-        self._indexes.setdefault(workload.name, index)
+        detected = self._consume(name, replay, abort=abort)
+        self._detected.setdefault(name, detected)
 
-    def _context(self, workload, total, detector=None):
+    def _total_instructions(self, name):
+        """*name*'s instruction count, from the trace header alone."""
+        columns = self._columns.get(name)
+        if columns is not None:
+            return columns[0].total_instructions
+        header = None
+        if self._cache is not None:
+            header = self._cache.header(
+                name, self.scale,
+                self.config.limit_for(self._by_name[name]),
+                self._fingerprint(name))
+        if header is None:
+            header = self._trace_now(name)[0]
+        return header.total_instructions
+
+    def _context(self, workload, total):
         from repro.analysis.base import WorkloadContext
         from repro.timing import make_timing
 
@@ -211,24 +278,25 @@ class SimulationSession:
                 self._fingerprint(workload.name)))
         return WorkloadContext(
             workload.name, total, workload=workload, scale=self.scale,
-            cls_capacity=self.config.cls_capacity, detector=detector,
+            cls_capacity=self.config.cls_capacity,
+            detector=LoopDetector(cls_capacity=self.config.cls_capacity),
             timing=timing, derived=derived)
 
-    def _replay(self, workload, suite, batches, total, source="memory"):
-        """One full batched record-stream replay into *suite*; returns
-        the loop index built by the canonical detector along the way.
+    def _replay(self, suite, ctx, batches, source):
+        """One full batched record-stream replay into *suite*, whose
+        ``begin(ctx)`` already ran; returns ``(detector, index)`` of
+        the canonical detector ``ctx.detector``.
 
         *batches* is an iterable of :class:`~repro.trace.batch.
         RecordBatch` (a cached v3 stream, or in-memory columns).  Per
-        batch, records
-        fan out to the suite's record consumers and the timing model,
-        then the detector's columnar fast path turns them into loop
-        events -- event order is identical to the per-record replay.
+        batch, records fan out to the suite's record consumers and the
+        timing model, then the detector's columnar fast path turns
+        them into loop events -- event order is identical to the
+        per-record replay.
         """
-        detector = LoopDetector(cls_capacity=self.config.cls_capacity)
-        ctx = self._context(workload, total, detector)
-        suite.begin(ctx)
         self.stats.replays += 1
+        detector = ctx.detector
+        total = ctx.total_instructions
         wants_records = suite.wants_records
         timing = ctx.timing
         timing_feed = (timing.feed_batch
@@ -249,12 +317,10 @@ class SimulationSession:
                     for event in events:
                         suite_feed(event)
         collector = obs.active()
-        n_batches = n_records = 0
-        with obs.span("replay", workload=workload.name, source=source):
+        if collector is not None:
+            batches = _tally(batches, collector)
+        with obs.span("replay", workload=ctx.name, source=source):
             for batch in batches:
-                if collector is not None:
-                    n_batches += 1
-                    n_records += len(batch)
                 if wants_records:
                     feed_batch(batch)
                 if timing_feed is not None:
@@ -266,14 +332,11 @@ class SimulationSession:
             if events and feed_events is not None:
                 feed_events(events)
             ctx.index = detector.index(total)
-            with obs.span("finish", workload=workload.name):
+            with obs.span("finish", workload=ctx.name):
                 suite.finish(ctx)
-        if collector is not None:
-            collector.add("replay.batches", n_batches)
-            collector.add("replay.records", n_records)
         if ctx.derived is not None:
             ctx.derived.flush()
-        return ctx.index
+        return detector, ctx.index
 
     # -- pipeline ------------------------------------------------------------
 

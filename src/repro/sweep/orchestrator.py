@@ -72,33 +72,35 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
                        cache_dir, descriptors, on_row=None):
     """Execute every cell of one workload; returns result row dicts.
 
-    Module-level so the process pool can pickle it.  Builds the loop
-    index once (trace cache and derived store apply when *cache_dir*
-    is set), then prices the workload's whole simulation config group
-    against it in one fused :func:`~repro.core.speculation.grid.
-    simulate_grid` call (the per-cell engine remains as the fallback,
-    both for configs the grid cannot fuse and for a grid call that
-    fails wholesale).  A cell that raises becomes a ``failed`` row; an
-    index build that raises fails every cell of the workload (the
-    caller records that).
+    Module-level so the process pool can pickle it.  Every cell is
+    first looked up in the derived store (when *cache_dir* is set);
+    only if some cell misses is the loop index built, once, and the
+    workload's missing simulation configs priced against it in one
+    fused :func:`~repro.core.speculation.grid.simulate_grid` call (the
+    per-cell engine remains as the fallback, both for configs the grid
+    cannot fuse and for a grid call that fails wholesale).  A cell that
+    raises becomes a ``failed`` row; an index build that raises fails
+    every cell of the workload (the caller records that).
 
     *on_row*, when given, is called with each finished row dict as it
     completes -- the per-cell checkpointing seam (only useful inline;
     a pool worker has nobody to stream to).
     """
+    from repro.analysis.passes import loopstats_from_state, \
+        loopstats_state, restore
     from repro.core.loopstats import compute_loop_statistics, \
         loop_coverage
     from repro.core.speculation import simulate, simulate_grid
+    from repro.core.speculation.metrics import SpeculationResult
     from repro.pipeline import PipelineConfig, SimulationSession
     from repro.pipeline.derived import DerivedCache
-    from repro.sweep.spec import sim_cell_suffix
+    from repro.sweep.spec import loopstats_cell_suffix, sim_cell_suffix
     from repro.timing import make_timing
 
     session = SimulationSession(PipelineConfig(
         workloads=(name,), scale=scale,
         max_instructions=max_instructions, cls_capacity=cls_capacity,
         cache_dir=cache_dir))
-    index = session.index(name)
     derived = None
     if cache_dir is not None:
         from repro.pipeline.cache import TraceCache
@@ -107,14 +109,16 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
             name, scale, session.config.limit_for(workload),
             session._fingerprint(name)))
 
-    # Pre-price the simulation cells through one fused grid call:
-    # restore per cell from the derived store, batch the misses.  Any
-    # cell this pass cannot place (bad timing spec, a grid call that
-    # raises) simply stays out of sim_results and the per-cell loop
-    # below recomputes it -- attributing errors cell by cell exactly
-    # as before.
+    # Restore every cell the derived store already holds.  Any cell
+    # this pass cannot place (bad timing spec) simply stays out of the
+    # restored results and the per-cell loop below recomputes it --
+    # attributing errors cell by cell exactly as before.
     sim_results = {}
     sim_pending = []
+    loopstats_dkey = loopstats_cell_suffix(cls_capacity)
+    loopstats = None
+    if any(kind == KIND_LOOPSTATS for _, kind, _, _, _ in descriptors):
+        loopstats = restore(derived, loopstats_dkey, loopstats_from_state)
     for key, kind, timing, policy, tus in descriptors:
         if kind != KIND_SIM:
             continue
@@ -123,13 +127,23 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
             dkey = sim_cell_suffix(
                 tus, policy, None if model is None else model.key(),
                 cls_capacity)
-            result = _restore_sim(derived, dkey)
+            result = restore(derived, dkey, SpeculationResult.from_state)
         except Exception:
             continue
         if result is not None:
             sim_results[key] = result
         else:
             sim_pending.append((key, dkey, (tus, policy, model)))
+
+    # The index is only built when some cell misses; building it
+    # outside the per-cell try keeps its failure a workload failure.
+    index = None
+    if any(key not in sim_results
+           and not (kind == KIND_LOOPSTATS and loopstats is not None)
+           for key, kind, _, _, _ in descriptors):
+        index = session.index(name)
+
+    # Price the missing simulation cells through one fused grid call.
     if sim_pending:
         try:
             computed = simulate_grid(
@@ -157,27 +171,29 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
                 if result is None:
                     model = None if timing == "ideal" else \
                         make_timing(timing)
-                    dkey = sim_cell_suffix(
-                        tus, policy,
-                        None if model is None else model.key(),
-                        cls_capacity)
-                    result = _restore_sim(derived, dkey)
-                    if result is None:
-                        result = simulate(index, num_tus=tus,
-                                          policy=policy, name=name,
-                                          timing=model)
-                        if derived is not None:
-                            derived.put(dkey, result.state())
+                    result = simulate(index, num_tus=tus,
+                                      policy=policy, name=name,
+                                      timing=model)
+                    if derived is not None:
+                        derived.put(sim_cell_suffix(
+                            tus, policy,
+                            None if model is None else model.key(),
+                            cls_capacity), result.state())
                 row.update(
                     tpc=result.tpc, hit_ratio=result.hit_ratio,
                     speedup=result.speedup_bound,
                     overhead_cycles=result.overhead_cycles,
                     detail=json.dumps(result.state(), sort_keys=True))
             elif kind == KIND_LOOPSTATS:
-                stats = compute_loop_statistics(index, name)
+                if loopstats is None:
+                    loopstats = (compute_loop_statistics(index, name),
+                                 loop_coverage(index))
+                    if derived is not None:
+                        derived.put(loopstats_dkey,
+                                    loopstats_state(*loopstats))
+                stats, coverage = loopstats
                 row["detail"] = json.dumps(
-                    {"stats": stats.state(),
-                     "coverage": loop_coverage(index)},
+                    {"stats": stats.state(), "coverage": coverage},
                     sort_keys=True)
             else:
                 raise ValueError("unknown cell kind %r" % kind)
@@ -190,20 +206,6 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
     if derived is not None:
         derived.flush()
     return name, rows
-
-
-def _restore_sim(derived, dkey):
-    from repro.core.speculation.metrics import SpeculationResult
-
-    if derived is None:
-        return None
-    state = derived.get(dkey)
-    if state is None:
-        return None
-    try:
-        return SpeculationResult.from_state(state)
-    except (KeyError, TypeError):
-        return None
 
 
 def run_sweep(spec, store, jobs=1, cache_dir=None, progress=None,

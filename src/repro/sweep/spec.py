@@ -236,7 +236,9 @@ def sim_cell_suffix(tus, policy, timing_key, cls_capacity):
 
 
 def loopstats_cell_suffix(cls_capacity):
-    """The key suffix of a per-workload loop-statistics cell."""
+    """The key suffix of a per-workload loop-statistics cell --
+    byte-for-byte :func:`repro.analysis.passes.loopstats_key`, the
+    derived-store key its ``{stats, coverage}`` persist under."""
     return derived_key("loopstats") + "/c%d" % cls_capacity
 
 

@@ -465,6 +465,9 @@ class TestLifecycle:
 
         class Broken(Analysis):
             def finish(self, ctx):
+                # Reading the index makes the (otherwise skipped)
+                # workload walk its trace once before the pass fails.
+                assert len(ctx.index.events) >= 0
                 raise ValueError("bad pass")
 
             def result(self):

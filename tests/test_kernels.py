@@ -207,6 +207,19 @@ class TestBatchBoundaries:
 # Derived-results store.
 # ---------------------------------------------------------------------------
 
+def _flush_distinct_keys(args):
+    """Pool worker: *count* load-put-flush rounds of one store, each
+    with a key no other worker writes."""
+    from repro.pipeline.derived import DerivedCache
+
+    root, worker, count = args
+    for i in range(count):
+        store = DerivedCache(root).store("w-s1-m100-v3-abc")
+        store.get("loaded")
+        store.put("w%d/%d" % (worker, i), i)
+        store.flush()
+
+
 class TestDerivedStore:
     def _store(self, tmp_path):
         from repro.pipeline.derived import DerivedCache
@@ -249,6 +262,45 @@ class TestDerivedStore:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         assert self._store(tmp_path).get("k") is None
+
+    def test_concurrent_flushes_keep_both_keys(self, tmp_path):
+        first = self._store(tmp_path)
+        second = self._store(tmp_path)
+        # Both load the (empty) file before either flushes.
+        assert first.get("a") is None and second.get("b") is None
+        first.put("a", 1)
+        second.put("b", 2)
+        first.flush()
+        second.flush()
+        again = self._store(tmp_path)
+        assert again.get("a") == 1 and again.get("b") == 2
+        # Only the entry file itself lives under derived/.
+        root = os.path.join(str(tmp_path), "derived")
+        assert os.listdir(root) == ["w-s1-m100-v3-abc.json"]
+
+    def test_concurrent_processes_lose_no_keys(self, tmp_path):
+        import multiprocessing
+
+        workers, rounds = 4, 25         # more workers than cores
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            pool.map_async(_flush_distinct_keys,
+                           [(str(tmp_path), w, rounds)
+                            for w in range(workers)]).get(timeout=120)
+        store = self._store(tmp_path)
+        for worker in range(workers):
+            for i in range(rounds):
+                assert store.get("w%d/%d" % (worker, i)) == i
+
+    def test_unwritable_directory_disables_persistence(self, tmp_path):
+        from repro.pipeline.derived import DerivedCache
+
+        blocker = tmp_path / "cache"
+        blocker.write_text("a file where the cache directory should be")
+        store = DerivedCache(str(blocker)).store("w-s1-m100-v3-abc")
+        store.put("k", 1)
+        store.flush()                   # silently not persisted
+        assert store.get("k") == 1
+        assert blocker.read_text().startswith("a file")
 
     def test_derived_key_joins_parts(self):
         from repro.pipeline.derived import derived_key
@@ -296,6 +348,67 @@ class TestStateRoundTrips:
         bad[DataSpecStats.COUNTER_FIELDS[0]] = None
         with pytest.raises(TypeError):
             DataSpecStats.from_state(bad)
+
+
+    def test_branch_prediction_report_round_trips(self, loop_trace):
+        from repro.core.branchpred import BranchPredictionReport, \
+            BranchPredictionStream, GSharePredictor
+
+        stream = BranchPredictionStream([BimodalPredictor(),
+                                         GSharePredictor()])
+        for batch in iter_batches(loop_trace.records):
+            stream.feed_batch(batch)
+        for report in stream.reports("w"):
+            restored = BranchPredictionReport.from_state(
+                json.loads(json.dumps(report.state())))
+            assert restored.state() == report.state()
+            assert restored.closing_total > 0
+            assert restored.overall_accuracy == report.overall_accuracy
+        bad = report.state()
+        bad["other_total"] = 1.5
+        with pytest.raises(TypeError):
+            BranchPredictionReport.from_state(bad)
+        del bad["other_total"]
+        with pytest.raises(KeyError):
+            BranchPredictionReport.from_state(bad)
+
+    def test_table_sim_counters_round_trip(self, loop_trace):
+        from repro.core.tables import POLICY_NESTING_AWARE
+
+        index = LoopDetector().run(loop_trace)
+        for policy in ("lru", POLICY_NESTING_AWARE):
+            sim = TableHitRatioSimulator(2, 4, policy)
+            sim.ensure_replayed(index)
+            restored = TableHitRatioSimulator.from_counters(
+                2, 4, policy, json.loads(json.dumps(sim.counters())))
+            assert restored.counters() == sim.counters()
+            assert restored.let_hit_ratio == sim.let_hit_ratio
+            assert restored.lit_hit_ratio == sim.lit_hit_ratio
+            # Restored counters are final: no walk can add to them.
+            restored.ensure_replayed(index)
+            assert restored.counters() == sim.counters()
+        for bad in ([1, 2, 3], [1, 2, 3, "4"], {"let_hits": 1}, None):
+            with pytest.raises(TypeError):
+                TableHitRatioSimulator.from_counters(2, 4, "lru", bad)
+
+    def test_disable_table_result_round_trips(self, loop_trace):
+        from repro.core.speculation import SpeculationDisableTable, \
+            simulate
+        from repro.experiments.extensions import guarded_from_state, \
+            guarded_state
+
+        index = LoopDetector().run(loop_trace)
+        table = SpeculationDisableTable(capacity=16, min_samples=1,
+                                        hit_threshold=1.0)
+        result = simulate(index, num_tus=4, policy="str", name="w",
+                          disable_table=table)
+        state = json.loads(json.dumps(guarded_state(result, len(table))))
+        restored, blocked = guarded_from_state(state)
+        assert restored.as_dict() == result.as_dict()
+        assert blocked == len(table)
+        state["blocked"] = "1"
+        with pytest.raises(TypeError):
+            guarded_from_state(state)
 
 
 # ---------------------------------------------------------------------------

@@ -291,8 +291,9 @@ class TestColumnsEndToEnd:
     def test_cold_paths_never_decode_records(self, tmp_path, monkeypatch):
         primed = str(tmp_path / "primed")
         self._analyze(primed)
+        # Warm, every pass restores from the derived store: no walk.
         warm, warm_session = self._analyze(primed)
-        assert self._stats(warm_session) == (0, 2, 2)
+        assert self._stats(warm_session) == (0, 2, 0)
         warm_indexes, _ = self._indexes(primed)
 
         self._forbid_record_decoding(monkeypatch)
@@ -302,13 +303,14 @@ class TestColumnsEndToEnd:
         inline, session = self._analyze(None)
         assert inline == warm
         assert self._stats(session) == (2, 0, 2)
+        # An index build is one walk per workload, cold or warm.
         indexes, session = self._indexes(str(tmp_path / "sweep"))
         assert indexes == warm_indexes
-        assert self._stats(session) == (2, 0, 0)
+        assert self._stats(session) == (2, 0, 2)
         # The entries written while tracing stream back warm.
         indexes, session = self._indexes(str(tmp_path / "sweep"))
         assert indexes == warm_indexes
-        assert self._stats(session) == (0, 2, 0)
+        assert self._stats(session) == (0, 2, 2)
 
 
 class TestUnregisteredWorkloads:
@@ -336,3 +338,157 @@ class TestUnregisteredWorkloads:
         names = [name for name, _ in session.indexes()]
         assert names == ["swim-variant", "go"]
         assert session.stats.traced == 2
+
+
+class TestWarmIsALookup:
+    """Every stock pass restores its per-workload result from the
+    derived store, so a warm ``runner all`` walks no trace at all;
+    passes that do need the index or the record stream still get
+    exactly the replay's."""
+
+    @staticmethod
+    def _analyze(cache_dir, *extra):
+        from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
+        session = SimulationSession(config(cache_dir=cache_dir))
+        suite, _ = build_suite(list(EXPERIMENT_ORDER))
+        for analysis in extra:
+            suite.add(analysis)
+        out = []
+        for result in session.analyze(suite)[:len(EXPERIMENT_ORDER)]:
+            for table in (result if isinstance(result, list)
+                          else [result]):
+                out.append(table.render())
+                out.append(table.to_json())
+        return out, session
+
+    @pytest.fixture(scope="class")
+    def primed(self, tmp_path_factory):
+        cache_dir = str(tmp_path_factory.mktemp("primed"))
+        cold, session = self._analyze(cache_dir)
+        assert session.stats.replays == len(WORKLOADS)
+        return cache_dir, cold
+
+    @staticmethod
+    def _forbid_walks(monkeypatch):
+        from repro.core.branchpred import BranchPredictionStream
+        from repro.core.dataspec.stats import DataSpeculationAnalyzer
+        from repro.core.detector import LoopDetector
+        from repro.core.speculation import grid
+        from repro.core.speculation.engine import SpeculationEngine
+        from repro.core.tables import TableHitRatioSimulator
+        from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a warm lookup did real work")
+
+        for owner, attr in (
+                (TraceCache, "open_batches"),
+                (LoopDetector, "feed_batch"),
+                (LoopDetector, "run_batches"),
+                (TableHitRatioSimulator, "replay_columns"),
+                (BranchPredictionStream, "feed_batch"),
+                (SpeculationEngine, "run"),
+                (grid, "grid_tables"),
+                (DataSpeculationAnalyzer, "analyze_batches"),
+                (ChunkedCFTracer, "batches"),
+                (ChunkedFullTracer, "batches")):
+            monkeypatch.setattr(owner, attr, boom)
+
+    def test_warm_run_is_a_lookup(self, primed, monkeypatch):
+        cache_dir, cold = primed
+        self._forbid_walks(monkeypatch)
+        warm, session = self._analyze(cache_dir)
+        assert warm == cold
+        assert (session.stats.traced, session.stats.cache_hits,
+                session.stats.replays) == (0, len(WORKLOADS), 0)
+
+    def test_finish_only_pass_reads_the_replays_index(self, primed):
+        from repro.analysis import Analysis
+
+        class ReadsIndex(Analysis):
+            def __init__(self):
+                self.shapes = {}
+                self.executions = {}
+
+            def finish(self, ctx):
+                self.shapes[ctx.name] = index_shape(ctx.index)
+                self.executions[ctx.name] = len(ctx.detector.executions)
+
+            def result(self):
+                return None
+
+        cache_dir, cold = primed
+        reader = ReadsIndex()
+        warm, session = self._analyze(cache_dir, reader)
+        assert warm == cold
+        # One lazy walk per workload, served to the pass and memoized.
+        assert session.stats.replays == len(WORKLOADS)
+        reference = SimulationSession(config(cache_dir=None))
+        for name in WORKLOADS:
+            index = reference.index(name)
+            assert reader.shapes[name] == index_shape(index)
+            assert reader.executions[name] == len(index.executions)
+            assert session.index(name) is not None
+        assert session.stats.replays == len(WORKLOADS)
+
+    def test_record_consumer_still_gets_a_replay(self, primed):
+        from repro.analysis import Analysis
+
+        class CountsRecords(Analysis):
+            wants_records = True
+
+            def __init__(self):
+                self.records = {}
+                self._name = None
+
+            def begin(self, ctx):
+                self._name = ctx.name
+                self.records[ctx.name] = 0
+
+            def feed_batch(self, batch):
+                self.records[self._name] += len(batch)
+
+            def result(self):
+                return None
+
+        cache_dir, cold = primed
+        counter = CountsRecords()
+        warm, session = self._analyze(cache_dir, counter)
+        assert warm == cold
+        assert session.stats.replays == len(WORKLOADS)
+        for name in WORKLOADS:
+            assert counter.records[name] == len(
+                SimulationSession(config(cache_dir=None))
+                .trace(name).records)
+
+    @pytest.mark.parametrize("prefix", [
+        "loopstats/", "table-sim/", "branchpred/", "simulate-disable/",
+        "cls-sweep/"])
+    def test_corrupt_entry_is_recomputed(self, primed, tmp_path, prefix):
+        import json
+        import shutil
+
+        cache_dir, cold = primed
+        copy = str(tmp_path / "copy")
+        shutil.copytree(cache_dir, copy)
+        derived = os.path.join(copy, "derived")
+        corrupted = 0
+        for name in os.listdir(derived):
+            path = os.path.join(derived, name)
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            for key in payload["entries"]:
+                if key.startswith(prefix):
+                    payload["entries"][key] = {"not": "a result"}
+                    corrupted += 1
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        assert corrupted >= len(WORKLOADS)
+
+        again, _ = self._analyze(copy)
+        assert again == cold
+        # The recomputed entries were persisted: the next run is a
+        # lookup again.
+        rerun, session = self._analyze(copy)
+        assert rerun == cold
+        assert session.stats.replays == 0

@@ -252,6 +252,40 @@ class TestOrchestrator:
             assert (again.skipped, again.executed) == (24, 0)
             assert again.checkpoints == 0
 
+    def test_resubmitted_cells_are_derived_lookups(self, tmp_path,
+                                                   monkeypatch):
+        """A fresh store over a warm derived store re-executes every
+        cell -- loop-stats cells included -- without building an
+        index."""
+        from repro.core.detector import LoopDetector
+
+        spec = SweepSpec(experiment="characterize",
+                         workloads=("swim", "go"), max_instructions=5000)
+        cache = str(tmp_path / "cache")
+        with make_store(tmp_path, "first") as store:
+            run_sweep(spec, store, cache_dir=cache)
+            first = sorted((r.cell_key, r.status, r.detail_json and
+                            json.dumps(r.detail_json, sort_keys=True))
+                           for r in store.get_cells())
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an index was built")
+
+        monkeypatch.setattr(LoopDetector, "run_batches", boom)
+        with make_store(tmp_path, "second") as store:
+            stats = run_sweep(spec, store, cache_dir=cache)
+            assert (stats.executed, stats.failed) == (stats.planned, 0)
+            second = sorted((r.cell_key, r.status, r.detail_json and
+                             json.dumps(r.detail_json, sort_keys=True))
+                            for r in store.get_cells())
+        assert second == first
+        assert any(KIND_LOOPSTATS in key for key, _, _ in first)
+        # Direct runs (table1, characterize) persist under the cell's
+        # key, so they pre-populate loop-stats cells too.
+        from repro.analysis.passes import loopstats_key
+        from repro.sweep.spec import loopstats_cell_suffix
+        assert loopstats_cell_suffix(16) == loopstats_key(16)
+
     def test_dry_run_registers_but_executes_nothing(self, tmp_path):
         spec = SweepSpec(**GRID)
         with make_store(tmp_path) as store:
