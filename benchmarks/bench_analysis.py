@@ -5,9 +5,15 @@ Measures, on a warm trace cache, the cost of running every experiment
 * the redesigned way: ONE ``SimulationSession.analyze`` over a suite
   containing all ten experiment analyses (one record-stream replay per
   workload), and
-* the seed way: one ``analyze`` per experiment (one replay per
-  experiment per workload, E x S total), emulating the old
-  every-experiment-calls-``runner.indexes()`` pattern.
+* the seed way: every experiment on its own, in a fresh session over
+  an empty derived store, emulating the old
+  every-experiment-calls-``runner.indexes()`` pattern: nothing is
+  shared between experiments, so each one walks every workload it
+  needs (E x S walks, less the experiments that read no control-flow
+  trace, :data:`TRACE_FREE`).
+
+Each round starts from an empty derived store, so every round replays:
+with all results stored a warm run is a lookup that walks nothing.
 
 Writes the numbers to ``BENCH_analysis.json`` at the repository root
 (override with ``--output``).  Run::
@@ -30,6 +36,10 @@ from repro.pipeline import PipelineConfig, SimulationSession
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: Experiments whose results need no control-flow trace walk (figure8
+#: runs its own full-effects tracer), so on their own they walk nothing.
+TRACE_FREE = ("figure8",)
+
 
 def make_session(cache_dir, workloads, max_instructions):
     return SimulationSession(PipelineConfig(
@@ -37,30 +47,41 @@ def make_session(cache_dir, workloads, max_instructions):
         cache_dir=cache_dir))
 
 
+def clear_derived(cache_dir):
+    """Drop the derived store so the next round replays every trace
+    (with every result stored, a warm run is a lookup that walks
+    nothing)."""
+    shutil.rmtree(os.path.join(cache_dir, "derived"), ignore_errors=True)
+
+
 def run_single_pass(cache_dir, workloads, max_instructions):
     """All experiments in one suite: one replay per workload."""
+    clear_derived(cache_dir)
     session = make_session(cache_dir, workloads, max_instructions)
     suite, _ = build_suite(list(EXPERIMENT_ORDER))
     start = time.perf_counter()
     session.analyze(suite)
     elapsed = time.perf_counter() - start
-    # At most one trace walk per workload (none once the derived
-    # store holds every pass's result).
-    assert session.stats.replays <= len(session.workloads)
+    assert session.stats.replays == len(session.workloads)
     return elapsed, session.stats.replays
 
 
 def run_per_experiment(cache_dir, workloads, max_instructions):
-    """The seed shape: every experiment replays every workload."""
-    session = make_session(cache_dir, workloads, max_instructions)
-    start = time.perf_counter()
+    """The seed shape: every experiment walks every workload it needs,
+    sharing no walk and no stored result with the others."""
+    elapsed = 0.0
+    replays = 0
     for name in EXPERIMENT_ORDER:
+        clear_derived(cache_dir)
+        session = make_session(cache_dir, workloads, max_instructions)
         suite, _ = build_suite([name])
+        start = time.perf_counter()
         session.analyze(suite)
-    elapsed = time.perf_counter() - start
-    assert session.stats.replays \
-        <= len(EXPERIMENT_ORDER) * len(session.workloads)
-    return elapsed, session.stats.replays
+        elapsed += time.perf_counter() - start
+        expected = 0 if name in TRACE_FREE else len(session.workloads)
+        assert session.stats.replays == expected, (name, expected)
+        replays += session.stats.replays
+    return elapsed, replays
 
 
 def best_of(rounds, fn, *args):

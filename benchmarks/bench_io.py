@@ -9,7 +9,10 @@ Two measurements, written to ``BENCH_io.json`` at the repository root:
 * **Warm-cache `runner all`** — the full ten-experiment single-pass
   suite over a warm trace cache (the same harness as
   ``benchmarks/bench_analysis.py``), compared against the pre-columnar
-  single-pass baseline recorded in ``BENCH_analysis.json``.
+  single-pass baseline recorded in ``BENCH_analysis.json``.  Each
+  timed round starts from an empty derived store, so it replays every
+  workload once; ``lookup_seconds`` then times the same suite over
+  the filled store, a lookup that walks no trace.
 
 Run::
 
@@ -92,19 +95,15 @@ def bench_formats(workload_names, limit, rounds):
 
 
 def run_single_pass(cache_dir, workloads, max_instructions):
-    """All experiments in one suite over a warm cache: one replay per
-    workload (the shape `runner all` takes on a second invocation)."""
+    """All experiments in one suite over a warm cache; returns
+    ``(seconds, trace walks)``."""
     session = SimulationSession(PipelineConfig(
         workloads=workloads, max_instructions=max_instructions,
         cache_dir=cache_dir))
     suite, _ = build_suite(list(EXPERIMENT_ORDER))
     start = time.perf_counter()
     session.analyze(suite)
-    elapsed = time.perf_counter() - start
-    # At most one trace walk per workload (none once the derived
-    # store holds every pass's result).
-    assert session.stats.replays <= len(session.workloads)
-    return elapsed, session.stats.replays
+    return time.perf_counter() - start, session.stats.replays
 
 
 def bench_warm_runner_all(workloads, max_instructions, rounds):
@@ -114,18 +113,32 @@ def bench_warm_runner_all(workloads, max_instructions, rounds):
             workloads=workloads, max_instructions=max_instructions,
             cache_dir=cache_dir))
         warm.ensure_traced()
+        count = len(warm.workloads)
         cache_bytes = sum(
             os.path.getsize(os.path.join(cache_dir, entry))
             for entry in os.listdir(cache_dir))
         del warm
-        seconds = None
-        replays = None
-        for _ in range(rounds):
-            elapsed, r = run_single_pass(cache_dir, workloads,
-                                         max_instructions)
-            if seconds is None or elapsed < seconds:
-                seconds, replays = elapsed, r
-        return seconds, replays, cache_bytes
+
+        def replay():
+            # An empty derived store: one replay per workload, the
+            # shape of a second `runner all` before results are stored.
+            shutil.rmtree(os.path.join(cache_dir, "derived"),
+                          ignore_errors=True)
+            elapsed, replays = run_single_pass(cache_dir, workloads,
+                                               max_instructions)
+            assert replays == count
+            return elapsed
+
+        def lookup():
+            # The derived store the last replay filled: no trace walk.
+            elapsed, replays = run_single_pass(cache_dir, workloads,
+                                               max_instructions)
+            assert replays == 0
+            return elapsed
+
+        seconds = best(rounds, replay)
+        lookup_seconds = best(rounds, lookup)
+        return seconds, count, lookup_seconds, cache_bytes
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -166,8 +179,9 @@ def main(argv=None):
 
     formats = bench_formats(FORMAT_WORKLOADS, args.format_limit,
                             args.rounds)
-    warm_seconds, replays, cache_bytes = bench_warm_runner_all(
-        workloads, args.max_instructions, args.rounds)
+    warm_seconds, replays, lookup_seconds, cache_bytes = \
+        bench_warm_runner_all(workloads, args.max_instructions,
+                              args.rounds)
 
     baseline = load_baseline() if workloads is None \
         and args.max_instructions is None else None
@@ -181,6 +195,7 @@ def main(argv=None):
             "rounds": args.rounds,
             "seconds": round(warm_seconds, 3),
             "replays": replays,
+            "lookup_seconds": round(lookup_seconds, 3),
             "cache_bytes": cache_bytes,
             "baseline_single_pass_seconds": baseline,
             "speedup_vs_baseline": round(baseline / warm_seconds, 2)

@@ -137,17 +137,22 @@ def bench_micro(workload_names, limit, rounds):
 
 def _run_single_pass(cache_dir, workloads, max_instructions):
     """All experiments in one suite: one replay per workload (the shape
-    ``runner all`` takes)."""
+    ``runner all`` takes).  The derived store is emptied first, so the
+    replay runs the kernels even over a warm trace cache (with every
+    result stored, the run would be a lookup that walks no trace)."""
     from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
     from repro.pipeline import PipelineConfig, SimulationSession
 
+    shutil.rmtree(os.path.join(cache_dir, "derived"), ignore_errors=True)
     session = SimulationSession(PipelineConfig(
         workloads=workloads, max_instructions=max_instructions,
         cache_dir=cache_dir))
     suite, _ = build_suite(list(EXPERIMENT_ORDER))
     start = time.perf_counter()
     session.analyze(suite)
-    return time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    assert session.stats.replays == len(session.workloads)
+    return elapsed
 
 
 def bench_headline(workloads, max_instructions, rounds):

@@ -46,10 +46,10 @@ class WorkloadContext:
     ``total_instructions`` is known from the start (the trace header
     carries it), so passes can size prefixes up front.  During a
     replay, ``index`` is ``None`` until the replay completes; it is set
-    before ``finish``.  ``detector`` is the live canonical detector --
-    :meth:`execution` resolves an event's ``exec_id`` to its (mutable)
-    execution record, which is complete by the time that execution's
-    end event is fed.
+    before ``finish``.  ``detector`` is the live canonical detector,
+    installed once ``begin`` has run -- :meth:`execution` resolves an
+    event's ``exec_id`` to its (mutable) execution record, which is
+    complete by the time that execution's end event is fed.
 
     When no pass needs the record or event stream the session skips
     the replay and calls ``finish`` straight after ``begin``; ``index``
@@ -110,6 +110,10 @@ class WorkloadContext:
         if self._resolve is not None:
             self._resolved()
         return self._detector
+
+    @detector.setter
+    def detector(self, detector):
+        self._detector = detector
 
     @property
     def index(self):

@@ -13,7 +13,7 @@ from repro.core.speculation.metrics import SpeculationResult
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.dataspec.stats import DataSpecStats
 from repro.core.tables import POLICY_LRU, TableHitRatioSimulator
-from repro.pipeline.derived import derived_key
+from repro.pipeline.derived import derived_cls_key
 from repro.timing import make_timing
 
 from repro.analysis.base import Analysis
@@ -70,15 +70,47 @@ def restore(derived, dkey, from_state):
         return None
 
 
-def loopstats_key(cls_capacity):
-    """The derived key of a workload's loop statistics and coverage --
-    also the sweep's loop-statistics cell key, so direct runs and
-    sweep cells share the entry."""
-    return derived_key("loopstats") + "/c%d" % cls_capacity
+#: Marks, in ``ctx.shared``, a derived entry a lookup found missing.
+_MISSING = object()
 
 
-def loopstats_state(stats, coverage):
-    """The derived-store value under :func:`loopstats_key`."""
+def derived_memo(ctx, parts, from_state, compute=None, to_state=None):
+    """This workload's result named *parts*, at most once per workload.
+
+    Memoized in ``ctx.shared`` under ``tuple(parts)``, so every pass
+    asking shares one value (treat it as read-only); the first ask
+    restores it from ``ctx.derived`` under :func:`~repro.pipeline.
+    derived.derived_cls_key` (``from_state``; malformed entries are
+    misses).  On a miss, ``compute()`` makes the value and
+    ``to_state(value)`` persists it.  Without *compute* the call is a
+    lookup that returns ``None`` on a miss -- what a pass's ``begin``
+    uses to decide whether it needs this workload's records -- and a
+    later call with *compute* does not read the store again.
+    """
+    key = tuple(parts)
+    value = ctx.shared.get(key)
+    if value is None:
+        value = restore(ctx.derived,
+                        derived_cls_key(ctx.cls_capacity, *parts),
+                        from_state)
+        value = ctx.shared[key] = _MISSING if value is None else value
+    if value is _MISSING and compute is not None:
+        value = ctx.shared[key] = compute()
+        if ctx.derived is not None:
+            ctx.derived.put(derived_cls_key(ctx.cls_capacity, *parts),
+                            to_state(value))
+    return None if value is _MISSING else value
+
+
+#: The derived-store parts of a workload's loop statistics and
+#: coverage -- also the sweep's loop-statistics cell key, so direct
+#: runs and sweep cells share the entry.
+LOOPSTATS_PARTS = ("loopstats",)
+
+
+def loopstats_state(value):
+    """The derived-store value of ``(LoopStatistics, coverage)``."""
+    stats, coverage = value
     return {"stats": stats.state(), "coverage": coverage}
 
 
@@ -117,15 +149,13 @@ class LoopStatisticsPass(Analysis):
         self._stats = None
 
     def finish(self, ctx):
-        dkey = loopstats_key(ctx.cls_capacity)
-        restored = restore(ctx.derived, dkey, loopstats_from_state)
-        if restored is None:
-            stats = self._observe(ctx).finalize()
-            coverage = loop_coverage(ctx.index)
-            if ctx.derived is not None:
-                ctx.derived.put(dkey, loopstats_state(stats, coverage))
-        else:
-            stats, coverage = restored
+        # Shared with every other loop-statistics pass of the suite
+        # (table1 and characterize), so a cold workload observes once.
+        stats, coverage = derived_memo(
+            ctx, LOOPSTATS_PARTS, loopstats_from_state,
+            lambda: (self._observe(ctx).finalize(),
+                     loop_coverage(ctx.index)),
+            loopstats_state)
         self.by_name[ctx.name] = stats
         self.coverage[ctx.name] = coverage
         self._stats = None
@@ -212,21 +242,16 @@ def shared_table_sim(ctx, let_entries, lit_entries, policy=POLICY_LRU):
     over ``ctx.index`` (a columnar walk) and persists them; the rest
     are free.  Consumers only read the counters.
     """
-    key = (_TABLE_SIM_KEY, let_entries, lit_entries, policy)
-    sim = ctx.shared.get(key)
-    if sim is None:
-        dkey = derived_key(*key) + "/c%d" % ctx.cls_capacity
-        sim = restore(
-            ctx.derived, dkey,
-            lambda counters: TableHitRatioSimulator.from_counters(
-                let_entries, lit_entries, policy, counters))
-        if sim is None:
-            sim = TableHitRatioSimulator(let_entries, lit_entries, policy)
-            sim.ensure_replayed(ctx.index)
-            if ctx.derived is not None:
-                ctx.derived.put(dkey, sim.counters())
-        ctx.shared[key] = sim
-    return sim
+    def replayed():
+        sim = TableHitRatioSimulator(let_entries, lit_entries, policy)
+        sim.ensure_replayed(ctx.index)
+        return sim
+
+    return derived_memo(
+        ctx, (_TABLE_SIM_KEY, let_entries, lit_entries, policy),
+        lambda counters: TableHitRatioSimulator.from_counters(
+            let_entries, lit_entries, policy, counters),
+        replayed, TableHitRatioSimulator.counters)
 
 
 #: ``ctx.shared`` key prefix for memoized speculation simulations.
@@ -255,17 +280,11 @@ def shared_simulate(ctx, num_tus, policy, timing=None):
         key = (_SIMULATE_KEY, num_tus, policy)
     else:
         key = (_SIMULATE_KEY, num_tus, policy, timing.key())
-    result = ctx.shared.get(key)
-    if result is None:
-        dkey = derived_key(*key) + "/c%d" % ctx.cls_capacity
-        result = restore(ctx.derived, dkey, SpeculationResult.from_state)
-        if result is None:
-            result = simulate(ctx.index, num_tus=num_tus, policy=policy,
-                              name=ctx.name, timing=timing)
-            if ctx.derived is not None:
-                ctx.derived.put(dkey, result.state())
-        ctx.shared[key] = result
-    return result
+    return derived_memo(
+        ctx, key, SpeculationResult.from_state,
+        lambda: simulate(ctx.index, num_tus=num_tus, policy=policy,
+                         name=ctx.name, timing=timing),
+        SpeculationResult.state)
 
 
 def shared_simulate_many(ctx, specs):
@@ -280,7 +299,7 @@ def shared_simulate_many(ctx, specs):
     in spec order; duplicate specs are welcome and share one cell.
     """
     results = []
-    missing = []        # (memo key, dkey, config) of cells to compute
+    missing = []        # (memo key, config) of cells to compute
     pending = {}        # memo key -> slots awaiting the grid result
     for num_tus, policy, timing in specs:
         timing = effective_timing(ctx, timing)
@@ -288,30 +307,23 @@ def shared_simulate_many(ctx, specs):
             key = (_SIMULATE_KEY, num_tus, policy)
         else:
             key = (_SIMULATE_KEY, num_tus, policy, timing.key())
-        result = ctx.shared.get(key)
-        if result is None and key not in pending:
-            dkey = derived_key(*key) + "/c%d" % ctx.cls_capacity
-            result = restore(ctx.derived, dkey,
-                             SpeculationResult.from_state)
-            if result is None:
-                missing.append((key, dkey, (num_tus, policy, timing)))
-                pending[key] = []
-            else:
-                ctx.shared[key] = result
+        result = None if key in pending else \
+            derived_memo(ctx, key, SpeculationResult.from_state)
         if result is None:
+            if key not in pending:
+                missing.append((key, (num_tus, policy, timing)))
+                pending[key] = []
             pending[key].append(len(results))
-            results.append(None)
-        else:
-            results.append(result)
+        results.append(result)
     if missing:
         computed = simulate_grid(ctx.index,
-                                 [config for _, _, config in missing],
+                                 [config for _, config in missing],
                                  name=ctx.name)
         if ctx.derived is not None:
             ctx.derived.put_cells(
-                (dkey, result.state())
-                for (_, dkey, _), result in zip(missing, computed))
-        for (key, _, _), result in zip(missing, computed):
+                (derived_cls_key(ctx.cls_capacity, *key), result.state())
+                for (key, _), result in zip(missing, computed))
+        for (key, _), result in zip(missing, computed):
             ctx.shared[key] = result
             for slot in pending[key]:
                 results[slot] = result
@@ -335,24 +347,17 @@ def shared_dataspec_stats(ctx, max_instructions):
     analyze_batches`, so the full per-instruction trace is never
     materialized.
     """
-    key = (_DATASPEC_KEY, max_instructions)
-    stats = ctx.shared.get(key)
-    if stats is None:
-        dkey = derived_key(_DATASPEC_KEY, max_instructions) \
-            + "/c%d" % ctx.cls_capacity
-        stats = restore(ctx.derived, dkey, DataSpecStats.from_state)
-        if stats is None:
-            from repro.cpu.tracer import ChunkedFullTracer
+    def analyzed():
+        from repro.cpu.tracer import ChunkedFullTracer
 
-            tracer = ChunkedFullTracer(ctx.workload.program(ctx.scale),
-                                       max_instructions)
-            analyzer = DataSpeculationAnalyzer(
-                cls_capacity=ctx.cls_capacity)
-            stats = analyzer.analyze_batches(tracer.batches(), ctx.name)
-            if ctx.derived is not None:
-                ctx.derived.put(dkey, stats.state())
-        ctx.shared[key] = stats
-    return stats
+        tracer = ChunkedFullTracer(ctx.workload.program(ctx.scale),
+                                   max_instructions)
+        analyzer = DataSpeculationAnalyzer(cls_capacity=ctx.cls_capacity)
+        return analyzer.analyze_batches(tracer.batches(), ctx.name)
+
+    return derived_memo(ctx, (_DATASPEC_KEY, max_instructions),
+                        DataSpecStats.from_state, analyzed,
+                        DataSpecStats.state)
 
 
 class DataSpecPass(Analysis):

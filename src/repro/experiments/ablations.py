@@ -19,7 +19,7 @@ records and the workload needs no replay for it.
 
 from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
-from repro.analysis.passes import restore
+from repro.analysis.passes import derived_memo
 from repro.core.cls import CurrentLoopStack
 from repro.core.events import ExecutionStart, SingleIteration
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
@@ -32,6 +32,11 @@ WAITING_NUM_TUS = 4
 
 
 ALL_PARTS = ("replacement", "waiting", "cls")
+
+
+def _cls_parts(capacity):
+    """The derived-store parts of one CLS size's sweep counts."""
+    return ("cls-sweep", "cap%d" % capacity)
 
 
 def _cls_counts(counts):
@@ -65,7 +70,6 @@ class AblationsAnalysis(Analysis):
         self._cls = {capacity: [0, 0] for capacity in capacities}
         self._stacks = {}
         self._stack_list = ()
-        self._cls_cached = {}
 
     def begin(self, ctx):
         if "cls" in self.parts:
@@ -77,23 +81,14 @@ class AblationsAnalysis(Analysis):
             # finish.  Counts already in the derived store skip their
             # stack's record walk entirely, and with every count there
             # this workload needs no records at all.
-            self._cls_cached = {}
-            for capacity in self.capacities:
-                counts = restore(ctx.derived, self._cls_key(capacity),
-                                 _cls_counts)
-                if counts is not None:
-                    self._cls_cached[capacity] = counts
             self._stacks = {
                 capacity: [CurrentLoopStack(capacity=capacity), 0]
                 for capacity in self.capacities
                 if capacity != ctx.cls_capacity
-                and capacity not in self._cls_cached}
+                and derived_memo(ctx, _cls_parts(capacity),
+                                 _cls_counts) is None}
             self._stack_list = tuple(self._stacks.values())
             self.wants_records = bool(self._stack_list)
-
-    @staticmethod
-    def _cls_key(capacity):
-        return "cls-sweep/cap%d" % capacity
 
     def feed_record(self, record):
         seq = record.seq
@@ -124,7 +119,6 @@ class AblationsAnalysis(Analysis):
     def abort(self, ctx):
         self._stacks = {}
         self._stack_list = ()
-        self._cls_cached = {}
 
     def finish(self, ctx):
         if "replacement" in self.parts:
@@ -145,24 +139,25 @@ class AblationsAnalysis(Analysis):
                                        round(incl.tpc_executing, 2)))
         if "cls" in self.parts:
             for capacity in self.capacities:
-                counts = self._cls_cached.get(capacity)
-                if counts is None:
-                    entry = self._stacks.get(capacity)
-                    if entry is not None:
-                        # flush() emits only ExecutionEnds: neither
-                        # count moves.
-                        counts = [entry[0].overflow_count, entry[1]]
-                    else:
-                        counts = [ctx.detector.cls.overflow_count,
-                                  len(ctx.index.executions)]
-                    if ctx.derived is not None:
-                        ctx.derived.put(self._cls_key(capacity), counts)
+                counts = derived_memo(
+                    ctx, _cls_parts(capacity), _cls_counts,
+                    lambda: self._cls_sweep_counts(ctx, capacity), list)
                 totals = self._cls[capacity]
                 totals[0] += counts[0]
                 totals[1] += counts[1]
         self._stacks = {}
         self._stack_list = ()
-        self._cls_cached = {}
+
+    def _cls_sweep_counts(self, ctx, capacity):
+        """``[overflow drops, executions]`` of this workload's CLS of
+        *capacity* entries: its sweep stack, or the canonical detector
+        for the session's own capacity."""
+        entry = self._stacks.get(capacity)
+        if entry is not None:
+            # flush() emits only ExecutionEnds: neither count moves.
+            return [entry[0].overflow_count, entry[1]]
+        return [ctx.detector.cls.overflow_count,
+                len(ctx.index.executions)]
 
     # -- the three tables ---------------------------------------------------
 

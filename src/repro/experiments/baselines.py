@@ -13,7 +13,7 @@ there wants no records.
 """
 
 from repro.analysis import Analysis, register_analysis
-from repro.analysis.passes import restore
+from repro.analysis.passes import derived_memo
 from repro.core.branchpred import (
     BimodalPredictor,
     BranchPredictionReport,
@@ -21,12 +21,20 @@ from repro.core.branchpred import (
     GSharePredictor,
 )
 from repro.experiments.report import ExperimentResult
-from repro.pipeline.derived import derived_key
 
 #: Predictor geometries (also part of the derived-store key).
 BIMODAL_ENTRIES = 2048
 GSHARE_ENTRIES = 4096
 GSHARE_HISTORY_BITS = 10
+
+#: The derived-store parts of a workload's ``(bimodal, gshare)``
+#: reports.
+_REPORTS_PARTS = ("branchpred", BIMODAL_ENTRIES, GSHARE_ENTRIES,
+                  GSHARE_HISTORY_BITS)
+
+
+def _reports_state(reports):
+    return [report.state() for report in reports]
 
 
 def _reports_from_state(states):
@@ -45,18 +53,10 @@ class BaselinesAnalysis(Analysis):
         self._totals = {"closing_c": 0, "closing_t": 0, "other_c": 0,
                         "other_t": 0, "gshare_c": 0, "gshare_t": 0}
         self._stream = None
-        self._cached = None
-
-    @staticmethod
-    def _key(ctx):
-        return (derived_key("branchpred", BIMODAL_ENTRIES, GSHARE_ENTRIES,
-                            GSHARE_HISTORY_BITS)
-                + "/c%d" % ctx.cls_capacity)
 
     def begin(self, ctx):
-        self._cached = restore(ctx.derived, self._key(ctx),
-                               _reports_from_state)
-        self._stream = None if self._cached is not None else \
+        cached = derived_memo(ctx, _REPORTS_PARTS, _reports_from_state)
+        self._stream = None if cached is not None else \
             BranchPredictionStream([
                 BimodalPredictor(BIMODAL_ENTRIES),
                 GSharePredictor(GSHARE_ENTRIES, GSHARE_HISTORY_BITS)])
@@ -70,18 +70,13 @@ class BaselinesAnalysis(Analysis):
 
     def abort(self, ctx):
         self._stream = None
-        self._cached = None
 
     def finish(self, ctx):
-        if self._cached is not None:
-            bimodal, gshare = self._cached
-        else:
-            bimodal, gshare = self._stream.reports(ctx.name)
-            if ctx.derived is not None:
-                ctx.derived.put(self._key(ctx),
-                                [bimodal.state(), gshare.state()])
+        stream = self._stream
+        bimodal, gshare = derived_memo(
+            ctx, _REPORTS_PARTS, _reports_from_state,
+            lambda: stream.reports(ctx.name), _reports_state)
         self._stream = None
-        self._cached = None
         self._reports[ctx.name] = {"bimodal": bimodal, "gshare": gshare}
         self._rows.append((ctx.name,
                            round(100 * bimodal.closing_accuracy, 2),

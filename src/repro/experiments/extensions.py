@@ -18,12 +18,11 @@ both experiments costs one full trace per workload, not two.
 
 from repro.analysis import Analysis, effective_timing, \
     register_analysis, shared_dataspec_stats, shared_simulate
-from repro.analysis.passes import restore
+from repro.analysis.passes import derived_memo
 from repro.core.speculation import SpeculationDisableTable, simulate
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult, TimingMeta
-from repro.pipeline.derived import derived_key
 
 #: The disable table's geometry: capacity, samples before a verdict,
 #: and the hit rate below which a loop is blocked.
@@ -32,9 +31,10 @@ DISABLE_MIN_SAMPLES = 5
 DISABLE_HIT_THRESHOLD = 0.5
 
 
-def guarded_state(result, blocked):
+def guarded_state(value):
     """The derived-store value of a disable-table run: its result and
     how many loops the table blocked."""
+    result, blocked = value
     return {"result": result.state(), "blocked": blocked}
 
 
@@ -55,18 +55,18 @@ def guarded_simulate(ctx, num_tus):
              DISABLE_MIN_SAMPLES, DISABLE_HIT_THRESHOLD]
     if timing is not None:
         parts.append(timing.key())
-    dkey = derived_key(*parts) + "/c%d" % ctx.cls_capacity
-    restored = restore(ctx.derived, dkey, guarded_from_state)
-    if restored is not None:
-        return restored
-    table = SpeculationDisableTable(capacity=DISABLE_CAPACITY,
-                                    min_samples=DISABLE_MIN_SAMPLES,
-                                    hit_threshold=DISABLE_HIT_THRESHOLD)
-    result = simulate(ctx.index, num_tus=num_tus, policy="str",
-                      name=ctx.name, disable_table=table, timing=timing)
-    if ctx.derived is not None:
-        ctx.derived.put(dkey, guarded_state(result, len(table)))
-    return result, len(table)
+
+    def simulated():
+        table = SpeculationDisableTable(capacity=DISABLE_CAPACITY,
+                                        min_samples=DISABLE_MIN_SAMPLES,
+                                        hit_threshold=DISABLE_HIT_THRESHOLD)
+        result = simulate(ctx.index, num_tus=num_tus, policy="str",
+                          name=ctx.name, disable_table=table,
+                          timing=timing)
+        return result, len(table)
+
+    return derived_memo(ctx, parts, guarded_from_state, simulated,
+                        guarded_state)
 
 
 @register_analysis("extensions")

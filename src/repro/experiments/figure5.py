@@ -12,24 +12,22 @@ rides the same record stream, fed only the records inside the prefix
 """
 
 from repro.analysis import Analysis, register_analysis
-from repro.analysis.passes import restore
+from repro.analysis.passes import derived_memo
 from repro.core.detector import LoopDetector
 from repro.core.speculation import simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult
 
 
-def _cached_infinite(ctx, dkey, build_index):
+def _infinite(ctx, parts, build_index):
     """An infinite-TU simulation of ``build_index()``, via the
-    workload's derived store when present (the result is a pure
-    function of the trace and the index parameters baked into *dkey*);
-    *build_index* is only called on a miss."""
-    result = restore(ctx.derived, dkey, SpeculationResult.from_state)
-    if result is None:
-        result = simulate_infinite(build_index(), name=ctx.name)
-        if ctx.derived is not None:
-            ctx.derived.put(dkey, result.state())
-    return result
+    workload's derived store (the result is a pure function of the
+    trace and the index parameters in *parts*); *build_index* is only
+    called on a miss."""
+    return derived_memo(
+        ctx, parts, SpeculationResult.from_state,
+        lambda: simulate_infinite(build_index(), name=ctx.name),
+        SpeculationResult.state)
 
 
 @register_analysis("figure5")
@@ -41,7 +39,6 @@ class Figure5Analysis(Analysis):
         self._series = {}
         self._prefix_detector = None
         self._prefix_limit = None
-        self._reduced_cached = None
 
     def begin(self, ctx):
         # clip() semantics: a quarter prefix, at least one instruction,
@@ -52,15 +49,14 @@ class Figure5Analysis(Analysis):
         # the whole prefix detection pass is unnecessary -- the prefix
         # index existed only to feed that one simulation -- and so are
         # this workload's records.
-        self._reduced_cached = restore(ctx.derived, self._reduced_key(ctx),
-                                       SpeculationResult.from_state)
-        self._prefix_detector = None if self._reduced_cached is not None \
+        reduced = derived_memo(ctx, self._reduced_parts(),
+                               SpeculationResult.from_state)
+        self._prefix_detector = None if reduced is not None \
             else LoopDetector(cls_capacity=ctx.cls_capacity)
         self.wants_records = self._prefix_detector is not None
 
-    def _reduced_key(self, ctx):
-        return ("simulate-inf/prefix%d/c%d"
-                % (self._prefix_limit, ctx.cls_capacity))
+    def _reduced_parts(self):
+        return ("simulate-inf", "prefix%d" % self._prefix_limit)
 
     def feed_record(self, record):
         if self._prefix_detector is not None \
@@ -78,23 +74,20 @@ class Figure5Analysis(Analysis):
 
     def abort(self, ctx):
         self._prefix_detector = None
-        self._reduced_cached = None
 
     def finish(self, ctx):
-        full = _cached_infinite(
-            ctx, "simulate-inf/c%d" % ctx.cls_capacity, lambda: ctx.index)
-        reduced = self._reduced_cached
-        if reduced is None:
-            detector = self._prefix_detector
+        full = _infinite(ctx, ("simulate-inf",), lambda: ctx.index)
+        detector = self._prefix_detector
+
+        def prefix_index():
             detector.finish(self._prefix_limit)
-            reduced = _cached_infinite(
-                ctx, self._reduced_key(ctx),
-                lambda: detector.index(self._prefix_limit))
+            return detector.index(self._prefix_limit)
+
+        reduced = _infinite(ctx, self._reduced_parts(), prefix_index)
         self._rows.append((ctx.name, round(full.tpc, 2),
                            round(reduced.tpc, 2)))
         self._series[ctx.name] = {"full": full, "reduced": reduced}
         self._prefix_detector = None
-        self._reduced_cached = None
 
     def result(self):
         return ExperimentResult(

@@ -49,6 +49,13 @@ def derived_key(*parts):
                     for part in parts)
 
 
+def derived_cls_key(cls_capacity, *parts):
+    """The :func:`derived_key` of a per-workload result computed under
+    a CLS of *cls_capacity* entries (every analysis result is): the
+    parts, then ``/c<cls_capacity>``."""
+    return derived_key(*parts) + "/c%d" % cls_capacity
+
+
 class DerivedStore:
     """The ``key -> JSON value`` store of one trace-cache entry.
 

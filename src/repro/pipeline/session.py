@@ -172,18 +172,26 @@ class SimulationSession:
         detected = self._detected.get(name)
         if detected is None:
             def detect(header, batches, source):
-                self.stats.replays += 1
-                collector = obs.active()
-                if collector is not None:
-                    batches = _tally(batches, collector)
                 detector = LoopDetector(
                     cls_capacity=self.config.cls_capacity)
-                with obs.span("replay", workload=name, source=source):
-                    index = detector.run_batches(
-                        batches, header.total_instructions)
+                index = self._walk(
+                    name, batches, source,
+                    lambda batches: detector.run_batches(
+                        batches, header.total_instructions))
                 return detector, index
             detected = self._detected[name] = self._consume(name, detect)
         return detected
+
+    def _walk(self, name, batches, source, walk):
+        """``walk(batches)`` as one trace walk of *name*: counted in
+        ``stats.replays``, its batches tallied by an active collector,
+        inside a ``replay`` span."""
+        self.stats.replays += 1
+        collector = obs.active()
+        if collector is not None:
+            batches = _tally(batches, collector)
+        with obs.span("replay", workload=name, source=source):
+            return walk(batches)
 
     def indexes(self):
         """``(name, index)`` for every workload, in configured order."""
@@ -278,14 +286,13 @@ class SimulationSession:
                 self._fingerprint(workload.name)))
         return WorkloadContext(
             workload.name, total, workload=workload, scale=self.scale,
-            cls_capacity=self.config.cls_capacity,
-            detector=LoopDetector(cls_capacity=self.config.cls_capacity),
-            timing=timing, derived=derived)
+            cls_capacity=self.config.cls_capacity, timing=timing,
+            derived=derived)
 
     def _replay(self, suite, ctx, batches, source):
         """One full batched record-stream replay into *suite*, whose
         ``begin(ctx)`` already ran; returns ``(detector, index)`` of
-        the canonical detector ``ctx.detector``.
+        the canonical detector it installs as ``ctx.detector``.
 
         *batches* is an iterable of :class:`~repro.trace.batch.
         RecordBatch` (a cached v3 stream, or in-memory columns).  Per
@@ -294,8 +301,8 @@ class SimulationSession:
         them into loop events -- event order is identical to the
         per-record replay.
         """
-        self.stats.replays += 1
-        detector = ctx.detector
+        detector = ctx.detector = LoopDetector(
+            cls_capacity=self.config.cls_capacity)
         total = ctx.total_instructions
         wants_records = suite.wants_records
         timing = ctx.timing
@@ -316,10 +323,8 @@ class SimulationSession:
                 def feed_events(events):
                     for event in events:
                         suite_feed(event)
-        collector = obs.active()
-        if collector is not None:
-            batches = _tally(batches, collector)
-        with obs.span("replay", workload=ctx.name, source=source):
+
+        def walk(batches):
             for batch in batches:
                 if wants_records:
                     feed_batch(batch)
@@ -334,6 +339,8 @@ class SimulationSession:
             ctx.index = detector.index(total)
             with obs.span("finish", workload=ctx.name):
                 suite.finish(ctx)
+
+        self._walk(ctx.name, batches, source, walk)
         if ctx.derived is not None:
             ctx.derived.flush()
         return detector, ctx.index

@@ -190,7 +190,7 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
                                  loop_coverage(index))
                     if derived is not None:
                         derived.put(loopstats_dkey,
-                                    loopstats_state(*loopstats))
+                                    loopstats_state(loopstats))
                 stats, coverage = loopstats
                 row["detail"] = json.dumps(
                     {"stats": stats.state(), "coverage": coverage},

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.pipeline.cache import TraceCache, program_fingerprint
-from repro.pipeline.derived import derived_key
+from repro.pipeline.derived import derived_cls_key
 
 #: Experiments a sweep can run (the store-backed execution path of the
 #: equally named direct experiments).  ``figure6`` sweeps the STR
@@ -229,17 +229,17 @@ def sim_cell_suffix(tus, policy, timing_key, cls_capacity):
     under, so sweep cells and direct experiment runs share one cache
     row on disk."""
     if timing_key is None:
-        return derived_key("simulate", tus, policy) \
-            + "/c%d" % cls_capacity
-    return derived_key("simulate", tus, policy, timing_key) \
-        + "/c%d" % cls_capacity
+        return derived_cls_key(cls_capacity, "simulate", tus, policy)
+    return derived_cls_key(cls_capacity, "simulate", tus, policy,
+                           timing_key)
 
 
 def loopstats_cell_suffix(cls_capacity):
     """The key suffix of a per-workload loop-statistics cell --
-    byte-for-byte :func:`repro.analysis.passes.loopstats_key`, the
-    derived-store key its ``{stats, coverage}`` persist under."""
-    return derived_key("loopstats") + "/c%d" % cls_capacity
+    byte-for-byte the derived-store key table1's
+    :class:`repro.analysis.passes.LoopStatisticsPass` persists its
+    ``{stats, coverage}`` under."""
+    return derived_cls_key(cls_capacity, "loopstats")
 
 
 def workload_trace_key(name, scale=1, max_instructions=None):

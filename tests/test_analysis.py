@@ -372,6 +372,65 @@ class TestSharedWork:
         session.analyze(suite)
         assert sorted(calls) == sorted(WORKLOADS)
 
+    def test_loop_statistics_shared_between_passes(self, monkeypatch):
+        """Two loop-statistics passes in one suite (table1 and
+        characterize in `runner all`) compute each workload's
+        statistics and coverage once."""
+        from repro.analysis import passes
+
+        calls = []
+        original = passes.loop_coverage
+
+        def counting(index):
+            calls.append(index)
+            return original(index)
+
+        monkeypatch.setattr(passes, "loop_coverage", counting)
+        suite = AnalysisSuite()
+        first = suite.add(LoopStatisticsPass())
+        second = suite.add(LoopStatisticsPass())
+        make_session().analyze(suite)
+        assert len(calls) == len(WORKLOADS)
+        assert first.by_name == second.by_name
+        assert first.coverage == second.coverage
+
+    def test_derived_memo_restores_computes_and_persists(self):
+        from repro.analysis.passes import derived_memo
+
+        class Store:
+            def __init__(self, entries):
+                self.entries = dict(entries)
+                self.gets = 0
+
+            def get(self, key):
+                self.gets += 1
+                return self.entries.get(key)
+
+            def put(self, key, value):
+                self.entries[key] = value
+
+        def boom():
+            raise AssertionError("a hit recomputed")
+
+        # A lookup miss, then a compute that does not re-read the store.
+        store = Store({})
+        ctx = WorkloadContext("w", 10, cls_capacity=8, derived=store)
+        assert derived_memo(ctx, ("x", 1), int) is None
+        assert derived_memo(ctx, ("x", 1), int, lambda: 5, str) == 5
+        assert derived_memo(ctx, ("x", 1), int, boom, str) == 5
+        assert (store.gets, store.entries) == (1, {"x/1/c8": "5"})
+        # A hit is restored once and shared; a malformed entry is a miss.
+        store = Store({"x/1/c8": "3", "y/c8": "bad"})
+        ctx = WorkloadContext("w", 10, cls_capacity=8, derived=store)
+        assert derived_memo(ctx, ("x", 1), int, boom, str) == 3
+        assert derived_memo(ctx, ("x", 1), int) == 3
+        assert derived_memo(ctx, ("y",), int, lambda: 7, str) == 7
+        assert store.gets == 2 and store.entries["y/c8"] == "7"
+        # Without a store the value is still computed once per workload.
+        ctx = WorkloadContext("w", 10)
+        assert derived_memo(ctx, ("x",), int, lambda: 9, str) == 9
+        assert derived_memo(ctx, ("x",), int, boom, str) == 9
+
 
 # ---------------------------------------------------------------------------
 # Lifecycle edge cases.

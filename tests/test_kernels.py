@@ -402,7 +402,7 @@ class TestStateRoundTrips:
                                         hit_threshold=1.0)
         result = simulate(index, num_tus=4, policy="str", name="w",
                           disable_table=table)
-        state = json.loads(json.dumps(guarded_state(result, len(table))))
+        state = json.loads(json.dumps(guarded_state((result, len(table)))))
         restored, blocked = guarded_from_state(state)
         assert restored.as_dict() == result.as_dict()
         assert blocked == len(table)

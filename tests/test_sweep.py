@@ -282,9 +282,11 @@ class TestOrchestrator:
         assert any(KIND_LOOPSTATS in key for key, _, _ in first)
         # Direct runs (table1, characterize) persist under the cell's
         # key, so they pre-populate loop-stats cells too.
-        from repro.analysis.passes import loopstats_key
+        from repro.analysis.passes import LOOPSTATS_PARTS
+        from repro.pipeline.derived import derived_cls_key
         from repro.sweep.spec import loopstats_cell_suffix
-        assert loopstats_cell_suffix(16) == loopstats_key(16)
+        assert loopstats_cell_suffix(16) \
+            == derived_cls_key(16, *LOOPSTATS_PARTS)
 
     def test_dry_run_registers_but_executes_nothing(self, tmp_path):
         spec = SweepSpec(**GRID)
