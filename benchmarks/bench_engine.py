@@ -1,30 +1,19 @@
-"""Fused-engine and parallel-search throughput: the PR 10 headline.
+"""Fused-engine throughput against per-config simulation.
 
-Two measurements, written to ``BENCH_engine.json`` at the repository
-root (override with ``--output``):
-
-* **fused grid vs per-config**: every benchmark workload is priced
-  over a (policy x TU count x timing) grid twice -- N independent
-  :func:`~repro.core.speculation.engine.simulate` calls, then one
-  :func:`~repro.core.speculation.grid.simulate_grid` call -- with the
-  results compared config by config (``mismatches`` must be 0) and
-  cell throughput recorded for both.  The committed gate
-  (``tools/bench_check.py --engine``) requires the fused speedup to
-  stay above 3x.
-* **parallel candidate search**: one search spec runs at ``--jobs 1``
-  and at ``--jobs N``; the winner tables must be identical (the
-  trajectory is jobs-invariant by construction) and the parallel run
-  reports its speculation structure -- pooled submissions, speculation
-  hits, peak in-flight futures -- from the observability counters.
-  Wall-clock scaling is recorded too, but only judged on multi-core
-  hosts (``cpu_count`` is in the output; a 1-core container cannot
-  overlap anything).
+Written to ``BENCH_engine.json`` at the repository root (override with
+``--output``): every benchmark workload is priced over a (policy x TU
+count x timing) grid twice -- N independent
+:func:`~repro.core.speculation.engine.simulate` calls, then one
+:func:`~repro.core.speculation.grid.simulate_grid` call -- with the
+results compared config by config (``mismatches`` must be 0) and cell
+throughput recorded for both.  The committed gate
+(``tools/bench_check.py --engine``) requires the fused speedup to
+stay above 3x.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
-    PYTHONPATH=src python benchmarks/bench_engine.py \
-        --workloads swim,go --jobs 4 --budget 16
+    PYTHONPATH=src python benchmarks/bench_engine.py --workloads swim,go
 """
 
 import argparse
@@ -36,11 +25,7 @@ import time
 
 from repro.core.speculation.engine import simulate
 from repro.core.speculation.grid import simulate_grid
-from repro.obs.collector import Collector, activate, deactivate
 from repro.pipeline.session import SimulationSession
-from repro.search.loop import run_search
-from repro.search.objectives import EvalSettings
-from repro.search.spec import SearchSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -99,74 +84,13 @@ def bench_fused(workloads):
     }
 
 
-def bench_search(jobs, budget, seed):
-    spec = SearchSpec(objective="coverage-collapse", budget=budget,
-                      seed=seed, stall_limit=6,
-                      settings=EvalSettings(scale=2))
-
-    start = time.perf_counter()
-    serial_winners, serial_stats = run_search(spec, cache_dir=None)
-    serial_s = time.perf_counter() - start
-
-    collector = activate(Collector())
-    try:
-        start = time.perf_counter()
-        pool_winners, pool_stats = run_search(spec, cache_dir=None,
-                                              jobs=jobs)
-        pool_s = time.perf_counter() - start
-    finally:
-        deactivate()
-
-    def table(winners):
-        return [(w.name, w.gen_seed, round(w.score, 12), w.eval_index,
-                 w.frontier) for w in winners]
-
-    identical = table(serial_winners) == table(pool_winners) \
-        and (serial_stats.evaluated, serial_stats.accepted,
-             serial_stats.best_score) \
-        == (pool_stats.evaluated, pool_stats.accepted,
-            pool_stats.best_score)
-    return {
-        "objective": spec.objective,
-        "budget": budget,
-        "seed": seed,
-        "jobs": jobs,
-        "identical_winners": identical,
-        "serial": {
-            "seconds": round(serial_s, 3),
-            "candidates_per_second":
-                round(serial_stats.evaluated / serial_s, 2)
-                if serial_s else 0.0,
-        },
-        "parallel": {
-            "seconds": round(pool_s, 3),
-            "speedup_vs_serial": round(serial_s / pool_s, 2)
-            if pool_s else 0.0,
-            "pooled_submits":
-                collector.counters.get("search.pooled_submits", 0),
-            "speculation_hits":
-                collector.counters.get("search.speculation_hits", 0),
-            "peak_inflight":
-                collector.gauges.get("search.peak_inflight", 0),
-        },
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Benchmark the fused grid engine and the parallel "
-                    "candidate search.")
+        description="Benchmark the fused grid engine against "
+                    "per-config simulation.")
     parser.add_argument("--workloads",
                         default=",".join(DEFAULT_WORKLOADS),
                         metavar="A,B,...")
-    parser.add_argument("--jobs", type=int,
-                        default=max(2, min(4, os.cpu_count() or 1)),
-                        help="pool width of the parallel search run "
-                             "(default %(default)s)")
-    parser.add_argument("--budget", type=int, default=12,
-                        help="search candidate budget "
-                             "(default %(default)s)")
-    parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--output",
                         default=os.path.join(REPO_ROOT,
                                              "BENCH_engine.json"),
@@ -176,11 +100,9 @@ def main(argv=None):
     workloads = tuple(w.strip() for w in args.workloads.split(",")
                       if w.strip())
     results = {
-        "benchmark": "fused grid engine vs per-config simulate; "
-                     "parallel candidate search vs serial",
+        "benchmark": "fused grid engine vs per-config simulate",
         "cpu_count": os.cpu_count() or 1,
         "fused": bench_fused(workloads),
-        "search": bench_search(args.jobs, args.budget, args.seed),
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)

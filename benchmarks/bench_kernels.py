@@ -1,10 +1,8 @@
-"""Columnar-kernel microbenchmarks and the vectorized hot-path payoff.
+"""Columnar-kernel microbenchmarks and the batch hot path.
 
 Measures :mod:`repro.trace.kernels` and its batch-native consumers on
-real workload batches, under **both backends** (numpy and stdlib --
-each backend runs in a subprocess, since the choice is made once at
-import), plus the warm/cold ``runner all`` headline numbers.  Written
-to ``BENCH_kernels.json`` at the repository root:
+real workload batches, plus the warm/cold ``runner all`` headline
+numbers.  Written to ``BENCH_kernels.json`` at the repository root:
 
 * **Per-kernel microbenchmarks** -- one entry per kernelized hot path:
 
@@ -22,9 +20,9 @@ to ``BENCH_kernels.json`` at the repository root:
 
 * **Warm/cold `runner all` headline** -- the full ten-experiment
   single-pass suite: cold (fresh trace cache: interpretation + derived
-  population) and warm (trace cache + derived-results cache hot), per
-  backend, compared against the pre-kernel warm baseline recorded in
-  ``BENCH_io.json``.
+  population) and warm (trace cache hot, derived store emptied so the
+  replay runs), compared against the pre-kernel warm baseline recorded
+  in ``BENCH_io.json``.
 
 Run::
 
@@ -38,7 +36,6 @@ import argparse
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -51,8 +48,6 @@ if SRC_ROOT not in sys.path:
 #: Workloads whose batches the microbenchmarks consume.
 MICRO_WORKLOADS = ("compress", "gcc", "swim")
 MICRO_LIMIT = 400_000
-
-BACKENDS = ("numpy", "stdlib")
 
 
 def best(rounds, fn):
@@ -71,7 +66,7 @@ def _timed(records, seconds):
     }
 
 
-# -- stage: micro (runs inside one backend's subprocess) ---------------------
+# -- micro -------------------------------------------------------------------
 
 def bench_micro(workload_names, limit, rounds):
     from repro.core.branchpred import BimodalPredictor, \
@@ -122,7 +117,6 @@ def bench_micro(workload_names, limit, rounds):
         return time.perf_counter() - start
 
     return {
-        "backend": kernels.backend(),
         "workloads": list(workload_names),
         "max_instructions": limit,
         "records": records,
@@ -133,7 +127,7 @@ def bench_micro(workload_names, limit, rounds):
     }
 
 
-# -- stage: headline (runs inside one backend's subprocess) ------------------
+# -- headline ----------------------------------------------------------------
 
 def _run_single_pass(cache_dir, workloads, max_instructions):
     """All experiments in one suite: one replay per workload (the shape
@@ -156,15 +150,12 @@ def _run_single_pass(cache_dir, workloads, max_instructions):
 
 
 def bench_headline(workloads, max_instructions, rounds):
-    from repro.trace import kernels
-
     cache_dir = tempfile.mkdtemp(prefix="bench-kernels-cache-")
     try:
         cold = _run_single_pass(cache_dir, workloads, max_instructions)
         warm = best(rounds, lambda: _run_single_pass(
             cache_dir, workloads, max_instructions))
         return {
-            "backend": kernels.backend(),
             "workloads": list(workloads) if workloads else "full suite",
             "max_instructions": max_instructions,
             "rounds": rounds,
@@ -176,29 +167,6 @@ def bench_headline(workloads, max_instructions, rounds):
 
 
 # -- orchestration -----------------------------------------------------------
-
-def _subprocess_stage(stage, backend, args):
-    """Run one measurement stage in a fresh interpreter pinned to
-    *backend* (the kernel backend is chosen once at import, so each
-    backend needs its own process); returns the parsed JSON result."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_ROOT + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    if backend == "stdlib":
-        env["REPRO_NO_NUMPY"] = "1"
-    else:
-        env.pop("REPRO_NO_NUMPY", None)
-    cmd = [sys.executable, os.path.abspath(__file__),
-           "--stage", stage, "--rounds", str(args.rounds)]
-    if args.workloads:
-        cmd += ["--workloads", args.workloads]
-    if args.max_instructions is not None:
-        cmd += ["--max-instructions", str(args.max_instructions)]
-    cmd += ["--micro-limit", str(args.micro_limit)]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE,
-                          check=True)
-    return json.loads(proc.stdout.decode("utf-8"))
-
 
 def load_baseline():
     """The pre-kernel warm ``runner all`` wall time from BENCH_io.json
@@ -214,8 +182,8 @@ def load_baseline():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Benchmark the columnar kernels and the vectorized "
-                    "hot path, under both backends.")
+        description="Benchmark the columnar kernels and the batch hot "
+                    "path.")
     parser.add_argument("--workloads", default=None, metavar="A,B,...",
                         help="workload subset (default: "
                              "%s for the microbenchmarks, full suite "
@@ -235,42 +203,21 @@ def main(argv=None):
                         default=os.path.join(REPO_ROOT,
                                              "BENCH_kernels.json"),
                         help="result file (default %(default)s)")
-    parser.add_argument("--stage", choices=("micro", "headline"),
-                        default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     workloads = (tuple(args.workloads.split(","))
                  if args.workloads else None)
 
-    if args.stage == "micro":
-        print(json.dumps(bench_micro(workloads or MICRO_WORKLOADS,
-                                     args.micro_limit, args.rounds)))
-        return 0
-    if args.stage == "headline":
-        print(json.dumps(bench_headline(workloads,
-                                        args.max_instructions,
-                                        args.rounds)))
-        return 0
-
-    micro = {backend: _subprocess_stage("micro", backend, args)
-             for backend in BACKENDS}
     results = {
-        "benchmark": "columnar kernels + vectorized hot path",
-        "micro": micro,
+        "benchmark": "columnar kernels + batch hot path",
+        "micro": bench_micro(workloads or MICRO_WORKLOADS,
+                             args.micro_limit, args.rounds),
     }
-    speedups = {}
-    for kernel in ("mask_build", "cls_batch", "detector_batch",
-                   "predictor_batch"):
-        np_s = micro["numpy"][kernel]["seconds"]
-        std_s = micro["stdlib"][kernel]["seconds"]
-        speedups[kernel] = round(std_s / np_s, 2) if np_s else None
-    results["numpy_speedup_vs_stdlib"] = speedups
-
     if not args.skip_headline:
-        headline = {backend: _subprocess_stage("headline", backend, args)
-                    for backend in BACKENDS}
+        headline = bench_headline(workloads, args.max_instructions,
+                                  args.rounds)
         baseline = load_baseline() if workloads is None \
             and args.max_instructions is None else None
-        warm = headline["numpy"]["warm_seconds"]
+        warm = headline["warm_seconds"]
         headline["baseline_warm_seconds"] = baseline
         headline["warm_speedup_vs_baseline"] = \
             round(baseline / warm, 2) if baseline and warm else None

@@ -83,10 +83,6 @@ class AnalysisSuite:
             a for a in self._analyses
             if type(a).feed is not Analysis.feed)
 
-    def feed_record(self, record):
-        for analysis in self._record_consumers:
-            analysis.feed_record(record)
-
     def feed_batch(self, batch):
         """Fan one :class:`~repro.trace.batch.RecordBatch` out to every
         record consumer (each falls back to per-record feeding unless

@@ -17,6 +17,7 @@ the claim directly.
 
 from repro.isa.instructions import InstrKind
 from repro.trace import kernels
+from repro.trace.batch import iter_batches
 
 _K_BRANCH = int(InstrKind.BRANCH)
 
@@ -113,8 +114,10 @@ class BranchPredictionReport:
     def from_state(cls, state):
         """Rebuild a report from :meth:`state` output.
 
-        Raises ``KeyError``/``TypeError`` on malformed input (derived
-        caches treat that as a miss).
+        Raises ``KeyError``/``TypeError`` on malformed input and
+        ``ValueError`` on counters no measurement can produce (a
+        negative count, or more correct predictions than branches);
+        derived caches treat any of them as a miss.
         """
         report = cls(state["name"])
         for field in cls.__slots__[1:]:
@@ -122,6 +125,9 @@ class BranchPredictionReport:
             if type(value) is not int:
                 raise TypeError("non-integer counter %r" % field)
             setattr(report, field, value)
+        if not (0 <= report.closing_correct <= report.closing_total
+                and 0 <= report.other_correct <= report.other_total):
+            raise ValueError("branch-prediction counters out of range")
         return report
 
     def __repr__(self):
@@ -163,41 +169,24 @@ class BranchPredictionStream:
             and type(self.predictors[0]) is BimodalPredictor
             and type(self.predictors[1]) is GSharePredictor)
 
-    def feed(self, record):
-        """Account one control-flow record (non-branches are ignored)."""
-        if record.kind != _K_BRANCH:
-            return
-        pc = record.pc
-        taken = record.taken
-        tallies = self._per_pc.get(pc)
-        if tallies is None:
-            tallies = self._per_pc[pc] = [0] * (len(self.predictors) + 1)
-        tallies[0] += 1
-        for slot, predictor in enumerate(self.predictors, start=1):
-            if predictor.predict(pc) == taken:
-                tallies[slot] += 1
-            predictor.update(pc, taken)
-        if taken and record.target is not None and record.target <= pc:
-            self._closing.add(pc)
-
     def feed_batch(self, batch):
-        """Account one :class:`~repro.trace.batch.RecordBatch` -- the
-        columnar form of :meth:`feed` (a ``target`` of ``-1`` encodes
-        ``None``)."""
-        if self._fused_pair:
-            pcs, takens = kernels.branch_columns(batch)
-            if pcs:
-                self._feed_branches_fused(pcs, takens)
-                self._closing |= kernels.closing_branch_pcs(batch)
+        """Account one :class:`~repro.trace.batch.RecordBatch`
+        (non-branch records are ignored)."""
+        pcs, takens = kernels.branch_columns(batch)
+        if not pcs:
             return
-        k_branch = _K_BRANCH
+        if self._fused_pair:
+            self._feed_branches_fused(pcs, takens)
+        else:
+            self._feed_branches(pcs, takens)
+        self._closing |= kernels.closing_branch_pcs(batch)
+
+    def _feed_branches(self, pcs, takens):
+        """Generic accounting over branch-only columns: every
+        predictor predicts, then updates, in list order."""
         per_pc = self._per_pc
-        closing = self._closing
         predictors = self.predictors
-        for pc, kind, taken, target in zip(batch.pcs, batch.kinds,
-                                           batch.takens, batch.targets):
-            if kind != k_branch:
-                continue
+        for pc, taken in zip(pcs, takens):
             taken = bool(taken)
             tallies = per_pc.get(pc)
             if tallies is None:
@@ -207,13 +196,11 @@ class BranchPredictionStream:
                 if predictor.predict(pc) == taken:
                     tallies[slot] += 1
                 predictor.update(pc, taken)
-            if taken and 0 <= target <= pc:
-                closing.add(pc)
 
     def _feed_branches_fused(self, pcs, takens):
         """Fused bimodal+gshare accounting over branch-only columns.
 
-        Exactly the per-record sequence of :meth:`feed` -- bimodal
+        Exactly the sequence of :meth:`_feed_branches` -- bimodal
         predict/update, then gshare predict/update -- with both
         predictors' tables and the gshare history held in locals for
         the whole batch.
@@ -280,6 +267,6 @@ class BranchPredictionStream:
 def measure_branch_prediction(cf_trace, predictor, name="workload"):
     """Replay every conditional branch through *predictor*."""
     stream = BranchPredictionStream([predictor])
-    for rec in cf_trace.records:
-        stream.feed(rec)
+    for batch in iter_batches(cf_trace.records):
+        stream.feed_batch(batch)
     return stream.reports(name)[0]

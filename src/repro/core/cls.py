@@ -128,7 +128,7 @@ class CurrentLoopStack:
         directly and skips the common no-event cases -- calls, forward
         or missing targets with nothing stacked -- without touching
         the per-rule methods.  The CLS is deliberately *not* kernel-
-        driven on any backend: its stack state makes per-record
+        driven: its stack state makes per-record
         verdicts sequential, and a vectorized candidate walk measured
         slower than this loop (see the note in
         :mod:`repro.trace.kernels`).  A ``target`` of ``-1`` encodes

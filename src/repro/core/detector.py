@@ -206,12 +206,6 @@ class LoopDetector:
         self.cls = CurrentLoopStack(capacity=cls_capacity)
         self.events = []
         self.executions = {}
-        self._listeners = []
-
-    def add_listener(self, listener):
-        """Register a listener with optional ``on_event(event)`` hook."""
-        self._listeners.append(listener)
-        return listener
 
     # -- streaming interface ----------------------------------------------
 
@@ -229,8 +223,8 @@ class LoopDetector:
 
         The columnar fast path: one
         :meth:`CurrentLoopStack.process_batch` call per batch instead
-        of one :meth:`feed` per record, with bookkeeping and listener
-        fan-out amortized over the whole batch.  Event order -- and
+        of one :meth:`feed` per record, with bookkeeping amortized over
+        the whole batch.  Event order -- and
         therefore every downstream consumer -- is identical to the
         per-record path.
         """
@@ -310,8 +304,3 @@ class LoopDetector:
                 rec.iterations = 1
                 executions[event.exec_id] = rec
         self.events.extend(events)
-        for listener in self._listeners:
-            on_event = getattr(listener, "on_event", None)
-            if on_event is not None:
-                for event in events:
-                    on_event(event)

@@ -30,12 +30,6 @@ Mechanics per the paper:
   but cannot spawn threads into the past.
 """
 
-from repro.core.events import (
-    ExecutionEnd,
-    ExecutionStart,
-    IterationStart,
-    SingleIteration,
-)
 from repro.core.predictors import IterationCountPredictor
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.speculation.policies import OracleAllPolicy, make_policy
@@ -109,12 +103,10 @@ class SpeculationEngine:
     def begin(self, index, name="workload"):
         """Arm the engine for one simulation over *index*.
 
-        The engine consumes the event stream incrementally through
-        :meth:`feed`, but it is an *oracle*: spawning threads reads the
+        The engine is an *oracle*: spawning threads reads the
         speculated iterations' future boundary sequence numbers from
         the index, so *index* must be the completed
-        :class:`~repro.core.detector.LoopIndex` of the trace whose
-        events are about to be fed.
+        :class:`~repro.core.detector.LoopIndex` of the trace.
         """
         self._index = index
         self._executions = index.executions
@@ -138,24 +130,6 @@ class SpeculationEngine:
                                  and self.let_capacity is None)
         return self
 
-    def feed(self, event):
-        """Advance the machine through one loop event."""
-        if event.seq > self._pos:
-            self._now += self._cycles(self._pos, event.seq - self._pos)
-            self._pos = event.seq
-        etype = type(event)
-        if etype is IterationStart:
-            self._on_iteration(event.seq, event.loop, event.exec_id,
-                               event.iteration)
-        elif etype is ExecutionStart:
-            self._on_execution_start(event.seq, event.loop,
-                                     event.exec_id)
-        elif etype is ExecutionEnd:
-            self._on_execution_end(event.seq, event.loop, event.exec_id,
-                                   event.iterations)
-        elif etype is SingleIteration:
-            self._let_update(event.loop, 1)
-
     def finish(self):
         """Run out the post-loop tail and return the result."""
         if self._index.total_instructions > self._pos:
@@ -173,26 +147,17 @@ class SpeculationEngine:
     def run(self, index, name="workload"):
         """Simulate over a :class:`~repro.core.detector.LoopIndex`.
 
-        Uses the index's columnar event form when available (anything
-        exposing ``columns()``); the walk is then *sparse*: runs of
+        The walk over the index's columnar events is *sparse*: runs of
         iteration starts at which provably nothing can happen -- every
         TU busy, execution untracked, so no promotion and no spawn --
         are jumped over wholesale, and the skipped clock advances
         telescope into the next visited event's single
         :meth:`~repro.timing.base.TimingModel.cycles` call (built-in
         models price an advance as a prefix difference, so segmenting
-        the walk differently cannot change the total).  Results are
-        bit-identical to feeding every event; the equivalence tests pin
-        both paths against each other.
+        the walk differently cannot change the total).
         """
         self.begin(index, name)
-        columns = getattr(index, "columns", None)
-        if columns is not None:
-            self._run_columns(columns())
-        else:
-            feed = self.feed
-            for event in index.events:
-                feed(event)
+        self._run_columns(index.columns())
         return self.finish()
 
     def _run_columns(self, cols):
@@ -267,30 +232,6 @@ class SpeculationEngine:
             i += 1
 
     # -- event handlers -------------------------------------------------------
-
-    def _on_iteration(self, seq, loop, exec_id, iteration):
-        threads = self._threads.get(exec_id)
-        if threads and threads[0].iteration == iteration:
-            self._promote(threads.pop(0), seq)
-            if not threads:
-                del self._threads[exec_id]
-        # Hot path: skip the spawn attempt outright while every TU is
-        # busy (the common case at small TU counts).
-        num_tus = self.num_tus
-        if num_tus is None or num_tus - 1 - self._spec_count > 0:
-            self._spawn(seq, loop, exec_id, iteration)
-
-    def _on_execution_start(self, seq, loop, exec_id):
-        self._stack.append((exec_id, loop))
-        entry = self._let.insert(loop)
-        if entry is not None and entry.payload is None:
-            entry.payload = IterationCountPredictor()
-        limit = self.policy.nesting_limit
-        if limit is not None:
-            self._apply_nesting_squash(limit, seq)
-
-    def _on_execution_end(self, seq, loop, exec_id, iterations):
-        self._end_execution(seq, loop, exec_id, iterations, True, True)
 
     def _end_execution(self, seq, loop, exec_id, iterations,
                        track_stack, track_let):

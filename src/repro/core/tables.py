@@ -19,12 +19,13 @@ indistinguishable from LRU, and the ablation benchmark verifies that.
 
 from collections import OrderedDict
 
-from repro.core.events import (
-    ExecutionEnd,
-    ExecutionStart,
-    IterationStart,
-    SingleIteration,
+from repro.core.detector import (
+    EV_EXEC_END,
+    EV_EXEC_START,
+    EV_ITERATION,
+    EventColumns,
 )
+from repro.core.events import ExecutionEnd, ExecutionStart
 
 POLICY_LRU = "lru"
 POLICY_NESTING_AWARE = "nesting-aware"
@@ -144,11 +145,9 @@ class TableHitRatioSimulator:
     executions completed since insertion.  LIT hit: at an iteration
     start, the loop is present with >= 2 iterations completed since
     insertion.  First iterations are never tested (they are undetected
-    until they finish).  Fully incremental: usable as a detector
-    listener, fed one event at a time (:meth:`feed`), replayed over a
-    stored event list via :meth:`replay`, or -- the batch pipeline's
-    way -- replayed once over a finished loop index via
-    :meth:`ensure_replayed`.
+    until they finish).  The walk runs over the columnar event form
+    (:meth:`replay_columns`); the batch pipeline replays a finished
+    loop index once via :meth:`ensure_replayed`.
     """
 
     def __init__(self, let_entries, lit_entries, policy=POLICY_LRU):
@@ -166,10 +165,8 @@ class TableHitRatioSimulator:
     # -- event plumbing -----------------------------------------------------
 
     def replay(self, events):
-        on_event = self.on_event
-        for event in events:
-            on_event(event)
-        return self
+        """Replay an ordered loop-event list."""
+        return self.replay_columns(EventColumns(events))
 
     def ensure_replayed(self, index):
         """Replay *index* exactly once, however many passes ask.
@@ -182,23 +179,18 @@ class TableHitRatioSimulator:
         if self._replayed:
             return self
         self._replayed = True
-        columns = getattr(index, "columns", None)
-        if columns is not None:
-            return self.replay_columns(columns())
-        return self.replay(index.events)
+        return self.replay_columns(index.columns())
 
     def replay_columns(self, cols):
-        """:meth:`replay` over a
-        :class:`~repro.core.detector.EventColumns` -- identical counter
-        and table state, with the per-event dispatch and table helpers
-        inlined into one loop over the type-code column."""
-        from repro.core.detector import (
-            EV_EXEC_END,
-            EV_EXEC_START,
-            EV_ITERATION,
-            EV_SINGLE,
-        )
+        """Replay a :class:`~repro.core.detector.EventColumns`.
 
+        An ``ExecutionStart`` accesses the LET and inserts into both
+        tables; the paired ``IterationStart(iteration=2)`` that follows
+        performs the LIT access against the freshly ensured entry.
+        Later iteration starts first complete the iteration that just
+        finished.  An ``ExecutionEnd`` completes one iteration and one
+        execution; a ``SingleIteration`` is a start and an end at once.
+        """
         etypes = cols.etypes
         loops = cols.loops
         exec_ids = cols.exec_ids
@@ -280,61 +272,6 @@ class TableHitRatioSimulator:
         self.lit_accesses = lit_accesses
         return self
 
-    def on_event(self, event):
-        if self._nesting is not None:
-            self._nesting.on_event(event)
-        etype = type(event)
-        if etype is IterationStart:
-            if event.iteration > 2:
-                # The iteration that just finished completes now.
-                self._complete_iteration(event.loop)
-            self._access_lit(event.loop)
-        elif etype is ExecutionStart:
-            # The paired IterationStart(iteration=2) event that follows
-            # performs the LIT access against the freshly ensured entry.
-            self._access_let(event.loop)
-            self._insert_both(event.loop)
-        elif etype is ExecutionEnd:
-            self._complete_iteration(event.loop)
-            self._complete_execution(event.loop)
-        elif etype is SingleIteration:
-            self._access_let(event.loop)
-            self._insert_both(event.loop)
-            self._complete_iteration(event.loop)
-            self._complete_execution(event.loop)
-
-    #: Streaming-analysis alias: one loop event at a time.
-    feed = on_event
-
-    # -- accesses ------------------------------------------------------------
-
-    def _access_let(self, loop):
-        self.let_accesses += 1
-        entry = self.let.lookup(loop)
-        if entry is not None and entry.completed >= 2:
-            self.let_hits += 1
-
-    def _access_lit(self, loop):
-        self.lit_accesses += 1
-        entry = self.lit.lookup(loop)
-        if entry is not None and entry.completed >= 2:
-            self.lit_hits += 1
-
-    def _insert_both(self, loop):
-        nested = self._nesting.nested_inside(loop) if self._nesting else None
-        self.let.insert(loop, nested)
-        self.lit.insert(loop, nested)
-
-    def _complete_iteration(self, loop):
-        entry = self.lit.lookup(loop, touch=False)
-        if entry is not None:
-            entry.completed += 1
-
-    def _complete_execution(self, loop):
-        entry = self.let.lookup(loop, touch=False)
-        if entry is not None:
-            entry.completed += 1
-
     # -- persistence ------------------------------------------------------------
 
     def counters(self):
@@ -349,12 +286,18 @@ class TableHitRatioSimulator:
 
         Only the counters are restored, not the table contents, so the
         result is marked replayed (:meth:`ensure_replayed` is a no-op).
-        Raises ``TypeError`` on malformed input (derived caches treat
-        that as a miss).
+        Raises ``TypeError`` on malformed input and ``ValueError`` on
+        counters no replay can produce (a negative count, or more hits
+        than accesses); derived caches treat either as a miss.
         """
         if (not isinstance(counters, list) or len(counters) != 4
                 or not all(type(c) is int for c in counters)):
             raise TypeError("table-simulator counters must be four ints")
+        let_hits, let_accesses, lit_hits, lit_accesses = counters
+        if not (0 <= let_hits <= let_accesses
+                and 0 <= lit_hits <= lit_accesses):
+            raise ValueError("table-simulator counters out of range: %r"
+                             % (counters,))
         sim = cls(let_entries, lit_entries, policy)
         (sim.let_hits, sim.let_accesses, sim.lit_hits,
          sim.lit_accesses) = counters

@@ -90,24 +90,10 @@ class AblationsAnalysis(Analysis):
             self._stack_list = tuple(self._stacks.values())
             self.wants_records = bool(self._stack_list)
 
-    def feed_record(self, record):
-        seq = record.seq
-        pc = record.pc
-        kind = record.kind
-        taken = record.taken
-        target = record.target
-        for entry in self._stack_list:
-            events = entry[0].process(seq, pc, kind, taken, target)
-            if events:
-                entry[1] += sum(
-                    1 for event in events
-                    if type(event) is ExecutionStart
-                    or type(event) is SingleIteration)
-
     def feed_batch(self, batch):
-        # Columnar path: one process_batch call per sweep stack; only
-        # execution starts are counted, so event order within the
-        # batch is irrelevant.
+        # One process_batch call per sweep stack; only execution
+        # starts are counted, so event order within the batch is
+        # irrelevant.
         for entry in self._stack_list:
             events = entry[0].process_batch(batch)
             if events:

@@ -62,9 +62,6 @@ class BaselinesAnalysis(Analysis):
                 GSharePredictor(GSHARE_ENTRIES, GSHARE_HISTORY_BITS)])
         self.wants_records = self._stream is not None
 
-    def feed_record(self, record):
-        self._stream.feed(record)
-
     def feed_batch(self, batch):
         self._stream.feed_batch(batch)
 

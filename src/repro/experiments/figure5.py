@@ -58,11 +58,6 @@ class Figure5Analysis(Analysis):
     def _reduced_parts(self):
         return ("simulate-inf", "prefix%d" % self._prefix_limit)
 
-    def feed_record(self, record):
-        if self._prefix_detector is not None \
-                and record.seq < self._prefix_limit:
-            self._prefix_detector.feed(record)
-
     def feed_batch(self, batch):
         # Zero-copy columnar path: the prefix is a slice of the sorted
         # seq column, and the prefix detector consumes it as a batch.

@@ -134,17 +134,10 @@ def search_main(argv=None):
     parser.add_argument("--metrics", default=None, metavar="PATH",
                         help="write a run manifest to PATH (summary "
                              "JSON + .jsonl event stream)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for candidate "
-                             "evaluation; the trajectory and winner "
-                             "table are identical to --jobs 1 "
-                             "(default 1)")
     parser.add_argument("--list", action="store_true",
                         help="list objectives and the committed "
                              "frontier corpus")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     if args.list:
         print("objectives (--objective):")
@@ -189,8 +182,7 @@ def search_main(argv=None):
         with observer:
             winners, stats = run_search(spec, store=store,
                                         cache_dir=cache_dir,
-                                        progress=progress,
-                                        jobs=args.jobs)
+                                        progress=progress)
     except SweepStoreError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

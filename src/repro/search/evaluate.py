@@ -164,13 +164,11 @@ class CandidatePlan:
     list, the facts the store already held, and the cells still to
     compute.
 
-    :func:`plan_candidate` builds it, a worker (or the caller inline)
+    :func:`plan_candidate` builds it, :func:`evaluate_candidate`
     computes ``missing`` through :func:`~repro.sweep.orchestrator.
     run_workload_cells`, and :func:`finish_candidate` merges the rows
     back, commits them, and assembles the :class:`EvalOutcome` --
-    splitting the store I/O (parent only) from the simulation work
-    (poolable) so ``runner search --jobs N`` can evaluate speculated
-    candidates concurrently.
+    keeping the store I/O apart from the simulation work.
     """
 
     __slots__ = ("name", "settings", "cells", "keys", "facts",
@@ -187,7 +185,7 @@ class CandidatePlan:
         self.restored = restored
 
     def descriptors(self):
-        """The picklable per-cell work list of ``missing``."""
+        """The per-cell work list of ``missing``."""
         return [(c.key, c.kind, c.timing, c.policy, c.tus)
                 for c in self.missing]
 
@@ -207,28 +205,6 @@ def plan_candidate(name, settings, store=None):
     missing = [cell for cell in cells if cell.key not in done]
     return CandidatePlan(name, settings, cells, facts, missing,
                          len(done))
-
-
-def run_candidate_cells(profile_payload, gen_seed, scale,
-                        max_instructions, cls_capacity, cache_dir,
-                        descriptors):
-    """Compute one candidate's missing cells; the pool-worker entry
-    point of ``runner search --jobs N``.
-
-    Module-level and by-value: *profile_payload* is
-    :meth:`~repro.workloads.synthetic.WorkloadProfile.to_dict` output,
-    so a fresh worker process -- whose registry has never seen the
-    candidate -- can register it itself and resolve the synthetic name
-    exactly like the parent did.
-    """
-    from repro.sweep.orchestrator import run_workload_cells
-    from repro.workloads.synthetic import WorkloadProfile, \
-        ensure_profile_workload
-
-    profile = WorkloadProfile.from_dict(profile_payload)
-    name = ensure_profile_workload(profile, gen_seed)
-    return run_workload_cells(name, scale, max_instructions,
-                              cls_capacity, cache_dir, descriptors)
 
 
 def finish_candidate(plan, rows, store=None):

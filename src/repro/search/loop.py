@@ -18,13 +18,6 @@ hands back every cell the interrupted run checkpointed, so only the
 missing candidates execute (:class:`SearchStats` counts restored vs
 executed cells -- the resume tests assert the second run's
 ``executed_cells`` is exactly the shortfall).
-
-``jobs > 1`` keeps that exact trajectory while evaluating candidates
-concurrently: the loop speculates down the rejection chain (see
-:func:`run_search`), pricing the candidates the walk would visit if
-upcoming evaluations reject while the head of the chain is decided.
-Decisions replay strictly in index order, so winners and resume
-semantics are bit-identical to the serial walk.
 """
 
 import hashlib
@@ -106,8 +99,7 @@ def _move(rng, profile, gen_seed):
     return mutate_profile(profile, rng), gen_seed
 
 
-def run_search(spec, store=None, cache_dir=None, progress=None,
-               jobs=1):
+def run_search(spec, store=None, cache_dir=None, progress=None):
     """Run *spec*'s search; returns ``(winners, stats)``.
 
     ``winners`` is the deduplicated top-``spec.top_k`` candidate list,
@@ -117,27 +109,7 @@ def run_search(spec, store=None, cache_dir=None, progress=None,
     given, is called as ``progress(index, outcome, score)`` after
     every evaluation (an exception it raises aborts the search --
     the fault-injection tests interrupt runs this way).
-
-    *jobs* > 1 evaluates candidates concurrently across a process
-    pool by *speculating down the rejection chain*: the trajectory is
-    sequential (candidate ``i+1`` depends on whether candidate ``i``
-    was accepted), but rejections dominate a hill climb, so the loop
-    clones the RNG, generates the candidates the walk *would* visit
-    if upcoming evaluations reject (memoized scores branch exactly),
-    and prices them in parallel while the head of the chain is being
-    decided.  A candidate that improves invalidates the speculated
-    tail -- those futures are cancelled (or their content-keyed
-    results kept for later reuse) and speculation restarts from the
-    accepted state.  Decisions, store commits, memo updates, and
-    *progress* calls all replay strictly in index order, so winners,
-    scores, and resume semantics are identical to ``jobs=1``.
     """
-    if jobs > 1:
-        return _run_parallel(spec, store, cache_dir, progress, jobs)
-    return _run_serial(spec, store, cache_dir, progress)
-
-
-def _run_serial(spec, store, cache_dir, progress):
     objective = get_objective(spec.objective)
     rng = Xorshift64(_loop_seed(spec))
     stats = SearchStats()
@@ -227,195 +199,3 @@ def _run_serial(spec, store, cache_dir, progress):
                      key=lambda w: (-w.score, w.eval_index))
     return winners[:spec.top_k], stats
 
-
-def _run_parallel(spec, store, cache_dir, progress, jobs):
-    """The ``jobs > 1`` trajectory: identical decisions, speculated
-    evaluations.
-
-    The replay body below mirrors :func:`_run_serial` statement for
-    statement -- only the *source* of an evaluation differs (a
-    speculated pool result instead of an inline call).  Store reads
-    happen at submission time and writes at replay time, both in the
-    parent: cell keys embed the candidate's program fingerprint, so
-    distinct in-flight candidates never share cells and plan-time
-    ``done_keys`` answers match what the serial walk would have seen.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.search.evaluate import finish_candidate, \
-        plan_candidate, run_candidate_cells
-    from repro.workloads.synthetic import ensure_profile_workload
-
-    objective = get_objective(spec.objective)
-    rng = Xorshift64(_loop_seed(spec))
-    stats = SearchStats()
-    memo = {}       # (profile name, gen seed) -> (score, Winner)
-    best = {}       # candidate name -> Winner
-    if store is not None:
-        store.record_sweep(spec, ())
-
-    profile, gen_seed = _restart(rng)
-    accepted = None
-    current_score = None
-    stall = 0
-
-    lookahead = 2 * jobs
-    inflight = {}   # memo key -> (future, plan)
-    ready = {}      # memo key -> (plan, rows): done, not yet replayed
-
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        def speculate():
-            """The next ``lookahead`` (key, profile, seed) states the
-            walk visits assuming unevaluated candidates reject;
-            memoized scores branch the chain exactly."""
-            srng = Xorshift64(rng.state)
-            sprof, sseed = profile, gen_seed
-            sacc, sscore, sstall = accepted, current_score, stall
-            chain = []
-            for _ in range(lookahead):
-                key = (sprof.name, sseed)
-                chain.append((key, sprof, sseed))
-                entry = memo.get(key)
-                score = entry[0] if entry is not None else None
-                if score is not None and (sscore is None
-                                          or score > sscore):
-                    sacc = (sprof, sseed)
-                    sscore = score
-                    sstall = 0
-                else:
-                    sstall += 1
-                if sstall >= spec.stall_limit or sacc is None:
-                    sprof, sseed = _restart(srng)
-                    sacc, sscore, sstall = None, None, 0
-                else:
-                    sprof, sseed = _move(srng, *sacc)
-            return chain
-
-        def submit(key, prof, seed):
-            if key in memo or key in inflight or key in ready:
-                return
-            try:
-                name = ensure_profile_workload(prof, seed)
-                plan = plan_candidate(name, spec.settings, store)
-            except Exception:
-                # Leave it unsubmitted; if the walk really reaches
-                # this candidate, the inline fallback below raises at
-                # the exact index the serial run would have.
-                return
-            if not plan.missing:
-                ready[key] = (plan, [])
-                return
-            inflight[key] = (pool.submit(
-                run_candidate_cells, prof.to_dict(), seed,
-                spec.settings.scale, spec.settings.max_instructions,
-                spec.settings.cls_capacity, cache_dir,
-                plan.descriptors()), plan)
-            obs.add("search.pooled_submits")
-
-        peak_inflight = 0
-        for index in range(spec.budget):
-            chain = speculate()
-            live = set()
-            for key, prof, seed in chain:
-                live.add(key)
-                submit(key, prof, seed)
-            peak_inflight = max(peak_inflight, len(inflight))
-            # Drop speculations the last acceptance invalidated; ones
-            # already running finish into `inflight` and are reused if
-            # the walk ever reaches their (content-keyed) candidate.
-            for key in [k for k in inflight if k not in live]:
-                if inflight[key][0].cancel():
-                    del inflight[key]
-
-            memo_key = (profile.name, gen_seed)
-            if memo_key in memo:
-                stats.memo_hits += 1
-                obs.add("search.memo_hits")
-                score, winner = memo[memo_key]
-            else:
-                with obs.span("search.evaluate", candidate=profile.name,
-                              index=index, pooled=True):
-                    if memo_key in ready:
-                        plan, rows = ready.pop(memo_key)
-                        outcome = finish_candidate(plan, rows, store)
-                        obs.add("search.speculation_hits")
-                    elif memo_key in inflight:
-                        future, plan = inflight.pop(memo_key)
-                        _, rows = future.result()
-                        outcome = finish_candidate(plan, rows, store)
-                        obs.add("search.speculation_hits")
-                    else:
-                        outcome = evaluate_candidate(
-                            profile, gen_seed, spec.settings,
-                            store=store, cache_dir=cache_dir)
-                        obs.add("search.inline_fallbacks")
-                stats.evaluated += 1
-                stats.executed_cells += outcome.executed
-                stats.restored_cells += outcome.restored
-                collector = obs.active()
-                if collector is not None:
-                    collector.add("search.candidates")
-                    collector.add("search.cells_executed",
-                                  outcome.executed)
-                    collector.add("search.cells_restored",
-                                  outcome.restored)
-                if store is not None:
-                    store.record_sweep(spec, outcome.cell_keys)
-                if outcome.metrics is None:
-                    stats.failures += 1
-                    obs.add("search.failures")
-                    score, winner = None, None
-                else:
-                    score = objective.score(outcome.metrics,
-                                            spec.settings)
-                    winner = Winner(
-                        name=outcome.name, profile=profile,
-                        gen_seed=gen_seed, score=score,
-                        frontier=objective.frontier(outcome.metrics,
-                                                    spec.settings),
-                        metrics=outcome.metrics, eval_index=index)
-                    obs.point("search.score", score,
-                              candidate=outcome.name, index=index)
-                memo[memo_key] = (score, winner)
-                if progress is not None:
-                    progress(index, outcome, score)
-
-            if winner is not None:
-                kept = best.get(winner.name)
-                if kept is None or winner.eval_index < kept.eval_index:
-                    best[winner.name] = winner
-                if stats.best_score is None \
-                        or score > stats.best_score:
-                    stats.best_score = score
-
-            improved = score is not None and (current_score is None
-                                              or score > current_score)
-            if improved:
-                accepted = (profile, gen_seed)
-                current_score = score
-                stats.accepted += 1
-                stall = 0
-            else:
-                stall += 1
-
-            if stall >= spec.stall_limit or accepted is None:
-                profile, gen_seed = _restart(rng)
-                accepted = None
-                current_score = None
-                stall = 0
-                stats.restarts += 1
-            else:
-                profile, gen_seed = _move(rng, *accepted)
-    except BaseException:
-        # Don't block an abort (Ctrl-C, a progress interrupt) on
-        # stragglers; cancelled-or-orphaned speculation is recomputed
-        # on resume.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True, cancel_futures=True)
-    obs.gauge("search.peak_inflight", peak_inflight)
-
-    winners = sorted(best.values(),
-                     key=lambda w: (-w.score, w.eval_index))
-    return winners[:spec.top_k], stats

@@ -168,8 +168,7 @@ class ClassCostTiming(TimingModel):
 
     def feed_batch(self, batch):
         # Columnar fast path: only the seq and kind columns matter, and
-        # the kernel turns them into the prefix-sum increments in bulk
-        # (a table gather + cumsum under numpy).
+        # the kernel turns them into the prefix-sum increments in bulk.
         seqs, extras, total = kernels.classcost_extras(
             batch, self._costs, self.other, self._total_extra)
         if seqs:

@@ -11,73 +11,21 @@ loop.  (Stateful consumers -- the CLS and the loop detector it drives
 -- use fused scalar loops over the same columns instead; see the note
 below.)
 
-Two backends produce bit-identical results:
-
-* **numpy**, when importable (``pip install .[fast]``): columns are
-  wrapped zero-copy with :func:`numpy.frombuffer` and the masks are a
-  few vector ops per batch;
-* **stdlib**, otherwise: plain ``array``/``bytes`` loops.  Slower, but
-  the full analysis pipeline stays correct without any third-party
-  dependency -- the equivalence tests run both backends against each
-  other.
-
-Capability detection is *eager*: numpy is probed once at import with
-the exact operations the kernels rely on, and the choice is exposed as
-:data:`HAVE_NUMPY` / :func:`backend`.  Setting the environment
-variable ``REPRO_NO_NUMPY`` (to any non-empty value) forces the stdlib
-backend -- that is how CI runs the no-numpy leg of the matrix on an
-image that has numpy installed.
-
-Consumers with a tuned scalar loop of their own check
-:data:`HAVE_NUMPY` and only take the kernel-driven path when the
-vector backend is live; a kernel call in stdlib mode is correct but
-adds a pass over the batch that a fused scalar loop avoids.
+The kernels are plain ``array``/``bytes`` loops with no third-party
+dependency.  Vectorizing them with numpy measured no end-to-end gain:
+slower cold and tied warm, since these per-batch loops are a small
+share of a replay.
 """
-
-import os
-from array import array
 
 from repro.isa.instructions import InstrKind
 from repro.obs import collector as _obs
 
 _K_BRANCH = int(InstrKind.BRANCH)
-_K_JUMP = int(InstrKind.JUMP)
-_K_IJUMP = int(InstrKind.IJUMP)
-_K_RET = int(InstrKind.RET)
-
-
-def _detect_numpy():
-    """Import numpy and probe the operations the kernels depend on."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    try:
-        probe = numpy.frombuffer(array("q", [3, 1, 2]),
-                                 dtype=numpy.int64)
-        small = numpy.frombuffer(array("b", [0, 1, 1]),
-                                 dtype=numpy.int8)
-        mask = (probe <= 2) & (small != 0)
-        if numpy.flatnonzero(mask).tolist() != [1, 2]:
-            return None
-        if numpy.cumsum(probe).tolist() != [3, 4, 6]:
-            return None
-    except Exception:
-        return None
-    return numpy
-
-
-_np = _detect_numpy()
-
-#: True when the numpy backend is live for this process.
-HAVE_NUMPY = _np is not None
 
 
 def backend():
-    """``"numpy"`` or ``"stdlib"`` -- whichever is active."""
-    return "numpy" if HAVE_NUMPY else "stdlib"
+    """The kernel implementation in use: always ``"stdlib"``."""
+    return "stdlib"
 
 
 def _count(name):
@@ -87,18 +35,6 @@ def _count(name):
     collector = _obs.active()
     if collector is not None:
         collector.add("kernel." + name)
-
-
-# -- column views ------------------------------------------------------------
-
-def _i64(column):
-    """Zero-copy numpy view of a signed-64-bit column (numpy only)."""
-    return _np.frombuffer(column, dtype=_np.int64)
-
-
-def _i8(column):
-    """Zero-copy numpy view of a signed-byte column (numpy only)."""
-    return _np.frombuffer(column, dtype=_np.int8)
 
 
 # There is deliberately no CLS-walk kernel here.  The CurrentLoopStack
@@ -119,15 +55,7 @@ def backward_branch_mask(batch):
     """``bytes`` mask: 1 where the record is a conditional branch with
     a backward (or self) target, taken or not."""
     _count("backward_branch_mask")
-    n = len(batch)
-    if n == 0:
-        return b""
-    if HAVE_NUMPY:
-        targets = _i64(batch.targets)
-        mask = ((_i8(batch.kinds) == _K_BRANCH) & (targets >= 0)
-                & (targets <= _i64(batch.pcs)))
-        return mask.astype(_np.uint8).tobytes()
-    out = bytearray(n)
+    out = bytearray(len(batch))
     k_branch = _K_BRANCH
     i = 0
     for pc, kind, target in zip(batch.pcs, batch.kinds, batch.targets):
@@ -140,11 +68,6 @@ def backward_branch_mask(batch):
 def taken_mask(batch):
     """``bytes`` mask: 1 where the record committed taken."""
     _count("taken_mask")
-    n = len(batch)
-    if n == 0:
-        return b""
-    if HAVE_NUMPY:
-        return (_i8(batch.takens) != 0).astype(_np.uint8).tobytes()
     return bytes(bytearray(1 if taken else 0 for taken in batch.takens))
 
 
@@ -152,15 +75,6 @@ def branch_columns(batch):
     """``(pcs, takens)`` of the conditional-branch records only, as
     plain lists of Python ints (``takens`` is 0/1), in stream order."""
     _count("branch_columns")
-    n = len(batch)
-    if n == 0:
-        return [], []
-    if HAVE_NUMPY:
-        idx = _np.flatnonzero(_i8(batch.kinds) == _K_BRANCH)
-        if not idx.size:
-            return [], []
-        return (_i64(batch.pcs)[idx].tolist(),
-                _i8(batch.takens)[idx].tolist())
     pcs = []
     takens = []
     k_branch = _K_BRANCH
@@ -176,16 +90,6 @@ def closing_branch_pcs(batch):
     in this batch (the loop-closing candidates of the branch-prediction
     baseline)."""
     _count("closing_branch_pcs")
-    n = len(batch)
-    if n == 0:
-        return set()
-    if HAVE_NUMPY:
-        targets = _i64(batch.targets)
-        pcs = _i64(batch.pcs)
-        mask = ((_i8(batch.kinds) == _K_BRANCH)
-                & (_i8(batch.takens) != 0)
-                & (targets >= 0) & (targets <= pcs))
-        return set(pcs[mask].tolist())
     out = set()
     k_branch = _K_BRANCH
     for pc, kind, taken, target in zip(batch.pcs, batch.kinds,
@@ -208,20 +112,6 @@ def classcost_extras(batch, cost_by_kind, other, total):
     prefix arrays.
     """
     _count("classcost_extras")
-    n = len(batch)
-    if n == 0:
-        return [], [], total
-    if HAVE_NUMPY:
-        table = _np.zeros(max(cost_by_kind) + 1, dtype=_np.int64)
-        for kind, cost in cost_by_kind.items():
-            table[kind] = cost
-        deltas = table[_i8(batch.kinds)] - other
-        idx = _np.flatnonzero(deltas)
-        if not idx.size:
-            return [], [], total
-        extras = _np.cumsum(deltas[idx]) + total
-        return (_i64(batch.seqs)[idx].tolist(), extras.tolist(),
-                int(extras[-1]))
     seqs = []
     extras = []
     for seq, kind in zip(batch.seqs, batch.kinds):
@@ -246,10 +136,6 @@ def per_pc_runs(pcs, values):
     """
     _count("per_pc_runs")
     out = {}
-    if HAVE_NUMPY and not isinstance(pcs, list):
-        pcs = pcs.tolist() if hasattr(pcs, "tolist") else list(pcs)
-        values = values.tolist() if hasattr(values, "tolist") \
-            else list(values)
     for pc, value in zip(pcs, values):
         runs = out.get(pc)
         if runs is None:

@@ -44,6 +44,7 @@ from repro.experiments import build_suite
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult
 from repro.pipeline import PipelineConfig, SimulationSession
+from repro.trace.batch import iter_batches
 from repro.trace.stream import CFTrace, clip
 
 WORKLOADS = ("swim", "go")
@@ -492,20 +493,19 @@ class TestLifecycle:
                                   detector=detector)
             suite.begin(ctx)
             if abort_midway:
-                for record in trace.records[:len(trace.records) // 2]:
-                    suite.feed_record(record)
-                    for event in detector.feed(record):
-                        suite.feed(event)
+                half = trace.records[:len(trace.records) // 2]
+                for batch in iter_batches(half, 64):
+                    suite.feed_batch(batch)
+                    suite.feed_events(detector.feed_batch(batch))
                 suite.abort(ctx)
                 detector = LoopDetector(cls_capacity=16)
                 ctx = WorkloadContext("swim", trace.total_instructions,
                                       workload=workload,
                                       detector=detector)
                 suite.begin(ctx)
-            for record in trace.records:
-                suite.feed_record(record)
-                for event in detector.feed(record):
-                    suite.feed(event)
+            for batch in iter_batches(trace.records, 64):
+                suite.feed_batch(batch)
+                suite.feed_events(detector.feed_batch(batch))
             for event in detector.finish(trace.total_instructions):
                 suite.feed(event)
             ctx.index = detector.index(trace.total_instructions)

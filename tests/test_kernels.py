@@ -1,7 +1,6 @@
 """Kernel-layer tests.
 
-Backend equivalence (numpy vs stdlib) for every bulk column kernel,
-batch fast-path boundary cases (empty/single-record batches, loop
+Batch fast-path boundary cases (empty/single-record batches, loop
 boundaries mid-batch, loops spanning chunk seams), the derived-results
 store, result-state round trips, idempotent table replay, the mmap'd
 zero-copy v3 reader, and shared-memory trace payloads from pool
@@ -13,7 +12,7 @@ import os
 
 import pytest
 
-from repro.isa import InstrKind, assemble
+from repro.isa import assemble
 from repro.cpu import trace_control_flow
 from repro.core.branchpred import BimodalPredictor, \
     BranchPredictionStream, GSharePredictor
@@ -22,9 +21,7 @@ from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
 from repro.trace import CFTrace, RecordBatch, dump_cf_trace, \
     dumps_cf_trace, iter_batches, kernels, loads_cf_trace, open_cf_batches
-from repro.workloads import get
-
-BR = int(InstrKind.BRANCH)
+from reference.tables import EventTableReplay
 
 LOOP_SRC = """
 main:
@@ -47,16 +44,6 @@ def loop_trace():
     return trace_control_flow(assemble(LOOP_SRC))
 
 
-@pytest.fixture()
-def batches():
-    """Real-workload batches plus hand-built edge cases."""
-    trace = get("go").cf_trace(1, max_instructions=30_000)
-    out = list(iter_batches(trace.records, 512))
-    out.append(RecordBatch.empty())
-    out.append(RecordBatch.from_records(trace.records[:1]))
-    return out
-
-
 def event_reprs(events):
     return [repr(e) for e in events]
 
@@ -65,69 +52,6 @@ def index_shape(index):
     return sorted((r.exec_id, r.loop, r.start_seq, tuple(r.iter_seqs),
                    r.end_seq, r.iterations, r.reason, r.depth)
                   for r in index.executions.values())
-
-
-# ---------------------------------------------------------------------------
-# Backend equivalence: every kernel, numpy vs stdlib.
-# ---------------------------------------------------------------------------
-
-needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY,
-    reason="numpy backend not available in this process")
-
-
-def both_backends(monkeypatch, fn):
-    """``(numpy_result, stdlib_result)`` of the thunk *fn*."""
-    fast = fn()
-    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-    slow = fn()
-    monkeypatch.undo()
-    return fast, slow
-
-
-@needs_numpy
-class TestBackendEquivalence:
-    def test_predictor_masks(self, monkeypatch, batches):
-        for batch in batches:
-            fast, slow = both_backends(
-                monkeypatch,
-                lambda b=batch: (kernels.backward_branch_mask(b),
-                                 kernels.taken_mask(b),
-                                 kernels.branch_columns(b),
-                                 kernels.closing_branch_pcs(b)))
-            assert fast == slow
-
-    def test_classcost_extras(self, monkeypatch, batches):
-        costs = {int(k): 2 for k in InstrKind}
-        costs[BR] = 5
-        costs[int(InstrKind.RET)] = 7
-        total = 0
-        for batch in batches:
-            fast, slow = both_backends(
-                monkeypatch, lambda b=batch, t=total:
-                kernels.classcost_extras(b, costs, 2, t))
-            assert (list(fast[0]), list(fast[1]), fast[2]) \
-                == (list(slow[0]), list(slow[1]), slow[2])
-            total = fast[2]
-
-    def test_per_pc_runs(self, monkeypatch, batches):
-        for batch in batches:
-            def run(b=batch):
-                pcs, takens = kernels.branch_columns(b)
-                return kernels.per_pc_runs(pcs, takens)
-            fast, slow = both_backends(monkeypatch, run)
-            assert fast == slow
-
-    def test_detector_equivalence_across_backends(self, monkeypatch):
-        trace = get("compress").cf_trace(1, max_instructions=30_000)
-
-        def run():
-            d = LoopDetector()
-            index = d.run_batches(iter_batches(trace.records, 512),
-                                  trace.total_instructions)
-            return event_reprs(d.events), index_shape(index)
-        fast, slow = both_backends(monkeypatch, run)
-        assert fast == slow
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +288,15 @@ class TestStateRoundTrips:
             assert restored.state() == report.state()
             assert restored.closing_total > 0
             assert restored.overall_accuracy == report.overall_accuracy
+        # Integers no measurement can produce: more correct predictions
+        # than branches (an accuracy of 300%), or negative counts.
+        for impossible in ({"closing_correct": 9, "closing_total": 3},
+                           {"other_correct": 4, "other_total": 3},
+                           {"closing_correct": -1, "closing_total": 0},
+                           {"other_total": -1}):
+            with pytest.raises(ValueError):
+                BranchPredictionReport.from_state(
+                    dict(report.state(), **impossible))
         bad = report.state()
         bad["other_total"] = 1.5
         with pytest.raises(TypeError):
@@ -390,6 +323,12 @@ class TestStateRoundTrips:
         for bad in ([1, 2, 3], [1, 2, 3, "4"], {"let_hits": 1}, None):
             with pytest.raises(TypeError):
                 TableHitRatioSimulator.from_counters(2, 4, "lru", bad)
+        # Integers no replay can produce: hits above accesses, negative
+        # counts (these would render hit ratios of 500% and -150%).
+        for bad in ([5, 1, -3, 2], [3, 2, 0, 0], [0, 0, 2, 1],
+                    [-1, 0, 0, 0], [0, -1, 0, 0]):
+            with pytest.raises(ValueError):
+                TableHitRatioSimulator.from_counters(8, 8, "lru", bad)
 
     def test_disable_table_result_round_trips(self, loop_trace):
         from repro.core.speculation import SpeculationDisableTable, \
@@ -425,10 +364,8 @@ class TestEnsureReplayed:
         columnar.ensure_replayed(index)     # second call is free
         assert counters == (columnar.let_hits, columnar.let_accesses,
                             columnar.lit_hits, columnar.lit_accesses)
-        eventful = TableHitRatioSimulator(4, 4)
-        eventful.replay(index.events)
-        assert counters == (eventful.let_hits, eventful.let_accesses,
-                            eventful.lit_hits, eventful.lit_accesses)
+        reference = EventTableReplay(4, 4).replay(index.events)
+        assert list(counters) == reference.counters()
 
 
 # ---------------------------------------------------------------------------
@@ -504,53 +441,3 @@ class TestSharedMemoryPayload:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=payload.segment)
 
-
-# ---------------------------------------------------------------------------
-# Backend equivalence over the committed frontier corpus.
-# ---------------------------------------------------------------------------
-
-@needs_numpy
-class TestFrontierBackendEquivalence:
-    """The frontier corpus sits where the paper's claims are weakest,
-    which makes it the sharpest probe of numpy-vs-stdlib drift: a
-    kernel whose backends disagree by one branch outcome flips a
-    pinned inversion or coverage threshold.  Every committed case is
-    evaluated end to end (trace, detect, simulate) under both
-    backends; the rendered metrics must be byte-identical."""
-
-    def _cases(self):
-        from repro.search.corpus import frontier_names, load_case
-        names = frontier_names()
-        assert names, "frontier corpus missing"
-        return [load_case(name) for name in names]
-
-    def test_full_evaluation_is_byte_identical(self, monkeypatch):
-        from repro.search.evaluate import evaluate_candidate
-
-        for case in self._cases():
-            def run(c=case):
-                outcome = evaluate_candidate(c.profile, c.gen_seed,
-                                             c.settings, store=None,
-                                             cache_dir=None)
-                assert outcome.error is None
-                return json.dumps(outcome.metrics.to_dict(),
-                                  sort_keys=True)
-            fast, slow = both_backends(monkeypatch, run)
-            assert fast == slow, "%s drifted across backends" \
-                % case.name
-
-    def test_detector_events_match_on_frontier_traces(self,
-                                                      monkeypatch):
-        # The coverage-collapse cases stress the detector hardest.
-        case = [c for c in self._cases()
-                if c.objective == "coverage-collapse"][0]
-        workload = get(case.name)
-        trace = workload.cf_trace()
-
-        def run():
-            d = LoopDetector()
-            index = d.run_batches(iter_batches(trace.records, 512),
-                                  trace.total_instructions)
-            return event_reprs(d.events), index_shape(index)
-        fast, slow = both_backends(monkeypatch, run)
-        assert fast == slow

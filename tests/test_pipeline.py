@@ -461,15 +461,13 @@ class TestWarmIsALookup:
                 SimulationSession(config(cache_dir=None))
                 .trace(name).records)
 
-    @pytest.mark.parametrize("prefix", [
-        "loopstats/", "table-sim/", "branchpred/", "simulate-disable/",
-        "cls-sweep/"])
-    def test_corrupt_entry_is_recomputed(self, primed, tmp_path, prefix):
+    @staticmethod
+    def _corrupt_copy(cache_dir, copy, prefix, corrupt):
+        """Copy *cache_dir* to *copy*, replacing every derived entry
+        whose key starts with *prefix* by ``corrupt(value)``."""
         import json
         import shutil
 
-        cache_dir, cold = primed
-        copy = str(tmp_path / "copy")
         shutil.copytree(cache_dir, copy)
         derived = os.path.join(copy, "derived")
         corrupted = 0
@@ -477,14 +475,15 @@ class TestWarmIsALookup:
             path = os.path.join(derived, name)
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            for key in payload["entries"]:
+            for key, value in payload["entries"].items():
                 if key.startswith(prefix):
-                    payload["entries"][key] = {"not": "a result"}
+                    payload["entries"][key] = corrupt(value)
                     corrupted += 1
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
         assert corrupted >= len(WORKLOADS)
 
+    def _assert_recomputed(self, copy, cold):
         again, _ = self._analyze(copy)
         assert again == cold
         # The recomputed entries were persisted: the next run is a
@@ -492,3 +491,29 @@ class TestWarmIsALookup:
         rerun, session = self._analyze(copy)
         assert rerun == cold
         assert session.stats.replays == 0
+
+    @pytest.mark.parametrize("prefix", [
+        "loopstats/", "table-sim/", "branchpred/", "simulate-disable/",
+        "cls-sweep/"])
+    def test_corrupt_entry_is_recomputed(self, primed, tmp_path, prefix):
+        cache_dir, cold = primed
+        copy = str(tmp_path / "copy")
+        self._corrupt_copy(cache_dir, copy, prefix,
+                           lambda value: {"not": "a result"})
+        self._assert_recomputed(copy, cold)
+
+    @pytest.mark.parametrize("prefix,impossible", [
+        ("table-sim/", lambda counters: [5, 1, -3, 2]),
+        ("branchpred/", lambda states: [
+            dict(state, closing_correct=9, closing_total=3)
+            for state in states]),
+    ], ids=["table-sim", "branchpred"])
+    def test_out_of_range_counters_are_recomputed(self, primed, tmp_path,
+                                                  prefix, impossible):
+        """Integer counters no replay can produce (hit ratios of 500%,
+        an accuracy of 300%) are a miss, not a figure4 or baselines
+        row above 100%."""
+        cache_dir, cold = primed
+        copy = str(tmp_path / "copy")
+        self._corrupt_copy(cache_dir, copy, prefix, impossible)
+        self._assert_recomputed(copy, cold)

@@ -282,84 +282,6 @@ class TestSearchLoop:
         assert stats.failures == stats.evaluated > 0
 
 
-class TestParallelSearch:
-    """``jobs > 1`` speculates evaluations but must replay the exact
-    serial trajectory: winners, stats, and resume semantics are all
-    pinned against the inline walk."""
-
-    @staticmethod
-    def table(winners):
-        return [(w.name, w.gen_seed, w.score, w.eval_index,
-                 w.frontier, w.metrics.to_dict()) for w in winners]
-
-    @staticmethod
-    def stat_tuple(stats):
-        return (stats.evaluated, stats.memo_hits, stats.failures,
-                stats.accepted, stats.restarts, stats.executed_cells,
-                stats.restored_cells, stats.best_score)
-
-    def test_pooled_matches_inline(self, tmp_path, cache_dir):
-        spec = SearchSpec(**TINY)
-        with make_store(tmp_path, "serial") as store:
-            serial_w, serial_s = run_search(spec, store=store,
-                                            cache_dir=cache_dir)
-        with make_store(tmp_path, "pooled") as store:
-            pooled_w, pooled_s = run_search(spec, store=store,
-                                            cache_dir=cache_dir,
-                                            jobs=2)
-        assert self.table(pooled_w) == self.table(serial_w)
-        assert self.stat_tuple(pooled_s) == self.stat_tuple(serial_s)
-
-    def test_pooled_resubmission_executes_zero(self, tmp_path,
-                                               cache_dir):
-        spec = SearchSpec(**TINY)
-        with make_store(tmp_path) as store:
-            _, cold = run_search(spec, store=store,
-                                 cache_dir=cache_dir, jobs=2)
-            _, warm = run_search(spec, store=store,
-                                 cache_dir=cache_dir, jobs=2)
-        assert warm.executed_cells == 0
-        assert warm.restored_cells == cold.executed_cells
-
-    def test_pooled_interrupt_resume_runs_exactly_the_missing(
-            self, tmp_path, cache_dir):
-        """Speculative workers may be mid-candidate when the run is
-        cut, but cells only commit at in-order replay -- so a pooled
-        resume executes exactly the serial shortfall."""
-        spec = SearchSpec(**TINY)
-        with make_store(tmp_path, "whole") as store:
-            baseline, whole = run_search(spec, store=store,
-                                         cache_dir=cache_dir)
-
-        calls = []
-
-        def interrupt(index, outcome, score):
-            calls.append(outcome.executed)
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-
-        with make_store(tmp_path, "cut") as store:
-            with pytest.raises(KeyboardInterrupt):
-                run_search(spec, store=store, cache_dir=cache_dir,
-                           progress=interrupt, jobs=2)
-            survived = sum(calls)
-            winners, resumed = run_search(spec, store=store,
-                                          cache_dir=cache_dir,
-                                          jobs=2)
-            assert resumed.restored_cells == survived
-            assert resumed.executed_cells \
-                == whole.executed_cells - survived
-            assert self.table(winners) == self.table(baseline)
-
-    def test_progress_replays_in_index_order(self, cache_dir):
-        spec = SearchSpec(**dict(TINY, budget=4))
-        seen = []
-        run_search(spec, cache_dir=cache_dir, jobs=2,
-                   progress=lambda i, o, s: seen.append(i))
-        assert seen == sorted(seen)
-        assert len(seen) > 0
-
-
 class TestCorpus:
     def test_export_and_reload_round_trip(self, tmp_path, cache_dir):
         spec = SearchSpec(**dict(TINY, budget=4))
@@ -443,26 +365,6 @@ class TestSearchCLI:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert "search: coverage-collapse" in out_a
-
-    def test_jobs_renders_the_serial_table(self, tmp_path, cache_dir,
-                                           capsys):
-        argv = ["search", "--objective", "coverage-collapse",
-                "--budget", "4", "--seed", "7", "--stall", "3",
-                "--cache-dir", cache_dir]
-        code_a, out_a, _ = self.run(
-            argv + ["--store", str(tmp_path / "serial")], capsys)
-        code_b, out_b, _ = self.run(
-            argv + ["--store", str(tmp_path / "pooled"),
-                    "--jobs", "2"], capsys)
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
-    def test_jobs_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit):
-            runner_main(["search", "--objective", "coverage-collapse",
-                         "--jobs", "0"])
-        _, err = capsys.readouterr()
-        assert "--jobs" in err
 
     def test_resubmit_restores_from_store(self, tmp_path, cache_dir,
                                           capsys):

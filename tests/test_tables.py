@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.cpu import trace_control_flow
 from repro.lang import Assign, For, Module, Return, Var, compile_module
+from reference.tables import EventTableReplay
 
 
 class TestLoopHistoryTable:
@@ -164,6 +165,33 @@ class TestHitRatioSimulator:
         # Paper section 2.3.2: the improvement is negligible; at least it
         # must not be drastically different on well-nested workloads.
         assert abs(lru.lit_hit_ratio - aware.lit_hit_ratio) < 0.35
+
+
+class TestReplayMatchesReference:
+    """The columnar replay against the per-event reference replay
+    (``tests/reference/tables.py``) on real workloads: counters, table
+    contents in LRU order, evictions and inhibited insertions."""
+
+    @pytest.fixture(scope="class", params=["swim", "go", "gcc"])
+    def index(self, request):
+        from repro.workloads import get
+        return LoopDetector().run(get(request.param).cf_trace(1))
+
+    @pytest.mark.parametrize("policy", [POLICY_LRU, POLICY_NESTING_AWARE])
+    @pytest.mark.parametrize("capacity", [1, 2, 4, 16])
+    def test_columns_match_event_replay(self, index, policy, capacity):
+        sim = TableHitRatioSimulator(capacity, capacity, policy)
+        sim.replay_columns(index.columns())
+        ref = EventTableReplay(capacity, capacity, policy)
+        ref.replay(index.events)
+        assert sim.counters() == ref.counters()
+        assert sim.let_accesses > 0 and sim.lit_accesses > 0
+        for table, ref_table in ((sim.let, ref.let), (sim.lit, ref.lit)):
+            assert table.loops() == ref_table.loops()
+            assert [e.completed for e in table._entries.values()] \
+                == [e.completed for e in ref_table._entries.values()]
+            assert (table.evictions, table.inhibited_insertions) \
+                == (ref_table.evictions, ref_table.inhibited_insertions)
 
 
 class TestNestingTracker:

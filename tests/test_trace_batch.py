@@ -397,19 +397,6 @@ class TestDetectorBatchEquivalence:
         assert event_reprs(d1.events) == event_reprs(d2.events)
         assert index_shape(idx1) == index_shape(idx2)
 
-    def test_detector_listeners_see_batched_events(self, loop_trace):
-        seen = []
-
-        class Listener:
-            def on_event(self, event):
-                seen.append(repr(event))
-
-        d = LoopDetector()
-        d.add_listener(Listener())
-        d.run_batches(iter_batches(loop_trace.records, 3),
-                      loop_trace.total_instructions)
-        assert seen == event_reprs(d.events)
-
     def test_real_workload_equivalence(self):
         from repro.workloads import get
         trace = get("go").cf_trace(1, max_instructions=30_000)
@@ -478,26 +465,30 @@ class TestAnalysisFeedBatch:
         assert calls and all(name == "wants" for name, _ in calls)
         assert sum(n for _, n in calls) == len(loop_trace.records)
 
-    def test_branch_prediction_stream_equivalence(self, loop_trace):
+    def test_branch_prediction_stream_equivalence(self):
+        """The fused bimodal+gshare loop against two single-predictor
+        streams (the generic loop) over the same batches."""
         from repro.core.branchpred import (
             BimodalPredictor,
             BranchPredictionStream,
             GSharePredictor,
         )
+        from repro.workloads import get
 
-        per_record = BranchPredictionStream(
-            [BimodalPredictor(), GSharePredictor()])
-        for rec in loop_trace.records:
-            per_record.feed(rec)
-        batched = BranchPredictionStream(
-            [BimodalPredictor(), GSharePredictor()])
-        for batch in iter_batches(loop_trace.records, 5):
-            batched.feed_batch(batch)
-        for a, b in zip(per_record.reports("w"), batched.reports("w")):
-            assert (a.closing_correct, a.closing_total, a.other_correct,
-                    a.other_total) \
-                == (b.closing_correct, b.closing_total, b.other_correct,
-                    b.other_total)
+        for name in ("swim", "go", "gcc"):
+            trace = get(name).cf_trace(1)
+            fused = BranchPredictionStream(
+                [BimodalPredictor(), GSharePredictor()])
+            bimodal = BranchPredictionStream([BimodalPredictor()])
+            gshare = BranchPredictionStream([GSharePredictor()])
+            assert fused._fused_pair and not bimodal._fused_pair
+            for batch in iter_batches(trace.records, 1000):
+                for stream in (fused, bimodal, gshare):
+                    stream.feed_batch(batch)
+            singles = bimodal.reports(name) + gshare.reports(name)
+            for a, b in zip(fused.reports(name), singles):
+                assert a.state() == b.state()
+                assert a.closing_total > 0 and a.other_total > 0
 
     def test_classcost_timing_equivalence(self, loop_trace):
         from repro.timing import make_timing

@@ -9,8 +9,8 @@
     python tools/bench_check.py --engine BENCH_engine.json
 
 Reads the manifest a ``runner ... --metrics`` run wrote, picks the
-committed ``headline_runner_all`` numbers for the manifest's kernel
-backend out of ``BENCH_kernels.json``, and judges the run:
+committed ``headline_runner_all`` numbers out of
+``BENCH_kernels.json``, and judges the run:
 
 * **warm wall time** must stay within ``--tolerance`` (a fraction;
   default 0.25) of the committed ``warm_seconds``.  The committed
@@ -24,16 +24,11 @@ backend out of ``BENCH_kernels.json``, and judges the run:
 ``benchmarks/bench_engine.py`` instead of (or in addition to) a
 manifest:
 
-* the fused/per-config **result mismatch count must be 0** and the
-  parallel/serial **winner tables must be identical** -- correctness,
-  never subject to tolerance;
+* the fused/per-config **result mismatch count must be 0** --
+  correctness, never subject to tolerance;
 * the **fused speedup** must stay above ``--min-fused-speedup``
   (default 3.0) discounted by ``--tolerance`` (a fresh run on a noisy
-  box may dip; the committed file should clear the undiscounted bar);
-* with ``jobs >= 2`` the search must have had at least two candidate
-  evaluations **in flight at once** (structural concurrency; provable
-  even on a 1-core host).  Wall-clock search scaling is reported but
-  only judged on multi-core hosts.
+  box may dip; the committed file should clear the undiscounted bar).
 
 Exit status: 0 all checks passed, 1 a threshold was exceeded (``--
 advisory`` demotes this to a warning + exit 0 -- CI smoke mode), 2
@@ -71,6 +66,9 @@ def load_baseline(path):
     if not isinstance(headline, dict):
         raise ManifestError("baseline %s: no headline_runner_all table"
                             % path)
+    if not isinstance(headline.get("warm_seconds"), (int, float)):
+        raise ManifestError("baseline %s: headline_runner_all has no "
+                            "warm_seconds" % path)
     return headline
 
 
@@ -78,19 +76,14 @@ def check(manifest, headline, tolerance, min_coverage):
     """Evaluate the thresholds; returns ``(failures, report_lines)``."""
     failures = []
     lines = []
-    backend = manifest["meta"].get("kernel_backend", "numpy")
     wall = manifest["wall_seconds"]
-    entry = headline.get(backend)
-    if not isinstance(entry, dict) \
-            or not isinstance(entry.get("warm_seconds"), (int, float)):
-        raise ManifestError("baseline has no warm_seconds for backend "
-                            "%r" % backend)
-    budget = entry["warm_seconds"] * (1.0 + tolerance)
+    warm = headline["warm_seconds"]
+    budget = warm * (1.0 + tolerance)
     verdict = "ok" if wall <= budget else "REGRESSION"
-    lines.append("wall: %.3fs vs committed %s warm %.3fs "
+    lines.append("wall: %.3fs vs committed warm %.3fs "
                  "(budget %.3fs at +%d%%) -- %s"
-                 % (wall, backend, entry["warm_seconds"], budget,
-                    round(100 * tolerance), verdict))
+                 % (wall, warm, budget, round(100 * tolerance),
+                    verdict))
     if wall > budget:
         failures.append("wall %.3fs exceeds budget %.3fs"
                         % (wall, budget))
@@ -129,10 +122,8 @@ def load_engine(path):
         raise ManifestError("engine bench %s: invalid JSON (%s)"
                             % (path, exc))
     if not isinstance(data, dict) \
-            or not isinstance(data.get("fused"), dict) \
-            or not isinstance(data.get("search"), dict):
-        raise ManifestError("engine bench %s: no fused/search tables"
-                            % path)
+            or not isinstance(data.get("fused"), dict):
+        raise ManifestError("engine bench %s: no fused table" % path)
     return data
 
 
@@ -142,14 +133,9 @@ def check_engine(data, tolerance, min_fused):
     failures = []
     lines = []
     fused = data["fused"]
-    search = data["search"]
     try:
         mismatches = fused["mismatches"]
         speedup = fused["speedup"]
-        identical = search["identical_winners"]
-        jobs = search["jobs"]
-        parallel = search["parallel"]
-        peak = parallel["peak_inflight"]
     except (KeyError, TypeError) as exc:
         raise ManifestError("engine bench: missing field %s" % exc)
 
@@ -170,38 +156,6 @@ def check_engine(data, tolerance, min_fused):
     if speedup < floor:
         failures.append("fused speedup %.2fx below floor %.2fx"
                         % (speedup, floor))
-
-    verdict = "ok" if identical else "REGRESSION"
-    lines.append("parallel search: winners %s serial (jobs=%d) -- %s"
-                 % ("identical to" if identical
-                    else "DIVERGED from", jobs, verdict))
-    if not identical:
-        failures.append("parallel search winners diverged from serial")
-
-    if jobs >= 2:
-        verdict = "ok" if peak >= 2 else "REGRESSION"
-        lines.append("search concurrency: peak %d in-flight, %d "
-                     "speculation hit(s), %d pooled submit(s) -- %s"
-                     % (peak, parallel.get("speculation_hits", 0),
-                        parallel.get("pooled_submits", 0), verdict))
-        if peak < 2:
-            failures.append("search never had 2 candidates in flight "
-                            "(peak %d)" % peak)
-
-    cpus = data.get("cpu_count", 1)
-    scale = parallel.get("speedup_vs_serial")
-    if isinstance(scale, (int, float)):
-        if cpus >= 2:
-            verdict = "ok" if scale >= 1.0 else "REGRESSION"
-            lines.append("search scaling: %.2fx at jobs=%d on %d "
-                         "cpus -- %s" % (scale, jobs, cpus, verdict))
-            if scale < 1.0:
-                failures.append("parallel search slower than serial "
-                                "(%.2fx) on a %d-cpu host"
-                                % (scale, cpus))
-        else:
-            lines.append("search scaling: %.2fx at jobs=%d "
-                         "(1-cpu host: not judged)" % (scale, jobs))
     return failures, lines
 
 
