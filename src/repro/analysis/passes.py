@@ -5,15 +5,16 @@ example scripts) compose: per-workload loop statistics, speculation
 simulations, and the shared full-trace data-speculation study.
 """
 
-from repro.core.events import ExecutionEnd, SingleIteration
-from repro.core.loopstats import LoopStatistics, loop_coverage
+from repro.core.loopstats import LoopStatistics, \
+    compute_loop_statistics, loop_coverage
 from repro.core.speculation import simulate, simulate_grid, \
     simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.dataspec.stats import DataSpecStats
 from repro.core.tables import POLICY_LRU, TableHitRatioSimulator
-from repro.pipeline.derived import derived_cls_key
+from repro.obs import collector as obs
+from repro.pipeline.derived import derived_key
 from repro.timing import make_timing
 
 from repro.analysis.base import Analysis
@@ -30,9 +31,8 @@ def effective_timing(ctx, timing=None):
     gone by, so such models can only be configured session-wide
     (``--timing`` / ``PipelineConfig.timing``), which feeds them
     during the replay.  The ideal model canonicalizes to ``None`` --
-    the engine's default -- so explicitly requesting ``"ideal"``
-    shares simulations (and memo keys) with passes that never mention
-    timing at all.
+    the engine's default, and the timing-free memo parts of
+    :func:`simulate_parts`.
     """
     if timing is None:
         timing = ctx.timing
@@ -54,24 +54,17 @@ def effective_timing(ctx, timing=None):
     return timing
 
 
-def restore(derived, dkey, from_state):
-    """``from_state(value)`` of the derived entry *dkey*, or ``None``
-    without a store, on a miss, or when the entry is malformed
-    (``from_state`` raising ``KeyError``/``TypeError``/``ValueError``)
-    -- a malformed entry is recomputed like a missing one."""
-    if derived is None:
-        return None
-    state = derived.get(dkey)
-    if state is None:
-        return None
-    try:
-        return from_state(state)
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 #: Marks, in ``ctx.shared``, a derived entry a lookup found missing.
 _MISSING = object()
+
+
+def memo_key(cls_capacity, parts):
+    """The derived-store key of the per-workload result named *parts*
+    under a CLS of *cls_capacity* entries (every analysis result is):
+    the parts, then ``/c<cls_capacity>``.  It is also the suffix a
+    sweep cell's key joins under its workload's trace key, so sweep
+    cells, search candidates and direct runs share one stored entry."""
+    return derived_key(*parts) + "/c%d" % cls_capacity
 
 
 def derived_memo(ctx, parts, from_state, compute=None, to_state=None):
@@ -79,25 +72,37 @@ def derived_memo(ctx, parts, from_state, compute=None, to_state=None):
 
     Memoized in ``ctx.shared`` under ``tuple(parts)``, so every pass
     asking shares one value (treat it as read-only); the first ask
-    restores it from ``ctx.derived`` under :func:`~repro.pipeline.
-    derived.derived_cls_key` (``from_state``; malformed entries are
-    misses).  On a miss, ``compute()`` makes the value and
-    ``to_state(value)`` persists it.  Without *compute* the call is a
-    lookup that returns ``None`` on a miss -- what a pass's ``begin``
-    uses to decide whether it needs this workload's records -- and a
-    later call with *compute* does not read the store again.
+    restores it from ``ctx.derived`` under :func:`memo_key`
+    (``from_state``).  An entry ``from_state`` rejects (raising
+    ``KeyError``/``TypeError``/``ValueError``) is corrupt and is
+    recomputed like a missing one.  Each store lookup counts once as
+    ``derived.hits``, ``derived.misses`` or ``derived.corrupt``.  On a
+    miss, ``compute()`` makes the value and ``to_state(value)``
+    persists it.  Without *compute* the call is a lookup that returns
+    ``None`` on a miss -- what a pass's ``begin`` uses to decide
+    whether it needs this workload's records -- and a later call with
+    *compute* does not read the store again.
     """
     key = tuple(parts)
     value = ctx.shared.get(key)
     if value is None:
-        value = restore(ctx.derived,
-                        derived_cls_key(ctx.cls_capacity, *parts),
-                        from_state)
-        value = ctx.shared[key] = _MISSING if value is None else value
+        value = _MISSING
+        if ctx.derived is not None:
+            state = ctx.derived.get(memo_key(ctx.cls_capacity, key))
+            if state is None:
+                obs.add("derived.misses")
+            else:
+                try:
+                    value = from_state(state)
+                except (KeyError, TypeError, ValueError):
+                    obs.add("derived.corrupt")
+                else:
+                    obs.add("derived.hits")
+        ctx.shared[key] = value
     if value is _MISSING and compute is not None:
         value = ctx.shared[key] = compute()
         if ctx.derived is not None:
-            ctx.derived.put(derived_cls_key(ctx.cls_capacity, *parts),
+            ctx.derived.put(memo_key(ctx.cls_capacity, key),
                             to_state(value))
     return None if value is _MISSING else value
 
@@ -122,66 +127,35 @@ def loopstats_from_state(state):
     return LoopStatistics.from_state(state["stats"]), coverage
 
 
+def shared_loop_statistics(ctx):
+    """This workload's ``(LoopStatistics, coverage)``, restored from the
+    derived store or computed over ``ctx.index`` and persisted; shared
+    by every loop-statistics consumer (table1, characterize, sweep and
+    search cells), so a cold workload computes them once."""
+    return derived_memo(
+        ctx, LOOPSTATS_PARTS, loopstats_from_state,
+        lambda: (compute_loop_statistics(ctx.index, ctx.name),
+                 loop_coverage(ctx.index)),
+        loopstats_state)
+
+
 class LoopStatisticsPass(Analysis):
     """Table-1 statistics, one :class:`LoopStatistics` per workload,
     plus the workload's loop coverage (:attr:`coverage`).
 
-    Every execution record is complete by the time its
-    :class:`~repro.core.events.ExecutionEnd` (or
-    :class:`~repro.core.events.SingleIteration`) event exists -- the
-    CLS guarantees exactly one terminating event per execution, end of
-    trace included.  The pass therefore consumes no per-event stream at
-    all: at ``finish`` it restores both from the derived store, or
-    walks the terminating positions of the index's event columns,
-    observing each execution in event order, and persists them.
+    Both are functions of the completed loop index alone, so the pass
+    consumes no per-event stream at all: ``finish`` takes them from
+    :func:`shared_loop_statistics`.
     """
 
     def __init__(self):
         self.by_name = {}
         self.coverage = {}
-        self._stats = None
-
-    def begin(self, ctx):
-        self._stats = LoopStatistics(ctx.name)
-        self._stats.total_instructions = ctx.total_instructions
-
-    def abort(self, ctx):
-        self._stats = None
 
     def finish(self, ctx):
-        # Shared with every other loop-statistics pass of the suite
-        # (table1 and characterize), so a cold workload observes once.
-        stats, coverage = derived_memo(
-            ctx, LOOPSTATS_PARTS, loopstats_from_state,
-            lambda: (self._observe(ctx).finalize(),
-                     loop_coverage(ctx.index)),
-            loopstats_state)
+        stats, coverage = shared_loop_statistics(ctx)
         self.by_name[ctx.name] = stats
         self.coverage[ctx.name] = coverage
-        self._stats = None
-
-    def _observe(self, ctx):
-        from repro.core.detector import EV_EXEC_END, EV_SINGLE
-
-        stats = self._stats
-        index = ctx.index
-        columns = getattr(index, "columns", None)
-        if columns is not None:
-            cols = columns()
-            etypes = cols.etypes
-            exec_ids = cols.exec_ids
-            executions = index.executions
-            observe = stats.observe
-            for i in range(len(etypes)):
-                etype = etypes[i]
-                if etype == EV_EXEC_END or etype == EV_SINGLE:
-                    observe(executions[exec_ids[i]])
-        else:
-            for event in index.events:
-                etype = type(event)
-                if etype is ExecutionEnd or etype is SingleIteration:
-                    stats.observe(ctx.execution(event.exec_id))
-        return stats
 
     def result(self):
         return self.by_name
@@ -258,55 +232,51 @@ def shared_table_sim(ctx, let_entries, lit_entries, policy=POLICY_LRU):
 _SIMULATE_KEY = "simulate"
 
 
-def shared_simulate(ctx, num_tus, policy, timing=None):
-    """A default-configuration speculation simulation, computed at most
-    once per replay no matter how many passes ask.
+def simulate_parts(num_tus, policy, timing=None):
+    """The memo parts of the default-configuration simulation of
+    ``(num_tus, policy)`` under *timing* (a model; ``None`` is the
+    ideal machine).  Timing enters through the model's canonical
+    :meth:`~repro.timing.base.TimingModel.key`, and the ideal model
+    collapses onto the timing-free parts, so an explicit ``"ideal"``
+    (or an all-zero overhead model) shares its entry with runs that
+    never mention timing."""
+    if timing is None or timing.key() == ("ideal",):
+        return (_SIMULATE_KEY, num_tus, policy)
+    return (_SIMULATE_KEY, num_tus, policy, timing.key())
 
-    Several experiments request the exact same deterministic run
-    (figure6's STR sweep reappears inside figure7; table2's STR(3) with
-    4 TUs too), so the single-pass suite runs each distinct
-    ``(num_tus, policy, timing)`` once and shares the result.  *timing*
-    (a model instance or spec string; default: the session-wide
-    ``ctx.timing``) keys the memo through the model's canonical
-    :meth:`~repro.timing.base.TimingModel.key`, with the ideal model
-    collapsing onto the timing-free key.  The returned
-    :class:`SpeculationResult` is shared — treat it as read-only.
-    Non-default configurations (disable tables, bounded LETs,
-    ``count_waiting=False``) mutate or change the run; call
-    :func:`repro.core.speculation.simulate` directly for those.
-    """
-    timing = effective_timing(ctx, timing)
-    if timing is None:
-        key = (_SIMULATE_KEY, num_tus, policy)
-    else:
-        key = (_SIMULATE_KEY, num_tus, policy, timing.key())
-    return derived_memo(
-        ctx, key, SpeculationResult.from_state,
-        lambda: simulate(ctx.index, num_tus=num_tus, policy=policy,
-                         name=ctx.name, timing=timing),
-        SpeculationResult.state)
+
+def shared_simulate(ctx, num_tus, policy, timing=None):
+    """One default-configuration speculation simulation:
+    ``shared_simulate_many(ctx, [(num_tus, policy, timing)])[0]``."""
+    return shared_simulate_many(ctx, [(num_tus, policy, timing)])[0]
 
 
 def shared_simulate_many(ctx, specs):
-    """Batch form of :func:`shared_simulate`: every ``(num_tus,
-    policy, timing)`` in *specs*, resolved through one fused
-    :func:`~repro.core.speculation.grid.simulate_grid` call.
+    """The default-configuration speculation simulation of every
+    ``(num_tus, policy, timing)`` in *specs*, each computed at most
+    once per workload no matter how many passes ask.
 
-    Memo keys, derived-store cell keys, and results are identical to
-    calling :func:`shared_simulate` once per spec -- this is purely the
-    fast path for experiments that sweep whole per-workload config
-    grids (sensitivity, figure6/figure7, table2).  Returns the results
-    in spec order; duplicate specs are welcome and share one cell.
+    Several experiments request the exact same deterministic run
+    (figure6's STR sweep reappears inside figure7; table2's STR(3)
+    with 4 TUs too), so each distinct cell is memoized in
+    ``ctx.shared`` and the derived store under :func:`simulate_parts`;
+    *timing* (a model instance or spec string; ``None``: the
+    session-wide ``ctx.timing``) resolves through
+    :func:`effective_timing`.  The cells no memo holds are priced in
+    one fused :func:`~repro.core.speculation.grid.simulate_grid` call
+    and persisted together.  Returns the shared
+    :class:`SpeculationResult` objects in spec order (treat them as
+    read-only); duplicate specs share one cell.  Non-default
+    configurations (disable tables, bounded LETs,
+    ``count_waiting=False``) mutate or change the run; call
+    :func:`repro.core.speculation.simulate` directly for those.
     """
     results = []
-    missing = []        # (memo key, config) of cells to compute
-    pending = {}        # memo key -> slots awaiting the grid result
+    missing = []        # (memo parts, config) of cells to compute
+    pending = {}        # memo parts -> slots awaiting the grid result
     for num_tus, policy, timing in specs:
         timing = effective_timing(ctx, timing)
-        if timing is None:
-            key = (_SIMULATE_KEY, num_tus, policy)
-        else:
-            key = (_SIMULATE_KEY, num_tus, policy, timing.key())
+        key = simulate_parts(num_tus, policy, timing)
         result = None if key in pending else \
             derived_memo(ctx, key, SpeculationResult.from_state)
         if result is None:
@@ -321,7 +291,7 @@ def shared_simulate_many(ctx, specs):
                                  name=ctx.name)
         if ctx.derived is not None:
             ctx.derived.put_cells(
-                (derived_cls_key(ctx.cls_capacity, *key), result.state())
+                (memo_key(ctx.cls_capacity, key), result.state())
                 for (key, _), result in zip(missing, computed))
         for (key, _), result in zip(missing, computed):
             ctx.shared[key] = result

@@ -110,15 +110,29 @@ class DataSpecStats:
 
     @classmethod
     def from_state(cls, state):
-        """Rebuild from :meth:`state` output; raises ``KeyError`` /
-        ``TypeError`` on malformed input (derived caches treat that as
-        a miss)."""
+        """Rebuild from :meth:`state` output.
+
+        Raises ``KeyError``/``TypeError`` on malformed input and
+        ``ValueError`` on counters no analysis can produce (a negative
+        count, or any ratio above 100%); derived caches treat any of
+        them as a miss.
+        """
         stats = cls(state["name"])
         for field in cls.COUNTER_FIELDS:
             value = state[field]
             if not isinstance(value, int):
                 raise TypeError("non-integer counter %r" % field)
+            if value < 0:
+                raise ValueError("negative counter %r" % field)
             setattr(stats, field, value)
+        evaluated = stats.evaluated_iterations
+        if not (stats.mfp_iterations <= stats.total_iterations
+                and stats.lr_correct <= stats.lr_total
+                and stats.lm_correct <= stats.lm_total
+                and stats.lm_addr_correct <= stats.lm_addr_total
+                and max(stats.all_lr_count, stats.all_lm_count,
+                        stats.all_data_count) <= evaluated):
+            raise ValueError("data-speculation counters out of range")
         return stats
 
     def as_row(self):

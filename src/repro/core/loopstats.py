@@ -104,17 +104,25 @@ class LoopStatistics:
     def from_state(cls, state):
         """Rebuild finalized statistics from :meth:`state` output.
 
-        Raises ``KeyError``/``TypeError`` on malformed input (derived
-        caches treat that as a miss).  The restored object is
-        finalized: ``observed_loops`` is empty and ``static_loops`` is
-        authoritative.
+        Raises ``KeyError``/``TypeError`` on malformed input and
+        ``ValueError`` on counters no index can produce (a negative
+        count, or more loops or single-iteration executions than
+        executions); derived caches treat any of them as a miss.  The
+        restored object is finalized: ``observed_loops`` is empty and
+        ``static_loops`` is authoritative.
         """
         stats = cls(state["name"])
         for field in cls.STATE_FIELDS:
             value = state[field]
-            if field != "name" and not isinstance(value, int):
-                raise TypeError("non-integer counter %r" % field)
+            if field != "name":
+                if not isinstance(value, int):
+                    raise TypeError("non-integer counter %r" % field)
+                if value < 0:
+                    raise ValueError("negative counter %r" % field)
             setattr(stats, field, value)
+        if max(stats.static_loops,
+               stats.single_iteration_executions) > stats.executions:
+            raise ValueError("loop-statistics counters out of range")
         return stats
 
     def as_row(self):

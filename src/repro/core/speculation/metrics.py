@@ -136,16 +136,20 @@ class SpeculationResult:
     def from_state(cls, state):
         """Rebuild a result from :meth:`state` output.
 
-        Raises ``KeyError``/``TypeError`` on malformed input (derived
-        caches treat that as a miss).
+        Raises ``KeyError``/``TypeError`` on malformed input and
+        ``ValueError`` on a negative counter (no simulation produces
+        one); derived caches treat any of them as a miss.
         """
         result = cls(state["name"], state["num_tus"],
                      state["policy_name"])
         for field in cls.__slots__:
             value = state[field]
             if field not in ("name", "num_tus", "policy_name",
-                             "timing_name") and not isinstance(value, int):
-                raise TypeError("non-integer counter %r" % field)
+                             "timing_name"):
+                if not isinstance(value, int):
+                    raise TypeError("non-integer counter %r" % field)
+                if value < 0:
+                    raise ValueError("negative counter %r" % field)
             setattr(result, field, value)
         return result
 

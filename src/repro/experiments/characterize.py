@@ -15,15 +15,16 @@ TPC for each policy.  Everything is deterministic — the same sweep
 renders byte-identical reports on every run, warm or cold cache.
 
 This module is also the worked example of ``docs/ANALYSIS.md``'s
-third-party registration guide: an incremental part (loop statistics
-fold in as end events arrive, via :class:`LoopStatisticsPass`
-delegation), an oracle part (speculation, at ``finish`` against
-``ctx.index``), and ``ctx.shared`` memoization (``shared_simulate``, so
-adding e.g. figure6 to the same run re-uses the sweeps' simulations).
+third-party registration guide: everything happens at ``finish``
+against the completed ``ctx.index``, through the per-workload memo
+(``shared_loop_statistics`` and ``shared_simulate``, so adding e.g.
+table1 or figure6 to the same run re-uses the statistics and
+simulations, and a warm run restores them from the derived store).
 """
 
-from repro.analysis import Analysis, LoopStatisticsPass, \
-    register_analysis, shared_simulate
+from repro.analysis import Analysis, register_analysis, \
+    shared_simulate
+from repro.analysis.passes import shared_loop_statistics
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 #: Policies characterized per workload (one simulation each, shared
@@ -162,26 +163,12 @@ class CharacterizeAnalysis(Analysis):
         self._tables = CharacterizeTables(policies, num_tus)
         self.policies = self._tables.policies
         self.num_tus = num_tus
-        self._stats = LoopStatisticsPass()
         self.by_name = self._tables.by_name
 
-    # Table-1 statistics aggregate at finish from the index's columns.
-
-    def begin(self, ctx):
-        self._stats.begin(ctx)
-
-    def abort(self, ctx):
-        self._stats.abort(ctx)
-
-    # Oracle part: speculation needs the completed index (loop
-    # statistics and coverage come from the derived store when warm).
-
     def finish(self, ctx):
-        self._stats.finish(ctx)
+        stats, coverage = shared_loop_statistics(ctx)
         self._tables.add_workload(
-            ctx.name,
-            self._stats.by_name[ctx.name],
-            self._stats.coverage[ctx.name],
+            ctx.name, stats, coverage,
             lambda policy: shared_simulate(ctx, self.num_tus, policy))
 
     def result(self):

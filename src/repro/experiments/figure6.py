@@ -5,7 +5,7 @@ for 2 / 4 / 8 / 16 thread units.
 """
 
 from repro.analysis import Analysis, register_analysis, \
-    shared_simulate, shared_simulate_many
+    shared_simulate_many
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 TU_COUNTS = (2, 4, 8, 16)
@@ -69,12 +69,10 @@ class Figure6Analysis(Analysis):
         self.tu_counts = self._tables.tu_counts
 
     def finish(self, ctx):
-        # Whole TU sweep in one fused grid call; the per-TU lookups
-        # below hit the warm memo.
-        shared_simulate_many(ctx, [(tus, POLICY, None)
-                                   for tus in self.tu_counts])
-        self._tables.add_workload(
-            ctx.name, lambda tus: shared_simulate(ctx, tus, POLICY))
+        # Whole TU sweep in one fused grid call.
+        results = dict(zip(self.tu_counts, shared_simulate_many(
+            ctx, [(tus, POLICY, None) for tus in self.tu_counts])))
+        self._tables.add_workload(ctx.name, results.__getitem__)
 
     def result(self):
         return self._tables.results()

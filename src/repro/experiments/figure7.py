@@ -7,7 +7,7 @@ considered -- the paper recommends STR(3)).
 """
 
 from repro.analysis import Analysis, register_analysis, \
-    shared_simulate, shared_simulate_many
+    shared_simulate_many
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 TU_COUNTS = (2, 4, 8, 16)
@@ -72,14 +72,13 @@ class Figure7Analysis(Analysis):
         self.tu_counts = self._tables.tu_counts
 
     def finish(self, ctx):
-        # Whole policy x TU grid in one fused call; lookups below hit
-        # the warm memo.
-        shared_simulate_many(ctx, [(tus, policy, None)
-                                   for policy in self.policies
-                                   for tus in self.tu_counts])
+        # Whole policy x TU grid in one fused call.
+        cells = [(policy, tus) for policy in self.policies
+                 for tus in self.tu_counts]
+        results = dict(zip(cells, shared_simulate_many(
+            ctx, [(tus, policy, None) for policy, tus in cells])))
         self._tables.add_workload(
-            ctx.name,
-            lambda policy, tus: shared_simulate(ctx, tus, policy))
+            ctx.name, lambda policy, tus: results[(policy, tus)])
 
     def result(self):
         return self._tables.results()

@@ -25,7 +25,7 @@ zero point included -- runs under those overheads.
 """
 
 from repro.analysis import Analysis, register_analysis, \
-    shared_simulate, shared_simulate_many
+    shared_simulate_many
 from repro.experiments.report import ExperimentResult
 from repro.timing import make_timing
 
@@ -167,17 +167,16 @@ class SensitivityAnalysis(Analysis):
 
     def finish(self, ctx):
         # One fused grid call prices the whole per-workload config
-        # group; add_workload's shared_simulate lookups then all hit
-        # the warm memo.
-        shared_simulate_many(
+        # group.
+        cells = [(policy, tus, cost) for policy in self.policies
+                 for tus in self.tu_counts
+                 for cost in self.spawn_costs]
+        results = dict(zip(cells, shared_simulate_many(
             ctx, [(tus, policy, self._models[cost])
-                  for policy in self.policies
-                  for tus in self.tu_counts
-                  for cost in self.spawn_costs])
+                  for policy, tus, cost in cells])))
         self._tables.add_workload(
-            ctx.name,
-            lambda policy, tus, cost: shared_simulate(
-                ctx, tus, policy, timing=self._models[cost]))
+            ctx.name, lambda policy, tus, cost: results[(policy, tus,
+                                                         cost)])
 
     def result(self):
         return self._tables.results()

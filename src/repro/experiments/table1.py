@@ -2,38 +2,35 @@
 
 Columns follow the paper: dynamic instructions, static loops, average
 iterations per execution, average instructions per iteration, and
-average/maximum nesting level.  Implemented over
-:class:`~repro.analysis.passes.LoopStatisticsPass`: statistics are
-aggregated at ``finish`` from the completed loop index's event
-columns, one suite-shared replay per workload.
+average/maximum nesting level.  Statistics come from
+:func:`~repro.analysis.passes.shared_loop_statistics` at ``finish``:
+restored from the derived store, or aggregated over the completed loop
+index and shared with every other loop-statistics consumer.
 """
 
 from repro.analysis import Analysis, register_analysis
-from repro.analysis.passes import LoopStatisticsPass
+from repro.analysis.passes import shared_loop_statistics
 from repro.core.loopstats import LoopStatistics
 from repro.experiments.report import ExperimentResult
 
 
 @register_analysis("table1")
 class Table1Analysis(Analysis):
-    """Thin declarative wrapper: one loop-statistics pass, rendered in
-    the paper's Table 1 shape."""
+    """Thin declarative wrapper: per-workload loop statistics,
+    rendered in the paper's Table 1 shape."""
 
     def __init__(self):
-        self._stats = LoopStatisticsPass()
+        self._by_name = {}
         self._rows = []
         self._scale = None
 
     def begin(self, ctx):
         self._scale = ctx.scale
-        self._stats.begin(ctx)
-
-    def abort(self, ctx):
-        self._stats.abort(ctx)
 
     def finish(self, ctx):
-        self._stats.finish(ctx)
-        self._rows.append(self._stats.by_name[ctx.name].as_row())
+        stats, _ = shared_loop_statistics(ctx)
+        self._by_name[ctx.name] = stats
+        self._rows.append(stats.as_row())
 
     def result(self):
         return ExperimentResult(
@@ -47,7 +44,7 @@ class Table1Analysis(Analysis):
                 "scale=%d; the paper traces 10^9-10^11 Alpha instructions "
                 "per benchmark" % self._scale,
             ],
-            extra={"stats": self._stats.by_name},
+            extra={"stats": self._by_name},
         )
 
 

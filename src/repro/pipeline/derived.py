@@ -35,7 +35,6 @@ import fcntl
 import json
 import os
 
-from repro.obs import collector as obs
 
 #: Bump when any cached computation changes meaning (engine rules,
 #: CLS semantics, dataspec accounting, result field sets).
@@ -47,13 +46,6 @@ def derived_key(*parts):
     tuples); ``None`` is rendered distinctly from any number."""
     return "/".join(repr(part) if not isinstance(part, str) else part
                     for part in parts)
-
-
-def derived_cls_key(cls_capacity, *parts):
-    """The :func:`derived_key` of a per-workload result computed under
-    a CLS of *cls_capacity* entries (every analysis result is): the
-    parts, then ``/c<cls_capacity>``."""
-    return derived_key(*parts) + "/c%d" % cls_capacity
 
 
 class DerivedStore:
@@ -89,10 +81,7 @@ class DerivedStore:
 
     def get(self, key):
         """The cached value under *key*, or ``None``."""
-        value = self._load().get(key)
-        obs.add("derived.hits" if value is not None else
-                "derived.misses")
-        return value
+        return self._load().get(key)
 
     def put(self, key, value):
         """Record *value* under *key* (persisted at :meth:`flush`)."""

@@ -2,10 +2,8 @@
 
 :func:`evaluate_candidate` registers the candidate as an ordinary
 synthetic workload, expands the evaluation into content-keyed cells
-with the sweep subsystem's key discipline
-(:func:`~repro.sweep.spec.workload_trace_key` +
-:func:`~repro.sweep.spec.sim_cell_suffix` /
-:func:`~repro.sweep.spec.loopstats_cell_suffix`), restores whatever
+through the sweep subsystem's own cell helper
+(:func:`~repro.sweep.spec.add_workload_cells`), restores whatever
 the sweep store already holds, and executes only the missing cells
 through the sweep orchestrator's own per-workload worker
 (:func:`~repro.sweep.orchestrator.run_workload_cells`) -- trace cache
@@ -23,15 +21,7 @@ so cells are shared across objectives too.
 
 import json
 
-from repro.sweep.spec import (
-    Cell,
-    KIND_LOOPSTATS,
-    KIND_SIM,
-    canonical_timing,
-    loopstats_cell_suffix,
-    sim_cell_suffix,
-    workload_trace_key,
-)
+from repro.sweep.spec import KIND_LOOPSTATS, add_workload_cells
 
 #: The two timing legs every policy is simulated under.
 LEG_IDEAL = "ideal"
@@ -111,34 +101,14 @@ class EvalOutcome:
 def candidate_cells(name, settings):
     """The candidate's cell list: loopstats + per-policy sims under
     the ideal and overhead legs, deduplicated by content key."""
-    trace_key, limit = workload_trace_key(
-        name, settings.scale, settings.max_instructions)
-    overhead_timing, _, overhead_key = canonical_timing(settings.timing)
-
-    cells = []
-    seen = set()
-
-    def add(kind, suffix, timing=None, policy=None, tus=None):
-        key = "%s/%s" % (trace_key, suffix)
-        if key in seen:
-            return
-        seen.add(key)
-        cells.append(Cell(
-            key=key, workload=name, trace_key=trace_key,
-            scale=settings.scale, max_instructions=limit,
-            cls_capacity=settings.cls_capacity, kind=kind,
-            timing=timing, policy=policy, tus=tus))
-
-    add(KIND_LOOPSTATS, loopstats_cell_suffix(settings.cls_capacity))
+    sims = []
     for policy in settings.policies:
-        add(KIND_SIM,
-            sim_cell_suffix(settings.tus, policy, None,
-                            settings.cls_capacity),
-            timing="ideal", policy=policy, tus=settings.tus)
-        add(KIND_SIM,
-            sim_cell_suffix(settings.tus, policy, overhead_key,
-                            settings.cls_capacity),
-            timing=overhead_timing, policy=policy, tus=settings.tus)
+        sims.append((policy, settings.tus, "ideal", None))
+        sims.append((policy, settings.tus, settings.timing, None))
+    cells = []
+    add_workload_cells(cells, set(), name, settings.scale,
+                       settings.max_instructions, settings.cls_capacity,
+                       sims, loopstats=True)
     return cells
 
 
@@ -147,16 +117,6 @@ def _row_facts(status, tpc, speedup, hit_ratio, overhead_cycles,
     return {"status": status, "tpc": tpc, "speedup": speedup,
             "hit_ratio": hit_ratio, "overhead_cycles": overhead_cycles,
             "detail": detail, "error": error}
-
-
-def _decode_detail(detail):
-    if not detail:
-        return {}
-    try:
-        payload = json.loads(detail)
-    except (TypeError, ValueError):
-        return {}
-    return payload if isinstance(payload, dict) else {}
 
 
 class CandidatePlan:
@@ -171,13 +131,11 @@ class CandidatePlan:
     keeping the store I/O apart from the simulation work.
     """
 
-    __slots__ = ("name", "settings", "cells", "keys", "facts",
-                 "missing", "restored")
+    __slots__ = ("name", "cells", "keys", "facts", "missing",
+                 "restored")
 
-    def __init__(self, name, settings, cells, facts, missing,
-                 restored):
+    def __init__(self, name, cells, facts, missing, restored):
         self.name = name
-        self.settings = settings
         self.cells = cells
         self.keys = [cell.key for cell in cells]
         self.facts = facts
@@ -203,18 +161,17 @@ def plan_candidate(name, settings, store=None):
                 row.status, row.tpc, row.speedup, row.hit_ratio,
                 row.overhead_cycles, row.detail, row.error)
     missing = [cell for cell in cells if cell.key not in done]
-    return CandidatePlan(name, settings, cells, facts, missing,
-                         len(done))
+    return CandidatePlan(name, cells, facts, missing, len(done))
 
 
 def finish_candidate(plan, rows, store=None):
     """Merge the computed *rows* of ``plan.missing`` into the plan's
     facts, commit them, and price the metrics bundle; returns the
     :class:`EvalOutcome`."""
+    from repro.analysis.passes import loopstats_from_state
     from repro.sweep.orchestrator import _base_row
 
     name = plan.name
-    settings = plan.settings
     facts = plan.facts
     by_key = {cell.key: cell for cell in plan.cells}
     if rows:
@@ -239,31 +196,28 @@ def finish_candidate(plan, rows, store=None):
                            first.get("error") or "cell missing",
                            plan.keys)
 
-    overhead_timing, _, _ = canonical_timing(settings.timing)
-    coverage = None
-    total_instructions = None
     sims = {}
     for cell in plan.cells:
         fact = facts[cell.key]
         if cell.kind == KIND_LOOPSTATS:
-            detail = _decode_detail(fact["detail"])
-            coverage = detail.get("coverage")
-            stats = detail.get("stats")
-            if isinstance(stats, dict):
-                total_instructions = stats.get("total_instructions")
+            try:
+                stats, coverage = loopstats_from_state(
+                    json.loads(fact["detail"]))
+            except (KeyError, TypeError, ValueError):
+                return EvalOutcome(name, None, len(plan.missing),
+                                   plan.restored,
+                                   "unreadable loopstats cell",
+                                   plan.keys)
         else:
-            value = {f: fact[f] for f in ("tpc", "speedup",
-                                          "hit_ratio")}
-            value["overhead_cycles"] = fact["overhead_cycles"]
+            value = {f: fact[f] for f in SIM_FIELDS}
             if cell.timing == "ideal":
+                # An overhead timing that collapses onto the ideal
+                # machine has no cell of its own: both legs alias.
                 sims[(cell.policy, LEG_IDEAL)] = value
-            if cell.timing == overhead_timing:
+                sims.setdefault((cell.policy, LEG_OVERHEAD), value)
+            else:
                 sims[(cell.policy, LEG_OVERHEAD)] = value
-    if coverage is None:
-        return EvalOutcome(name, None, len(plan.missing),
-                           plan.restored,
-                           "loopstats cell has no coverage", plan.keys)
-    metrics = CandidateMetrics(name, coverage, total_instructions,
+    metrics = CandidateMetrics(name, coverage, stats.total_instructions,
                                sims)
     return EvalOutcome(name, metrics, len(plan.missing),
                        plan.restored, None, plan.keys)

@@ -17,16 +17,17 @@ Completed groups are checkpointed into the store *as they stream in*
   into the store before propagating, so Ctrl-C loses at most the
   groups still executing.
 
-Workers reuse the derived-results store under the same keys as the
-direct experiments (:func:`~repro.analysis.passes.shared_simulate`),
-so a sweep following a ``runner sensitivity`` run -- or vice versa --
-recomputes nothing.
+Workers price their cells through the same per-workload memo as the
+direct experiments (:func:`~repro.analysis.passes.derived_memo`, under
+the cell's own derived-store key), so a sweep following a ``runner
+sensitivity`` run -- or vice versa -- recomputes nothing.
 """
 
 import json
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
     wait
 
+from repro.analysis.base import Analysis
 from repro.obs import collector as obs
 from repro.sweep.spec import KIND_LOOPSTATS, KIND_SIM, expand_cells
 
@@ -68,143 +69,111 @@ def _base_row(cell):
     }
 
 
+def _attempt(compute):
+    """``compute()``, or the exception it raised."""
+    try:
+        return compute()
+    except Exception as exc:
+        return exc
+
+
+class _CellsPass(Analysis):
+    """Prices one workload's cells in ``finish``.
+
+    :attr:`outcomes` maps each cell key to its value -- a
+    :class:`~repro.core.speculation.metrics.SpeculationResult`, or the
+    ``(LoopStatistics, coverage)`` pair -- or to the exception
+    computing it raised.  Every value comes from the per-workload memo,
+    so derived-store hits cost no index build.
+    """
+
+    def __init__(self, descriptors):
+        self.descriptors = descriptors
+        self.outcomes = {}
+
+    def finish(self, ctx):
+        from repro.analysis.passes import shared_loop_statistics, \
+            shared_simulate_many
+        from repro.timing import make_timing
+
+        outcomes = self.outcomes
+
+        def simulated(cells):
+            return shared_simulate_many(
+                ctx, [(tus, policy, make_timing(timing))
+                      for _, _, timing, policy, tus in cells])
+
+        sims = [cell for cell in self.descriptors if cell[1] == KIND_SIM]
+        try:
+            outcomes.update(zip([cell[0] for cell in sims],
+                                simulated(sims)))
+        except Exception:
+            # An index build that raises fails the whole workload (the
+            # caller records that); anything else is retried one cell
+            # at a time, so only a bad cell fails.
+            ctx.index
+            for cell in sims:
+                outcomes[cell[0]] = _attempt(
+                    lambda: simulated([cell])[0])
+        for key, kind, _, _, _ in self.descriptors:
+            if kind == KIND_LOOPSTATS:
+                outcomes[key] = _attempt(
+                    lambda: shared_loop_statistics(ctx))
+            elif kind != KIND_SIM:
+                outcomes[key] = ValueError("unknown cell kind %r" % kind)
+
+    def result(self):
+        return self.outcomes
+
+
 def run_workload_cells(name, scale, max_instructions, cls_capacity,
                        cache_dir, descriptors, on_row=None):
     """Execute every cell of one workload; returns result row dicts.
 
-    Module-level so the process pool can pickle it.  Every cell is
-    first looked up in the derived store (when *cache_dir* is set);
-    only if some cell misses is the loop index built, once, and the
-    workload's missing simulation configs priced against it in one
-    fused :func:`~repro.core.speculation.grid.simulate_grid` call (the
-    per-cell engine remains as the fallback, both for configs the grid
-    cannot fuse and for a grid call that fails wholesale).  A cell that
-    raises becomes a ``failed`` row; an index build that raises fails
-    every cell of the workload (the caller records that).
+    Module-level so the process pool can pickle it.  The cells are one
+    pass of a single-workload :meth:`~repro.pipeline.session.
+    SimulationSession.analyze`: each is restored from the derived store
+    (when *cache_dir* is set), and only if some cell misses is the loop
+    index built, once, with the missing simulations priced in one fused
+    :func:`~repro.core.speculation.grid.simulate_grid` call and
+    persisted.  A cell that raises becomes a ``failed`` row; an index
+    build that raises fails every cell of the workload (the caller
+    records that).
 
     *on_row*, when given, is called with each finished row dict as it
     completes -- the per-cell checkpointing seam (only useful inline;
     a pool worker has nobody to stream to).
     """
-    from repro.analysis.passes import loopstats_from_state, \
-        loopstats_state, restore
-    from repro.core.loopstats import compute_loop_statistics, \
-        loop_coverage
-    from repro.core.speculation import simulate, simulate_grid
-    from repro.core.speculation.metrics import SpeculationResult
+    from repro.analysis import AnalysisSuite
+    from repro.analysis.passes import loopstats_state
     from repro.pipeline import PipelineConfig, SimulationSession
-    from repro.pipeline.derived import DerivedCache
-    from repro.sweep.spec import loopstats_cell_suffix, sim_cell_suffix
-    from repro.timing import make_timing
 
-    session = SimulationSession(PipelineConfig(
+    cells = _CellsPass(descriptors)
+    SimulationSession(PipelineConfig(
         workloads=(name,), scale=scale,
         max_instructions=max_instructions, cls_capacity=cls_capacity,
-        cache_dir=cache_dir))
-    derived = None
-    if cache_dir is not None:
-        from repro.pipeline.cache import TraceCache
-        workload = session.workloads[0]
-        derived = DerivedCache(cache_dir).store(TraceCache.key(
-            name, scale, session.config.limit_for(workload),
-            session._fingerprint(name)))
-
-    # Restore every cell the derived store already holds.  Any cell
-    # this pass cannot place (bad timing spec) simply stays out of the
-    # restored results and the per-cell loop below recomputes it --
-    # attributing errors cell by cell exactly as before.
-    sim_results = {}
-    sim_pending = []
-    loopstats_dkey = loopstats_cell_suffix(cls_capacity)
-    loopstats = None
-    if any(kind == KIND_LOOPSTATS for _, kind, _, _, _ in descriptors):
-        loopstats = restore(derived, loopstats_dkey, loopstats_from_state)
-    for key, kind, timing, policy, tus in descriptors:
-        if kind != KIND_SIM:
-            continue
-        try:
-            model = None if timing == "ideal" else make_timing(timing)
-            dkey = sim_cell_suffix(
-                tus, policy, None if model is None else model.key(),
-                cls_capacity)
-            result = restore(derived, dkey, SpeculationResult.from_state)
-        except Exception:
-            continue
-        if result is not None:
-            sim_results[key] = result
-        else:
-            sim_pending.append((key, dkey, (tus, policy, model)))
-
-    # The index is only built when some cell misses; building it
-    # outside the per-cell try keeps its failure a workload failure.
-    index = None
-    if any(key not in sim_results
-           and not (kind == KIND_LOOPSTATS and loopstats is not None)
-           for key, kind, _, _, _ in descriptors):
-        index = session.index(name)
-
-    # Price the missing simulation cells through one fused grid call.
-    if sim_pending:
-        try:
-            computed = simulate_grid(
-                index, [config for _, _, config in sim_pending],
-                name=name)
-        except Exception:
-            pass
-        else:
-            if derived is not None:
-                derived.put_cells(
-                    (dkey, result.state())
-                    for (_, dkey, _), result in zip(sim_pending,
-                                                    computed))
-            for (key, _, _), result in zip(sim_pending, computed):
-                sim_results[key] = result
-
+        cache_dir=cache_dir)).analyze(AnalysisSuite([cells]))
     rows = []
-    for key, kind, timing, policy, tus in descriptors:
+    for key, kind, _, _, _ in descriptors:
         row = {"cell_key": key, "status": "done", "error": None,
                "tpc": None, "hit_ratio": None, "speedup": None,
                "overhead_cycles": None, "detail": None}
-        try:
-            if kind == KIND_SIM:
-                result = sim_results.get(key)
-                if result is None:
-                    model = None if timing == "ideal" else \
-                        make_timing(timing)
-                    result = simulate(index, num_tus=tus,
-                                      policy=policy, name=name,
-                                      timing=model)
-                    if derived is not None:
-                        derived.put(sim_cell_suffix(
-                            tus, policy,
-                            None if model is None else model.key(),
-                            cls_capacity), result.state())
-                row.update(
-                    tpc=result.tpc, hit_ratio=result.hit_ratio,
-                    speedup=result.speedup_bound,
-                    overhead_cycles=result.overhead_cycles,
-                    detail=json.dumps(result.state(), sort_keys=True))
-            elif kind == KIND_LOOPSTATS:
-                if loopstats is None:
-                    loopstats = (compute_loop_statistics(index, name),
-                                 loop_coverage(index))
-                    if derived is not None:
-                        derived.put(loopstats_dkey,
-                                    loopstats_state(loopstats))
-                stats, coverage = loopstats
-                row["detail"] = json.dumps(
-                    {"stats": stats.state(), "coverage": coverage},
-                    sort_keys=True)
-            else:
-                raise ValueError("unknown cell kind %r" % kind)
-        except Exception as exc:
+        value = cells.outcomes[key]
+        if isinstance(value, Exception):
             row["status"] = "failed"
-            row["error"] = "%s: %s" % (type(exc).__name__, exc)
+            row["error"] = "%s: %s" % (type(value).__name__, value)
+        elif kind == KIND_SIM:
+            row.update(
+                tpc=value.tpc, hit_ratio=value.hit_ratio,
+                speedup=value.speedup_bound,
+                overhead_cycles=value.overhead_cycles,
+                detail=json.dumps(value.state(), sort_keys=True))
+        else:
+            row["detail"] = json.dumps(loopstats_state(value),
+                                       sort_keys=True)
         rows.append(row)
         if on_row is not None:
             on_row(row)
-    if derived is not None:
-        derived.flush()
     return name, rows
 
 

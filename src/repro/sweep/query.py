@@ -101,32 +101,27 @@ def grouped_listing(rows, group_by, store_root):
     )
 
 
+def _restore(row, from_state):
+    """``from_state`` of *row*'s stored result; a blob it rejects is a
+    clean error telling the user to prune and resubmit."""
+    try:
+        return from_state(row.detail_json)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            "cell %s has an unreadable result blob; prune the store "
+            "and resubmit the sweep" % row.cell_key) from None
+
+
 def _restore_sim(row):
     from repro.core.speculation.metrics import SpeculationResult
 
-    try:
-        return SpeculationResult.from_state(row.detail_json)
-    except (KeyError, TypeError):
-        raise ValueError(
-            "cell %s has an unreadable result blob; prune the store "
-            "and resubmit the sweep" % row.cell_key) from None
+    return _restore(row, SpeculationResult.from_state)
 
 
 def _restore_loopstats(row):
-    from repro.core.loopstats import LoopStatistics
+    from repro.analysis.passes import loopstats_from_state
 
-    detail = row.detail_json
-    try:
-        stats = LoopStatistics.from_state(detail["stats"])
-        coverage = detail["coverage"]
-    except (KeyError, TypeError):
-        raise ValueError(
-            "cell %s has an unreadable result blob; prune the store "
-            "and resubmit the sweep" % row.cell_key) from None
-    if not isinstance(coverage, float):
-        raise ValueError("cell %s has a malformed coverage value"
-                         % row.cell_key)
-    return stats, coverage
+    return _restore(row, loopstats_from_state)
 
 
 def _complete_cells(store, spec):
@@ -154,10 +149,12 @@ def sweep_report(store, spec):
     experiment produces, byte-identical under every output format.
     """
     cells, rows = _complete_cells(store, spec)
-    by_cell = {}        # (workload, kind, policy, tus, timing) -> row
+    # (workload, kind, policy, tus, spawn cost) -> row; every
+    # ideal-machine simulation cell is a spawn-cost-0 point.
+    by_cell = {}
     for cell in cells:
         by_cell[(cell.workload, cell.kind, cell.policy, cell.tus,
-                 cell.timing)] = rows[cell.key]
+                 cell.spawn_cost)] = rows[cell.key]
 
     if spec.experiment == "sensitivity":
         from repro.experiments.sensitivity import SensitivityTables
@@ -167,15 +164,13 @@ def sweep_report(store, spec):
                                    spec.promote_cost)
         for name in spec.workloads:
             def results(policy, tus, cost, name=name):
-                timing, _, _ = _spawn_timing(spec, cost)
                 return _restore_sim(
-                    by_cell[(name, KIND_SIM, policy, tus, timing)])
+                    by_cell[(name, KIND_SIM, policy, tus, cost)])
             tables.add_workload(name, results)
         return tables.results()
 
     def ideal_sim(name, policy, tus):
-        return _restore_sim(
-            by_cell[(name, KIND_SIM, policy, tus, "ideal")])
+        return _restore_sim(by_cell[(name, KIND_SIM, policy, tus, 0)])
 
     if spec.experiment == "figure6":
         from repro.experiments.figure6 import POLICY, Figure6Tables
@@ -214,16 +209,9 @@ def sweep_report(store, spec):
             by_cell[(name, KIND_LOOPSTATS, None, None, None)])
         tables.add_workload(
             name, stats, coverage,
-            lambda policy, name=name: _restore_sim(
-                by_cell[(name, KIND_SIM, policy, spec.num_tus,
-                         "ideal")]))
+            lambda policy, name=name: ideal_sim(name, policy,
+                                                spec.num_tus))
     return tables.results()
-
-
-def _spawn_timing(spec, cost):
-    from repro.sweep.spec import canonical_timing
-
-    return canonical_timing(spec.overhead_spec(cost))
 
 
 def sweep_overview(store):

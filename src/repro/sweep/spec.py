@@ -11,9 +11,10 @@ that JSON is the **sweep id**, so resubmitting the same grid always
 maps onto the same sweep.
 
 :func:`expand_cells` turns a spec into its :class:`Cell` list.  Cells
-are *content-keyed* with the trace-cache/derived-store key discipline
-(:meth:`repro.pipeline.cache.TraceCache.key` +
-:func:`repro.pipeline.derived.derived_key`): the key embeds the
+are *content-keyed*: a cell's key is the derived-store key its result
+is memoized under (:func:`repro.analysis.passes.memo_key`), joined
+under the workload's trace-cache key
+(:meth:`repro.pipeline.cache.TraceCache.key`).  The key embeds the
 workload's program fingerprint, scale, budget, CLS capacity, and the
 cell's own parameters, so editing a workload generator orphans its
 cells, two sweeps whose grids overlap share the overlapping cells, and
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.pipeline.cache import TraceCache, program_fingerprint
-from repro.pipeline.derived import derived_cls_key
 
 #: Experiments a sweep can run (the store-backed execution path of the
 #: equally named direct experiments).  ``figure6`` sweeps the STR
@@ -208,40 +208,6 @@ class Cell:
     spawn_cost: Optional[int] = field(default=None, compare=False)
 
 
-def canonical_timing(spec_str):
-    """``(canonical spec string, model-or-None, derived-key part)``.
-
-    All-zero overhead specs collapse onto the ideal model exactly like
-    :func:`repro.analysis.passes.effective_timing`, so the cell key --
-    and therefore the stored row -- is shared with ideal-machine runs.
-    """
-    from repro.timing import make_timing
-
-    model = make_timing(spec_str)
-    if model.key() == ("ideal",):
-        return "ideal", None, None
-    return spec_str, model, model.key()
-
-
-def sim_cell_suffix(tus, policy, timing_key, cls_capacity):
-    """The derived-store key of one simulation cell -- byte-for-byte
-    the key :func:`repro.analysis.passes.shared_simulate` persists
-    under, so sweep cells and direct experiment runs share one cache
-    row on disk."""
-    if timing_key is None:
-        return derived_cls_key(cls_capacity, "simulate", tus, policy)
-    return derived_cls_key(cls_capacity, "simulate", tus, policy,
-                           timing_key)
-
-
-def loopstats_cell_suffix(cls_capacity):
-    """The key suffix of a per-workload loop-statistics cell --
-    byte-for-byte the derived-store key table1's
-    :class:`repro.analysis.passes.LoopStatisticsPass` persists its
-    ``{stats, coverage}`` under."""
-    return derived_cls_key(cls_capacity, "loopstats")
-
-
 def workload_trace_key(name, scale=1, max_instructions=None):
     """The trace-cache key of *name* at these session coordinates
     (compiles the program to fingerprint it, like the pipeline does)."""
@@ -253,6 +219,43 @@ def workload_trace_key(name, scale=1, max_instructions=None):
     return TraceCache.key(name, scale, limit, fingerprint), limit
 
 
+def add_workload_cells(cells, seen, name, scale, max_instructions,
+                       cls_capacity, sims, loopstats=False):
+    """Append workload *name*'s cells to *cells*, skipping keys already
+    in *seen* (and adding the new ones to it).
+
+    The workload's loop-statistics cell comes first when *loopstats*,
+    then one simulation cell per ``(policy, tus, timing, spawn_cost)``
+    of *sims* -- *timing* a :func:`repro.timing.make_timing` spec
+    string.  A timing that collapses onto the ideal machine (an
+    all-zero overhead model) becomes the ``"ideal"`` cell, the same
+    row as every ideal-machine run of that policy and TU count.
+    """
+    from repro.analysis.passes import LOOPSTATS_PARTS, memo_key, \
+        simulate_parts
+    from repro.timing import make_timing
+
+    trace_key, limit = workload_trace_key(name, scale, max_instructions)
+
+    def add(kind, parts, **fields):
+        key = "%s/%s" % (trace_key, memo_key(cls_capacity, parts))
+        if key not in seen:
+            seen.add(key)
+            cells.append(Cell(
+                key=key, workload=name, trace_key=trace_key,
+                scale=scale, max_instructions=limit,
+                cls_capacity=cls_capacity, kind=kind, **fields))
+
+    if loopstats:
+        add(KIND_LOOPSTATS, LOOPSTATS_PARTS)
+    for policy, tus, timing, spawn_cost in sims:
+        parts = simulate_parts(tus, policy, make_timing(timing))
+        if parts == simulate_parts(tus, policy):
+            timing = "ideal"
+        add(KIND_SIM, parts, timing=timing, policy=policy, tus=tus,
+            spawn_cost=spawn_cost)
+
+
 def expand_cells(spec):
     """The deterministic cell list of *spec*, in grid order.
 
@@ -260,61 +263,31 @@ def expand_cells(spec):
     experiment's axis order (policy, TUs, spawn cost) -- the exact
     iteration order of the direct experiments, so progress reporting
     and resume behaviour line up with what ``runner sensitivity``
-    would compute.
+    would compute.  figure6/figure7/table2 and characterize simulate
+    on the paper's ideal machine only, like the direct experiments
+    they mirror.
     """
+    if spec.experiment == "characterize":
+        sims = [(policy, spec.num_tus, "ideal", 0)
+                for policy in spec.policies]
+    elif spec.experiment == "figure6":
+        from repro.experiments.figure6 import POLICY
+        sims = [(POLICY, tus, "ideal", 0) for tus in spec.tu_counts]
+    elif spec.experiment == "figure7":
+        sims = [(policy, tus, "ideal", 0) for policy in spec.policies
+                for tus in spec.tu_counts]
+    elif spec.experiment == "table2":
+        from repro.experiments.table2 import POLICY
+        sims = [(POLICY, spec.num_tus, "ideal", 0)]
+    else:
+        sims = [(policy, tus, spec.overhead_spec(cost), cost)
+                for policy in spec.policies for tus in spec.tu_counts
+                for cost in spec.spawn_costs]
     cells = []
     seen = set()
     for name in spec.workloads:
-        trace_key, limit = workload_trace_key(
-            name, spec.scale, spec.max_instructions)
-
-        def add(kind, suffix, timing=None, policy=None, tus=None,
-                spawn_cost=None):
-            key = "%s/%s" % (trace_key, suffix)
-            if key in seen:
-                return
-            seen.add(key)
-            cells.append(Cell(
-                key=key, workload=name, trace_key=trace_key,
-                scale=spec.scale, max_instructions=limit,
-                cls_capacity=spec.cls_capacity, kind=kind,
-                timing=timing, policy=policy, tus=tus,
-                spawn_cost=spawn_cost))
-
-        def add_ideal(policy, tus):
-            # figure6/figure7/table2 simulate on the paper's ideal
-            # machine only, like the direct experiments they mirror.
-            add(KIND_SIM,
-                sim_cell_suffix(tus, policy, None, spec.cls_capacity),
-                timing="ideal", policy=policy, tus=tus, spawn_cost=0)
-
-        if spec.experiment == "characterize":
-            add(KIND_LOOPSTATS,
-                loopstats_cell_suffix(spec.cls_capacity))
-            # Characterization always simulates on the paper's ideal
-            # machine (the direct experiment takes no timing flags).
-            for policy in spec.policies:
-                add_ideal(policy, spec.num_tus)
-        elif spec.experiment == "figure6":
-            from repro.experiments.figure6 import POLICY
-            for tus in spec.tu_counts:
-                add_ideal(POLICY, tus)
-        elif spec.experiment == "figure7":
-            for policy in spec.policies:
-                for tus in spec.tu_counts:
-                    add_ideal(policy, tus)
-        elif spec.experiment == "table2":
-            from repro.experiments.table2 import POLICY
-            add_ideal(POLICY, spec.num_tus)
-        else:
-            for policy in spec.policies:
-                for tus in spec.tu_counts:
-                    for cost in spec.spawn_costs:
-                        timing, _, timing_key = canonical_timing(
-                            spec.overhead_spec(cost))
-                        add(KIND_SIM,
-                            sim_cell_suffix(tus, policy, timing_key,
-                                            spec.cls_capacity),
-                            timing=timing, policy=policy, tus=tus,
-                            spawn_cost=cost)
+        add_workload_cells(cells, seen, name, spec.scale,
+                           spec.max_instructions, spec.cls_capacity,
+                           sims,
+                           loopstats=spec.experiment == "characterize")
     return cells

@@ -139,15 +139,14 @@ class SweepStore:
         os.makedirs(self.root, exist_ok=True)
         try:
             conn = sqlite3.connect(self.path)
+            # Check and create the schema under one write lock, so a
+            # process opening the store while another creates it never
+            # sees the tables without their version stamp.
+            conn.execute("BEGIN IMMEDIATE")
             version = conn.execute("PRAGMA user_version").fetchone()[0]
             empty = conn.execute(
                 "SELECT COUNT(*) FROM sqlite_master").fetchone()[0] == 0
-            if empty:
-                conn.executescript(_SCHEMA)
-                conn.execute("PRAGMA user_version = %d"
-                             % SWEEP_SCHEMA_VERSION)
-                conn.commit()
-            elif version != SWEEP_SCHEMA_VERSION:
+            if not empty and version != SWEEP_SCHEMA_VERSION:
                 conn.close()
                 raise SweepStoreError(
                     "sweep store %s has schema version %d, this build "
@@ -156,10 +155,14 @@ class SweepStore:
                     "fresh directory)"
                     % (self.path, version, SWEEP_SCHEMA_VERSION,
                        self.root))
-            else:
-                # Same version: sanity-check the tables exist.
-                conn.executescript(_SCHEMA)
-                conn.commit()
+            # A fresh store gets the tables; an existing one gets a
+            # sanity check that they exist.
+            for statement in _SCHEMA.split(";"):
+                conn.execute(statement)
+            if empty:
+                conn.execute("PRAGMA user_version = %d"
+                             % SWEEP_SCHEMA_VERSION)
+            conn.commit()
         except sqlite3.DatabaseError as exc:
             raise SweepStoreError(
                 "sweep store %s is corrupt (%s); run 'python "

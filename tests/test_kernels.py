@@ -258,13 +258,34 @@ class TestStateRoundTrips:
         bad["promoted"] = "7"
         with pytest.raises(TypeError):
             SpeculationResult.from_state(bad)
+        # Negative counters would restore with hit_ratio == 1.0.
+        with pytest.raises(ValueError):
+            SpeculationResult.from_state(dict(good, promoted=-5,
+                                              resolved=-5))
+
+    def test_loop_statistics_rejects_impossible_counters(self,
+                                                         loop_trace):
+        from repro.core.loopstats import LoopStatistics, \
+            compute_loop_statistics
+
+        good = compute_loop_statistics(LoopDetector().run(loop_trace),
+                                       "w").state()
+        assert LoopStatistics.from_state(good).state() == good
+        for field, value in (("executions", -1),
+                             ("static_loops", good["executions"] + 1),
+                             ("single_iteration_executions",
+                              good["executions"] + 1)):
+            with pytest.raises(ValueError):
+                LoopStatistics.from_state(dict(good, **{field: value}))
 
     def test_dataspec_stats_round_trips(self):
         from repro.core.dataspec.stats import DataSpecStats
 
         stats = DataSpecStats("w")
+        # Distinct counters, each ratio's numerator below its
+        # denominator (from_state rejects ratios above 100%).
         for i, field in enumerate(DataSpecStats.COUNTER_FIELDS):
-            setattr(stats, field, i + 1)
+            setattr(stats, field, 100 - i)
         restored = DataSpecStats.from_state(
             json.loads(json.dumps(stats.state())))
         assert restored.state() == stats.state()
@@ -272,6 +293,10 @@ class TestStateRoundTrips:
         bad[DataSpecStats.COUNTER_FIELDS[0]] = None
         with pytest.raises(TypeError):
             DataSpecStats.from_state(bad)
+        for field, value in (("lr_correct", 98), ("all_data_count", -1)):
+            with pytest.raises(ValueError):
+                DataSpecStats.from_state(dict(stats.state(),
+                                              **{field: value}))
 
 
     def test_branch_prediction_report_round_trips(self, loop_trace):

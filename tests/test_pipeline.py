@@ -507,13 +507,47 @@ class TestWarmIsALookup:
         ("branchpred/", lambda states: [
             dict(state, closing_correct=9, closing_total=3)
             for state in states]),
-    ], ids=["table-sim", "branchpred"])
+        ("loopstats/", lambda value: dict(
+            value, stats=dict(value["stats"], executions=-1))),
+        ("simulate/", lambda state: dict(state, promoted=-5,
+                                         resolved=-5)),
+        ("dataspec-stats/", lambda state: dict(
+            state, lr_correct=state["lr_total"] + 1)),
+    ], ids=["table-sim", "branchpred", "loopstats", "simulate",
+            "dataspec"])
     def test_out_of_range_counters_are_recomputed(self, primed, tmp_path,
                                                   prefix, impossible):
         """Integer counters no replay can produce (hit ratios of 500%,
-        an accuracy of 300%) are a miss, not a figure4 or baselines
-        row above 100%."""
+        an accuracy of 300%, negative counts) are a miss, not a row
+        above 100% or below zero."""
         cache_dir, cold = primed
         copy = str(tmp_path / "copy")
         self._corrupt_copy(cache_dir, copy, prefix, impossible)
         self._assert_recomputed(copy, cold)
+
+    def test_lookups_are_hits_misses_or_corrupt(self, primed, tmp_path,
+                                                monkeypatch):
+        """Every store lookup counts exactly once: a rejected entry is
+        ``derived.corrupt``, not a hit."""
+        from repro.obs import collector as obs
+        from repro.pipeline.derived import DerivedStore
+
+        cache_dir, cold = primed
+        copy = str(tmp_path / "copy")
+        self._corrupt_copy(cache_dir, copy, "loopstats/",
+                           lambda value: {"not": "a result"})
+        lookups = []
+        real_get = DerivedStore.get
+        monkeypatch.setattr(DerivedStore, "get", lambda self, key: (
+            lookups.append(key), real_get(self, key))[1])
+        collector = obs.activate(obs.Collector())
+        try:
+            again, _ = self._analyze(copy)
+        finally:
+            obs.deactivate()
+        assert again == cold
+        counters = collector.counters
+        assert counters["derived.corrupt"] == len(WORKLOADS)
+        assert (counters.get("derived.hits", 0)
+                + counters.get("derived.misses", 0)
+                + counters["derived.corrupt"]) == len(lookups) > 0

@@ -145,8 +145,7 @@ class TestEvaluate:
     def test_cells_are_sweep_keyed(self, cache_dir):
         """Candidate cell keys use the sweep key discipline, so search
         rows and sweep rows are the same rows."""
-        from repro.sweep.spec import sim_cell_suffix, \
-            workload_trace_key
+        from repro.sweep.spec import workload_trace_key
         from repro.workloads.synthetic import ensure_profile_workload
 
         settings = EvalSettings()
@@ -159,8 +158,7 @@ class TestEvaluate:
         assert all(c.key.startswith(trace_key + "/") for c in cells)
         ideal_str = [c for c in cells if c.policy == "str"
                      and c.timing == "ideal"]
-        assert ideal_str[0].key == "%s/%s" % (
-            trace_key, sim_cell_suffix(4, "str", None, 16))
+        assert ideal_str[0].key == trace_key + "/simulate/4/str/c16"
 
     def test_store_restores_instead_of_recomputing(self, tmp_path,
                                                    cache_dir):
@@ -180,13 +178,12 @@ class TestEvaluate:
 
     def test_failed_simulation_reports_error(self, tmp_path,
                                              monkeypatch):
-        import repro.core.speculation as speculation
+        import repro.analysis.passes as passes
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(speculation, "simulate", boom)
-        monkeypatch.setattr(speculation, "simulate_grid", boom)
+        monkeypatch.setattr(passes, "simulate_grid", boom)
         profile = as_candidate(get_profile("baseline"))
         outcome = evaluate_candidate(profile, 1, EvalSettings(),
                                      cache_dir=None)
@@ -269,13 +266,12 @@ class TestSearchLoop:
 
     def test_failed_candidates_do_not_kill_the_search(
             self, tmp_path, monkeypatch):
-        import repro.core.speculation as speculation
+        import repro.analysis.passes as passes
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(speculation, "simulate", boom)
-        monkeypatch.setattr(speculation, "simulate_grid", boom)
+        monkeypatch.setattr(passes, "simulate_grid", boom)
         spec = SearchSpec(**dict(TINY, budget=3))
         winners, stats = run_search(spec, cache_dir=None)
         assert winners == []

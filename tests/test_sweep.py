@@ -282,11 +282,11 @@ class TestOrchestrator:
         assert any(KIND_LOOPSTATS in key for key, _, _ in first)
         # Direct runs (table1, characterize) persist under the cell's
         # key, so they pre-populate loop-stats cells too.
-        from repro.analysis.passes import LOOPSTATS_PARTS
-        from repro.pipeline.derived import derived_cls_key
-        from repro.sweep.spec import loopstats_cell_suffix
-        assert loopstats_cell_suffix(16) \
-            == derived_cls_key(16, *LOOPSTATS_PARTS)
+        from repro.analysis.passes import LOOPSTATS_PARTS, memo_key
+        loopstats = [key for key, _, _ in first if KIND_LOOPSTATS in key]
+        assert all(key.endswith("/" + memo_key(16, LOOPSTATS_PARTS))
+                   for key in loopstats)
+        assert memo_key(16, LOOPSTATS_PARTS) == "loopstats/c16"
 
     def test_dry_run_registers_but_executes_nothing(self, tmp_path):
         spec = SweepSpec(**GRID)
@@ -325,17 +325,17 @@ class TestOrchestrator:
     def test_failed_cells_record_and_retry(self, tmp_path, cache_dir,
                                            monkeypatch):
         spec = SweepSpec(**dict(GRID, workloads=("swim",)))
-        import repro.core.speculation as speculation
+        # Every sweep simulation is priced through the memo's one
+        # simulate_grid call, bound in repro.analysis.passes.
+        import repro.analysis.passes as passes
 
-        real = speculation.simulate
-        real_grid = speculation.simulate_grid
+        real_grid = passes.simulate_grid
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
 
         with make_store(tmp_path) as store:
-            monkeypatch.setattr(speculation, "simulate", boom)
-            monkeypatch.setattr(speculation, "simulate_grid", boom)
+            monkeypatch.setattr(passes, "simulate_grid", boom)
             stats = run_sweep(spec, store)      # no cache: must simulate
             assert stats.failed == 12 and stats.executed == 0
             failed = store.get_cells(status="failed")
@@ -343,11 +343,31 @@ class TestOrchestrator:
             assert "RuntimeError: injected" in failed[0].error
             with pytest.raises(ValueError, match="incomplete"):
                 sweep_report(store, spec)
-            monkeypatch.setattr(speculation, "simulate", real)
-            monkeypatch.setattr(speculation, "simulate_grid", real_grid)
+            monkeypatch.setattr(passes, "simulate_grid", real_grid)
             retried = run_sweep(spec, store, cache_dir=cache_dir)
             assert retried.executed == 12 and retried.failed == 0
             assert store.get_cells(status="failed") == []
+
+    def test_index_failure_fails_the_whole_workload(self, tmp_path,
+                                                    monkeypatch):
+        """An index build that raises fails every cell of its workload
+        without being retried once per cell."""
+        from repro.core.detector import LoopDetector
+
+        walks = []
+
+        def boom(*args, **kwargs):
+            walks.append(1)
+            raise RuntimeError("index died")
+
+        monkeypatch.setattr(LoopDetector, "run_batches", boom)
+        spec = SweepSpec(**dict(GRID, workloads=("swim",)))
+        with make_store(tmp_path) as store:
+            stats = run_sweep(spec, store)      # no cache: all miss
+            assert (stats.executed, stats.failed) == (0, 12)
+            assert all(row.error == "RuntimeError: index died"
+                       for row in store.get_cells())
+        assert 1 <= len(walks) <= 2
 
     def test_checkpoint_value_is_validated(self, tmp_path):
         spec = SweepSpec(**GRID)
@@ -400,6 +420,92 @@ class TestOrchestrator:
             run_sweep(spec, store, jobs=2, cache_dir=cache_dir)
             pooled = [r.render() for r in sweep_report(store, spec)]
         assert pooled == inline
+
+    def test_concurrent_identical_sweeps(self, tmp_path):
+        """Three processes submitting the same grid at once, on one
+        store and one cache directory, all finish cleanly and leave
+        exactly the rows a serial run stores."""
+        import multiprocessing
+
+        spec = SweepSpec(**GRID)
+        with make_store(tmp_path, "serial") as store:
+            run_sweep(spec, store, cache_dir=str(tmp_path / "serial-c"))
+            serial = _row_facts(store)
+
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(3)
+        results = context.Queue()
+        root = str(tmp_path / "shared")
+        cache = str(tmp_path / "shared-c")
+        procs = [context.Process(target=_concurrent_sweep,
+                                 args=(spec, root, cache, barrier,
+                                       results))
+                 for _ in range(3)]
+        for proc in procs:
+            proc.start()
+        outcomes = [results.get(timeout=120) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0, 0, 0]
+        errors = [o for o in outcomes if isinstance(o, str)]
+        assert errors == []
+        # Every cell ends done; a process that found it done skipped
+        # it, so together they executed each cell at least once.
+        assert all(o[0] == 24 and o[1] + o[2] == 24 and o[3] == 0
+                   for o in outcomes), outcomes
+        with SweepStore(root) as store:
+            assert store.counts(spec.sweep_id) == (24, 24, 0)
+            assert store.get_cells(status="failed") == []
+            assert _row_facts(store) == serial
+
+    @pytest.mark.parametrize("kind", [KIND_LOOPSTATS, KIND_SIM])
+    def test_impossible_stored_result_is_a_clean_error(
+            self, tmp_path, cache_dir, kind):
+        """A stored blob whose counters no run can produce is the same
+        clean "prune and resubmit" error as an unreadable one, not a
+        report row below zero."""
+        spec = SweepSpec(experiment="characterize", workloads=("swim",),
+                         max_instructions=5000)
+        with make_store(tmp_path) as store:
+            run_sweep(spec, store, cache_dir=cache_dir)
+        db = sqlite3.connect(os.path.join(str(tmp_path / "store"),
+                                          DB_NAME))
+        for key, detail in db.execute(
+                "SELECT cell_key, detail FROM cells WHERE kind = ?",
+                (kind,)).fetchall():
+            payload = json.loads(detail)
+            if kind == KIND_LOOPSTATS:
+                payload["stats"]["executions"] = -1
+            else:
+                payload["promoted"] = payload["resolved"] = -5
+            db.execute("UPDATE cells SET detail = ? WHERE cell_key = ?",
+                       (json.dumps(payload), key))
+        db.commit()
+        db.close()
+        with make_store(tmp_path) as store:
+            with pytest.raises(ValueError, match="prune the store"):
+                sweep_report(store, spec)
+
+
+def _row_facts(store):
+    """Every stored row minus its timestamp, in key order."""
+    return sorted((r.cell_key, r.status, r.tpc, r.hit_ratio, r.speedup,
+                   r.overhead_cycles, r.detail, r.error)
+                  for r in store.get_cells())
+
+
+def _concurrent_sweep(spec, root, cache, barrier, results):
+    """One of the concurrent submitters: wait for the others, run the
+    sweep, report ``(planned, skipped, executed, failed)`` or the
+    error."""
+    try:
+        barrier.wait(timeout=60)
+        with SweepStore(root) as store:
+            stats = run_sweep(spec, store, cache_dir=cache)
+        results.put((stats.planned, stats.skipped, stats.executed,
+                     stats.failed))
+    except Exception as exc:
+        results.put("%s: %s" % (type(exc).__name__, exc))
 
 
 class TestByteIdentity:
