@@ -20,7 +20,7 @@ Typical consumption::
 
     runner all --metrics run.json --timeline
     python tools/obs_report.py run.json
-    python tools/bench_check.py --manifest run.json
+    python tools/obs_report.py run.json --diff other.json
 """
 
 from repro.obs.collector import (

@@ -13,9 +13,8 @@
 
 :func:`load_manifest` validates on read and raises
 :class:`ManifestError` on anything structurally unusable -- schema
-mismatches must fail loudly (``tools/bench_check.py`` exits 2 on
-them even in advisory mode), while *performance* judgments are left
-to the caller.
+mismatches must fail loudly (``tools/obs_report.py`` exits 2 on
+them), while *performance* judgments are left to the caller.
 
 A copy of the manifest is also dropped into the trace-cache (and
 sweep-store) directory as :data:`LAST_RUN_MANIFEST`, which is where

@@ -11,6 +11,7 @@ trace, zero detected loops).
 """
 
 import os
+import shutil
 
 import pytest
 
@@ -43,6 +44,7 @@ from repro.core.tables import (
 from repro.experiments import build_suite
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult
+from repro.experiments.runner import EXPERIMENT_ORDER
 from repro.pipeline import PipelineConfig, SimulationSession
 from repro.trace.batch import iter_batches
 from repro.trace.stream import CFTrace, clip
@@ -431,6 +433,54 @@ class TestSharedWork:
         ctx = WorkloadContext("w", 10)
         assert derived_memo(ctx, ("x",), int, lambda: 9, str) == 9
         assert derived_memo(ctx, ("x",), int, boom, str) == 9
+
+
+class TestWalkCounts:
+    """Exact trace-walk counts over a warm trace cache: an empty
+    derived store costs one walk per workload -- for the whole suite
+    and for each experiment on its own -- and a filled one costs
+    none."""
+
+    #: Experiments whose results need no control-flow trace walk
+    #: (figure8 runs its own full-effects tracer).
+    TRACE_FREE = ("figure8",)
+
+    @pytest.fixture(scope="class")
+    def trace_cache(self, tmp_path_factory):
+        cache_dir = str(tmp_path_factory.mktemp("walks"))
+        session = self._session(cache_dir)
+        session.ensure_traced()
+        assert session.stats.traced == len(WORKLOADS)
+        return cache_dir
+
+    @staticmethod
+    def _session(cache_dir):
+        return SimulationSession(workloads=WORKLOADS,
+                                 max_instructions=LIMIT,
+                                 cache_dir=cache_dir)
+
+    def _analyze(self, cache_dir, experiments, empty_store=True):
+        if empty_store:
+            shutil.rmtree(os.path.join(cache_dir, "derived"),
+                          ignore_errors=True)
+        session = self._session(cache_dir)
+        suite, _ = build_suite(list(experiments))
+        session.analyze(suite)
+        assert (session.stats.traced, session.stats.cache_hits) \
+            == (0, len(WORKLOADS))
+        return session.stats.replays
+
+    @pytest.mark.parametrize("name", EXPERIMENT_ORDER)
+    def test_each_experiment_alone_walks_each_workload_once(
+            self, trace_cache, name):
+        expected = 0 if name in self.TRACE_FREE else len(WORKLOADS)
+        assert self._analyze(trace_cache, [name]) == expected
+
+    def test_full_suite_walks_once_then_looks_up(self, trace_cache):
+        assert self._analyze(trace_cache, EXPERIMENT_ORDER) \
+            == len(WORKLOADS)
+        assert self._analyze(trace_cache, EXPERIMENT_ORDER,
+                             empty_store=False) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 the paper regenerates and keeps its qualitative shape.
 
 These run on a reduced two-workload runner where possible, plus one
-full-suite smoke of the cheap experiments; heavyweight full-suite runs
-live in benchmarks/.
+full-suite smoke of the cheap experiments; the full suite at default
+budgets is timed by loopbench (``loopbench/run.py``).
 """
 
 import os

@@ -8,7 +8,7 @@ fallback.  These tests pin that promise across every policy, every
 timing model family, the analog workloads, the committed frontier
 corpus, and the degenerate shapes (loop-free indexes, zero-trip
 loops, single TU, empty config lists, fused/fallback mixes inside one
-call).
+call), and pin that the sensitivity-shaped grid fuses every cell.
 """
 
 import itertools
@@ -191,6 +191,42 @@ class TestAnalogWorkloads:
                        ("idle", "str", "str(3)"), (2, 4),
                        (None, "overhead:spawn=8", "width:width=2"))]
         assert_grid_matches(index, configs)
+
+
+class TestSensitivityShapedGrid:
+    """The sensitivity sweep's grid shape on three analogs: the paper's
+    summary policies, the TU axis up to 8, and the ideal leg plus the
+    spawn-cost overhead legs.  Every cell must take the fused walk --
+    a configuration dropping to the per-config fallback is a fusion
+    regression, whatever it does to wall time."""
+
+    POLICIES = ("idle", "str", "str(3)")
+    TU_COUNTS = (1, 2, 4, 8)
+    TIMINGS = (None, "overhead:spawn=0", "overhead:spawn=2",
+               "overhead:spawn=8", "overhead:spawn=8,squash=4,promote=1")
+    WORKLOADS = ("applu", "gcc", "tomcatv")
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return SimulationSession(workloads=self.WORKLOADS,
+                                 cache_dir=None,
+                                 max_instructions=100_000)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_every_cell_fuses_and_matches_independent(self, session,
+                                                      name):
+        index = session.index(name)
+        configs = [(tus, policy, timing)
+                   for policy, tus, timing in itertools.product(
+                       self.POLICIES, self.TU_COUNTS, self.TIMINGS)]
+        collector = activate(Collector())
+        try:
+            assert_grid_matches(index, configs)
+        finally:
+            deactivate()
+        assert collector.counters.get("engine.fused_cells") \
+            == len(configs) == 60
+        assert "engine.fallback_cells" not in collector.counters
 
 
 class TestFrontierCorpus:

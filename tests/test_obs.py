@@ -1,7 +1,6 @@
 """The observability layer: collector semantics, manifests, the
 per-stage timeline, pool-worker event merging, the tty progress line,
-the runner/sweep/search ``--metrics`` surface, and the report/bench
-tools.
+the runner/sweep/search ``--metrics`` surface, and the report tool.
 
 The load-bearing guarantees tested here:
 
@@ -10,7 +9,7 @@ The load-bearing guarantees tested here:
 * worker event merges are deterministic (configured workload order,
   not completion order);
 * manifests round-trip through disk and fail loudly on schema damage
-  (``bench_check``/``obs_report`` exit 2, never a soft pass).
+  (``obs_report`` exits 2, never a soft pass).
 """
 
 import importlib.util
@@ -603,7 +602,7 @@ class TestSearchMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Tools: obs_report and bench_check.
+# Tools: obs_report.
 # ---------------------------------------------------------------------------
 
 class TestObsReport:
@@ -638,88 +637,6 @@ class TestObsReport:
         tool = load_tool("obs_report.py")
         assert tool.main([path]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestBenchCheck:
-    def _manifest(self, tmp_path, wall, coverage=0.99):
-        manifest = make_manifest()
-        manifest["wall_seconds"] = wall
-        manifest["span_coverage"] = coverage
-        path = str(tmp_path / "run.json")
-        write_manifest(manifest, path, events=False)
-        return path
-
-    def _baseline(self, tmp_path, warm=1.0):
-        path = str(tmp_path / "bench.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"headline_runner_all": {"warm_seconds": warm}},
-                      fh)
-        return path
-
-    def test_pass(self, tmp_path, capsys):
-        tool = load_tool("bench_check.py")
-        code = tool.main(["--manifest",
-                          self._manifest(tmp_path, wall=0.5),
-                          "--baseline", self._baseline(tmp_path)])
-        assert code == 0
-        assert "bench check passed" in capsys.readouterr().out
-
-    def test_wall_regression_fails(self, tmp_path, capsys):
-        tool = load_tool("bench_check.py")
-        code = tool.main(["--manifest",
-                          self._manifest(tmp_path, wall=2.0),
-                          "--baseline", self._baseline(tmp_path),
-                          "--tolerance", "0.25"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "FAIL" in captured.err
-
-    def test_advisory_demotes_to_exit_0(self, tmp_path, capsys):
-        tool = load_tool("bench_check.py")
-        code = tool.main(["--manifest",
-                          self._manifest(tmp_path, wall=2.0),
-                          "--baseline", self._baseline(tmp_path),
-                          "--advisory"])
-        assert code == 0
-        assert "advisory" in capsys.readouterr().err
-
-    def test_coverage_floor(self, tmp_path, capsys):
-        tool = load_tool("bench_check.py")
-        code = tool.main(["--manifest",
-                          self._manifest(tmp_path, wall=0.5,
-                                         coverage=0.5),
-                          "--baseline", self._baseline(tmp_path)])
-        assert code == 1
-        assert "span coverage" in capsys.readouterr().out
-
-    def test_schema_error_exits_2_even_in_advisory(self, tmp_path,
-                                                   capsys):
-        bad = str(tmp_path / "bad.json")
-        with open(bad, "w", encoding="utf-8") as fh:
-            fh.write("{}")
-        tool = load_tool("bench_check.py")
-        assert tool.main(["--manifest", bad, "--advisory"]) == 2
-        capsys.readouterr()
-        # A valid manifest against a corrupt baseline is also 2.
-        good = self._manifest(tmp_path, wall=0.5)
-        broken = str(tmp_path / "broken-bench.json")
-        with open(broken, "w", encoding="utf-8") as fh:
-            fh.write("[]")
-        assert tool.main(["--manifest", good, "--baseline",
-                          broken, "--advisory"]) == 2
-        # So is a headline keyed by kernel backend (the old shape).
-        with open(broken, "w", encoding="utf-8") as fh:
-            json.dump({"headline_runner_all": {
-                "numpy": {"warm_seconds": 1.0},
-                "stdlib": {"warm_seconds": 1.0}}}, fh)
-        assert tool.main(["--manifest", good, "--baseline",
-                          broken, "--advisory"]) == 2
-
-    def test_real_default_baseline_parses(self, tmp_path):
-        tool = load_tool("bench_check.py")
-        headline = tool.load_baseline(tool.DEFAULT_BASELINE)
-        assert headline["warm_seconds"] > 0
 
 
 # ---------------------------------------------------------------------------

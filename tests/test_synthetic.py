@@ -304,6 +304,16 @@ class TestCharacterizeSweep:
         assert [row[0] for row in per_workload.rows] \
             == list(sweep_names("deep-nest", 7, 4))
 
+    def test_cold_traces_each_then_warm_only_replays(self, tmp_path):
+        names = tuple(sweep_names("deep-nest", 7, 4))
+        config = PipelineConfig(workloads=names,
+                                cache_dir=str(tmp_path / "cache"))
+        cold = SimulationSession(config)
+        cold.ensure_traced()
+        assert cold.stats.traced == 4
+        session, _ = self._run(tmp_path)
+        assert (session.stats.traced, session.stats.replays) == (0, 4)
+
     def test_report_deterministic_across_sessions(self, tmp_path):
         """The acceptance property: two independent runs (cold then
         warm cache) render byte-identical reports."""

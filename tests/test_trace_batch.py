@@ -10,6 +10,7 @@ prediction, and the data-speculation study.
 
 import io
 import os
+import re
 import shutil
 import struct
 
@@ -648,6 +649,39 @@ class TestTraceCacheTool:
         assert len(os.listdir(root)) == 3      # nothing deleted
         assert tool.main(["clear", "--cache-dir", root]) == 0
         assert os.listdir(root) == []
+
+    def test_removed_entries_take_their_derived_results(self, tmp_path,
+                                                        capsys):
+        """A deleted trace must not leave stored results behind: the
+        next run would read them instead of recomputing."""
+        from repro.experiments.runner import main as runner_main
+
+        tool = self._tool()
+        root = str(tmp_path / "cache")
+        derived = os.path.join(root, "derived")
+
+        def replays():
+            assert runner_main(["table1", "--workloads", "swim",
+                                "--max-instructions", "20000",
+                                "--cache-dir", root]) == 0
+            out = capsys.readouterr().out
+            return re.search(r"(\d+) replay\(s\)", out).group(1)
+
+        assert replays() == "1"
+        assert tool.main(["prune", "--cache-dir", root]) == 0
+        assert replays() == "0"             # nothing pruned: a lookup
+        assert tool.main(["prune", "--cache-dir", root,
+                          "--max-bytes", "0"]) == 0
+        assert os.listdir(derived) == []
+        assert replays() == "1"
+        assert tool.main(["clear", "--cache-dir", root,
+                          "--dry-run"]) == 0
+        assert "would remove the derived-results store" \
+            in capsys.readouterr().out
+        assert os.listdir(derived)
+        assert tool.main(["clear", "--cache-dir", root]) == 0
+        assert not os.path.exists(derived)
+        assert replays() == "1"
 
     def test_max_bytes_rejected_outside_prune(self, tmp_path):
         tool = self._tool()

@@ -18,8 +18,11 @@ total instructions, compressed (on-disk) and uncompressed (decoded
 column bytes) sizes, and the compression ratio.  ``prune`` deletes corrupt entries and
 entries from other format versions (both unreadable by the current
 pipeline), then -- if ``--max-bytes`` is given -- the oldest remaining
-entries until the cache fits the budget.  ``clear`` deletes every
-entry.  All commands honour ``--cache-dir`` and the
+entries until the cache fits the budget.  Deleting an entry also
+deletes the results stored under its key (``derived/<key>.json``, see
+:mod:`repro.pipeline.derived`), so no result outlives its trace.
+``clear`` deletes every entry and the whole ``derived/`` store.  All
+commands honour ``--cache-dir`` and the
 ``REPRO_TRACE_CACHE`` environment variable, defaulting to the
 pipeline's default cache location.
 
@@ -33,6 +36,7 @@ version-mismatched one the other commands refuse to open.
 
 import argparse
 import os
+import shutil
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(
@@ -178,11 +182,16 @@ def cmd_ls(root, _args):
 
 
 def _unlink(entry, reason, dry_run):
+    """Delete *entry* and the derived results stored under its key."""
     verb = "would remove" if dry_run else "removing"
     print("%s %s (%s, %d bytes)" % (verb, entry.name, reason, entry.size))
     if not dry_run:
+        sidecar = os.path.join(os.path.dirname(entry.path), "derived",
+                               entry.name[:-len(".cft")] + ".json")
         try:
             os.unlink(entry.path)
+            if os.path.exists(sidecar):
+                os.unlink(sidecar)
         except OSError as exc:
             print("  failed: %s" % exc)
             return False
@@ -224,6 +233,11 @@ def cmd_clear(root, args):
     verb = "would remove" if args.dry_run else "removed"
     print("%s %d entr%s from %s"
           % (verb, removed, "y" if removed == 1 else "ies", root))
+    derived = os.path.join(root, "derived")
+    if os.path.isdir(derived):
+        if not args.dry_run:
+            shutil.rmtree(derived)
+        print("%s the derived-results store %s" % (verb, derived))
     return 0
 
 
