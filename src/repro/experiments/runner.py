@@ -37,10 +37,11 @@ over synthetic profile knobs that checkpoints into the sweep store and
 promotes winners into the committed frontier corpus.
 
 ``sweep`` and ``query`` route to the resumable sweep subsystem
-(:mod:`repro.sweep`, docs/SWEEPS.md): sweeps checkpoint each finished
-cell into an on-disk store, survive interruption (resubmit to resume;
-Ctrl-C exits 130 after flushing finished cells), and ``query`` rebuilds
-reports from the store byte-identical to the direct runs above.
+(:mod:`repro.sweep`, docs/SWEEPS.md): sweeps checkpoint each
+workload's finished cells into an on-disk store, survive interruption
+(resubmit to resume; Ctrl-C exits 130 after flushing finished cells),
+and ``query`` rebuilds reports from the store byte-identical to the
+direct runs above.
 
 ``--timing name[:k=v,...]`` selects the timing model speculation
 experiments simulate under (see ``--list`` and docs/TIMING.md; default:

@@ -16,12 +16,12 @@ Underneath, the pipeline
    interpretation entirely; and
 3. moves every trace as :class:`~repro.trace.batch.RecordBatch`
    columns.  A freshly traced workload is kept as ``(TraceHeader,
-   [RecordBatch])``, the shape a cache stream has, and every source --
-   the in-memory columns, the cache stream, a pooled v3 payload, a
-   retrace after a corrupt cache entry -- feeds the same batched
-   replay into :meth:`LoopDetector.feed_batch`.  No record object is
-   constructed between the interpreter (or the disk) and the column
-   loops.
+   [RecordBatch])``, the shape a cache stream has, whether it was
+   traced inline or in a pool worker, and every source -- the
+   in-memory columns, the cache stream, a retrace after a corrupt
+   cache entry -- feeds the same batched replay into
+   :meth:`LoopDetector.feed_batch`.  No record object is constructed
+   between the interpreter (or the disk) and the column loops.
 
 :meth:`index` and :meth:`indexes` serve loop indexes directly (the
 sweep and search path); :meth:`trace` decodes a memoized record-list
@@ -382,15 +382,14 @@ class SimulationSession:
                                     len(pooled))) as pool:
                 futures = [
                     pool.submit(worker.trace_workload, name, self.scale,
-                                limit, cache_dir, pooled=True,
-                                observe=observe)
+                                limit, cache_dir, observe=observe)
                     for name, limit in pooled]
                 # Futures are drained in submission order (the
                 # configured workload order), so worker obs events
                 # merge deterministically however tracing interleaved.
                 for future in futures:
-                    name, payload, *events = future.result()
-                    results[name] = payload
+                    name, columns, *events = future.result()
+                    results[name] = columns
                     if events and events[0] and collector is not None:
                         collector.absorb(events[0], workload=name)
         # Absorb in configured order so memoization and any downstream
@@ -398,14 +397,7 @@ class SimulationSession:
         for name, limit in missing:
             if name in results:
                 self._mark(name, cached=False)
-                payload = results[name]
-                if payload is not None:
-                    # Cacheless pool results arrive through a shared-
-                    # memory segment (or raw v3 bytes as the fallback).
-                    self._columns[name] = \
-                        worker.load_trace_payload(payload)
-                # else: the worker streamed it into the cache; replays
-                # stream it straight off disk.
+                self._columns[name] = results[name]
             else:
                 self._trace_now(name)
 

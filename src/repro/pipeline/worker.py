@@ -8,64 +8,32 @@ top level (the pool pickles it by reference) and must not depend on any
 parent-process state beyond its arguments: under the ``spawn`` start
 method a fresh interpreter imports this module and nothing else.
 
-Inline callers pass the Workload object itself (which also supports
-unregistered workloads) and get the trace's columns,
-``(TraceHeader, [RecordBatch])``, also written to the cache when there
-is one.  Pooled callers (``pooled=True``) pass the workload *name*
-(resolved through the registry in the child) and get the trace via the
-cache -- batches streamed to disk as columnar v3 chunks, nothing
-shipped over the result pipe -- or, without a cache, as v3 bytes in a
-:mod:`multiprocessing.shared_memory` segment: the child ships only a
-tiny :class:`SharedTracePayload` descriptor, and the parent attaches,
-parses the segment zero-copy, and unlinks it (see
-:func:`load_trace_payload`).
+Both paths get the same thing back: the trace's columns,
+``(TraceHeader, [RecordBatch])``, written to the v3 cache first when
+there is one.  Inline callers pass the Workload object itself (which
+also supports unregistered workloads); pooled callers pass the
+workload *name*, resolved through the registry in the child, and the
+columns come back over the pool's result pipe as an ordinary pickle.
 """
-
-import io
-from typing import NamedTuple
 
 from repro.cpu.tracer import ChunkedCFTracer
 from repro.obs import collector as obs
 from repro.pipeline.cache import TraceCache, program_fingerprint
-from repro.trace.io import dump_cf_batches, loads_cf_batches
-
-
-class SharedTracePayload(NamedTuple):
-    """Descriptor for a trace shipped via a shared-memory segment.
-
-    The child serializes the trace (v3 bytes) into the segment and
-    detaches; only this descriptor crosses the result pipe.  The
-    **parent owns the segment's lifetime** from that point: it must
-    attach, read, close, and unlink (all of which
-    :func:`load_trace_payload` does).
-    """
-
-    segment: str    #: ``SharedMemory`` name to attach to
-    size: int       #: serialized trace length (segments round up)
 
 
 def trace_workload(workload, scale=1, max_instructions=None,
-                   cache_dir=None, pooled=False, observe=False):
+                   cache_dir=None, observe=False):
     """Trace one workload (a registered name or a Workload object).
 
-    Returns ``(name, payload)`` where *payload* is:
-
-    * inline (``pooled=False``): the columns ``(TraceHeader,
-      [RecordBatch])``, written to the cache first when *cache_dir* is
-      given;
-    * pooled, with a cache: ``None`` -- the trace was streamed into (or
-      already present in) the cache;
-    * pooled, without a cache: a :class:`SharedTracePayload` descriptor
-      for a shared-memory segment holding the v3 trace, or the v3
-      bytes themselves when no segment can be created.
+    Returns ``(name, (TraceHeader, [RecordBatch]))``; the columns are
+    stored in the cache under *cache_dir* first, when one is given.
 
     With ``observe=True`` (pooled callers whose parent session has an
     active obs collector) the work runs under a worker-local
     :class:`~repro.obs.collector.Collector` and the return value grows
     a third element -- its :meth:`~repro.obs.collector.Collector.
-    export` -- which rides the existing result pipe alongside the
-    payload for the parent to :meth:`~repro.obs.collector.Collector.
-    absorb`.
+    export` -- which rides the result pipe alongside the columns for
+    the parent to :meth:`~repro.obs.collector.Collector.absorb`.
 
     ``max_instructions=None`` uses the workload's default budget,
     mirroring the cache key computation in the session.
@@ -79,12 +47,11 @@ def trace_workload(workload, scale=1, max_instructions=None,
         collector = obs.activate(obs.Collector())
         try:
             with obs.span("trace", workload=label, mode="pool"):
-                name, payload = trace_workload(
-                    workload, scale, max_instructions, cache_dir,
-                    pooled=pooled)
+                name, columns = trace_workload(
+                    workload, scale, max_instructions, cache_dir)
         finally:
             obs.deactivate()
-        return name, payload, collector.export()
+        return name, columns, collector.export()
     if isinstance(workload, str):
         import repro.workloads.suite  # noqa: F401  (registers the suite)
         from repro.workloads.base import get
@@ -92,80 +59,9 @@ def trace_workload(workload, scale=1, max_instructions=None,
     name = workload.name
     limit = max_instructions or workload.default_max_instructions
     tracer = ChunkedCFTracer(workload.program(scale), limit)
-    if cache_dir is None:
-        if not pooled:
-            return name, tracer.columns()
-        buf = io.BytesIO()
-        dump_cf_batches(tracer, tracer.batches(), buf)
-        data = buf.getvalue()
-        descriptor = _ship_shared(data)
-        return name, (descriptor if descriptor is not None else data)
-    cache = TraceCache(cache_dir)
-    key = (name, scale, limit, program_fingerprint(tracer.program))
-    if not pooled:
-        header, batches = tracer.columns()
-        cache.store(header, batches, *key)
-        return name, (header, batches)
-    if not cache.has(*key):
-        cache.store_stream(tracer, *key)
-    return name, None
-
-
-def _ship_shared(data):
-    """Move *data* into a fresh shared-memory segment and return its
-    :class:`SharedTracePayload`, or ``None`` when shared memory is
-    unavailable (no ``/dev/shm``, permissions) -- the caller then ships
-    plain bytes."""
-    try:
-        from multiprocessing import resource_tracker, shared_memory
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=max(1, len(data)))
-    except (ImportError, OSError):
-        return None
-    try:
-        segment.buf[:len(data)] = data
-        descriptor = SharedTracePayload(segment.name, len(data))
-    except BaseException:
-        segment.close()
-        try:
-            segment.unlink()
-        except OSError:
-            pass
-        raise
-    # Ownership transfers to the parent with the descriptor: stop this
-    # process's resource tracker from "cleaning up" (unlinking, with a
-    # leak warning at exit) a segment that is deliberately left for
-    # the parent to unlink.
-    try:
-        resource_tracker.unregister(
-            getattr(segment, "_name", segment.name), "shared_memory")
-    except Exception:
-        pass
-    segment.close()
-    return descriptor
-
-
-def load_trace_payload(payload):
-    """Decode a pooled, cacheless worker *payload* into the trace's
-    columns, ``(TraceHeader, [RecordBatch])``.
-
-    Serialized bytes parse directly; a :class:`SharedTracePayload` is
-    attached, parsed zero-copy out of the segment, and the segment is
-    closed and unlinked here -- exactly once, in the parent.
-    """
-    if isinstance(payload, SharedTracePayload):
-        from multiprocessing import shared_memory
-        obs.add("shm.bytes", payload.size)
-        segment = shared_memory.SharedMemory(name=payload.segment)
-        try:
-            return loads_cf_batches(segment.buf[:payload.size])
-        finally:
-            try:
-                segment.close()
-            except BufferError:
-                pass    # a live view pins the mapping; GC closes it
-            try:
-                segment.unlink()
-            except OSError:
-                pass
-    return loads_cf_batches(payload)
+    header, batches = tracer.columns()
+    if cache_dir is not None:
+        TraceCache(cache_dir).store(
+            header, batches, name, scale, limit,
+            program_fingerprint(tracer.program))
+    return name, (header, batches)

@@ -2,8 +2,8 @@
 
 The subsystem splits a swept experiment into content-keyed *cells*
 (one simulation or loop-statistics computation each), shards them
-across a process pool, and checkpoints every finished cell into a
-schema-versioned sqlite store.  Interrupt a sweep and resubmit the
+across a process pool, and checkpoints each workload's finished cells
+into a schema-versioned sqlite store.  Interrupt a sweep and resubmit the
 same grid: only the missing cells execute, and a completed sweep
 reruns as 0 cells.  The query layer rebuilds the experiment report
 from stored cells byte-identical to the direct run.

@@ -191,13 +191,6 @@ def sweep_main(argv=None):
                              "policy run (default 4)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
-    parser.add_argument("--checkpoint", choices=("group", "cell"),
-                        default="group",
-                        help="store commit granularity: one "
-                             "transaction per workload group "
-                             "(default) or per cell; with --jobs 1, "
-                             "cell granularity also commits each cell "
-                             "the moment it is computed")
     parser.add_argument("--cache-dir", default=default_cache_dir())
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the trace/derived caches (cells "
@@ -253,8 +246,7 @@ def sweep_main(argv=None):
 
             stats = run_sweep(spec, store, jobs=args.jobs,
                               cache_dir=cache_dir, progress=progress,
-                              dry_run=args.dry_run,
-                              checkpoint=args.checkpoint)
+                              dry_run=args.dry_run)
     except SweepStoreError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

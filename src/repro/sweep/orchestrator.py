@@ -127,7 +127,7 @@ class _CellsPass(Analysis):
 
 
 def run_workload_cells(name, scale, max_instructions, cls_capacity,
-                       cache_dir, descriptors, on_row=None):
+                       cache_dir, descriptors):
     """Execute every cell of one workload; returns result row dicts.
 
     Module-level so the process pool can pickle it.  The cells are one
@@ -139,10 +139,6 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
     persisted.  A cell that raises becomes a ``failed`` row; an index
     build that raises fails every cell of the workload (the caller
     records that).
-
-    *on_row*, when given, is called with each finished row dict as it
-    completes -- the per-cell checkpointing seam (only useful inline;
-    a pool worker has nobody to stream to).
     """
     from repro.analysis import AnalysisSuite
     from repro.analysis.passes import loopstats_state
@@ -172,13 +168,11 @@ def run_workload_cells(name, scale, max_instructions, cls_capacity,
             row["detail"] = json.dumps(loopstats_state(value),
                                        sort_keys=True)
         rows.append(row)
-        if on_row is not None:
-            on_row(row)
     return name, rows
 
 
 def run_sweep(spec, store, jobs=1, cache_dir=None, progress=None,
-              dry_run=False, checkpoint="group"):
+              dry_run=False):
     """Execute *spec* into *store*; returns :class:`SweepRunStats`.
 
     *progress*, when given, is called as ``progress(workload,
@@ -187,27 +181,18 @@ def run_sweep(spec, store, jobs=1, cache_dir=None, progress=None,
     progress line.  *dry_run* plans and registers the sweep but
     executes nothing.
 
-    *checkpoint* picks the commit granularity: ``"group"`` (default)
-    commits one transaction per workload group, ``"cell"`` one per
-    cell.  Cell granularity matters for very long workloads: inline
-    (``jobs <= 1``) each cell commits the moment it is computed, so an
-    interrupt mid-workload loses at most the cell in flight; pooled
-    workers still return whole groups (results cross the process
-    boundary per future), so there it only narrows the commit
-    transactions.  Either way the stored rows are identical --
-    resume exactness does not depend on the granularity.
+    Each workload group commits as one transaction once all its cells
+    are priced (they are priced together, in one session pass), so an
+    interrupt loses at most the groups still in flight.
 
     With an obs collector active the whole run is a ``sweep`` span,
     each store commit a ``sweep.checkpoint`` child span, and the run's
     plan/skip/execute/fail/checkpoint tallies land in the
     ``sweep.cells_*`` / ``sweep.checkpoints`` counters.
     """
-    if checkpoint not in ("group", "cell"):
-        raise ValueError("checkpoint must be 'group' or 'cell', got %r"
-                         % (checkpoint,))
     with obs.span("sweep", experiment=spec.experiment, jobs=jobs):
         stats = _run_sweep(spec, store, jobs, cache_dir, progress,
-                           dry_run, checkpoint)
+                           dry_run)
     collector = obs.active()
     if collector is not None:
         collector.add("sweep.cells_planned", stats.planned)
@@ -218,8 +203,7 @@ def run_sweep(spec, store, jobs=1, cache_dir=None, progress=None,
     return stats
 
 
-def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run,
-               checkpoint="group"):
+def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run):
     cells = expand_cells(spec)
     sweep_id = store.record_sweep(spec, [c.key for c in cells])
     done = store.done_keys([c.key for c in cells])
@@ -240,16 +224,9 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run,
     by_cell = {c.key: c for c in missing}
 
     def commit(name, rows):
-        if checkpoint == "cell":
-            # One transaction per cell; same rows, narrower commits.
-            batches = [[row] for row in rows]
-        else:
-            batches = [rows]
-        for batch in batches:
-            with obs.span("sweep.checkpoint", workload=name,
-                          rows=len(batch)):
-                store.put_cells(batch)
-            stats.checkpoints += 1
+        with obs.span("sweep.checkpoint", workload=name, rows=len(rows)):
+            store.put_cells(rows)
+        stats.checkpoints += 1
         if progress is not None:
             progress(name, stats.executed + stats.failed, len(missing))
 
@@ -270,11 +247,9 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run,
                 spec.cls_capacity, cache_dir,
                 [_cell_descriptor(c) for c in groups[name]])
 
-    def fail_group(name, exc, skip_keys=()):
+    def fail_group(name, exc):
         rows = []
         for cell in groups[name]:
-            if cell.key in skip_keys:
-                continue
             row = _base_row(cell)
             row.update(status="failed", tpc=None, hit_ratio=None,
                        speedup=None, overhead_cycles=None, detail=None,
@@ -285,34 +260,16 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run,
 
     if jobs <= 1 or len(order) <= 1:
         for name in order:
-            committed = set()
-            on_row = None
-            if checkpoint == "cell":
-                # Stream: each finished cell commits immediately, so
-                # an interrupt mid-workload loses at most the cell in
-                # flight.
-                def on_row(partial, name=name, committed=committed):
-                    row = _base_row(by_cell[partial["cell_key"]])
-                    row.update(partial)
-                    if partial["status"] == "failed":
-                        stats.failed += 1
-                    else:
-                        stats.executed += 1
-                    committed.add(partial["cell_key"])
-                    commit(name, [row])
             try:
-                _, rows = run_workload_cells(*task_args(name),
-                                             on_row=on_row)
+                _, rows = run_workload_cells(*task_args(name))
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 # Index build (or another per-workload stage) died:
-                # record every not-yet-committed cell of the group as
-                # failed.
-                fail_group(name, exc, skip_keys=committed)
+                # record every cell of the group as failed.
+                fail_group(name, exc)
             else:
-                if on_row is None:
-                    absorb(name, rows)
+                absorb(name, rows)
         return stats
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(order))) as pool:

@@ -151,8 +151,8 @@ def iter_batches(records, batch_records=DEFAULT_BATCH_RECORDS):
     """Adapt an iterable of :class:`CFRecord` to a batch stream.
 
     The bridge from record lists (an in-memory
-    :class:`~repro.trace.stream.CFTrace`, the v1/v2 text readers) into
-    batch consumers; emits no empty batches.
+    :class:`~repro.trace.stream.CFTrace`) into batch consumers; emits
+    no empty batches.
     """
     if batch_records < 1:
         raise ValueError("batch_records must be >= 1")

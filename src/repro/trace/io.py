@@ -2,49 +2,33 @@
 
 Control-flow traces are persisted so experiment pipelines can cache the
 expensive interpretation step (the on-disk trace cache in
-:mod:`repro.pipeline.cache` builds on this module).  Three format
-versions are readable; **only v3 is written**:
+:mod:`repro.pipeline.cache` builds on this module).  There is one
+format, **v3** (binary, columnar): a struct-packed header followed by
+column chunks that map one-to-one onto
+:class:`~repro.trace.batch.RecordBatch`.  Layout, all little-endian::
 
-* **v1** (legacy text, read-only)::
+    magic  b"CFT3"
+    header <H name_len> <name bytes> <q total> <B halted> <q records>
+    chunk  <I count> <I payload_len> zlib(seqs[count]x q
+           | pcs[count]x q | kinds[count]x b | takens[count]x b
+           | targets[count]x q)
+    end    <I 0xFFFFFFFF>
 
-      #cftrace v1 name=<program> total=<n> halted=<0|1> records=<n>
-      <seq> <pc> <kind> <taken> <target|->
-
-  Older v1 files lack the ``records=`` field; they still load, but
-  without truncation detection.
-
-* **v2** (legacy chunked text, read-only): same line layout as v1,
-  with a mandatory ``records=`` field.
-
-* **v3** (binary, columnar -- the cache format): a struct-packed
-  header followed by column chunks that map one-to-one onto
-  :class:`~repro.trace.batch.RecordBatch`.  Layout, all little-endian::
-
-      magic  b"CFT3"
-      header <H name_len> <name bytes> <q total> <B halted> <q records>
-      chunk  <I count> <I payload_len> zlib(seqs[count]x q
-             | pcs[count]x q | kinds[count]x b | takens[count]x b
-             | targets[count]x q)
-      end    <I 0xFFFFFFFF>
-
-  Each chunk's concatenated column bytes are zlib-compressed (the
-  64-bit columns are mostly zero bytes, so the cache shrinks well
-  below the old text format while decoding stays a C-speed
-  ``decompress`` straight into zero-copy column views; files opened
-  by path are additionally memory-mapped so the compressed payloads
-  are never copied out of the page cache).  ``records`` in the
-  header is the
-  declared total; the end marker must be followed by end-of-file.
-  Readers raise :class:`ValueError` on a bad magic, a truncated or
-  undecodable chunk, a record-count mismatch, or trailing garbage --
-  a v3 file is either bit-exact or rejected.
+Each chunk's concatenated column bytes are zlib-compressed (the 64-bit
+columns are mostly zero bytes, so the cache stays small while decoding
+stays a C-speed ``decompress`` straight into zero-copy column views;
+files opened by path are additionally memory-mapped so the compressed
+payloads are never copied out of the page cache).  ``records`` in the
+header is the declared total; the end marker must be followed by
+end-of-file.  Readers raise :class:`ValueError` on a bad magic (which
+includes the retired v1/v2 text formats), a truncated or undecodable
+chunk, a record-count mismatch, or trailing garbage -- a v3 file is
+either bit-exact or rejected.
 
 One writer (:class:`BatchTraceWriter`, driven by
 :func:`dump_cf_batches`) and one chunk walker (:func:`_batches_v3`)
-serve every v3 path; the record-list helpers (:func:`dump_cf_trace`,
-:func:`load_cf_trace` and their string forms) are adapters over them.
-All loaders validate the declared record count and raise
-:class:`ValueError` on truncated, padded, or malformed files.
+serve every path; the record-list helpers (:func:`dump_cf_trace`,
+:func:`load_cf_trace` and their bytes forms) are adapters over them.
 
 Full traces are not serialized (they are cheap to regenerate at the
 scales the data-speculation study uses, and enormous on disk).
@@ -58,24 +42,18 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.trace.batch import RecordBatch, iter_batches
-from repro.trace.record import CFRecord
 from repro.trace.stream import CFTrace
 
-_HEADER_V1 = "#cftrace v1 "
-_HEADER_V2 = "#cftrace v2 "
-
-#: v3 file magic.  The leading byte differs from ``#`` so text and
-#: binary traces are distinguishable from their first byte.
+#: v3 file magic.
 MAGIC_V3 = b"CFT3"
 
 #: Bump when the on-disk record layout changes; cache keys include it.
 TRACE_FORMAT_VERSION = 3
 
-#: Records per chunk when a record list is written or a text trace is
-#: read as batches.
+#: Records per chunk when a record list is written.
 CHUNK_RECORDS = 8192
 
 #: v3 end-of-chunks marker (an impossible chunk record count).
@@ -100,55 +78,14 @@ class TraceHeader(NamedTuple):
     program_name: str
     total_instructions: int
     halted: bool
-    records: Optional[int]    #: declared record count (None: legacy v1)
-
-
-def _parse_record(line, lineno):
-    parts = line.split()
-    if len(parts) != 5:
-        raise ValueError("malformed record on line %d: %r" % (lineno, line))
-    seq, pc, kind, taken, target = parts
-    if taken not in ("0", "1"):
-        raise ValueError("malformed taken flag on line %d: %r"
-                         % (lineno, line))
-    try:
-        return CFRecord(int(seq), int(pc), int(kind), taken == "1",
-                        None if target == "-" else int(target))
-    except ValueError:
-        raise ValueError("malformed record on line %d: %r"
-                         % (lineno, line)) from None
-
-
-def _parse_header(line):
-    if line.startswith(_HEADER_V1):
-        version, body = 1, line[len(_HEADER_V1):]
-    elif line.startswith(_HEADER_V2):
-        version, body = 2, line[len(_HEADER_V2):]
-    else:
-        raise ValueError("not a cftrace file (bad header %r)" % line[:40])
-    fields = {}
-    for part in body.split():
-        if "=" not in part:
-            raise ValueError("malformed header field %r" % part)
-        key, value = part.split("=", 1)
-        fields[key] = value
-    try:
-        total = int(fields["total"])
-        halted = fields["halted"] == "1"
-        records = int(fields["records"]) if "records" in fields else None
-    except (KeyError, ValueError):
-        raise ValueError("malformed header %r" % line.strip()) from None
-    if version == 2 and records is None:
-        raise ValueError("v2 header missing records= field")
-    return TraceHeader(version, fields.get("name", "program"), total,
-                       halted, records)
+    records: int              #: declared record count
 
 
 # -- binary v3 primitives ----------------------------------------------------
 
 class _BufferReader:
     """Minimal binary file facade over a bytes-like buffer (an mmap'd
-    trace file, a shared-memory segment, plain ``bytes``).
+    trace file, plain ``bytes``).
 
     ``read`` returns **zero-copy** :class:`memoryview` slices, so the
     v3 reader's framing fields and compressed chunk payloads are never
@@ -212,8 +149,10 @@ def _exactly(fh, n, what):
 def _read_header_v3(fh):
     magic = fh.read(len(MAGIC_V3))
     if magic != MAGIC_V3:
+        if not isinstance(magic, str):      # text-mode file objects
+            magic = bytes(magic)
         raise ValueError("not a v3 cftrace file (bad magic %r)"
-                         % bytes(magic))
+                         % (magic,))
     (name_len,) = _NAME_STRUCT.unpack(_exactly(fh, _NAME_STRUCT.size,
                                                "header"))
     name = bytes(_exactly(fh, name_len, "header")).decode(
@@ -417,68 +356,34 @@ def dump_cf_trace(trace, path_or_file):
 
 # -- reading -----------------------------------------------------------------
 
-def _open_sniffed(path):
-    """Open *path* and classify it: ``(version_family, file_handle)``
-    where family is ``"binary"`` (v3) or ``"text"`` (v1/v2)."""
-    fh = open(path, "rb")
-    try:
-        magic = fh.read(len(MAGIC_V3))
-        fh.seek(0)
-        if magic == MAGIC_V3:
-            return "binary", fh
-        return "text", io.TextIOWrapper(fh, encoding="ascii")
-    except BaseException:
-        fh.close()
-        raise
-
-
 def load_cf_trace(path_or_file):
-    """Read a trace file (any version) into a record-list
-    :class:`~repro.trace.stream.CFTrace`.
-
-    Paths are sniffed; file objects must be binary for v3 and text for
-    v1/v2.
-    """
-    if hasattr(path_or_file, "read"):
-        return _load(path_or_file, _is_binary_file(path_or_file))
-    family, fh = _open_sniffed(path_or_file)
-    with fh:
-        return _load(fh, family == "binary")
+    """Read a v3 trace (a path or a binary file object) into a
+    record-list :class:`~repro.trace.stream.CFTrace`."""
+    if not hasattr(path_or_file, "read"):
+        with open(path_or_file, "rb") as fh:
+            return _load(fh)
+    return _load(path_or_file)
 
 
-def _is_binary_file(fh):
-    probe = fh.read(0)
-    return isinstance(probe, (bytes, bytearray, memoryview))
-
-
-def _load(fh, binary):
-    if binary:
-        header = _read_header_v3(fh)
-        return CFTrace.from_batches(header, _batches_v3(fh, header))
-    header = _parse_header(fh.readline())
-    return CFTrace(records=list(_text_records(fh, header)),
-                   total_instructions=header.total_instructions,
-                   halted=header.halted, program_name=header.program_name)
+def _load(fh):
+    header = _read_header_v3(fh)
+    return CFTrace.from_batches(header, _batches_v3(fh, header))
 
 
 def _check_count(header, seen):
-    if header.records is not None and seen != header.records:
+    if seen != header.records:
         raise ValueError(
             "trace declares %d records but file contains %d "
             "(truncated or tampered?)" % (header.records, seen))
 
 
 def read_cf_header(path_or_file):
-    """Read only the header of a trace file (any version)."""
-    if hasattr(path_or_file, "read"):
-        if _is_binary_file(path_or_file):
-            return _read_header_v3(path_or_file)
-        return _parse_header(path_or_file.readline())
-    family, fh = _open_sniffed(path_or_file)
-    with fh:
-        if family == "binary":
+    """Read only the header of a v3 trace (a path or a binary file
+    object)."""
+    if not hasattr(path_or_file, "read"):
+        with open(path_or_file, "rb") as fh:
             return _read_header_v3(fh)
-        return _parse_header(fh.readline())
+    return _read_header_v3(path_or_file)
 
 
 def open_cf_batches(path):
@@ -487,44 +392,24 @@ def open_cf_batches(path):
     The iterator yields :class:`~repro.trace.batch.RecordBatch` without
     holding the whole trace in memory, validates the declared record
     count (raising :class:`ValueError` on truncation mid-stream), and
-    closes the file when exhausted or garbage-collected.  v1/v2 text
-    files are adapted into batches transparently.
+    closes the file when exhausted or garbage-collected.
 
-    v3 files are **memory-mapped**: framing fields and compressed
+    The file is **memory-mapped**: framing fields and compressed
     payloads are read as zero-copy views of the page cache, and each
     chunk decompresses straight into the batch's column views (see
     :func:`_read_chunk_v3`) -- the warm-cache replay path allocates one
     payload buffer per chunk and nothing else.
     """
-    family, fh = _open_sniffed(path)
+    fh = open(path, "rb")
     try:
-        if family == "binary":
-            mapped = _mmap_reader(fh)
-            if mapped is not None:
-                fh = mapped
-            header = _read_header_v3(fh)
-            batches = _batches_v3(fh, header)
-        else:
-            header = _parse_header(fh.readline())
-            batches = iter_batches(_text_records(fh, header),
-                                   CHUNK_RECORDS)
+        mapped = _mmap_reader(fh)
+        if mapped is not None:
+            fh = mapped
+        header = _read_header_v3(fh)
     except BaseException:
         fh.close()
         raise
-    return header, _closing(fh, batches)
-
-
-def _text_records(fh, header):
-    seen = 0
-    lineno = 1
-    for line in fh:
-        lineno += 1
-        line = line.strip()
-        if not line:
-            continue
-        yield _parse_record(line, lineno)
-        seen += 1
-    _check_count(header, seen)
+    return header, _closing(fh, _batches_v3(fh, header))
 
 
 # -- string/bytes helpers ----------------------------------------------------
@@ -538,8 +423,7 @@ def dumps_cf_trace(trace):
 
 def loads_cf_batches(data):
     """``(header, [RecordBatch])`` from a v3 trace in any bytes-like
-    buffer (``bytes``, ``memoryview``, a shared-memory segment's
-    ``buf``).  The buffer is parsed zero-copy, and no view of *data*
+    buffer (``bytes``, ``memoryview``).  The buffer is parsed zero-copy, and no view of *data*
     outlives the call: each batch owns its decompressed columns."""
     reader = _BufferReader(data)
     try:
@@ -552,7 +436,5 @@ def loads_cf_batches(data):
 def loads_cf_trace(data):
     """Inverse of :func:`dumps_cf_trace`: a record-list
     :class:`~repro.trace.stream.CFTrace` from a v3 buffer (see
-    :func:`loads_cf_batches`), or from a legacy v1/v2 ``str``."""
-    if isinstance(data, str):
-        return _load(io.StringIO(data), binary=False)
+    :func:`loads_cf_batches`)."""
     return CFTrace.from_batches(*loads_cf_batches(data))

@@ -3,8 +3,7 @@
 Batch fast-path boundary cases (empty/single-record batches, loop
 boundaries mid-batch, loops spanning chunk seams), the derived-results
 store, result-state round trips, idempotent table replay, the mmap'd
-zero-copy v3 reader, and shared-memory trace payloads from pool
-workers.
+zero-copy v3 reader, and trace payloads from pool workers.
 """
 
 import json
@@ -19,7 +18,7 @@ from repro.core.branchpred import BimodalPredictor, \
 from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
-from repro.trace import CFTrace, RecordBatch, dump_cf_trace, \
+from repro.trace import RecordBatch, dump_cf_trace, \
     dumps_cf_trace, iter_batches, kernels, loads_cf_trace, open_cf_batches
 from reference.tables import EventTableReplay
 
@@ -436,33 +435,32 @@ class TestMappedReads:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory pool payloads.
+# Pool worker payloads.
 # ---------------------------------------------------------------------------
 
 class TestSharedMemoryPayload:
     def test_shared_payload_round_trips_and_unlinks(self):
+        """A trace shipped back from a real pool process equals the
+        inline one, and the transport leaves no shared-memory segment."""
+        from concurrent.futures import ProcessPoolExecutor
         from repro.pipeline import worker
 
-        name, payload = worker.trace_workload("swim", 1, 5_000, None,
-                                              pooled=True)
+        def shm_entries():
+            return set(os.listdir("/dev/shm")) \
+                if os.path.isdir("/dev/shm") else set()
+
+        before = shm_entries()
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            name, (header, batches) = pool.submit(
+                worker.trace_workload, "swim", 1, 5_000, None).result()
         assert name == "swim"
-        if not isinstance(payload, worker.SharedTracePayload):
-            pytest.skip("shared memory unavailable on this platform")
-        header, batches = worker.load_trace_payload(payload)
         _, (ref_header, ref_batches) = worker.trace_workload(
             "swim", 1, 5_000, None)
         assert header == ref_header
+        assert all(isinstance(b, RecordBatch) for b in batches)
 
         def records(columns):
             return [r for b in columns for r in b.iter_records()]
 
         assert records(batches) == records(ref_batches)
-        # The plain-bytes fallback decodes to the same columns.
-        data = dumps_cf_trace(CFTrace.from_batches(ref_header, ref_batches))
-        assert records(worker.load_trace_payload(data)[1]) \
-            == records(ref_batches)
-        # The parent unlinked the segment after reading it.
-        from multiprocessing import shared_memory
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=payload.segment)
-
+        assert shm_entries() <= before

@@ -376,8 +376,6 @@ class TestPipelineInstrumentation:
         # Configured workload order, not completion order.
         assert [s["attrs"]["workload"] for s in trace] == ["swim", "go"]
         assert all(s["attrs"]["mode"] == "pool" for s in trace)
-        # Cacheless pool results ship via shared memory.
-        assert first.counters.get("shm.bytes", 0) > 0
 
     def test_kernel_counters_gated_on_collector(self):
         trace = get("swim").cf_trace(1, max_instructions=5000)

@@ -211,28 +211,66 @@ class TestStreamingDetection:
                 == index_shape(inmem.index(name))
 
 
+def columns_state(columns):
+    header, batches = columns
+    return header, [(list(b.seqs), list(b.pcs), list(b.kinds),
+                     list(b.takens), list(b.targets)) for b in batches]
+
+
+def shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") \
+        else set()
+
+
 class TestWorker:
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "cache"])
+    def test_one_return_shape(self, tmp_path, cached):
+        """Names and Workload objects, inline and pooled, all come back
+        as ``(TraceHeader, [RecordBatch])`` columns; a cache gets a v3
+        entry, and no shared-memory segment is left behind."""
+        from repro.workloads import get
+
+        def cache(label):
+            return str(tmp_path / label) if cached else None
+
+        def assert_v3_entries(cache_dir, names):
+            if cache_dir is None:
+                return
+            entries = sorted(os.listdir(cache_dir))
+            assert [e.split("-")[0] for e in entries] == sorted(names)
+            for entry in entries:
+                with open(os.path.join(cache_dir, entry), "rb") as fh:
+                    assert fh.read(4) == b"CFT3"
+
+        by_name = worker.trace_workload("go", 1, LIMIT, cache("name"))
+        by_object = worker.trace_workload(get("go"), 1, LIMIT,
+                                          cache("object"))
+        assert by_name[0] == by_object[0] == "go"
+        assert columns_state(by_name[1]) == columns_state(by_object[1])
+        assert_v3_entries(cache("name"), ["go"])
+        assert_v3_entries(cache("object"), ["go"])
+
+        before = shm_entries()
+        session = SimulationSession(config(jobs=2,
+                                           cache_dir=cache("pool")))
+        session.ensure_traced()
+        assert shm_entries() <= before
+        assert session.stats.traced == 2
+        assert columns_state(session._columns["go"]) \
+            == columns_state(by_name[1])
+        assert_v3_entries(cache("pool"), WORKLOADS)
+
     def test_worker_payload_roundtrip(self):
-        name, payload = worker.trace_workload("go", 1, LIMIT, None,
-                                              pooled=True)
+        """The worker's columns survive the pickle the pool's result
+        pipe applies, record for record."""
+        import pickle
+        name, payload = worker.trace_workload("go", 1, LIMIT, None)
         assert name == "go"
-        header, batches = worker.load_trace_payload(payload)
+        header, batches = pickle.loads(pickle.dumps(payload))
         assert header.total_instructions == LIMIT or header.halted
         assert header.records == sum(len(b) for b in batches)
-
-    def test_worker_writes_cache_entry(self, tmp_path):
-        from repro.pipeline.cache import program_fingerprint
-        from repro.workloads import get
-        cache_dir = str(tmp_path / "cache")
-        _, payload = worker.trace_workload("go", 1, LIMIT, cache_dir,
-                                           pooled=True)
-        assert payload is None
-        cache = TraceCache(cache_dir)
-        fp = program_fingerprint(get("go").program(1))
-        assert cache.has("go", 1, LIMIT, fp)
-        header, batches = cache.open_batches("go", 1, LIMIT, fp)
-        count = sum(len(b) for b in batches)
-        assert count == header.records
+        assert columns_state((header, batches)) == columns_state(payload)
 
     def test_inline_worker_keeps_columns(self, tmp_path):
         from repro.trace.batch import RecordBatch

@@ -369,48 +369,6 @@ class TestOrchestrator:
                        for row in store.get_cells())
         assert 1 <= len(walks) <= 2
 
-    def test_checkpoint_value_is_validated(self, tmp_path):
-        spec = SweepSpec(**GRID)
-        with make_store(tmp_path) as store:
-            with pytest.raises(ValueError, match="checkpoint"):
-                run_sweep(spec, store, checkpoint="bogus")
-
-    def test_cell_checkpoint_stores_identical_rows(self, tmp_path,
-                                                   cache_dir):
-        spec = SweepSpec(**GRID)
-        with make_store(tmp_path, "group") as store:
-            group = run_sweep(spec, store, cache_dir=cache_dir)
-            baseline = [r.render() for r in sweep_report(store, spec)]
-        with make_store(tmp_path, "cell") as store:
-            cell = run_sweep(spec, store, cache_dir=cache_dir,
-                             checkpoint="cell")
-            report = [r.render() for r in sweep_report(store, spec)]
-        assert cell.executed == group.executed == 24
-        # One commit per cell instead of one per workload group.
-        assert (group.checkpoints, cell.checkpoints) == (2, 24)
-        assert report == baseline
-
-    def test_cell_checkpoint_interrupt_loses_at_most_one_cell(
-            self, tmp_path, cache_dir):
-        """Interrupt mid-workload under per-cell checkpointing: every
-        already-committed cell survives and the resume executes
-        exactly the rest."""
-        spec = SweepSpec(**GRID)
-
-        def interrupt(_name, finished, _total):
-            if finished == 3:
-                raise KeyboardInterrupt
-
-        with make_store(tmp_path) as store:
-            with pytest.raises(KeyboardInterrupt):
-                run_sweep(spec, store, cache_dir=cache_dir,
-                          checkpoint="cell", progress=interrupt)
-            _, done, _ = store.counts()
-            assert done == 3
-            resumed = run_sweep(spec, store, cache_dir=cache_dir,
-                                checkpoint="cell")
-            assert (resumed.skipped, resumed.executed) == (3, 21)
-
     def test_pool_path_matches_inline(self, tmp_path, cache_dir):
         spec = SweepSpec(**GRID)
         with make_store(tmp_path, "inline") as store:

@@ -2,7 +2,7 @@
 
 Covers the RecordBatch container (round trips, zero-copy slicing),
 v3 serialization (property round trips, the corruption suite, the
-streaming writer), the committed v1/v2/v3 fixture matrix, and
+streaming writer), the committed fixture matrix, and
 batch-vs-record equivalence for every batch consumer: the CLS/loop
 detector, the analysis feed protocol, timing models, branch
 prediction, and the data-speculation study.
@@ -11,7 +11,6 @@ prediction, and the data-speculation study.
 import io
 import os
 import re
-import shutil
 import struct
 
 import pytest
@@ -27,6 +26,7 @@ from repro.cpu.tracer import (
 from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.trace import (
+    TRACE_FORMAT_VERSION,
     BatchTraceWriter,
     CFRecord,
     CFTrace,
@@ -291,48 +291,52 @@ class TestCorruptV3Files:
 
 
 # ---------------------------------------------------------------------------
-# The committed read matrix: v1 and v2 stay loadable forever.
+# The committed read matrix: one fixture per readable format version.
 # ---------------------------------------------------------------------------
+
+#: Format versions the reader supports, each with a committed fixture.
+READABLE_VERSIONS = [TRACE_FORMAT_VERSION]
+
 
 class TestFixtureMatrix:
     EXPECTED_RECORDS = 25
     EXPECTED_TOTAL = 78
 
-    def _load(self, version):
-        return load_cf_trace(os.path.join(FIXTURES,
-                                          "loop_v%d.cft" % version))
+    @staticmethod
+    def _path(version):
+        return os.path.join(FIXTURES, "loop_v%d.cft" % version)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_fixture_loads(self, version):
-        trace = self._load(version)
+        trace = load_cf_trace(self._path(version))
         assert len(trace.records) == self.EXPECTED_RECORDS
         assert trace.total_instructions == self.EXPECTED_TOTAL
         assert trace.halted
         assert trace.program_name == "fixture-loop"
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_all_versions_decode_identically(self, version):
-        assert self._load(version).records == self._load(1).records
+    @pytest.mark.parametrize("version", READABLE_VERSIONS)
+    def test_all_versions_decode_identically(self, version, loop_trace):
+        """Every fixture decodes to the records a fresh trace of the
+        fixture program produces."""
+        assert load_cf_trace(self._path(version)).records \
+            == loop_trace.records
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_headers_agree(self, version):
-        header = read_cf_header(os.path.join(FIXTURES,
-                                             "loop_v%d.cft" % version))
+        header = read_cf_header(self._path(version))
         assert header.version == version
         assert header.total_instructions == self.EXPECTED_TOTAL
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_streaming_matches_fixture(self, version):
-        path = os.path.join(FIXTURES, "loop_v%d.cft" % version)
-        header, batches = open_cf_batches(path)
+        header, batches = open_cf_batches(self._path(version))
         assert [r for b in batches for r in b.iter_records()] \
-            == self._load(version).records
+            == load_cf_trace(self._path(version)).records
 
     def test_nothing_writes_v1_by_default(self, loop_trace, tmp_path):
-        """Only v3 is written: the module writer, the cache, and the
-        pool worker all produce it."""
+        """Only v3 is written: the module writer and the cache both
+        produce it."""
         from repro.pipeline.cache import TraceCache, program_fingerprint
-        from repro.pipeline import worker
 
         path = str(tmp_path / "default.cft")
         dump_cf_trace(loop_trace, path)
@@ -346,14 +350,6 @@ class TestFixtureMatrix:
         stored = cache.store(header, batches, "fixture", 1, 1000, fp)
         assert open(stored, "rb").read(4) == b"CFT3"
         assert load_cf_trace(stored).records == loop_trace.records
-
-        _, payload = worker.trace_workload("swim", 1, 5000, None,
-                                           pooled=True)
-        if isinstance(payload, worker.SharedTracePayload):
-            header, _ = worker.load_trace_payload(payload)
-            assert header.version == 3
-        else:
-            assert payload[:4] == b"CFT3"
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +541,37 @@ class TestAnalysisFeedBatch:
         assert tracer.total_instructions == full.total_instructions
         assert tracer.halted == full.halted
 
+    @pytest.mark.parametrize("chunk_size",
+                             [1, 7, ChunkedFullTracer.DEFAULT_CHUNK])
+    @pytest.mark.parametrize("name", ["li", "go"])
+    def test_chunked_full_tracer_effect_columns(self, name, chunk_size):
+        """Every effect slot matches the FullRecord effects, with the
+        register-0 reads and writes FullBatch documents as dropped."""
+        from repro.workloads import get
+        program = get(name).program(1)
+        limit = 5_000
+        full = trace_full(program, max_instructions=limit)
+        tracer = ChunkedFullTracer(program, limit, chunk_size=chunk_size)
+        rows = 0
+        for batch in tracer.batches():
+            assert batch.start_seq == rows
+            for i in range(len(batch)):
+                rec = full.records[rows]
+                reads = [(r, v) for r, v in ((batch.rr1[i], batch.rv1[i]),
+                                             (batch.rr2[i], batch.rv2[i]))
+                         if r != -1]
+                assert reads == [(r, v) for r, v in rec.reg_reads if r]
+                assert [r for r in (batch.wr[i],) if r != -1] \
+                    == [r for r, _ in rec.reg_writes if r]
+                mem_reads = ([] if batch.mra[i] is None
+                             else [(batch.mra[i], batch.mrv[i])])
+                assert mem_reads == list(rec.mem_reads)
+                assert batch.mrv[i] is None or batch.mra[i] is not None
+                assert [a for a in (batch.mwa[i],) if a is not None] \
+                    == [a for a, _ in rec.mem_writes]
+                rows += 1
+        assert rows == full.total_instructions
+
 
 # ---------------------------------------------------------------------------
 # Tracer batch emission.
@@ -610,8 +637,9 @@ class TestTraceCacheTool:
     def _populate(self, root, loop_trace):
         os.makedirs(root, exist_ok=True)
         dump_cf_trace(loop_trace, os.path.join(root, "a-v3-x.cft"))
-        shutil.copy(os.path.join(FIXTURES, "loop_v2.cft"),
-                    os.path.join(root, "b-v2-x.cft"))
+        # A retired text-format entry: no v3 header, so corrupt.
+        with open(os.path.join(root, "b-v2-x.cft"), "w") as fh:
+            fh.write("#cftrace v2 name=x total=1 halted=1 records=0\n")
         with open(os.path.join(root, "c-v3-x.cft"), "wb") as fh:
             fh.write(b"CFT3 garbage")
 
@@ -623,8 +651,10 @@ class TestTraceCacheTool:
         assert tool.main(["ls", "--cache-dir", root]) == 0
         out = capsys.readouterr().out
         assert "a-v3-x.cft" in out and "v3" in out
-        assert "v2" in out and "stale" in out
-        assert "corrupt" in out
+        rows = {line.split()[0]: line.split()[-1]
+                for line in out.splitlines() if ".cft" in line}
+        assert rows == {"a-v3-x.cft": "ok", "b-v2-x.cft": "corrupt",
+                        "c-v3-x.cft": "corrupt"}
         assert "3 entries" in out
 
     def test_prune_drops_stale_and_corrupt_then_bounds(self, tmp_path,

@@ -1,7 +1,6 @@
 """Tests for trace containers, statistics, serialization and utilities."""
 
 import io
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,15 +22,6 @@ from repro.trace import (
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
-def fixture_text(version):
-    """The committed legacy text trace (nothing writes v1/v2 anymore)."""
-    with open(os.path.join(FIXTURES, "loop_v%d.cft" % version),
-              encoding="ascii") as fh:
-        return fh.read()
 
 LOOP_SRC = """
 main:
@@ -153,18 +143,13 @@ class TestSerialization:
         clone = load_cf_trace(buf)
         assert clone.records == loop_trace.records
 
-    def test_text_file_object_round_trip(self):
-        clone = load_cf_trace(io.StringIO(fixture_text(2)))
-        assert clone.records == loads_cf_trace(fixture_text(1)).records
-        assert clone.total_instructions == 78
-
     def test_text_file_object_rejected_for_v3(self, loop_trace):
         with pytest.raises(TypeError, match="binary"):
             dump_cf_trace(loop_trace, io.StringIO())
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
-            loads_cf_trace("#wrong v9\n")
+            loads_cf_trace(b"#wrong v9\n")
 
     def test_none_target_round_trips(self):
         trace = CFTrace([CFRecord(0, 5, int(InstrKind.HALT), False,
@@ -229,96 +214,32 @@ class TestFormattingUtilities:
         assert Xorshift64(0).next_u64() != 0
 
 
-class TestSerializationV2:
-    """The legacy text formats stay readable (committed fixtures)."""
+class TestLegacyTextRejected:
+    """The retired v1/v2 text formats, and any other non-v3 input, fail
+    every reader with a clean ValueError."""
 
-    def test_v2_round_trip(self):
-        from repro.trace import loads_cf_trace
-        text = fixture_text(2)
-        assert text.startswith("#cftrace v2 ")
-        clone = loads_cf_trace(text)
-        assert len(clone.records) == 25
-        assert clone.total_instructions == 78
-        assert clone.halted
-        assert clone.program_name == "fixture-loop"
+    LEGACY = [
+        "#cftrace v1 name=x total=5 halted=1 records=1\n0 1 1 1 0\n",
+        "#cftrace v1 name=x total=5 halted=1\n0 1 1 1 0\n",
+        "#cftrace v2 name=x total=5 halted=1 records=1\n0 1 1 1 0\n",
+        "#cftrace v9 name=x total=1 halted=1 records=0\n",
+        "",
+    ]
 
-    def test_v1_and_v2_record_lines_identical(self):
-        v1 = fixture_text(1).splitlines()[1:]
-        v2 = fixture_text(2).splitlines()[1:]
-        assert v1 == v2
-
-    def test_unknown_version_rejected(self):
-        from repro.trace import read_cf_header
-        with pytest.raises(ValueError):
-            read_cf_header(io.StringIO(
-                "#cftrace v9 name=x total=1 halted=1 records=0\n"))
-
-    def test_header_declares_record_count(self):
-        from repro.trace import read_cf_header
-        for version in (1, 2):
-            header = read_cf_header(io.StringIO(fixture_text(version)))
-            assert header.version == version
-            assert header.records == 25
-            assert header.total_instructions == 78
-
-    def test_open_cf_batches_streams_and_validates(self, tmp_path):
-        from repro.trace import open_cf_batches
-        path = tmp_path / "t.cft"
-        path.write_text(fixture_text(2))
-        header, batches = open_cf_batches(str(path))
-        assert [r for b in batches for r in b.iter_records()] \
-            == loads_cf_trace(fixture_text(1)).records
-        assert header.program_name == "fixture-loop"
-
-
-class TestCorruptTraceFiles:
-    """Truncated or tampered trace files must raise, not load short."""
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_truncated_file_rejected(self, version):
-        from repro.trace import loads_cf_trace
-        lines = fixture_text(version).splitlines(keepends=True)
-        assert len(lines) > 3
-        with pytest.raises(ValueError, match="truncated or tampered"):
-            loads_cf_trace("".join(lines[:-2]))
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_appended_records_rejected(self, version):
-        from repro.trace import loads_cf_trace
-        text = fixture_text(version) + "9 9 1 0 -\n"
-        with pytest.raises(ValueError, match="truncated or tampered"):
-            loads_cf_trace(text)
-
-    @pytest.mark.parametrize("junk", ["20128 14", "a b c d e",
-                                      "1 2 3 7 -", "1 2 3 4 5 6"])
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_malformed_line_rejected(self, version, junk):
-        from repro.trace import loads_cf_trace
-        lines = fixture_text(version).splitlines()
-        lines[2] = junk
-        with pytest.raises(ValueError, match="malformed"):
-            loads_cf_trace("\n".join(lines) + "\n")
-
-    def test_malformed_header_rejected(self):
-        from repro.trace import loads_cf_trace
-        with pytest.raises(ValueError):
-            loads_cf_trace("#cftrace v1 name=x total=abc halted=1\n")
-        with pytest.raises(ValueError):
-            loads_cf_trace("#cftrace v2 name=x total=5 halted=1\n")
-
-    def test_legacy_v1_header_without_count_still_loads(self):
-        from repro.trace import loads_cf_trace
-        lines = fixture_text(1).splitlines()
-        legacy = lines[0].replace(" records=25", "")
-        assert legacy != lines[0]
-        clone = loads_cf_trace("\n".join([legacy] + lines[1:]) + "\n")
-        assert clone.records == loads_cf_trace(fixture_text(1)).records
-
-    def test_streaming_reader_raises_on_truncation(self, tmp_path):
-        from repro.trace import open_cf_batches
-        path = tmp_path / "t.cft"
-        data = fixture_text(2).splitlines(keepends=True)
-        path.write_text("".join(data[:-1]))
-        _header, batches = open_cf_batches(str(path))
-        with pytest.raises(ValueError, match="truncated or tampered"):
-            list(batches)
+    @pytest.mark.parametrize("text", LEGACY,
+                             ids=["v1", "v1-uncounted", "v2", "v9", "empty"])
+    def test_every_reader_rejects(self, text, tmp_path):
+        from repro.trace import open_cf_batches, read_cf_header
+        path = tmp_path / "legacy.cft"
+        path.write_text(text)
+        readers = [
+            lambda: load_cf_trace(str(path)),
+            lambda: load_cf_trace(io.BytesIO(text.encode())),
+            lambda: load_cf_trace(io.StringIO(text)),
+            lambda: read_cf_header(str(path)),
+            lambda: open_cf_batches(str(path)),
+            lambda: loads_cf_trace(text.encode()),
+        ]
+        for read in readers:
+            with pytest.raises(ValueError, match="not a v3"):
+                read()

@@ -15,12 +15,13 @@ inspectable and bounded::
 
 ``ls`` prints one row per entry with its format version, record count,
 total instructions, compressed (on-disk) and uncompressed (decoded
-column bytes) sizes, and the compression ratio.  ``prune`` deletes corrupt entries and
-entries from other format versions (both unreadable by the current
-pipeline), then -- if ``--max-bytes`` is given -- the oldest remaining
-entries until the cache fits the budget.  Deleting an entry also
-deletes the results stored under its key (``derived/<key>.json``, see
-:mod:`repro.pipeline.derived`), so no result outlives its trace.
+column bytes) sizes, and the compression ratio.  ``prune`` deletes
+corrupt entries -- anything without a valid v3 header, which includes
+files from the retired v1/v2 text formats -- then, if ``--max-bytes``
+is given, the oldest remaining entries until the cache fits the
+budget.  Deleting an entry also deletes the results stored under its
+key (``derived/<key>.json``, see :mod:`repro.pipeline.derived`), so no
+result outlives its trace.
 ``clear`` deletes every entry and the whole ``derived/`` store.  All
 commands honour ``--cache-dir`` and the
 ``REPRO_TRACE_CACHE`` environment variable, defaulting to the
@@ -43,7 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.pipeline.config import default_cache_dir          # noqa: E402
-from repro.trace.io import TRACE_FORMAT_VERSION, read_cf_header  # noqa: E402
+from repro.trace.io import read_cf_header                     # noqa: E402
 from repro.util.fmt import format_table                      # noqa: E402
 
 
@@ -80,17 +81,13 @@ class Entry:
 
     @property
     def status(self):
-        if self.error is not None:
-            return "corrupt"
-        if self.version != TRACE_FORMAT_VERSION:
-            return "stale"
-        return "ok"
+        return "ok" if self.error is None else "corrupt"
 
     @property
     def raw_bytes(self):
-        """Decoded size: 26 column bytes per record for v3 (8+8+1+1+8);
-        unknown for text formats and unreadable entries."""
-        if self.version != 3 or self.records is None:
+        """Decoded size: 26 column bytes per record (8+8+1+1+8);
+        unknown for unreadable entries."""
+        if self.records is None:
             return None
         return self.records * 26
 
@@ -305,8 +302,8 @@ def main(argv=None):
         description="Inspect and bound the on-disk trace cache and "
                     "sweep result store.")
     parser.add_argument("command", choices=sorted(COMMANDS),
-                        help="ls: list entries; prune: drop corrupt/"
-                             "stale entries and enforce --max-bytes; "
+                        help="ls: list entries; prune: drop corrupt "
+                             "entries and enforce --max-bytes; "
                              "clear: drop everything; sweeps: manage "
                              "the sweep result store")
     parser.add_argument("action", nargs="?", default=None,
