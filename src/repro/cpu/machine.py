@@ -111,14 +111,22 @@ def pack_program(program):
     """Compile a finalized program to the packed tuple form.
 
     Each element is ``(code, rd, rs1, rs2, imm, target)``; the fast
-    interpreter loops index this list with the program counter.
+    interpreter loops index this tuple with the program counter.  Equal
+    instructions share one element: the packed form lives as long as
+    the program (:func:`packed_form`), and compiled code repeats
+    instructions about five times over.
     """
     program.finalize()
-    packed = []
-    for instr in program.instructions:
-        packed.append((OP_CODE[instr.op], instr.rd, instr.rs1, instr.rs2,
-                       instr.imm, instr.target))
-    return packed
+    shared = {}
+    return tuple(shared.setdefault(row, row) for row in (
+        (OP_CODE[instr.op], instr.rd, instr.rs1, instr.rs2, instr.imm,
+         instr.target) for instr in program.instructions))
+
+
+def packed_form(program):
+    """:func:`pack_program` of *program*, packed once per finalized
+    program and shared by the tracers and the cache fingerprint."""
+    return program.memoized("packed", pack_program)
 
 
 class Machine:
@@ -157,7 +165,7 @@ class Machine:
             fn = _ALU[_IMM_TO_REG[code]]
             self.write_reg(instr.rd, fn(self.read_reg(instr.rs1), instr.imm))
         elif code == C_LI:
-            self.write_reg(instr.rd, wrap64(instr.imm))
+            self.write_reg(instr.rd, instr.imm)
         elif code == C_MV:
             self.write_reg(instr.rd, self.read_reg(instr.rs1))
         elif code == C_LD:

@@ -1,0 +1,256 @@
+"""Basic-block translation for the tiered tracing loop.
+
+A block is the straight-line run of the packed program from an entry
+pc through its first control instruction, the terminator.
+:func:`translate` compiles one block with ``exec`` into a Python
+function that takes the seq of the block's first instruction and
+returns the next pc:
+
+* straight-line instructions become inline statements, with the same
+  ``wrap64`` range checks as :class:`~repro.cpu.machine.Machine`;
+* registers live in locals: one load per register read before it is
+  written and one store per register written, register-0 reads are the
+  literal ``0`` and register-0 writes are dropped;
+* a load from an address the block stored or loaded since its last
+  store reuses that value;
+* the terminator appends the control-flow record or, in full-effects
+  mode, every :class:`~repro.trace.batch.FullBatch` slot of the whole
+  block, its static slots as constant tuples.
+
+Compile time grows with the source and is most of what a translation
+costs, so the source is terse: the run's state and the helpers are
+globals of the namespace a block is compiled in.
+"""
+
+import math
+
+from repro.cpu.machine import (
+    BRANCH_CODES,
+    C_ADD, C_AND, C_BEQ, C_BGE, C_BGT, C_BLE, C_BLT, C_BNE, C_CALL, C_DIV,
+    C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MIN, C_MUL, C_MV, C_OR,
+    C_REM, C_RET, C_SEQ, C_SLE, C_SLL, C_SLT, C_SLTI, C_SNE, C_SRA, C_SRL,
+    C_ST, C_SUB, C_XOR,
+    _IMM_TO_REG, _div, _rem, wrap64,
+)
+from repro.isa.instructions import InstrKind
+from repro.trace.batch import NO_TARGET
+
+#: Packed codes that end a block.
+CONTROL_CODES = BRANCH_CODES | {C_JMP, C_JR, C_CALL, C_RET, C_HALT}
+
+#: What :func:`translate` returns for a block that stays on the
+#: per-instruction tier: one ending in ``halt`` (it runs once) or running
+#: off the end of the program.  Its length never fits a budget.
+COLD = (None, math.inf)
+
+#: FullBatch slot columns, in constructor order after ``start_seq``.
+FULL_COLUMNS = ("pcs", "kinds", "takens", "targets", "rr1", "rv1", "rr2",
+                "rv2", "wr", "mra", "mrv", "mwa")
+
+#: Packed control code -> the InstrKind value of its record.
+KINDS = dict.fromkeys(BRANCH_CODES, int(InstrKind.BRANCH))
+KINDS.update({C_JMP: int(InstrKind.JUMP), C_CALL: int(InstrKind.CALL),
+              C_RET: int(InstrKind.RET), C_JR: int(InstrKind.IJUMP),
+              C_HALT: int(InstrKind.HALT)})
+
+#: ALU values over operand expressions ``{a}`` and ``{b}``; the forms in
+#: ``_WRAPPED`` are range-checked with ``wrap64``.
+_ALU_SOURCE = {
+    C_ADD: "{a} + {b}", C_SUB: "{a} - {b}", C_MUL: "{a} * {b}",
+    C_DIV: "_div({a}, {b})", C_REM: "_rem({a}, {b})",
+    C_AND: "{a} & {b}", C_OR: "{a} | {b}", C_XOR: "{a} ^ {b}",
+    C_SLL: "{a} << ({b} & 63)", C_SRA: "{a} >> ({b} & 63)",
+    C_SRL: "({a} & %d) >> ({b} & 63)" % ((1 << 64) - 1),
+    C_SLT: "1 if {a} < {b} else 0", C_SLE: "1 if {a} <= {b} else 0",
+    C_SEQ: "1 if {a} == {b} else 0", C_SNE: "1 if {a} != {b} else 0",
+    C_MIN: "{a} if {a} <= {b} else {b}", C_MAX: "{b} if {b} > {a} else {a}",
+}
+_WRAPPED = {C_ADD, C_SUB, C_MUL, C_SLL}
+_COMPARE = {C_BEQ: "==", C_BNE: "!=", C_BLT: "<", C_BGE: ">=",
+            C_BLE: "<=", C_BGT: ">"}
+
+#: The helpers and bounds a block reads, beside the run's state.
+HELPERS = {"wrap64": wrap64, "_div": _div, "_rem": _rem,
+           "LO": -(1 << 63), "HI": (1 << 63) - 1}
+
+
+def effect_slots(code, rd, rs1, rs2, imm, target):
+    """The static FullBatch slots of one packed instruction: ``(kind,
+    read1, read2, wr, taken, target)``.
+
+    ``read1``/``read2`` are the registers read, 0 for an empty slot:
+    register 0 reads as 0 and is recorded as -1, like an empty slot.
+    ``wr`` is -1 for no write or a register-0 write.  ``taken`` is None
+    for a branch and ``target`` None for ``ret``/``jr``, whose target is
+    the value read in slot 1.
+    """
+    if code <= C_MAX or code == C_ST or code in BRANCH_CODES:
+        reads = (rs1, rs2)
+    elif code <= C_SLTI or code in (C_MV, C_LD, C_JR):
+        reads = (rs1, 0)
+    else:
+        reads = (1 if code == C_RET else 0, 0)
+    write = rd if code <= C_LD else int(code == C_CALL)
+    kind = KINDS.get(code, int(InstrKind.OTHER))
+    taken = None if code in BRANCH_CODES else int(
+        code in (C_JMP, C_CALL, C_RET, C_JR))
+    if code in (C_RET, C_JR):
+        target = None
+    elif code not in BRANCH_CODES and code not in (C_JMP, C_CALL):
+        target = NO_TARGET
+    return kind, reads[0], reads[1], write or -1, taken, target
+
+
+class _Block:
+    """The source of one block's function."""
+
+    def __init__(self, full):
+        self.full = full
+        self.current = {}   # register -> expression holding its value
+        self.loads = []     # registers read before being written
+        self.written = []
+        self.memory = {}    # address expression -> value, since a store
+        self.lines = []
+        self.temps = 0
+        self.slots = {name: [] for name in FULL_COLUMNS}
+
+    def read(self, reg):
+        if not reg:
+            return "0"
+        if reg not in self.current:
+            self.current[reg] = "r%d" % reg
+            self.loads.append(reg)
+        return self.current[reg]
+
+    def write(self, reg, expr):
+        if reg:
+            if reg not in self.written:
+                self.written.append(reg)
+            self.current[reg] = expr
+
+    def value(self, expr, wraps=False):
+        """A name or literal holding *expr*, range-checked if *wraps*."""
+        if expr.isidentifier() or expr.lstrip("-").isdigit():
+            return expr
+        self.temps += 1
+        name = "v%d" % self.temps
+        self.lines.append("%s = %s" % (name, expr))
+        if wraps:
+            self.lines.append("if not LO <= {0} <= HI: {0} = wrap64({0})"
+                              .format(name))
+        return name
+
+    def address(self, rs1, imm):
+        base = self.read(rs1)
+        if base == "0":
+            return str(imm)
+        return "%s + %d" % (base, imm) if imm else base
+
+    def capture(self, pc, instr):
+        """Full mode: the static slots and the registers read."""
+        kind, read1, read2, wr, taken, target = effect_slots(*instr)
+        rv1 = self.read(read1)
+        for name, expr in (("pcs", pc), ("kinds", kind),
+                           ("takens", "t" if taken is None else taken),
+                           ("targets", rv1 if target is None else target),
+                           ("rr1", read1 or -1), ("rv1", rv1),
+                           ("rr2", read2 or -1), ("rv2", self.read(read2)),
+                           ("wr", wr)):
+            self.slots[name].append(str(expr))
+
+    def straight(self, pc, instr):
+        """Emit one non-control instruction."""
+        code, rd, rs1, rs2, imm, _ = instr
+        if self.full:
+            self.capture(pc, instr)
+        memory = ("None", "None", "None")   # mra, mrv, mwa
+        if code <= C_SLTI:
+            if code <= C_MAX:
+                form, b = code, self.read(rs2)
+            else:
+                form, b = _IMM_TO_REG[code], str(imm)
+            a = self.read(rs1)
+            if rd:
+                self.write(rd, self.value(_ALU_SOURCE[form].format(a=a, b=b),
+                                          form in _WRAPPED))
+        elif code == C_LI:
+            self.write(rd, str(imm))
+        elif code == C_MV:
+            self.write(rd, self.read(rs1))
+        elif code == C_LD and (rd or self.full):
+            addr = self.address(rs1, imm)
+            loaded = self.memory.get(addr)
+            if loaded is None:
+                loaded = self.memory[addr] = self.value(
+                    "mem_get(%s, 0)" % addr)
+            self.write(rd, loaded)
+            memory = (addr, loaded, "None")
+        elif code == C_ST:
+            addr = self.address(rs1, imm)
+            stored = self.read(rs2)
+            self.lines.append("mem[%s] = %s" % (addr, stored))
+            self.memory = {addr: stored}     # other cells may alias it
+            memory = ("None", "None", addr)
+        if self.full:
+            for name, expr in zip(("mra", "mrv", "mwa"), memory):
+                self.slots[name].append(self.value(expr))
+
+    def terminator(self, pc, offset, instr):
+        """Emit the control instruction at *offset* into the block:
+        store the written registers, append the record or the block's
+        slots, return the next pc."""
+        code, rd, rs1, rs2, imm, target = instr
+        if self.full:
+            self.capture(pc, instr)
+            for name in ("mra", "mrv", "mwa"):
+                self.slots[name].append("None")
+        taken = "1"
+        recorded = nxt = str(target)
+        if code in BRANCH_CODES:
+            taken = "t"
+            self.lines.append("t = 1 if %s %s %s else 0" % (
+                self.read(rs1), _COMPARE[code], self.read(rs2)))
+            nxt = "%d if t else %d" % (target, pc + 1)
+        elif code in (C_RET, C_JR):
+            recorded = nxt = self.read(1 if code == C_RET else rs1)
+        elif code == C_CALL:
+            self.write(1, str(pc + 1))
+        stores = ["regs[%d] = %s" % (reg, self.current[reg])
+                  for reg in self.written
+                  if self.current[reg] != "r%d" % reg]
+        if stores:
+            self.lines.append("; ".join(stores))
+        if self.full:
+            self.lines.extend("%s_e((%s,))" % (name, ", ".join(
+                self.slots[name])) for name in FULL_COLUMNS)
+        else:
+            self.lines.append(
+                "sq_a(%s); pc_a(%d); kd_a(%d); tk_a(%s); tg_a(%s)"
+                % ("seq + %d" % offset if offset else "seq", pc,
+                   KINDS[code], taken, recorded))
+        self.lines.append("return " + nxt)
+        if self.loads:
+            self.lines.insert(0, "; ".join("r%d = regs[%d]" % (reg, reg)
+                                           for reg in self.loads))
+        return "def block(seq):\n    " + "\n    ".join(self.lines) + "\n"
+
+
+def translate(packed, pc, full, namespace):
+    """``(function, length)`` of the block entered at *pc*, compiled in
+    *namespace* -- the run's ``regs``, ``mem``, ``mem_get`` and column
+    appenders (``sq_a`` ... ``tg_a`` for control flow, ``<slot>_e``
+    list extends for full effects) beside :data:`HELPERS` -- or
+    :data:`COLD`."""
+    end = pc
+    while 0 <= end < len(packed) and packed[end][0] not in CONTROL_CODES:
+        end += 1
+    if pc < 0 or end == len(packed) or packed[end][0] == C_HALT:
+        return COLD
+    block = _Block(full)
+    for at in range(pc, end):
+        block.straight(at, packed[at])
+    # Rebinding ``block`` keeps the namespace's keys, and so the global
+    # lookups earlier blocks specialized on, stable.
+    exec(compile(block.terminator(end, end - pc, packed[end]),
+                 "<block %d>" % pc, "exec"), namespace)
+    return namespace["block"], end - pc + 1

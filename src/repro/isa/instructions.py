@@ -154,6 +154,9 @@ class Instruction:
         for reg in (self.rd, self.rs1, self.rs2):
             if not 0 <= reg < 32:
                 raise IsaError("register out of range in %r" % (self,))
+        if not -(1 << 63) <= self.imm < 1 << 63:
+            raise IsaError("immediate out of signed 64-bit range in %r"
+                           % (self,))
 
     def __repr__(self):
         return "Instruction(%s)" % self.render()

@@ -62,6 +62,7 @@ class Program:
         self.data = DataSegment()
         self.entry = 0
         self._finalized = False
+        self._memo = {}
 
     def __len__(self):
         return len(self.instructions)
@@ -95,7 +96,17 @@ class Program:
             self.entry = self.address_of(label_or_addr)
         else:
             self.entry = int(label_or_addr)
+        self._finalized = False
         return self
+
+    def memoized(self, key, compute):
+        """``compute(self)``, once per finalization (the packed form and
+        the fingerprint): :meth:`emit`, :meth:`label` and
+        :meth:`set_entry` make the next call re-finalize and recompute."""
+        self.finalize()
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
 
     def finalize(self):
         """Resolve labels to absolute targets and validate the program."""
@@ -118,6 +129,7 @@ class Program:
             raise ProgramError("entry point %d out of range" % self.entry)
         if not any(i.op is Opcode.HALT for i in self.instructions):
             raise ProgramError("program %r never halts" % self.name)
+        self._memo = {}
         self._finalized = True
         return self
 

@@ -25,7 +25,7 @@ entry.
 import hashlib
 import os
 
-from repro.cpu.machine import pack_program
+from repro.cpu.machine import packed_form
 from repro.obs import collector as obs
 from repro.trace.io import (
     TRACE_FORMAT_VERSION,
@@ -41,11 +41,16 @@ def program_fingerprint(program):
 
     This is what makes the cache *content*-keyed: editing a workload
     generator (or the compiler emitting different code) invalidates the
-    entry even though name/scale/budget are unchanged.
+    entry even though name/scale/budget are unchanged.  It is computed
+    once per finalized program.
     """
+    return program.memoized("fingerprint", _fingerprint)
+
+
+def _fingerprint(program):
     h = hashlib.sha256()
     h.update(b"entry=%d;" % program.entry)
-    for packed in pack_program(program):
+    for packed in packed_form(program):
         h.update(repr(packed).encode("ascii"))
     initial = program.data.initial
     for addr in sorted(initial):

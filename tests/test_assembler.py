@@ -85,6 +85,13 @@ class TestAssembleErrors:
             assemble("main:\n  halt\n  bogus\n")
         assert "line 3" in str(err.value)
 
+    def test_immediate_outside_signed_64_bit_rejected(self):
+        """Machine took this branch (it wrapped the immediate to -2**63)
+        while the tracer recorded it not taken."""
+        with pytest.raises(AssemblerError):
+            assemble("main:\n li t0, 9223372036854775808\n li t1, 0\n"
+                     " blt t0, t1, neg\n halt\nneg:\n halt\n")
+
     def test_bad_data_directive(self):
         with pytest.raises(AssemblerError):
             assemble(".data onlyname\nmain:\n  halt\n")

@@ -12,7 +12,11 @@ the whole pipeline leans on:
    frontier corpus, and pooled tracer processes all require this);
 3. **stable trace-cache key** -- two independent generations map to
    the same trace-cache path, so warm runs hit entries written by
-   earlier processes.
+   earlier processes;
+4. **tracers agree with the reference** -- both chunked tracers, with
+   every block translated on its first entry and at the default
+   threshold, emit the columns of the Machine-stepped reference
+   (``tests/reference/tracer.py``).
 
 The sample stream is seeded from ``REPRO_FUZZ_SEED`` (default 2024),
 so a CI failure is reproduced locally by exporting the seed the
@@ -24,9 +28,12 @@ import os
 
 import pytest
 
+from repro.cpu import tracer as tracer_mod
 from repro.pipeline.cache import TraceCache, program_fingerprint
 from repro.util.rng import Xorshift64
 from repro.workloads.synthetic import make_workload, random_profile
+
+from reference.tracer import ReferenceTracer, outcome
 
 #: Sampled (profile, seed) grid: N profiles x M seeds.
 NUM_PROFILES = 8
@@ -97,3 +104,23 @@ def test_distinct_samples_generate_distinct_programs():
     prints = {program_fingerprint(make_workload(p, SEEDS[0]).program())
               for p in PROFILES}
     assert len(prints) == len(PROFILES)
+
+
+#: Instructions per program the tracer differential compares.
+DIFFERENTIAL_BUDGET = 6_000
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("profile", PROFILES, ids=_ids(PROFILES))
+def test_tracers_match_reference(profile, seed, monkeypatch):
+    program = make_workload(profile, seed).program()
+    budget = min(profile.default_max_instructions, DIFFERENTIAL_BUDGET)
+    for cls in (tracer_mod.ChunkedCFTracer, tracer_mod.ChunkedFullTracer):
+        full = cls is tracer_mod.ChunkedFullTracer
+        expected = outcome(ReferenceTracer(program, budget, chunk_size=97,
+                                           full=full))
+        for hot in (1, tracer_mod.HOT_ENTRIES):
+            monkeypatch.setattr(tracer_mod, "HOT_ENTRIES", hot)
+            assert outcome(cls(program, budget, chunk_size=97)) \
+                == expected, "%s HOT_ENTRIES=%d (REPRO_FUZZ_SEED=%d)" \
+                % (cls.__name__, hot, FUZZ_SEED)

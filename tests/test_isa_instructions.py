@@ -49,6 +49,17 @@ class TestInstructionValidation:
         with pytest.raises(IsaError):
             Instruction(Opcode.ADD, rd=32, rs1=0, rs2=0).validate()
 
+    def test_immediate_outside_signed_64_bit_rejected(self):
+        """Machine wrapped an out-of-range ``li`` immediate while the
+        tracers stored it raw; no such immediate is valid now."""
+        for imm in (1 << 63, -(1 << 63) - 1, 1 << 64):
+            with pytest.raises(IsaError):
+                Instruction(Opcode.LI, rd=5, imm=imm).validate()
+            with pytest.raises(IsaError):
+                Instruction(Opcode.ADDI, rd=5, rs1=5, imm=imm).validate()
+        for imm in ((1 << 63) - 1, -(1 << 63)):
+            Instruction(Opcode.LI, rd=5, imm=imm).validate()
+
     def test_opcode_coercion_from_string(self):
         assert Instruction("add", rd=1, rs1=2, rs2=3).op is Opcode.ADD
 

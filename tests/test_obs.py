@@ -460,6 +460,24 @@ class TestRunnerMetricsCLI:
         # The trace cache holds a last-run digest for trace_cache ls.
         assert os.path.isfile(os.path.join(cache, LAST_RUN_MANIFEST))
 
+    def test_tracer_tiers_reported(self, tmp_path, capsys):
+        """A cold run's manifest counts translated blocks and the
+        instructions the per-instruction tier ran; obs_report shows
+        both."""
+        metrics = str(tmp_path / "run.json")
+        args = self.ARGS + ["--no-cache", "--metrics", metrics]
+        assert runner_main(args) == 0
+        capsys.readouterr()
+        counters = load_manifest(metrics)["counters"]
+        assert counters["cpu.blocks_translated"] > 0
+        total = get("swim").default_max_instructions
+        assert 0 < counters["cpu.cold_instructions"] < total
+        assert load_tool("obs_report.py").main([metrics]) == 0
+        out = capsys.readouterr().out
+        for name in ("cpu.blocks_translated", "cpu.cold_instructions"):
+            assert re.search(r"%s\s+%s" % (re.escape(name),
+                                            counters[name]), out)
+
     def test_timeline_flag_prints_breakdown(self, tmp_path, capsys):
         args = self.ARGS + ["--cache-dir", str(tmp_path / "c"),
                             "--timeline"]

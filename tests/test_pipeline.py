@@ -161,6 +161,24 @@ class TestCache:
         assert fp_a == program_fingerprint(assemble(src_a))   # stable
         assert fp_a != fp_b                       # content-sensitive
 
+    def test_each_program_packed_once_per_session_trace(self, tmp_path,
+                                                      monkeypatch):
+        """The cache-key fingerprint and the tracer share one packed
+        form, memoized on the program."""
+        from repro.cpu import machine
+        from repro.workloads import get
+        real = machine.pack_program
+        packed = []
+        monkeypatch.setattr(machine, "pack_program",
+                            lambda program: packed.append(program.name)
+                            or real(program))
+        for name in WORKLOADS:     # compile fresh programs
+            monkeypatch.setattr(get(name), "_program_cache", {})
+        session = SimulationSession(config(cache_dir=str(tmp_path)))
+        session.ensure_traced()
+        assert session.stats.traced == len(WORKLOADS)
+        assert sorted(packed) == sorted(WORKLOADS)
+
     def test_stale_entry_ignored_after_program_change(self, tmp_path,
                                                       monkeypatch):
         # Same name/scale/budget but different program content must not

@@ -115,27 +115,58 @@ class TestFullTrace:
 
 _SAFE_ALU = [Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
              Opcode.XOR, Opcode.SLT, Opcode.SLE, Opcode.SEQ, Opcode.SNE,
-             Opcode.MIN, Opcode.MAX, Opcode.DIV, Opcode.REM]
+             Opcode.MIN, Opcode.MAX, Opcode.DIV, Opcode.REM, Opcode.SLL,
+             Opcode.SRL, Opcode.SRA]
 _SAFE_IMM = [Opcode.ADDI, Opcode.SUBI, Opcode.MULI, Opcode.ANDI, Opcode.ORI,
-             Opcode.XORI, Opcode.SLTI, Opcode.DIVI, Opcode.REMI]
+             Opcode.XORI, Opcode.SLTI, Opcode.DIVI, Opcode.REMI,
+             Opcode.SLLI, Opcode.SRLI, Opcode.SRAI]
 
-_reg = st.integers(min_value=10, max_value=19)
-_imm = st.integers(min_value=-1000, max_value=1000)
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 
-_alu_instr = st.one_of(
+#: Registers the random body may touch: the zero register, and ten
+#: scratch registers clear of ra (1), sp (2) and the loop's 20-22.
+_reg = st.one_of(st.just(0), st.integers(min_value=10, max_value=19))
+_imm = st.one_of(
+    st.integers(min_value=-1000, max_value=1000),
+    st.sampled_from([_I64_MIN, _I64_MIN + 1, -1, _I64_MAX - 1, _I64_MAX]),
+    st.integers(min_value=_I64_MIN, max_value=_I64_MAX))
+
+_body_instr = st.one_of(
     st.builds(lambda op, rd, rs1, rs2: Instruction(op, rd=rd, rs1=rs1,
                                                    rs2=rs2),
               st.sampled_from(_SAFE_ALU), _reg, _reg, _reg),
     st.builds(lambda op, rd, rs1, imm: Instruction(op, rd=rd, rs1=rs1,
                                                    imm=imm),
               st.sampled_from(_SAFE_IMM), _reg, _reg, _imm),
+    st.builds(lambda rd, imm: Instruction(Opcode.LI, rd=rd, imm=imm),
+              _reg, _imm),
+    st.builds(lambda rd, rs1: Instruction(Opcode.MV, rd=rd, rs1=rs1),
+              _reg, _reg),
+    st.builds(lambda rd, rs1, imm: Instruction(Opcode.LD, rd=rd, rs1=rs1,
+                                               imm=imm),
+              _reg, _reg, st.integers(min_value=-8, max_value=8)),
+    st.builds(lambda rs2, rs1, imm: Instruction(Opcode.ST, rs2=rs2,
+                                                rs1=rs1, imm=imm),
+              _reg, _reg, st.integers(min_value=-8, max_value=8)),
 )
 
 
 @st.composite
 def looped_programs(draw):
-    """A random straight-line ALU body inside a counted loop."""
-    body = draw(st.lists(_alu_instr, min_size=1, max_size=20))
+    """A random straight-line body inside a counted loop, optionally
+    calling a random subroutine and jumping through a register.
+
+    The body covers every ALU form (shifts included), ``li``/``mv``,
+    loads and stores, register 0 as source and destination, and
+    immediates at the signed 64-bit bounds -- what block translation
+    inlines.  ``call``/``ret`` and ``jr`` end blocks mid-loop.
+    """
+    body = draw(st.lists(_body_instr, min_size=1, max_size=20))
+    tail = draw(st.lists(_body_instr, max_size=6))
+    subroutine = draw(st.one_of(st.none(),
+                                st.lists(_body_instr, max_size=8)))
+    indirect = draw(st.booleans())
     iterations = draw(st.integers(min_value=1, max_value=5))
     program = Program(name="random")
     program.label("main")
@@ -143,10 +174,25 @@ def looped_programs(draw):
     program.label("loop")
     for instr in body:
         program.emit(instr)
+    if subroutine is not None:
+        program.emit(Instruction(Opcode.CALL, label="sub"))
+    if indirect:
+        # jr over one instruction: its target is the pc after the skip
+        program.emit(Instruction(Opcode.LI, rd=22,
+                                 imm=len(program.instructions) + 3))
+        program.emit(Instruction(Opcode.JR, rs1=22))
+        program.emit(Instruction(Opcode.HALT))
+    for instr in tail:
+        program.emit(instr)
     program.emit(Instruction(Opcode.ADDI, rd=20, rs1=20, imm=1))
     program.emit(Instruction(Opcode.LI, rd=21, imm=iterations))
     program.emit(Instruction(Opcode.BLT, rs1=20, rs2=21, label="loop"))
     program.emit(Instruction(Opcode.HALT))
+    if subroutine is not None:
+        program.label("sub")
+        for instr in subroutine:
+            program.emit(instr)
+        program.emit(Instruction(Opcode.RET))
     return program
 
 
@@ -173,6 +219,32 @@ class TestDifferential:
         full = trace_full(program, max_instructions=100000)
         assert full.control_flow().records == cf.records
         cf.validate()
+
+
+class TestTranslatedDifferential:
+    """Every block translated on its first entry, in both emission
+    modes, against the Machine-stepped reference (tests/reference/
+    tracer.py)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(looped_programs(), st.sampled_from([1, 7, 4096]),
+           st.booleans())
+    def test_translated_blocks_agree_with_reference(self, program,
+                                                    chunk_size, full):
+        from unittest import mock
+
+        from reference.tracer import ReferenceTracer, outcome
+        from repro.cpu import tracer as tracer_mod
+
+        cls = (tracer_mod.ChunkedFullTracer if full
+               else tracer_mod.ChunkedCFTracer)
+        expected = outcome(ReferenceTracer(program, 100_000,
+                                           chunk_size=chunk_size,
+                                           full=full))
+        with mock.patch.object(tracer_mod, "HOT_ENTRIES", 1):
+            got = outcome(cls(program, 100_000, chunk_size=chunk_size))
+        assert got == expected
+        assert expected[1][1]          # halted
 
 
 def _chunk_fixture():

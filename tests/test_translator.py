@@ -1,0 +1,132 @@
+"""The tiered tracing loop against the Machine-stepped reference.
+
+``tests/reference/tracer.py`` steps :class:`repro.cpu.machine.Machine`
+and emits the columns both chunked tracers promise.  Every case here
+runs a tracer and the reference at one budget, chunk size and
+``allow_truncation``, and compares every batch column,
+``total_instructions`` and ``halted`` (or that both raise after the
+same batches).  ``HOT_ENTRIES`` is patched to 1 to translate every
+block on its first entry, and to 3 to mix tiers inside loops, as well
+as left at its default.
+"""
+
+import pytest
+
+from repro.cpu import tracer as tracer_mod
+from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer
+from repro.isa import assemble
+from repro.obs import collector as obs
+from repro.search.corpus import frontier_names
+from repro.workloads import get
+from repro.workloads.suite import SUITE_ORDER
+
+from reference.tracer import ReferenceTracer, outcome
+
+#: Translation thresholds every case runs at.
+THRESHOLDS = (1, 3, tracer_mod.HOT_ENTRIES)
+
+
+def assert_matches_reference(monkeypatch, program, budget, full,
+                             chunk_size=None, allow_truncation=True):
+    cls = ChunkedFullTracer if full else ChunkedCFTracer
+    chunk_size = chunk_size or cls.DEFAULT_CHUNK
+    expected = outcome(ReferenceTracer(program, budget, allow_truncation,
+                                       chunk_size, full))
+    for hot in THRESHOLDS:
+        monkeypatch.setattr(tracer_mod, "HOT_ENTRIES", hot)
+        got = outcome(cls(program, budget, allow_truncation, chunk_size))
+        assert got == expected, (program.name, budget, full, chunk_size,
+                                 allow_truncation, hot)
+    return expected
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["cf", "full"])
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_analog_matches_reference(monkeypatch, name, full):
+    assert_matches_reference(monkeypatch, get(name).program(1), 10_000,
+                             full)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["cf", "full"])
+@pytest.mark.parametrize("name", frontier_names())
+def test_frontier_case_matches_reference(monkeypatch, name, full):
+    workload = get(name)
+    budget = min(workload.default_max_instructions, 10_000)
+    assert_matches_reference(monkeypatch, workload.program(), budget, full)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["cf", "full"])
+@pytest.mark.parametrize("chunk_size", [1, 7, None])
+def test_chunk_sizes(monkeypatch, chunk_size, full):
+    assert_matches_reference(monkeypatch, get("go").program(1), 3_000,
+                             full, chunk_size)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["cf", "full"])
+def test_budgets_ending_mid_block(monkeypatch, full):
+    """Budgets whose last instruction is inside a hot block: the block
+    runs on the per-instruction tier up to the budget."""
+    program = get("li").program(1)
+    last_kinds = set()
+    for budget in (1001, 1002, 4097, 4099):
+        batches, end = assert_matches_reference(
+            monkeypatch, program, budget, full, chunk_size=7)
+        assert end == (budget, False)
+        if full:
+            last_kinds.add(batches[-1][2][-1])
+    if full:   # some budget's last instruction is not a terminator
+        assert 0 in last_kinds
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["cf", "full"])
+@pytest.mark.parametrize("chunk_size", [1, 7, 64])
+def test_truncation_raises_after_the_same_batches(monkeypatch, chunk_size,
+                                                  full):
+    """``allow_truncation=False`` raises after exactly the batches the
+    reference emits first, including budgets that are a multiple of
+    the chunk size."""
+    program = get("go").program(1)
+    for budget in (10, 448, 449, 1001):        # 448 = 7 * 64
+        _, end = assert_matches_reference(
+            monkeypatch, program, budget, full, chunk_size,
+            allow_truncation=False)
+        assert end == "raised"
+
+
+def _loop(iterations):
+    return assemble(
+        "main:\n li t0, 0\n li t1, %d\nloop:\n addi t0, t0, 1\n"
+        " blt t0, t1, loop\n halt\n" % iterations)
+
+
+def _counters(program):
+    collector = obs.activate(obs.Collector())
+    try:
+        list(ChunkedCFTracer(program).batches())
+    finally:
+        obs.deactivate()
+    return (collector.counters["cpu.blocks_translated"],
+            collector.counters["cpu.cold_instructions"])
+
+
+class TestTiers:
+    def test_block_translated_on_its_hot_entries_th_entry(self):
+        """The first block runs from the entry through the first
+        iteration; the loop-body block is entered once per taken
+        branch, ``iterations - 1`` times.  It stays on the chain for
+        ``HOT_ENTRIES - 1`` entries and runs translated from the
+        next."""
+        hot = tracer_mod.HOT_ENTRIES
+        chain = 2 + 2 * hot + 1
+        assert _counters(_loop(hot)) == (0, chain)
+        assert _counters(_loop(hot + 1)) == (1, chain)
+        assert _counters(_loop(hot + 10)) == (1, chain)
+
+    def test_translations_belong_to_one_run(self):
+        program = _loop(1000)
+        assert _counters(program) == _counters(program)
+        assert _counters(program)[0] == 1
+
+    def test_halt_block_never_translated(self, monkeypatch):
+        monkeypatch.setattr(tracer_mod, "HOT_ENTRIES", 1)
+        assert _counters(assemble("main:\n li t0, 1\n halt\n")) == (0, 2)
