@@ -1,11 +1,14 @@
-"""Fused multi-configuration speculation: one prepared walk, N configs.
+"""Fused multi-configuration speculation: shared tables, N walks.
 
 :func:`simulate_grid` prices N ``(num_tus, policy, timing)``
 configurations over one :class:`~repro.core.detector.LoopIndex` and
 returns results bit-identical to N independent
 :func:`~repro.core.speculation.engine.simulate` calls (the grid
-equivalence suite pins this across every policy, timing model, and the
-frontier corpus).
+equivalence suite pins this across every policy, timing model, the
+analogs and the frontier corpus).  The config-invariant tables are
+built in one pass over the event list; then each fused configuration
+walks the shared columns once, on its own, leaping wherever the tables
+prove nothing can happen to it.
 
 Why a grid engine beats N engine runs
 -------------------------------------
@@ -18,16 +21,22 @@ for every configuration*:
   execution table, the table's state evolution depends only on the
   event list -- it updates at execution ends and single iterations,
   never on the policy, TU count, or timing model.  The grid therefore
-  walks the event list **once**, records the prediction each iteration
-  event would see (:func:`grid_tables`), and every fused configuration
-  reads the shared columns instead of maintaining its own table and
-  predictors.
-* **Irrelevant events.**  With the prediction stream precomputed, a
-  fused IDLE/STR configuration is only affected by iteration starts
-  and by the execution ends of loops it is actively speculating; the
-  per-execution end positions (also in :func:`grid_tables`) let the
-  walk leap over everything else.  STR(i) additionally visits
-  execution starts/ends for its nesting stack.
+  computes, **once**, the prediction each iteration event would see
+  (:func:`grid_tables`), and every fused configuration reads the
+  shared columns instead of maintaining its own table and predictors.
+* **The nesting stack.**  The open-execution stack at each execution
+  start is also a function of the event list alone, so STR(i) reads
+  it from the tables (depth and parent per execution) instead of
+  maintaining one at every execution start and end.
+* **Irrelevant events.**  With both precomputed, a fused
+  configuration is only affected by iteration starts that can spawn,
+  by the iterations and ends of executions it is speculating, and --
+  for STR(i) -- by execution starts whose stack is deeper than
+  ``limit + 1`` (the squash rule needs one speculated loop with more
+  than ``limit`` unspeculated loops inside it).  At an untracked
+  iteration start with every TU busy, or where an STR-family
+  prediction is already covered (:attr:`GridTables.may_spawn` is 0),
+  the walk leaps straight to the next event that can matter.
 * **Timing dispatch.**  The ideal and overhead models price an advance
   as the distance and progress as ``min(elapsed, cap)``; the fused
   walk inlines both, eliminating one bound-method call per event.
@@ -56,6 +65,9 @@ exactly that split when an observability collector is active.
 """
 
 from array import array
+from bisect import bisect_right
+from collections import namedtuple
+from itertools import compress
 
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.speculation.policies import (
@@ -71,20 +83,64 @@ from repro.timing.models import IdealTiming, OverheadTiming
 __all__ = ["grid_tables", "simulate_grid"]
 
 
-def grid_tables(index):
-    """The config-invariant walk tables of *index*, built once.
+class GridTables(namedtuple("GridTables", (
+        "pred_known", "pred_count", "may_spawn", "end_pos", "start_pos",
+        "depth", "parent"))):
+    """The config-invariant walk tables of one index (see
+    :func:`grid_tables`).
 
-    Returns ``(pred_known, pred_count, end_pos)``:
+    Per event position ``i``:
 
     * ``pred_known[i]``/``pred_count[i]`` -- the LET prediction an
       unbounded-table engine would read at iteration event ``i``
       (``pred_known[i] == 0`` means no prediction, the STR policies'
       IDLE fallback);
-    * ``end_pos`` -- per ``exec_id``, the event position of its
-      :class:`~repro.core.events.ExecutionEnd`.
+    * ``may_spawn[i]`` -- 1 at an iteration event where an STR-family
+      policy could spawn for an untracked execution: no prediction, or
+      a predicted count above the event's iteration number.  A spawn
+      covers iterations past ``last_covered``, which starts at the
+      event's iteration number and only grows, so at every other
+      iteration event of an untracked execution no configuration
+      spawns.
+
+    Per ``exec_id``:
+
+    * ``end_pos`` -- the position of its
+      :class:`~repro.core.events.ExecutionEnd` (``len(events)`` if it
+      never ends);
+    * ``start_pos``/``depth``/``parent`` -- the position of its
+      :class:`~repro.core.events.ExecutionStart`, the depth of the
+      open-execution stack right after it, and the execution on top
+      of that stack just before it (``-1`` if none).  ``depth`` is 0
+      for single iterations, which push nothing.
+
+    The open-execution stack at an execution start is a function of
+    the event list alone, so STR(i) walks never maintain one: the
+    stack at start ``i`` of execution ``e`` is ``e`` and its
+    ``parent`` chain, keeping the executions still open at ``i``.
+    """
+
+    __slots__ = ()
+
+    def deep_starts(self, limit):
+        """Ascending positions of the execution starts whose stack is
+        deeper than ``limit + 1``: the only starts at which the STR(i)
+        squash rule (at least one speculated loop with more than
+        *limit* unspeculated loops nested inside) can act.  Execution
+        ids follow event order, so ``start_pos`` ascends."""
+        bound = limit + 1
+        return list(compress(self.start_pos,
+                             [d > bound for d in self.depth]))
+
+
+def grid_tables(index):
+    """The :class:`GridTables` of *index*, built in one pass over its
+    event columns.
 
     Cached on the index next to its event columns; every fused
     configuration of every grid call over this index shares one copy.
+    Execution ids index the per-execution arrays: the detector numbers
+    executions densely from 0.
     """
     cols = index.columns()
     cached = getattr(index, "_grid_tables", None)
@@ -95,9 +151,15 @@ def grid_tables(index):
     exec_ids = cols.exec_ids
     auxs = cols.auxs
     n = len(etypes)
+    num_execs = len(index.executions)
     pred_known = bytearray(n)
     pred_count = array("q", bytes(8 * n))
-    end_pos = {}
+    may_spawn = bytearray(n)
+    end_pos = array("q", [n]) * num_execs
+    start_pos = array("q", bytes(8 * num_execs))
+    depth = array("q", bytes(8 * num_execs))
+    parent = array("q", [-1]) * num_execs
+    stack = []
     # loop -> [last count, stride, confidence]: the inlined form of
     # LoopHistoryTable + IterationCountPredictor for an unbounded
     # table (no evictions, so lookups cannot perturb state and the
@@ -111,11 +173,28 @@ def grid_tables(index):
                 pred_known[i] = 1
                 last, stride, confidence = entry
                 if stride is not None and confidence >= 2:
-                    pred_count[i] = last + stride
+                    count = last + stride
                 else:
-                    pred_count[i] = last
+                    count = last
+                pred_count[i] = count
+                if count > auxs[i]:
+                    may_spawn[i] = 1
+            else:
+                may_spawn[i] = 1
+        elif etype == 1:                        # EV_EXEC_START
+            exec_id = exec_ids[i]
+            if stack:
+                parent[exec_id] = stack[-1]
+            stack.append(exec_id)
+            start_pos[exec_id] = i
+            depth[exec_id] = len(stack)
         elif etype == 2:                        # EV_EXEC_END
-            end_pos[exec_ids[i]] = i
+            exec_id = exec_ids[i]
+            end_pos[exec_id] = i
+            if stack[-1] == exec_id:
+                stack.pop()
+            else:
+                stack.remove(exec_id)
             value = auxs[i]
             entry = table.get(loops[i])
             if entry is None:
@@ -144,7 +223,8 @@ def grid_tables(index):
                         entry[2] -= 1
                 entry[0] = 1
                 entry[1] = stride
-    tables = (pred_known, pred_count, end_pos)
+    tables = GridTables(pred_known, pred_count, may_spawn, end_pos,
+                        start_pos, depth, parent)
     index._grid_tables = (cols, tables)
     return tables
 
@@ -159,15 +239,17 @@ def _fusable(num_tus, policy, model):
 
 
 def _run_fused(index, tables, num_tus, policy, model, name,
-               count_waiting):
+               count_waiting, deep_starts):
     """One fused configuration over the shared tables; bit-identical
     to ``SpeculationEngine(...).run(index, name)``.
 
-    Speculative threads are ``(loop, exec_id, iteration, start_seq,
-    end_seq, spawn_time, spawn_seq)`` tuples.  Clock advances at
-    skipped events telescope into the next handled event (the built-in
-    models price an advance as the distance, so segmenting the walk
-    differently cannot change any total).
+    *deep_starts* is :meth:`GridTables.deep_starts` of the policy's
+    nesting limit (``None`` for IDLE and STR).  Speculative threads
+    are ``(loop, exec_id, iteration, start_seq, end_seq, spawn_time,
+    spawn_seq)`` tuples.  Clock advances at skipped events telescope
+    into the next handled event (the built-in models price an advance
+    as the distance, so segmenting the walk differently cannot change
+    any total).
     """
     cols = index.columns()
     etypes = cols.etypes
@@ -175,10 +257,14 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     loops = cols.loops
     exec_ids = cols.exec_ids
     auxs = cols.auxs
-    next_non_iteration = cols.next_non_iteration
     next_iteration_after = cols.next_iteration_after
-    pred_known, pred_count, end_pos = tables
-    end_pos_get = end_pos.get
+    pred_known = tables.pred_known
+    pred_count = tables.pred_count
+    may_spawn = tables.may_spawn
+    next_may_spawn = may_spawn.find
+    end_pos = tables.end_pos
+    depth = tables.depth
+    parent = tables.parent
     executions = index.executions
     total_instructions = index.total_instructions
 
@@ -194,10 +280,12 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     result.timing_name = model.name
 
     nesting_limit = policy.nesting_limit
+    if nesting_limit is not None:
+        nest_bound = nesting_limit + 1
+        num_deep = len(deep_starts)
     is_idle = not policy.needs_prediction
     threads = {}
     threads_get = threads.get
-    stack = []
     budget = num_tus - 1
     spec_count = 0
     now = 0
@@ -220,26 +308,34 @@ def _run_fused(index, tables, num_tus, policy, model, name,
         if etype == 0:                          # EV_ITERATION
             exec_id = exec_ids[i]
             tlist = threads_get(exec_id)
-            if tlist is None and spec_count >= budget:
-                # Saturated and untracked: nothing can happen until a
-                # tracked execution's next iteration start (promotion)
-                # or its end (squash) -- for STR(i), also until the
-                # next execution boundary moves the nesting stack.
-                if nesting_limit is None:
+            if tlist is None and (spec_count >= budget
+                                  or not (is_idle or may_spawn[i])):
+                # Untracked, and either saturated or an STR-family
+                # no-spawn event: nothing can happen until a tracked
+                # execution's next iteration start (promotion) or its
+                # end (squash), until -- with an idle TU -- the next
+                # event where a spawn is possible, or -- for STR(i) --
+                # until the next execution start deep enough for the
+                # squash rule.  Untracked execution ends, single
+                # iterations and shallow starts in between are no-ops.
+                if spec_count >= budget:
                     j = n
-                    for tracked in threads:
-                        k = next_iteration_after(tracked, i)
-                        if k < j:
-                            j = k
-                        k = end_pos_get(tracked, n)
-                        if i < k < j:
-                            j = k
                 else:
-                    j = next_non_iteration[i + 1]
+                    j = next_may_spawn(1, i + 1)
+                    if j < 0:
+                        j = n
+                if threads:
                     for tracked in threads:
                         k = next_iteration_after(tracked, i)
                         if k < j:
                             j = k
+                        k = end_pos[tracked]
+                        if k < j:
+                            j = k
+                    if nesting_limit is not None:
+                        k = bisect_right(deep_starts, i)
+                        if k < num_deep and deep_starts[k] < j:
+                            j = deep_starts[k]
                 i = j
                 continue
             seq = seqs[i]
@@ -326,36 +422,38 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                     cost = squash_c * len(tlist)
                     now += cost
                     overhead += cost
-            if nesting_limit is not None:
-                for idx in range(len(stack) - 1, -1, -1):
-                    if stack[idx][0] == exec_id:
-                        del stack[idx]
-                        break
-        elif etype == 1 and nesting_limit is not None:  # EV_EXEC_START
-            stack.append((exec_ids[i], loops[i]))
+        elif etype == 1 and nesting_limit is not None and threads \
+                and depth[exec_ids[i]] > nest_bound:   # EV_EXEC_START
             # STR(i): squash the outermost speculated loop once more
             # than nesting_limit non-speculated loops nest inside it.
-            for idx in range(len(stack)):
-                tl = threads_get(stack[idx][0])
-                if not tl:
-                    continue
-                nested_unspeculated = 0
-                for inner in range(idx + 1, len(stack)):
-                    if not threads_get(stack[inner][0]):
-                        nested_unspeculated += 1
-                if nested_unspeculated > nesting_limit:
-                    seq = seqs[i]
-                    for thread in tl:
-                        squashed_policy += 1
-                        resolved += 1
-                        instr_to_verif += seq - thread[6]
-                    spec_count -= len(tl)
-                    del threads[stack[idx][0]]
-                    if squash_c:
-                        cost = squash_c * len(tl)
-                        now += cost
-                        overhead += cost
-                break
+            # The open stack is this execution's parent chain, minus
+            # the executions already ended; walk it innermost first.
+            e = exec_ids[i]
+            left = depth[e]
+            unspeculated = 0
+            victim = None
+            while left:
+                if end_pos[e] > i:
+                    left -= 1
+                    tl = threads_get(e)
+                    if tl:
+                        victim = e
+                        nested_unspeculated = unspeculated
+                    else:
+                        unspeculated += 1
+                e = parent[e]
+            if victim is not None and nested_unspeculated > nesting_limit:
+                tl = threads.pop(victim)
+                seq = seqs[i]
+                for thread in tl:
+                    squashed_policy += 1
+                    resolved += 1
+                    instr_to_verif += seq - thread[6]
+                spec_count -= len(tl)
+                if squash_c:
+                    cost = squash_c * len(tl)
+                    now += cost
+                    overhead += cost
         i += 1
 
     if total_instructions > pos:
@@ -407,10 +505,15 @@ def simulate_grid(index, configs, name="workload", count_waiting=True):
                 fallback.append((slot, num_tus, policy, model))
         if fused:
             tables = grid_tables(index)
+            deep = {}
             for slot, num_tus, policy, model in fused:
+                limit = policy.nesting_limit
+                if limit is not None and limit not in deep:
+                    deep[limit] = tables.deep_starts(limit)
                 results[slot] = _run_fused(index, tables, num_tus,
                                            policy, model, name,
-                                           count_waiting)
+                                           count_waiting,
+                                           deep.get(limit))
         for slot, num_tus, policy, model in fallback:
             results[slot] = simulate(index, num_tus=num_tus,
                                      policy=policy, name=name,

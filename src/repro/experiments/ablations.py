@@ -10,9 +10,13 @@
 
 All three ride the shared replay: the replacement sweep replays one
 table-simulator pair per (size, policy) over the finished loop index
-(a columnar walk, shared with figure4), and the CLS sweep feeds one
-bare CLS per capacity with each record batch -- no per-ablation trace
-re-replays.  Every per-workload count is persisted in the derived
+(a columnar walk, shared with figure4), and the CLS sweep holds the
+replay's record batches until finish -- no per-ablation trace
+re-replays.  There, a capacity the canonical loop index proves can
+never overflow (the canonical CLS never overflowed and no pushed
+execution is deeper than the capacity) takes the canonical counts
+without a walk; every other capacity walks the held batches once with
+a bare CLS.  Every per-workload count is persisted in the derived
 store; when all of a workload's counts are there, the pass wants no
 records and the workload needs no replay for it.
 """
@@ -21,9 +25,9 @@ from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
 from repro.analysis.passes import derived_memo
 from repro.core.cls import CurrentLoopStack
-from repro.core.events import ExecutionStart, SingleIteration
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
 from repro.experiments.report import ExperimentResult, TimingMeta
+from repro.obs import collector as obs
 
 REPLACEMENT_SIZES = (2, 4)
 REPLACEMENT_POLICIES = (POLICY_LRU, POLICY_NESTING_AWARE)
@@ -68,43 +72,30 @@ class AblationsAnalysis(Analysis):
         self._waiting_timing = TimingMeta()
         # CLS sweep: capacity -> [overflow drops, executions]
         self._cls = {capacity: [0, 0] for capacity in capacities}
-        self._stacks = {}
-        self._stack_list = ()
+        self._batches = []
 
     def begin(self, ctx):
         if "cls" in self.parts:
-            # The sweep only asks how often each CLS size drops a live
-            # loop, so it feeds bare CurrentLoopStacks (no event list,
-            # no execution records) and counts execution starts.  The
-            # entry matching the session's own capacity is exactly the
-            # canonical detector; it is read from the context at
-            # finish.  Counts already in the derived store skip their
-            # stack's record walk entirely, and with every count there
-            # this workload needs no records at all.
-            self._stacks = {
-                capacity: [CurrentLoopStack(capacity=capacity), 0]
-                for capacity in self.capacities
-                if capacity != ctx.cls_capacity
-                and derived_memo(ctx, _cls_parts(capacity),
-                                 _cls_counts) is None}
-            self._stack_list = tuple(self._stacks.values())
-            self.wants_records = bool(self._stack_list)
+            # The sweep asks how often each CLS size drops a live loop.
+            # The entry matching the session's own capacity is exactly
+            # the canonical detector, read from the context at finish;
+            # so are the sizes finish can prove never overflow.  Only
+            # finish knows which those are, so the record batches are
+            # held until then.  Counts already in the derived store
+            # need no walk, and with every count there this workload
+            # needs no records at all.
+            pending = [capacity for capacity in self.capacities
+                       if capacity != ctx.cls_capacity
+                       and derived_memo(ctx, _cls_parts(capacity),
+                                        _cls_counts) is None]
+            self.wants_records = bool(pending)
+            self._batches = []
 
     def feed_batch(self, batch):
-        # One process_batch call per sweep stack; only execution
-        # starts are counted, so event order within the batch is
-        # irrelevant.
-        for entry in self._stack_list:
-            events = entry[0].process_batch(batch)
-            if events:
-                entry[1] += sum(
-                    1 for event in events
-                    if type(event) is ExecutionStart
-                    or type(event) is SingleIteration)
+        self._batches.append(batch)
 
     def abort(self, ctx):
-        self._stacks = {}
-        self._stack_list = ()
+        self._batches = []
 
     def finish(self, ctx):
         if "replacement" in self.parts:
@@ -131,19 +122,37 @@ class AblationsAnalysis(Analysis):
                 totals = self._cls[capacity]
                 totals[0] += counts[0]
                 totals[1] += counts[1]
-        self._stacks = {}
-        self._stack_list = ()
+        self._batches = []
 
     def _cls_sweep_counts(self, ctx, capacity):
         """``[overflow drops, executions]`` of this workload's CLS of
-        *capacity* entries: its sweep stack, or the canonical detector
-        for the session's own capacity."""
-        entry = self._stacks.get(capacity)
-        if entry is not None:
-            # flush() emits only ExecutionEnds: neither count moves.
-            return [entry[0].overflow_count, entry[1]]
-        return [ctx.detector.cls.overflow_count,
-                len(ctx.index.executions)]
+        *capacity* entries.
+
+        A capacity-c CLS behaves exactly like an unbounded one until
+        that one pushes depth c + 1, and a canonical CLS that never
+        overflowed behaves like an unbounded one throughout.  So when
+        the canonical CLS never overflowed and none of its pushed
+        executions reached depth c + 1, the counts are the canonical
+        ones: no drops, the same executions.  A single iteration
+        reports depth ``len(entries) + 1`` but pushes nothing, so only
+        pushed executions (``iterations != 1``) count.  Any other
+        capacity walks the held batches with a bare stack.
+        """
+        if capacity == ctx.cls_capacity:
+            return [ctx.detector.cls.overflow_count,
+                    len(ctx.index.executions)]
+        executions = ctx.index.executions
+        if ctx.detector.cls.overflow_count == 0 and all(
+                rec.depth <= capacity for rec in executions.values()
+                if rec.iterations != 1):
+            obs.add("cls.sweep_shortcuts")
+            return [0, len(executions)]
+        obs.add("cls.sweep_walks")
+        stack = CurrentLoopStack(capacity=capacity)
+        for batch in self._batches:
+            stack.process_batch(batch)
+        # flush() emits only ExecutionEnds: neither count moves.
+        return [stack.overflow_count, stack.next_exec_id]
 
     # -- the three tables ---------------------------------------------------
 

@@ -10,6 +10,10 @@ import os
 
 import pytest
 
+from repro.analysis import analyze_trace
+from repro.core.cls import CurrentLoopStack
+from repro.core.events import SingleIteration
+from repro.cpu import trace_control_flow
 from repro.experiments import SimulationSession, available_experiments
 from repro.experiments import (
     ablations,
@@ -21,6 +25,13 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.lang import Assign, For, Module, Return, Var, compile_module
+from repro.search.corpus import frontier_names
+from repro.trace.batch import iter_batches
+from repro.trace.io import dump_cf_batches, open_cf_batches
+from repro.workloads.suite import SUITE_ORDER
+
+from reference.cls_sweep import production_sweep, walked_cls_counts
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +208,116 @@ class TestAblations:
         drops = [row[1] for row in result.rows]
         assert all(a >= b for a, b in zip(drops, drops[1:]))
         assert drops[-1] == 0        # 16 entries never overflow
+
+
+class TestCLSCapacityShortcut:
+    """A capacity the canonical loop index proves cannot overflow takes
+    the canonical counts without a walk; every count, shortcut or
+    walked, equals a real bare-stack walk."""
+
+    CAPACITIES = tuple(range(1, 33))
+    BUDGET = 20_000
+    GROUPS = {
+        "analogs": SUITE_ORDER,
+        "frontier": tuple(frontier_names()),
+        "synthetic": tuple("synth-%s-%d" % (profile, seed)
+                           for profile in ("deep-nest", "tiny-loops")
+                           for seed in range(1, 6)),
+    }
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        """Reference counts per (workload, capacity), shared by both
+        session capacities."""
+        return {}
+
+    @pytest.mark.parametrize("session_capacity", (4, 16))
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_counts_equal_a_real_walk(self, walked, group,
+                                      session_capacity):
+        names = self.GROUPS[group]
+        session = SimulationSession(workloads=names, cache_dir=None,
+                                    max_instructions=self.BUDGET,
+                                    cls_capacity=session_capacity)
+        counts, (walks, shortcuts) = production_sweep(
+            session.analyze, self.CAPACITIES)
+        for name in names:
+            batches = list(iter_batches(session.trace(name).records))
+            for capacity in self.CAPACITIES:
+                key = (name, capacity)
+                if key not in walked:
+                    walked[key] = walked_cls_counts(batches, capacity)
+                assert counts[key] == walked[key], key
+        swept = len(names) * (len(self.CAPACITIES) - 1)
+        assert walks + shortcuts == swept
+        assert shortcuts > 0
+
+    def test_single_iteration_depth_does_not_block_the_shortcut(self):
+        """A one-iteration inner loop reports depth 2 but pushes
+        nothing, so a 1-entry CLS never overflows here: the sweep takes
+        the shortcut, and a real walk agrees."""
+        m = Module("t")
+        m.function("main", [], [
+            Assign("acc", 0),
+            For("i", 0, 6, [
+                For("j", 0, 1, [Assign("acc", Var("acc") + Var("j"))]),
+            ]),
+            Return(Var("acc")),
+        ])
+        trace = trace_control_flow(compile_module(m), 100_000)
+        assert trace.halted
+        counts, counters = production_sweep(
+            lambda suite: analyze_trace(suite, trace, name="t"), (1,))
+        batches = list(iter_batches(trace.records))
+        stack = CurrentLoopStack(capacity=16)
+        events = []
+        for batch in batches:
+            stack.process_batch(batch, events)
+        singles = [e.depth for e in events
+                   if type(e) is SingleIteration]
+        assert singles and max(singles) == 2
+        assert counters == (0, 1)
+        assert counts["t", 1] == walked_cls_counts(batches, 1) \
+            == [0, stack.next_exec_id]
+
+    def test_held_batches_outlive_a_multi_chunk_cached_stream(
+            self, tmp_path):
+        """Over a warm trace cache the sweep holds batches decoded from
+        the v3 stream; they must stay valid after the stream moves on
+        to the next chunk."""
+        cache_dir = str(tmp_path)
+        names = ("go", "applu")
+
+        def session():
+            return SimulationSession(workloads=names,
+                                     cache_dir=cache_dir,
+                                     max_instructions=self.BUDGET)
+
+        session().ensure_traced()
+        chunks = []
+        for path in sorted(os.listdir(cache_dir)):
+            if not path.endswith(".cft"):
+                continue
+            # Rewrite each entry in 97-record chunks.
+            path = os.path.join(cache_dir, path)
+            header, stream = open_cf_batches(path)
+            small = [batch.slice(start, min(start + 97, len(batch)))
+                     for batch in stream
+                     for start in range(0, len(batch), 97)]
+            dump_cf_batches(header, small, path)
+            chunks.append(len(small))
+        assert len(chunks) == len(names) and min(chunks) > 10
+
+        warm = session()
+        counts, (walks, _) = production_sweep(warm.analyze, (2, 4))
+        assert warm.stats.cache_hits == len(names)
+        assert warm.stats.replays == len(names)
+        assert walks > 0
+        for name in names:
+            batches = list(iter_batches(warm.trace(name).records))
+            for capacity in (2, 4):
+                assert counts[name, capacity] \
+                    == walked_cls_counts(batches, capacity)
 
 
 class TestReportRendering:

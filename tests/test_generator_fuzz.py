@@ -16,7 +16,12 @@ the whole pipeline leans on:
 4. **tracers agree with the reference** -- both chunked tracers, with
    every block translated on its first entry and at the default
    threshold, emit the columns of the Machine-stepped reference
-   (``tests/reference/tracer.py``).
+   (``tests/reference/tracer.py``);
+5. **the leaping walks agree with a full walk** -- the fused grid
+   equals the per-config engine for IDLE, STR and STR(1..3) at 2 and
+   4 TUs under the ideal and an overhead model, and the CLS-capacity
+   sweep, shortcut or walked, equals a real bare-stack walk
+   (``tests/reference/cls_sweep.py``) at capacities 1 to 8.
 
 The sample stream is seeded from ``REPRO_FUZZ_SEED`` (default 2024),
 so a CI failure is reproduced locally by exporting the seed the
@@ -28,11 +33,17 @@ import os
 
 import pytest
 
+from repro.analysis import analyze_trace
+from repro.core import LoopDetector
+from repro.core.speculation import simulate, simulate_grid
+from repro.cpu import trace_control_flow
 from repro.cpu import tracer as tracer_mod
 from repro.pipeline.cache import TraceCache, program_fingerprint
+from repro.trace.batch import iter_batches
 from repro.util.rng import Xorshift64
 from repro.workloads.synthetic import make_workload, random_profile
 
+from reference.cls_sweep import production_sweep, walked_cls_counts
 from reference.tracer import ReferenceTracer, outcome
 
 #: Sampled (profile, seed) grid: N profiles x M seeds.
@@ -124,3 +135,37 @@ def test_tracers_match_reference(profile, seed, monkeypatch):
             assert outcome(cls(program, budget, chunk_size=97)) \
                 == expected, "%s HOT_ENTRIES=%d (REPRO_FUZZ_SEED=%d)" \
                 % (cls.__name__, hot, FUZZ_SEED)
+
+
+#: Property 5's grid: the policies whose walks leap, x 2 TU counts x
+#: the ideal machine and an overhead model.
+LEAP_CONFIGS = [(tus, policy, timing)
+                for policy in ("idle", "str", "str(1)", "str(2)",
+                               "str(3)")
+                for tus in (2, 4)
+                for timing in (None, "overhead:spawn=8,squash=4,promote=1")]
+LEAP_CLS_CAPACITIES = tuple(range(1, 9))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("profile", PROFILES, ids=_ids(PROFILES))
+def test_leaping_walks_match_full_walks(profile, seed):
+    budget = min(profile.default_max_instructions, DIFFERENTIAL_BUDGET)
+    trace = trace_control_flow(make_workload(profile, seed).program(),
+                               budget)
+    index = LoopDetector().run(trace)
+    grid = simulate_grid(index, LEAP_CONFIGS, name="fuzz")
+    for (tus, policy, timing), got in zip(LEAP_CONFIGS, grid):
+        ref = simulate(index, num_tus=tus, policy=policy, name="fuzz",
+                       timing=timing)
+        assert got.state() == ref.state(), \
+            "%s at %d TUs, %s (REPRO_FUZZ_SEED=%d)" \
+            % (policy, tus, timing, FUZZ_SEED)
+    counts, _ = production_sweep(
+        lambda suite: analyze_trace(suite, trace, name="fuzz"),
+        LEAP_CLS_CAPACITIES)
+    batches = list(iter_batches(trace.records))
+    for capacity in LEAP_CLS_CAPACITIES:
+        assert counts["fuzz", capacity] \
+            == walked_cls_counts(batches, capacity), \
+            "CLS capacity %d (REPRO_FUZZ_SEED=%d)" % (capacity, FUZZ_SEED)

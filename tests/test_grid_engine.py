@@ -5,10 +5,12 @@ bit-identical to N independent :func:`~repro.core.speculation.
 simulate` calls for *any* config list -- fused configurations through
 the shared-walk columns, everything else through the per-config
 fallback.  These tests pin that promise across every policy, every
-timing model family, the analog workloads, the committed frontier
-corpus, and the degenerate shapes (loop-free indexes, zero-trip
-loops, single TU, empty config lists, fused/fallback mixes inside one
-call), and pin that the sensitivity-shaped grid fuses every cell.
+timing model family, every analog workload (with the result
+invariants of ``tests/reference/invariants.py`` checked on every
+fused cell), the committed frontier corpus, and the degenerate
+shapes (loop-free indexes, zero-trip loops, single TU, empty config
+lists, fused/fallback mixes inside one call), and pin that the
+sensitivity-shaped grid fuses every cell.
 """
 
 import itertools
@@ -30,6 +32,10 @@ from repro.lang import (
 from repro.obs.collector import Collector, activate, deactivate
 from repro.pipeline import SimulationSession
 from repro.search.corpus import frontier_names
+from repro.timing.models import OverheadTiming
+from repro.workloads.suite import SUITE_ORDER
+
+from reference.invariants import check_result
 
 #: Every policy the engine accepts ("all" is the oracle -- always a
 #: fallback config) and every timing model family (width/classcost
@@ -229,6 +235,55 @@ class TestSensitivityShapedGrid:
         assert "engine.fallback_cells" not in collector.counters
 
 
+class TestAnalogDifferential:
+    """Every analog through the fused walk: IDLE, STR and the nested-
+    squash limits STR(1), STR(2), STR(3) and STR(5), TUs 1 to 16, the
+    ideal machine and an overhead model, with and without waiting
+    credit.  Each fused cell must be state-equal to its per-config
+    engine run and obey the result invariants
+    (``tests/reference/invariants.py``); a zero-cost overhead column
+    rides along to check that pricing nothing changes nothing."""
+
+    POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)", "str(5)")
+    TU_COUNTS = (1, 2, 4, 16)
+    OVERHEAD = "overhead:spawn=8,squash=4,promote=1"
+    BUDGET = 30_000
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return SimulationSession(workloads=SUITE_ORDER, cache_dir=None,
+                                 max_instructions=self.BUDGET)
+
+    @pytest.mark.parametrize("count_waiting", (True, False),
+                             ids=("waiting", "executing"))
+    @pytest.mark.parametrize("name", SUITE_ORDER)
+    def test_fused_cells_match_engine_and_invariants(
+            self, session, name, count_waiting):
+        index = session.index(name)
+        pairs = list(itertools.product(self.TU_COUNTS, self.POLICIES))
+        zero_cost = OverheadTiming()
+        configs = [(tus, policy, timing)
+                   for timing in (None, self.OVERHEAD, zero_cost)
+                   for tus, policy in pairs]
+        collector = activate(Collector())
+        try:
+            grid = simulate_grid(index, configs, name=name,
+                                 count_waiting=count_waiting)
+        finally:
+            deactivate()
+        assert collector.counters.get("engine.fused_cells") \
+            == len(configs)
+        ideal = grid[:len(pairs)]
+        for slot, ((tus, policy, timing), got) in enumerate(
+                zip(configs, grid)):
+            ref = simulate(index, num_tus=tus, policy=policy, name=name,
+                           timing=timing, count_waiting=count_waiting)
+            assert got.state() == ref.state(), (tus, policy, timing)
+            assert check_result(got, timing,
+                                ideal[slot % len(pairs)]) == [], \
+                (tus, policy, timing)
+
+
 class TestFrontierCorpus:
     """Every committed adversarial case through the fused walk."""
 
@@ -239,5 +294,6 @@ class TestFrontierCorpus:
         index = session.index(name)
         configs = [(2, "str", None), (4, "str(3)", "overhead:spawn=8"),
                    (4, "idle", "overhead:spawn=2,squash=4,promote=1"),
-                   (1, "str", None)]
+                   (1, "str", None), (4, "str(1)", None),
+                   (2, "str(2)", "overhead:spawn=8,squash=4,promote=1")]
         assert_grid_matches(index, configs)

@@ -478,6 +478,22 @@ class TestRunnerMetricsCLI:
             assert re.search(r"%s\s+%s" % (re.escape(name),
                                             counters[name]), out)
 
+    def test_cls_sweep_walks_and_shortcuts_counted(self, tmp_path,
+                                                   capsys):
+        """A cold ablations run counts, per workload and swept CLS
+        capacity (2, 4, 8; 16 is the canonical detector), whether the
+        canonical index answered it or a bare stack walked: swim nests
+        2 deep, so all three take the shortcut; go nests 7 deep and
+        walks capacities 2 and 4."""
+        metrics = str(tmp_path / "run.json")
+        assert runner_main(["ablations", "--workloads", "swim,go",
+                            "--cache-dir", str(tmp_path / "cache"),
+                            "--metrics", metrics]) == 0
+        capsys.readouterr()
+        counters = load_manifest(metrics)["counters"]
+        assert counters["cls.sweep_shortcuts"] == 3 + 1
+        assert counters["cls.sweep_walks"] == 2
+
     def test_timeline_flag_prints_breakdown(self, tmp_path, capsys):
         args = self.ARGS + ["--cache-dir", str(tmp_path / "c"),
                             "--timeline"]
