@@ -315,15 +315,22 @@ def shared_dataspec_stats(ctx, max_instructions):
     :class:`~repro.trace.batch.FullBatch` columns straight into
     :meth:`~repro.core.dataspec.stats.DataSpeculationAnalyzer.
     analyze_batches`, so the full per-instruction trace is never
-    materialized.
+    materialized.  A computed study runs in a ``dataspec`` span and
+    adds its instructions and loop iterations to the
+    ``dataspec.instructions``/``dataspec.iterations`` counters.
     """
     def analyzed():
         from repro.cpu.tracer import ChunkedFullTracer
 
-        tracer = ChunkedFullTracer(ctx.workload.program(ctx.scale),
-                                   max_instructions)
-        analyzer = DataSpeculationAnalyzer(cls_capacity=ctx.cls_capacity)
-        return analyzer.analyze_batches(tracer.batches(), ctx.name)
+        with obs.span("dataspec", workload=ctx.name):
+            tracer = ChunkedFullTracer(ctx.workload.program(ctx.scale),
+                                       max_instructions)
+            analyzer = DataSpeculationAnalyzer(
+                cls_capacity=ctx.cls_capacity)
+            stats = analyzer.analyze_batches(tracer.batches(), ctx.name)
+        obs.add("dataspec.instructions", tracer.total_instructions)
+        obs.add("dataspec.iterations", stats.total_iterations)
+        return stats
 
     return derived_memo(ctx, (_DATASPEC_KEY, max_instructions),
                         DataSpecStats.from_state, analyzed,

@@ -183,37 +183,59 @@ class CurrentLoopStack:
 
     def _process_taken(self, seq, pc, target):
         entries = self.entries
-        if target <= pc:
-            # Backward transfer: the loop-closing case.
-            index = self._find(target)
-            if index is not None:
-                events = []
-                # Everything nested above the iterating loop terminates.
-                while len(entries) - 1 > index:
-                    inner = entries.pop()
-                    events.append(self._end_event(seq, inner,
-                                                  EndReason.OUTER))
-                entry = entries[index]
+        # Quick reject: the exit rule ends only entries with
+        # t <= pc <= b that do not contain target, i.e. with b < target
+        # for a forward transfer and target < t for a backward one.
+        # Most transfers match no entry and skip the rule's rebuild.
+        if target > pc:
+            # Forward taken transfer: only the exit rule applies.
+            for entry in entries:
+                if entry.t <= pc <= entry.b < target:
+                    return self._apply_exit_rule(seq, pc, target)
+            return ()
+        for entry in entries:
+            if target < entry.t <= pc <= entry.b:
+                break
+        else:
+            # Nothing exits: iterate the innermost loop, or push.
+            if entries and entries[-1].t == target:
+                entry = entries[-1]
                 if pc > entry.b:
                     entry.b = pc
                 entry.iteration += 1
                 entry.iter_start_seq = seq
-                events.append(IterationStart(seq, entry.t, entry.exec_id,
-                                             entry.iteration))
-                # The exit rule still applies to the loops that remain
-                # stacked below: an overlapped loop whose body contains
-                # this branch but not its target terminates (definition
-                # rule ii; see Figure 2d's interleaved executions).
-                events.extend(self._apply_exit_rule(seq, pc, target,
-                                                    skip=entry))
-                return events
-            # New loop: first apply the exit rule (this transfer may
-            # leave other loops' bodies), then push.
-            events = self._apply_exit_rule(seq, pc, target)
-            events.extend(self._push(seq, target, pc))
+                return [IterationStart(seq, target, entry.exec_id,
+                                       entry.iteration)]
+            if self._find(target) is None:
+                return self._push(seq, target, pc)
+        # Backward transfer: the loop-closing case.
+        index = self._find(target)
+        if index is not None:
+            events = []
+            # Everything nested above the iterating loop terminates.
+            while len(entries) - 1 > index:
+                inner = entries.pop()
+                events.append(self._end_event(seq, inner,
+                                              EndReason.OUTER))
+            entry = entries[index]
+            if pc > entry.b:
+                entry.b = pc
+            entry.iteration += 1
+            entry.iter_start_seq = seq
+            events.append(IterationStart(seq, entry.t, entry.exec_id,
+                                         entry.iteration))
+            # The exit rule still applies to the loops that remain
+            # stacked below: an overlapped loop whose body contains
+            # this branch but not its target terminates (definition
+            # rule ii; see Figure 2d's interleaved executions).
+            events.extend(self._apply_exit_rule(seq, pc, target,
+                                                skip=entry))
             return events
-        # Forward taken transfer: only the exit rule applies.
-        return self._apply_exit_rule(seq, pc, target)
+        # New loop: first apply the exit rule (this transfer may
+        # leave other loops' bodies), then push.
+        events = self._apply_exit_rule(seq, pc, target)
+        events.extend(self._push(seq, target, pc))
+        return events
 
     def _process_not_taken(self, seq, pc, target):
         if target is None or target > pc:

@@ -1,14 +1,10 @@
 """Data-speculation study: path profiles and live-in predictability."""
 
-from repro.core.dataspec.livein import IterationObservation, IterationTracker
-from repro.core.dataspec.paths import PathProfile, PathSignature
+from repro.core.dataspec.paths import PathProfile
 from repro.core.dataspec.stats import DataSpecStats, DataSpeculationAnalyzer
 
 __all__ = [
-    "IterationObservation",
-    "IterationTracker",
     "PathProfile",
-    "PathSignature",
     "DataSpecStats",
     "DataSpeculationAnalyzer",
 ]

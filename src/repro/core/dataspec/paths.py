@@ -7,31 +7,15 @@ iterations, which underpins live-in value speculation: same-path
 iterations see the same live-in sets.
 """
 
-#: The incremental path-hash parameters.  The batched collect loop in
-#: :mod:`repro.core.dataspec.stats` folds the same hash inline; both
-#: sides must use these constants or the reference and columnar
-#: front ends stop producing comparable digests.
+#: The incremental path-hash parameters: a path's digest folds
+#: ``pc * 2 + taken`` of each control transfer into
+#: ``(hash * HASH_MULTIPLIER) ^ token`` from ``HASH_SEED``, masked to
+#: 61 bits, and pairs the hash with the transfer count.  The study in
+#: :mod:`repro.core.dataspec.stats` folds it inline; the test oracle
+#: uses the same constants, so the two produce comparable digests.
 HASH_SEED = 0x345678
 HASH_MULTIPLIER = 1000003
 _HASH_MASK = (1 << 61) - 1
-
-
-class PathSignature:
-    """Incrementally hashes an iteration's control-flow path."""
-
-    __slots__ = ("value", "length")
-
-    def __init__(self):
-        self.value = HASH_SEED
-        self.length = 0
-
-    def update(self, pc, taken):
-        token = pc * 2 + (1 if taken else 0)
-        self.value = ((self.value * HASH_MULTIPLIER) ^ token) & _HASH_MASK
-        self.length += 1
-
-    def digest(self):
-        return (self.value, self.length)
 
 
 class PathProfile:

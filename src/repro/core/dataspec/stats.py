@@ -1,21 +1,28 @@
 """The data-speculation study (paper section 4, Figure 8).
 
-Pipeline: replay a full trace through the loop detector while tracking,
-for every in-flight loop iteration, its control-flow path and live-in
-registers / memory locations.  Then, per loop:
+One pass over a full trace: the loop detector walks its control rows
+while every in-flight loop iteration collects its control-flow path and
+its live-in registers and memory locations.  A live-in register is one
+read before it is written within the iteration; a live-in memory
+location is one loaded before it is stored, keyed by the static load pc
+(what a LIT would use to associate history across iterations) with both
+its address and value kept so each can be stride-predicted.
 
-* find the most frequent path;
-* walk the loop's iterations chronologically, predicting each live-in
-  as ``last value + stride of the last two iterations`` (unbounded
-  LIT/LET capacity, as the paper assumes for these figures);
-* score predictions only on iterations following the most frequent path
-  (the paper's methodology), while updating history on every iteration.
+When an iteration ends it is scored at once against its loop's
+histories, predicting each live-in as ``last value + stride of the last
+two iterations`` (:class:`~repro.core.predictors.LastPlusStride`,
+unbounded LIT/LET capacity as the paper assumes for these figures), and
+the histories are updated from it.  The scores accumulate per
+``(loop, path)``; at the end each loop contributes only the bucket of
+its most frequent path (the paper's methodology), while history was
+updated on every iteration.
 """
 
-from repro.core.cls import CurrentLoopStack
+from array import array
+from itertools import compress, groupby
+from operator import attrgetter
+
 from repro.core.detector import LoopDetector
-from repro.core.dataspec.livein import IterationObservation, \
-    IterationTracker
 from repro.core.dataspec.paths import (
     HASH_MULTIPLIER,
     HASH_SEED,
@@ -23,7 +30,8 @@ from repro.core.dataspec.paths import (
     PathProfile,
 )
 from repro.core.events import ExecutionEnd, IterationStart
-from repro.core.predictors import LastPlusStride
+from repro.isa.registers import NUM_REGISTERS
+from repro.trace.batch import FullBatch, RecordBatch
 
 
 class DataSpecStats:
@@ -114,8 +122,10 @@ class DataSpecStats:
 
         Raises ``KeyError``/``TypeError`` on malformed input and
         ``ValueError`` on counters no analysis can produce (a negative
-        count, or any ratio above 100%); derived caches treat any of
-        them as a miss.
+        count, any ratio above 100%, or a broken identity: the study
+        evaluates exactly the most-frequent-path iterations and scores
+        an address for every live-in memory value); derived caches
+        treat any of them as a miss.
         """
         stats = cls(state["name"])
         for field in cls.COUNTER_FIELDS:
@@ -133,6 +143,9 @@ class DataSpecStats:
                 and max(stats.all_lr_count, stats.all_lm_count,
                         stats.all_data_count) <= evaluated):
             raise ValueError("data-speculation counters out of range")
+        if evaluated != stats.mfp_iterations \
+                or stats.lm_addr_total != stats.lm_total:
+            raise ValueError("data-speculation counters inconsistent")
         return stats
 
     def as_row(self):
@@ -148,250 +161,236 @@ class DataSpecStats:
                    100 * self.lm_pred, 100 * self.all_data))
 
 
-class _BatchTracker:
-    """One in-flight iteration's state for the columnar collect loop.
+class _Tracker:
+    """One in-flight iteration: its start, its path hash so far, and
+    the live-ins captured so far.
 
-    Unlike :class:`~repro.core.dataspec.livein.IterationTracker` it
-    keeps no written-register/written-address sets: the batched
-    pass tracks the *global* last-write sequence per register and
-    address instead, and an operand is live-in exactly when its last
-    write is not after the iteration's start (``lw <= start``).  The
-    path signature is folded inline.
+    ``branches`` is the pass's control-transfer count when the
+    iteration started, so the path length is a difference at the end.
     """
 
-    __slots__ = ("loop", "exec_id", "iteration", "start", "sigval",
-                 "siglen", "live_regs", "live_mem")
+    __slots__ = ("loop", "start", "branches", "sigval", "live_regs",
+                 "live_mem")
 
-    def __init__(self, loop, exec_id, iteration, start):
+    def __init__(self, loop, start, branches):
         self.loop = loop
-        self.exec_id = exec_id
-        self.iteration = iteration
         self.start = start
-        self.sigval = HASH_SEED         # PathSignature's parameters
-        self.siglen = 0
+        self.branches = branches
+        self.sigval = HASH_SEED
         self.live_regs = {}
         self.live_mem = {}
+
+
+_start_of = attrgetter("start")
+_seq_of = attrgetter("seq")
+
+
+def _score(bucket, histories, t):
+    """Score iteration *t*'s live-ins against its loop's
+    last-plus-stride *histories* into the :class:`DataSpecStats`
+    *bucket*, then fold them in.
+
+    Each history is ``[last, prev]``; a prediction needs both
+    (:class:`~repro.core.predictors.LastPlusStride`).  Scoring before
+    updating is per key, so one loop over the live-ins does both.
+    """
+    regs, values, addrs = histories
+    bucket.evaluated_iterations += 1
+    bucket.lr_total += len(t.live_regs)
+    bucket.lm_total += len(t.live_mem)
+    regs_all = True
+    for reg, value in t.live_regs.items():
+        hist = regs.get(reg)
+        if hist is None:
+            regs[reg] = [value, None]
+            regs_all = False
+            continue
+        last, prev = hist
+        if prev is not None and last + (last - prev) == value:
+            bucket.lr_correct += 1
+        else:
+            regs_all = False
+        hist[0] = value
+        hist[1] = last
+    mem_all = True
+    for pc, (addr, value) in t.live_mem.items():
+        hist = values.get(pc)
+        if hist is None:
+            values[pc] = [value, None]
+            addrs[pc] = [addr, None]
+            mem_all = False
+            continue
+        last, prev = hist
+        if prev is not None and last + (last - prev) == value:
+            bucket.lm_correct += 1
+        else:
+            mem_all = False
+        hist[0] = value
+        hist[1] = last
+        hist = addrs[pc]
+        last, prev = hist
+        if prev is not None and last + (last - prev) == addr:
+            bucket.lm_addr_correct += 1
+        hist[0] = addr
+        hist[1] = last
+    if regs_all:
+        bucket.all_lr_count += 1
+    if mem_all:
+        bucket.all_lm_count += 1
+        if regs_all:
+            bucket.all_data_count += 1
 
 
 class DataSpeculationAnalyzer:
     """Runs the section-4 study over a full trace.
 
-    Two equivalent front ends: :meth:`analyze` consumes a materialized
-    :class:`~repro.trace.stream.FullTrace` (the reference
-    implementation), :meth:`analyze_batches` streams
-    :class:`~repro.trace.batch.FullBatch` columns from a
-    :class:`~repro.cpu.tracer.ChunkedFullTracer` without ever building
-    a record object -- the pipeline's path.  Equivalence is pinned by
-    tests.
+    :meth:`analyze_batches` streams
+    :class:`~repro.trace.batch.FullBatch` columns (from a
+    :class:`~repro.cpu.tracer.ChunkedFullTracer`) without ever building
+    a record object; :meth:`analyze` adapts a materialized
+    :class:`~repro.trace.stream.FullTrace` to it.  The per-record
+    two-pass study it replaced is the test oracle in
+    ``tests/reference/dataspec.py``.
     """
 
     def __init__(self, cls_capacity=16):
         self.cls_capacity = cls_capacity
 
     def analyze(self, full_trace, name="workload"):
-        observations_by_loop, profile = self._collect(full_trace)
-        return self._evaluate(observations_by_loop, profile, name)
+        return self.analyze_batches(
+            [FullBatch.from_records(full_trace.records)], name)
 
     def analyze_batches(self, batches, name="workload"):
         """Run the study over an iterable of
         :class:`~repro.trace.batch.FullBatch` (must cover every
-        executed instruction contiguously from sequence 0)."""
-        observations_by_loop, profile = self._collect_batches(batches)
-        return self._evaluate(observations_by_loop, profile, name)
+        executed instruction contiguously from sequence 0).
 
-    # -- pass 1: per-iteration observation ----------------------------------
+        Each batch's control rows go through a
+        :class:`~repro.core.detector.LoopDetector` first; the batch's
+        loop events carry seqs inside the batch, and the row loop
+        applies them as it reaches their seq.  An instruction belongs
+        to the iterations in flight *before* the events it causes (a
+        closing branch is part of the iteration it ends).
 
-    def _collect(self, full_trace):
-        detector = LoopDetector(cls_capacity=self.cls_capacity)
-        trackers = {}                 # exec_id -> IterationTracker
-        observations = {}             # loop -> [IterationObservation]
-        profile = PathProfile()
-
-        def finalize(tracker):
-            obs = tracker.finalize()
-            profile.record(obs.loop, obs.path)
-            observations.setdefault(obs.loop, []).append(obs)
-
-        for record in full_trace.records:
-            # The instruction belongs to the iterations in flight *before*
-            # any loop event it triggers (a closing branch is part of the
-            # iteration it ends).
-            if trackers:
-                for tracker in trackers.values():
-                    tracker.observe(record)
-            if record.kind:
-                events = detector.feed(record)
-                for event in events:
-                    etype = type(event)
-                    if etype is IterationStart:
-                        old = trackers.get(event.exec_id)
-                        if old is not None:
-                            finalize(old)
-                        trackers[event.exec_id] = IterationTracker(
-                            event.loop, event.exec_id, event.iteration)
-                    elif etype is ExecutionEnd:
-                        old = trackers.pop(event.exec_id, None)
-                        if old is not None:
-                            finalize(old)
-        for event in detector.finish(full_trace.total_instructions):
-            if type(event) is ExecutionEnd:
-                old = trackers.pop(event.exec_id, None)
-                if old is not None:
-                    finalize(old)
-        return observations, profile
-
-    def _collect_batches(self, batches):
-        """Columnar twin of :meth:`_collect`.
-
-        Per instruction the loop touches only the populated effect
-        slots; register/address write *sets* per iteration are replaced
-        by two global last-write maps, so stores and register writes
-        cost one dict assignment regardless of how many iterations are
-        in flight.  Event handling, finalization order and the
-        resulting observations are identical to the per-record pass.
+        Live-in capture reads one stamp per location instead of
+        scanning every in-flight iteration.  A register's stamp is the
+        seq of its latest read *or* write: an iteration that started
+        at or after the stamp has neither read nor written it, so it
+        captures the read; an older one either already holds the value
+        or had it written first.  ``live`` is ordered latest start
+        first, so the scan stops at the first older iteration.  A read
+        or write at an iteration's starting seq happened in the
+        iteration before, hence ``>=``.  Memory live-ins are keyed by
+        load pc but blocked by address, so only the per-address store
+        stamp bounds the scan and each iteration still checks the pc.
         """
-        cls = CurrentLoopStack(capacity=self.cls_capacity)
-        process = cls.process
-        trackers = {}                 # exec_id -> _BatchTracker
-        live = ()                     # tuple view of trackers.values()
-        observations = {}             # loop -> [IterationObservation]
+        detector = LoopDetector(cls_capacity=self.cls_capacity)
+        detect = detector.feed_batch
         profile = PathProfile()
         record_path = profile.record
-        last_reg_write = {}           # reg -> seq of latest write
-        last_mem_write = {}           # addr -> seq of latest store
-        rw_get = last_reg_write.get
-        mw_get = last_mem_write.get
+        buckets = {}                  # (loop, path digest) -> stats
+        histories = {}                # loop -> (regs, mem values, addrs)
+        trackers = {}                 # exec_id -> _Tracker
+        live = []                     # trackers, latest start first
+        newest = -2                   # live[0].start; -2 when none
+        reg_stamp = [-1] * NUM_REGISTERS  # seq of latest read or write
+        mem_stamp = {}                # addr -> seq of latest store
+        ms_get = mem_stamp.get
         hash_mask = _HASH_MASK
         hash_mult = HASH_MULTIPLIER
-        seq = 0
+        base = 0                      # the batch's first seq
+        branches = 0
 
-        def finalize(t):
-            digest = (t.sigval, t.siglen)
-            record_path(t.loop, digest)
-            obs = IterationObservation(t.loop, t.exec_id, t.iteration,
-                                       digest, t.live_regs, t.live_mem)
-            observations.setdefault(t.loop, []).append(obs)
+        def apply(events):
+            """Apply loop events in order, scoring every iteration
+            they end; returns the new ``live``."""
+            for event in events:
+                etype = type(event)
+                if etype is IterationStart:
+                    old = trackers.get(event.exec_id)
+                    trackers[event.exec_id] = _Tracker(
+                        event.loop, event.seq, branches)
+                elif etype is ExecutionEnd:
+                    old = trackers.pop(event.exec_id, None)
+                else:
+                    continue
+                if old is None:
+                    continue
+                loop = old.loop
+                digest = (old.sigval, branches - old.branches)
+                record_path(loop, digest)
+                bucket = buckets.get((loop, digest))
+                if bucket is None:
+                    bucket = buckets[loop, digest] = DataSpecStats()
+                history = histories.get(loop)
+                if history is None:
+                    history = histories[loop] = ({}, {}, {})
+                _score(bucket, history, old)
+            return sorted(trackers.values(), key=_start_of, reverse=True)
 
         for batch in batches:
-            for pc, kind, taken, target, r1, v1, r2, v2, w, ma, mv, wa \
-                    in zip(batch.pcs, batch.kinds, batch.takens,
-                           batch.targets, batch.rr1, batch.rv1,
-                           batch.rr2, batch.rv2, batch.wr, batch.mra,
-                           batch.mrv, batch.mwa):
-                # The instruction belongs to the iterations in flight
-                # *before* any loop event it triggers (a closing branch
-                # is part of the iteration it ends).
-                if live:
-                    if r1 >= 0:
-                        lw = rw_get(r1, -1)
+            kinds = batch.kinds
+            n = len(kinds)
+            control = RecordBatch(
+                array("q", compress(range(base, base + n), kinds)),
+                array("q", compress(batch.pcs, kinds)),
+                array("b", compress(kinds, kinds)),
+                array("b", compress(batch.takens, kinds)),
+                array("q", compress(batch.targets, kinds)))
+            events = groupby(detect(control), _seq_of)
+            next_seq, group = next(events, (-1, None))
+            for seq, pc, kind, taken, r1, v1, r2, v2, w, ma, mv, wa \
+                    in zip(range(base, base + n), batch.pcs, kinds,
+                           batch.takens, batch.rr1, batch.rv1, batch.rr2,
+                           batch.rv2, batch.wr, batch.mra, batch.mrv,
+                           batch.mwa):
+                if r1 >= 0:
+                    stamp = reg_stamp[r1]
+                    reg_stamp[r1] = seq
+                    if stamp <= newest:
                         for t in live:
-                            if lw <= t.start and r1 not in t.live_regs:
-                                t.live_regs[r1] = v1
-                    if r2 >= 0:
-                        lw = rw_get(r2, -1)
+                            if t.start < stamp:
+                                break
+                            t.live_regs[r1] = v1
+                if r2 >= 0:
+                    stamp = reg_stamp[r2]
+                    reg_stamp[r2] = seq
+                    if stamp <= newest:
                         for t in live:
-                            if lw <= t.start and r2 not in t.live_regs:
-                                t.live_regs[r2] = v2
-                    if ma is not None:
-                        lw = mw_get(ma, -1)
+                            if t.start < stamp:
+                                break
+                            t.live_regs[r2] = v2
+                if ma is not None:
+                    stamp = ms_get(ma, -1)
+                    if stamp <= newest:
+                        entry = (ma, mv)
                         for t in live:
-                            if lw <= t.start and pc not in t.live_mem:
-                                t.live_mem[pc] = (ma, mv)
+                            if t.start < stamp:
+                                break
+                            if pc not in t.live_mem:
+                                t.live_mem[pc] = entry
                 if w >= 0:
-                    last_reg_write[w] = seq
+                    reg_stamp[w] = seq
                 if wa is not None:
-                    last_mem_write[wa] = seq
+                    mem_stamp[wa] = seq
                 if kind:
+                    branches += 1
                     if live:
                         token = pc * 2 + taken
                         for t in live:
                             t.sigval = ((t.sigval * hash_mult) ^ token) \
                                 & hash_mask
-                            t.siglen += 1
-                    events = process(seq, pc, kind, taken,
-                                     None if target < 0 else target)
-                    if events:
-                        for event in events:
-                            etype = type(event)
-                            if etype is IterationStart:
-                                old = trackers.get(event.exec_id)
-                                if old is not None:
-                                    finalize(old)
-                                trackers[event.exec_id] = _BatchTracker(
-                                    event.loop, event.exec_id,
-                                    event.iteration, seq)
-                            elif etype is ExecutionEnd:
-                                old = trackers.pop(event.exec_id, None)
-                                if old is not None:
-                                    finalize(old)
-                        live = tuple(trackers.values())
-                seq += 1
-        for event in cls.flush(seq):
-            if type(event) is ExecutionEnd:
-                old = trackers.pop(event.exec_id, None)
-                if old is not None:
-                    finalize(old)
-        return observations, profile
-
-    # -- pass 2: predictability scoring ---------------------------------------
-
-    def _evaluate(self, observations_by_loop, profile, name):
+                    if seq == next_seq:
+                        live = apply(group)
+                        newest = live[0].start if live else -2
+                        next_seq, group = next(events, (-1, None))
+            base += n
+        apply(detector.finish(base))
+        # Each loop counts the iterations on its most frequent path.
         stats = DataSpecStats(name)
+        for loop in profile.counts:
+            stats.merge(buckets[loop, profile.most_frequent(loop)])
         stats.total_iterations = profile.total_iterations()
-        stats.mfp_iterations = profile.total_most_frequent()
-
-        for loop, observations in observations_by_loop.items():
-            mfp = profile.most_frequent(loop)
-            reg_hist = {}            # reg -> LastPlusStride
-            mem_val_hist = {}        # load pc -> LastPlusStride
-            mem_addr_hist = {}       # load pc -> LastPlusStride
-            for obs in observations:
-                if obs.path == mfp:
-                    self._score(stats, obs, reg_hist, mem_val_hist,
-                                mem_addr_hist)
-                for reg, value in obs.live_regs.items():
-                    hist = reg_hist.get(reg)
-                    if hist is None:
-                        hist = reg_hist[reg] = LastPlusStride()
-                    hist.update(value)
-                for pc, (addr, value) in obs.live_mem.items():
-                    vhist = mem_val_hist.get(pc)
-                    if vhist is None:
-                        vhist = mem_val_hist[pc] = LastPlusStride()
-                        mem_addr_hist[pc] = LastPlusStride()
-                    vhist.update(value)
-                    mem_addr_hist[pc].update(addr)
+        stats.mfp_iterations = stats.evaluated_iterations
+        stats.lm_addr_total = stats.lm_total
         return stats
-
-    @staticmethod
-    def _score(stats, obs, reg_hist, mem_val_hist, mem_addr_hist):
-        stats.evaluated_iterations += 1
-        regs_all = True
-        for reg, value in obs.live_regs.items():
-            stats.lr_total += 1
-            hist = reg_hist.get(reg)
-            if hist is not None and hist.ready \
-                    and hist.predict() == value:
-                stats.lr_correct += 1
-            else:
-                regs_all = False
-        mem_all = True
-        for pc, (addr, value) in obs.live_mem.items():
-            stats.lm_total += 1
-            stats.lm_addr_total += 1
-            vhist = mem_val_hist.get(pc)
-            if vhist is not None and vhist.ready \
-                    and vhist.predict() == value:
-                stats.lm_correct += 1
-            else:
-                mem_all = False
-            ahist = mem_addr_hist.get(pc)
-            if ahist is not None and ahist.ready \
-                    and ahist.predict() == addr:
-                stats.lm_addr_correct += 1
-        if regs_all:
-            stats.all_lr_count += 1
-        if mem_all:
-            stats.all_lm_count += 1
-        if regs_all and mem_all:
-            stats.all_data_count += 1

@@ -15,6 +15,7 @@ from bisect import bisect_right
 
 from repro.core.cls import CurrentLoopStack, DEFAULT_CAPACITY
 from repro.core.events import (
+    EndReason,
     ExecutionEnd,
     ExecutionStart,
     IterationStart,
@@ -185,6 +186,36 @@ class LoopIndex:
             columns = self._columns = EventColumns(self.events)
         return columns
 
+    def prefix(self, limit):
+        """The index a detector of the same capacity builds from only
+        the records with ``seq < limit``, read from this one.
+
+        The CLS state after those records is the canonical one at that
+        point, so their events are the canonical events with
+        ``seq < limit``.  Finishing at *limit* then flushes every
+        execution still open, innermost (latest pushed, so highest
+        ``exec_id``) first, with its iteration count: one undetected
+        first iteration plus one per iteration start.
+        """
+        events = self.events
+        lo, hi = 0, len(events)
+        while lo < hi:                # seqs never decrease
+            mid = (lo + hi) // 2
+            if events[mid].seq < limit:
+                lo = mid + 1
+            else:
+                hi = mid
+        events = events[:lo]
+        executions = {}
+        _record(executions, events)
+        flush = [ExecutionEnd(limit, rec.loop, rec.exec_id,
+                              1 + len(rec.iter_seqs), EndReason.FLUSH)
+                 for rec in reversed(executions.values())
+                 if rec.end_seq is None]
+        _record(executions, flush)
+        return LoopIndex(executions, events + flush, limit,
+                         self.cls_capacity)
+
     def execution(self, exec_id):
         return self.executions[exec_id]
 
@@ -276,31 +307,31 @@ class LoopDetector:
         return LoopIndex(self.executions, self.events, total_instructions,
                          self.cls.capacity)
 
-    # -- event bookkeeping ---------------------------------------------------
-
     def _absorb(self, events):
-        executions = self.executions
-        for event in events:
-            if type(event) is IterationStart:
-                rec = executions.get(event.exec_id)
-                if rec is not None:
-                    rec.iter_seqs.append(event.seq)
-                else:
-                    # First IterationStart arrives with ExecutionStart.
-                    pass
-            elif type(event) is ExecutionStart:
-                executions[event.exec_id] = LoopExecutionRecord(
-                    event.exec_id, event.loop, event.seq, event.depth)
-            elif type(event) is ExecutionEnd:
-                rec = executions.get(event.exec_id)
-                if rec is not None:
-                    rec.end_seq = event.seq
-                    rec.iterations = event.iterations
-                    rec.reason = event.reason
-            elif type(event) is SingleIteration:
-                rec = LoopExecutionRecord(event.exec_id, event.loop,
-                                          event.seq, event.depth)
-                rec.end_seq = event.seq
-                rec.iterations = 1
-                executions[event.exec_id] = rec
+        _record(self.executions, events)
         self.events.extend(events)
+
+
+def _record(executions, events):
+    """Record *events* into *executions* (``exec_id`` -> record)."""
+    for event in events:
+        etype = type(event)
+        if etype is IterationStart:
+            rec = executions.get(event.exec_id)
+            if rec is not None:
+                rec.iter_seqs.append(event.seq)
+        elif etype is ExecutionStart:
+            executions[event.exec_id] = LoopExecutionRecord(
+                event.exec_id, event.loop, event.seq, event.depth)
+        elif etype is ExecutionEnd:
+            rec = executions.get(event.exec_id)
+            if rec is not None:
+                rec.end_seq = event.seq
+                rec.iterations = event.iterations
+                rec.reason = event.reason
+        elif etype is SingleIteration:
+            rec = LoopExecutionRecord(event.exec_id, event.loop,
+                                      event.seq, event.depth)
+            rec.end_seq = event.seq
+            rec.iterations = 1
+            executions[event.exec_id] = rec

@@ -6,14 +6,13 @@ benchmark twice -- the whole run and the first 10^9 instructions -- to
 justify evaluating reduced runs; we mirror that with the full trace and
 a quarter-length prefix.
 
-The prefix no longer needs a second trace replay: a second detector
-rides the same record stream, fed only the records inside the prefix
-(``total_instructions`` is known from the trace header up front).
+The prefix needs no walk of its own: its loop index is read from the
+canonical one (:meth:`~repro.core.detector.LoopIndex.prefix`), which
+already saw every record of the prefix.
 """
 
 from repro.analysis import Analysis, register_analysis
 from repro.analysis.passes import derived_memo
-from repro.core.detector import LoopDetector
 from repro.core.speculation import simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult
@@ -32,57 +31,21 @@ def _infinite(ctx, parts, build_index):
 
 @register_analysis("figure5")
 class Figure5Analysis(Analysis):
-    wants_records = True
-
     def __init__(self):
         self._rows = []
         self._series = {}
-        self._prefix_detector = None
-        self._prefix_limit = None
-
-    def begin(self, ctx):
-        # clip() semantics: a quarter prefix, at least one instruction,
-        # never longer than the trace itself.
-        self._prefix_limit = min(max(1, ctx.total_instructions // 4),
-                                 ctx.total_instructions)
-        # When the reduced-run result is already in the derived store,
-        # the whole prefix detection pass is unnecessary -- the prefix
-        # index existed only to feed that one simulation -- and so are
-        # this workload's records.
-        reduced = derived_memo(ctx, self._reduced_parts(),
-                               SpeculationResult.from_state)
-        self._prefix_detector = None if reduced is not None \
-            else LoopDetector(cls_capacity=ctx.cls_capacity)
-        self.wants_records = self._prefix_detector is not None
-
-    def _reduced_parts(self):
-        return ("simulate-inf", "prefix%d" % self._prefix_limit)
-
-    def feed_batch(self, batch):
-        # Zero-copy columnar path: the prefix is a slice of the sorted
-        # seq column, and the prefix detector consumes it as a batch.
-        if self._prefix_detector is None:
-            return
-        prefix = batch.prefix(self._prefix_limit)
-        if len(prefix):
-            self._prefix_detector.feed_batch(prefix)
-
-    def abort(self, ctx):
-        self._prefix_detector = None
 
     def finish(self, ctx):
+        # clip() semantics: a quarter prefix, at least one instruction,
+        # never longer than the trace itself.
+        limit = min(max(1, ctx.total_instructions // 4),
+                    ctx.total_instructions)
         full = _infinite(ctx, ("simulate-inf",), lambda: ctx.index)
-        detector = self._prefix_detector
-
-        def prefix_index():
-            detector.finish(self._prefix_limit)
-            return detector.index(self._prefix_limit)
-
-        reduced = _infinite(ctx, self._reduced_parts(), prefix_index)
+        reduced = _infinite(ctx, ("simulate-inf", "prefix%d" % limit),
+                            lambda: ctx.index.prefix(limit))
         self._rows.append((ctx.name, round(full.tpc, 2),
                            round(reduced.tpc, 2)))
         self._series[ctx.name] = {"full": full, "reduced": reduced}
-        self._prefix_detector = None
 
     def result(self):
         return ExperimentResult(

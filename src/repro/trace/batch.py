@@ -213,6 +213,32 @@ class FullBatch:
         self.mrv = mrv
         self.mwa = mwa
 
+    @classmethod
+    def from_records(cls, records, start_seq=0):
+        """Build a batch from consecutive
+        :class:`~repro.trace.record.FullRecord` objects starting at
+        sequence *start_seq* (register-0 effects dropped)."""
+        columns = tuple([] for _ in range(12))
+        (pcs, kinds, takens, targets, rr1, rv1, rr2, rv2, wr, mra, mrv,
+         mwa) = columns
+        for rec in records:
+            pcs.append(rec.pc)
+            kinds.append(rec.kind)
+            takens.append(1 if rec.taken else 0)
+            targets.append(NO_TARGET if rec.target is None else rec.target)
+            reads = [read for read in rec.reg_reads if read[0]] \
+                + [(-1, 0)] * 2
+            rr1.append(reads[0][0])
+            rv1.append(reads[0][1])
+            rr2.append(reads[1][0])
+            rv2.append(reads[1][1])
+            writes = [reg for reg, _ in rec.reg_writes if reg]
+            wr.append(writes[0] if writes else -1)
+            mra.append(rec.mem_reads[0][0] if rec.mem_reads else None)
+            mrv.append(rec.mem_reads[0][1] if rec.mem_reads else None)
+            mwa.append(rec.mem_writes[0][0] if rec.mem_writes else None)
+        return cls(start_seq, *columns)
+
     def __len__(self):
         return len(self.pcs)
 

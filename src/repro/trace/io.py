@@ -173,13 +173,14 @@ def _column_array(typecode, data):
     return column
 
 
-def _column_bytes(column):
+def _column_le(column):
+    """*column* as a little-endian buffer."""
     if _BIG_ENDIAN and column.itemsize > 1:
         typecode = getattr(column, "typecode", None) or column.format
         swapped = array(typecode, column)
         swapped.byteswap()
-        return swapped.tobytes()
-    return column.tobytes()
+        return swapped
+    return column
 
 
 def _read_chunk_v3(fh, count):
@@ -257,13 +258,18 @@ def _closing(fh, items):
 
 
 def _write_chunk_v3(fh, batch):
-    payload = zlib.compress(
-        _column_bytes(batch.seqs) + _column_bytes(batch.pcs)
-        + _column_bytes(batch.kinds) + _column_bytes(batch.takens)
-        + _column_bytes(batch.targets))
+    # The columns stream through one compressor: the same deflate
+    # stream as compressing their concatenation, without the raw
+    # copies (up to 1.7 MB per chunk) that would churn the heap.
+    comp = zlib.compressobj()
+    parts = [comp.compress(_column_le(column))
+             for column in (batch.seqs, batch.pcs, batch.kinds,
+                            batch.takens, batch.targets)]
+    parts.append(comp.flush())
     fh.write(_COUNT_STRUCT.pack(len(batch)))
-    fh.write(_COUNT_STRUCT.pack(len(payload)))
-    fh.write(payload)
+    fh.write(_COUNT_STRUCT.pack(sum(map(len, parts))))
+    for part in parts:
+        fh.write(part)
 
 
 # -- writing -----------------------------------------------------------------

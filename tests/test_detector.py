@@ -1,6 +1,7 @@
 """Integration tests: compiled mini-language programs through the tracer
 and the loop detector, checking detected loop structure end to end."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -23,6 +24,9 @@ from repro.lang import (
     While,
     compile_module,
 )
+from repro.search.corpus import frontier_names
+from repro.trace.batch import iter_batches
+from repro.workloads import SUITE_ORDER, get
 
 
 def detect(module, cls_capacity=16):
@@ -296,3 +300,36 @@ class TestIterableInput:
         trace = self._trace()
         with pytest.raises(TypeError):
             LoopDetector().run(iter(trace.records))
+
+
+class TestIndexPrefix:
+    """``LoopIndex.prefix(limit)`` equals a real walk of the records
+    with ``seq < limit`` finished at *limit*: every event field and
+    every execution record, on every analog and frontier case."""
+
+    @staticmethod
+    def _executions(index):
+        return [(rec.exec_id, rec.loop, rec.start_seq, rec.iter_seqs,
+                 rec.end_seq, rec.iterations, rec.reason, rec.depth)
+                for rec in index.executions.values()]
+
+    @pytest.mark.parametrize("capacity", (16, 2))
+    @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
+    def test_prefix_equals_a_prefix_walk(self, name, capacity):
+        trace = get(name).cf_trace(1, 60_000)
+        total = trace.total_instructions
+        batches = list(iter_batches(trace.records))
+        canonical = LoopDetector(cls_capacity=capacity).run_batches(
+            batches, total)
+        for limit in (1, total // 4, total // 2 + 7, total):
+            walker = LoopDetector(cls_capacity=capacity)
+            for batch in batches:
+                walker.feed_batch(batch.prefix(limit))
+            walker.finish(limit)
+            walked = walker.index(limit)
+            got = canonical.prefix(limit)
+            assert [repr(e) for e in got.events] \
+                == [repr(e) for e in walked.events], limit
+            assert self._executions(got) == self._executions(walked), limit
+            assert got.total_instructions == limit
+            assert got.cls_capacity == capacity

@@ -2,8 +2,8 @@
 
 Samples N random valid profiles (via the search's
 :func:`~repro.workloads.synthetic.mutate.random_profile` move source)
-x M generator seeds and asserts, for every pair, the three properties
-the whole pipeline leans on:
+x M generator seeds and asserts, for every pair, the properties the
+whole pipeline leans on:
 
 1. **halt within budget** -- every generated program provably halts
    before its profile's ``default_max_instructions``;
@@ -21,7 +21,11 @@ the whole pipeline leans on:
    equals the per-config engine for IDLE, STR and STR(1..3) at 2 and
    4 TUs under the ideal and an overhead model, and the CLS-capacity
    sweep, shortcut or walked, equals a real bare-stack walk
-   (``tests/reference/cls_sweep.py``) at capacities 1 to 8.
+   (``tests/reference/cls_sweep.py``) at capacities 1 to 8;
+6. **the data-speculation study agrees with its reference** -- the
+   single-pass study over chunked full-effects columns equals the
+   per-record two-pass study (``tests/reference/dataspec.py``) at CLS
+   capacities 16 and 2.
 
 The sample stream is seeded from ``REPRO_FUZZ_SEED`` (default 2024),
 so a CI failure is reproduced locally by exporting the seed the
@@ -35,8 +39,9 @@ import pytest
 
 from repro.analysis import analyze_trace
 from repro.core import LoopDetector
+from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.speculation import simulate, simulate_grid
-from repro.cpu import trace_control_flow
+from repro.cpu import trace_control_flow, trace_full
 from repro.cpu import tracer as tracer_mod
 from repro.pipeline.cache import TraceCache, program_fingerprint
 from repro.trace.batch import iter_batches
@@ -44,6 +49,7 @@ from repro.util.rng import Xorshift64
 from repro.workloads.synthetic import make_workload, random_profile
 
 from reference.cls_sweep import production_sweep, walked_cls_counts
+from reference.dataspec import reference_stats
 from reference.tracer import ReferenceTracer, outcome
 
 #: Sampled (profile, seed) grid: N profiles x M seeds.
@@ -169,3 +175,19 @@ def test_leaping_walks_match_full_walks(profile, seed):
         assert counts["fuzz", capacity] \
             == walked_cls_counts(batches, capacity), \
             "CLS capacity %d (REPRO_FUZZ_SEED=%d)" % (capacity, FUZZ_SEED)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("profile", PROFILES, ids=_ids(PROFILES))
+def test_dataspec_study_matches_reference(profile, seed):
+    program = make_workload(profile, seed).program()
+    budget = min(profile.default_max_instructions, DIFFERENTIAL_BUDGET)
+    trace = trace_full(program, budget)
+    for capacity in (16, 2):
+        expected = reference_stats(trace, "fuzz", capacity).state()
+        tracer = tracer_mod.ChunkedFullTracer(program, budget,
+                                              chunk_size=97)
+        got = DataSpeculationAnalyzer(cls_capacity=capacity) \
+            .analyze_batches(tracer.batches(), "fuzz").state()
+        assert got == expected, "CLS capacity %d (REPRO_FUZZ_SEED=%d)" \
+            % (capacity, FUZZ_SEED)

@@ -285,6 +285,9 @@ class TestStateRoundTrips:
         # denominator (from_state rejects ratios above 100%).
         for i, field in enumerate(DataSpecStats.COUNTER_FIELDS):
             setattr(stats, field, 100 - i)
+        # ...except the two identities every study keeps.
+        stats.evaluated_iterations = stats.mfp_iterations
+        stats.lm_addr_total = stats.lm_total
         restored = DataSpecStats.from_state(
             json.loads(json.dumps(stats.state())))
         assert restored.state() == stats.state()
@@ -296,6 +299,27 @@ class TestStateRoundTrips:
             with pytest.raises(ValueError):
                 DataSpecStats.from_state(dict(stats.state(),
                                               **{field: value}))
+
+    def test_dataspec_stats_reject_broken_identities(self):
+        """The study evaluates exactly its most-frequent-path
+        iterations and scores one address per live-in memory value;
+        counters that break either identity are rejected even when
+        every ratio is in range."""
+        from repro.core.dataspec.stats import DataSpecStats
+
+        good = {"name": "w", "total_iterations": 50,
+                "mfp_iterations": 40, "evaluated_iterations": 40,
+                "lr_total": 30, "lr_correct": 20, "lm_total": 10,
+                "lm_correct": 5, "lm_addr_total": 10,
+                "lm_addr_correct": 6, "all_lr_count": 8,
+                "all_lm_count": 7, "all_data_count": 3}
+        assert DataSpecStats.from_state(good).state() == good
+        for field, value in (("evaluated_iterations", 39),
+                             ("mfp_iterations", 41),
+                             ("lm_addr_total", 11),
+                             ("lm_total", 9)):
+            with pytest.raises(ValueError):
+                DataSpecStats.from_state(dict(good, **{field: value}))
 
 
     def test_branch_prediction_report_round_trips(self, loop_trace):

@@ -494,6 +494,37 @@ class TestRunnerMetricsCLI:
         assert counters["cls.sweep_shortcuts"] == 3 + 1
         assert counters["cls.sweep_walks"] == 2
 
+    def test_dataspec_span_and_counters(self, tmp_path, capsys):
+        """A cold figure8 run computes one study per workload, each in
+        a ``dataspec`` span tagged with its workload, and its counters
+        equal the analyzer's own totals."""
+        from repro.core.dataspec import DataSpeculationAnalyzer
+        from repro.cpu.tracer import ChunkedFullTracer
+        from repro.experiments.figure8 import FULL_TRACE_LIMIT
+
+        metrics = str(tmp_path / "run.json")
+        assert runner_main(["figure8", "--workloads", "swim,go",
+                            "--cache-dir", str(tmp_path / "cache"),
+                            "--metrics", metrics]) == 0
+        capsys.readouterr()
+        manifest = load_manifest(metrics)
+        spans = [span for span in manifest["spans"]
+                 if span["name"] == "dataspec"]
+        assert [span["attrs"]["workload"] for span in spans] \
+            == ["swim", "go"]
+        instructions = iterations = 0
+        for name in ("swim", "go"):
+            tracer = ChunkedFullTracer(get(name).program(1),
+                                       FULL_TRACE_LIMIT)
+            stats = DataSpeculationAnalyzer().analyze_batches(
+                tracer.batches(), name)
+            instructions += tracer.total_instructions
+            iterations += stats.total_iterations
+        counters = manifest["counters"]
+        assert counters["dataspec.instructions"] == instructions
+        assert counters["dataspec.iterations"] == iterations
+        assert iterations > 0
+
     def test_timeline_flag_prints_breakdown(self, tmp_path, capsys):
         args = self.ARGS + ["--cache-dir", str(tmp_path / "c"),
                             "--timeline"]

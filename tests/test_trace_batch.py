@@ -141,6 +141,45 @@ class TestSerializationV3:
         assert isinstance(data, bytes)
         assert data.startswith(b"CFT3")
 
+    @pytest.mark.parametrize("count", [1, 7, 65536])
+    def test_chunk_payload_is_zlib_of_the_column_bytes(self, count,
+                                                        tmp_path):
+        """A chunk's payload is ``zlib.compress`` of its concatenated
+        little-endian columns (the layout in ``repro.trace.io``), for
+        array columns and for the read-only views a decoded batch
+        carries alike."""
+        import zlib
+        from array import array
+
+        batch = RecordBatch(
+            array("q", range(0, 3 * count, 3)),
+            array("q", ((i * 7919) % 4099 for i in range(count))),
+            array("b", (i % 5 for i in range(count))),
+            array("b", (i % 2 for i in range(count))),
+            array("q", ((i * 31) % 977 - 1 for i in range(count))))
+        raw = b"".join(column.tobytes() for column in (
+            batch.seqs, batch.pcs, batch.kinds, batch.takens,
+            batch.targets))
+        payload = zlib.compress(raw)
+        chunk = struct.pack("<II", count, len(payload)) + payload
+
+        def written(batch):
+            buf = io.BytesIO()
+            writer = BatchTraceWriter(buf, "chunk")
+            start = buf.tell()
+            writer.write_batch(batch)
+            data = buf.getvalue()
+            writer.close(3 * count, True)
+            return data[start:], buf.getvalue()
+
+        data, trace = written(batch)
+        assert data == chunk
+        path = tmp_path / "chunk.cft"
+        path.write_bytes(trace)
+        _, batches = open_cf_batches(str(path))
+        (decoded,) = list(batches)
+        assert written(decoded)[0] == chunk
+
     @settings(max_examples=30)
     @given(random_records())
     def test_round_trip_random_records(self, records):
@@ -505,10 +544,12 @@ class TestAnalysisFeedBatch:
         from repro.core.dataspec import DataSpeculationAnalyzer
         from repro.workloads import get
 
+        from reference.dataspec import reference_stats
+
         workload = get("compress")
         limit = 30_000
         analyzer = DataSpeculationAnalyzer()
-        ref = analyzer.analyze(
+        ref = reference_stats(
             workload.full_trace(1, max_instructions=limit), "c")
         tracer = ChunkedFullTracer(workload.program(1), limit,
                                    chunk_size=777)
