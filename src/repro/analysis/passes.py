@@ -7,8 +7,7 @@ simulations, and the shared full-trace data-speculation study.
 
 from repro.core.loopstats import LoopStatistics, \
     compute_loop_statistics, loop_coverage
-from repro.core.speculation import simulate, simulate_grid, \
-    simulate_infinite
+from repro.core.speculation import simulate_grid, simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.dataspec.stats import DataSpecStats
@@ -171,11 +170,10 @@ class SpeculationPass(Analysis):
     ``num_tus=None`` selects the idealized infinite-TU study.
     """
 
-    def __init__(self, num_tus=4, policy="str", timing=None, **kwargs):
+    def __init__(self, num_tus=4, policy="str", timing=None):
         self.num_tus = num_tus
         self.policy = policy
         self.timing = timing
-        self.kwargs = kwargs
         self.by_name = {}
 
     def finish(self, ctx):
@@ -183,18 +181,13 @@ class SpeculationPass(Analysis):
             result = simulate_infinite(
                 ctx.index, name=ctx.name,
                 timing=effective_timing(ctx, self.timing))
-        elif not self.kwargs:
-            # Default-configuration cells go through the shared memo,
-            # so several SpeculationPass instances in one suite batch
-            # with the experiments sweeping the same cells (and share
-            # the derived store both ways).
+        else:
+            # Cells go through the shared memo, so several
+            # SpeculationPass instances in one suite batch with the
+            # experiments sweeping the same cells (and share the
+            # derived store both ways).
             result = shared_simulate(ctx, self.num_tus, self.policy,
                                      timing=self.timing)
-        else:
-            result = simulate(ctx.index, num_tus=self.num_tus,
-                              policy=self.policy, name=ctx.name,
-                              timing=effective_timing(ctx, self.timing),
-                              **self.kwargs)
         self.by_name[ctx.name] = result
 
     def result(self):
@@ -267,9 +260,9 @@ def shared_simulate_many(ctx, specs):
     and persisted together.  Returns the shared
     :class:`SpeculationResult` objects in spec order (treat them as
     read-only); duplicate specs share one cell.  Non-default
-    configurations (disable tables, bounded LETs,
-    ``count_waiting=False``) mutate or change the run; call
-    :func:`repro.core.speculation.simulate` directly for those.
+    configurations (disable tables, ``count_waiting=False``) mutate or
+    change the run; call :func:`repro.core.speculation.simulate`
+    directly for those.
     """
     results = []
     missing = []        # (memo parts, config) of cells to compute

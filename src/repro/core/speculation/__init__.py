@@ -5,7 +5,6 @@ from repro.core.speculation.disable import (
     SpeculationDisableTable,
 )
 from repro.core.speculation.engine import (
-    SpecThread,
     SpeculationEngine,
     simulate,
     simulate_infinite,
@@ -16,7 +15,6 @@ from repro.core.speculation.policies import (
     IdlePolicy,
     OracleAllPolicy,
     Policy,
-    SpawnContext,
     StrIPolicy,
     StrPolicy,
     make_policy,
@@ -25,7 +23,6 @@ from repro.core.speculation.policies import (
 __all__ = [
     "LoopOutcomeStats",
     "SpeculationDisableTable",
-    "SpecThread",
     "SpeculationEngine",
     "simulate",
     "simulate_grid",
@@ -35,7 +32,6 @@ __all__ = [
     "IdlePolicy",
     "OracleAllPolicy",
     "Policy",
-    "SpawnContext",
     "StrIPolicy",
     "StrPolicy",
     "make_policy",

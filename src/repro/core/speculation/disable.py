@@ -47,7 +47,6 @@ class SpeculationDisableTable:
         self._blocked = LoopHistoryTable(capacity)
         self._stats = {}
         self.blocks_installed = 0
-        self.spawns_prevented = 0
 
     def note(self, loop, correct):
         """Record one resolved speculation outcome for *loop*."""
@@ -65,11 +64,9 @@ class SpeculationDisableTable:
             self.blocks_installed += 1
 
     def blocked(self, loop):
-        """True when speculation on *loop* is disabled."""
-        if self._blocked.lookup(loop, touch=False) is not None:
-            self.spawns_prevented += 1
-            return True
-        return False
+        """True when speculation on *loop* is disabled (a pure query:
+        the walk skips it at events where no spawn is possible)."""
+        return self._blocked.lookup(loop, touch=False) is not None
 
     def stats_for(self, loop):
         return self._stats.get(loop)

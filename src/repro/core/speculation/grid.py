@@ -1,67 +1,61 @@
-"""Fused multi-configuration speculation: shared tables, N walks.
+"""The speculation walk: shared tables, one walk per configuration.
 
-:func:`simulate_grid` prices N ``(num_tus, policy, timing)``
-configurations over one :class:`~repro.core.detector.LoopIndex` and
-returns results bit-identical to N independent
-:func:`~repro.core.speculation.engine.simulate` calls (the grid
-equivalence suite pins this across every policy, timing model, the
-analogs and the frontier corpus).  The config-invariant tables are
-built in one pass over the event list; then each fused configuration
-walks the shared columns once, on its own, leaping wherever the tables
-prove nothing can happen to it.
+Every speculation result in the package comes from :func:`_run_fused`,
+the one walk over a :class:`~repro.core.detector.LoopIndex`'s event
+columns (the mechanics are the paper's section 3, as listed in
+:mod:`repro.core.speculation.engine`).  :func:`simulate_grid` prices N
+``(num_tus, policy, timing)`` configurations over one index;
+:func:`~repro.core.speculation.engine.simulate` and the infinite-TU
+study price one.  The config-invariant tables are built in one pass
+over the event list, then each configuration walks the shared columns
+once, on its own, leaping wherever the tables prove nothing can happen
+to it.  ``tests/reference/speculation.py`` keeps a per-config engine
+that maintains its own tables event by event; the tests pin the walk
+against it.
 
-Why a grid engine beats N engine runs
--------------------------------------
+What the tables share
+---------------------
 
-The per-config walk in :class:`~repro.core.speculation.engine.
-SpeculationEngine` spends most of its time on work that is *identical
-for every configuration*:
-
-* **The LET prediction stream.**  With the default unbounded loop
-  execution table, the table's state evolution depends only on the
-  event list -- it updates at execution ends and single iterations,
-  never on the policy, TU count, or timing model.  The grid therefore
-  computes, **once**, the prediction each iteration event would see
-  (:func:`grid_tables`), and every fused configuration reads the
-  shared columns instead of maintaining its own table and predictors.
+* **The LET prediction stream.**  The unbounded loop execution table
+  updates at execution ends and single iterations, never on the
+  policy, TU count, timing model or disable table, so the prediction
+  each iteration event would see is computed **once**
+  (:func:`grid_tables`) and every configuration reads the columns.
 * **The nesting stack.**  The open-execution stack at each execution
   start is also a function of the event list alone, so STR(i) reads
-  it from the tables (depth and parent per execution) instead of
-  maintaining one at every execution start and end.
-* **Irrelevant events.**  With both precomputed, a fused
-  configuration is only affected by iteration starts that can spawn,
-  by the iterations and ends of executions it is speculating, and --
-  for STR(i) -- by execution starts whose stack is deeper than
-  ``limit + 1`` (the squash rule needs one speculated loop with more
-  than ``limit`` unspeculated loops inside it).  At an untracked
+  it from the tables (depth and parent per execution).
+* **Irrelevant events.**  A configuration is only affected by
+  iteration starts that can spawn, by the iterations and ends of
+  executions it is speculating, and -- for STR(i) -- by execution
+  starts whose stack is deeper than ``limit + 1``.  At an untracked
   iteration start with every TU busy, or where an STR-family
   prediction is already covered (:attr:`GridTables.may_spawn` is 0),
   the walk leaps straight to the next event that can matter.
-* **Timing dispatch.**  The ideal and overhead models price an advance
-  as the distance and progress as ``min(elapsed, cap)``; the fused
-  walk inlines both, eliminating one bound-method call per event.
 
-When fusion pays vs the per-config fallback
--------------------------------------------
+What a configuration brings
+---------------------------
 
-A configuration is **fused** when all of the following hold -- the
-conditions under which the shared prediction stream is *provably* the
-state every independent engine run would compute:
-
-* finite ``num_tus`` (the infinite-TU oracle study walks differently);
-* an IDLE, STR, or STR(i) policy (exactly the policies whose spawn
-  decisions read nothing but idle TUs and the LET prediction);
-* an ideal or overhead timing model (position-independent rates; the
-  width and class-cost models price advances positionally and keep
-  their method-call seam).
-
-Everything else -- bounded LETs (LRU evictions depend on lookup
-order), disable tables (cross-run mutable state), oracle policies,
-record-fed timing models -- drops to the existing per-config engine,
-one config at a time.  The split is per *config*, not per call: one
-``simulate_grid`` call may fuse 40 cells and fall back for 8, and the
-``engine.fused_cells`` / ``engine.fallback_cells`` counters report
-exactly that split when an observability collector is active.
+* **A built-in policy.**  IDLE spawns every idle TU, STR and STR(i)
+  the predicted remaining count (IDLE without a prediction), and the
+  limit study's ``all`` every remaining *actual* iteration, capped by
+  the idle TUs; ``num_tus=None`` is an unlimited budget, valid only
+  for ``all``.  The walk dispatches on these four types and rejects
+  any other :class:`~repro.core.speculation.policies.Policy`.
+* **A timing model.**  Costs are ``spawn_cost(1)``, ``squash_cost(1)``
+  and ``promote_cost()`` per thread, so per-event costs must be linear
+  in the thread count.  Rates are inlined (an advance costs its
+  distance, progress is ``min(elapsed, cap)``) unless the model's class
+  overrides :meth:`~repro.timing.base.TimingModel.cycles` or
+  :meth:`~repro.timing.base.TimingModel.progress`; then the walk calls
+  them.  Built-in positional models price an advance as a difference
+  of prefix clocks, so the advances a leap skips telescope into the
+  next visited event's.
+* **An optional disable table** (section 2.3.2).  The walk asks
+  ``blocked(loop)`` before each spawn and calls ``note(loop, correct)``
+  at each promotion and each misspeculation squash; STR(i) squashes
+  are policy decisions, not prediction failures, and are not noted.
+  Skipping an event never skips a ``note``: leaps only pass events
+  where nothing is resolved.
 """
 
 from array import array
@@ -72,15 +66,16 @@ from itertools import compress
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.speculation.policies import (
     IdlePolicy,
+    OracleAllPolicy,
     StrIPolicy,
     StrPolicy,
     make_policy,
 )
 from repro.obs import collector as obs
 from repro.timing import make_timing
-from repro.timing.models import IdealTiming, OverheadTiming
+from repro.timing.base import TimingModel
 
-__all__ = ["grid_tables", "simulate_grid"]
+__all__ = ["check_config", "grid_tables", "simulate_grid"]
 
 
 class GridTables(namedtuple("GridTables", (
@@ -137,8 +132,8 @@ def grid_tables(index):
     """The :class:`GridTables` of *index*, built in one pass over its
     event columns.
 
-    Cached on the index next to its event columns; every fused
-    configuration of every grid call over this index shares one copy.
+    Cached on the index next to its event columns; every walk over
+    this index shares one copy.
     Execution ids index the per-execution arrays: the detector numbers
     executions densely from 0.
     """
@@ -229,27 +224,40 @@ def grid_tables(index):
     return tables
 
 
-def _fusable(num_tus, policy, model):
-    ptype = type(policy)
-    mtype = type(model)
-    return (isinstance(num_tus, int) and num_tus >= 1
-            and (ptype is IdlePolicy or ptype is StrPolicy
-                 or ptype is StrIPolicy)
-            and (mtype is IdealTiming or mtype is OverheadTiming))
+#: The policies the walk prices; it dispatches on their exact types.
+_POLICIES = (IdlePolicy, StrPolicy, StrIPolicy, OracleAllPolicy)
+
+
+def check_config(num_tus, policy, timing):
+    """One configuration, validated: ``(num_tus, policy, model)``.
+
+    Raises :class:`ValueError` for a policy that is not one of the four
+    built-ins, for ``num_tus=None`` with any policy but the oracle, and
+    for ``num_tus < 1``.
+    """
+    policy = make_policy(policy)
+    if type(policy) not in _POLICIES:
+        raise ValueError("policy %r is not IDLE, STR, STR(i) or ALL"
+                         % (policy,))
+    if num_tus is None:
+        if type(policy) is not OracleAllPolicy:
+            raise ValueError("policy %s requires a finite number of TUs"
+                             % policy.name)
+    elif num_tus < 1:
+        raise ValueError("num_tus must be >= 1 or None")
+    return num_tus, policy, make_timing(timing)
 
 
 def _run_fused(index, tables, num_tus, policy, model, name,
-               count_waiting, deep_starts):
-    """One fused configuration over the shared tables; bit-identical
-    to ``SpeculationEngine(...).run(index, name)``.
+               count_waiting=True, deep_starts=None, disable_table=None):
+    """One configuration (checked by :func:`check_config`) over the
+    shared tables of *index*.
 
     *deep_starts* is :meth:`GridTables.deep_starts` of the policy's
-    nesting limit (``None`` for IDLE and STR).  Speculative threads
+    nesting limit, computed here when not given.  Speculative threads
     are ``(loop, exec_id, iteration, start_seq, end_seq, spawn_time,
     spawn_seq)`` tuples.  Clock advances at skipped events telescope
-    into the next handled event (the built-in models price an advance
-    as the distance, so segmenting the walk differently cannot change
-    any total).
+    into the next handled event.
     """
     cols = index.columns()
     etypes = cols.etypes
@@ -268,25 +276,38 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     executions = index.executions
     total_instructions = index.total_instructions
 
-    if type(model) is OverheadTiming:
-        spawn_c = model.spawn
-        squash_c = model.squash
-        promote_c = model.promote
+    mtype = type(model)
+    positional = (mtype.cycles is not TimingModel.cycles
+                  or mtype.progress is not TimingModel.progress)
+    cycles = model.cycles
+    progress = model.progress
+    spawn_c = model.spawn_cost(1)
+    squash_c = model.squash_cost(1)
+    promote_c = model.promote_cost()
+    if disable_table is not None:
+        blocked = disable_table.blocked
+        note = disable_table.note
     else:
-        spawn_c = squash_c = promote_c = 0
+        blocked = note = None
 
-    result = SpeculationResult(name, num_tus, policy.name)
+    result = SpeculationResult(
+        name, num_tus if num_tus is not None else "inf", policy.name)
     result.total_instructions = total_instructions
     result.timing_name = model.name
 
     nesting_limit = policy.nesting_limit
     if nesting_limit is not None:
+        if deep_starts is None:
+            deep_starts = tables.deep_starts(nesting_limit)
         nest_bound = nesting_limit + 1
         num_deep = len(deep_starts)
-    is_idle = not policy.needs_prediction
+    oracle = type(policy) is OracleAllPolicy
+    # IDLE and the oracle never read a prediction, so every iteration
+    # start may spawn while a TU is idle.
+    unpredicted = oracle or type(policy) is IdlePolicy
     threads = {}
     threads_get = threads.get
-    budget = num_tus - 1
+    budget = num_tus - 1 if num_tus is not None else float("inf")
     spec_count = 0
     now = 0
     pos = 0
@@ -309,7 +330,7 @@ def _run_fused(index, tables, num_tus, policy, model, name,
             exec_id = exec_ids[i]
             tlist = threads_get(exec_id)
             if tlist is None and (spec_count >= budget
-                                  or not (is_idle or may_spawn[i])):
+                                  or not (unpredicted or may_spawn[i])):
                 # Untracked, and either saturated or an STR-family
                 # no-spawn event: nothing can happen until a tracked
                 # execution's next iteration start (promotion) or its
@@ -340,7 +361,7 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                 continue
             seq = seqs[i]
             if seq > pos:
-                now += seq - pos
+                now += cycles(pos, seq - pos) if positional else seq - pos
                 pos = seq
             if tlist is not None and tlist[0][2] == auxs[i]:
                 thread = tlist.pop(0)
@@ -354,7 +375,12 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                     cap = end_seq - start_seq
                 else:
                     cap = total_instructions - start_seq
-                executed = elapsed if elapsed < cap else cap
+                if positional:
+                    executed = progress(elapsed, start_seq, cap)
+                    credit_executing += cycles(start_seq, executed)
+                else:
+                    executed = elapsed if elapsed < cap else cap
+                    credit_executing += executed
                 new_pos = start_seq + executed
                 if new_pos > pos:
                     pos = new_pos
@@ -362,11 +388,13 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                 resolved += 1
                 instr_to_verif += seq - thread[6]
                 credit_waiting += elapsed
-                credit_executing += executed
+                if note is not None:
+                    note(thread[0], True)
                 if promote_c:
                     now += promote_c
                     overhead += promote_c
-            if spec_count < budget:
+            if spec_count < budget \
+                    and (blocked is None or not blocked(loops[i])):
                 idle = budget - spec_count
                 rec = executions[exec_id]
                 iter_seqs = rec.iter_seqs
@@ -378,7 +406,11 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                 while last_covered < total \
                         and iter_seqs[last_covered - 1] <= pos:
                     last_covered += 1
-                if is_idle or not pred_known[i]:
+                if oracle:
+                    count = total - last_covered
+                    if count > idle:
+                        count = idle
+                elif unpredicted or not pred_known[i]:
                     count = idle
                 else:
                     count = pred_count[i] - last_covered
@@ -411,12 +443,15 @@ def _run_fused(index, tables, num_tus, policy, model, name,
             if tlist is not None:
                 seq = seqs[i]
                 if seq > pos:
-                    now += seq - pos
+                    now += cycles(pos, seq - pos) if positional \
+                        else seq - pos
                     pos = seq
                 for thread in tlist:
                     squashed_misspec += 1
                     resolved += 1
                     instr_to_verif += seq - thread[6]
+                    if note is not None:
+                        note(thread[0], False)
                 spec_count -= len(tlist)
                 if squash_c:
                     cost = squash_c * len(tlist)
@@ -457,7 +492,8 @@ def _run_fused(index, tables, num_tus, policy, model, name,
         i += 1
 
     if total_instructions > pos:
-        now += total_instructions - pos
+        now += cycles(pos, total_instructions - pos) if positional \
+            else total_instructions - pos
     result.total_cycles = now
     result.overhead_cycles = overhead
     result.speculation_events = speculation_events
@@ -477,50 +513,28 @@ def _run_fused(index, tables, num_tus, policy, model, name,
 def simulate_grid(index, configs, name="workload", count_waiting=True):
     """Price every ``(num_tus, policy, timing)`` in *configs* over
     *index*; returns one :class:`SpeculationResult` per config, in
-    config order, bit-identical to independent :func:`simulate` calls.
+    config order.
 
     *configs* is a sequence of ``(num_tus, policy, timing)`` tuples --
-    the policy a spec string or :class:`~repro.core.speculation.
-    policies.Policy`, the timing a spec string, model instance, or
-    ``None`` (ideal).  Configurations the fused walk cannot prove
-    equivalent for (see the module docstring's ground rule) drop to
-    the per-config engine; ``num_tus=None`` oracle studies are
-    delegated the same way.
+    the policy a spec string or built-in :class:`~repro.core.
+    speculation.policies.Policy`, the timing a spec string, model
+    instance, or ``None`` (ideal).  Every configuration is checked
+    (:func:`check_config`) before any is priced.
     """
-    from repro.core.speculation.engine import simulate
-
-    configs = list(configs)
-    results = [None] * len(configs)
+    configs = [check_config(*config) for config in configs]
+    results = []
     with obs.span("engine.simulate_grid", workload=name,
                   configs=len(configs)):
-        fused = []
-        fallback = []
-        for slot, (num_tus, policy, timing) in enumerate(configs):
-            policy = make_policy(policy)
-            model = make_timing(timing)
-            if _fusable(num_tus, policy, model) \
-                    and getattr(index, "columns", None) is not None:
-                fused.append((slot, num_tus, policy, model))
-            else:
-                fallback.append((slot, num_tus, policy, model))
-        if fused:
+        if configs:
             tables = grid_tables(index)
             deep = {}
-            for slot, num_tus, policy, model in fused:
+            for num_tus, policy, model in configs:
                 limit = policy.nesting_limit
                 if limit is not None and limit not in deep:
                     deep[limit] = tables.deep_starts(limit)
-                results[slot] = _run_fused(index, tables, num_tus,
-                                           policy, model, name,
-                                           count_waiting,
-                                           deep.get(limit))
-        for slot, num_tus, policy, model in fallback:
-            results[slot] = simulate(index, num_tus=num_tus,
-                                     policy=policy, name=name,
-                                     timing=model,
-                                     count_waiting=count_waiting)
-    if fused:
-        obs.add("engine.fused_cells", len(fused))
-    if fallback:
-        obs.add("engine.fallback_cells", len(fallback))
+                results.append(_run_fused(index, tables, num_tus, policy,
+                                          model, name, count_waiting,
+                                          deep.get(limit)))
+    if configs:
+        obs.add("engine.fused_cells", len(configs))
     return results

@@ -12,62 +12,25 @@ speculate:
   nested inside a speculated loop, squash the outermost speculated
   loop's threads so idle TUs can serve the inner loops.
 * **OracleAll** -- the idealized limit policy of Figure 5: speculate
-  every remaining *actual* iteration (requires unlimited TUs; the only
-  policy allowed to peek at the oracle).
+  every remaining *actual* iteration, capped by the idle TUs (the only
+  policy valid with unlimited TUs, and the only one allowed to peek at
+  the oracle).
 """
 
 
-class SpawnContext:
-    """Everything a policy may consult when deciding a spawn count.
-
-    ``prediction`` is the LET's ``(count, mode)`` pair (see
-    :class:`~repro.core.predictors.IterationCountPredictor`);
-    ``oracle_total`` is the actual iteration count of the execution and
-    is reserved for limit studies.
-    """
-
-    __slots__ = ("idle_tus", "iteration", "last_covered", "prediction",
-                 "oracle_total")
-
-    def __init__(self, idle_tus, iteration, last_covered, prediction,
-                 oracle_total):
-        self.idle_tus = idle_tus
-        self.iteration = iteration
-        self.last_covered = last_covered
-        self.prediction = prediction
-        self.oracle_total = oracle_total
-
-
 class Policy:
-    """Base class; subclasses override :meth:`spawn_count`.
+    """Base class of the four built-in policies.
 
-    :meth:`spawn_count_fast` is the engine's hot path: it receives the
-    same values as plain arguments so the built-in policies avoid one
-    :class:`SpawnContext` allocation per loop iteration.  Custom
-    policies only need ``spawn_count``; the default fast path wraps the
-    arguments for them.
+    A policy is a name and, for STR(i), a nesting limit: the spawn
+    rules live in the speculation walk
+    (:mod:`repro.core.speculation.grid`), which dispatches on the
+    policy's type and rejects any other subclass.
     """
 
     #: STR(i) nesting limit; None disables the squash rule.
     nesting_limit = None
 
-    #: Set for the oracle policy; the engine validates TU finiteness.
-    requires_finite_tus = True
-
-    #: False when :meth:`spawn_count` never reads ``ctx.prediction``;
-    #: lets the engine skip the LET lookup on the hot path (only when
-    #: that lookup cannot change table state, i.e. unbounded LET).
-    needs_prediction = True
-
     name = "base"
-
-    def spawn_count(self, ctx):
-        raise NotImplementedError
-
-    def spawn_count_fast(self, idle_tus, iteration, last_covered,
-                         prediction, oracle_total):
-        return self.spawn_count(SpawnContext(
-            idle_tus, iteration, last_covered, prediction, oracle_total))
 
     def __repr__(self):
         return "%s()" % type(self).__name__
@@ -77,36 +40,12 @@ class IdlePolicy(Policy):
     """Allocate every idle TU (paper's IDLE)."""
 
     name = "IDLE"
-    needs_prediction = False
-
-    def spawn_count(self, ctx):
-        return ctx.idle_tus
-
-    def spawn_count_fast(self, idle_tus, iteration, last_covered,
-                         prediction, oracle_total):
-        return idle_tus
 
 
 class StrPolicy(Policy):
     """Stride-predicted allocation (paper's STR)."""
 
     name = "STR"
-
-    def spawn_count(self, ctx):
-        return self.spawn_count_fast(
-            ctx.idle_tus, ctx.iteration, ctx.last_covered,
-            ctx.prediction, ctx.oracle_total)
-
-    def spawn_count_fast(self, idle_tus, iteration, last_covered,
-                         prediction, oracle_total):
-        count, mode = prediction
-        if mode is None:
-            # Neither a count nor a stride is known: behave like IDLE.
-            return idle_tus
-        remaining = count - last_covered
-        if remaining <= 0:
-            return 0
-        return min(idle_tus, remaining)
 
 
 class StrIPolicy(StrPolicy):
@@ -123,20 +62,10 @@ class StrIPolicy(StrPolicy):
 
 
 class OracleAllPolicy(Policy):
-    """Speculate all remaining actual iterations (Figure 5 limit study)."""
+    """Speculate all remaining actual iterations (Figure 5 limit study;
+    the only policy valid with unlimited TUs)."""
 
     name = "ALL"
-    requires_finite_tus = False
-    needs_prediction = False
-
-    def spawn_count(self, ctx):
-        remaining = ctx.oracle_total - ctx.last_covered
-        return max(0, remaining)
-
-    def spawn_count_fast(self, idle_tus, iteration, last_covered,
-                         prediction, oracle_total):
-        remaining = oracle_total - last_covered
-        return remaining if remaining > 0 else 0
 
 
 def make_policy(spec):

@@ -4,8 +4,8 @@ The paper evaluates an idealized multithreaded machine: every thread
 unit retires one instruction per cycle, spawning a thread is free,
 promotion is instantaneous, squashes cost nothing.  A
 :class:`TimingModel` makes each of those assumptions explicit and
-replaceable: the speculation engine routes *every* time advance and
-overhead charge through the model it was constructed with, so asking
+replaceable: the speculation walk routes *every* time advance and
+overhead charge through its configuration's model, so asking
 "does control speculation still pay off when forks cost 32 cycles?" is
 a model swap, not an engine fork (see ``docs/TIMING.md``).
 
@@ -14,18 +14,23 @@ A model answers two kinds of questions:
 * **Rates** — how many cycles the non-speculative thread needs to cover
   a stretch of the dynamic instruction stream (:meth:`cycles`), and how
   many instructions a speculative thread gets through in a given number
-  of cycles (:meth:`progress`).  The engine keeps its O(#events) walk
-  as long as these only depend on the distance covered; a model whose
-  rates vary along the stream (the per-instruction-class cost table)
-  sets :attr:`wants_records` and is fed every control-flow record of
-  the replay before the simulation runs.
+  of cycles (:meth:`progress`).  The walk inlines the defaults below
+  and calls an override instead; an override must let an advance be
+  split anywhere without changing its total (a difference of two
+  prefix clocks), because the walk prices the stretch of events it
+  skips in one call.  A model whose rates vary along the stream (the
+  per-instruction-class cost table) sets :attr:`wants_records` and is
+  fed every control-flow record of the replay before the simulation
+  runs.
 * **Overheads** — extra cycles charged at speculation events:
   :meth:`spawn_cost` when threads fork, :meth:`promote_cost` when a
   speculated thread is verified and promoted, :meth:`squash_cost` when
-  threads are discarded.  The engine accumulates these into
-  ``SpeculationResult.overhead_cycles``.
+  threads are discarded.  The walk accumulates these into
+  ``SpeculationResult.overhead_cycles``.  It prices an event as
+  ``spawn_cost(1)``/``squash_cost(1)`` per thread, so both must be
+  linear in *count*.
 
-Models must be **read-only during a simulation**: the engine may run
+Models must be **read-only during a simulation**: the walk may run
 many simulations (different TU counts, policies) against one model
 instance, and ``ctx.shared`` memoization relies on a model being fully
 described by :meth:`key`.  Per-run state is not allowed; per-*workload*
@@ -81,7 +86,8 @@ class TimingModel:
     # -- overheads -----------------------------------------------------------
 
     def spawn_cost(self, count):
-        """Cycles charged when *count* threads are forked at once."""
+        """Cycles charged when *count* threads are forked at once;
+        linear in *count*."""
         return 0
 
     def promote_cost(self):
@@ -90,7 +96,8 @@ class TimingModel:
         return 0
 
     def squash_cost(self, count):
-        """Cycles charged when *count* threads are squashed at once."""
+        """Cycles charged when *count* threads are squashed at once;
+        linear in *count*."""
         return 0
 
     def __repr__(self):

@@ -3,7 +3,8 @@ API.
 
 The reference implementations below replicate the seed's
 per-experiment replay style verbatim (``runner.indexes()`` + a fresh
-walk of the event history per experiment); every experiment's rendered
+walk of the event history per experiment, speculation priced by the
+per-config reference engine); every experiment's rendered
 output under the single-pass :class:`AnalysisSuite` must be
 byte-identical to them.  Plus: the one-replay-per-workload guarantee,
 the corrupt-cache abort/restart path, and protocol edge cases (empty
@@ -31,11 +32,7 @@ from repro.core.branchpred import (
 from repro.core.dataspec import DataSpecStats, DataSpeculationAnalyzer
 from repro.core.detector import LoopDetector
 from repro.core.loopstats import LoopStatistics, compute_loop_statistics
-from repro.core.speculation import (
-    SpeculationDisableTable,
-    simulate,
-    simulate_infinite,
-)
+from repro.core.speculation import SpeculationDisableTable
 from repro.core.tables import (
     POLICY_LRU,
     POLICY_NESTING_AWARE,
@@ -50,6 +47,7 @@ from repro.trace.batch import iter_batches
 from repro.trace.stream import CFTrace, clip
 
 from reference.dataspec import reference_stats
+from reference.speculation import simulate, simulate_infinite
 
 WORKLOADS = ("swim", "go")
 LIMIT = 40_000

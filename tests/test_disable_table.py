@@ -45,12 +45,19 @@ class TestDisableTableUnit:
         assert len(table) == 2
         assert 1 not in table.blocked_loops()
 
-    def test_spawns_prevented_counter(self):
-        table = SpeculationDisableTable(min_samples=1, hit_threshold=0.5)
-        table.note(4, correct=False)
-        table.blocked(4)
-        table.blocked(4)
-        assert table.spawns_prevented == 2
+    def test_blocked_is_a_pure_query(self):
+        # The walk skips blocked() at events where no spawn is
+        # possible, so asking must not change the table.
+        table = SpeculationDisableTable(capacity=2, min_samples=1,
+                                        hit_threshold=0.5)
+        for loop in (4, 5):
+            table.note(loop, correct=False)
+        assert table.blocked(4) and table.blocked(4)
+        assert not table.blocked(6)
+        assert table.blocked_loops() == [4, 5]
+        table.note(6, correct=False)        # evicts the LRU entry: 4
+        assert table.blocked_loops() == [5, 6]
+        assert table.blocks_installed == 3
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -17,11 +17,14 @@ whole pipeline leans on:
    every block translated on its first entry and at the default
    threshold, emit the columns of the Machine-stepped reference
    (``tests/reference/tracer.py``);
-5. **the leaping walks agree with a full walk** -- the fused grid
-   equals the per-config engine for IDLE, STR and STR(1..3) at 2 and
-   4 TUs under the ideal and an overhead model, and the CLS-capacity
-   sweep, shortcut or walked, equals a real bare-stack walk
-   (``tests/reference/cls_sweep.py``) at capacities 1 to 8;
+5. **the leaping walks agree with a full walk** -- the speculation
+   walk equals its per-config reference
+   (``tests/reference/speculation.py``) for IDLE, STR, STR(1..3) and
+   the ``all`` oracle at 2 and 4 TUs under the ideal, an overhead and
+   the width model, for the oracle at unlimited TUs, and with a
+   disable table; and the CLS-capacity sweep, shortcut or walked,
+   equals a real bare-stack walk (``tests/reference/cls_sweep.py``)
+   at capacities 1 to 8;
 6. **the data-speculation study agrees with its reference** -- the
    single-pass study over chunked full-effects columns equals the
    per-record two-pass study (``tests/reference/dataspec.py``) at CLS
@@ -40,7 +43,11 @@ import pytest
 from repro.analysis import analyze_trace
 from repro.core import LoopDetector
 from repro.core.dataspec import DataSpeculationAnalyzer
-from repro.core.speculation import simulate, simulate_grid
+from repro.core.speculation import (
+    SpeculationDisableTable,
+    simulate,
+    simulate_grid,
+)
 from repro.cpu import trace_control_flow, trace_full
 from repro.cpu import tracer as tracer_mod
 from repro.pipeline.cache import TraceCache, program_fingerprint
@@ -49,6 +56,7 @@ from repro.util.rng import Xorshift64
 from repro.workloads.synthetic import make_workload, random_profile
 
 from reference.cls_sweep import production_sweep, walked_cls_counts
+from reference import speculation as reference
 from reference.dataspec import reference_stats
 from reference.tracer import ReferenceTracer, outcome
 
@@ -143,13 +151,14 @@ def test_tracers_match_reference(profile, seed, monkeypatch):
                 % (cls.__name__, hot, FUZZ_SEED)
 
 
-#: Property 5's grid: the policies whose walks leap, x 2 TU counts x
-#: the ideal machine and an overhead model.
+#: Property 5's grid: every policy x 2 TU counts x the ideal machine,
+#: an overhead model and a positional one, plus the unlimited oracle.
 LEAP_CONFIGS = [(tus, policy, timing)
                 for policy in ("idle", "str", "str(1)", "str(2)",
-                               "str(3)")
+                               "str(3)", "all")
                 for tus in (2, 4)
-                for timing in (None, "overhead:spawn=8,squash=4,promote=1")]
+                for timing in (None, "overhead:spawn=8,squash=4,promote=1",
+                               "width:width=2")] + [(None, "all", None)]
 LEAP_CLS_CAPACITIES = tuple(range(1, 9))
 
 
@@ -162,10 +171,22 @@ def test_leaping_walks_match_full_walks(profile, seed):
     index = LoopDetector().run(trace)
     grid = simulate_grid(index, LEAP_CONFIGS, name="fuzz")
     for (tus, policy, timing), got in zip(LEAP_CONFIGS, grid):
-        ref = simulate(index, num_tus=tus, policy=policy, name="fuzz",
-                       timing=timing)
+        ref = reference.simulate(index, num_tus=tus, policy=policy,
+                                 name="fuzz", timing=timing)
         assert got.state() == ref.state(), \
-            "%s at %d TUs, %s (REPRO_FUZZ_SEED=%d)" \
+            "%s at %s TUs, %s (REPRO_FUZZ_SEED=%d)" \
+            % (policy, tus, timing, FUZZ_SEED)
+    for tus, policy, timing in LEAP_CONFIGS[::5]:
+        tables = [SpeculationDisableTable(capacity=4, min_samples=2)
+                  for _ in range(2)]
+        got = simulate(index, num_tus=tus, policy=policy, name="fuzz",
+                       timing=timing, disable_table=tables[0])
+        ref = reference.simulate(index, num_tus=tus, policy=policy,
+                                 name="fuzz", timing=timing,
+                                 disable_table=tables[1])
+        assert (got.state(), tables[0].blocked_loops()) \
+            == (ref.state(), tables[1].blocked_loops()), \
+            "disable table, %s at %s TUs, %s (REPRO_FUZZ_SEED=%d)" \
             % (policy, tus, timing, FUZZ_SEED)
     counts, _ = production_sweep(
         lambda suite: analyze_trace(suite, trace, name="fuzz"),

@@ -1,24 +1,32 @@
-"""Grid-vs-independent equivalence: the fused engine's golden suite.
+"""The speculation walk against its reference.
 
-:func:`~repro.core.speculation.grid.simulate_grid` promises results
-bit-identical to N independent :func:`~repro.core.speculation.
-simulate` calls for *any* config list -- fused configurations through
-the shared-walk columns, everything else through the per-config
-fallback.  These tests pin that promise across every policy, every
-timing model family, every analog workload (with the result
-invariants of ``tests/reference/invariants.py`` checked on every
-fused cell), the committed frontier corpus, and the degenerate
-shapes (loop-free indexes, zero-trip loops, single TU, empty config
-lists, fused/fallback mixes inside one call), and pin that the
-sensitivity-shaped grid fuses every cell.
+:func:`~repro.core.speculation.grid.simulate_grid`,
+:func:`~repro.core.speculation.simulate` and the infinite-TU study all
+run one walk over shared tables.  ``tests/reference/speculation.py``
+keeps the per-config engine that maintains its own LET and nesting
+stack event by event; every result here must be state-equal to it.
+The cross covers every policy (the ``all`` oracle at finite and
+unlimited TUs too), every timing model family (width and class-cost
+through the walk's positional seam), both waiting-credit settings,
+disable-table runs (blocked loops and per-loop outcome counts must
+match as well), every analog workload (with the result invariants of
+``tests/reference/invariants.py`` checked on the ideal and overhead
+cells), the committed frontier corpus, random loop nests, and the
+degenerate shapes (loop-free indexes, zero-trip loops, single TU,
+empty config lists).
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import LoopDetector
-from repro.core.speculation import simulate, simulate_grid
+from repro.core.speculation import (
+    SpeculationDisableTable,
+    simulate,
+    simulate_grid,
+)
 from repro.cpu import trace_control_flow
 from repro.lang import (
     Assign,
@@ -32,15 +40,17 @@ from repro.lang import (
 from repro.obs.collector import Collector, activate, deactivate
 from repro.pipeline import SimulationSession
 from repro.search.corpus import frontier_names
+from repro.timing import make_timing
 from repro.timing.models import OverheadTiming
+from repro.trace.batch import iter_batches
 from repro.workloads.suite import SUITE_ORDER
 
+from reference import speculation as reference
 from reference.invariants import check_result
 
-#: Every policy the engine accepts ("all" is the oracle -- always a
-#: fallback config) and every timing model family (width/classcost
-#: price positionally -- always fallback).
-POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)")
+#: Every policy the walk accepts and every timing model family (width
+#: and class-cost price positionally).
+POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)", "all")
 TIMINGS = (None, "overhead:spawn=8",
            "overhead:spawn=2,squash=4,promote=1",
            "width:width=2", "classcost:branch=3,other=2")
@@ -95,9 +105,59 @@ def assert_grid_matches(index, configs, count_waiting=True):
                          count_waiting=count_waiting)
     assert len(grid) == len(configs)
     for (tus, policy, timing), got in zip(configs, grid):
-        ref = simulate(index, num_tus=tus, policy=policy, name="t",
-                       timing=timing, count_waiting=count_waiting)
+        ref = reference.simulate(index, num_tus=tus, policy=policy,
+                                 name="t", timing=timing,
+                                 count_waiting=count_waiting)
         assert got.state() == ref.state(), (tus, policy, timing)
+
+
+def _disable_tables():
+    # The extensions study's table, and a tight one that blocks on the
+    # first miss and evicts.
+    return (SpeculationDisableTable(capacity=16, min_samples=5,
+                                    hit_threshold=0.5),
+            SpeculationDisableTable(capacity=2, min_samples=1,
+                                    hit_threshold=0.9))
+
+
+def _outcomes(table, loops):
+    outcomes = {}
+    for loop in loops:
+        stats = table.stats_for(loop)
+        if stats is not None:
+            outcomes[loop] = (stats.correct, stats.wrong)
+    return outcomes
+
+
+def assert_disable_matches(index, configs):
+    """Disable-table runs of *configs*: the result, the blocked loops
+    and every loop's outcome counts equal the reference's."""
+    loops = set(index.columns().loops)
+    for tus, policy, timing in configs:
+        for got_table, ref_table in zip(_disable_tables(),
+                                        _disable_tables()):
+            got = simulate(index, num_tus=tus, policy=policy, name="t",
+                           timing=timing, disable_table=got_table)
+            ref = reference.simulate(index, num_tus=tus, policy=policy,
+                                     name="t", timing=timing,
+                                     disable_table=ref_table)
+            where = (tus, policy, timing, ref_table.min_samples)
+            assert got.state() == ref.state(), where
+            assert got_table.blocked_loops() \
+                == ref_table.blocked_loops(), where
+            assert _outcomes(got_table, loops) \
+                == _outcomes(ref_table, loops), where
+            assert got_table.blocks_installed \
+                == ref_table.blocks_installed, where
+
+
+def fed_classcost(session, name, spec="classcost:branch=3,other=2"):
+    """A class-cost model fed *name*'s records, as the session feeds
+    record-fed models before a run."""
+    model = make_timing(spec)
+    for batch in iter_batches(session.trace(name).records):
+        model.feed_batch(batch)
+    return model
 
 
 class TestSyntheticMatrix:
@@ -146,36 +206,49 @@ class TestDegenerateShapes:
                        POLICIES, (1, 4), (None, "overhead:spawn=8"))]
         assert_grid_matches(index, configs)
 
-    def test_oracle_and_infinite_configs_delegate(self):
+    def test_oracle_and_infinite_configs(self):
         index = build_index(repeated_loop_module(3, 8))
         configs = [(4, "all", None), (4, "all", "overhead:spawn=8"),
-                   (None, "all", None)]
+                   (None, "all", None), (None, "all", "width:width=2"),
+                   (1, "all", None)]
         assert_grid_matches(index, configs)
+
+    @pytest.mark.parametrize("module", [
+        straight_line_module(),
+        uniform_loop_module(0),
+        repeated_loop_module(10, 3),
+    ], ids=["no-loops", "zero-trip", "short-trips"])
+    def test_disable_table_runs(self, module):
+        assert_disable_matches(build_index(module), [
+            (tus, policy, timing)
+            for policy, tus, timing in itertools.product(
+                POLICIES, (2, 8), (None, "overhead:spawn=8"))])
 
 
 class TestMixedGrid:
-    """One call mixing fused and fallback configs mid-grid."""
+    """One call mixing every policy and timing family mid-grid."""
 
     def test_mid_grid_divergence_and_counters(self):
         index = build_index(repeated_loop_module(4, 10))
         configs = [
-            (4, "str", None),                    # fused
-            (4, "str", "width:width=2"),         # fallback: width
-            (2, "idle", "overhead:spawn=8"),     # fused
-            (4, "all", None),                    # fallback: oracle
-            (4, "str(3)", "overhead:spawn=2"),   # fused
-            (4, "str", "classcost:branch=3,other=2"),  # fallback
-            (1, "idle", None),                   # fused
+            (4, "str", None),
+            (4, "str", "width:width=2"),
+            (2, "idle", "overhead:spawn=8"),
+            (4, "all", None),
+            (4, "str(3)", "overhead:spawn=2"),
+            (4, "str", "classcost:branch=3,other=2"),
+            (1, "idle", None),
+            (None, "all", None),
         ]
         collector = activate(Collector())
         try:
             assert_grid_matches(index, configs)
         finally:
             deactivate()
-        # assert_grid_matches prices the grid once; the per-config
-        # reference calls do not touch the grid counters.
-        assert collector.counters.get("engine.fused_cells") == 4
-        assert collector.counters.get("engine.fallback_cells") == 3
+        # assert_grid_matches prices the grid once; the reference
+        # calls do not touch the grid counters.
+        assert collector.counters.get("engine.fused_cells") \
+            == len(configs)
         spans = [s for s in collector.spans
                  if s["name"] == "engine.simulate_grid"]
         assert len(spans) == 1
@@ -202,9 +275,8 @@ class TestAnalogWorkloads:
 class TestSensitivityShapedGrid:
     """The sensitivity sweep's grid shape on three analogs: the paper's
     summary policies, the TU axis up to 8, and the ideal leg plus the
-    spawn-cost overhead legs.  Every cell must take the fused walk --
-    a configuration dropping to the per-config fallback is a fusion
-    regression, whatever it does to wall time."""
+    spawn-cost overhead legs, all priced in one call over the shared
+    tables."""
 
     POLICIES = ("idle", "str", "str(3)")
     TU_COUNTS = (1, 2, 4, 8)
@@ -232,19 +304,22 @@ class TestSensitivityShapedGrid:
             deactivate()
         assert collector.counters.get("engine.fused_cells") \
             == len(configs) == 60
-        assert "engine.fallback_cells" not in collector.counters
 
 
 class TestAnalogDifferential:
-    """Every analog through the fused walk: IDLE, STR and the nested-
-    squash limits STR(1), STR(2), STR(3) and STR(5), TUs 1 to 16, the
-    ideal machine and an overhead model, with and without waiting
-    credit.  Each fused cell must be state-equal to its per-config
-    engine run and obey the result invariants
-    (``tests/reference/invariants.py``); a zero-cost overhead column
-    rides along to check that pricing nothing changes nothing."""
+    """Every analog through the walk: IDLE, STR, the nested-squash
+    limits STR(1), STR(2), STR(3) and STR(5) and the ``all`` oracle at
+    TUs 1 to 16 and unlimited, the ideal machine, an overhead model and
+    both positional models (width, and a class-cost table fed the
+    analog's records), with and without waiting credit.  Each cell must
+    be state-equal to its reference run; the ideal and overhead cells
+    must also obey the result invariants
+    (``tests/reference/invariants.py``), and a zero-cost overhead
+    column rides along to check that pricing nothing changes
+    nothing."""
 
-    POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)", "str(5)")
+    POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)", "str(5)",
+                "all")
     TU_COUNTS = (1, 2, 4, 16)
     OVERHEAD = "overhead:spawn=8,squash=4,promote=1"
     BUDGET = 30_000
@@ -262,9 +337,15 @@ class TestAnalogDifferential:
         index = session.index(name)
         pairs = list(itertools.product(self.TU_COUNTS, self.POLICIES))
         zero_cost = OverheadTiming()
-        configs = [(tus, policy, timing)
+        checked = [(tus, policy, timing)
                    for timing in (None, self.OVERHEAD, zero_cost)
                    for tus, policy in pairs]
+        positional = ("width:width=2", fed_classcost(session, name))
+        configs = checked + [
+            (tus, policy, timing)
+            for timing in positional for tus, policy in pairs] + [
+            (None, "all", timing)
+            for timing in (None, self.OVERHEAD) + positional]
         collector = activate(Collector())
         try:
             grid = simulate_grid(index, configs, name=name,
@@ -276,16 +357,26 @@ class TestAnalogDifferential:
         ideal = grid[:len(pairs)]
         for slot, ((tus, policy, timing), got) in enumerate(
                 zip(configs, grid)):
-            ref = simulate(index, num_tus=tus, policy=policy, name=name,
-                           timing=timing, count_waiting=count_waiting)
+            ref = reference.simulate(index, num_tus=tus, policy=policy,
+                                     name=name, timing=timing,
+                                     count_waiting=count_waiting)
             assert got.state() == ref.state(), (tus, policy, timing)
-            assert check_result(got, timing,
-                                ideal[slot % len(pairs)]) == [], \
-                (tus, policy, timing)
+            if slot < len(checked):
+                assert check_result(got, timing,
+                                    ideal[slot % len(pairs)]) == [], \
+                    (tus, policy, timing)
+
+    @pytest.mark.parametrize("name", SUITE_ORDER)
+    def test_disable_table_runs_match_reference(self, session, name):
+        assert_disable_matches(session.index(name), [
+            (tus, policy, timing)
+            for policy, tus, timing in itertools.product(
+                ("idle", "str", "str(2)", "all"), (2, 4, 16),
+                (None, self.OVERHEAD, "width:width=2"))])
 
 
 class TestFrontierCorpus:
-    """Every committed adversarial case through the fused walk."""
+    """Every committed adversarial case through the walk."""
 
     @pytest.mark.parametrize("name", frontier_names())
     def test_grid_matches_independent(self, name):
@@ -295,5 +386,44 @@ class TestFrontierCorpus:
         configs = [(2, "str", None), (4, "str(3)", "overhead:spawn=8"),
                    (4, "idle", "overhead:spawn=2,squash=4,promote=1"),
                    (1, "str", None), (4, "str(1)", None),
-                   (2, "str(2)", "overhead:spawn=8,squash=4,promote=1")]
+                   (2, "str(2)", "overhead:spawn=8,squash=4,promote=1"),
+                   (4, "all", None), (None, "all", "overhead:spawn=8"),
+                   (2, "idle", "width:width=2"),
+                   (4, "str(1)", fed_classcost(session, name))]
         assert_grid_matches(index, configs)
+        assert_disable_matches(index, configs)
+
+
+class TestRandomNests:
+    """Random loop nests with data-dependent trip counts, so the STR
+    predictions drift and STR(i) squashes fire; fresh examples on every
+    hypothesis run."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 6), st.integers(1, 4),
+           st.integers(1, 5))
+    def test_walk_matches_reference(self, outer, inner, modulus, calls):
+        m = Module("t")
+        m.function("work", ["n"], [
+            Assign("a", 0),
+            For("k", 0, Var("n"), [Assign("a", Var("a") + Var("k"))]),
+            Return(Var("a")),
+        ])
+        m.function("main", [], [
+            Assign("x", 0),
+            For("i", 0, outer, [
+                For("j", 0, inner + Var("i") % modulus, [
+                    Assign("x", Var("x") + CallExpr("work", Var("j"))),
+                ]),
+                For("r", 0, calls, [
+                    Assign("x", Var("x") + CallExpr("work", Var("i"))),
+                ]),
+            ]),
+            Return(Var("x")),
+        ])
+        index = build_index(m)
+        configs = [(tus, policy, timing)
+                   for policy, tus, timing in itertools.product(
+                       POLICIES, (2, 4), (None, "width:width=2"))]
+        assert_grid_matches(index, configs + [(None, "all", None)])
+        assert_disable_matches(index, configs[::3])

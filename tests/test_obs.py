@@ -525,6 +525,30 @@ class TestRunnerMetricsCLI:
         assert counters["dataspec.iterations"] == iterations
         assert iterations > 0
 
+    def test_engine_simulate_span_per_computed_run(self, tmp_path,
+                                                   capsys):
+        """figure5 computes two infinite-TU runs per workload (the full
+        trace and its quarter prefix), each in an ``engine.simulate``
+        span tagged with its workload and policy; a warm rerun reads
+        both from the derived store and opens none."""
+        cache = str(tmp_path / "cache")
+        metrics = str(tmp_path / "run.json")
+        args = ["figure5", "--workloads", "swim,go", "--cache-dir", cache,
+                "--metrics", metrics]
+
+        def engine_spans():
+            return [(span["attrs"]["workload"], span["attrs"]["policy"])
+                    for span in load_manifest(metrics)["spans"]
+                    if span["name"] == "engine.simulate"]
+
+        assert runner_main(args) == 0
+        capsys.readouterr()
+        assert engine_spans() == [("swim", "ALL")] * 2 \
+            + [("go", "ALL")] * 2
+        assert runner_main(args) == 0
+        capsys.readouterr()
+        assert engine_spans() == []
+
     def test_timeline_flag_prints_breakdown(self, tmp_path, capsys):
         args = self.ARGS + ["--cache-dir", str(tmp_path / "c"),
                             "--timeline"]

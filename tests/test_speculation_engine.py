@@ -5,9 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import LoopDetector
 from repro.core.speculation import (
+    Policy,
     SpeculationEngine,
+    StrPolicy,
     make_policy,
     simulate,
+    simulate_grid,
     simulate_infinite,
 )
 from repro.cpu import trace_control_flow
@@ -187,6 +190,39 @@ class TestPolicies:
     def test_invalid_tu_count(self):
         with pytest.raises(ValueError):
             SpeculationEngine(num_tus=0)
+
+
+class CustomPolicy(StrPolicy):
+    name = "CUSTOM"
+
+
+class TestConfigChecks:
+    """``simulate`` and ``simulate_grid`` run one walk and reject the
+    configurations it cannot price, before pricing any."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return build_index(uniform_loop_module(20))
+
+    @pytest.mark.parametrize("num_tus, policy", [
+        (None, "idle"), (None, "str"), (None, "str(2)"),
+        (0, "str"), (-3, "all"),
+        (4, CustomPolicy()), (4, Policy()),
+    ], ids=["inf-idle", "inf-str", "inf-str2", "zero-tus",
+            "negative-tus", "policy-subclass", "base-policy"])
+    def test_rejected(self, index, num_tus, policy):
+        with pytest.raises(ValueError):
+            simulate(index, num_tus=num_tus, policy=policy)
+        with pytest.raises(ValueError):
+            simulate_grid(index, [(4, "str", None),
+                                  (num_tus, policy, None)])
+
+    def test_oracle_accepts_finite_and_unlimited_tus(self, index):
+        finite, unlimited = simulate_grid(index, [(4, "all", None),
+                                                  (None, "all", None)])
+        assert finite.num_tus == 4 and finite.tpc <= 4
+        assert unlimited.num_tus == "inf"
+        assert unlimited.state() == simulate_infinite(index).state()
 
 
 class TestInfiniteTUs:
