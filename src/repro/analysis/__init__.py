@@ -23,7 +23,6 @@ from repro.analysis.passes import (
     shared_table_sim,
 )
 from repro.analysis.registry import (
-    analysis_names,
     make_analysis,
     register_analysis,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "LoopStatisticsPass",
     "SpeculationPass",
     "WorkloadContext",
-    "analysis_names",
     "analyze_trace",
     "effective_timing",
     "make_analysis",

@@ -13,7 +13,7 @@ requested experiments ride one replay per workload.
 Lifecycle, per workload::
 
     begin(ctx)                 # reset per-workload state
-    feed_record(record)        # every CF record (only if wants_records)
+    feed_batch(batch)          # every CF RecordBatch (only if wants_records)
     feed(event)                # every loop event, incl. end-of-trace flush
     finish(ctx)                # ctx.index now holds the completed LoopIndex
     ...                        # next workload: begin(ctx) again
@@ -139,13 +139,14 @@ class Analysis:
     """Base class for streaming analysis passes.
 
     Subclasses override the lifecycle hooks they need; every hook has a
-    no-op default except :meth:`result`.  Set :attr:`wants_records` to
-    receive raw control-flow records via :meth:`feed_record` in addition
-    to loop events (branch predictors and CLS-capacity sweeps need the
-    record stream; most passes only need events).
+    no-op default except :meth:`result` and :meth:`feed_batch`.  Set
+    :attr:`wants_records` and override :meth:`feed_batch` to receive
+    the raw control-flow records in addition to loop events (branch
+    predictors and CLS-capacity sweeps need the record stream; most
+    passes only need events).
     """
 
-    #: True to receive every CF record through :meth:`feed_record`.
+    #: True to receive every CF record through :meth:`feed_batch`.
     #: Read per workload *after* :meth:`begin`, so a pass may clear it
     #: there when it will not need this workload's records (e.g. its
     #: result is already in ``ctx.derived``).
@@ -154,24 +155,18 @@ class Analysis:
     def begin(self, ctx):
         """Start a workload; must fully reset per-workload state."""
 
-    def feed_record(self, record):
-        """One control-flow record (only called when ``wants_records``)."""
-
     def feed_batch(self, batch):
         """One :class:`~repro.trace.batch.RecordBatch` of control-flow
         records (only called when ``wants_records``).
 
-        The replay delivers records in batches; the default decodes
-        them and calls :meth:`feed_record` one at a time, so passes
-        written against the per-record protocol keep working unchanged.
-        Record-hungry passes override this with a columnar loop (see
-        ``docs/ANALYSIS.md``); overriders must preserve per-record
-        semantics -- a batch is a pure run of consecutive records, and
-        batch boundaries carry no meaning.
+        Read the columns directly (see ``docs/ANALYSIS.md``), or
+        ``batch.iter_records()`` for record tuples.  A batch is a pure
+        run of consecutive records; batch boundaries carry no meaning.
+        A pass that sets ``wants_records`` must override this.
         """
-        feed_record = self.feed_record
-        for record in batch.iter_records():
-            feed_record(record)
+        raise NotImplementedError(
+            "%s sets wants_records but does not override feed_batch"
+            % type(self).__name__)
 
     def feed(self, event):
         """One loop event from the canonical detector."""

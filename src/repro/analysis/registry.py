@@ -40,8 +40,3 @@ def make_analysis(name, *args, **kwargs):
         raise KeyError("unknown analysis %r (known: %s)"
                        % (name, ", ".join(sorted(_REGISTRY)))) from None
     return factory(*args, **kwargs)
-
-
-def analysis_names():
-    """Registered names, in registration order."""
-    return list(_REGISTRY)

@@ -85,8 +85,8 @@ class AnalysisSuite:
 
     def feed_batch(self, batch):
         """Fan one :class:`~repro.trace.batch.RecordBatch` out to every
-        record consumer (each falls back to per-record feeding unless
-        it overrides :meth:`~repro.analysis.base.Analysis.feed_batch`)."""
+        record consumer's :meth:`~repro.analysis.base.Analysis.
+        feed_batch`."""
         timings = self._feed_seconds
         if timings is None:
             for analysis in self._record_consumers:

@@ -34,7 +34,6 @@ from repro.core.events import (
 _K_BRANCH = int(InstrKind.BRANCH)
 _K_JUMP = int(InstrKind.JUMP)
 _K_IJUMP = int(InstrKind.IJUMP)
-_K_CALL = int(InstrKind.CALL)
 _K_RET = int(InstrKind.RET)
 
 #: Default capacity; the paper uses 16 entries and shows (Table 1) that
@@ -69,9 +68,9 @@ class CLSEntry:
 class CurrentLoopStack:
     """The CLS plus event generation.
 
-    Feed control-transfer records through :meth:`process`; it returns the
-    (possibly empty) list of loop events the transfer caused.  Call
-    :meth:`flush` once the trace ends.
+    Feed control-transfer records through :meth:`process_batch`; it
+    returns the loop events they caused.  Call :meth:`flush` once the
+    trace ends.
     """
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
@@ -91,48 +90,25 @@ class CurrentLoopStack:
     def top(self):
         return self.entries[-1] if self.entries else None
 
-    def depth_of(self, loop):
-        """1-based stack depth of *loop*, or None."""
-        for index, entry in enumerate(self.entries):
-            if entry.t == loop:
-                return index + 1
-        return None
-
     def current_loops(self):
         return [entry.t for entry in self.entries]
 
     # -- main update rules -------------------------------------------------
-
-    def process(self, seq, pc, kind, taken, target):
-        """Apply one control transfer; returns the loop events it caused."""
-        if kind == _K_CALL:
-            # Subroutine activations belong to the enclosing loop
-            # execution; calls never update the CLS.
-            return ()
-        if kind == _K_RET:
-            return self._process_return(seq, pc)
-        if kind == _K_BRANCH and not taken:
-            return self._process_not_taken(seq, pc, target)
-        if kind in (_K_BRANCH, _K_JUMP, _K_IJUMP) and taken \
-                and target is not None:
-            return self._process_taken(seq, pc, target)
-        return ()
 
     def process_batch(self, batch, events=None):
         """Apply one :class:`~repro.trace.batch.RecordBatch` of control
         transfers; returns the (possibly shared) list the batch's loop
         events were appended to, in stream order.
 
-        Behaviourally identical to calling :meth:`process` per record
-        (pinned by tests): one fused scalar loop reads the columns
-        directly and skips the common no-event cases -- calls, forward
-        or missing targets with nothing stacked -- without touching
-        the per-rule methods.  The CLS is deliberately *not* kernel-
-        driven: its stack state makes per-record
-        verdicts sequential, and a vectorized candidate walk measured
-        slower than this loop (see the note in
-        :mod:`repro.trace.kernels`).  A ``target`` of ``-1`` encodes
-        ``None``.
+        One fused scalar loop reads the columns directly and skips the
+        common no-event cases -- calls, forward or missing targets with
+        nothing stacked -- without touching the per-rule methods.
+        Calls never update the CLS: subroutine activations belong to
+        the enclosing loop execution.  The CLS is deliberately *not*
+        kernel-driven: its stack state makes per-record verdicts
+        sequential, and a vectorized candidate walk measured slower
+        than this loop (see the note in :mod:`repro.trace.kernels`).
+        A ``target`` of ``-1`` encodes ``None``.
         """
         if events is None:
             events = []
@@ -238,8 +214,6 @@ class CurrentLoopStack:
         return events
 
     def _process_not_taken(self, seq, pc, target):
-        if target is None or target > pc:
-            return ()
         index = self._find(target)
         if index is None:
             # A complete one-iteration execution of a loop that never

@@ -21,6 +21,7 @@ from repro.core.events import (
     IterationStart,
     SingleIteration,
 )
+from repro.trace.batch import iter_batches
 
 #: :class:`EventColumns` type codes, index-aligned with ``etypes``.
 EV_ITERATION = 0
@@ -223,9 +224,6 @@ class LoopIndex:
         """Set of distinct loop identifiers (target addresses)."""
         return {rec.loop for rec in self.executions.values()}
 
-    def multi_iteration_executions(self):
-        return [rec for rec in self.executions.values() if rec.iter_seqs]
-
     def __len__(self):
         return len(self.executions)
 
@@ -240,24 +238,13 @@ class LoopDetector:
 
     # -- streaming interface ----------------------------------------------
 
-    def feed(self, record):
-        """Process one CF record; returns the events it caused."""
-        events = self.cls.process(record.seq, record.pc, record.kind,
-                                  record.taken, record.target)
-        if events:
-            self._absorb(events)
-        return events
-
     def feed_batch(self, batch):
         """Process one :class:`~repro.trace.batch.RecordBatch`; returns
         the (ordered) events it caused.
 
-        The columnar fast path: one
-        :meth:`CurrentLoopStack.process_batch` call per batch instead
-        of one :meth:`feed` per record, with bookkeeping amortized over
-        the whole batch.  Event order -- and
-        therefore every downstream consumer -- is identical to the
-        per-record path.
+        One :meth:`CurrentLoopStack.process_batch` call per batch,
+        with bookkeeping amortized over the whole batch; batch
+        boundaries carry no meaning.
         """
         events = self.cls.process_batch(batch)
         if events:
@@ -271,32 +258,17 @@ class LoopDetector:
             self._absorb(events)
         return events
 
-    def run(self, trace, total_instructions=None):
-        """Convenience: feed an entire trace and return a LoopIndex.
-
-        *trace* is either a :class:`~repro.trace.stream.CFTrace` or any
-        iterable of CF records, in which case *total_instructions* must
-        be given explicitly.  The pipeline feeds columns through
-        :meth:`run_batches` instead.
-        """
-        records = getattr(trace, "records", trace)
-        if total_instructions is None:
-            try:
-                total_instructions = trace.total_instructions
-            except AttributeError:
-                raise TypeError(
-                    "run() needs total_instructions when fed a plain "
-                    "record iterable instead of a CFTrace") from None
-        feed = self.feed
-        for record in records:
-            feed(record)
-        self.finish(total_instructions)
-        return self.index(total_instructions)
+    def run(self, trace):
+        """Convenience: run a whole :class:`~repro.trace.stream.CFTrace`
+        through :meth:`run_batches` and return its LoopIndex.  The
+        pipeline streams columns into :meth:`run_batches` instead."""
+        return self.run_batches(iter_batches(trace.records),
+                                trace.total_instructions)
 
     def run_batches(self, batches, total_instructions):
-        """Like :meth:`run`, over an iterable of
-        :class:`~repro.trace.batch.RecordBatch` (e.g. the stream of
-        :func:`repro.trace.io.open_cf_batches`)."""
+        """Feed an iterable of :class:`~repro.trace.batch.RecordBatch`
+        (e.g. the stream of :func:`repro.trace.io.open_cf_batches`),
+        flush at *total_instructions* and return a LoopIndex."""
         feed_batch = self.feed_batch
         for batch in batches:
             feed_batch(batch)

@@ -103,12 +103,6 @@ class LoopHistoryTable:
         self._entries[loop] = entry
         return entry
 
-    def victim(self):
-        """The entry that would be evicted next (LRU head)."""
-        if not self._entries:
-            return None
-        return self._entries[next(iter(self._entries))]
-
     def loops(self):
         return list(self._entries)
 

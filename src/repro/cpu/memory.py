@@ -24,9 +24,5 @@ class Memory:
         get = self.cells.get
         return [get(base + i, 0) for i in range(count)]
 
-    def write_block(self, base, values):
-        for i, value in enumerate(values):
-            self.cells[base + i] = int(value)
-
     def __len__(self):
         return len(self.cells)

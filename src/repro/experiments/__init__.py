@@ -34,11 +34,3 @@ __all__ = [
     "run_experiment",
     "select_experiments",
 ]
-
-
-def __getattr__(name):
-    if name == "SuiteRunner":
-        from repro.experiments.runner import _removed
-        _removed("repro.experiments.SuiteRunner")
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))

@@ -52,9 +52,6 @@ models and ignores ``--timing``.
 then the rest); duplicates run once.  Each experiment module is also
 directly runnable with the same flags, e.g. ``python -m
 repro.experiments.table1 --jobs 4``.
-
-The old ``SuiteRunner`` shim is gone; construct a
-:class:`~repro.pipeline.session.SimulationSession` instead.
 """
 
 import argparse
@@ -87,21 +84,6 @@ EXPERIMENT_ORDER = (
 #: generated synthetic workloads; the sensitivity sweep departs from
 #: the paper's idealized timing).
 EXTRA_EXPERIMENTS = ("characterize", "sensitivity")
-
-
-def _removed(name):
-    raise ImportError(
-        "%s was removed: the sequential SuiteRunner shim is gone. "
-        "Construct repro.pipeline.SimulationSession instead (e.g. "
-        "SimulationSession(workloads=('swim', 'go'), cache_dir=None) "
-        "for the old sequential, uncached behaviour) and call "
-        "analyze()/indexes() on it." % name)
-
-
-def __getattr__(name):
-    if name == "SuiteRunner":
-        _removed("repro.experiments.runner.SuiteRunner")
-    raise AttributeError(name)
 
 
 def available_experiments():

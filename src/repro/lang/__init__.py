@@ -43,7 +43,7 @@ from repro.lang.ast import (
     as_expr,
 )
 from repro.lang.compiler import MAX_PARAMS, compile_module
-from repro.lang.inspect import ModuleStats, max_loop_nesting, module_stats
+from repro.lang.inspect import ModuleStats, module_stats
 from repro.lang.optimizer import optimize_module
 from repro.lang.parser import compile_source, parse_module
 
@@ -77,7 +77,6 @@ __all__ = [
     "as_expr",
     "compile_module",
     "compile_source",
-    "max_loop_nesting",
     "module_stats",
     "optimize_module",
     "parse_module",

@@ -115,8 +115,3 @@ def module_stats(module):
         if deepest > stats.max_syntactic_nesting:
             stats.max_syntactic_nesting = deepest
     return stats
-
-
-def max_loop_nesting(module):
-    """Deepest syntactic loop nest across all functions."""
-    return module_stats(module).max_syntactic_nesting

@@ -25,8 +25,7 @@ Underneath, the pipeline
 
 :meth:`index` and :meth:`indexes` serve loop indexes directly (the
 sweep and search path); :meth:`trace` decodes a memoized record-list
-view for interactive use.  The old sequential ``SuiteRunner`` shim is
-gone (construct a session with ``cache_dir=None`` for its behaviour).
+view for interactive use.
 """
 
 import dataclasses
@@ -297,9 +296,7 @@ class SimulationSession:
         *batches* is an iterable of :class:`~repro.trace.batch.
         RecordBatch` (a cached v3 stream, or in-memory columns).  Per
         batch, records fan out to the suite's record consumers and the
-        timing model, then the detector's columnar fast path turns
-        them into loop events -- event order is identical to the
-        per-record replay.
+        timing model, then the detector turns them into loop events.
         """
         detector = ctx.detector = LoopDetector(
             cls_capacity=self.config.cls_capacity)

@@ -39,59 +39,13 @@ def _parse_names(option, spec, parser):
     return names
 
 
-def _parse_ints(option, spec, parser):
-    try:
-        values = tuple(int(v.strip()) for v in spec.split(",")
-                       if v.strip())
-    except ValueError:
-        parser.error("%s expects comma-separated integers, got %r"
-                     % (option, spec))
-    if not values:
-        parser.error("%s selected nothing" % option)
-    return values
-
-
-def _resolve_workloads(args, experiment, parser):
-    """The spec's workload tuple, mirroring the runner's rules:
-    ``--workloads`` wins, ``--profile`` (or characterize's default)
-    selects a generated synthetic sweep, every other experiment
-    defaults to the full analog suite."""
-    from repro.workloads import SUITE_ORDER, get as get_workload
-    from repro.workloads.synthetic import sweep_names
-
-    if args.workloads is not None:
-        if args.profile is not None:
-            parser.error("--profile and --workloads are mutually "
-                         "exclusive")
-        if args.seed is not None or args.count is not None:
-            parser.error("--seed/--count apply to a synthetic sweep "
-                         "only")
-        names = _parse_names("--workloads", args.workloads, parser)
-        for name in names:
-            try:
-                get_workload(name)
-            except KeyError:
-                parser.error("unknown workload %r (see runner --list)"
-                             % name)
-        return names
-    if args.profile is not None or experiment == "characterize":
-        try:
-            names = sweep_names(args.profile or "baseline",
-                                1 if args.seed is None else args.seed,
-                                10 if args.count is None else args.count)
-            for name in names:
-                get_workload(name)      # resolve + register up front
-        except (KeyError, ValueError) as exc:
-            parser.error(str(exc))
-        return tuple(names)
-    if args.seed is not None or args.count is not None:
-        parser.error("--seed/--count apply to a synthetic sweep only "
-                     "(use --profile)")
-    return tuple(SUITE_ORDER)
-
-
 def _build_spec(args, parser):
+    """The spec for this submission; workloads and integer lists follow
+    the direct runner's rules, so a sweep and its direct run agree."""
     from repro.experiments import characterize, figure7, sensitivity
+    from repro.experiments.runner import _parse_int_list, \
+        _parse_workloads, _synthetic_sweep
+    from repro.workloads import SUITE_ORDER
 
     experiment = args.experiment
     sens_flags = [name for name, value in
@@ -116,9 +70,13 @@ def _build_spec(args, parser):
         parser.error("%s runs a fixed policy; drop --policies"
                      % experiment)
 
+    workloads = _synthetic_sweep(args, (experiment,), parser)
+    if workloads is None:
+        workloads = (tuple(SUITE_ORDER) if args.workloads is None
+                     else _parse_workloads(args.workloads, parser))
     kwargs = {
         "experiment": experiment,
-        "workloads": _resolve_workloads(args, experiment, parser),
+        "workloads": workloads,
         "scale": args.scale,
         "cls_capacity": args.cls_capacity,
         "max_instructions": args.max_instructions,
@@ -136,17 +94,19 @@ def _build_spec(args, parser):
         kwargs["policies"] = sensitivity.POLICIES
     if experiment == "sensitivity":
         if args.spawn_cost is not None:
-            kwargs["spawn_costs"] = _parse_ints(
+            kwargs["spawn_costs"] = _parse_int_list(
                 "--spawn-cost", args.spawn_cost, parser)
         if args.tus is not None:
-            kwargs["tu_counts"] = _parse_ints("--tus", args.tus, parser)
+            kwargs["tu_counts"] = _parse_int_list("--tus", args.tus,
+                                                  parser)
         if args.squash_cost is not None:
             kwargs["squash_cost"] = args.squash_cost
         if args.promote_cost is not None:
             kwargs["promote_cost"] = args.promote_cost
     elif experiment in ("figure6", "figure7"):
         if args.tus is not None:
-            kwargs["tu_counts"] = _parse_ints("--tus", args.tus, parser)
+            kwargs["tu_counts"] = _parse_int_list("--tus", args.tus,
+                                                  parser)
     elif args.num_tus is not None:
         kwargs["num_tus"] = args.num_tus
     try:
@@ -280,7 +240,7 @@ def sweep_main(argv=None):
 
 def query_main(argv=None):
     """Entry point of ``runner query ...``."""
-    from repro.experiments.runner import _emit
+    from repro.experiments.runner import _emit, _parse_int_list
     from repro.sweep.query import GROUP_KEYS, cell_listing, \
         grouped_listing, sweep_overview, sweep_report
 
@@ -350,7 +310,8 @@ def query_main(argv=None):
                 filters["policies"] = _parse_names(
                     "--policies", args.policies, parser)
             if args.tus is not None:
-                filters["tus"] = _parse_ints("--tus", args.tus, parser)
+                filters["tus"] = _parse_int_list("--tus", args.tus,
+                                                 parser)
             if args.timing is not None:
                 filters["timings"] = _parse_names(
                     "--timing", args.timing, parser)

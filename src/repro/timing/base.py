@@ -35,7 +35,7 @@ many simulations (different TU counts, policies) against one model
 instance, and ``ctx.shared`` memoization relies on a model being fully
 described by :meth:`key`.  Per-run state is not allowed; per-*workload*
 state (the record-fed cost table) is set up before any simulation via
-:meth:`feed_record`.
+:meth:`feed_batch`.
 """
 
 
@@ -50,7 +50,7 @@ class TimingModel:
     name = "ideal"
 
     #: True when the model must see every CF record of the workload's
-    #: replay (via :meth:`feed_record`) before simulations run.
+    #: replay (via :meth:`feed_batch`) before simulations run.
     wants_records = False
 
     def key(self):
@@ -58,18 +58,13 @@ class TimingModel:
         models with equal keys must produce identical simulations."""
         return ("ideal",)
 
-    def feed_record(self, record):
-        """One control-flow record of the workload being replayed
-        (only called when :attr:`wants_records`)."""
-
     def feed_batch(self, batch):
-        """One :class:`~repro.trace.batch.RecordBatch` of the replay
-        (only called when :attr:`wants_records`).  The default decodes
-        to :meth:`feed_record`; record-fed models override it with a
-        columnar loop."""
-        feed_record = self.feed_record
-        for record in batch.iter_records():
-            feed_record(record)
+        """One :class:`~repro.trace.batch.RecordBatch` of the replay,
+        only called when :attr:`wants_records` is set; a model that
+        sets it must override this."""
+        raise NotImplementedError(
+            "%s sets wants_records but does not override feed_batch"
+            % type(self).__name__)
 
     # -- rates ---------------------------------------------------------------
 

@@ -159,13 +159,6 @@ class ClassCostTiming(TimingModel):
         return ("classcost",) + tuple(
             self._costs[int(kind)] for _, kind in _CLASS_PARAMS)
 
-    def feed_record(self, record):
-        delta = self._costs[record.kind] - self.other
-        if delta:
-            self._total_extra += delta
-            self._seqs.append(record.seq)
-            self._extra.append(self._total_extra)
-
     def feed_batch(self, batch):
         # Columnar fast path: only the seq and kind columns matter, and
         # the kernel turns them into the prefix-sum increments in bulk.

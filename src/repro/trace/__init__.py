@@ -7,7 +7,7 @@ from repro.trace.batch import (
     RecordBatch,
     iter_batches,
 )
-from repro.trace.stream import CFTrace, FullTrace, clip, straight_line_runs
+from repro.trace.stream import CFTrace, FullTrace, clip
 from repro.trace.stats import CFStats, basic_block_profile, collect_cf_stats
 from repro.trace.io import (
     BatchTraceWriter,
@@ -33,7 +33,6 @@ __all__ = [
     "CFTrace",
     "FullTrace",
     "clip",
-    "straight_line_runs",
     "CFStats",
     "basic_block_profile",
     "collect_cf_stats",

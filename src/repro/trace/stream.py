@@ -38,19 +38,6 @@ class CFTrace:
     def __len__(self):
         return len(self.records)
 
-    @property
-    def control_fraction(self):
-        """Fraction of executed instructions that transfer control."""
-        if self.total_instructions == 0:
-            return 0.0
-        return len(self.records) / self.total_instructions
-
-    def backward_records(self):
-        """Iterate taken-or-not backward branch/jump records."""
-        for rec in self.records:
-            if rec.target is not None and rec.target <= rec.pc:
-                yield rec
-
     def validate(self):
         """Check internal consistency; raises ``ValueError`` on violation.
 
@@ -102,23 +89,6 @@ class FullTrace:
         return CFTrace(records=records,
                        total_instructions=self.total_instructions,
                        halted=self.halted, program_name=self.program_name)
-
-
-def straight_line_runs(cf_trace):
-    """Yield ``(start_pc, length)`` straight-line runs between records.
-
-    Includes the implicit run before the first control transfer.  Useful
-    for instruction-mix statistics without a full trace.
-    """
-    prev_next = None
-    prev_seq = -1
-    for rec in cf_trace.records:
-        start = prev_next
-        length = rec.seq - prev_seq - 1
-        if length > 0 and start is not None:
-            yield start, length
-        prev_next = rec.next_pc
-        prev_seq = rec.seq
 
 
 def clip(cf_trace, max_instructions):

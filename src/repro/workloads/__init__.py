@@ -7,20 +7,16 @@ parametric ``synth-<profile>-<seed>`` programs drawn from
 :func:`get`.
 """
 
-from repro.workloads.base import Workload, all_workloads, get, names, \
-    register, register_workload
-from repro.workloads.suite import SUITE_ORDER, fp_suite, integer_suite, \
-    suite
+from repro.workloads.base import Workload, get, names, register, \
+    register_workload
+from repro.workloads.suite import SUITE_ORDER, suite
 
 __all__ = [
     "Workload",
-    "all_workloads",
     "get",
     "names",
     "register",
     "register_workload",
     "SUITE_ORDER",
-    "fp_suite",
-    "integer_suite",
     "suite",
 ]

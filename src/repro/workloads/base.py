@@ -116,7 +116,3 @@ def get(name):
 
 def names():
     return sorted(_REGISTRY)
-
-
-def all_workloads():
-    return [_REGISTRY[n] for n in sorted(_REGISTRY)]

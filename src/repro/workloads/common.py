@@ -44,15 +44,3 @@ def table_init(count, seed, low=0, high=255):
 
 def ramp_init(count, start=0, step=1):
     return [start + i * step for i in range(count)]
-
-
-def straight_line_block(dst_vars, expr_builder, statements):
-    """Append *statements* with a long straight-line arithmetic block.
-
-    ``dst_vars`` is a list of variable names cycled through as targets;
-    ``expr_builder(k)`` produces the k-th expression.  Used by the
-    fpppp-analog to create huge loop bodies.
-    """
-    for k, name in enumerate(dst_vars):
-        statements.append(Assign(name, expr_builder(k)))
-    return statements

@@ -33,11 +33,3 @@ SUITE_ORDER = (
 def suite():
     """The workloads in the paper's table order."""
     return [get(name) for name in SUITE_ORDER]
-
-
-def integer_suite():
-    return [w for w in suite() if w.category == "int"]
-
-
-def fp_suite():
-    return [w for w in suite() if w.category == "fp"]

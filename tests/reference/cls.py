@@ -6,8 +6,8 @@ and the exit rule (``t <= pc <= b`` and not ``t <= target <= b``) is
 checked against every stacked entry.  The production
 :class:`~repro.core.cls.CurrentLoopStack` skips work the rules prove
 is a no-op; :func:`reference_events` states what that work would have
-produced, so tests can pin ``process`` and ``process_batch`` against
-it event for event.
+produced, so tests can pin ``process_batch`` against it event for
+event.
 """
 
 from repro.core.events import (

@@ -641,14 +641,14 @@ class TestAnalysisSuite:
         class Wants(Analysis):
             wants_records = True
 
-            def feed_record(self, record):
-                fed.append(record)
+            def feed_batch(self, batch):
+                fed.extend(batch.iter_records())
 
             def result(self):
                 return len(fed)
 
         class DoesNot(Analysis):
-            def feed_record(self, record):
+            def feed_batch(self, batch):
                 raise AssertionError("must not receive records")
 
             def result(self):

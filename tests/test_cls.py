@@ -13,6 +13,7 @@ from repro.core import (
     SingleIteration,
 )
 from repro.isa import InstrKind
+from repro.trace import CFRecord, RecordBatch
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -21,7 +22,8 @@ RET = int(InstrKind.RET)
 
 
 class Feeder:
-    """Feeds synthetic control transfers with automatic sequence numbers."""
+    """Feeds synthetic control transfers, each as a one-record batch,
+    with automatic sequence numbers."""
 
     def __init__(self, cls=None):
         self.cls = cls if cls is not None else CurrentLoopStack()
@@ -30,7 +32,8 @@ class Feeder:
 
     def step(self, pc, kind, taken, target, gap=1):
         self.seq += gap
-        events = list(self.cls.process(self.seq, pc, kind, taken, target))
+        events = self.cls.process_batch(RecordBatch.from_records(
+            [CFRecord(self.seq, pc, kind, taken, target)]))
         self.events.extend(events)
         return events
 

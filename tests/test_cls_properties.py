@@ -11,6 +11,7 @@ from repro.core import (
     SingleIteration,
 )
 from repro.isa import InstrKind
+from repro.trace import CFRecord, RecordBatch
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -28,11 +29,13 @@ _transfer = st.tuples(
 
 
 def drive(cls, transfers):
+    """Feed *transfers* one-record batch at a time; returns the events."""
     events = []
     for seq, (pc, kind, taken, target) in enumerate(transfers):
         if kind in (JMP, CALL, RET):
             taken = True
-        events.extend(cls.process(seq, pc, kind, taken, target))
+        cls.process_batch(RecordBatch.from_records(
+            [CFRecord(seq, pc, kind, taken, target)]), events)
     return events
 
 

@@ -2,10 +2,10 @@
 
 ``tests/reference/cls.py`` transcribes the six CLS rules of the
 :mod:`repro.core.cls` docstring literally, visiting the exit rule on
-every taken transfer.  ``CurrentLoopStack.process`` and
-``process_batch`` skip transfers the rules prove change nothing; both
-must still emit the reference's events, in order and field for field,
-and count the same overflows.  Coverage: every analog and every
+every taken transfer.  ``CurrentLoopStack.process_batch`` skips
+transfers the rules prove change nothing; it must still emit the
+reference's events, in order and field for field, and count the same
+overflows.  Coverage: every analog and every
 frontier case at CLS capacities 16, 2 and 1, and arbitrary transfer
 sequences from the CLS property tests' strategy.
 """
@@ -35,15 +35,6 @@ def _reprs(events):
 def assert_matches_reference(records, total, capacity):
     expected, overflows = reference_events(records, capacity, total)
     expected = _reprs(expected)
-
-    stack = CurrentLoopStack(capacity)
-    events = []
-    for rec in records:
-        events.extend(stack.process(rec.seq, rec.pc, rec.kind, rec.taken,
-                                    rec.target))
-    events.extend(stack.flush(total))
-    assert _reprs(events) == expected, "process, capacity %d" % capacity
-    assert stack.overflow_count == overflows
 
     stack = CurrentLoopStack(capacity)
     events = []

@@ -242,8 +242,8 @@ class TestStructuredProgramInvariants:
                    + [Return(Var("x"))])
         trace = trace_control_flow(compile_module(m))
         detector = LoopDetector()
-        for record in trace.records:
-            detector.feed(record)
+        for batch in iter_batches(trace.records, 1):
+            detector.feed_batch(batch)
         assert len(detector.cls) == 0
         flush_events = detector.finish(trace.total_instructions)
         assert flush_events == []
@@ -278,28 +278,31 @@ class TestStructuredProgramInvariants:
 
 
 class TestIterableInput:
-    """run() consumes plain record iterables, not just CFTrace."""
+    """A plain record iterable goes through run_batches with an explicit
+    total; run() takes only a CFTrace, and batch boundaries carry no
+    meaning."""
 
     def _trace(self):
-        from repro.workloads import get
         return get("swim").cf_trace(max_instructions=20_000)
 
     def test_iterable_with_total_matches_trace(self):
         trace = self._trace()
         from_trace = LoopDetector().run(trace)
-        from_iter = LoopDetector().run(iter(trace.records),
-                                       trace.total_instructions)
+        from_iter = LoopDetector().run_batches(
+            iter_batches(iter(trace.records), 1), trace.total_instructions)
         assert len(from_iter) == len(from_trace)
-        assert [type(e).__name__ for e in from_iter.events] \
-            == [type(e).__name__ for e in from_trace.events]
+        assert list(map(repr, from_iter.events)) \
+            == list(map(repr, from_trace.events))
         assert from_iter.total_instructions \
             == from_trace.total_instructions
 
     def test_iterable_without_total_rejected(self):
-        import pytest
         trace = self._trace()
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             LoopDetector().run(iter(trace.records))
+        with pytest.raises(TypeError):
+            LoopDetector().run(iter(trace.records),
+                               trace.total_instructions)
 
 
 class TestIndexPrefix:

@@ -411,9 +411,3 @@ class TestExperimentSelection:
         text = (tmp_path / "results" / "table1.txt").read_text()
         assert "Table 1" in text
         assert "mgrid" in text
-
-    def test_suite_runner_removed(self):
-        with pytest.raises(ImportError, match="SimulationSession"):
-            from repro.experiments import SuiteRunner  # noqa: F401
-        with pytest.raises(ImportError, match="SimulationSession"):
-            from repro.experiments.runner import SuiteRunner  # noqa: F401,F811

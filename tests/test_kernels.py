@@ -90,7 +90,7 @@ class TestBatchBoundaries:
         records = loop_trace.records
         total = loop_trace.total_instructions
         reference = LoopDetector()
-        ref_index = reference.run(records, total)
+        ref_index = reference.run(loop_trace)
         full = RecordBatch.from_records(records)
         for split in range(len(records) + 1):
             d = LoopDetector()

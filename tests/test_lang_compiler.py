@@ -309,8 +309,9 @@ class TestLoopShape:
         program = compile_module(m)
         trace = trace_control_flow(program)
         from repro.isa import InstrKind
-        backward_taken = [r for r in trace.backward_records()
-                          if r.taken and r.kind == int(InstrKind.BRANCH)]
+        backward_taken = [r for r in trace.records
+                          if r.is_backward and r.taken
+                          and r.kind == int(InstrKind.BRANCH)]
         # One backward closing branch; with true rotation the guard runs
         # the first trip, so the closer is taken trips-1 times.
         pcs = {r.pc for r in backward_taken}
@@ -325,8 +326,9 @@ class TestLoopShape:
         ])
         trace = trace_control_flow(compile_module(m))
         from repro.isa import InstrKind
-        taken = [r for r in trace.backward_records()
-                 if r.taken and r.kind == int(InstrKind.BRANCH)]
+        taken = [r for r in trace.records
+                 if r.is_backward and r.taken
+                 and r.kind == int(InstrKind.BRANCH)]
         assert len(taken) == 6      # trips - 1 with a rotated guard
 
 

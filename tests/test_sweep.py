@@ -533,6 +533,23 @@ class TestSweepCLI:
                         + store)
         capsys.readouterr()
 
+    def test_repeated_workload_names_register_one_sweep(self, tmp_path,
+                                                        capsys):
+        # Same rules as the direct runner: a repeated name runs once,
+        # so the sweep id (and its report) match the plain selection.
+        def dry_run(workloads):
+            assert runner_main(
+                ["sweep", "sensitivity", "--workloads", workloads,
+                 "--tus", "2", "--dry-run",
+                 "--store", str(tmp_path / "store")]) == 0
+            return next(line for line in
+                        capsys.readouterr().out.splitlines()
+                        if line.startswith("sweep "))
+
+        once = dry_run("swim")
+        assert "over 1 workload(s)" in once
+        assert dry_run("swim,swim") == once
+
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys,
                                           tmp_path):
         import repro.sweep.cli as cli

@@ -91,9 +91,9 @@ class TestLoopHistoryTable:
         t = LoopHistoryTable(capacity=3)
         for loop in loops:
             t.insert(loop)
-            victim = t.victim()
+            victim = t.loops()[0]     # LRU head: evicted next
             if len(t) > 1:
-                assert victim.loop != loop
+                assert victim != loop
 
 
 def _nested_program(outer_trips, inner_trips, repeats=3):

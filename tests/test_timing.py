@@ -26,12 +26,29 @@ from repro.timing import (
     register_timing,
     timing_names,
 )
+from repro.trace.batch import iter_batches
+from repro.trace.record import CFRecord
 
 
 def build_trace(module):
     trace = trace_control_flow(compile_module(module), 3_000_000)
     assert trace.halted
     return trace
+
+
+def feed_records(model, records):
+    """Feed *records* to *model* the way the replay does: as batches."""
+    for batch in iter_batches(records, 3):
+        model.feed_batch(batch)
+
+
+def record_cycles(records, pos, distance, costs, other):
+    """Cycles for stream positions ``[pos, pos + distance)`` counted one
+    instruction at a time: a record's class cost at its seq, *other*
+    for every straight-line instruction between records."""
+    kinds = {rec.seq: rec.kind for rec in records}
+    return sum(costs.get(kinds[seq], 1) if seq in kinds else other
+               for seq in range(pos, pos + distance))
 
 
 def build_index(module, cls_capacity=16):
@@ -163,15 +180,17 @@ class TestModelMath:
                 assert model.cycles(start, done + 1) > elapsed
 
     def test_classcost_prefix_sums(self):
-        from repro.trace.record import CFRecord
         model = ClassCostTiming(branch=3, other=2)
-        model.feed_record(CFRecord(5, 10, int(InstrKind.BRANCH), True, 3))
-        model.feed_record(CFRecord(9, 11, int(InstrKind.BRANCH), False,
-                                   None))
+        records = [CFRecord(5, 10, int(InstrKind.BRANCH), True, 3),
+                   CFRecord(9, 11, int(InstrKind.BRANCH), False, None)]
+        feed_records(model, records)
+        costs = {int(InstrKind.BRANCH): 3}
         # [0, 10): 8 straight-line at 2 + 2 branches at 3.
-        assert model.cycles(0, 10) == 22
+        assert model.cycles(0, 10) == 22 \
+            == record_cycles(records, 0, 10, costs, 2)
         # [6, 10): three at 2, the seq-9 branch at 3.
-        assert model.cycles(6, 4) == 9
+        assert model.cycles(6, 4) == 9 \
+            == record_cycles(records, 6, 4, costs, 2)
         assert model.progress(9, 6, 100) == 4
         assert model.progress(8, 6, 100) == 3
         assert model.progress(1, 6, 100) == 0
@@ -296,8 +315,9 @@ class TestClassCostEndToEnd:
         index = LoopDetector().run(trace)
         model = ClassCostTiming(branch=2, jump=2, ijump=2, call=2,
                                 ret=2, halt=2, other=2)
-        for record in trace.records:
-            model.feed_record(record)
+        feed_records(model, trace.records)
+        total = trace.total_instructions
+        assert model.cycles(0, total) == 2 * total
         ideal = simulate(index, num_tus=4, policy="str")
         scaled = simulate(index, num_tus=4, policy="str", timing=model)
         assert scaled.total_cycles == 2 * ideal.total_cycles
@@ -307,8 +327,12 @@ class TestClassCostEndToEnd:
         trace = build_trace(repeated_loop_module(5, 8))
         index = LoopDetector().run(trace)
         model = ClassCostTiming(branch=5, call=5, ret=5)
-        for record in trace.records:
-            model.feed_record(record)
+        feed_records(model, trace.records)
+        costs = {int(InstrKind.BRANCH): 5, int(InstrKind.CALL): 5,
+                 int(InstrKind.RET): 5}
+        total = trace.total_instructions
+        assert model.cycles(0, total) == record_cycles(
+            trace.records, 0, total, costs, 1)
         ideal = simulate(index, num_tus=4, policy="str")
         costed = simulate(index, num_tus=4, policy="str", timing=model)
         assert costed.total_cycles > ideal.total_cycles

@@ -40,6 +40,8 @@ from repro.trace import (
     read_cf_header,
 )
 
+from reference.cls import ReferenceCLS, reference_events
+
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
 RET = int(InstrKind.RET)
@@ -409,28 +411,32 @@ class TestDetectorBatchEquivalence:
     @settings(max_examples=40)
     @given(random_records())
     def test_cls_process_batch_matches_process(self, records):
-        a = CurrentLoopStack(capacity=4)
-        b = CurrentLoopStack(capacity=4)
+        # The per-record reference CLS steps the same records.
+        ref = ReferenceCLS(4)
         expected = []
         for rec in records:
-            expected.extend(a.process(rec.seq, rec.pc, rec.kind,
-                                      rec.taken, rec.target))
-        got = b.process_batch(RecordBatch.from_records(records))
+            expected.extend(ref.step(rec.seq, rec.pc, rec.kind,
+                                     rec.taken, rec.target))
+        stack = CurrentLoopStack(capacity=4)
+        got = stack.process_batch(RecordBatch.from_records(records))
         assert event_reprs(got) == event_reprs(expected)
-        assert a.current_loops() == b.current_loops()
-        assert a.overflow_count == b.overflow_count
-        assert a.next_exec_id == b.next_exec_id
-        assert event_reprs(a.flush(999)) == event_reprs(b.flush(999))
+        assert stack.current_loops() == [entry.t for entry in ref.stack]
+        assert stack.overflow_count == ref.overflow_count
+        assert stack.next_exec_id == ref.next_exec_id
+        assert event_reprs(stack.flush(999)) \
+            == event_reprs(ref.flush(999))
 
     @settings(max_examples=15)
     @given(random_records(), st.integers(1, 7))
     def test_detector_feed_batch_matches_feed(self, records, size):
         total = 2 * len(records) + 1
-        d1 = LoopDetector(cls_capacity=4)
-        idx1 = d1.run(records, total)
-        d2 = LoopDetector(cls_capacity=4)
-        idx2 = d2.run_batches(iter_batches(records, size), total)
-        assert event_reprs(d1.events) == event_reprs(d2.events)
+        expected, _ = reference_events(records, 4, total)
+        one = LoopDetector(cls_capacity=4)
+        idx1 = one.run_batches(iter_batches(records, 1), total)
+        sized = LoopDetector(cls_capacity=4)
+        idx2 = sized.run_batches(iter_batches(records, size), total)
+        assert event_reprs(one.events) == event_reprs(expected)
+        assert event_reprs(sized.events) == event_reprs(expected)
         assert index_shape(idx1) == index_shape(idx2)
 
     def test_real_workload_equivalence(self):
@@ -450,26 +456,29 @@ class TestDetectorBatchEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestAnalysisFeedBatch:
-    def test_default_feed_batch_falls_back_to_feed_record(self,
-                                                          loop_trace):
-        from repro.analysis import Analysis
+    def test_wants_records_without_feed_batch_raises(self, loop_trace):
+        # A pass or timing model with a per-record hook but no
+        # feed_batch errors instead of silently seeing no records.
+        from repro.analysis import Analysis, analyze_trace
+        from repro.timing import TimingModel
 
-        class Recorder(Analysis):
+        class PerRecordPass(Analysis):
             wants_records = True
 
-            def __init__(self):
-                self.seen = []
-
             def feed_record(self, record):
-                self.seen.append(record)
+                raise AssertionError("never called")
 
             def result(self):
-                return self.seen
+                return None
 
-        third_party = Recorder()
-        for batch in iter_batches(loop_trace.records, 6):
-            third_party.feed_batch(batch)
-        assert third_party.seen == loop_trace.records
+        class PerRecordModel(TimingModel):
+            name = "per-record"
+            wants_records = True
+
+        with pytest.raises(NotImplementedError, match="PerRecordPass"):
+            analyze_trace([PerRecordPass()], loop_trace)
+        with pytest.raises(NotImplementedError, match="PerRecordModel"):
+            analyze_trace([], loop_trace, timing=PerRecordModel())
 
     def test_suite_fans_batches_to_record_consumers_only(self,
                                                          loop_trace):
@@ -529,16 +538,22 @@ class TestAnalysisFeedBatch:
     def test_classcost_timing_equivalence(self, loop_trace):
         from repro.timing import make_timing
 
-        per_record = make_timing("classcost:branch=3,other=2")
-        for rec in loop_trace.records:
-            per_record.feed_record(rec)
         batched = make_timing("classcost:branch=3,other=2")
         for batch in iter_batches(loop_trace.records, 5):
             batched.feed_batch(batch)
+        # Expected: the class cost of each record's instruction, and 2
+        # for each straight-line one, summed from position 0.
+        branch = int(InstrKind.BRANCH)
+        kinds = {rec.seq: rec.kind for rec in loop_trace.records}
         total = loop_trace.total_instructions
+        prefix = [0]
+        for seq in range(total):
+            kind = kinds.get(seq)
+            prefix.append(prefix[-1] + (2 if kind is None
+                                        else 3 if kind == branch else 1))
         for pos in range(0, total, 7):
-            assert per_record.cycles(pos, total - pos) \
-                == batched.cycles(pos, total - pos)
+            assert batched.cycles(pos, total - pos) \
+                == prefix[total] - prefix[pos]
 
     def test_dataspec_batches_match_full_trace(self):
         from repro.core.dataspec import DataSpeculationAnalyzer
@@ -655,8 +670,17 @@ class TestIsBackwardRegression:
         assert not CFRecord(0, 10, HALT, False, None).is_backward
 
     def test_agrees_with_stream_backward_records(self, loop_trace):
-        backward = [rec for rec in loop_trace.records if rec.is_backward]
-        assert backward == list(loop_trace.backward_records())
+        # The batch stream's backward-branch mask selects exactly the
+        # conditional branches whose is_backward holds.
+        from itertools import compress
+        from repro.trace.kernels import backward_branch_mask
+        streamed = []
+        for batch in iter_batches(loop_trace.records, 5):
+            streamed.extend(compress(batch.iter_records(),
+                                     backward_branch_mask(batch)))
+        backward = [rec for rec in loop_trace.records
+                    if rec.kind == BR and rec.is_backward]
+        assert backward == streamed
         assert backward        # the loop fixture has closing branches
 
 

@@ -17,7 +17,6 @@ from repro.trace import (
     dumps_cf_trace,
     load_cf_trace,
     loads_cf_trace,
-    straight_line_runs,
 )
 
 BR = int(InstrKind.BRANCH)
@@ -90,14 +89,6 @@ class TestClipAndRuns:
     def test_clip_noop_when_longer(self, loop_trace):
         same = clip(loop_trace, loop_trace.total_instructions * 2)
         assert same is loop_trace
-
-    def test_straight_line_runs_cover_gaps(self, loop_trace):
-        runs = list(straight_line_runs(loop_trace))
-        gap_instructions = sum(length for _start, length in runs)
-        implicit = loop_trace.total_instructions - len(loop_trace.records)
-        # The run before the first control transfer is not attributed
-        # (no known start pc), so coverage is bounded by implicit count.
-        assert 0 < gap_instructions <= implicit
 
 
 class TestStats:

