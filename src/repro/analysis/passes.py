@@ -7,7 +7,8 @@ simulations, and the shared full-trace data-speculation study.
 
 from repro.core.loopstats import LoopStatistics, \
     compute_loop_statistics, loop_coverage
-from repro.core.speculation import simulate_grid, simulate_infinite
+from repro.core.speculation import make_policy, simulate_grid, \
+    simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.dataspec.stats import DataSpecStats
@@ -291,6 +292,39 @@ def shared_simulate_many(ctx, specs):
             for slot in pending[key]:
                 results[slot] = result
     return results
+
+
+def shared_simulate_sims(ctx, sims):
+    """The results of a swept analysis's ``sims`` -- its ``(policy,
+    tus, timing, spawn_cost)`` list, the shape a sweep plans cells
+    from -- in list order, through one :func:`shared_simulate_many`
+    call (*timing* ``None``: the session-wide ``ctx.timing``)."""
+    return shared_simulate_many(
+        ctx, [(tus, policy, timing) for policy, tus, timing, _ in sims])
+
+
+def int_axis(name, values, minimum=0):
+    """Sorted, de-duplicated integer axis: a swept experiment and its
+    sweep spec normalize the same way, so grids match cell for cell."""
+    values = tuple(values)
+    if not values:
+        raise ValueError("%s must name at least one value" % name)
+    for value in values:
+        if not isinstance(value, int) or value < minimum:
+            raise ValueError("%s values must be integers >= %d, got %r"
+                             % (name, minimum, value))
+    return tuple(sorted(set(values)))
+
+
+def policy_axis(policies):
+    """Policy names in first-seen order, a repeated name folded once;
+    raises :class:`ValueError` on an empty list or an unknown policy."""
+    policies = tuple(dict.fromkeys(policies))
+    if not policies:
+        raise ValueError("policies must name at least one policy")
+    for policy in policies:
+        make_policy(policy)
+    return policies
 
 
 #: ``ctx.shared`` key prefix for memoized data-speculation statistics.

@@ -17,14 +17,14 @@ renders byte-identical reports on every run, warm or cold cache.
 This module is also the worked example of ``docs/ANALYSIS.md``'s
 third-party registration guide: everything happens at ``finish``
 against the completed ``ctx.index``, through the per-workload memo
-(``shared_loop_statistics`` and ``shared_simulate``, so adding e.g.
-table1 or figure6 to the same run re-uses the statistics and
+(``shared_loop_statistics`` and ``shared_simulate_sims``, so adding
+e.g. table1 or figure6 to the same run re-uses the statistics and
 simulations, and a warm run restores them from the derived store).
 """
 
-from repro.analysis import Analysis, register_analysis, \
-    shared_simulate
-from repro.analysis.passes import shared_loop_statistics
+from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import policy_axis, shared_loop_statistics, \
+    shared_simulate_sims
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 #: Policies characterized per workload (one simulation each, shared
@@ -65,20 +65,24 @@ def summarize(samples):
     )
 
 
-class CharacterizeTables:
-    """Accumulates per-workload characterizations into the two report
-    tables.
+@register_analysis("characterize")
+class CharacterizeAnalysis(Analysis):
+    """Per-workload characterization + cross-workload distributions.
 
-    One fold per workload (:meth:`add_workload`), then
-    :meth:`results`.  The direct :class:`CharacterizeAnalysis` and the
-    sweep store's query layer (:mod:`repro.sweep.query`) both render
-    through this builder, which is what keeps a store-backed report
-    byte-identical to the direct ``runner characterize`` output.
+    Returns a *list* of two :class:`ExperimentResult` tables: the
+    per-workload sweep and the distribution summary.
     """
 
+    #: Reads each workload's loop statistics, besides :attr:`sims`.
+    loopstats = True
+
     def __init__(self, policies=POLICIES, num_tus=NUM_TUS):
-        self.policies = tuple(policies)
+        self.policies = policy_axis(policies)
         self.num_tus = num_tus
+        #: The ``(policy, tus, timing, spawn_cost)`` simulations priced
+        #: per workload (timing ``None``: the session default).
+        self.sims = [(policy, num_tus, None, 0)
+                     for policy in self.policies]
         self._rows = []
         self._samples = {}      # metric label -> [value per workload]
         self.by_name = {}
@@ -87,13 +91,10 @@ class CharacterizeTables:
     def _sample(self, metric, value):
         self._samples.setdefault(metric, []).append(value)
 
-    def add_workload(self, name, stats, coverage, speculation):
-        """Fold one workload: its :class:`~repro.core.loopstats.
-        LoopStatistics`, its loop coverage fraction, and
-        ``speculation(policy)`` returning that policy's
-        :class:`SpeculationResult` at ``num_tus`` TUs."""
+    def finish(self, ctx):
+        stats, coverage = shared_loop_statistics(ctx)
         row = [
-            name,
+            ctx.name,
             stats.total_instructions,
             stats.static_loops,
             round(100.0 * coverage, 1),
@@ -109,19 +110,18 @@ class CharacterizeTables:
         self._sample("avg nesting", stats.average_nesting)
         self._sample("max nesting", float(stats.max_nesting))
         results = {}
-        for policy in self.policies:
-            result = self._timing.fold(speculation(policy))
-            results[policy] = result
+        for policy, result in zip(self.policies,
+                                  shared_simulate_sims(ctx, self.sims)):
+            results[policy] = self._timing.fold(result)
             row.append(round(100.0 * result.hit_ratio, 1))
             row.append(round(result.tpc, 2))
             self._sample("hit %% [%s]" % policy, 100.0 * result.hit_ratio)
             self._sample("tpc [%s]" % policy, result.tpc)
         self._rows.append(tuple(row))
-        self.by_name[name] = {"stats": stats, "coverage": coverage,
-                              "speculation": results}
+        self.by_name[ctx.name] = {"stats": stats, "coverage": coverage,
+                                  "speculation": results}
 
-    def results(self):
-        """The two :class:`ExperimentResult` tables, in render order."""
+    def result(self):
         headers = ["workload", "#instr", "#loops", "cov%", "#iter/exec",
                    "#instr/iter", "avg. nl", "max. nl"]
         for policy in self.policies:
@@ -149,30 +149,6 @@ class CharacterizeTables:
                                for k, v in self._samples.items()}},
         )
         return [per_workload, summary]
-
-
-@register_analysis("characterize")
-class CharacterizeAnalysis(Analysis):
-    """Per-workload characterization + cross-workload distributions.
-
-    Returns a *list* of two :class:`ExperimentResult` tables: the
-    per-workload sweep and the distribution summary.
-    """
-
-    def __init__(self, policies=POLICIES, num_tus=NUM_TUS):
-        self._tables = CharacterizeTables(policies, num_tus)
-        self.policies = self._tables.policies
-        self.num_tus = num_tus
-        self.by_name = self._tables.by_name
-
-    def finish(self, ctx):
-        stats, coverage = shared_loop_statistics(ctx)
-        self._tables.add_workload(
-            ctx.name, stats, coverage,
-            lambda policy: shared_simulate(ctx, self.num_tus, policy))
-
-    def result(self):
-        return self._tables.results()
 
 
 def run(runner):

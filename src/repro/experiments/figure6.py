@@ -4,8 +4,8 @@ The paper's headline numbers: suite-average TPC of 1.65 / 2.6 / 4 / 6.2
 for 2 / 4 / 8 / 16 thread units.
 """
 
-from repro.analysis import Analysis, register_analysis, \
-    shared_simulate_many
+from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import int_axis, shared_simulate_sims
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 TU_COUNTS = (2, 4, 8, 16)
@@ -14,68 +14,44 @@ TU_COUNTS = (2, 4, 8, 16)
 POLICY = "str"
 
 
-class Figure6Tables:
-    """Accumulates per-workload TU sweeps into the figure-6 table.
-
-    One fold per workload (:meth:`add_workload`), then
-    :meth:`results`.  The direct :class:`Figure6Analysis` and the sweep
-    store's query layer (:mod:`repro.sweep.query`) both render through
-    this builder, which is what keeps a ``runner query`` report
-    byte-identical to the direct ``runner figure6`` output.
-    """
+@register_analysis("figure6")
+class Figure6Analysis(Analysis):
+    #: No per-workload loop statistics, only :attr:`sims`.
+    loopstats = False
 
     def __init__(self, tu_counts=TU_COUNTS):
-        self.tu_counts = tuple(tu_counts)
+        self.tu_counts = int_axis("TU counts", tu_counts, minimum=1)
+        #: The ``(policy, tus, timing, spawn_cost)`` simulations priced
+        #: per workload (timing ``None``: the session default).
+        self.sims = [(POLICY, tus, None, 0) for tus in self.tu_counts]
         self._rows = []
         self._results = {}
-        self._sums = {tus: 0.0 for tus in self.tu_counts}
-        self._count = 0
+        self._sums = dict.fromkeys(self.tu_counts, 0.0)
         self._timing = TimingMeta()
 
-    def add_workload(self, name, results):
-        """Fold one workload; ``results(tus)`` returns the STR-policy
-        :class:`~repro.core.speculation.metrics.SpeculationResult` at
-        that TU count."""
-        row = [name]
-        self._results[name] = {}
-        for tus in self.tu_counts:
-            result = self._timing.fold(results(tus))
-            self._results[name][tus] = result
+    def finish(self, ctx):
+        row = [ctx.name]
+        results = self._results[ctx.name] = {}
+        # Whole TU sweep in one fused grid call.
+        for tus, result in zip(self.tu_counts,
+                               shared_simulate_sims(ctx, self.sims)):
+            results[tus] = self._timing.fold(result)
             self._sums[tus] += result.tpc
             row.append(round(result.tpc, 2))
         self._rows.append(tuple(row))
-        self._count += 1
 
-    def results(self):
-        """The :class:`ExperimentResult` table (AVG row on top)."""
-        rows = list(self._rows)
-        avg_row = ["AVG"] + [round(self._sums[tus] / self._count, 2)
-                             for tus in self.tu_counts]
-        rows.insert(0, tuple(avg_row))
+    def result(self):
+        count = len(self._rows)
+        avg_row = ("AVG",) + tuple(round(self._sums[tus] / count, 2)
+                                   for tus in self.tu_counts)
         return ExperimentResult(
             "Figure 6: TPC under STR for 2/4/8/16 TUs",
             ("program",) + tuple("%d TUs" % t for t in self.tu_counts),
-            rows,
+            [avg_row] + self._rows,
             notes=["paper averages: 1.65 / 2.6 / 4 / 6.2"],
             extra={"results": self._results},
             meta=self._timing.as_meta(),
         )
-
-
-@register_analysis("figure6")
-class Figure6Analysis(Analysis):
-    def __init__(self, tu_counts=TU_COUNTS):
-        self._tables = Figure6Tables(tu_counts)
-        self.tu_counts = self._tables.tu_counts
-
-    def finish(self, ctx):
-        # Whole TU sweep in one fused grid call.
-        results = dict(zip(self.tu_counts, shared_simulate_many(
-            ctx, [(tus, POLICY, None) for tus in self.tu_counts])))
-        self._tables.add_workload(ctx.name, results.__getitem__)
-
-    def result(self):
-        return self._tables.results()
 
 
 def run(runner):

@@ -6,46 +6,40 @@ STR(i) favours inner loops, which matters once data dependences are
 considered -- the paper recommends STR(3)).
 """
 
-from repro.analysis import Analysis, register_analysis, \
-    shared_simulate_many
+from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import int_axis, policy_axis, \
+    shared_simulate_sims
 from repro.experiments.report import ExperimentResult, TimingMeta
 
 TU_COUNTS = (2, 4, 8, 16)
 POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)")
 
 
-class Figure7Tables:
-    """Accumulates per-workload policy x TU grids into the figure-7
-    averages table.
-
-    One fold per workload (:meth:`add_workload`), then
-    :meth:`results`.  The direct :class:`Figure7Analysis` and the sweep
-    store's query layer (:mod:`repro.sweep.query`) both render through
-    this builder, which is what keeps a ``runner query`` report
-    byte-identical to the direct ``runner figure7`` output.
-    """
+@register_analysis("figure7")
+class Figure7Analysis(Analysis):
+    #: No per-workload loop statistics, only :attr:`sims`.
+    loopstats = False
 
     def __init__(self, policies=POLICIES, tu_counts=TU_COUNTS):
-        self.policies = tuple(policies)
-        self.tu_counts = tuple(tu_counts)
+        self.policies = policy_axis(policies)
+        self.tu_counts = int_axis("TU counts", tu_counts, minimum=1)
+        #: The ``(policy, tus, timing, spawn_cost)`` simulations priced
+        #: per workload (timing ``None``: the session default).
+        self.sims = [(policy, tus, None, 0) for policy in self.policies
+                     for tus in self.tu_counts]
         self._totals = {(policy, tus): 0.0
-                        for policy in self.policies
-                        for tus in self.tu_counts}
+                        for policy, tus, _, _ in self.sims}
         self._count = 0
         self._timing = TimingMeta()
 
-    def add_workload(self, name, results):
-        """Fold one workload; ``results(policy, tus)`` returns that
-        configuration's :class:`~repro.core.speculation.metrics.
-        SpeculationResult`."""
-        for policy in self.policies:
-            for tus in self.tu_counts:
-                self._totals[(policy, tus)] += self._timing.fold(
-                    results(policy, tus)).tpc
+    def finish(self, ctx):
+        # Whole policy x TU grid in one fused call.
+        for (policy, tus, _, _), result in zip(
+                self.sims, shared_simulate_sims(ctx, self.sims)):
+            self._totals[(policy, tus)] += self._timing.fold(result).tpc
         self._count += 1
 
-    def results(self):
-        """The :class:`ExperimentResult` averages table."""
+    def result(self):
         averages = {key: total / self._count
                     for key, total in self._totals.items()}
         rows = []
@@ -62,26 +56,6 @@ class Figure7Tables:
             extra={"averages": averages},
             meta=self._timing.as_meta(),
         )
-
-
-@register_analysis("figure7")
-class Figure7Analysis(Analysis):
-    def __init__(self, policies=POLICIES, tu_counts=TU_COUNTS):
-        self._tables = Figure7Tables(policies, tu_counts)
-        self.policies = self._tables.policies
-        self.tu_counts = self._tables.tu_counts
-
-    def finish(self, ctx):
-        # Whole policy x TU grid in one fused call.
-        cells = [(policy, tus) for policy in self.policies
-                 for tus in self.tu_counts]
-        results = dict(zip(cells, shared_simulate_many(
-            ctx, [(tus, policy, None) for policy, tus in cells])))
-        self._tables.add_workload(
-            ctx.name, lambda policy, tus: results[(policy, tus)])
-
-    def result(self):
-        return self._tables.results()
 
 
 def run(runner):

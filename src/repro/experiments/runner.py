@@ -260,15 +260,10 @@ def _sensitivity_overrides(args, selected, parser):
     if args.tus is not None:
         kwargs["tu_counts"] = _parse_int_list("--tus", args.tus, parser)
     if args.policies is not None:
-        from repro.core.speculation import make_policy
-        policies = tuple(p.strip() for p in args.policies.split(",")
-                         if p.strip())
-        for policy in policies:
-            try:
-                make_policy(policy)
-            except ValueError as exc:
-                parser.error(str(exc))
-        kwargs["policies"] = policies
+        # The analysis validates them (build_suite reports the error).
+        kwargs["policies"] = tuple(p.strip()
+                                   for p in args.policies.split(",")
+                                   if p.strip())
     if args.squash_cost is not None:
         kwargs["squash_cost"] = args.squash_cost
     if args.promote_cost is not None:

@@ -24,8 +24,9 @@ exactly; with fixed verification-side costs the whole sweep -- the
 zero point included -- runs under those overheads.
 """
 
-from repro.analysis import Analysis, register_analysis, \
-    shared_simulate_many
+from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import int_axis, policy_axis, \
+    shared_simulate_sims
 from repro.experiments.report import ExperimentResult
 from repro.timing import make_timing
 
@@ -55,65 +56,55 @@ def break_even(costs, speedups):
     return ">%d" % costs[-1]
 
 
-def _cost_list(name, values):
-    values = tuple(values)
-    if not values:
-        raise ValueError("%s must name at least one value" % name)
-    for value in values:
-        if not isinstance(value, int) or value < 0:
-            raise ValueError("%s values must be integers >= %d, got %r"
-                             % (name, 0, value))
-    return tuple(sorted(set(values)))
+@register_analysis("sensitivity")
+class SensitivityAnalysis(Analysis):
+    """Returns a list of two tables: TPC per swept configuration and
+    break-even spawn cost per (workload, policy, TU count)."""
 
+    #: No per-workload loop statistics, only :attr:`sims`.
+    loopstats = False
 
-class SensitivityTables:
-    """Accumulates swept simulation results into the experiment's two
-    report tables.
-
-    One fold per workload (:meth:`add_workload`), then
-    :meth:`results`.  The direct :class:`SensitivityAnalysis` and the
-    sweep store's query layer (:mod:`repro.sweep.query`) both render
-    through this builder, which is what keeps a ``runner query``
-    report byte-identical to the direct ``runner sensitivity`` output
-    over the same grid.
-    """
-
-    def __init__(self, spawn_costs, tu_counts, policies, squash_cost,
-                 promote_cost):
-        self.spawn_costs = _cost_list("spawn costs", spawn_costs)
-        self.tu_counts = _cost_list("TU counts", tu_counts)
-        if self.tu_counts[0] < 1:
-            raise ValueError("TU counts must be >= 1")
-        self.policies = tuple(policies)
-        if not self.policies:
-            raise ValueError("policies must name at least one policy")
+    def __init__(self, spawn_costs=SPAWN_COSTS, tu_counts=TU_COUNTS,
+                 policies=POLICIES, squash_cost=0, promote_cost=0):
+        self.spawn_costs = int_axis("spawn costs", spawn_costs)
+        self.tu_counts = int_axis("TU counts", tu_counts, minimum=1)
+        self.policies = policy_axis(policies)
         self.squash_cost = squash_cost
         self.promote_cost = promote_cost
+        timings = {cost: "overhead:spawn=%d,squash=%d,promote=%d"
+                   % (cost, squash_cost, promote_cost)
+                   for cost in self.spawn_costs}
+        for timing in timings.values():
+            make_timing(timing)     # a bad cost fails here, not mid-run
+        #: The ``(policy, tus, timing, spawn_cost)`` simulations priced
+        #: per workload, one overhead model per spawn cost.
+        self.sims = [(policy, tus, timings[cost], cost)
+                     for policy in self.policies
+                     for tus in self.tu_counts
+                     for cost in self.spawn_costs]
         self._tpc_rows = []
         self._breakeven_rows = []
         self._speedups = {}     # (workload, policy, tus) -> [speedup]
 
-    def add_workload(self, name, results):
-        """Fold one workload; ``results(policy, tus, cost)`` returns
-        that configuration's :class:`~repro.core.speculation.metrics.
-        SpeculationResult` (or any object with ``tpc`` and
-        ``speedup_bound``)."""
+    def finish(self, ctx):
+        # One fused grid call prices the whole per-workload config
+        # group; results arrive in :attr:`sims` order.
+        results = iter(shared_simulate_sims(ctx, self.sims))
         for policy in self.policies:
-            even_row = [name, policy.upper()]
+            even_row = [ctx.name, policy.upper()]
             for tus in self.tu_counts:
-                tpc_row = [name, policy.upper(), tus]
+                tpc_row = [ctx.name, policy.upper(), tus]
                 speedups = []
-                for cost in self.spawn_costs:
-                    result = results(policy, tus, cost)
+                for _ in self.spawn_costs:
+                    result = next(results)
                     tpc_row.append(round(result.tpc, 2))
                     speedups.append(result.speedup_bound)
                 self._tpc_rows.append(tuple(tpc_row))
-                self._speedups[(name, policy, tus)] = speedups
+                self._speedups[(ctx.name, policy, tus)] = speedups
                 even_row.append(break_even(self.spawn_costs, speedups))
             self._breakeven_rows.append(tuple(even_row))
 
-    def results(self):
-        """The two :class:`ExperimentResult` tables, in render order."""
+    def result(self):
         overhead_note = ("fixed per-event costs: squash=%d promote=%d"
                          % (self.squash_cost, self.promote_cost))
         if self.squash_cost == self.promote_cost == 0:
@@ -141,45 +132,6 @@ class SensitivityTables:
                    overhead_note],
         )
         return [tpc, even]
-
-
-@register_analysis("sensitivity")
-class SensitivityAnalysis(Analysis):
-    """Returns a list of two tables: TPC per swept configuration and
-    break-even spawn cost per (workload, policy, TU count)."""
-
-    def __init__(self, spawn_costs=SPAWN_COSTS, tu_counts=TU_COUNTS,
-                 policies=POLICIES, squash_cost=0, promote_cost=0):
-        self._tables = SensitivityTables(spawn_costs, tu_counts,
-                                         policies, squash_cost,
-                                         promote_cost)
-        self.spawn_costs = self._tables.spawn_costs
-        self.tu_counts = self._tables.tu_counts
-        self.policies = self._tables.policies
-        self.squash_cost = squash_cost
-        self.promote_cost = promote_cost
-        # Overhead models are stateless and read-only during
-        # simulation, so one instance per cost serves every workload.
-        self._models = {
-            cost: make_timing("overhead:spawn=%d,squash=%d,promote=%d"
-                              % (cost, squash_cost, promote_cost))
-            for cost in self.spawn_costs}
-
-    def finish(self, ctx):
-        # One fused grid call prices the whole per-workload config
-        # group.
-        cells = [(policy, tus, cost) for policy in self.policies
-                 for tus in self.tu_counts
-                 for cost in self.spawn_costs]
-        results = dict(zip(cells, shared_simulate_many(
-            ctx, [(tus, policy, self._models[cost])
-                  for policy, tus, cost in cells])))
-        self._tables.add_workload(
-            ctx.name, lambda policy, tus, cost: results[(policy, tus,
-                                                         cost)])
-
-    def result(self):
-        return self._tables.results()
 
 
 def run(runner, **kwargs):

@@ -5,7 +5,8 @@ speculation, hit ratio, instructions from speculation to verification,
 and TPC.
 """
 
-from repro.analysis import Analysis, register_analysis, shared_simulate
+from repro.analysis import Analysis, register_analysis
+from repro.analysis.passes import shared_simulate_sims
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult, TimingMeta
 
@@ -14,33 +15,27 @@ NUM_TUS = 4
 POLICY = "str(3)"
 
 
-class Table2Tables:
-    """Accumulates per-workload speculation statistics into the
-    table-2 report.
-
-    One fold per workload (:meth:`add_workload`), then
-    :meth:`results`.  The direct :class:`Table2Analysis` and the sweep
-    store's query layer (:mod:`repro.sweep.query`) both render through
-    this builder, which is what keeps a ``runner query`` report
-    byte-identical to the direct ``runner table2`` output.
-    """
+@register_analysis("table2")
+class Table2Analysis(Analysis):
+    #: No per-workload loop statistics, only :attr:`sims`.
+    loopstats = False
 
     def __init__(self, num_tus=NUM_TUS, policy=POLICY):
         self.num_tus = num_tus
         self.policy = policy
+        #: The ``(policy, tus, timing, spawn_cost)`` simulation priced
+        #: per workload (timing ``None``: the session default).
+        self.sims = [(policy, num_tus, None, 0)]
         self._rows = []
         self._results = {}
         self._timing = TimingMeta()
 
-    def add_workload(self, name, result):
-        """Fold one workload's :class:`SpeculationResult` (the
-        ``policy`` run at ``num_tus`` TUs)."""
-        result = self._timing.fold(result)
-        self._results[name] = result
+    def finish(self, ctx):
+        result, = shared_simulate_sims(ctx, self.sims)
+        self._results[ctx.name] = self._timing.fold(result)
         self._rows.append(result.as_table2_row())
 
-    def results(self):
-        """The :class:`ExperimentResult` statistics table."""
+    def result(self):
         return ExperimentResult(
             "Table 2: control speculation statistics (STR(3), 4 TUs)",
             SpeculationResult.TABLE2_HEADERS,
@@ -50,21 +45,6 @@ class Table2Tables:
             extra={"results": self._results},
             meta=self._timing.as_meta(),
         )
-
-
-@register_analysis("table2")
-class Table2Analysis(Analysis):
-    def __init__(self, num_tus=NUM_TUS, policy=POLICY):
-        self._tables = Table2Tables(num_tus, policy)
-        self.num_tus = num_tus
-        self.policy = policy
-
-    def finish(self, ctx):
-        self._tables.add_workload(
-            ctx.name, shared_simulate(ctx, self.num_tus, self.policy))
-
-    def result(self):
-        return self._tables.results()
 
 
 def run(runner):

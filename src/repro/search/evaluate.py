@@ -142,11 +142,6 @@ class CandidatePlan:
         self.missing = missing
         self.restored = restored
 
-    def descriptors(self):
-        """The per-cell work list of ``missing``."""
-        return [(c.key, c.kind, c.timing, c.policy, c.tus)
-                for c in self.missing]
-
 
 def plan_candidate(name, settings, store=None):
     """Expand candidate *name* into cells and restore what *store*
@@ -169,7 +164,7 @@ def finish_candidate(plan, rows, store=None):
     facts, commit them, and price the metrics bundle; returns the
     :class:`EvalOutcome`."""
     from repro.analysis.passes import loopstats_from_state
-    from repro.sweep.orchestrator import _base_row
+    from repro.sweep.orchestrator import base_row
 
     name = plan.name
     facts = plan.facts
@@ -177,7 +172,7 @@ def finish_candidate(plan, rows, store=None):
     if rows:
         stored = []
         for partial in rows:
-            base = _base_row(by_key[partial["cell_key"]])
+            base = base_row(by_key[partial["cell_key"]])
             base.update(partial)
             stored.append(base)
             facts[partial["cell_key"]] = _row_facts(
@@ -234,7 +229,8 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
     any candidate loses nothing.  Without one, every cell computes
     fresh (the golden frontier tests run this way).
     """
-    from repro.sweep.orchestrator import run_workload_cells
+    from repro.sweep.orchestrator import cell_descriptor, \
+        run_workload_cells
     from repro.workloads.synthetic import ensure_profile_workload
 
     name = ensure_profile_workload(profile, gen_seed)
@@ -243,5 +239,6 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
     if plan.missing:
         _, rows = run_workload_cells(
             name, settings.scale, settings.max_instructions,
-            settings.cls_capacity, cache_dir, plan.descriptors())
+            settings.cls_capacity, cache_dir,
+            [cell_descriptor(cell) for cell in plan.missing])
     return finish_candidate(plan, rows, store)

@@ -21,7 +21,8 @@ import os
 import sys
 
 from repro.sweep.orchestrator import run_sweep
-from repro.sweep.spec import SWEEP_EXPERIMENTS, SweepSpec
+from repro.sweep.spec import EXPERIMENT_AXES, SWEEP_EXPERIMENTS, \
+    SweepSpec, default_axes
 from repro.sweep.store import SweepStore, SweepStoreError, \
     default_store_dir
 
@@ -39,78 +40,58 @@ def _parse_names(option, spec, parser):
     return names
 
 
+#: Grid flags: ``(flag, argparse dest, spec axis)``.
+_AXIS_FLAGS = (
+    ("--spawn-cost", "spawn_cost", "spawn_costs"),
+    ("--squash-cost", "squash_cost", "squash_cost"),
+    ("--promote-cost", "promote_cost", "promote_cost"),
+    ("--tus", "tus", "tu_counts"),
+    ("--num-tus", "num_tus", "num_tus"),
+    ("--policies", "policies", "policies"),
+)
+
+
 def _build_spec(args, parser):
     """The spec for this submission; workloads and integer lists follow
-    the direct runner's rules, so a sweep and its direct run agree."""
-    from repro.experiments import characterize, figure7, sensitivity
+    the direct runner's rules, and axes no flag sets take the
+    experiment's own defaults, so a sweep and its direct run agree."""
     from repro.experiments.runner import _parse_int_list, \
         _parse_workloads, _synthetic_sweep
     from repro.workloads import SUITE_ORDER
 
     experiment = args.experiment
-    sens_flags = [name for name, value in
-                  (("--spawn-cost", args.spawn_cost),
-                   ("--squash-cost", args.squash_cost),
-                   ("--promote-cost", args.promote_cost))
-                  if value is not None]
-    if experiment != "sensitivity" and sens_flags:
-        parser.error("%s appl%s to sensitivity sweeps only"
-                     % (", ".join(sens_flags),
-                        "ies" if len(sens_flags) == 1 else "y"))
-    if experiment not in ("sensitivity", "figure6", "figure7") \
-            and args.tus is not None:
-        parser.error("--tus applies to sensitivity/figure6/figure7 "
-                     "sweeps only")
-    if experiment not in ("characterize", "table2") \
-            and args.num_tus is not None:
-        parser.error("--num-tus applies to characterize/table2 sweeps "
-                     "only")
-    if experiment in ("figure6", "table2") \
-            and args.policies is not None:
-        parser.error("%s runs a fixed policy; drop --policies"
-                     % experiment)
+    axes = EXPERIMENT_AXES[experiment]
+    misplaced = {}
+    for flag, dest, axis in _AXIS_FLAGS:
+        if getattr(args, dest) is not None and axis not in axes:
+            owners = "/".join(name for name in SWEEP_EXPERIMENTS
+                              if axis in EXPERIMENT_AXES[name])
+            misplaced.setdefault(owners, []).append(flag)
+    for owners, flags in misplaced.items():
+        parser.error("%s appl%s to %s sweeps only"
+                     % (", ".join(flags),
+                        "ies" if len(flags) == 1 else "y", owners))
 
     workloads = _synthetic_sweep(args, (experiment,), parser)
     if workloads is None:
         workloads = (tuple(SUITE_ORDER) if args.workloads is None
                      else _parse_workloads(args.workloads, parser))
-    kwargs = {
-        "experiment": experiment,
-        "workloads": workloads,
-        "scale": args.scale,
-        "cls_capacity": args.cls_capacity,
-        "max_instructions": args.max_instructions,
-    }
-    if args.policies is not None:
-        kwargs["policies"] = _parse_names("--policies", args.policies,
-                                          parser)
-    elif experiment == "characterize":
-        kwargs["policies"] = characterize.POLICIES
-    elif experiment == "figure7":
-        kwargs["policies"] = figure7.POLICIES
-    else:
-        # figure6/table2 ignore the policies axis (fixed policy);
-        # the sensitivity default keeps their spec digests stable.
-        kwargs["policies"] = sensitivity.POLICIES
-    if experiment == "sensitivity":
-        if args.spawn_cost is not None:
-            kwargs["spawn_costs"] = _parse_int_list(
-                "--spawn-cost", args.spawn_cost, parser)
-        if args.tus is not None:
-            kwargs["tu_counts"] = _parse_int_list("--tus", args.tus,
-                                                  parser)
-        if args.squash_cost is not None:
-            kwargs["squash_cost"] = args.squash_cost
-        if args.promote_cost is not None:
-            kwargs["promote_cost"] = args.promote_cost
-    elif experiment in ("figure6", "figure7"):
-        if args.tus is not None:
-            kwargs["tu_counts"] = _parse_int_list("--tus", args.tus,
-                                                  parser)
-    elif args.num_tus is not None:
-        kwargs["num_tus"] = args.num_tus
+    values = default_axes(experiment)
+    for flag, dest, axis in _AXIS_FLAGS:
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if axis == "policies":
+            value = _parse_names(flag, value, parser)
+        elif axis in ("spawn_costs", "tu_counts"):
+            value = _parse_int_list(flag, value, parser)
+        values[axis] = value
     try:
-        return SweepSpec(**kwargs)
+        return SweepSpec(experiment=experiment, workloads=workloads,
+                         scale=args.scale,
+                         cls_capacity=args.cls_capacity,
+                         max_instructions=args.max_instructions,
+                         **values)
     except ValueError as exc:
         parser.error(str(exc))
 

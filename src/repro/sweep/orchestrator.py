@@ -53,13 +53,15 @@ class SweepRunStats:
                    self.executed, self.failed))
 
 
-def _cell_descriptor(cell):
-    """The picklable (kind, timing, policy, tus, key) tuple a worker
-    needs to execute one cell."""
+def cell_descriptor(cell):
+    """The picklable ``(key, kind, timing, policy, tus)`` tuple a
+    worker needs to execute one cell (:func:`run_workload_cells`)."""
     return (cell.key, cell.kind, cell.timing, cell.policy, cell.tus)
 
 
-def _base_row(cell):
+def base_row(cell):
+    """The store columns a cell fixes before it runs; a worker's
+    result row completes them."""
     return {
         "cell_key": cell.key, "trace_key": cell.trace_key,
         "workload": cell.workload, "scale": cell.scale,
@@ -233,7 +235,7 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run):
     def absorb(name, result_rows):
         rows = []
         for partial in result_rows:
-            row = _base_row(by_cell[partial["cell_key"]])
+            row = base_row(by_cell[partial["cell_key"]])
             row.update(partial)
             rows.append(row)
             if partial["status"] == "failed":
@@ -245,12 +247,12 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run):
     def task_args(name):
         return (name, spec.scale, spec.max_instructions,
                 spec.cls_capacity, cache_dir,
-                [_cell_descriptor(c) for c in groups[name]])
+                [cell_descriptor(c) for c in groups[name]])
 
     def fail_group(name, exc):
         rows = []
         for cell in groups[name]:
-            row = _base_row(cell)
+            row = base_row(cell)
             row.update(status="failed", tpc=None, hit_ratio=None,
                        speedup=None, overhead_cycles=None, detail=None,
                        error="%s: %s" % (type(exc).__name__, exc))

@@ -9,14 +9,9 @@ ExperimentResult` tables so they render through the runner's existing
 * :func:`grouped_listing` -- group-by aggregates (cell counts and
   mean/min/max metrics per workload, policy, TU count, timing model,
   or status);
-* :func:`sweep_report` -- the *experiment report* of one stored sweep,
-  rebuilt from the store through the same table builders the direct
-  experiments render with
-  (:class:`~repro.experiments.sensitivity.SensitivityTables`,
-  :class:`~repro.experiments.characterize.CharacterizeTables`,
-  :class:`~repro.experiments.figure6.Figure6Tables`,
-  :class:`~repro.experiments.figure7.Figure7Tables`,
-  :class:`~repro.experiments.table2.Table2Tables`), so the output is
+* :func:`sweep_report` -- the *experiment report* of one stored sweep:
+  the experiment's own analysis (:meth:`~repro.sweep.spec.SweepSpec.
+  analysis`) run over the stored cells, so the output is
   byte-identical to running the experiment directly.
 
 Reports require a complete sweep: metrics of failed or missing cells
@@ -26,8 +21,9 @@ cannot be invented, so :func:`sweep_report` raises a clean
 
 import json
 
+from repro.analysis.base import WorkloadContext
 from repro.experiments.report import ExperimentResult
-from repro.sweep.spec import KIND_LOOPSTATS, KIND_SIM, expand_cells
+from repro.sweep.spec import expand_cells
 
 
 def _round(value, digits=3):
@@ -101,27 +97,26 @@ def grouped_listing(rows, group_by, store_root):
     )
 
 
-def _restore(row, from_state):
-    """``from_state`` of *row*'s stored result; a blob it rejects is a
-    clean error telling the user to prune and resubmit."""
-    try:
-        return from_state(row.detail_json)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(
-            "cell %s has an unreadable result blob; prune the store "
-            "and resubmit the sweep" % row.cell_key) from None
+class _StoredCells:
+    """A read-only derived-store view of one workload's stored cells:
+    ``get(memo key)`` is the cell's result state."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def get(self, key):
+        row = self._rows.get(key)
+        return None if row is None else row.detail_json
 
 
-def _restore_sim(row):
-    from repro.core.speculation.metrics import SpeculationResult
-
-    return _restore(row, SpeculationResult.from_state)
-
-
-def _restore_loopstats(row):
-    from repro.analysis.passes import loopstats_from_state
-
-    return _restore(row, loopstats_from_state)
+def _unreadable(name, spec):
+    """The lazy index of a report context: reached only when a stored
+    result is one its analysis rejects."""
+    raise ValueError(
+        "workload %s has an unreadable result blob in sweep %s; prune "
+        "the store and resubmit the sweep" % (name, spec.sweep_id))
 
 
 def _complete_cells(store, spec):
@@ -145,73 +140,32 @@ def _complete_cells(store, spec):
 def sweep_report(store, spec):
     """The experiment report of *spec* rebuilt from stored cells.
 
-    Returns the same ``[ExperimentResult, ...]`` list the direct
-    experiment produces, byte-identical under every output format.
+    Runs the experiment's analysis over one context per workload whose
+    derived store is that workload's stored cells, and returns the
+    same ``[ExperimentResult, ...]`` list the direct experiment
+    produces, byte-identical under every output format.  The report
+    builds no index, touches no trace and writes nothing: a stored
+    result the analysis cannot read is a clean error.
     """
     cells, rows = _complete_cells(store, spec)
-    # (workload, kind, policy, tus, spawn cost) -> row; every
-    # ideal-machine simulation cell is a spawn-cost-0 point.
-    by_cell = {}
+    stored = {name: {} for name in spec.workloads}
     for cell in cells:
-        by_cell[(cell.workload, cell.kind, cell.policy, cell.tus,
-                 cell.spawn_cost)] = rows[cell.key]
+        # The cell key is the result's memo key under the trace key.
+        stored[cell.workload][cell.key[len(cell.trace_key) + 1:]] = \
+            rows[cell.key]
 
-    if spec.experiment == "sensitivity":
-        from repro.experiments.sensitivity import SensitivityTables
-
-        tables = SensitivityTables(spec.spawn_costs, spec.tu_counts,
-                                   spec.policies, spec.squash_cost,
-                                   spec.promote_cost)
-        for name in spec.workloads:
-            def results(policy, tus, cost, name=name):
-                return _restore_sim(
-                    by_cell[(name, KIND_SIM, policy, tus, cost)])
-            tables.add_workload(name, results)
-        return tables.results()
-
-    def ideal_sim(name, policy, tus):
-        return _restore_sim(by_cell[(name, KIND_SIM, policy, tus, 0)])
-
-    if spec.experiment == "figure6":
-        from repro.experiments.figure6 import POLICY, Figure6Tables
-
-        tables = Figure6Tables(spec.tu_counts)
-        for name in spec.workloads:
-            tables.add_workload(
-                name, lambda tus, name=name: ideal_sim(name, POLICY,
-                                                       tus))
-        return [tables.results()]
-
-    if spec.experiment == "figure7":
-        from repro.experiments.figure7 import Figure7Tables
-
-        tables = Figure7Tables(spec.policies, spec.tu_counts)
-        for name in spec.workloads:
-            tables.add_workload(
-                name, lambda policy, tus, name=name: ideal_sim(
-                    name, policy, tus))
-        return [tables.results()]
-
-    if spec.experiment == "table2":
-        from repro.experiments.table2 import POLICY, Table2Tables
-
-        tables = Table2Tables(spec.num_tus)
-        for name in spec.workloads:
-            tables.add_workload(name, ideal_sim(name, POLICY,
-                                                spec.num_tus))
-        return [tables.results()]
-
-    from repro.experiments.characterize import CharacterizeTables
-
-    tables = CharacterizeTables(spec.policies, spec.num_tus)
+    analysis = spec.analysis()
     for name in spec.workloads:
-        stats, coverage = _restore_loopstats(
-            by_cell[(name, KIND_LOOPSTATS, None, None, None)])
-        tables.add_workload(
-            name, stats, coverage,
-            lambda policy, name=name: ideal_sim(name, policy,
-                                                spec.num_tus))
-    return tables.results()
+        # Only the trace knows the instruction count; no swept
+        # analysis reads it.
+        ctx = WorkloadContext(name, 0, scale=spec.scale,
+                              cls_capacity=spec.cls_capacity,
+                              derived=_StoredCells(stored[name]))
+        ctx.defer(lambda name=name: _unreadable(name, spec))
+        analysis.begin(ctx)
+        analysis.finish(ctx)
+    result = analysis.result()
+    return result if isinstance(result, list) else [result]
 
 
 def sweep_overview(store):

@@ -3,23 +3,26 @@
 A :class:`SweepSpec` pins one experiment grid completely: the
 experiment kind, the workload set, the session coordinates (scale,
 CLS capacity, instruction budget), and the experiment's own axes
-(spawn costs x TU counts x policies for ``sensitivity``; policies at a
-fixed TU count plus per-workload loop statistics for ``characterize``).
-It is frozen, validated eagerly with the same rules the direct
-experiments apply, and serializes to canonical JSON -- the digest of
-that JSON is the **sweep id**, so resubmitting the same grid always
-maps onto the same sweep.
+(:data:`EXPERIMENT_AXES`).  It is frozen, validated eagerly with the
+same rules the direct experiments apply, and serializes to canonical
+JSON -- the digest of that JSON is the **sweep id**, so resubmitting
+the same grid always maps onto the same sweep.
 
-:func:`expand_cells` turns a spec into its :class:`Cell` list.  Cells
-are *content-keyed*: a cell's key is the derived-store key its result
-is memoized under (:func:`repro.analysis.passes.memo_key`), joined
-under the workload's trace-cache key
-(:meth:`repro.pipeline.cache.TraceCache.key`).  The key embeds the
-workload's program fingerprint, scale, budget, CLS capacity, and the
-cell's own parameters, so editing a workload generator orphans its
-cells, two sweeps whose grids overlap share the overlapping cells, and
-a ``sensitivity`` spawn-cost-0 cell is the *same row* as the
-``characterize`` cell for that policy/TU configuration.
+The experiment itself is its registered analysis
+(:meth:`SweepSpec.analysis`): :func:`expand_cells` plans one
+:class:`Cell` per simulation the analysis prices per workload (its
+``sims``), plus the workload's loop statistics when the analysis
+reads them, and the query layer rebuilds the report by running the
+same analysis over the stored cells.  Cells are *content-keyed*: a
+cell's key is the derived-store key its result is memoized under
+(:func:`repro.analysis.passes.memo_key`), joined under the workload's
+trace-cache key (:meth:`repro.pipeline.cache.TraceCache.key`).  The
+key embeds the workload's program fingerprint, scale, budget, CLS
+capacity, and the cell's own parameters, so editing a workload
+generator orphans its cells, two sweeps whose grids overlap share the
+overlapping cells, and a ``sensitivity`` spawn-cost-0 cell is the
+*same row* as the ``characterize`` cell for that policy/TU
+configuration.
 """
 
 import hashlib
@@ -27,17 +30,23 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.analysis.passes import int_axis, policy_axis
 from repro.pipeline.cache import TraceCache, program_fingerprint
 
 #: Experiments a sweep can run (the store-backed execution path of the
-#: equally named direct experiments).  ``figure6`` sweeps the STR
-#: policy over ``tu_counts``, ``figure7`` sweeps ``policies`` x
-#: ``tu_counts``, and ``table2`` runs the paper's STR(3) configuration
-#: at ``num_tus`` -- all on the ideal machine, exactly like the direct
-#: experiments, so their cells are shared rows with any overlapping
-#: sensitivity/characterize grid.
-SWEEP_EXPERIMENTS = ("sensitivity", "characterize", "figure6",
-                     "figure7", "table2")
+#: equally named direct experiments), each with the spec fields its
+#: analysis is built from -- under constructor keywords of the same
+#: names.  All but ``sensitivity`` simulate the ideal machine, so their
+#: cells are shared rows with any overlapping grid.
+EXPERIMENT_AXES = {
+    "sensitivity": ("spawn_costs", "tu_counts", "policies",
+                    "squash_cost", "promote_cost"),
+    "characterize": ("policies", "num_tus"),
+    "figure6": ("tu_counts",),
+    "figure7": ("policies", "tu_counts"),
+    "table2": ("num_tus",),
+}
+SWEEP_EXPERIMENTS = tuple(EXPERIMENT_AXES)
 
 #: Cell kinds: a speculation simulation and the per-workload loop
 #: statistics (characterize's non-simulation half).
@@ -45,17 +54,21 @@ KIND_SIM = "sim"
 KIND_LOOPSTATS = "loopstats"
 
 
-def _int_tuple(name, values, minimum=0):
-    """Sorted, de-duplicated integer axis (the direct sensitivity
-    experiment's normalization, so grids match cell-for-cell)."""
-    values = tuple(values)
-    if not values:
-        raise ValueError("%s must name at least one value" % name)
-    for value in values:
-        if not isinstance(value, int) or value < minimum:
-            raise ValueError("%s values must be integers >= %d, got %r"
-                             % (name, minimum, value))
-    return tuple(sorted(set(values)))
+def _make_analysis(experiment, **axes):
+    from repro.analysis import make_analysis
+    # Importing the experiment modules registers their analyses.
+    from repro.experiments import characterize, figure6, figure7, \
+        sensitivity, table2  # noqa: F401
+
+    return make_analysis(experiment, **axes)
+
+
+def default_axes(experiment):
+    """``axis -> value`` of *experiment*'s own defaults (what its
+    direct run uses when no flag overrides them)."""
+    analysis = _make_analysis(experiment)
+    return {axis: getattr(analysis, axis)
+            for axis in EXPERIMENT_AXES[experiment]}
 
 
 @dataclass(frozen=True)
@@ -65,12 +78,8 @@ class SweepSpec:
     ``workloads`` is a tuple of resolved workload names (synthetic
     ``synth-<profile>-<seed>`` names included); order is preserved and
     determines report row order, exactly like the direct experiments.
-    Each experiment reads only its own axes: ``characterize`` uses
-    ``policies``/``num_tus``, ``figure6`` uses ``tu_counts`` (its
-    policy is fixed to STR), ``figure7`` uses ``policies`` x
-    ``tu_counts``, ``table2`` uses ``num_tus`` (policy fixed to
-    STR(3)), and the spawn/squash/promote costs belong to
-    ``sensitivity`` alone; the rest are ignored.
+    Each experiment reads only its own :data:`EXPERIMENT_AXES`; the
+    rest are ignored.
     """
 
     experiment: str
@@ -104,17 +113,11 @@ class SweepSpec:
                 and self.max_instructions < 1:
             raise ValueError("max_instructions must be >= 1")
         object.__setattr__(self, "spawn_costs",
-                           _int_tuple("spawn costs", self.spawn_costs))
+                           int_axis("spawn costs", self.spawn_costs))
         object.__setattr__(self, "tu_counts",
-                           _int_tuple("TU counts", self.tu_counts,
-                                      minimum=1))
-        policies = tuple(self.policies)
-        if not policies:
-            raise ValueError("policies must name at least one policy")
-        from repro.core.speculation import make_policy
-        for policy in policies:
-            make_policy(policy)     # ValueError on unknown policies
-        object.__setattr__(self, "policies", policies)
+                           int_axis("TU counts", self.tu_counts,
+                                    minimum=1))
+        object.__setattr__(self, "policies", policy_axis(self.policies))
         if not isinstance(self.num_tus, int) or self.num_tus < 1:
             raise ValueError("num_tus must be an integer >= 1")
         for name in ("squash_cost", "promote_cost"):
@@ -174,14 +177,14 @@ class SweepSpec:
         digest = hashlib.sha256(self.to_json().encode("ascii"))
         return digest.hexdigest()[:16]
 
-    # -- axes --------------------------------------------------------------
-
-    def overhead_spec(self, spawn_cost):
-        """The timing spec string of one spawn-cost point (the exact
-        string the direct sensitivity experiment builds; all-zero
-        costs canonicalize to the ideal model downstream)."""
-        return ("overhead:spawn=%d,squash=%d,promote=%d"
-                % (spawn_cost, self.squash_cost, self.promote_cost))
+    def analysis(self):
+        """A fresh instance of the experiment's registered analysis,
+        built from this spec's axes: the one description of what the
+        sweep prices and how its report renders."""
+        return _make_analysis(
+            self.experiment, **{axis: getattr(self, axis)
+                                for axis in EXPERIMENT_AXES[
+                                    self.experiment]})
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ def add_workload_cells(cells, seen, name, scale, max_instructions,
     The workload's loop-statistics cell comes first when *loopstats*,
     then one simulation cell per ``(policy, tus, timing, spawn_cost)``
     of *sims* -- *timing* a :func:`repro.timing.make_timing` spec
-    string.  A timing that collapses onto the ideal machine (an
+    string, or ``None`` for the ideal machine (the session default of
+    a sweep).  A timing that collapses onto the ideal machine (an
     all-zero overhead model) becomes the ``"ideal"`` cell, the same
     row as every ideal-machine run of that policy and TU count.
     """
@@ -259,35 +263,16 @@ def add_workload_cells(cells, seen, name, scale, max_instructions,
 def expand_cells(spec):
     """The deterministic cell list of *spec*, in grid order.
 
-    Grid order is workload (spec order), then kind, then the
-    experiment's axis order (policy, TUs, spawn cost) -- the exact
-    iteration order of the direct experiments, so progress reporting
-    and resume behaviour line up with what ``runner sensitivity``
-    would compute.  figure6/figure7/table2 and characterize simulate
-    on the paper's ideal machine only, like the direct experiments
-    they mirror.
+    Grid order is workload (spec order), then kind, then the order of
+    the analysis's ``sims`` -- the exact order the direct experiment
+    prices them in, so progress reporting and resume behaviour line up
+    with what the direct run would compute.
     """
-    if spec.experiment == "characterize":
-        sims = [(policy, spec.num_tus, "ideal", 0)
-                for policy in spec.policies]
-    elif spec.experiment == "figure6":
-        from repro.experiments.figure6 import POLICY
-        sims = [(POLICY, tus, "ideal", 0) for tus in spec.tu_counts]
-    elif spec.experiment == "figure7":
-        sims = [(policy, tus, "ideal", 0) for policy in spec.policies
-                for tus in spec.tu_counts]
-    elif spec.experiment == "table2":
-        from repro.experiments.table2 import POLICY
-        sims = [(POLICY, spec.num_tus, "ideal", 0)]
-    else:
-        sims = [(policy, tus, spec.overhead_spec(cost), cost)
-                for policy in spec.policies for tus in spec.tu_counts
-                for cost in spec.spawn_costs]
+    analysis = spec.analysis()
     cells = []
     seen = set()
     for name in spec.workloads:
         add_workload_cells(cells, seen, name, spec.scale,
                            spec.max_instructions, spec.cls_capacity,
-                           sims,
-                           loopstats=spec.experiment == "characterize")
+                           analysis.sims, loopstats=analysis.loopstats)
     return cells

@@ -10,6 +10,7 @@ against warm traces.
 import importlib.util
 import json
 import os
+import shutil
 import sqlite3
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from repro.experiments.runner import main as runner_main
 from repro.sweep import SweepSpec, SweepStore, SweepStoreError, \
     expand_cells, run_sweep, sweep_report
-from repro.sweep.spec import KIND_LOOPSTATS, KIND_SIM
+from repro.sweep.spec import KIND_LOOPSTATS, KIND_SIM, SWEEP_EXPERIMENTS
 from repro.sweep.store import DB_NAME, SWEEP_SCHEMA_VERSION
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -76,6 +77,14 @@ class TestSweepSpec:
         spec = SweepSpec(**dict(GRID, spawn_costs=(8, 0, 8)))
         assert spec.spawn_costs == (0, 8)
         assert spec.sweep_id == SweepSpec(**GRID).sweep_id
+
+    def test_repeated_policies_fold_once(self):
+        # Policies keep their order (it is the report's row order), but
+        # a repeated one is folded like a repeated integer axis value.
+        spec = SweepSpec(**dict(GRID, policies=("str", "idle", "str")))
+        assert spec.policies == ("str", "idle")
+        assert spec.sweep_id == SweepSpec(
+            **dict(GRID, policies=("str", "idle"))).sweep_id
 
     def test_malformed_json_is_a_clean_error(self):
         with pytest.raises(ValueError):
@@ -517,6 +526,70 @@ class TestByteIdentity:
         assert query == direct
 
 
+    def test_figure7_folds_repeated_policies(self, tmp_path,
+                                             cache_dir):
+        def report(policies):
+            args = ["--workloads", "swim", "--max-instructions", "5000",
+                    "--tus", "2", "--policies", policies]
+            return self._query(tmp_path / policies, cache_dir,
+                               str(tmp_path / policies / "store"),
+                               "figure7", args)
+
+        (tmp_path / "str,idle").mkdir()
+        (tmp_path / "str,idle,str").mkdir()
+        once = report("str,idle")
+        assert report("str,idle,str") == once
+        assert [line.split()[0] for line in
+                once["figure7.txt"].splitlines()
+                if line.startswith(("STR", "IDLE"))] == ["STR", "IDLE"]
+
+
+class TestReportReadsOnlyTheStore:
+    """A report runs the experiment's analysis over stored cells
+    alone: no trace cache, no index, no writes."""
+
+    @pytest.mark.parametrize("experiment", SWEEP_EXPERIMENTS)
+    def test_report_survives_a_deleted_trace_cache(
+            self, tmp_path, monkeypatch, experiment):
+        from repro.analysis.base import WorkloadContext
+        from repro.sweep import query
+
+        cache = str(tmp_path / "cache")
+        axes = {"sensitivity": dict(spawn_costs=(0, 8), tu_counts=(2,)),
+                "figure6": dict(tu_counts=(2, 4)),
+                "figure7": dict(tu_counts=(2,))}
+        spec = SweepSpec(experiment=experiment,
+                         workloads=("swim", "go"), max_instructions=5000,
+                         **axes.get(experiment, {}))
+        with make_store(tmp_path) as store:
+            run_sweep(spec, store, cache_dir=cache)
+            before = sweep_report(store, spec)
+        shutil.rmtree(cache)
+
+        calls = []
+
+        class Recording(query._StoredCells):
+            __slots__ = ()
+
+            def __getattribute__(self, attr):
+                if not attr.startswith("_"):
+                    calls.append(attr)
+                return super().__getattribute__(attr)
+
+        def resolved(ctx):
+            raise AssertionError("a report resolved an index")
+
+        monkeypatch.setattr(query, "_StoredCells", Recording)
+        monkeypatch.setattr(WorkloadContext, "_resolved", resolved)
+        with make_store(tmp_path) as store:
+            after = sweep_report(store, spec)
+        for render in ("render", "to_csv", "to_json"):
+            assert [getattr(r, render)() for r in after] \
+                == [getattr(r, render)() for r in before]
+        assert set(calls) == {"get"}
+        assert not os.path.exists(cache)
+
+
 class TestSweepCLI:
     def test_sweep_rejects_bad_grids(self, tmp_path, capsys):
         store = ["--store", str(tmp_path / "store")]
@@ -549,6 +622,19 @@ class TestSweepCLI:
         once = dry_run("swim")
         assert "over 1 workload(s)" in once
         assert dry_run("swim,swim") == once
+
+    def test_repeated_policies_register_one_sweep(self, tmp_path,
+                                                 capsys):
+        def dry_run(policies):
+            assert runner_main(
+                ["sweep", "sensitivity", "--workloads", "swim",
+                 "--tus", "2", "--policies", policies, "--dry-run",
+                 "--store", str(tmp_path / "store")]) == 0
+            return next(line for line in
+                        capsys.readouterr().out.splitlines()
+                        if line.startswith("sweep "))
+
+        assert dry_run("str,idle,str") == dry_run("str,idle")
 
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys,
                                           tmp_path):

@@ -512,8 +512,8 @@ class TestSensitivityExperiment:
         assert "ideal machine" in plain_note
         assert "ideal machine" not in costed_note
         assert "squash/promote" in costed_note
-        assert isinstance(costed._models[0], OverheadTiming)
-        assert isinstance(plain._models[0], IdealTiming)
+        assert isinstance(make_timing(costed.sims[0][2]), OverheadTiming)
+        assert isinstance(make_timing(plain.sims[0][2]), IdealTiming)
 
     def test_invalid_parameters(self):
         from repro.experiments.sensitivity import SensitivityAnalysis
@@ -619,6 +619,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "break-even" in out
         assert "spawn=16" in out
+
+    def test_sensitivity_folds_repeated_policies(self, capsys):
+        # A repeated policy is folded once, like a repeated --tus or
+        # --spawn-cost value: every row prints once.
+        from repro.experiments.runner import main
+
+        def tables(policies):
+            assert main(["sensitivity", "--workloads", "swim",
+                         "--max-instructions", "5000", "--no-cache",
+                         "--spawn-cost", "0", "--tus", "2",
+                         "--policies", policies]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("[")]
+
+        once = tables("str")
+        assert sum(line.startswith("swim") for line in once) == 2
+        assert tables("str,str") == once
 
     def test_sensitivity_flags_require_sensitivity(self, capsys):
         from repro.experiments.runner import main
