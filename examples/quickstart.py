@@ -42,7 +42,7 @@ def main():
     # 1. Trace execution (stands in for the paper's ATOM instrumentation).
     trace = trace_control_flow(program)
     print("executed %d instructions (%d control transfers)"
-          % (trace.total_instructions, len(trace.records)))
+          % (trace.total_instructions, trace.header.records))
 
     # 2. One streaming replay feeds every pass: loop detection with a
     #    16-entry CLS (paper section 2) and thread control speculation

@@ -15,11 +15,7 @@ closing backward branches vs all other conditional branches, supporting
 the claim directly.
 """
 
-from repro.isa.instructions import InstrKind
 from repro.trace import kernels
-from repro.trace.batch import iter_batches
-
-_K_BRANCH = int(InstrKind.BRANCH)
 
 
 class BimodalPredictor:
@@ -139,12 +135,7 @@ class BranchPredictionReport:
 def closing_branch_pcs(cf_trace):
     """Static pcs of loop-closing branches: conditional backward
     branches observed taken at least once."""
-    pcs = set()
-    for rec in cf_trace.records:
-        if rec.kind == _K_BRANCH and rec.taken \
-                and rec.target is not None and rec.target <= rec.pc:
-            pcs.add(rec.pc)
-    return pcs
+    return set().union(*map(kernels.closing_branch_pcs, cf_trace.batches))
 
 
 class BranchPredictionStream:
@@ -267,6 +258,6 @@ class BranchPredictionStream:
 def measure_branch_prediction(cf_trace, predictor, name="workload"):
     """Replay every conditional branch through *predictor*."""
     stream = BranchPredictionStream([predictor])
-    for batch in iter_batches(cf_trace.records):
+    for batch in cf_trace.batches:
         stream.feed_batch(batch)
     return stream.reports(name)[0]

@@ -21,7 +21,6 @@ from repro.core.events import (
     IterationStart,
     SingleIteration,
 )
-from repro.trace.batch import iter_batches
 
 #: :class:`EventColumns` type codes, index-aligned with ``etypes``.
 EV_ITERATION = 0
@@ -259,11 +258,9 @@ class LoopDetector:
         return events
 
     def run(self, trace):
-        """Convenience: run a whole :class:`~repro.trace.stream.CFTrace`
-        through :meth:`run_batches` and return its LoopIndex.  The
-        pipeline streams columns into :meth:`run_batches` instead."""
-        return self.run_batches(iter_batches(trace.records),
-                                trace.total_instructions)
+        """Run a whole :class:`~repro.trace.stream.CFTrace` through
+        :meth:`run_batches` and return its LoopIndex."""
+        return self.run_batches(trace.batches, trace.total_instructions)
 
     def run_batches(self, batches, total_instructions):
         """Feed an iterable of :class:`~repro.trace.batch.RecordBatch`

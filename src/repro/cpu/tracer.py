@@ -20,10 +20,9 @@ The two emission modes:
 
 * control flow (:class:`ChunkedCFTracer`): every control transfer is
   appended to :class:`~repro.trace.batch.RecordBatch` columns, the
-  input to loop detection and thread speculation.  The pipeline keeps
-  the columns (``(TraceHeader, [RecordBatch])``);
-  :func:`trace_control_flow` decodes them for callers that want a
-  record list;
+  input to loop detection and thread speculation.
+  :meth:`ChunkedCFTracer.columns` and :func:`trace_control_flow` keep
+  them as a :class:`~repro.trace.stream.CFTrace`;
 * full effects (:class:`ChunkedFullTracer`): every instruction's
   register and memory effects fill :class:`~repro.trace.batch.
   FullBatch` slots, for the data-speculation study.
@@ -332,13 +331,12 @@ class ChunkedCFTracer(_TieredTracer):
                          chunk_size)
 
     def columns(self):
-        """Trace to completion: ``(TraceHeader, [RecordBatch])``, the
-        in-memory shape of a control-flow trace."""
+        """Trace to completion and keep the columns: a
+        :class:`~repro.trace.stream.CFTrace`."""
         batches = list(self.batches())
-        header = TraceHeader(TRACE_FORMAT_VERSION, self.program_name,
-                             self.total_instructions, self.halted,
-                             sum(len(batch) for batch in batches))
-        return header, batches
+        return CFTrace(TraceHeader(TRACE_FORMAT_VERSION, self.program_name,
+                                   self.total_instructions, self.halted,
+                                   sum(map(len, batches))), batches)
 
     def batches(self):
         """Generate :class:`~repro.trace.batch.RecordBatch` columns of
@@ -353,15 +351,15 @@ class ChunkedCFTracer(_TieredTracer):
 
 def trace_control_flow(program, max_instructions=5_000_000,
                        allow_truncation=True):
-    """Run *program* and return its control-flow trace as a record list.
-
-    A decoding adapter over :meth:`ChunkedCFTracer.batches`.  When the
-    budget is exhausted before ``halt`` the trace is returned truncated
-    (``trace.halted`` is False) unless *allow_truncation* is False, in
-    which case :class:`TraceBudgetExceeded` is raised.
+    """Run *program* and return its control-flow trace, a
+    :class:`~repro.trace.stream.CFTrace` (see
+    :meth:`ChunkedCFTracer.columns`).  When the budget is exhausted
+    before ``halt`` the trace is returned truncated (``trace.halted`` is
+    False) unless *allow_truncation* is False, in which case
+    :class:`TraceBudgetExceeded` is raised.
     """
-    return CFTrace.from_batches(*ChunkedCFTracer(
-        program, max_instructions, allow_truncation).columns())
+    return ChunkedCFTracer(program, max_instructions,
+                           allow_truncation).columns()
 
 
 def trace_full(program, max_instructions=1_000_000, allow_truncation=True):

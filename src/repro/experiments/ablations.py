@@ -219,40 +219,6 @@ class AblationsAnalysis(Analysis):
                 if part in self.parts]
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("ablations", runner)
-
-
-# -- single-table conveniences (tests, notebooks) ---------------------------
-
-def _run_one(runner, analysis, picker):
-    from repro.analysis import AnalysisSuite
-    runner.analyze(AnalysisSuite([analysis]))
-    return picker(analysis)
-
-
-def replacement_policy_ablation(runner, sizes=REPLACEMENT_SIZES):
-    return _run_one(runner,
-                    AblationsAnalysis(sizes=sizes,
-                                      parts=("replacement",)),
-                    AblationsAnalysis.replacement_result)
-
-
-def waiting_accounting_ablation(runner, num_tus=WAITING_NUM_TUS):
-    return _run_one(runner,
-                    AblationsAnalysis(num_tus=num_tus,
-                                      parts=("waiting",)),
-                    AblationsAnalysis.waiting_result)
-
-
-def cls_capacity_ablation(runner, capacities=CLS_CAPACITIES):
-    return _run_one(runner,
-                    AblationsAnalysis(capacities=capacities,
-                                      parts=("cls",)),
-                    AblationsAnalysis.cls_capacity_result)
-
-
 if __name__ == "__main__":
     import sys
 

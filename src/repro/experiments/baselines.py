@@ -114,11 +114,6 @@ class BaselinesAnalysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("baselines", runner)
-
-
 if __name__ == "__main__":
     import sys
 

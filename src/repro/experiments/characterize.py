@@ -151,12 +151,6 @@ class CharacterizeAnalysis(Analysis):
         return [per_workload, summary]
 
 
-def run(runner):
-    """Run the characterization over *runner* (a SimulationSession)."""
-    from repro.experiments.runner import run_experiment
-    return run_experiment("characterize", runner)
-
-
 if __name__ == "__main__":
     import sys
 

@@ -141,11 +141,6 @@ class ExtensionsAnalysis(Analysis):
         return [self.disable_table_result(), self.sync_free_result()]
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("extensions", runner)
-
-
 if __name__ == "__main__":
     import sys
 

@@ -62,11 +62,6 @@ class Figure4Analysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("figure4", runner)
-
-
 if __name__ == "__main__":
     import sys
 

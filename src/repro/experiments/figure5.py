@@ -58,11 +58,6 @@ class Figure5Analysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("figure5", runner)
-
-
 if __name__ == "__main__":
     import sys
 

@@ -54,11 +54,6 @@ class Figure6Analysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("figure6", runner)
-
-
 if __name__ == "__main__":
     import sys
 

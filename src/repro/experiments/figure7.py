@@ -58,11 +58,6 @@ class Figure7Analysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("figure7", runner)
-
-
 if __name__ == "__main__":
     import sys
 

@@ -54,11 +54,6 @@ class Figure8Analysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("figure8", runner)
-
-
 if __name__ == "__main__":
     import sys
 

@@ -153,13 +153,14 @@ def build_suite(selected, overrides=None):
     return suite, by_name
 
 
-def run_experiment(name, session):
+def run_experiment(name, session, **kwargs):
     """Run one experiment over *session*; returns its result(s).
 
-    Convenience for tests and the per-module ``run()`` helpers; to run
-    several experiments, build one suite and ``analyze`` once instead.
+    *kwargs* are the experiment's constructor overrides (see
+    :func:`build_suite`).  To run several experiments, build one suite
+    and ``analyze`` once instead.
     """
-    suite, _ = build_suite([name])
+    suite, _ = build_suite([name], {name: kwargs})
     return session.analyze(suite)[0]
 
 

@@ -134,14 +134,6 @@ class SensitivityAnalysis(Analysis):
         return [tpc, even]
 
 
-def run(runner, **kwargs):
-    """Run the sweep over *runner* (a SimulationSession)."""
-    from repro.analysis import AnalysisSuite
-    analysis = SensitivityAnalysis(**kwargs)
-    runner.analyze(AnalysisSuite([analysis]))
-    return analysis.result()
-
-
 if __name__ == "__main__":
     import sys
 

@@ -48,12 +48,6 @@ class Table1Analysis(Analysis):
         )
 
 
-def run(runner):
-    """Regenerate Table 1 over *runner* (a SimulationSession)."""
-    from repro.experiments.runner import run_experiment
-    return run_experiment("table1", runner)
-
-
 if __name__ == "__main__":
     import sys
 

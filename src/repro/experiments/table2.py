@@ -47,11 +47,6 @@ class Table2Analysis(Analysis):
         )
 
 
-def run(runner):
-    from repro.experiments.runner import run_experiment
-    return run_experiment("table2", runner)
-
-
 if __name__ == "__main__":
     import sys
 

@@ -110,12 +110,11 @@ class TraceCache:
 
     # -- writes --------------------------------------------------------------
 
-    def store(self, header, batches, name, scale, max_instructions,
-              fingerprint):
-        """Atomically write a trace held in memory as columns
-        (*header* is its :class:`~repro.trace.io.TraceHeader`)."""
-        return self._write(header, batches, name, scale, max_instructions,
-                           fingerprint)
+    def store(self, trace, name, scale, max_instructions, fingerprint):
+        """Atomically write a :class:`~repro.trace.stream.CFTrace` held
+        in memory; returns the entry's path."""
+        return self._write(trace, trace.batches, name, scale,
+                           max_instructions, fingerprint)
 
     def store_stream(self, tracer, name, scale, max_instructions,
                      fingerprint):

@@ -15,23 +15,24 @@ Underneath, the pipeline
    :class:`~repro.pipeline.cache.TraceCache`, so a warm session skips
    interpretation entirely; and
 3. moves every trace as :class:`~repro.trace.batch.RecordBatch`
-   columns.  A freshly traced workload is kept as ``(TraceHeader,
-   [RecordBatch])``, the shape a cache stream has, whether it was
-   traced inline or in a pool worker, and every source -- the
-   in-memory columns, the cache stream, a retrace after a corrupt
-   cache entry -- feeds the same batched replay into
-   :meth:`LoopDetector.feed_batch`.  No record object is constructed
-   between the interpreter (or the disk) and the column loops.
+   columns.  A freshly traced workload is kept as a
+   :class:`~repro.trace.stream.CFTrace`, whether it was traced inline
+   or in a pool worker, and every source -- the in-memory columns, the
+   cache stream, a retrace after a corrupt cache entry -- feeds the
+   one replay loop (:func:`repro.analysis.driver.replay`).  No record
+   object is constructed between the interpreter (or the disk) and the
+   column loops.
 
 :meth:`index` and :meth:`indexes` serve loop indexes directly (the
-sweep and search path); :meth:`trace` decodes a memoized record-list
-view for interactive use.
+sweep and search path); :meth:`trace` holds a workload's trace in
+memory for direct use.
 """
 
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.analysis.driver import replay
 from repro.core.detector import LoopDetector
 from repro.obs import collector as obs
 from repro.pipeline import worker
@@ -126,8 +127,7 @@ class SimulationSession:
                        if config.cache_dir is not None else None)
         self._derived = (DerivedCache(config.cache_dir)
                          if config.cache_dir is not None else None)
-        self._columns = {}  # name -> (TraceHeader, [RecordBatch])
-        self._traces = {}   # name -> decoded CFTrace view (trace())
+        self._columns = {}  # name -> CFTrace held in memory
         self._detected = {}  # name -> (LoopDetector, LoopIndex)
         self._sources = {}   # name -> "cache" | "traced", first touch
 
@@ -150,13 +150,13 @@ class SimulationSession:
         return list(self._workloads)
 
     def trace(self, name):
-        """The control-flow trace of *name* as a record list, decoded
-        from its columns and memoized."""
-        if name not in self._traces:
-            def decode(header, batches, _source):
-                return CFTrace.from_batches(header, batches)
-            self._traces[name] = self._consume(name, decode)
-        return self._traces[name]
+        """The :class:`~repro.trace.stream.CFTrace` of *name*, held in
+        memory from then on, so later walks reuse its columns."""
+        if name not in self._columns:
+            def keep(header, batches, _source):
+                return CFTrace(header, list(batches))
+            self._columns[name] = self._consume(name, keep)
+        return self._columns[name]
 
     def index(self, name):
         """The loop index of *name*, memoized; cached columns stream
@@ -229,8 +229,7 @@ class SimulationSession:
         ctx = self._context(workload, self._total_instructions(name))
         suite.begin(ctx)
         timing = ctx.timing
-        if not (suite.wants_records
-                or getattr(suite, "has_event_consumers", True)
+        if not (suite.wants_records or suite.has_event_consumers
                 or (timing is not None and timing.wants_records)):
             ctx.defer(lambda: self._detect(name))
             with obs.span("finish", workload=name):
@@ -241,8 +240,14 @@ class SimulationSession:
 
         contexts = [ctx]
 
-        def replay(header, batches, source):
-            return self._replay(suite, contexts[-1], batches, source)
+        def walk(header, batches, source):
+            ctx = contexts[-1]
+            detected = self._walk(
+                name, batches, source,
+                lambda batches: replay(suite, ctx, batches))
+            if ctx.derived is not None:
+                ctx.derived.flush()
+            return detected
 
         def abort(header):
             suite.abort(contexts[-1])
@@ -250,14 +255,14 @@ class SimulationSession:
             contexts.append(retry)
             suite.begin(retry)
 
-        detected = self._consume(name, replay, abort=abort)
+        detected = self._consume(name, walk, abort=abort)
         self._detected.setdefault(name, detected)
 
     def _total_instructions(self, name):
         """*name*'s instruction count, from the trace header alone."""
-        columns = self._columns.get(name)
-        if columns is not None:
-            return columns[0].total_instructions
+        trace = self._columns.get(name)
+        if trace is not None:
+            return trace.total_instructions
         header = None
         if self._cache is not None:
             header = self._cache.header(
@@ -265,7 +270,7 @@ class SimulationSession:
                 self.config.limit_for(self._by_name[name]),
                 self._fingerprint(name))
         if header is None:
-            header = self._trace_now(name)[0]
+            header = self._trace_now(name).header
         return header.total_instructions
 
     def _context(self, workload, total):
@@ -287,60 +292,6 @@ class SimulationSession:
             workload.name, total, workload=workload, scale=self.scale,
             cls_capacity=self.config.cls_capacity, timing=timing,
             derived=derived)
-
-    def _replay(self, suite, ctx, batches, source):
-        """One full batched record-stream replay into *suite*, whose
-        ``begin(ctx)`` already ran; returns ``(detector, index)`` of
-        the canonical detector it installs as ``ctx.detector``.
-
-        *batches* is an iterable of :class:`~repro.trace.batch.
-        RecordBatch` (a cached v3 stream, or in-memory columns).  Per
-        batch, records fan out to the suite's record consumers and the
-        timing model, then the detector turns them into loop events.
-        """
-        detector = ctx.detector = LoopDetector(
-            cls_capacity=self.config.cls_capacity)
-        total = ctx.total_instructions
-        wants_records = suite.wants_records
-        timing = ctx.timing
-        timing_feed = (timing.feed_batch
-                       if timing is not None and timing.wants_records
-                       else None)
-        feed_batch = suite.feed_batch
-        detect_batch = detector.feed_batch
-        # Loop events only fan out when some pass actually overrides
-        # feed(); with every stock pass record-fed or finish-time, the
-        # event stream has no takers and the replay is record-only.
-        feed_events = None
-        if getattr(suite, "has_event_consumers", True):
-            feed_events = getattr(suite, "feed_events", None)
-            if feed_events is None:       # suite-shaped duck type
-                suite_feed = suite.feed
-
-                def feed_events(events):
-                    for event in events:
-                        suite_feed(event)
-
-        def walk(batches):
-            for batch in batches:
-                if wants_records:
-                    feed_batch(batch)
-                if timing_feed is not None:
-                    timing_feed(batch)
-                events = detect_batch(batch)
-                if events and feed_events is not None:
-                    feed_events(events)
-            events = detector.finish(total)
-            if events and feed_events is not None:
-                feed_events(events)
-            ctx.index = detector.index(total)
-            with obs.span("finish", workload=ctx.name):
-                suite.finish(ctx)
-
-        self._walk(ctx.name, batches, source, walk)
-        if ctx.derived is not None:
-            ctx.derived.flush()
-        return detector, ctx.index
 
     # -- pipeline ------------------------------------------------------------
 
@@ -385,8 +336,8 @@ class SimulationSession:
                 # configured workload order), so worker obs events
                 # merge deterministically however tracing interleaved.
                 for future in futures:
-                    name, columns, *events = future.result()
-                    results[name] = columns
+                    name, trace, *events = future.result()
+                    results[name] = trace
                     if events and events[0] and collector is not None:
                         collector.absorb(events[0], workload=name)
         # Absorb in configured order so memoization and any downstream
@@ -451,19 +402,21 @@ class SimulationSession:
         the entry.  Exceptions raised by *consume* itself are NOT
         retried -- only the stream's own ValueError is wrapped.
         """
-        columns = self._columns.get(name)
-        if columns is not None:
-            return consume(*columns, "memory")
+        trace = self._columns.get(name)
+        if trace is not None:
+            return consume(trace.header, trace.batches, "memory")
         stream = self._open_cached(name)
         if stream is None:
-            return consume(*self._trace_now(name), "traced")
+            trace = self._trace_now(name)
+            return consume(trace.header, trace.batches, "traced")
         header, batches = stream
         try:
             return consume(header, _guard_stream(batches), "cache")
         except _CorruptStream:
             if abort is not None:
                 abort(header)
-            return consume(*self._trace_now(name), "retraced")
+            trace = self._trace_now(name)
+            return consume(trace.header, trace.batches, "retraced")
 
     def _open_cached(self, name):
         """The cache's ``(header, batch_iterator)`` for *name*, or
@@ -488,12 +441,12 @@ class SimulationSession:
 
     def _trace_now(self, name):
         """Trace inline through the shared worker entry point and keep
-        the columns in memory (written to the cache too, if any)."""
+        the trace in memory (written to the cache too, if any)."""
         self._mark(name, cached=False)
         workload = self._by_name[name]
         with obs.span("trace", workload=name, mode="inline"):
-            _, columns = worker.trace_workload(
+            _, trace = worker.trace_workload(
                 workload, self.scale, self.config.limit_for(workload),
                 self.config.cache_dir)
-        self._columns[name] = columns
-        return columns
+        self._columns[name] = trace
+        return trace

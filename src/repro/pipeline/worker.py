@@ -8,12 +8,12 @@ top level (the pool pickles it by reference) and must not depend on any
 parent-process state beyond its arguments: under the ``spawn`` start
 method a fresh interpreter imports this module and nothing else.
 
-Both paths get the same thing back: the trace's columns,
-``(TraceHeader, [RecordBatch])``, written to the v3 cache first when
-there is one.  Inline callers pass the Workload object itself (which
-also supports unregistered workloads); pooled callers pass the
+Both paths get the same thing back: the trace's
+:class:`~repro.trace.stream.CFTrace`, written to the v3 cache first
+when there is one.  Inline callers pass the Workload object itself
+(which also supports unregistered workloads); pooled callers pass the
 workload *name*, resolved through the registry in the child, and the
-columns come back over the pool's result pipe as an ordinary pickle.
+trace comes back over the pool's result pipe as an ordinary pickle.
 """
 
 from repro.cpu.tracer import ChunkedCFTracer
@@ -25,14 +25,14 @@ def trace_workload(workload, scale=1, max_instructions=None,
                    cache_dir=None, observe=False):
     """Trace one workload (a registered name or a Workload object).
 
-    Returns ``(name, (TraceHeader, [RecordBatch]))``; the columns are
-    stored in the cache under *cache_dir* first, when one is given.
+    Returns ``(name, CFTrace)``; the trace is stored in the cache
+    under *cache_dir* first, when one is given.
 
     With ``observe=True`` (pooled callers whose parent session has an
     active obs collector) the work runs under a worker-local
     :class:`~repro.obs.collector.Collector` and the return value grows
     a third element -- its :meth:`~repro.obs.collector.Collector.
-    export` -- which rides the result pipe alongside the columns for
+    export` -- which rides the result pipe alongside the trace for
     the parent to :meth:`~repro.obs.collector.Collector.absorb`.
 
     ``max_instructions=None`` uses the workload's default budget,
@@ -47,11 +47,11 @@ def trace_workload(workload, scale=1, max_instructions=None,
         collector = obs.activate(obs.Collector())
         try:
             with obs.span("trace", workload=label, mode="pool"):
-                name, columns = trace_workload(
+                name, trace = trace_workload(
                     workload, scale, max_instructions, cache_dir)
         finally:
             obs.deactivate()
-        return name, columns, collector.export()
+        return name, trace, collector.export()
     if isinstance(workload, str):
         import repro.workloads.suite  # noqa: F401  (registers the suite)
         from repro.workloads.base import get
@@ -59,9 +59,8 @@ def trace_workload(workload, scale=1, max_instructions=None,
     name = workload.name
     limit = max_instructions or workload.default_max_instructions
     tracer = ChunkedCFTracer(workload.program(scale), limit)
-    header, batches = tracer.columns()
+    trace = tracer.columns()
     if cache_dir is not None:
-        TraceCache(cache_dir).store(
-            header, batches, name, scale, limit,
-            program_fingerprint(tracer.program))
-    return name, (header, batches)
+        TraceCache(cache_dir).store(trace, name, scale, limit,
+                                    program_fingerprint(tracer.program))
+    return name, trace

@@ -1,12 +1,7 @@
 """Dynamic trace infrastructure (records, batches, statistics, IO)."""
 
 from repro.trace.record import CFRecord, FullRecord
-from repro.trace.batch import (
-    NO_TARGET,
-    FullBatch,
-    RecordBatch,
-    iter_batches,
-)
+from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
 from repro.trace.stream import CFTrace, FullTrace, clip
 from repro.trace.stats import CFStats, basic_block_profile, collect_cf_stats
 from repro.trace.io import (
@@ -17,7 +12,6 @@ from repro.trace.io import (
     dump_cf_trace,
     dumps_cf_trace,
     load_cf_trace,
-    loads_cf_batches,
     loads_cf_trace,
     open_cf_batches,
     read_cf_header,
@@ -29,7 +23,6 @@ __all__ = [
     "NO_TARGET",
     "FullBatch",
     "RecordBatch",
-    "iter_batches",
     "CFTrace",
     "FullTrace",
     "clip",
@@ -43,7 +36,6 @@ __all__ = [
     "dump_cf_trace",
     "dumps_cf_trace",
     "load_cf_trace",
-    "loads_cf_batches",
     "loads_cf_trace",
     "open_cf_batches",
     "read_cf_header",

@@ -32,15 +32,11 @@ materializing :class:`~repro.trace.record.FullRecord` objects.
 
 from array import array
 from bisect import bisect_left
-from itertools import islice
 
 from repro.trace.record import CFRecord
 
 #: ``target`` column sentinel encoding ``None`` (halt has no target).
 NO_TARGET = -1
-
-#: Default records per batch for the adapters below.
-DEFAULT_BATCH_RECORDS = 8192
 
 
 class RecordBatch:
@@ -145,23 +141,6 @@ class RecordBatch:
         else:
             span = ""
         return "RecordBatch(%d records%s)" % (len(self), span)
-
-
-def iter_batches(records, batch_records=DEFAULT_BATCH_RECORDS):
-    """Adapt an iterable of :class:`CFRecord` to a batch stream.
-
-    The bridge from record lists (an in-memory
-    :class:`~repro.trace.stream.CFTrace`) into batch consumers; emits
-    no empty batches.
-    """
-    if batch_records < 1:
-        raise ValueError("batch_records must be >= 1")
-    records = iter(records)
-    while True:
-        batch = RecordBatch.from_records(islice(records, batch_records))
-        if not len(batch):
-            return
-        yield batch
 
 
 class FullBatch:

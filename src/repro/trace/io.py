@@ -27,8 +27,10 @@ either bit-exact or rejected.
 
 One writer (:class:`BatchTraceWriter`, driven by
 :func:`dump_cf_batches`) and one chunk walker (:func:`_batches_v3`)
-serve every path; the record-list helpers (:func:`dump_cf_trace`,
-:func:`load_cf_trace` and their bytes forms) are adapters over them.
+serve every path.  :func:`open_cf_batches` streams a file's batches;
+:func:`load_cf_trace` and :func:`loads_cf_trace` read a whole file or
+buffer into a :class:`~repro.trace.stream.CFTrace` (header plus batch
+list), and :func:`dump_cf_trace` writes one back, one chunk per batch.
 
 Full traces are not serialized (they are cheap to regenerate at the
 scales the data-speculation study uses, and enormous on disk).
@@ -44,7 +46,7 @@ import zlib
 from array import array
 from typing import NamedTuple
 
-from repro.trace.batch import RecordBatch, iter_batches
+from repro.trace.batch import RecordBatch
 from repro.trace.stream import CFTrace
 
 #: v3 file magic.
@@ -52,9 +54,6 @@ MAGIC_V3 = b"CFT3"
 
 #: Bump when the on-disk record layout changes; cache keys include it.
 TRACE_FORMAT_VERSION = 3
-
-#: Records per chunk when a record list is written.
-CHUNK_RECORDS = 8192
 
 #: v3 end-of-chunks marker (an impossible chunk record count).
 _END_MARKER = 0xFFFFFFFF
@@ -354,17 +353,16 @@ def dump_cf_batches(source, batches, path_or_file):
 
 
 def dump_cf_trace(trace, path_or_file):
-    """Write a record-list :class:`~repro.trace.stream.CFTrace` as v3
-    (see :func:`dump_cf_batches`)."""
-    dump_cf_batches(trace, iter_batches(trace.records, CHUNK_RECORDS),
-                    path_or_file)
+    """Write a :class:`~repro.trace.stream.CFTrace` as v3, one chunk
+    per batch (see :func:`dump_cf_batches`)."""
+    dump_cf_batches(trace, trace.batches, path_or_file)
 
 
 # -- reading -----------------------------------------------------------------
 
 def load_cf_trace(path_or_file):
     """Read a v3 trace (a path or a binary file object) into a
-    record-list :class:`~repro.trace.stream.CFTrace`."""
+    :class:`~repro.trace.stream.CFTrace`."""
     if not hasattr(path_or_file, "read"):
         with open(path_or_file, "rb") as fh:
             return _load(fh)
@@ -373,7 +371,7 @@ def load_cf_trace(path_or_file):
 
 def _load(fh):
     header = _read_header_v3(fh)
-    return CFTrace.from_batches(header, _batches_v3(fh, header))
+    return CFTrace(header, list(_batches_v3(fh, header)))
 
 
 def _check_count(header, seen):
@@ -427,20 +425,14 @@ def dumps_cf_trace(trace):
     return buf.getvalue()
 
 
-def loads_cf_batches(data):
-    """``(header, [RecordBatch])`` from a v3 trace in any bytes-like
-    buffer (``bytes``, ``memoryview``).  The buffer is parsed zero-copy, and no view of *data*
-    outlives the call: each batch owns its decompressed columns."""
+def loads_cf_trace(data):
+    """Inverse of :func:`dumps_cf_trace`: a
+    :class:`~repro.trace.stream.CFTrace` from a v3 trace in any
+    bytes-like buffer (``bytes``, ``memoryview``).  The buffer is
+    parsed zero-copy, and no view of *data* outlives the call: each
+    batch owns its decompressed columns."""
     reader = _BufferReader(data)
     try:
-        header = _read_header_v3(reader)
-        return header, list(_batches_v3(reader, header))
+        return _load(reader)
     finally:
         reader.close()
-
-
-def loads_cf_trace(data):
-    """Inverse of :func:`dumps_cf_trace`: a record-list
-    :class:`~repro.trace.stream.CFTrace` from a v3 buffer (see
-    :func:`loads_cf_batches`)."""
-    return CFTrace.from_batches(*loads_cf_batches(data))

@@ -68,7 +68,7 @@ def collect_cf_stats(cf_trace):
     """Compute :class:`CFStats` for a control-flow trace."""
     stats = CFStats(total_instructions=cf_trace.total_instructions)
     k_branch = int(InstrKind.BRANCH)
-    for rec in cf_trace.records:
+    for rec in cf_trace.iter_records():
         stats.by_kind[rec.kind] += 1
         if rec.kind == k_branch:
             stats.unique_branch_pcs.add(rec.pc)
@@ -93,7 +93,7 @@ def basic_block_profile(cf_trace):
     """Histogram of straight-line run lengths between control transfers."""
     histogram = Counter()
     prev_seq = -1
-    for rec in cf_trace.records:
+    for rec in cf_trace.iter_records():
         histogram[rec.seq - prev_seq] += 1
         prev_seq = rec.seq
     return histogram

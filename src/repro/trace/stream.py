@@ -1,42 +1,59 @@
-"""Trace containers and streaming utilities."""
+"""Trace containers."""
 
 from repro.isa.instructions import InstrKind
-from repro.trace.record import CFRecord
+from repro.trace.batch import RecordBatch
 
 
 class CFTrace:
-    """A control-flow trace: records plus run metadata.
+    """A control-flow trace in memory: its header and its columns.
 
-    ``records`` holds one :class:`~repro.trace.record.CFRecord` per
-    executed control transfer, in execution order.  ``total_instructions``
-    is the number of *all* executed instructions (straight-line ones are
-    implicit between records).
+    ``header`` is the :class:`~repro.trace.io.TraceHeader` (program
+    name, ``total_instructions`` -- *all* executed instructions, the
+    straight-line ones implicit between records -- ``halted`` and the
+    record count); ``batches`` is the list of
+    :class:`~repro.trace.batch.RecordBatch` holding one record per
+    executed control transfer, in execution order.  Every producer
+    returns this: the tracer, the pool worker, the v3 readers and the
+    session.  Record tuples are a decoding view (:meth:`iter_records`).
     """
 
-    def __init__(self, records, total_instructions, halted,
-                 program_name="program"):
-        self.records = records
-        self.total_instructions = total_instructions
-        self.halted = halted
-        self.program_name = program_name
+    __slots__ = ("header", "batches")
+
+    def __init__(self, header, batches):
+        self.header = header
+        self.batches = batches
 
     @classmethod
-    def from_batches(cls, header, batches):
-        """Decode a :class:`~repro.trace.batch.RecordBatch` stream into a
-        record-list trace; *header* supplies ``program_name``,
-        ``total_instructions`` and ``halted`` (a
-        :class:`~repro.trace.io.TraceHeader`)."""
-        records = []
-        for batch in batches:
-            records.extend(batch.iter_records())
-        return cls(records, header.total_instructions, header.halted,
-                   header.program_name)
+    def from_records(cls, records, total_instructions, halted,
+                     program_name="program"):
+        """A trace of one batch built from
+        :class:`~repro.trace.record.CFRecord` tuples (hand-built
+        traces)."""
+        from repro.trace.io import TRACE_FORMAT_VERSION, TraceHeader
 
-    def __iter__(self):
-        return iter(self.records)
+        batch = RecordBatch.from_records(records)
+        return cls(TraceHeader(TRACE_FORMAT_VERSION, program_name,
+                               total_instructions, bool(halted),
+                               len(batch)),
+                   [batch] if len(batch) else [])
 
-    def __len__(self):
-        return len(self.records)
+    @property
+    def program_name(self):
+        return self.header.program_name
+
+    @property
+    def total_instructions(self):
+        return self.header.total_instructions
+
+    @property
+    def halted(self):
+        return self.header.halted
+
+    def iter_records(self):
+        """Decode every record to a :class:`~repro.trace.record.CFRecord`,
+        in order."""
+        for batch in self.batches:
+            yield from batch.iter_records()
 
     def validate(self):
         """Check internal consistency; raises ``ValueError`` on violation.
@@ -49,7 +66,7 @@ class CFTrace:
         pc distance).
         """
         prev = None
-        for rec in self.records:
+        for rec in self.iter_records():
             if rec.seq >= self.total_instructions:
                 raise ValueError("record %r beyond trace length" % (rec,))
             if prev is not None:
@@ -84,17 +101,19 @@ class FullTrace:
 
     def control_flow(self):
         """Project to a :class:`CFTrace` (for the shared detector path)."""
-        records = [rec.as_cf() for rec in self.records
-                   if rec.kind != int(InstrKind.OTHER)]
-        return CFTrace(records=records,
-                       total_instructions=self.total_instructions,
-                       halted=self.halted, program_name=self.program_name)
+        return CFTrace.from_records(
+            [rec.as_cf() for rec in self.records
+             if rec.kind != int(InstrKind.OTHER)],
+            self.total_instructions, self.halted, self.program_name)
 
 
 def clip(cf_trace, max_instructions):
     """Return a trace truncated to the first *max_instructions*."""
     if max_instructions >= cf_trace.total_instructions:
         return cf_trace
-    records = [r for r in cf_trace.records if r.seq < max_instructions]
-    return CFTrace(records=records, total_instructions=max_instructions,
-                   halted=False, program_name=cf_trace.program_name)
+    batches = [batch.prefix(max_instructions)
+               for batch in cf_trace.batches]
+    batches = [batch for batch in batches if len(batch)]
+    return CFTrace(cf_trace.header._replace(
+        total_instructions=max_instructions, halted=False,
+        records=sum(map(len, batches))), batches)

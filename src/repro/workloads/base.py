@@ -47,10 +47,8 @@ class Workload:
 
     def loop_index(self, scale=1, cls_capacity=16, max_instructions=None):
         limit = max_instructions or self.default_max_instructions
-        header, batches = ChunkedCFTracer(self.program(scale),
-                                          limit).columns()
-        return LoopDetector(cls_capacity=cls_capacity).run_batches(
-            batches, header.total_instructions)
+        return LoopDetector(cls_capacity=cls_capacity).run(
+            ChunkedCFTracer(self.program(scale), limit).columns())
 
     def __repr__(self):
         return "Workload(%r, %s)" % (self.name, self.category)

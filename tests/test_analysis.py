@@ -38,14 +38,13 @@ from repro.core.tables import (
     POLICY_NESTING_AWARE,
     TableHitRatioSimulator,
 )
-from repro.experiments import build_suite
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import EXPERIMENT_ORDER
+from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
 from repro.pipeline import PipelineConfig, SimulationSession
-from repro.trace.batch import iter_batches
 from repro.trace.stream import CFTrace, clip
 
+from reference import cut
 from reference.dataspec import reference_stats
 from reference.speculation import simulate, simulate_infinite
 
@@ -486,8 +485,7 @@ class TestWalkCounts:
 # ---------------------------------------------------------------------------
 
 def empty_trace():
-    return CFTrace(records=[], total_instructions=0, halted=False,
-                   program_name="empty")
+    return CFTrace.from_records([], 0, False, "empty")
 
 
 def loopless_trace():
@@ -541,8 +539,8 @@ class TestLifecycle:
                                   detector=detector)
             suite.begin(ctx)
             if abort_midway:
-                half = trace.records[:len(trace.records) // 2]
-                for batch in iter_batches(half, 64):
+                records = list(trace.iter_records())
+                for batch in cut(records[:len(records) // 2], 64):
                     suite.feed_batch(batch)
                     suite.feed_events(detector.feed_batch(batch))
                 suite.abort(ctx)
@@ -551,7 +549,7 @@ class TestLifecycle:
                                       workload=workload,
                                       detector=detector)
                 suite.begin(ctx)
-            for batch in iter_batches(trace.records, 64):
+            for batch in cut(trace.iter_records(), 64):
                 suite.feed_batch(batch)
                 suite.feed_events(detector.feed_batch(batch))
             for event in detector.finish(trace.total_instructions):

@@ -22,7 +22,7 @@ def branch_trace(sequence):
     """Build a CF trace of conditional branches from (pc, taken, target)."""
     records = [CFRecord(i, pc, BR, taken, target)
                for i, (pc, taken, target) in enumerate(sequence)]
-    return CFTrace(records, len(sequence), True, "synthetic")
+    return CFTrace.from_records(records, len(sequence), True, "synthetic")
 
 
 class TestBimodal:

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cls import CurrentLoopStack
 from repro.search.corpus import frontier_names
-from repro.trace.batch import iter_batches
 from repro.trace.record import CFRecord
 from repro.workloads import SUITE_ORDER, get
 
+from reference import cut
 from reference.cls import reference_events
 from test_cls_properties import BR, CALL, JMP, RET, _transfer
 
@@ -38,7 +38,7 @@ def assert_matches_reference(records, total, capacity):
 
     stack = CurrentLoopStack(capacity)
     events = []
-    for batch in iter_batches(records, 97):
+    for batch in cut(records, 97):
         stack.process_batch(batch, events)
     events.extend(stack.flush(total))
     assert _reprs(events) == expected, \
@@ -50,8 +50,9 @@ def assert_matches_reference(records, total, capacity):
 @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
 def test_workload_events_match_reference(name, capacity):
     trace = get(name).cf_trace(1, BUDGET)
-    assert trace.records
-    assert_matches_reference(trace.records, trace.total_instructions,
+    records = list(trace.iter_records())
+    assert records
+    assert_matches_reference(records, trace.total_instructions,
                              capacity)
 
 

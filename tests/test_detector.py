@@ -25,8 +25,9 @@ from repro.lang import (
     compile_module,
 )
 from repro.search.corpus import frontier_names
-from repro.trace.batch import iter_batches
 from repro.workloads import SUITE_ORDER, get
+
+from reference import cut
 
 
 def detect(module, cls_capacity=16):
@@ -242,7 +243,7 @@ class TestStructuredProgramInvariants:
                    + [Return(Var("x"))])
         trace = trace_control_flow(compile_module(m))
         detector = LoopDetector()
-        for batch in iter_batches(trace.records, 1):
+        for batch in cut(trace.iter_records(), 1):
             detector.feed_batch(batch)
         assert len(detector.cls) == 0
         flush_events = detector.finish(trace.total_instructions)
@@ -289,7 +290,7 @@ class TestIterableInput:
         trace = self._trace()
         from_trace = LoopDetector().run(trace)
         from_iter = LoopDetector().run_batches(
-            iter_batches(iter(trace.records), 1), trace.total_instructions)
+            cut(trace.iter_records(), 1), trace.total_instructions)
         assert len(from_iter) == len(from_trace)
         assert list(map(repr, from_iter.events)) \
             == list(map(repr, from_trace.events))
@@ -299,9 +300,9 @@ class TestIterableInput:
     def test_iterable_without_total_rejected(self):
         trace = self._trace()
         with pytest.raises(AttributeError):
-            LoopDetector().run(iter(trace.records))
+            LoopDetector().run(trace.iter_records())
         with pytest.raises(TypeError):
-            LoopDetector().run(iter(trace.records),
+            LoopDetector().run(trace.iter_records(),
                                trace.total_instructions)
 
 
@@ -321,7 +322,7 @@ class TestIndexPrefix:
     def test_prefix_equals_a_prefix_walk(self, name, capacity):
         trace = get(name).cf_trace(1, 60_000)
         total = trace.total_instructions
-        batches = list(iter_batches(trace.records))
+        batches = trace.batches
         canonical = LoopDetector(cls_capacity=capacity).run_batches(
             batches, total)
         for limit in (1, total // 4, total // 2 + 7, total):

@@ -14,20 +14,10 @@ from repro.analysis import analyze_trace
 from repro.core.cls import CurrentLoopStack
 from repro.core.events import SingleIteration
 from repro.cpu import trace_control_flow
-from repro.experiments import SimulationSession, available_experiments
-from repro.experiments import (
-    ablations,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    table1,
-    table2,
-)
+from repro.experiments import SimulationSession
+from repro.experiments.runner import available_experiments, run_experiment
 from repro.lang import Assign, For, Module, Return, Var, compile_module
 from repro.search.corpus import frontier_names
-from repro.trace.batch import iter_batches
 from repro.trace.io import dump_cf_batches, open_cf_batches
 from repro.workloads.suite import SUITE_ORDER
 
@@ -68,10 +58,29 @@ class TestRunnerInfrastructure:
         out = capsys.readouterr().out
         assert "table1" in out
 
+    def test_runner_module_runs_without_runpy_warning(self):
+        """``python -m repro.experiments.runner`` finds the runner not
+        yet imported (the package does not import it), so runpy raises
+        no RuntimeWarning -- not even one promoted to an error."""
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path
+                   else src + os.pathsep + path)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.runner", "--list"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "table1" in result.stdout
+
 
 class TestTable1:
     def test_rows_and_render(self, small_runner):
-        result = table1.run(small_runner)
+        result = run_experiment("table1", small_runner)
         assert len(result.rows) == 2
         assert "Table 1" in result.render()
         swim_row = result.row_for("swim")
@@ -82,7 +91,7 @@ class TestTable1:
 
 class TestFigure4:
     def test_hit_ratio_monotone_in_size(self, small_runner):
-        result = figure4.run(small_runner)
+        result = run_experiment("figure4", small_runner)
         per_size = result.extra["per_size"]
         lets = [per_size[s]["let"] for s in (2, 4, 8, 16)]
         lits = [per_size[s]["lit"] for s in (2, 4, 8, 16)]
@@ -90,7 +99,7 @@ class TestFigure4:
         assert all(a <= b + 1e-9 for a, b in zip(lits, lits[1:]))
 
     def test_percentages_in_range(self, small_runner):
-        result = figure4.run(small_runner)
+        result = run_experiment("figure4", small_runner)
         for _size, let_pct, lit_pct in result.rows:
             assert 0 <= let_pct <= 100
             assert 0 <= lit_pct <= 100
@@ -98,35 +107,35 @@ class TestFigure4:
 
 class TestFigure5:
     def test_ideal_tpc_exceeds_one(self, small_runner):
-        result = figure5.run(small_runner)
+        result = run_experiment("figure5", small_runner)
         for _name, full_tpc, reduced_tpc in result.rows:
             assert full_tpc >= 1.0
             assert reduced_tpc >= 1.0
 
     def test_prefix_behaves_like_full_run(self, small_runner):
-        result = figure5.run(small_runner)
+        result = run_experiment("figure5", small_runner)
         for name, full_tpc, reduced_tpc in result.rows:
             ratio = reduced_tpc / full_tpc
             assert 0.25 < ratio < 4.0, name
 
     def test_regular_code_far_more_ideal_tlp(self, small_runner):
-        result = figure5.run(small_runner)
+        result = run_experiment("figure5", small_runner)
         assert result.row_for("swim")[1] > result.row_for("go")[1]
 
 
 class TestFigure6:
     def test_tpc_monotone_in_tus(self, small_runner):
-        result = figure6.run(small_runner)
+        result = run_experiment("figure6", small_runner)
         for row in result.rows:
             tpcs = row[1:]
             assert all(a <= b + 1e-9 for a, b in zip(tpcs, tpcs[1:]))
 
     def test_avg_row_present(self, small_runner):
-        result = figure6.run(small_runner)
+        result = run_experiment("figure6", small_runner)
         assert result.rows[0][0] == "AVG"
 
     def test_tpc_bounded_by_tus(self, small_runner):
-        result = figure6.run(small_runner)
+        result = run_experiment("figure6", small_runner)
         for row in result.rows[1:]:
             for tus, tpc in zip((2, 4, 8, 16), row[1:]):
                 assert 1.0 <= tpc <= tus + 1e-9
@@ -134,14 +143,14 @@ class TestFigure6:
 
 class TestFigure7:
     def test_policy_table_shape(self, small_runner):
-        result = figure7.run(small_runner)
+        result = run_experiment("figure7", small_runner)
         assert [row[0] for row in result.rows] \
             == ["IDLE", "STR", "STR(1)", "STR(2)", "STR(3)"]
 
     def test_str_at_least_str1_on_full_suite(self, full_runner):
         # The paper's key qualitative claim: STR(i) squashes correct
         # speculation, so plain STR wins on average at small TU counts.
-        result = figure7.run(full_runner)
+        result = run_experiment("figure7", full_runner)
         averages = result.extra["averages"]
         for tus in (2, 4, 8):
             assert averages[("str", tus)] >= averages[("str(1)", tus)], tus
@@ -149,7 +158,7 @@ class TestFigure7:
 
 class TestTable2:
     def test_row_shape_and_ranges(self, small_runner):
-        result = table2.run(small_runner)
+        result = run_experiment("table2", small_runner)
         for row in result.rows:
             _name, nspec, tps, hit, instr_verif, tpc = row
             assert nspec > 0
@@ -159,23 +168,23 @@ class TestTable2:
             assert 1.0 <= tpc <= 4.0 + 1e-9
 
     def test_regular_beats_irregular(self, small_runner):
-        result = table2.run(small_runner)
+        result = run_experiment("table2", small_runner)
         assert result.row_for("swim")[5] > result.row_for("go")[5]
 
 
 class TestFigure8:
     def test_suite_row_aggregates(self, small_runner):
-        result = figure8.run(small_runner)
+        result = run_experiment("figure8", small_runner)
         assert result.rows[0][0] == "SUITE"
         assert len(result.rows) == 3
 
     def test_percentages_valid(self, small_runner):
-        result = figure8.run(small_runner)
+        result = run_experiment("figure8", small_runner)
         for row in result.rows:
             assert all(0.0 <= v <= 100.0 for v in row[1:])
 
     def test_qualitative_ordering(self, small_runner):
-        result = figure8.run(small_runner)
+        result = run_experiment("figure8", small_runner)
         suite_row = result.row_for("SUITE")
         _, _same, lr, lm, all_lr, all_lm, all_data = suite_row
         assert lr > lm              # registers predict better than memory
@@ -183,28 +192,31 @@ class TestFigure8:
         assert all_data <= all_lm + 1e-9
 
     def test_regular_code_has_stable_paths(self, small_runner):
-        result = figure8.run(small_runner)
+        result = run_experiment("figure8", small_runner)
         assert result.row_for("swim")[1] > result.row_for("go")[1]
 
 
 class TestAblations:
     def test_all_three_ablations_run(self, small_runner):
-        results = ablations.run(small_runner)
+        results = run_experiment("ablations", small_runner)
         assert len(results) == 3
 
     def test_nesting_aware_close_to_lru(self, small_runner):
-        result = ablations.replacement_policy_ablation(small_runner)
+        result = run_experiment("ablations", small_runner,
+                                parts=("replacement",))[0]
         for _size, let_lru, let_aware, lit_lru, lit_aware in result.rows:
             assert abs(let_lru - let_aware) < 25
             assert abs(lit_lru - lit_aware) < 25
 
     def test_waiting_tpc_upper_bounds_executing(self, small_runner):
-        result = ablations.waiting_accounting_ablation(small_runner)
+        result = run_experiment("ablations", small_runner,
+                                parts=("waiting",))[0]
         for _name, incl, excl in result.rows:
             assert excl <= incl + 1e-9
 
     def test_cls_overflow_decreases_with_capacity(self, small_runner):
-        result = ablations.cls_capacity_ablation(small_runner)
+        result = run_experiment("ablations", small_runner,
+                                parts=("cls",))[0]
         drops = [row[1] for row in result.rows]
         assert all(a >= b for a, b in zip(drops, drops[1:]))
         assert drops[-1] == 0        # 16 entries never overflow
@@ -242,7 +254,7 @@ class TestCLSCapacityShortcut:
         counts, (walks, shortcuts) = production_sweep(
             session.analyze, self.CAPACITIES)
         for name in names:
-            batches = list(iter_batches(session.trace(name).records))
+            batches = session.trace(name).batches
             for capacity in self.CAPACITIES:
                 key = (name, capacity)
                 if key not in walked:
@@ -268,7 +280,7 @@ class TestCLSCapacityShortcut:
         assert trace.halted
         counts, counters = production_sweep(
             lambda suite: analyze_trace(suite, trace, name="t"), (1,))
-        batches = list(iter_batches(trace.records))
+        batches = trace.batches
         stack = CurrentLoopStack(capacity=16)
         events = []
         for batch in batches:
@@ -314,7 +326,7 @@ class TestCLSCapacityShortcut:
         assert warm.stats.replays == len(names)
         assert walks > 0
         for name in names:
-            batches = list(iter_batches(warm.trace(name).records))
+            batches = warm.trace(name).batches
             for capacity in (2, 4):
                 assert counts[name, capacity] \
                     == walked_cls_counts(batches, capacity)
@@ -322,18 +334,18 @@ class TestCLSCapacityShortcut:
 
 class TestReportRendering:
     def test_render_contains_headers(self, small_runner):
-        result = table1.run(small_runner)
+        result = run_experiment("table1", small_runner)
         text = result.render()
         for header in result.headers:
             assert str(header) in text
 
     def test_row_for_missing_key(self, small_runner):
-        result = table1.run(small_runner)
+        result = run_experiment("table1", small_runner)
         with pytest.raises(KeyError):
             result.row_for("spice")
 
     def test_column_accessor(self, small_runner):
-        result = table1.run(small_runner)
+        result = run_experiment("table1", small_runner)
         assert result.column("program") == ["swim", "go"]
 
 

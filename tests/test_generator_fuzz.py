@@ -51,7 +51,6 @@ from repro.core.speculation import (
 from repro.cpu import trace_control_flow, trace_full
 from repro.cpu import tracer as tracer_mod
 from repro.pipeline.cache import TraceCache, program_fingerprint
-from repro.trace.batch import iter_batches
 from repro.util.rng import Xorshift64
 from repro.workloads.synthetic import make_workload, random_profile
 
@@ -191,7 +190,7 @@ def test_leaping_walks_match_full_walks(profile, seed):
     counts, _ = production_sweep(
         lambda suite: analyze_trace(suite, trace, name="fuzz"),
         LEAP_CLS_CAPACITIES)
-    batches = list(iter_batches(trace.records))
+    batches = trace.batches
     for capacity in LEAP_CLS_CAPACITIES:
         assert counts["fuzz", capacity] \
             == walked_cls_counts(batches, capacity), \

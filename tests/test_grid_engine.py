@@ -42,7 +42,6 @@ from repro.pipeline import SimulationSession
 from repro.search.corpus import frontier_names
 from repro.timing import make_timing
 from repro.timing.models import OverheadTiming
-from repro.trace.batch import iter_batches
 from repro.workloads.suite import SUITE_ORDER
 
 from reference import speculation as reference
@@ -155,7 +154,7 @@ def fed_classcost(session, name, spec="classcost:branch=3,other=2"):
     """A class-cost model fed *name*'s records, as the session feeds
     record-fed models before a run."""
     model = make_timing(spec)
-    for batch in iter_batches(session.trace(name).records):
+    for batch in session.trace(name).batches:
         model.feed_batch(batch)
     return model
 

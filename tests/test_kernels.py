@@ -19,7 +19,8 @@ from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
 from repro.trace import RecordBatch, dump_cf_trace, \
-    dumps_cf_trace, iter_batches, kernels, loads_cf_trace, open_cf_batches
+    dumps_cf_trace, kernels, loads_cf_trace, open_cf_batches
+from reference import cut
 from reference.tables import EventTableReplay
 
 LOOP_SRC = """
@@ -75,11 +76,10 @@ class TestBatchBoundaries:
 
     def test_single_record_batches_match_one_batch(self, loop_trace):
         one = LoopDetector()
-        idx_one = one.run_batches(iter_batches(loop_trace.records),
-                                  loop_trace.total_instructions)
+        idx_one = one.run(loop_trace)
         single = LoopDetector()
         idx_single = single.run_batches(
-            iter_batches(loop_trace.records, 1),
+            cut(loop_trace.iter_records(), 1),
             loop_trace.total_instructions)
         assert event_reprs(one.events) == event_reprs(single.events)
         assert index_shape(idx_one) == index_shape(idx_single)
@@ -87,7 +87,7 @@ class TestBatchBoundaries:
     def test_loop_boundary_at_every_batch_seam(self, loop_trace):
         """Splitting the stream at any position -- including mid-loop
         and exactly on a closing back-edge -- must not change events."""
-        records = loop_trace.records
+        records = list(loop_trace.iter_records())
         total = loop_trace.total_instructions
         reference = LoopDetector()
         ref_index = reference.run(loop_trace)
@@ -111,7 +111,7 @@ class TestBatchBoundaries:
         with open(path, "w+b") as fh:
             writer = BatchTraceWriter(fh, loop_trace.program_name)
             # 7 records per chunk: every chunk seam lands mid-loop.
-            for batch in iter_batches(loop_trace.records, 7):
+            for batch in cut(loop_trace.iter_records(), 7):
                 writer.write_batch(batch)
             writer.close(loop_trace.total_instructions,
                          loop_trace.halted)
@@ -328,7 +328,7 @@ class TestStateRoundTrips:
 
         stream = BranchPredictionStream([BimodalPredictor(),
                                          GSharePredictor()])
-        for batch in iter_batches(loop_trace.records):
+        for batch in loop_trace.batches:
             stream.feed_batch(batch)
         for report in stream.reports("w"):
             restored = BranchPredictionReport.from_state(
@@ -427,14 +427,14 @@ class TestMappedReads:
         header, batches = open_cf_batches(path)
         records = [rec for batch in batches
                    for rec in batch.iter_records()]
-        assert records == loop_trace.records
+        assert records == list(loop_trace.iter_records())
         assert header.records == len(records)
 
     def test_loads_accepts_memoryview(self, loop_trace):
         payload = dumps_cf_trace(loop_trace)
         a = loads_cf_trace(payload)
         b = loads_cf_trace(memoryview(payload))
-        assert a.records == b.records
+        assert list(a.iter_records()) == list(b.iter_records())
         assert a.total_instructions == b.total_instructions
 
     def test_truncated_mapped_file_raises(self, loop_trace, tmp_path):
@@ -475,16 +475,11 @@ class TestSharedMemoryPayload:
 
         before = shm_entries()
         with ProcessPoolExecutor(max_workers=1) as pool:
-            name, (header, batches) = pool.submit(
+            name, trace = pool.submit(
                 worker.trace_workload, "swim", 1, 5_000, None).result()
         assert name == "swim"
-        _, (ref_header, ref_batches) = worker.trace_workload(
-            "swim", 1, 5_000, None)
-        assert header == ref_header
-        assert all(isinstance(b, RecordBatch) for b in batches)
-
-        def records(columns):
-            return [r for b in columns for r in b.iter_records()]
-
-        assert records(batches) == records(ref_batches)
+        _, ref = worker.trace_workload("swim", 1, 5_000, None)
+        assert trace.header == ref.header
+        assert all(isinstance(b, RecordBatch) for b in trace.batches)
+        assert list(trace.iter_records()) == list(ref.iter_records())
         assert shm_entries() <= before

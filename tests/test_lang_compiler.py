@@ -309,7 +309,7 @@ class TestLoopShape:
         program = compile_module(m)
         trace = trace_control_flow(program)
         from repro.isa import InstrKind
-        backward_taken = [r for r in trace.records
+        backward_taken = [r for r in trace.iter_records()
                           if r.is_backward and r.taken
                           and r.kind == int(InstrKind.BRANCH)]
         # One backward closing branch; with true rotation the guard runs
@@ -326,7 +326,7 @@ class TestLoopShape:
         ])
         trace = trace_control_flow(compile_module(m))
         from repro.isa import InstrKind
-        taken = [r for r in trace.records
+        taken = [r for r in trace.iter_records()
                  if r.is_backward and r.taken
                  and r.kind == int(InstrKind.BRANCH)]
         assert len(taken) == 6      # trips - 1 with a rotated guard

@@ -38,7 +38,7 @@ from repro.obs import (
 from repro.obs import collector as obs
 from repro.obs.manifest import LAST_RUN_MANIFEST
 from repro.pipeline import SimulationSession
-from repro.trace import iter_batches, kernels
+from repro.trace import kernels
 from repro.workloads import get
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(
@@ -379,7 +379,7 @@ class TestPipelineInstrumentation:
 
     def test_kernel_counters_gated_on_collector(self):
         trace = get("swim").cf_trace(1, max_instructions=5000)
-        batch = next(iter_batches(trace.records))
+        batch = trace.batches[0]
         kernels.taken_mask(batch)       # no collector: no error
         collector = obs.activate(Collector())
         try:

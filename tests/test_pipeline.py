@@ -221,7 +221,7 @@ class TestStreamingDetection:
         streamed = SimulationSession(config(cache_dir=cache_dir))
         # index() before trace() streams records from the cache ...
         streamed_idx = {name: streamed.index(name) for name in WORKLOADS}
-        assert not streamed._traces and not streamed._columns, \
+        assert not streamed._columns, \
             "streaming must not hold the trace"
         inmem = SimulationSession(config())
         for name in WORKLOADS:
@@ -229,10 +229,10 @@ class TestStreamingDetection:
                 == index_shape(inmem.index(name))
 
 
-def columns_state(columns):
-    header, batches = columns
-    return header, [(list(b.seqs), list(b.pcs), list(b.kinds),
-                     list(b.takens), list(b.targets)) for b in batches]
+def columns_state(trace):
+    return trace.header, [(list(b.seqs), list(b.pcs), list(b.kinds),
+                           list(b.takens), list(b.targets))
+                          for b in trace.batches]
 
 
 def shm_entries():
@@ -245,8 +245,8 @@ class TestWorker:
                              ids=["no-cache", "cache"])
     def test_one_return_shape(self, tmp_path, cached):
         """Names and Workload objects, inline and pooled, all come back
-        as ``(TraceHeader, [RecordBatch])`` columns; a cache gets a v3
-        entry, and no shared-memory segment is left behind."""
+        as a ``CFTrace`` of the same columns; a cache gets a v3 entry,
+        and no shared-memory segment is left behind."""
         from repro.workloads import get
 
         def cache(label):
@@ -279,24 +279,65 @@ class TestWorker:
             == columns_state(by_name[1])
         assert_v3_entries(cache("pool"), WORKLOADS)
 
-    def test_worker_payload_roundtrip(self):
-        """The worker's columns survive the pickle the pool's result
-        pipe applies, record for record."""
+    def test_worker_payload_roundtrip(self, tmp_path):
+        """The worker's trace survives the pickle the pool's result pipe
+        applies, record for record -- and every other source of the same
+        trace gives an equal header and equal records: the tracer, the
+        v3 readers, a pool worker under ``jobs=2``, and the session from
+        memory, from the cache and after retracing a truncated cache
+        entry."""
         import pickle
-        name, payload = worker.trace_workload("go", 1, LIMIT, None)
+        from repro.cpu import ChunkedCFTracer, trace_control_flow
+        from repro.trace.io import load_cf_trace, loads_cf_trace
+        from repro.workloads import get
+
+        cache_dir = str(tmp_path / "cache")
+        name, payload = worker.trace_workload("go", 1, LIMIT, cache_dir)
         assert name == "go"
-        header, batches = pickle.loads(pickle.dumps(payload))
+        header = payload.header
         assert header.total_instructions == LIMIT or header.halted
-        assert header.records == sum(len(b) for b in batches)
-        assert columns_state((header, batches)) == columns_state(payload)
+        assert header.records == sum(len(b) for b in payload.batches)
+        records = list(payload.iter_records())
+        (entry,) = os.listdir(cache_dir)
+        path = os.path.join(cache_dir, entry)
+
+        def session(**kwargs):
+            return SimulationSession(config(**kwargs))
+
+        memory = session()
+        memory.ensure_traced()
+        pooled = session(jobs=2)
+        pooled.ensure_traced()          # both workloads, in the pool
+        cached = session(cache_dir=cache_dir)
+        sources = {
+            "pickle": pickle.loads(pickle.dumps(payload)),
+            "trace_control_flow": trace_control_flow(
+                get("go").program(1), LIMIT),
+            "columns": ChunkedCFTracer(get("go").program(1),
+                                       LIMIT).columns(),
+            "session memory": memory.trace("go"),
+            "session cache": cached.trace("go"),
+            "load_cf_trace": load_cf_trace(path),
+            "loads_cf_trace": loads_cf_trace(dumps_cf_trace(payload)),
+            "pool jobs=2": pooled.trace("go"),
+        }
+        assert (cached.stats.traced, cached.stats.cache_hits) == (0, 1)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:len(data) // 2])
+        retraced = session(cache_dir=cache_dir)
+        sources["session retrace"] = retraced.trace("go")
+        assert retraced.stats.traced == 1
+        assert columns_state(sources["pickle"]) == columns_state(payload)
+        for label, trace in sources.items():
+            assert trace.header == header, label
+            assert list(trace.iter_records()) == records, label
 
     def test_inline_worker_keeps_columns(self, tmp_path):
         from repro.trace.batch import RecordBatch
         cache_dir = str(tmp_path / "cache")
-        name, (header, batches) = worker.trace_workload("go", 1, LIMIT,
-                                                        cache_dir)
-        assert all(isinstance(b, RecordBatch) for b in batches)
-        assert header.records == sum(len(b) for b in batches)
+        name, trace = worker.trace_workload("go", 1, LIMIT, cache_dir)
+        assert all(isinstance(b, RecordBatch) for b in trace.batches)
+        assert trace.header.records == sum(len(b) for b in trace.batches)
         assert os.listdir(cache_dir)   # still persisted for next time
 
 
@@ -513,9 +554,9 @@ class TestWarmIsALookup:
         assert warm == cold
         assert session.stats.replays == len(WORKLOADS)
         for name in WORKLOADS:
-            assert counter.records[name] == len(
+            assert counter.records[name] == len(list(
                 SimulationSession(config(cache_dir=None))
-                .trace(name).records)
+                .trace(name).iter_records()))
 
     @staticmethod
     def _corrupt_copy(cache_dir, copy, prefix, corrupt):

@@ -60,8 +60,9 @@ class TestCsv:
         assert json.loads(path.read_text())["name"] == "Demo"
 
     def test_real_experiment_csv(self):
-        from repro.experiments import SimulationSession, table1
+        from repro.experiments import SimulationSession
+        from repro.experiments.runner import run_experiment
         runner = SimulationSession(workloads=("mgrid",), cache_dir=None)
-        csv_text = table1.run(runner).to_csv()
+        csv_text = run_experiment("table1", runner).to_csv()
         assert csv_text.splitlines()[0].startswith("program,")
         assert "mgrid" in csv_text

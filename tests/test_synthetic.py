@@ -384,8 +384,7 @@ class TestCharacterizeSweep:
 
     def test_characterize_not_in_all(self):
         from repro.experiments.runner import EXPERIMENT_ORDER, \
-            EXTRA_EXPERIMENTS, select_experiments
-        from repro.experiments import available_experiments
+            EXTRA_EXPERIMENTS, available_experiments, select_experiments
         selected = select_experiments(["all"], available_experiments(),
                                       extras=EXTRA_EXPERIMENTS)
         assert "characterize" not in selected
@@ -418,5 +417,5 @@ class TestRegistryIntegration:
             workloads=names, cache_dir=None))
         pooled.ensure_traced()
         for name in names:
-            assert pooled.trace(name).records \
-                == inline.trace(name).records
+            assert list(pooled.trace(name).iter_records()) \
+                == list(inline.trace(name).iter_records())

@@ -26,8 +26,9 @@ from repro.timing import (
     register_timing,
     timing_names,
 )
-from repro.trace.batch import iter_batches
 from repro.trace.record import CFRecord
+
+from reference import cut
 
 
 def build_trace(module):
@@ -38,7 +39,7 @@ def build_trace(module):
 
 def feed_records(model, records):
     """Feed *records* to *model* the way the replay does: as batches."""
-    for batch in iter_batches(records, 3):
+    for batch in cut(records, 3):
         model.feed_batch(batch)
 
 
@@ -315,7 +316,7 @@ class TestClassCostEndToEnd:
         index = LoopDetector().run(trace)
         model = ClassCostTiming(branch=2, jump=2, ijump=2, call=2,
                                 ret=2, halt=2, other=2)
-        feed_records(model, trace.records)
+        feed_records(model, list(trace.iter_records()))
         total = trace.total_instructions
         assert model.cycles(0, total) == 2 * total
         ideal = simulate(index, num_tus=4, policy="str")
@@ -327,12 +328,12 @@ class TestClassCostEndToEnd:
         trace = build_trace(repeated_loop_module(5, 8))
         index = LoopDetector().run(trace)
         model = ClassCostTiming(branch=5, call=5, ret=5)
-        feed_records(model, trace.records)
+        feed_records(model, list(trace.iter_records()))
         costs = {int(InstrKind.BRANCH): 5, int(InstrKind.CALL): 5,
                  int(InstrKind.RET): 5}
         total = trace.total_instructions
         assert model.cycles(0, total) == record_cycles(
-            trace.records, 0, total, costs, 1)
+            list(trace.iter_records()), 0, total, costs, 1)
         ideal = simulate(index, num_tus=4, policy="str")
         costed = simulate(index, num_tus=4, policy="str", timing=model)
         assert costed.total_cycles > ideal.total_cycles

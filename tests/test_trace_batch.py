@@ -33,13 +33,13 @@ from repro.trace import (
     RecordBatch,
     dump_cf_trace,
     dumps_cf_trace,
-    iter_batches,
     load_cf_trace,
     loads_cf_trace,
     open_cf_batches,
     read_cf_header,
 )
 
+from reference import cut
 from reference.cls import ReferenceCLS, reference_events
 
 BR = int(InstrKind.BRANCH)
@@ -108,29 +108,30 @@ class TestRecordBatch:
                         good.targets[:1])
 
     def test_slice_is_zero_copy(self, loop_trace):
-        batch = RecordBatch.from_records(loop_trace.records)
+        batch = RecordBatch.from_records(list(loop_trace.iter_records()))
         part = batch.slice(3, 9)
-        assert list(part.iter_records()) == loop_trace.records[3:9]
+        assert list(part.iter_records()) == list(loop_trace.iter_records())[3:9]
         assert isinstance(part.seqs, memoryview)
         assert part.seqs.obj is batch.seqs       # shares storage
 
     def test_prefix_splits_on_seq(self, loop_trace):
-        batch = RecordBatch.from_records(loop_trace.records)
-        limit = loop_trace.records[7].seq
+        batch = RecordBatch.from_records(list(loop_trace.iter_records()))
+        limit = list(loop_trace.iter_records())[7].seq
         prefix = batch.prefix(limit)
         assert list(prefix.iter_records()) \
-            == [r for r in loop_trace.records if r.seq < limit]
+            == [r for r in list(loop_trace.iter_records()) if r.seq < limit]
         # Everything qualifies: same object, no copy at all.
         assert batch.prefix(10 ** 9) is batch
 
-    def test_iter_batches_partitions_without_empties(self, loop_trace):
-        batches = list(iter_batches(loop_trace.records, 4))
-        assert all(1 <= len(b) <= 4 for b in batches)
-        assert [r for b in batches for r in b.iter_records()] \
-            == loop_trace.records
-        assert list(iter_batches([], 4)) == []
+    def test_tracer_chunks_partition_without_empties(self, loop_trace):
+        trace = ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=4).columns()
+        assert all(1 <= len(b) <= 4 for b in trace.batches)
+        assert list(trace.iter_records()) \
+            == list(loop_trace.iter_records())
+        assert trace.header == loop_trace.header
+        assert CFTrace.from_records([], 0, False).batches == []
         with pytest.raises(ValueError):
-            list(iter_batches(loop_trace.records, 0))
+            ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +186,10 @@ class TestSerializationV3:
     @settings(max_examples=30)
     @given(random_records())
     def test_round_trip_random_records(self, records):
-        trace = CFTrace(records, 2 * len(records) + 5, False, "rand")
+        trace = CFTrace.from_records(records, 2 * len(records) + 5, False,
+                                     "rand")
         clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert clone.records == trace.records
+        assert list(clone.iter_records()) == records
         assert clone.total_instructions == trace.total_instructions
         assert clone.halted == trace.halted
         assert clone.program_name == trace.program_name
@@ -195,20 +197,21 @@ class TestSerializationV3:
     def test_round_trip_i64_extremes(self):
         records = [CFRecord(0, 2 ** 63 - 1, BR, True, 0),
                    CFRecord(2 ** 62, 3, HALT, False, None)]
-        trace = CFTrace(records, 2 ** 62 + 1, True, "extremes")
-        assert loads_cf_trace(dumps_cf_trace(trace)).records == records
+        trace = CFTrace.from_records(records, 2 ** 62 + 1, True, "extremes")
+        assert list(loads_cf_trace(dumps_cf_trace(trace)).iter_records()) \
+            == records
 
     def test_empty_trace_round_trips(self):
-        trace = CFTrace([], 0, False, "empty")
+        trace = CFTrace.from_records([], 0, False, "empty")
         clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert clone.records == []
+        assert list(clone.iter_records()) == []
         assert clone.total_instructions == 0
 
     def test_header_read(self, loop_trace):
         data = dumps_cf_trace(loop_trace)
         header = read_cf_header(io.BytesIO(data))
         assert header.version == 3
-        assert header.records == len(loop_trace.records)
+        assert header.records == len(list(loop_trace.iter_records()))
         assert header.total_instructions == loop_trace.total_instructions
         assert header.program_name == loop_trace.program_name
 
@@ -216,24 +219,24 @@ class TestSerializationV3:
                                               tmp_path):
         path = str(tmp_path / "t.cft")
         dump_cf_trace(loop_trace, path)            # default: v3
-        assert load_cf_trace(path).records == loop_trace.records
+        assert list(load_cf_trace(path).iter_records()) == list(loop_trace.iter_records())
         header, batches = open_cf_batches(path)
         assert header.version == 3
         assert [r for b in batches for r in b.iter_records()] \
-            == loop_trace.records
+            == list(loop_trace.iter_records())
 
     def test_streaming_writer_backpatches_header(self, loop_trace,
                                                  tmp_path):
         path = str(tmp_path / "s.cft")
         with open(path, "wb") as fh:
             writer = BatchTraceWriter(fh, loop_trace.program_name)
-            for rec in loop_trace.records:          # one at a time
+            for rec in list(loop_trace.iter_records()):          # one at a time
                 writer.write_batch(RecordBatch.from_records([rec]))
-            assert writer.records_written == len(loop_trace.records)
+            assert writer.records_written == len(list(loop_trace.iter_records()))
             writer.close(loop_trace.total_instructions,
                          loop_trace.halted)
         clone = load_cf_trace(path)
-        assert clone.records == loop_trace.records
+        assert list(clone.iter_records()) == list(loop_trace.iter_records())
         assert clone.total_instructions == loop_trace.total_instructions
         assert clone.halted == loop_trace.halted
 
@@ -243,7 +246,7 @@ class TestSerializationV3:
         with open(path, "wb") as fh:
             writer = BatchTraceWriter(fh, "unfinished")
             writer.write_batch(RecordBatch.from_records(
-                loop_trace.records))
+                list(loop_trace.iter_records())))
             # no close(): header still holds the -1 placeholders
         with pytest.raises(ValueError, match="never finalized"):
             load_cf_trace(path)
@@ -276,7 +279,7 @@ class TestCorruptV3Files:
         name_len = struct.unpack_from("<H", data, 4)[0]
         offset = 4 + 2 + name_len + 8 + 1
         declared = struct.unpack_from("<q", data, offset)[0]
-        assert declared == len(loop_trace.records)
+        assert declared == len(list(loop_trace.iter_records()))
         struct.pack_into("<q", data, offset, declared + 1)
         with pytest.raises(ValueError, match="declares"):
             loads_cf_trace(bytes(data))
@@ -298,7 +301,8 @@ class TestCorruptV3Files:
         into memory."""
         import zlib
 
-        trace = CFTrace([CFRecord(0, 5, HALT, False, None)], 1, True,
+        trace = CFTrace.from_records([CFRecord(0, 5, HALT, False, None)], 1,
+                                     True,
                         "bomb")
         data = bytearray(dumps_cf_trace(trace))
         name_len = struct.unpack_from("<H", data, 4)[0]
@@ -350,7 +354,7 @@ class TestFixtureMatrix:
     @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_fixture_loads(self, version):
         trace = load_cf_trace(self._path(version))
-        assert len(trace.records) == self.EXPECTED_RECORDS
+        assert len(list(trace.iter_records())) == self.EXPECTED_RECORDS
         assert trace.total_instructions == self.EXPECTED_TOTAL
         assert trace.halted
         assert trace.program_name == "fixture-loop"
@@ -359,8 +363,8 @@ class TestFixtureMatrix:
     def test_all_versions_decode_identically(self, version, loop_trace):
         """Every fixture decodes to the records a fresh trace of the
         fixture program produces."""
-        assert load_cf_trace(self._path(version)).records \
-            == loop_trace.records
+        assert list(load_cf_trace(self._path(version)).iter_records()) \
+            == list(loop_trace.iter_records())
 
     @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_headers_agree(self, version):
@@ -372,7 +376,7 @@ class TestFixtureMatrix:
     def test_streaming_matches_fixture(self, version):
         header, batches = open_cf_batches(self._path(version))
         assert [r for b in batches for r in b.iter_records()] \
-            == load_cf_trace(self._path(version)).records
+            == list(load_cf_trace(self._path(version)).iter_records())
 
     def test_nothing_writes_v1_by_default(self, loop_trace, tmp_path):
         """Only v3 is written: the module writer and the cache both
@@ -387,10 +391,10 @@ class TestFixtureMatrix:
         cache = TraceCache(str(tmp_path / "cache"))
         program = assemble(LOOP_SRC)
         fp = program_fingerprint(program)
-        header, batches = ChunkedCFTracer(program).columns()
-        stored = cache.store(header, batches, "fixture", 1, 1000, fp)
+        stored = cache.store(ChunkedCFTracer(program).columns(), "fixture",
+                             1, 1000, fp)
         assert open(stored, "rb").read(4) == b"CFT3"
-        assert load_cf_trace(stored).records == loop_trace.records
+        assert list(load_cf_trace(stored).iter_records()) == list(loop_trace.iter_records())
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +436,9 @@ class TestDetectorBatchEquivalence:
         total = 2 * len(records) + 1
         expected, _ = reference_events(records, 4, total)
         one = LoopDetector(cls_capacity=4)
-        idx1 = one.run_batches(iter_batches(records, 1), total)
+        idx1 = one.run_batches(cut(records, 1), total)
         sized = LoopDetector(cls_capacity=4)
-        idx2 = sized.run_batches(iter_batches(records, size), total)
+        idx2 = sized.run_batches(cut(records, size), total)
         assert event_reprs(one.events) == event_reprs(expected)
         assert event_reprs(sized.events) == event_reprs(expected)
         assert index_shape(idx1) == index_shape(idx2)
@@ -445,7 +449,7 @@ class TestDetectorBatchEquivalence:
         d1 = LoopDetector()
         idx1 = d1.run(trace)
         d2 = LoopDetector()
-        idx2 = d2.run_batches(iter_batches(trace.records, 4096),
+        idx2 = d2.run_batches(cut(trace.iter_records(), 4096),
                               trace.total_instructions)
         assert event_reprs(d1.events) == event_reprs(d2.events)
         assert index_shape(idx1) == index_shape(idx2)
@@ -505,10 +509,10 @@ class TestAnalysisFeedBatch:
         from repro.analysis.base import WorkloadContext
         suite = AnalysisSuite([Wants(), Ignores()])
         suite.begin(WorkloadContext("w", loop_trace.total_instructions))
-        for batch in iter_batches(loop_trace.records, 9):
+        for batch in cut(loop_trace.iter_records(), 9):
             suite.feed_batch(batch)
         assert calls and all(name == "wants" for name, _ in calls)
-        assert sum(n for _, n in calls) == len(loop_trace.records)
+        assert sum(n for _, n in calls) == len(list(loop_trace.iter_records()))
 
     def test_branch_prediction_stream_equivalence(self):
         """The fused bimodal+gshare loop against two single-predictor
@@ -527,7 +531,7 @@ class TestAnalysisFeedBatch:
             bimodal = BranchPredictionStream([BimodalPredictor()])
             gshare = BranchPredictionStream([GSharePredictor()])
             assert fused._fused_pair and not bimodal._fused_pair
-            for batch in iter_batches(trace.records, 1000):
+            for batch in cut(trace.iter_records(), 1000):
                 for stream in (fused, bimodal, gshare):
                     stream.feed_batch(batch)
             singles = bimodal.reports(name) + gshare.reports(name)
@@ -539,12 +543,12 @@ class TestAnalysisFeedBatch:
         from repro.timing import make_timing
 
         batched = make_timing("classcost:branch=3,other=2")
-        for batch in iter_batches(loop_trace.records, 5):
+        for batch in cut(loop_trace.iter_records(), 5):
             batched.feed_batch(batch)
         # Expected: the class cost of each record's instruction, and 2
         # for each straight-line one, summed from position 0.
         branch = int(InstrKind.BRANCH)
-        kinds = {rec.seq: rec.kind for rec in loop_trace.records}
+        kinds = {rec.seq: rec.kind for rec in list(loop_trace.iter_records())}
         total = loop_trace.total_instructions
         prefix = [0]
         for seq in range(total):
@@ -637,7 +641,7 @@ class TestTracerBatches:
     def test_batches_match_trace_control_flow(self, loop_trace):
         tracer = ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=4)
         records = [r for b in tracer.batches() for r in b.iter_records()]
-        assert records == loop_trace.records
+        assert records == list(loop_trace.iter_records())
         assert tracer.total_instructions == loop_trace.total_instructions
         assert tracer.halted == loop_trace.halted
 
@@ -675,10 +679,10 @@ class TestIsBackwardRegression:
         from itertools import compress
         from repro.trace.kernels import backward_branch_mask
         streamed = []
-        for batch in iter_batches(loop_trace.records, 5):
+        for batch in cut(loop_trace.iter_records(), 5):
             streamed.extend(compress(batch.iter_records(),
                                      backward_branch_mask(batch)))
-        backward = [rec for rec in loop_trace.records
+        backward = [rec for rec in list(loop_trace.iter_records())
                     if rec.kind == BR and rec.is_backward]
         assert backward == streamed
         assert backward        # the loop fixture has closing branches

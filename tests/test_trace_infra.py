@@ -64,18 +64,18 @@ class TestValidation:
         records = [CFRecord(5, 10, BR, True, 10),
                    CFRecord(5, 10, BR, True, 10)]
         with pytest.raises(ValueError):
-            CFTrace(records, 10, True).validate()
+            CFTrace.from_records(records, 10, True).validate()
 
     def test_straight_line_gap_mismatch_rejected(self):
         records = [CFRecord(0, 10, BR, False, 5),
                    CFRecord(3, 99, BR, False, 5)]   # gap says pc 13
         with pytest.raises(ValueError):
-            CFTrace(records, 10, True).validate()
+            CFTrace.from_records(records, 10, True).validate()
 
     def test_record_beyond_length_rejected(self):
         records = [CFRecord(12, 10, BR, True, 10)]
         with pytest.raises(ValueError):
-            CFTrace(records, 10, True).validate()
+            CFTrace.from_records(records, 10, True).validate()
 
 
 class TestClipAndRuns:
@@ -84,7 +84,8 @@ class TestClipAndRuns:
         assert half.total_instructions \
             == loop_trace.total_instructions // 2
         assert not half.halted
-        assert all(r.seq < half.total_instructions for r in half.records)
+        assert all(r.seq < half.total_instructions
+                   for r in half.iter_records())
 
     def test_clip_noop_when_longer(self, loop_trace):
         same = clip(loop_trace, loop_trace.total_instructions * 2)
@@ -103,20 +104,21 @@ class TestStats:
 
     def test_basic_block_profile(self, loop_trace):
         profile = basic_block_profile(loop_trace)
-        assert sum(profile.values()) == len(loop_trace.records)
+        assert sum(profile.values()) == len(list(loop_trace.iter_records()))
         assert all(size >= 1 for size in profile)
 
     def test_control_density(self, loop_trace):
         stats = collect_cf_stats(loop_trace)
         assert stats.control_density \
-            == len(loop_trace.records) / loop_trace.total_instructions
+            == len(list(loop_trace.iter_records())) / loop_trace.total_instructions
 
 
 class TestSerialization:
     def test_string_round_trip(self, loop_trace):
         text = dumps_cf_trace(loop_trace)
         clone = loads_cf_trace(text)
-        assert clone.records == loop_trace.records
+        assert list(clone.iter_records()) \
+            == list(loop_trace.iter_records())
         assert clone.total_instructions == loop_trace.total_instructions
         assert clone.halted == loop_trace.halted
         assert clone.program_name == loop_trace.program_name
@@ -125,14 +127,16 @@ class TestSerialization:
         path = tmp_path / "trace.cft"
         dump_cf_trace(loop_trace, str(path))
         clone = load_cf_trace(str(path))
-        assert clone.records == loop_trace.records
+        assert list(clone.iter_records()) \
+            == list(loop_trace.iter_records())
 
     def test_file_object_round_trip(self, loop_trace):
         buf = io.BytesIO()               # the default format is binary
         dump_cf_trace(loop_trace, buf)
         buf.seek(0)
         clone = load_cf_trace(buf)
-        assert clone.records == loop_trace.records
+        assert list(clone.iter_records()) \
+            == list(loop_trace.iter_records())
 
     def test_text_file_object_rejected_for_v3(self, loop_trace):
         with pytest.raises(TypeError, match="binary"):
@@ -143,10 +147,10 @@ class TestSerialization:
             loads_cf_trace(b"#wrong v9\n")
 
     def test_none_target_round_trips(self):
-        trace = CFTrace([CFRecord(0, 5, int(InstrKind.HALT), False,
-                                  None)], 1, True, "t")
+        trace = CFTrace.from_records([CFRecord(0, 5, int(InstrKind.HALT),
+                                               False, None)], 1, True, "t")
         clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert clone.records[0].target is None
+        assert next(clone.iter_records()).target is None
 
     @settings(max_examples=25)
     @given(st.lists(st.tuples(st.integers(0, 1000),
@@ -155,9 +159,10 @@ class TestSerialization:
     def test_round_trip_random_records(self, raw):
         records = [CFRecord(seq, pc, BR, taken, target)
                    for seq, (pc, taken, target) in enumerate(raw)]
-        trace = CFTrace(records, len(records) + 1, False, "rand")
+        trace = CFTrace.from_records(records, len(records) + 1, False,
+                                     "rand")
         clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert clone.records == trace.records
+        assert list(clone.iter_records()) == records
 
 
 class TestFormattingUtilities:

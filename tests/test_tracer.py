@@ -53,7 +53,7 @@ class TestControlFlowTrace:
         program = assemble(LOOP_SRC)
         expected, count = machine_cf_records(program)
         trace = trace_control_flow(program)
-        assert trace.records == expected
+        assert list(trace.iter_records()) == expected
         assert trace.total_instructions == count
         assert trace.halted
 
@@ -75,7 +75,7 @@ class TestControlFlowTrace:
 
     def test_backward_records_iterator(self):
         trace = trace_control_flow(assemble(LOOP_SRC))
-        backwards = [r for r in trace.records if r.is_backward]
+        backwards = [r for r in trace.iter_records() if r.is_backward]
         # 8 executions of the closing branch (7 taken + 1 not taken).
         assert len(backwards) == 8
         assert sum(1 for r in backwards if r.taken) == 7
@@ -91,8 +91,8 @@ class TestFullTrace:
 
     def test_projection_matches_cf_trace(self):
         program = assemble(LOOP_SRC)
-        assert trace_full(program).control_flow().records \
-            == trace_control_flow(program).records
+        assert list(trace_full(program).control_flow().iter_records()) \
+            == list(trace_control_flow(program).iter_records())
 
     def test_final_register_state_matches_machine(self):
         program = assemble(LOOP_SRC)
@@ -217,7 +217,8 @@ class TestDifferential:
     def test_cf_and_full_traces_consistent(self, program):
         cf = trace_control_flow(program, max_instructions=100000)
         full = trace_full(program, max_instructions=100000)
-        assert full.control_flow().records == cf.records
+        assert list(full.control_flow().iter_records()) \
+            == list(cf.iter_records())
         cf.validate()
 
 

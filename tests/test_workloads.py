@@ -42,8 +42,9 @@ class TestSuiteBasics:
         a = workload.cf_trace(scale=1)
         b = workload.cf_trace(scale=1)
         assert a.total_instructions == b.total_instructions
-        assert a.records[:100] == b.records[:100]
-        assert a.records[-100:] == b.records[-100:]
+        a, b = list(a.iter_records()), list(b.iter_records())
+        assert a[:100] == b[:100]
+        assert a[-100:] == b[-100:]
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_meaningful_size(self, name, stats_by_name):
@@ -130,9 +131,9 @@ class TestControlCharacter:
     def test_go_uses_recursion(self):
         from repro.isa import InstrKind
         trace = get("go").cf_trace(scale=1)
-        calls = sum(1 for r in trace.records
+        calls = sum(1 for r in trace.iter_records()
                     if r.kind == int(InstrKind.CALL))
-        rets = sum(1 for r in trace.records
+        rets = sum(1 for r in trace.iter_records()
                    if r.kind == int(InstrKind.RET))
         assert calls > 1000
         assert calls == rets
