@@ -11,34 +11,96 @@ parameters) -- exactly the coordinates of a trace-cache entry plus the
 parameters baked into each entry key -- so the same content-keyed
 invalidation story applies: edit a workload and the fingerprint
 changes; change an algorithm and :data:`DERIVED_SCHEMA_VERSION` must
-be bumped, orphaning stale files.
+be bumped, discarding every stored result.
 
-One JSON file per trace-cache entry, under ``<cache>/derived/``::
-
-    <cache>/derived/swim-s1-m2000000-v3-1f8a0c93d2e47b56.json
-
-holding a flat ``key -> value`` map of JSON-serializable results.
-Values are written back atomically (temp file + ``os.replace``) after
-each workload's analysis completes, and any unreadable or
-wrong-version file is treated as empty -- corruption means
-recomputation, never failure.  A write holds an exclusive ``flock`` on
-the ``derived/`` directory while it re-reads the file and merges this
-store's new entries over it, so concurrent runners flushing the same
-entry never drop each other's keys (locking the directory, rather than
-a lock file beside each entry, leaves ``derived/`` holding nothing but
-the entries themselves).  Sessions constructed with
-``cache_dir=None`` (and ``runner --no-cache``) have no derived store
-at all; every consumer treats the missing store as a permanent miss.
+One sqlite database, ``<cache>/derived/results.sqlite``, holds one
+``(trace_key, key, value)`` row per entry, the value as JSON text.  A
+store reads its trace key's rows in one query, and :meth:`DerivedStore.
+flush` writes only its own new entries in one ``INSERT OR REPLACE``
+transaction, so concurrent runners never drop each other's keys.  A
+corrupt or other-version database reads as empty, counts one
+``derived.corrupt`` and is replaced; a busy or unwritable one skips
+persistence.  Sessions constructed with ``cache_dir=None`` have no
+derived store: every consumer treats it as a permanent miss.
+:func:`open_database` also connects the sweep store
+(:mod:`repro.sweep.store`), whose failure policy is to raise.
 """
 
-import fcntl
 import json
 import os
+import sqlite3
+
+from repro.obs import collector as obs
 
 
 #: Bump when any cached computation changes meaning (engine rules,
-#: CLS semantics, dataspec accounting, result field sets).
+#: CLS semantics, dataspec accounting, result field sets); stored as
+#: the database's ``user_version``.
 DERIVED_SCHEMA_VERSION = 1
+
+#: Seconds a connection waits for another process's lock.
+BUSY_TIMEOUT = 5.0
+
+#: Database filename inside ``<cache>/derived/``.
+DB_NAME = "results.sqlite"
+
+_SCHEMA = ("CREATE TABLE IF NOT EXISTS derived (trace_key TEXT NOT NULL, "
+           "key TEXT NOT NULL, value TEXT NOT NULL, "
+           "PRIMARY KEY (trace_key, key)) WITHOUT ROWID")
+
+#: One trace key's entries as the members of one JSON object, so a
+#: load parses once (NULL when there are none).
+_READ = ("SELECT group_concat(json_quote(key) || ':' || value) "
+         "FROM derived WHERE trace_key = ?")
+
+#: Words of the sqlite messages of each failure kind but ``corrupt``.
+_KINDS = (("busy", ("locked", "busy")),
+          ("unwritable", ("readonly", "unable to open", "disk I/O",
+                          "disk is full")),
+          ("version", ("schema version",)))
+
+
+def failure_kind(exc):
+    """What a :class:`sqlite3.Error` (or an :class:`OSError` making the
+    store's directory) means: ``"busy"``, ``"unwritable"``,
+    ``"version"`` or ``"corrupt"``."""
+    if isinstance(exc, OSError):
+        return "unwritable"
+    text = str(exc)
+    for kind, words in _KINDS:
+        if any(word in text for word in words):
+            return kind
+    return "corrupt"
+
+
+def open_database(path, version, schema):
+    """A connection to the sqlite database at *path* holding *schema*
+    (``;``-separated ``CREATE ... IF NOT EXISTS`` statements) stamped
+    with *version* as its ``user_version``.
+
+    A new file gets the schema and the stamp under one write lock, so
+    a process opening the database while another creates it never sees
+    tables without their stamp.  Raises :class:`sqlite3.Error`, a
+    ``"schema version"`` one for tables under another version.
+    """
+    conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT)
+    try:
+        if conn.execute("PRAGMA user_version").fetchone()[0] != version:
+            conn.execute("BEGIN IMMEDIATE")
+            found = conn.execute("PRAGMA user_version").fetchone()[0]
+            if found != version:
+                if conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+                    raise sqlite3.DatabaseError(
+                        "schema version %d, this build expects %d"
+                        % (found, version))
+                for statement in schema.split(";"):
+                    conn.execute(statement)
+                conn.execute("PRAGMA user_version = %d" % version)
+            conn.commit()
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
 
 
 def derived_key(*parts):
@@ -51,32 +113,20 @@ def derived_key(*parts):
 class DerivedStore:
     """The ``key -> JSON value`` store of one trace-cache entry.
 
-    Lazy: the backing file is read on first access and only written
-    when :meth:`flush` is called with new or changed entries.
+    Lazy: the entries are read on first access and only written when
+    :meth:`flush` is called with new or changed entries.
     """
 
-    def __init__(self, path):
-        self.path = path
+    def __init__(self, cache, trace_key):
+        self.cache = cache
+        self.trace_key = trace_key
         self._entries = None
         self._puts = {}     # entries recorded since the last flush
-
-    def _read(self):
-        """The entries on disk; an unreadable file reads as empty."""
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if (not isinstance(payload, dict)
-                    or payload.get("version") != DERIVED_SCHEMA_VERSION
-                    or not isinstance(payload.get("entries"), dict)):
-                raise ValueError("unusable derived-results file")
-            return payload["entries"]
-        except (OSError, ValueError):
-            return {}
 
     def _load(self):
         entries = self._entries
         if entries is None:
-            entries = self._entries = self._read()
+            entries = self._entries = self.cache.read(self.trace_key)
         return entries
 
     def get(self, key):
@@ -107,47 +157,91 @@ class DerivedStore:
                 puts[key] = value
 
     def flush(self):
-        """Atomically persist the entries recorded since the last flush,
-        merged over whatever the file holds now; best-effort (a
-        read-only cache directory silently disables persistence)."""
-        if not self._puts:
-            return
-        puts, self._puts = self._puts, {}
-        directory = os.path.dirname(self.path)
-        tmp = self.path + ".tmp.%d" % os.getpid()
-        lock = None
-        try:
-            os.makedirs(directory, exist_ok=True)
-            lock = os.open(directory, os.O_RDONLY)
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            # Under the lock: another runner may have flushed keys since
-            # this store loaded, so merge over the file as it is now
-            # rather than over the entries loaded earlier.
-            entries = self._read()
-            entries.update(puts)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"version": DERIVED_SCHEMA_VERSION,
-                           "entries": entries}, fh)
-            os.replace(tmp, self.path)
-            self._entries = entries
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        finally:
-            if lock is not None:
-                os.close(lock)      # releases the flock
+        """Persist the entries recorded since the last flush
+        (best-effort)."""
+        if self._puts:
+            puts, self._puts = self._puts, {}
+            self.cache.write(self.trace_key, puts)
+
+
+def _commit(conn, sql, rows):
+    with conn:
+        conn.executemany(sql, rows)
 
 
 class DerivedCache:
-    """The ``derived/`` sub-tree of a trace-cache directory: one
-    :class:`DerivedStore` per trace-cache key."""
+    """The ``derived/`` database of a trace-cache directory: one
+    :class:`DerivedStore` per trace-cache key.
+
+    The connection opens on first use, so none crosses a fork into a
+    pool worker, and lives only as long as this object, so a
+    ``derived/`` deleted after a session is not read through it.
+    """
 
     def __init__(self, cache_root):
         self.root = os.path.join(cache_root, "derived")
+        self.path = os.path.join(self.root, DB_NAME)
+        self._conn = None
+        self._disabled = False
 
     def store(self, trace_key):
         """The store backing *trace_key* (a
         :meth:`repro.pipeline.cache.TraceCache.key` string)."""
-        return DerivedStore(os.path.join(self.root, trace_key + ".json"))
+        return DerivedStore(self, trace_key)
+
+    def close(self):
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _run(self, work):
+        """``work(connection)``, or ``None`` when the database fails: a
+        corrupt or other-version one counts one ``derived.corrupt`` and
+        is deleted (the next call creates it afresh); a busy or
+        unwritable one disables persistence."""
+        try:
+            if self._conn is None:
+                if self._disabled:
+                    return None
+                os.makedirs(self.root, exist_ok=True)
+                conn = open_database(self.path, DERIVED_SCHEMA_VERSION,
+                                     _SCHEMA)
+                # Recomputable: only a machine crash can lose a flush.
+                conn.execute("PRAGMA synchronous = OFF")
+                self._conn = conn
+            return work(self._conn)
+        except (OSError, sqlite3.Error) as exc:
+            kind = failure_kind(exc)
+        self.close()
+        self._disabled = kind not in ("corrupt", "version")
+        if not self._disabled:
+            obs.add("derived.corrupt")
+            try:
+                os.unlink(self.path)
+            except OSError:
+                self._disabled = True
+        return None
+
+    def read(self, trace_key):
+        """*trace_key*'s entries (empty when none are usable)."""
+        text = self._run(lambda conn: conn.execute(
+            _READ, (trace_key,)).fetchone()[0])
+        try:
+            return json.loads("{%s}" % text) if text else {}
+        except ValueError:          # a row that is not JSON
+            obs.add("derived.corrupt")
+            self.drop(trace_key)
+            return {}
+
+    def write(self, trace_key, entries):
+        """Insert or replace *entries* under *trace_key*."""
+        rows = [(trace_key, key, json.dumps(value))
+                for key, value in entries.items()]
+        self._run(lambda conn: _commit(
+            conn, "INSERT OR REPLACE INTO derived VALUES (?, ?, ?)", rows))
+
+    def drop(self, trace_key):
+        """Delete every entry stored under *trace_key*."""
+        self._run(lambda conn: _commit(
+            conn, "DELETE FROM derived WHERE trace_key = ?",
+            [(trace_key,)]))

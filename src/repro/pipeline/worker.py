@@ -61,6 +61,9 @@ def trace_workload(workload, scale=1, max_instructions=None,
     tracer = ChunkedCFTracer(workload.program(scale), limit)
     trace = tracer.columns()
     if cache_dir is not None:
-        TraceCache(cache_dir).store(trace, name, scale, limit,
-                                    program_fingerprint(tracer.program))
+        try:
+            TraceCache(cache_dir).store(trace, name, scale, limit,
+                                        program_fingerprint(tracer.program))
+        except OSError:
+            pass        # an unwritable cache only skips persistence
     return name, trace

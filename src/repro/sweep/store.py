@@ -9,22 +9,31 @@ Cells are global -- two sweeps whose grids overlap share the
 overlapping rows, so repeat cells are free across sweeps, not just
 within one.
 
-The store is schema-versioned through sqlite's ``user_version`` pragma
-the way :mod:`repro.pipeline.derived` versions its JSON sidecars, but
-with the opposite failure policy: a derived-cache miss just recomputes,
-whereas a sweep store holds results the user asked to keep, so a
-corrupt file or a version mismatch raises :class:`SweepStoreError`
-with a clean message (``tools/trace_cache.py sweeps clear`` resets it)
-instead of silently discarding data or spewing a sqlite traceback.
+Failure policy.  Both persistent result stores connect through
+:func:`repro.pipeline.derived.open_database`, which stamps the schema
+version as sqlite's ``user_version`` and waits up to
+:data:`~repro.pipeline.derived.BUSY_TIMEOUT` seconds for another
+process's lock; they differ in what a failure means.  The derived
+store holds recomputable results, so a corrupt or other-version
+database reads as empty and is replaced, and a busy or unwritable one
+skips persistence.  This store holds results the user asked to keep,
+so every failure raises :class:`SweepStoreError` with a clean message
+instead of discarding data or spewing a sqlite traceback: a corrupt
+file or a version mismatch points at ``tools/trace_cache.py sweeps
+clear``; a busy store (another process holds its lock) or an
+unwritable one says so and suggests nothing destructive.
 
 Default location: ``~/.cache/repro-sweeps`` (override with the
 ``REPRO_SWEEP_STORE`` environment variable or ``--store``).
 """
 
+import contextlib
 import json
 import os
 import sqlite3
 import time
+
+from repro.pipeline.derived import failure_kind, open_database
 
 #: Bump when the schema or the meaning of any stored column changes.
 SWEEP_SCHEMA_VERSION = 1
@@ -80,7 +89,13 @@ CELL_FIELDS = ("cell_key", "trace_key", "workload", "scale",
 
 
 class SweepStoreError(ValueError):
-    """The store is unusable (corrupt file or schema mismatch)."""
+    """The store is unusable (busy, unwritable, corrupt or from another
+    schema version)."""
+
+
+#: How the store describes each kind of failure.
+_FAILURES = {"busy": "is busy", "unwritable": "is not writable",
+             "version": "is from another build", "corrupt": "is corrupt"}
 
 
 class CellRow:
@@ -134,42 +149,30 @@ class SweepStore:
     # -- lifecycle ---------------------------------------------------------
 
     def _connect(self):
-        if self._conn is not None:
-            return self._conn
-        os.makedirs(self.root, exist_ok=True)
+        if self._conn is None:
+            with self._guard():
+                os.makedirs(self.root, exist_ok=True)
+                self._conn = open_database(self.path,
+                                           SWEEP_SCHEMA_VERSION, _SCHEMA)
+        return self._conn
+
+    @contextlib.contextmanager
+    def _guard(self):
+        """Turn sqlite (and directory) failures inside the block into
+        :class:`SweepStoreError` (see :data:`_FAILURES`)."""
         try:
-            conn = sqlite3.connect(self.path)
-            # Check and create the schema under one write lock, so a
-            # process opening the store while another creates it never
-            # sees the tables without their version stamp.
-            conn.execute("BEGIN IMMEDIATE")
-            version = conn.execute("PRAGMA user_version").fetchone()[0]
-            empty = conn.execute(
-                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0] == 0
-            if not empty and version != SWEEP_SCHEMA_VERSION:
-                conn.close()
-                raise SweepStoreError(
-                    "sweep store %s has schema version %d, this build "
-                    "expects %d; run 'python tools/trace_cache.py "
-                    "sweeps clear --store %s' (or point --store at a "
-                    "fresh directory)"
-                    % (self.path, version, SWEEP_SCHEMA_VERSION,
-                       self.root))
-            # A fresh store gets the tables; an existing one gets a
-            # sanity check that they exist.
-            for statement in _SCHEMA.split(";"):
-                conn.execute(statement)
-            if empty:
-                conn.execute("PRAGMA user_version = %d"
-                             % SWEEP_SCHEMA_VERSION)
-            conn.commit()
-        except sqlite3.DatabaseError as exc:
-            raise SweepStoreError(
-                "sweep store %s is corrupt (%s); run 'python "
-                "tools/trace_cache.py sweeps clear --store %s' to "
-                "reset it" % (self.path, exc, self.root)) from None
-        self._conn = conn
-        return conn
+            yield
+        except (OSError, sqlite3.Error) as exc:
+            kind = failure_kind(exc)
+            if kind in ("version", "corrupt"):
+                advice = ("run 'python tools/trace_cache.py sweeps clear "
+                          "--store %s' to reset it (or point --store at "
+                          "a fresh directory)" % self.root)
+            else:
+                advice = ("nothing was changed; retry once no other run "
+                          "holds it and its directory is writable")
+            raise SweepStoreError("sweep store %s %s (%s); %s" % (
+                self.path, _FAILURES[kind], exc, advice)) from None
 
     def close(self):
         if self._conn is not None:
@@ -184,12 +187,8 @@ class SweepStore:
         self.close()
 
     def _execute(self, sql, params=()):
-        try:
+        with self._guard():
             return self._connect().execute(sql, params)
-        except sqlite3.DatabaseError as exc:
-            raise SweepStoreError(
-                "sweep store %s failed: %s" % (self.path, exc)) \
-                from None
 
     # -- sweeps ------------------------------------------------------------
 
@@ -198,16 +197,18 @@ class SweepStore:
         returns the sweep id."""
         sweep_id = spec.sweep_id
         now = time.time()
-        conn = self._connect()
-        self._execute(
-            "INSERT INTO sweeps (sweep_id, experiment, spec, "
-            "created_at, updated_at) VALUES (?, ?, ?, ?, ?) "
-            "ON CONFLICT(sweep_id) DO UPDATE SET updated_at = ?",
-            (sweep_id, spec.experiment, spec.to_json(), now, now, now))
-        conn.executemany(
-            "INSERT OR IGNORE INTO sweep_cells (sweep_id, cell_key) "
-            "VALUES (?, ?)", [(sweep_id, key) for key in cell_keys])
-        conn.commit()
+        with self._guard():
+            conn = self._connect()
+            conn.execute(
+                "INSERT INTO sweeps (sweep_id, experiment, spec, "
+                "created_at, updated_at) VALUES (?, ?, ?, ?, ?) "
+                "ON CONFLICT(sweep_id) DO UPDATE SET updated_at = ?",
+                (sweep_id, spec.experiment, spec.to_json(), now, now,
+                 now))
+            conn.executemany(
+                "INSERT OR IGNORE INTO sweep_cells (sweep_id, cell_key) "
+                "VALUES (?, ?)", [(sweep_id, key) for key in cell_keys])
+            conn.commit()
         return sweep_id
 
     def sweeps(self):
@@ -256,16 +257,11 @@ class SweepStore:
     def done_keys(self, cell_keys):
         """The subset of *cell_keys* already stored with status
         ``done`` (failed rows are retried, so they do not count)."""
-        keys = list(cell_keys)
-        done = set()
-        for start in range(0, len(keys), 500):
-            chunk = keys[start:start + 500]
-            marks = ",".join("?" * len(chunk))
-            rows = self._execute(
-                "SELECT cell_key FROM cells WHERE status = 'done' "
-                "AND cell_key IN (%s)" % marks, chunk).fetchall()
-            done.update(row[0] for row in rows)
-        return done
+        rows = self._execute(
+            "SELECT cell_key FROM cells WHERE status = 'done' AND cell_key "
+            "IN (SELECT value FROM json_each(?))",
+            (json.dumps(list(cell_keys)),)).fetchall()
+        return {row[0] for row in rows}
 
     def put_cells(self, rows):
         """Insert-or-replace *rows* (dicts keyed by
@@ -277,16 +273,12 @@ class SweepStore:
         payload = [tuple(row.get(f) for f in CELL_FIELDS) + (now,)
                    for row in rows]
         marks = ",".join("?" * (len(CELL_FIELDS) + 1))
-        conn = self._connect()
-        try:
+        with self._guard():
+            conn = self._connect()
             conn.executemany(
                 "INSERT OR REPLACE INTO cells (%s, updated_at) "
                 "VALUES (%s)" % (",".join(CELL_FIELDS), marks), payload)
             conn.commit()
-        except sqlite3.DatabaseError as exc:
-            raise SweepStoreError(
-                "sweep store %s failed: %s" % (self.path, exc)) \
-                from None
 
     def get_cells(self, cell_keys=None, sweep_id=None, workloads=None,
                   kinds=None, policies=None, tus=None, timings=None,
@@ -301,24 +293,14 @@ class SweepStore:
             where.append("sweep_cells.sweep_id = ?")
             params.append(sweep_id)
 
-        def add_in(column, values):
-            values = list(values)
-            where.append("%s IN (%s)" % (column,
-                                         ",".join("?" * len(values))))
-            params.extend(values)
-
-        if cell_keys is not None:
-            add_in("cell_key", cell_keys)
-        if workloads is not None:
-            add_in("workload", workloads)
-        if kinds is not None:
-            add_in("kind", kinds)
-        if policies is not None:
-            add_in("policy", policies)
-        if tus is not None:
-            add_in("tus", tus)
-        if timings is not None:
-            add_in("timing", timings)
+        for column, values in (("cell_key", cell_keys),
+                               ("workload", workloads), ("kind", kinds),
+                               ("policy", policies), ("tus", tus),
+                               ("timing", timings)):
+            if values is not None:
+                where.append("%s IN (SELECT value FROM json_each(?))"
+                             % column)
+                params.append(json.dumps(list(values)))
         if status is not None:
             where.append("status = ?")
             params.append(status)
@@ -359,21 +341,19 @@ class SweepStore:
 
     def prune(self, dry_run=False):
         """Drop failed cells and cells no sweep references; returns
-        ``(failed_removed, orphaned_removed)``."""
-        conn = self._connect()
-        failed = self._execute(
-            "SELECT COUNT(*) FROM cells WHERE status = 'failed'"
-        ).fetchone()[0]
-        orphaned = self._execute(
-            "SELECT COUNT(*) FROM cells WHERE status != 'failed' AND "
-            "cell_key NOT IN (SELECT cell_key FROM sweep_cells)"
-        ).fetchone()[0]
-        if not dry_run:
-            self._execute("DELETE FROM cells WHERE status = 'failed'")
-            self._execute(
+        ``(failed_removed, orphaned_removed)``; *dry_run* counts
+        them in a transaction it rolls back."""
+        with self._guard():
+            conn = self._connect()
+            failed = conn.execute(
+                "DELETE FROM cells WHERE status = 'failed'").rowcount
+            orphaned = conn.execute(
                 "DELETE FROM cells WHERE cell_key NOT IN "
-                "(SELECT cell_key FROM sweep_cells)")
-            conn.commit()
+                "(SELECT cell_key FROM sweep_cells)").rowcount
+            if dry_run:
+                conn.rollback()
+            else:
+                conn.commit()
         return failed, orphaned
 
     def clear(self):

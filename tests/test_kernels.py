@@ -162,34 +162,42 @@ class TestDerivedStore:
         store.put("k", 1)
         assert self._store(tmp_path).get("k") is None
 
+    @staticmethod
+    def _database(tmp_path):
+        from repro.pipeline.derived import DB_NAME
+        return os.path.join(str(tmp_path), "derived", DB_NAME)
+
     def test_corrupt_file_reads_as_empty(self, tmp_path):
         store = self._store(tmp_path)
         store.put("k", 1)
         store.flush()
-        (path,) = [os.path.join(str(tmp_path), "derived", name)
-                   for name in os.listdir(
-                       os.path.join(str(tmp_path), "derived"))]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
+        store.cache.close()
+        with open(self._database(tmp_path), "wb") as fh:
+            fh.write(b"not a sqlite database at all" * 100)
         assert self._store(tmp_path).get("k") is None
+        # The corrupt file was replaced: a flush persists again.
+        store = self._store(tmp_path)
+        store.put("k", 2)
+        store.flush()
+        assert self._store(tmp_path).get("k") == 2
 
     def test_schema_version_mismatch_reads_as_empty(self, tmp_path):
+        import sqlite3
+
         store = self._store(tmp_path)
         store.put("k", 1)
         store.flush()
-        root = os.path.join(str(tmp_path), "derived")
-        (path,) = [os.path.join(root, n) for n in os.listdir(root)]
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload["version"] = -1
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        store.cache.close()
+        conn = sqlite3.connect(self._database(tmp_path))
+        conn.execute("PRAGMA user_version = -1")
+        conn.commit()
+        conn.close()
         assert self._store(tmp_path).get("k") is None
 
     def test_concurrent_flushes_keep_both_keys(self, tmp_path):
         first = self._store(tmp_path)
         second = self._store(tmp_path)
-        # Both load the (empty) file before either flushes.
+        # Both load the (empty) store before either flushes.
         assert first.get("a") is None and second.get("b") is None
         first.put("a", 1)
         second.put("b", 2)
@@ -197,9 +205,10 @@ class TestDerivedStore:
         second.flush()
         again = self._store(tmp_path)
         assert again.get("a") == 1 and again.get("b") == 2
-        # Only the entry file itself lives under derived/.
+        # Only the database lives under derived/: the journal is
+        # transient, gone once each flush commits.
         root = os.path.join(str(tmp_path), "derived")
-        assert os.listdir(root) == ["w-s1-m100-v3-abc.json"]
+        assert os.listdir(root) == ["results.sqlite"]
 
     def test_concurrent_processes_lose_no_keys(self, tmp_path):
         import multiprocessing

@@ -564,21 +564,23 @@ class TestWarmIsALookup:
         whose key starts with *prefix* by ``corrupt(value)``."""
         import json
         import shutil
+        import sqlite3
+
+        from repro.pipeline.derived import DB_NAME
 
         shutil.copytree(cache_dir, copy)
-        derived = os.path.join(copy, "derived")
-        corrupted = 0
-        for name in os.listdir(derived):
-            path = os.path.join(derived, name)
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            for key, value in payload["entries"].items():
-                if key.startswith(prefix):
-                    payload["entries"][key] = corrupt(value)
-                    corrupted += 1
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-        assert corrupted >= len(WORKLOADS)
+        conn = sqlite3.connect(os.path.join(copy, "derived", DB_NAME))
+        rows = [row for row in conn.execute(
+            "SELECT trace_key, key, value FROM derived")
+            if row[1].startswith(prefix)]
+        with conn:
+            conn.executemany(
+                "UPDATE derived SET value = ? "
+                "WHERE trace_key = ? AND key = ?",
+                [(json.dumps(corrupt(json.loads(value))), trace_key, key)
+                 for trace_key, key, value in rows])
+        conn.close()
+        assert len(rows) >= len(WORKLOADS)
 
     def _assert_recomputed(self, copy, cold):
         again, _ = self._analyze(copy)

@@ -753,7 +753,10 @@ class TestTraceCacheTool:
                                                         capsys):
         """A deleted trace must not leave stored results behind: the
         next run would read them instead of recomputing."""
+        import sqlite3
+
         from repro.experiments.runner import main as runner_main
+        from repro.pipeline.derived import DB_NAME
 
         tool = self._tool()
         root = str(tmp_path / "cache")
@@ -766,12 +769,24 @@ class TestTraceCacheTool:
             out = capsys.readouterr().out
             return re.search(r"(\d+) replay\(s\)", out).group(1)
 
+        def rows(trace_key):
+            conn = sqlite3.connect(os.path.join(derived, DB_NAME))
+            try:
+                return conn.execute(
+                    "SELECT COUNT(*) FROM derived WHERE trace_key = ?",
+                    (trace_key,)).fetchone()[0]
+            finally:
+                conn.close()
+
         assert replays() == "1"
+        (entry,) = [name[:-len(".cft")] for name in os.listdir(root)
+                    if name.endswith(".cft")]
+        assert rows(entry) > 0
         assert tool.main(["prune", "--cache-dir", root]) == 0
         assert replays() == "0"             # nothing pruned: a lookup
         assert tool.main(["prune", "--cache-dir", root,
                           "--max-bytes", "0"]) == 0
-        assert os.listdir(derived) == []
+        assert rows(entry) == 0
         assert replays() == "1"
         assert tool.main(["clear", "--cache-dir", root,
                           "--dry-run"]) == 0

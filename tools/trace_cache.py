@@ -20,8 +20,8 @@ corrupt entries -- anything without a valid v3 header, which includes
 files from the retired v1/v2 text formats -- then, if ``--max-bytes``
 is given, the oldest remaining entries until the cache fits the
 budget.  Deleting an entry also deletes the results stored under its
-key (``derived/<key>.json``, see :mod:`repro.pipeline.derived`), so no
-result outlives its trace.
+key (its rows in ``derived/results.sqlite``, see
+:mod:`repro.pipeline.derived`), so no result outlives its trace.
 ``clear`` deletes every entry and the whole ``derived/`` store.  All
 commands honour ``--cache-dir`` and the
 ``REPRO_TRACE_CACHE`` environment variable, defaulting to the
@@ -44,6 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.pipeline.config import default_cache_dir          # noqa: E402
+from repro.pipeline.derived import DerivedCache               # noqa: E402
 from repro.trace.io import read_cf_header                     # noqa: E402
 from repro.util.fmt import format_table                      # noqa: E402
 
@@ -178,20 +179,20 @@ def cmd_ls(root, _args):
     return 0
 
 
-def _unlink(entry, reason, dry_run):
-    """Delete *entry* and the derived results stored under its key."""
+def _unlink(entry, reason, dry_run, derived=None):
+    """Delete *entry* and, given the cache's
+    :class:`~repro.pipeline.derived.DerivedCache`, the derived results
+    stored under its key."""
     verb = "would remove" if dry_run else "removing"
     print("%s %s (%s, %d bytes)" % (verb, entry.name, reason, entry.size))
     if not dry_run:
-        sidecar = os.path.join(os.path.dirname(entry.path), "derived",
-                               entry.name[:-len(".cft")] + ".json")
         try:
             os.unlink(entry.path)
-            if os.path.exists(sidecar):
-                os.unlink(sidecar)
         except OSError as exc:
             print("  failed: %s" % exc)
             return False
+        if derived is not None and os.path.exists(derived.path):
+            derived.drop(entry.name[:-len(".cft")])
     return True
 
 
@@ -199,9 +200,10 @@ def cmd_prune(root, args):
     entries = scan(root)
     kept = []
     removed = 0
+    derived = DerivedCache(root)
     for entry in entries:
         if entry.status != "ok":
-            if _unlink(entry, entry.status, args.dry_run):
+            if _unlink(entry, entry.status, args.dry_run, derived):
                 removed += 1
             continue
         kept.append(entry)
@@ -210,9 +212,10 @@ def cmd_prune(root, args):
         for entry in kept:              # oldest first
             if remaining <= args.max_bytes:
                 break
-            if _unlink(entry, "over budget", args.dry_run):
+            if _unlink(entry, "over budget", args.dry_run, derived):
                 remaining -= entry.size
                 removed += 1
+    derived.close()
     verb = "would prune" if args.dry_run else "pruned"
     print("%s %d entr%s" % (verb, removed,
                             "y" if removed == 1 else "ies"))
