@@ -334,17 +334,18 @@ _DATASPEC_KEY = "dataspec-stats"
 def shared_dataspec_stats(ctx, max_instructions):
     """The full-trace data-speculation statistics for this workload,
     computed at most once per replay no matter how many passes ask
-    (figure8 and the extensions study share one full-effects stream
-    and one analysis).
+    (figure8 and the extensions study share one study stream and one
+    analysis).
 
-    The stream is columnar end to end: a
-    :class:`~repro.cpu.tracer.ChunkedFullTracer` feeds
-    :class:`~repro.trace.batch.FullBatch` columns straight into
+    A :class:`~repro.cpu.tracer.ChunkedFullTracer` feeds
+    :class:`~repro.trace.batch.StudyBatch` block rows straight into
     :meth:`~repro.core.dataspec.stats.DataSpeculationAnalyzer.
-    analyze_batches`, so the full per-instruction trace is never
+    analyze_batches`, so no per-instruction trace is ever
     materialized.  A computed study runs in a ``dataspec`` span and
     adds its instructions and loop iterations to the
-    ``dataspec.instructions``/``dataspec.iterations`` counters.
+    ``dataspec.instructions``/``dataspec.iterations`` counters, beside
+    the analyzer's ``dataspec.blocks``/``dataspec.exposed_reads``/
+    ``dataspec.memory_ops``.
     """
     def analyzed():
         from repro.cpu.tracer import ChunkedFullTracer

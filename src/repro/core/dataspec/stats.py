@@ -1,8 +1,9 @@
 """The data-speculation study (paper section 4, Figure 8).
 
-One pass over a full trace: the loop detector walks its control rows
-while every in-flight loop iteration collects its control-flow path and
-its live-in registers and memory locations.  A live-in register is one
+One pass over a trace's blocks (:class:`~repro.trace.batch.StudyBatch`
+rows): the loop detector walks their terminators while every in-flight
+loop iteration collects its control-flow path and its live-in registers
+and memory locations.  A live-in register is one
 read before it is written within the iteration; a live-in memory
 location is one loaded before it is stored, keyed by the static load pc
 (what a LIT would use to associate history across iterations) with both
@@ -18,8 +19,7 @@ its most frequent path (the paper's methodology), while history was
 updated on every iteration.
 """
 
-from array import array
-from itertools import compress, groupby
+from itertools import groupby
 from operator import attrgetter
 
 from repro.core.detector import LoopDetector
@@ -31,7 +31,8 @@ from repro.core.dataspec.paths import (
 )
 from repro.core.events import ExecutionEnd, IterationStart
 from repro.isa.registers import NUM_REGISTERS
-from repro.trace.batch import FullBatch, RecordBatch
+from repro.obs import collector as obs
+from repro.trace.batch import StudyBatch
 
 
 class DataSpecStats:
@@ -242,14 +243,14 @@ def _score(bucket, histories, t):
 
 
 class DataSpeculationAnalyzer:
-    """Runs the section-4 study over a full trace.
+    """Runs the section-4 study over a trace's blocks.
 
     :meth:`analyze_batches` streams
-    :class:`~repro.trace.batch.FullBatch` columns (from a
+    :class:`~repro.trace.batch.StudyBatch` rows (from a
     :class:`~repro.cpu.tracer.ChunkedFullTracer`) without ever building
-    a record object; :meth:`analyze` adapts a materialized
-    :class:`~repro.trace.stream.FullTrace` to it.  The per-record
-    two-pass study it replaced is the test oracle in
+    a record object; :meth:`analyze` groups a materialized
+    :class:`~repro.trace.stream.FullTrace` into rows first.  The
+    per-record two-pass study it replaced is the test oracle in
     ``tests/reference/dataspec.py``.
     """
 
@@ -258,19 +259,19 @@ class DataSpeculationAnalyzer:
 
     def analyze(self, full_trace, name="workload"):
         return self.analyze_batches(
-            [FullBatch.from_records(full_trace.records)], name)
+            [StudyBatch.from_records(full_trace.records)], name)
 
     def analyze_batches(self, batches, name="workload"):
         """Run the study over an iterable of
-        :class:`~repro.trace.batch.FullBatch` (must cover every
+        :class:`~repro.trace.batch.StudyBatch` (must cover every
         executed instruction contiguously from sequence 0).
 
-        Each batch's control rows go through a
+        Each batch's terminators go through a
         :class:`~repro.core.detector.LoopDetector` first; the batch's
         loop events carry seqs inside the batch, and the row loop
-        applies them as it reaches their seq.  An instruction belongs
-        to the iterations in flight *before* the events it causes (a
-        closing branch is part of the iteration it ends).
+        applies them as it reaches their seq.  A block belongs to the
+        iterations in flight *before* the events its terminator causes
+        (a closing branch is part of the iteration it ends).
 
         Live-in capture reads one stamp per location instead of
         scanning every in-flight iteration.  A register's stamp is the
@@ -283,6 +284,15 @@ class DataSpeculationAnalyzer:
         iteration before, hence ``>=``.  Memory live-ins are keyed by
         load pc but blocked by address, so only the per-address store
         stamp bounds the scan and each iteration still checks the pc.
+
+        Iterations start only at terminators, so every seq of a block
+        compares alike against every start: the block's accesses all
+        take its terminator's seq as their stamp.  Only a block's first
+        access to a register can capture, and only if it is a read (an
+        upward-exposed read), against the stamp from before the block;
+        the block then stamps every register it touched.  Its loads and
+        stores run in program order, so a load after a store to the
+        same address in the block captures nothing.
         """
         detector = LoopDetector(cls_capacity=self.cls_capacity)
         detect = detector.feed_batch
@@ -298,7 +308,7 @@ class DataSpeculationAnalyzer:
         ms_get = mem_stamp.get
         hash_mask = _HASH_MASK
         hash_mult = HASH_MULTIPLIER
-        base = 0                      # the batch's first seq
+        instructions = blocks = exposed_reads = memory_ops = 0
         branches = 0
 
         def apply(events):
@@ -329,63 +339,55 @@ class DataSpeculationAnalyzer:
             return sorted(trackers.values(), key=_start_of, reverse=True)
 
         for batch in batches:
-            kinds = batch.kinds
-            n = len(kinds)
-            control = RecordBatch(
-                array("q", compress(range(base, base + n), kinds)),
-                array("q", compress(batch.pcs, kinds)),
-                array("b", compress(kinds, kinds)),
-                array("b", compress(batch.takens, kinds)),
-                array("q", compress(batch.targets, kinds)))
-            events = groupby(detect(control), _seq_of)
+            rows = batch.rows
+            instructions += len(batch)
+            blocks += len(rows)
+            events = groupby(detect(batch.control), _seq_of)
             next_seq, group = next(events, (-1, None))
-            for seq, pc, kind, taken, r1, v1, r2, v2, w, ma, mv, wa \
-                    in zip(range(base, base + n), batch.pcs, kinds,
-                           batch.takens, batch.rr1, batch.rv1, batch.rr2,
-                           batch.rv2, batch.wr, batch.mra, batch.mrv,
-                           batch.mwa):
-                if r1 >= 0:
-                    stamp = reg_stamp[r1]
-                    reg_stamp[r1] = seq
+            for end, (exposed, touched, ops), data, token in rows:
+                i = len(exposed)
+                exposed_reads += i
+                memory_ops += len(ops)
+                if i and live:
+                    for reg, value in zip(exposed, data):
+                        stamp = reg_stamp[reg]
+                        if stamp <= newest:
+                            for t in live:
+                                if t.start < stamp:
+                                    break
+                                t.live_regs[reg] = value
+                for reg in touched:
+                    reg_stamp[reg] = end
+                for pc in ops:
+                    addr = data[i]
+                    if pc < 0:
+                        mem_stamp[addr] = end
+                        i += 1
+                        continue
+                    stamp = ms_get(addr, -1)
                     if stamp <= newest:
-                        for t in live:
-                            if t.start < stamp:
-                                break
-                            t.live_regs[r1] = v1
-                if r2 >= 0:
-                    stamp = reg_stamp[r2]
-                    reg_stamp[r2] = seq
-                    if stamp <= newest:
-                        for t in live:
-                            if t.start < stamp:
-                                break
-                            t.live_regs[r2] = v2
-                if ma is not None:
-                    stamp = ms_get(ma, -1)
-                    if stamp <= newest:
-                        entry = (ma, mv)
+                        entry = (addr, data[i + 1])
                         for t in live:
                             if t.start < stamp:
                                 break
                             if pc not in t.live_mem:
                                 t.live_mem[pc] = entry
-                if w >= 0:
-                    reg_stamp[w] = seq
-                if wa is not None:
-                    mem_stamp[wa] = seq
-                if kind:
-                    branches += 1
-                    if live:
-                        token = pc * 2 + taken
-                        for t in live:
-                            t.sigval = ((t.sigval * hash_mult) ^ token) \
-                                & hash_mask
-                    if seq == next_seq:
-                        live = apply(group)
-                        newest = live[0].start if live else -2
-                        next_seq, group = next(events, (-1, None))
-            base += n
-        apply(detector.finish(base))
+                    i += 2
+                if token is None:
+                    continue
+                branches += 1
+                if live:
+                    for t in live:
+                        t.sigval = ((t.sigval * hash_mult) ^ token) \
+                            & hash_mask
+                if end == next_seq:
+                    live = apply(group)
+                    newest = live[0].start if live else -2
+                    next_seq, group = next(events, (-1, None))
+        apply(detector.finish(instructions))
+        obs.add("dataspec.blocks", blocks)
+        obs.add("dataspec.exposed_reads", exposed_reads)
+        obs.add("dataspec.memory_ops", memory_ops)
         # Each loop counts the iterations on its most frequent path.
         stats = DataSpecStats(name)
         for loop in profile.counts:

@@ -23,20 +23,21 @@ The two emission modes:
   input to loop detection and thread speculation.
   :meth:`ChunkedCFTracer.columns` and :func:`trace_control_flow` keep
   them as a :class:`~repro.trace.stream.CFTrace`;
-* full effects (:class:`ChunkedFullTracer`): every instruction's
-  register and memory effects fill :class:`~repro.trace.batch.
-  FullBatch` slots, for the data-speculation study.
+* study (:class:`ChunkedFullTracer`): the control transfers as above
+  plus one :class:`~repro.trace.batch.StudyBatch` row per executed
+  block -- its upward-exposed register reads, the registers it
+  touches, its loads and stores -- for the data-speculation study.
+  Per-instruction effects are never emitted: nothing else in a block
+  can capture a loop iteration's live-in.
 
 Two slower loops stay as references that the differential tests pin the
 tiered loop against: :class:`repro.cpu.machine.Machine`, the readable
 instruction-by-instruction interpreter, and :func:`trace_full`, which
-builds :class:`~repro.trace.record.FullRecord` tuples with everything
-:class:`~repro.trace.batch.FullBatch` leaves out (register-write
-values, register-0 effects).
+builds a :class:`~repro.trace.record.FullRecord` per instruction with
+every register and memory effect and its value.
 """
 
 from array import array
-from collections import deque
 
 from repro.cpu.machine import (
     BRANCH_CODES,
@@ -47,13 +48,13 @@ from repro.cpu.machine import (
     packed_form, wrap64,
 )
 from repro.cpu.translate import (
-    COLD, FULL_COLUMNS, HELPERS, KINDS, effect_slots, translate,
+    COLD, HELPERS, KINDS, registers_accessed, translate,
 )
 from repro.isa.errors import ProgramError
 from repro.isa.instructions import InstrKind
 from repro.isa.registers import NUM_REGISTERS, REG_SP
 from repro.obs import collector as obs
-from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
+from repro.trace.batch import NO_TARGET, RecordBatch, StudyBatch
 from repro.trace.io import TRACE_FORMAT_VERSION, TraceHeader
 from repro.trace.record import FullRecord
 from repro.trace.stream import CFTrace, FullTrace
@@ -70,41 +71,40 @@ _I64_MIN = -(1 << 63)
 #: threshold sweep).
 HOT_ENTRIES = 32
 
-#: The control-flow appenders of the full-effects mode: its takens and
-#: targets slots carry the control transfers, so these discard.
-_DISCARD = deque(maxlen=0).append
-
-
 class TraceBudgetExceeded(ProgramError):
     """Raised when a program does not halt within the instruction budget
     and ``allow_truncation`` is False."""
 
 
 class _Columns:
-    """A run's output: :class:`RecordBatch` columns, or with *full*
-    one list per :class:`FullBatch` slot."""
+    """A run's output: :class:`RecordBatch` columns and, in the study
+    mode, the :class:`StudyBatch` rows beside them."""
 
-    def __init__(self, full):
-        self.full = full
+    def __init__(self):
+        self.columns = tuple(array(code) for code in "qqbbq")
+        self.rows = []
         self.start_seq = 0
-        if full:
-            self.columns = tuple([] for _ in FULL_COLUMNS)
-            self.names = [name + "_e" for name in FULL_COLUMNS]
-            self.appenders = [column.extend for column in self.columns]
-        else:
-            self.columns = tuple(array(code) for code in "qqbbq")
-            self.names = ["sq_a", "pc_a", "kd_a", "tk_a", "tg_a"]
-            self.appenders = [column.append for column in self.columns]
+        #: The names translated blocks append through.
+        self.appenders = {name: column.append for name, column in zip(
+            ("sq_a", "pc_a", "kd_a", "tk_a", "tg_a"), self.columns)}
+        self.appenders["row_a"] = self.rows.append
 
     def take(self, count):
-        """The first *count* rows as one batch."""
+        """The first *count* control records as one batch."""
         parts = [column[:count] for column in self.columns]
         for column in self.columns:
             del column[:count]
-        if not self.full:
-            return RecordBatch(*parts)
-        self.start_seq += count
-        return FullBatch(self.start_seq - count, *parts)
+        return RecordBatch(*parts)
+
+    def take_study(self, seq):
+        """Every row so far, the blocks that ran up to *seq*, as one
+        batch."""
+        control = self.take(len(self.columns[0]))
+        batch = StudyBatch(self.start_seq, seq - self.start_seq, control,
+                           self.rows[:])
+        self.rows.clear()
+        self.start_seq = seq
+        return batch
 
 
 class _TieredTracer:
@@ -140,9 +140,11 @@ class _TieredTracer:
             raise RuntimeError("trace not finished; exhaust batches() first")
         return self._halted
 
-    def _run(self, full):
-        """Generate batches of at most ``chunk_size`` rows: control
-        transfers, or every instruction's effects when *full*."""
+    def _run(self, study):
+        """Generate batches: :class:`RecordBatch` columns of at most
+        ``chunk_size`` control records or, with *study*,
+        :class:`StudyBatch` rows of whole blocks, each batch going out
+        once it covers ``chunk_size`` instructions."""
         program = self.program
         chunk = self.chunk_size
         limit = self.max_instructions
@@ -152,23 +154,18 @@ class _TieredTracer:
         regs[REG_SP] = STACK_TOP
         mem = dict(program.data.initial)
         mem_get = mem.get
-        out = _Columns(full)
-        rows = out.columns[0]
-        namespace = dict(zip(out.names, out.appenders), regs=regs,
-                         mem=mem, mem_get=mem_get, **HELPERS)
+        out = _Columns()
+        records = out.columns[0]
+        namespace = dict(out.appenders, regs=regs, mem=mem,
+                         mem_get=mem_get, **HELPERS)
+        sq_a, pc_a, kd_a, tk_a, tg_a, row_a = out.appenders.values()
         translated = 0
         blocks = {}
         blocks_get = blocks.get
         entries = {}
         entries_get = entries.get
-        if full:
-            slots = [effect_slots(*instr) for instr in packed]
-            (f_pc, f_kind, f_tk, f_tg, f_rr1, f_rv1, f_rr2, f_rv2, f_wr,
-             f_mra, f_mrv, f_mwa) = [column.append
-                                     for column in out.columns]
-            sq_a = pc_a = kd_a = tk_a = tg_a = _DISCARD
-        else:
-            sq_a, pc_a, kd_a, tk_a, tg_a = out.appenders
+        if study:
+            accessed = [registers_accessed(*instr[:4]) for instr in packed]
         alu = _ALU
         branch = _BRANCH
         kinds = KINDS
@@ -178,7 +175,10 @@ class _TieredTracer:
         halted = False
 
         while seq < limit:
-            while len(rows) >= chunk:
+            if study:
+                if seq - out.start_seq >= chunk:
+                    yield out.take_study(seq)
+            elif len(records) >= chunk:
                 yield out.take(chunk)
             block = blocks_get(pc)
             if block is not None:
@@ -190,40 +190,38 @@ class _TieredTracer:
             else:
                 entries[pc] = count = entries_get(pc, 0) + 1
                 if count >= hot_entries:
-                    blocks[pc] = block = translate(packed, pc, full,
+                    blocks[pc] = block = translate(packed, pc, study,
                                                    namespace)
                     translated += block is not COLD
                     continue
             # The per-instruction tier, to the end of the block or of
             # the budget.
             start = seq
+            if study:
+                touched = {}
+                exposed = []
+                ops = []
+                data = []
+                memory = []
+                token = None
             while True:
                 code, rd, rs1, rs2, imm, target = packed[pc]
-                if full:
-                    while len(rows) >= chunk:
-                        yield out.take(chunk)
-                    kind, read1, read2, wr, taken, to = slots[pc]
-                    a = regs[read1]
-                    b = regs[read2]
-                    f_pc(pc)
-                    f_kind(kind)
-                    if taken is None:
-                        taken = 1 if branch[code](a, b) else 0
-                    f_tk(taken)
-                    f_tg(a if to is None else to)
-                    f_rr1(read1 or -1)
-                    f_rv1(a)
-                    f_rr2(read2 or -1)
-                    f_rv2(b)
-                    f_wr(wr)
+                if study:
+                    reads, written = accessed[pc]
+                    for reg in reads:
+                        if reg not in touched:
+                            touched[reg] = None
+                            exposed.append(reg)
+                            data.append(regs[reg])
+                    if written:
+                        touched.setdefault(written)
                     if code == C_LD:
-                        f_mra(a + imm)
-                        f_mrv(mem_get(a + imm, 0))
-                        f_mwa(None)
-                    else:
-                        f_mra(None)
-                        f_mrv(None)
-                        f_mwa(a + imm if code == C_ST else None)
+                        addr = regs[rs1] + imm
+                        ops.append(pc)
+                        memory += (addr, mem_get(addr, 0))
+                    elif code == C_ST:
+                        ops.append(-1)
+                        memory.append(regs[rs1] + imm)
                 if code == C_ADDI:
                     v = regs[rs1] + imm
                     if v > _I64_MAX or v < _I64_MIN:
@@ -239,12 +237,13 @@ class _TieredTracer:
                     mem[regs[rs1] + imm] = regs[rs2]
                     pc += 1
                 elif code in BRANCH_CODES:
-                    taken = branch[code](regs[rs1], regs[rs2])
+                    taken = 1 if branch[code](regs[rs1], regs[rs2]) else 0
                     sq_a(seq)
                     pc_a(pc)
                     kd_a(_K_BRANCH)
-                    tk_a(1 if taken else 0)
+                    tk_a(taken)
                     tg_a(target)
+                    token = pc * 2 + taken
                     pc = target if taken else pc + 1
                     seq += 1
                     break
@@ -285,6 +284,7 @@ class _TieredTracer:
                     kd_a(kinds[code])
                     tk_a(0 if halted else 1)
                     tg_a(nxt)
+                    token = pc * 2 + (0 if halted else 1)
                     pc = nxt
                     seq += 1
                     break
@@ -292,6 +292,9 @@ class _TieredTracer:
                 if seq >= limit:
                     break
             cold += seq - start
+            if study:
+                row_a((seq - 1, (tuple(exposed), tuple(touched), tuple(ops)),
+                       tuple(data + memory), token))
             if halted:
                 break
 
@@ -299,15 +302,17 @@ class _TieredTracer:
         obs.add("cpu.blocks_translated", translated)
         obs.add("cpu.cold_instructions", cold)
         if not halted and not self.allow_truncation:
-            # Only the batches the budget's last instruction did not
-            # complete went out before it.
-            while len(rows) > chunk:
-                yield out.take(chunk)
+            # The batches the budget's last instruction completed have
+            # gone out; the rest go with the run.
             raise TraceBudgetExceeded(
                 "program %r did not halt within %d instructions"
                 % (program.name, limit))
-        while len(rows):
-            yield out.take(chunk)
+        if study:
+            if seq > out.start_seq:
+                yield out.take_study(seq)
+        else:
+            while len(records):
+                yield out.take(chunk)
         self._total = seq
         self._halted = halted
         self._finished = True
@@ -346,7 +351,7 @@ class ChunkedCFTracer(_TieredTracer):
         :class:`~repro.trace.record.CFRecord` is constructed between
         the machine and a batch consumer.
         """
-        return self._run(full=False)
+        return self._run(study=False)
 
 
 def trace_control_flow(program, max_instructions=5_000_000,
@@ -472,18 +477,15 @@ def trace_full(program, max_instructions=1_000_000, allow_truncation=True):
 
 
 class ChunkedFullTracer(_TieredTracer):
-    """Full-effects tracing with bounded-memory columnar emission.
+    """The data-speculation study's tracer: block rows, not
+    per-instruction effects.
 
-    :meth:`batches` hands out :class:`~repro.trace.batch.FullBatch`
-    columns of at most ``chunk_size`` instructions: per instruction the
-    fixed effect slots (two register reads, one register write, one
-    memory access -- see :class:`FullBatch`), so the data-speculation
-    study streams a workload's architectural effects without
-    materializing millions of nested tuples.  Equivalence with
-    :func:`trace_full` is pinned by tests.
-
-    Reads of (and writes to) register 0 are not emitted -- the zero
-    register is never a live-in and its writes are discarded.
+    :meth:`batches` hands out :class:`~repro.trace.batch.StudyBatch`
+    rows, one per executed block, in batches covering at least
+    ``chunk_size`` instructions (a block is never split), so the study
+    streams a workload without materializing its full trace.
+    Equivalence with :func:`trace_full` and the Machine-stepped
+    reference is pinned by tests.
     """
 
     DEFAULT_CHUNK = 32768
@@ -494,6 +496,6 @@ class ChunkedFullTracer(_TieredTracer):
                          chunk_size)
 
     def batches(self):
-        """Generate :class:`FullBatch` columns of at most ``chunk_size``
-        instructions, in execution order."""
-        return self._run(full=True)
+        """Generate :class:`StudyBatch` rows in execution order; each
+        batch's ``len()`` is the instructions its blocks cover."""
+        return self._run(study=True)

@@ -13,9 +13,10 @@ returns the next pc:
   literal ``0`` and register-0 writes are dropped;
 * a load from an address the block stored or loaded since its last
   store reuses that value;
-* the terminator appends the control-flow record or, in full-effects
-  mode, every :class:`~repro.trace.batch.FullBatch` slot of the whole
-  block, its static slots as constant tuples.
+* the terminator appends the control-flow record and, in study mode,
+  the block's :class:`~repro.trace.batch.StudyBatch` row: the
+  registers loaded at entry are exactly its upward-exposed reads, and
+  its static parts are constant tuples.
 
 Compile time grows with the source and is most of what a translation
 costs, so the source is terse: the run's state and the helpers are
@@ -33,7 +34,6 @@ from repro.cpu.machine import (
     _IMM_TO_REG, _div, _rem, wrap64,
 )
 from repro.isa.instructions import InstrKind
-from repro.trace.batch import NO_TARGET
 
 #: Packed codes that end a block.
 CONTROL_CODES = BRANCH_CODES | {C_JMP, C_JR, C_CALL, C_RET, C_HALT}
@@ -42,10 +42,6 @@ CONTROL_CODES = BRANCH_CODES | {C_JMP, C_JR, C_CALL, C_RET, C_HALT}
 #: per-instruction tier: one ending in ``halt`` (it runs once) or running
 #: off the end of the program.  Its length never fits a budget.
 COLD = (None, math.inf)
-
-#: FullBatch slot columns, in constructor order after ``start_seq``.
-FULL_COLUMNS = ("pcs", "kinds", "takens", "targets", "rr1", "rv1", "rr2",
-                "rv2", "wr", "mra", "mrv", "mwa")
 
 #: Packed control code -> the InstrKind value of its record.
 KINDS = dict.fromkeys(BRANCH_CODES, int(InstrKind.BRANCH))
@@ -74,45 +70,34 @@ HELPERS = {"wrap64": wrap64, "_div": _div, "_rem": _rem,
            "LO": -(1 << 63), "HI": (1 << 63) - 1}
 
 
-def effect_slots(code, rd, rs1, rs2, imm, target):
-    """The static FullBatch slots of one packed instruction: ``(kind,
-    read1, read2, wr, taken, target)``.
-
-    ``read1``/``read2`` are the registers read, 0 for an empty slot:
-    register 0 reads as 0 and is recorded as -1, like an empty slot.
-    ``wr`` is -1 for no write or a register-0 write.  ``taken`` is None
-    for a branch and ``target`` None for ``ret``/``jr``, whose target is
-    the value read in slot 1.
-    """
+def registers_accessed(code, rd, rs1, rs2):
+    """``(reads, write)`` of one packed instruction for the study: the
+    registers it reads, in operand order, and the one it writes, with
+    register 0 left out of both (``write`` is then 0)."""
     if code <= C_MAX or code == C_ST or code in BRANCH_CODES:
         reads = (rs1, rs2)
     elif code <= C_SLTI or code in (C_MV, C_LD, C_JR):
-        reads = (rs1, 0)
+        reads = (rs1,)
     else:
-        reads = (1 if code == C_RET else 0, 0)
+        reads = (1,) if code == C_RET else ()
     write = rd if code <= C_LD else int(code == C_CALL)
-    kind = KINDS.get(code, int(InstrKind.OTHER))
-    taken = None if code in BRANCH_CODES else int(
-        code in (C_JMP, C_CALL, C_RET, C_JR))
-    if code in (C_RET, C_JR):
-        target = None
-    elif code not in BRANCH_CODES and code not in (C_JMP, C_CALL):
-        target = NO_TARGET
-    return kind, reads[0], reads[1], write or -1, taken, target
+    return tuple(reg for reg in reads if reg), write
 
 
 class _Block:
     """The source of one block's function."""
 
-    def __init__(self, full):
-        self.full = full
+    def __init__(self, study):
+        self.study = study
         self.current = {}   # register -> expression holding its value
         self.loads = []     # registers read before being written
         self.written = []
         self.memory = {}    # address expression -> value, since a store
+        self.named = {}     # study: address expression -> its name
+        self.ops = []       # study: load pc or -1 for a store, in order
+        self.data = []      # study: their addresses and loaded values
         self.lines = []
         self.temps = 0
-        self.slots = {name: [] for name in FULL_COLUMNS}
 
     def read(self, reg):
         if not reg:
@@ -144,32 +129,27 @@ class _Block:
         base = self.read(rs1)
         if base == "0":
             return str(imm)
-        return "%s + %d" % (base, imm) if imm else base
-
-    def capture(self, pc, instr):
-        """Full mode: the static slots and the registers read."""
-        kind, read1, read2, wr, taken, target = effect_slots(*instr)
-        rv1 = self.read(read1)
-        for name, expr in (("pcs", pc), ("kinds", kind),
-                           ("takens", "t" if taken is None else taken),
-                           ("targets", rv1 if target is None else target),
-                           ("rr1", read1 or -1), ("rv1", rv1),
-                           ("rr2", read2 or -1), ("rv2", self.read(read2)),
-                           ("wr", wr)):
-            self.slots[name].append(str(expr))
+        if not imm:
+            return base
+        expr = "%s + %d" % (base, imm)
+        if not self.study:
+            return expr
+        # The study row holds the address too: compute it once.  Its
+        # operands are never rebound, so one name serves the block.
+        name = self.named.get(expr)
+        if name is None:
+            name = self.named[expr] = self.value(expr)
+        return name
 
     def straight(self, pc, instr):
         """Emit one non-control instruction."""
         code, rd, rs1, rs2, imm, _ = instr
-        if self.full:
-            self.capture(pc, instr)
-        memory = ("None", "None", "None")   # mra, mrv, mwa
         if code <= C_SLTI:
+            a = self.read(rs1)
             if code <= C_MAX:
                 form, b = code, self.read(rs2)
             else:
                 form, b = _IMM_TO_REG[code], str(imm)
-            a = self.read(rs1)
             if rd:
                 self.write(rd, self.value(_ALU_SOURCE[form].format(a=a, b=b),
                                           form in _WRAPPED))
@@ -177,33 +157,28 @@ class _Block:
             self.write(rd, str(imm))
         elif code == C_MV:
             self.write(rd, self.read(rs1))
-        elif code == C_LD and (rd or self.full):
+        elif code == C_LD and (rd or self.study):
             addr = self.address(rs1, imm)
             loaded = self.memory.get(addr)
             if loaded is None:
                 loaded = self.memory[addr] = self.value(
                     "mem_get(%s, 0)" % addr)
             self.write(rd, loaded)
-            memory = (addr, loaded, "None")
+            self.ops.append(pc)
+            self.data += (addr, loaded)
         elif code == C_ST:
             addr = self.address(rs1, imm)
             stored = self.read(rs2)
             self.lines.append("mem[%s] = %s" % (addr, stored))
             self.memory = {addr: stored}     # other cells may alias it
-            memory = ("None", "None", addr)
-        if self.full:
-            for name, expr in zip(("mra", "mrv", "mwa"), memory):
-                self.slots[name].append(self.value(expr))
+            self.ops.append(-1)
+            self.data.append(addr)
 
     def terminator(self, pc, offset, instr):
         """Emit the control instruction at *offset* into the block:
-        store the written registers, append the record or the block's
-        slots, return the next pc."""
+        store the written registers, append the record (and the study
+        row), return the next pc."""
         code, rd, rs1, rs2, imm, target = instr
-        if self.full:
-            self.capture(pc, instr)
-            for name in ("mra", "mrv", "mwa"):
-                self.slots[name].append("None")
         taken = "1"
         recorded = nxt = str(target)
         if code in BRANCH_CODES:
@@ -220,14 +195,15 @@ class _Block:
                   if self.current[reg] != "r%d" % reg]
         if stores:
             self.lines.append("; ".join(stores))
-        if self.full:
-            self.lines.extend("%s_e((%s,))" % (name, ", ".join(
-                self.slots[name])) for name in FULL_COLUMNS)
-        else:
-            self.lines.append(
-                "sq_a(%s); pc_a(%d); kd_a(%d); tk_a(%s); tg_a(%s)"
-                % ("seq + %d" % offset if offset else "seq", pc,
-                   KINDS[code], taken, recorded))
+        end = "seq + %d" % offset if offset else "seq"
+        self.lines.append("sq_a(%s); pc_a(%d); kd_a(%d); tk_a(%s); tg_a(%s)"
+                          % (end, pc, KINDS[code], taken, recorded))
+        if self.study:
+            token = "%d + t" % (pc * 2) if taken == "t" else pc * 2 + 1
+            info = (tuple(self.loads), tuple(self.current), tuple(self.ops))
+            data = ["r%d" % reg for reg in self.loads] + self.data
+            self.lines.append("row_a((%s, %r, (%s), %s))" % (
+                end, info, "".join(item + ", " for item in data), token))
         self.lines.append("return " + nxt)
         if self.loads:
             self.lines.insert(0, "; ".join("r%d = regs[%d]" % (reg, reg)
@@ -235,18 +211,18 @@ class _Block:
         return "def block(seq):\n    " + "\n    ".join(self.lines) + "\n"
 
 
-def translate(packed, pc, full, namespace):
+def translate(packed, pc, study, namespace):
     """``(function, length)`` of the block entered at *pc*, compiled in
-    *namespace* -- the run's ``regs``, ``mem``, ``mem_get`` and column
-    appenders (``sq_a`` ... ``tg_a`` for control flow, ``<slot>_e``
-    list extends for full effects) beside :data:`HELPERS` -- or
-    :data:`COLD`."""
+    *namespace* -- the run's ``regs``, ``mem``, ``mem_get``, the
+    control-flow column appenders ``sq_a`` ... ``tg_a`` and, for the
+    *study* mode, the row appender ``row_a`` beside :data:`HELPERS` --
+    or :data:`COLD`."""
     end = pc
     while 0 <= end < len(packed) and packed[end][0] not in CONTROL_CODES:
         end += 1
     if pc < 0 or end == len(packed) or packed[end][0] == C_HALT:
         return COLD
-    block = _Block(full)
+    block = _Block(study)
     for at in range(pc, end):
         block.straight(at, packed[at])
     # Rebinding ``block`` keeps the namespace's keys, and so the global

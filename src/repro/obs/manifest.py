@@ -86,34 +86,38 @@ def build_manifest(collector, argv=None, command=None, extra=None):
 
 def write_manifest(manifest, path, events=True):
     """Write *manifest* to *path* (and its JSONL stream when *events*);
-    returns the list of paths written."""
+    returns the list of paths written.
+
+    Each file is written to a temp file and renamed over its path, so
+    a run killed mid-write, or two runs writing at once, leave one
+    whole manifest, never a truncated or interleaved one.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace(path, [json.dumps(manifest, indent=2, sort_keys=True), ""])
     written = [path]
     if events:
         stream = events_path(path)
-        with open(stream, "w", encoding="utf-8") as fh:
-            for span in manifest["spans"]:
-                fh.write(json.dumps(dict(span, type="span"),
-                                    sort_keys=True) + "\n")
-            for sample in manifest["points"]:
-                fh.write(json.dumps(dict(sample, type="point"),
-                                    sort_keys=True) + "\n")
-            for name in sorted(manifest["counters"]):
-                fh.write(json.dumps(
-                    {"type": "counter", "name": name,
-                     "value": manifest["counters"][name]},
-                    sort_keys=True) + "\n")
-            for name in sorted(manifest["gauges"]):
-                fh.write(json.dumps(
-                    {"type": "gauge", "name": name,
-                     "value": manifest["gauges"][name]},
-                    sort_keys=True) + "\n")
+        lines = [json.dumps(dict(span, type="span"), sort_keys=True)
+                 for span in manifest["spans"]]
+        lines += [json.dumps(dict(sample, type="point"), sort_keys=True)
+                  for sample in manifest["points"]]
+        for kind in ("counter", "gauge"):
+            values = manifest[kind + "s"]
+            lines += [json.dumps({"type": kind, "name": name,
+                                  "value": values[name]}, sort_keys=True)
+                      for name in sorted(values)]
+        _replace(stream, lines + [""] if lines else [])
         written.append(stream)
     return written
+
+
+def _replace(path, lines):
+    """Atomically replace *path* with *lines* joined by newlines."""
+    from repro.trace.io import atomic_writer
+
+    with atomic_writer(path) as fh:
+        fh.write("\n".join(lines).encode("utf-8"))
 
 
 def validate_manifest(data, source="manifest"):

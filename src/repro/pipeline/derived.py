@@ -2,7 +2,7 @@
 
 The trace cache (:mod:`repro.pipeline.cache`) makes warm sessions skip
 interpretation; this module makes them skip recomputing the expensive
-deterministic *functions of a cached trace*: the full-effects
+deterministic *functions of a cached trace*: the
 data-speculation statistics (which otherwise re-interpret the program
 every run), default-configuration speculation simulations, and the
 ablation CLS-capacity sweep.  Everything stored here is a pure

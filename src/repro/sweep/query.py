@@ -176,8 +176,7 @@ def sweep_overview(store):
             workloads = len(json.loads(spec_json)["workloads"])
         except (ValueError, KeyError, TypeError):
             workloads = "?"
-        total = store.sweep_total(sweep_id)
-        _, done, failed = store.counts(sweep_id)
+        total, done, failed = store.counts(sweep_id)
         table.append((sweep_id, experiment, workloads, total, done,
                       failed))
     return ExperimentResult(

@@ -313,7 +313,8 @@ class SweepStore:
 
     def counts(self, sweep_id=None):
         """``(total, done, failed)`` cell counts, optionally scoped to
-        one sweep's membership."""
+        one sweep's membership (then ``total`` counts every cell its
+        grid names, stored or not)."""
         if sweep_id is None:
             row = self._execute(
                 "SELECT COUNT(*), "
@@ -330,12 +331,6 @@ class SweepStore:
                 (sweep_id,)).fetchone()
         total, done, failed = row
         return (total or 0, done or 0, failed or 0)
-
-    def sweep_total(self, sweep_id):
-        """How many cells *sweep_id*'s grid names (stored or not)."""
-        return self._execute(
-            "SELECT COUNT(*) FROM sweep_cells WHERE sweep_id = ?",
-            (sweep_id,)).fetchone()[0]
 
     # -- maintenance -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Dynamic trace infrastructure (records, batches, statistics, IO)."""
 
 from repro.trace.record import CFRecord, FullRecord
-from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
+from repro.trace.batch import NO_TARGET, RecordBatch, StudyBatch
 from repro.trace.stream import CFTrace, FullTrace, clip
 from repro.trace.stats import CFStats, basic_block_profile, collect_cf_stats
 from repro.trace.io import (
@@ -21,8 +21,8 @@ __all__ = [
     "CFRecord",
     "FullRecord",
     "NO_TARGET",
-    "FullBatch",
     "RecordBatch",
+    "StudyBatch",
     "CFTrace",
     "FullTrace",
     "clip",

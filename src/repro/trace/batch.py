@@ -22,12 +22,12 @@ Slicing is **zero-copy**: :meth:`RecordBatch.slice` and
 :meth:`RecordBatch.prefix` return batches whose columns are
 memoryviews into the parent's storage.
 
-:class:`FullBatch` is the analogous columnar form of a full
-per-instruction trace, with fixed-slot effect columns (at most two
-register reads, one register write, one memory access per
-instruction on this ISA); the data-speculation study streams these
-from :class:`repro.cpu.tracer.ChunkedFullTracer` without ever
-materializing :class:`~repro.trace.record.FullRecord` objects.
+:class:`StudyBatch` is what the data-speculation study reads instead
+of a full per-instruction trace: one row per executed block, with the
+block's terminator, its upward-exposed register reads and its memory
+operations.  :class:`repro.cpu.tracer.ChunkedFullTracer` emits these
+without ever materializing :class:`~repro.trace.record.FullRecord`
+objects.
 """
 
 from array import array
@@ -143,84 +143,104 @@ class RecordBatch:
         return "RecordBatch(%d records%s)" % (len(self), span)
 
 
-class FullBatch:
-    """A run of full per-instruction records as fixed-slot columns.
+class StudyBatch:
+    """A run of executed blocks as the data-speculation study reads them.
 
-    The ISA bounds every instruction's architectural effects: at most
-    two register reads, one register write, one memory read (``ld``)
-    and one memory write (``st``).  One column per slot therefore
-    replaces the nested effect tuples of
-    :class:`~repro.trace.record.FullRecord`:
+    A block is the straight-line run from an entry to its terminator,
+    the first control instruction.  Within a block no loop event can
+    happen, so the study needs only what can capture a live-in (see
+    :mod:`repro.core.dataspec.stats`): one row per block,
+    ``(end, (exposed, touched, ops), data, token)``:
 
-    ``rr1``/``rv1``, ``rr2``/``rv2``
-        register-read slots (register index / value); ``-1`` marks an
-        empty slot.  Reads of register 0 (the hardwired zero) are not
-        recorded -- no consumer observes them.
-    ``wr``
-        written register index or ``-1``; writes to register 0 are
-        likewise dropped.
-    ``mra``/``mrv``, ``mwa``
-        memory-read address/value and memory-write address; ``None``
-        marks an empty slot (addresses are unbounded Python ints, so
-        the columns are plain lists).
+    ``end``
+        the seq of the block's last instruction, its terminator;
+    ``exposed``
+        the upward-exposed register reads: the registers whose first
+        access in the block is a read, in first-access order;
+    ``touched``
+        every register the block reads or writes, in first-access
+        order;
+    ``ops``
+        the loads and stores in program order: a load's pc, or -1 for
+        a store;
+    ``data``
+        one flat tuple: the value of each exposed read, then for each
+        of ``ops`` a load's address and value or a store's address;
+    ``token``
+        the terminator's path token, ``pc * 2 + taken``.
 
-    ``seqs`` is implicit: a full trace covers every instruction, so row
-    ``i`` has sequence number ``start_seq + i``.
+    The middle tuple depends only on the block's instructions, so a
+    translated block emits one constant for it.
+
+    Register 0 is never listed (it reads as 0 and drops writes).  Only
+    a trace cut by its instruction budget ends in a row without a
+    terminator: its ``end`` is the last instruction run and its
+    ``token`` is None.  ``control`` holds the terminators as a
+    :class:`RecordBatch`, the loop detector's input.  ``len()`` is the
+    number of instructions the rows cover, from ``start_seq``.
     """
 
-    __slots__ = ("start_seq", "pcs", "kinds", "takens", "targets",
-                 "rr1", "rv1", "rr2", "rv2", "wr", "mra", "mrv", "mwa")
+    __slots__ = ("start_seq", "instructions", "control", "rows")
 
-    def __init__(self, start_seq, pcs, kinds, takens, targets,
-                 rr1, rv1, rr2, rv2, wr, mra, mrv, mwa):
-        n = len(pcs)
-        for column in (kinds, takens, targets, rr1, rv1, rr2, rv2, wr,
-                       mra, mrv, mwa):
-            if len(column) != n:
-                raise ValueError("full batch columns disagree on length")
+    def __init__(self, start_seq, instructions, control, rows):
         self.start_seq = start_seq
-        self.pcs = pcs
-        self.kinds = kinds
-        self.takens = takens
-        self.targets = targets
-        self.rr1 = rr1
-        self.rv1 = rv1
-        self.rr2 = rr2
-        self.rv2 = rv2
-        self.wr = wr
-        self.mra = mra
-        self.mrv = mrv
-        self.mwa = mwa
+        self.instructions = instructions
+        self.control = control
+        self.rows = rows
 
     @classmethod
     def from_records(cls, records, start_seq=0):
-        """Build a batch from consecutive
-        :class:`~repro.trace.record.FullRecord` objects starting at
-        sequence *start_seq* (register-0 effects dropped)."""
-        columns = tuple([] for _ in range(12))
-        (pcs, kinds, takens, targets, rr1, rv1, rr2, rv2, wr, mra, mrv,
-         mwa) = columns
+        """Group consecutive :class:`~repro.trace.record.FullRecord`
+        objects, starting at sequence *start_seq*, into one batch of
+        block rows.  Any record whose kind is not ``OTHER`` ends a
+        block."""
+        rows = []
+        terminators = []
+        touched = {}
+        exposed = []
+        values = []
+        ops = []
+        memory = []
+        first = start_seq             # the current block's first seq
+        end = start_seq - 1
         for rec in records:
-            pcs.append(rec.pc)
-            kinds.append(rec.kind)
-            takens.append(1 if rec.taken else 0)
-            targets.append(NO_TARGET if rec.target is None else rec.target)
-            reads = [read for read in rec.reg_reads if read[0]] \
-                + [(-1, 0)] * 2
-            rr1.append(reads[0][0])
-            rv1.append(reads[0][1])
-            rr2.append(reads[1][0])
-            rv2.append(reads[1][1])
-            writes = [reg for reg, _ in rec.reg_writes if reg]
-            wr.append(writes[0] if writes else -1)
-            mra.append(rec.mem_reads[0][0] if rec.mem_reads else None)
-            mrv.append(rec.mem_reads[0][1] if rec.mem_reads else None)
-            mwa.append(rec.mem_writes[0][0] if rec.mem_writes else None)
-        return cls(start_seq, *columns)
+            end = rec.seq
+            for reg, value in rec.reg_reads:
+                if reg and reg not in touched:
+                    touched[reg] = None
+                    exposed.append(reg)
+                    values.append(value)
+            for reg, _ in rec.reg_writes:
+                if reg:
+                    touched.setdefault(reg)
+            for addr, value in rec.mem_reads:
+                ops.append(rec.pc)
+                memory += (addr, value)
+            for addr, _ in rec.mem_writes:
+                ops.append(-1)
+                memory.append(addr)
+            if rec.kind:
+                terminators.append(rec)
+                rows.append((end, (tuple(exposed), tuple(touched),
+                                   tuple(ops)),
+                             tuple(values + memory),
+                             rec.pc * 2 + (1 if rec.taken else 0)))
+                touched = {}
+                exposed = []
+                values = []
+                ops = []
+                memory = []
+                first = end + 1
+        if end >= first:
+            rows.append((end, (tuple(exposed), tuple(touched), tuple(ops)),
+                         tuple(values + memory), None))
+        return cls(start_seq, end + 1 - start_seq,
+                   RecordBatch.from_records(
+                       rec.as_cf() for rec in terminators), rows)
 
     def __len__(self):
-        return len(self.pcs)
+        return self.instructions
 
     def __repr__(self):
-        return ("FullBatch(%d instructions from seq %d)"
-                % (len(self), self.start_seq))
+        return ("StudyBatch(%d instructions in %d blocks from seq %d)"
+                % (len(self), len(self.rows), self.start_seq))

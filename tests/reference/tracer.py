@@ -6,8 +6,12 @@
 effects of each are read off the decoded
 :class:`~repro.isa.instructions.Instruction` and the machine state
 before the step: no packed program, no translation, and no opcode
-table shared with the tracers.  Batching follows the tracers' contract:
-a full batch goes out when another instruction is about to run, and a
+table shared with the tracers.  For the study tracer the steps are
+regrouped into blocks, each ending at a control instruction, and each
+block into its :class:`~repro.trace.batch.StudyBatch` row.  Batching
+follows the tracers' contract: a full control-flow batch goes out when
+another instruction is about to run, a study batch once it covers
+``chunk_size`` instructions and another block is about to run, and a
 trace that exceeds its budget with ``allow_truncation=False`` raises
 :class:`~repro.cpu.tracer.TraceBudgetExceeded` before its last batch.
 """
@@ -24,7 +28,7 @@ from repro.isa.instructions import (
     InstrKind,
     Opcode,
 )
-from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
+from repro.trace.batch import NO_TARGET, RecordBatch, StudyBatch
 
 _COMPARE = {
     Opcode.BEQ: operator.eq, Opcode.BNE: operator.ne,
@@ -32,8 +36,6 @@ _COMPARE = {
     Opcode.BLE: operator.le, Opcode.BGT: operator.gt,
 }
 
-_FULL_SLOTS = ("pcs", "kinds", "takens", "targets", "rr1", "rv1", "rr2",
-               "rv2", "wr", "mra", "mrv", "mwa")
 _CF_COLUMNS = ("seqs", "pcs", "kinds", "takens", "targets")
 
 _WRITES_RD = ALU_OPS | ALU_IMM_OPS | {Opcode.LI, Opcode.MV, Opcode.LD}
@@ -52,8 +54,10 @@ def _registers_read(instr):
 
 def step(machine):
     """Run one instruction; its row ``(seq, pc, kind, taken, target,
-    rr1, rv1, rr2, rv2, wr, mra, mrv, mwa)`` in the FullBatch slot
-    conventions (register 0 and empty slots read ``-1``/``0``)."""
+    rr1, rv1, rr2, rv2, wr, mra, mrv, mwa)``: the registers read and
+    their values, the register written, the load address and value and
+    the store address (register 0 and empty slots read ``-1``/``0``,
+    an absent memory access ``None``)."""
     seq = machine.instruction_count
     pc = machine.pc
     instr = machine.program.instructions[pc]
@@ -86,10 +90,38 @@ def step(machine):
             reads[0][1], reads[1][0], reads[1][1], written, mra, mrv, mwa)
 
 
+def study_row(steps):
+    """The :class:`StudyBatch` row of one block's :func:`step` rows."""
+    touched = {}
+    exposed = []
+    values = []
+    ops = []
+    memory = []
+    for (_, pc, _, _, _, rr1, rv1, rr2, rv2, wr, mra, mrv,
+         mwa) in steps:
+        for reg, value in ((rr1, rv1), (rr2, rv2)):
+            if reg != -1 and reg not in touched:
+                touched[reg] = True
+                exposed.append(reg)
+                values.append(value)
+        if wr != -1 and wr not in touched:
+            touched[wr] = True
+        if mra is not None:
+            ops.append(pc)
+            memory.extend((mra, mrv))
+        if mwa is not None:
+            ops.append(-1)
+            memory.append(mwa)
+    end, pc, kind, taken = steps[-1][:4]
+    token = None if kind == InstrKind.OTHER else pc * 2 + taken
+    return (end, (tuple(exposed), tuple(touched), tuple(ops)),
+            tuple(values + memory), token)
+
+
 class ReferenceTracer:
     """The Machine-stepped twin of both chunked tracers: control-flow
-    :class:`RecordBatch` columns, or with *full* every instruction's
-    :class:`FullBatch` slots."""
+    :class:`RecordBatch` columns, or with *full* the study tracer's
+    :class:`StudyBatch` rows."""
 
     def __init__(self, program, max_instructions, allow_truncation=True,
                  chunk_size=65536, full=False):
@@ -101,33 +133,66 @@ class ReferenceTracer:
         self.total_instructions = None
         self.halted = None
 
-    def _batch(self, rows):
-        columns = list(zip(*rows))
-        if self.full:
-            return FullBatch(rows[0][0], *(list(c) for c in columns[1:]))
+    @staticmethod
+    def _control(rows):
+        columns = list(zip(*rows)) or [()] * 5
         return RecordBatch(*(array(code, column) for code, column
                              in zip("qqbbq", columns[:5])))
 
     def batches(self):
+        return self._study() if self.full else self._control_flow()
+
+    def _control_flow(self):
         machine = Machine(self.program)
         chunk = self.chunk_size
         rows = []
         while (machine.instruction_count < self.max_instructions
                and not machine.halted):
             if len(rows) >= chunk:
-                yield self._batch(rows[:chunk])
+                yield self._control(rows[:chunk])
                 del rows[:chunk]
             row = step(machine)
-            if self.full or row[2] != InstrKind.OTHER:
+            if row[2] != InstrKind.OTHER:
                 rows.append(row)
+        self._finish(machine)
+        if rows:
+            yield self._control(rows)
+
+    def _study(self):
+        machine = Machine(self.program)
+        block = []          # the current block's steps
+        blocks = []         # the pending batch's blocks
+        start = 0           # the pending batch's first seq
+        while (machine.instruction_count < self.max_instructions
+               and not machine.halted):
+            seq = machine.instruction_count
+            if not block and seq - start >= self.chunk_size:
+                yield self._study_batch(start, seq, blocks)
+                start, blocks = seq, []
+            block.append(step(machine))
+            if block[-1][2] != InstrKind.OTHER:
+                blocks.append(block)
+                block = []
+        self._finish(machine)
+        if block:
+            blocks.append(block)
+        if blocks:
+            yield self._study_batch(start, machine.instruction_count,
+                                    blocks)
+
+    def _study_batch(self, start, stop, blocks):
+        return StudyBatch(start, stop - start, self._control(
+            [block[-1] for block in blocks
+             if block[-1][2] != InstrKind.OTHER]),
+            [study_row(block) for block in blocks])
+
+    def _finish(self, machine):
         self.total_instructions = machine.instruction_count
         self.halted = machine.halted
         if not self.halted and not self.allow_truncation:
             raise TraceBudgetExceeded(
                 "program %r did not halt within %d instructions"
                 % (self.program.name, self.max_instructions))
-        if rows:
-            yield self._batch(rows)
 
 
 def outcome(tracer):
@@ -137,9 +202,10 @@ def outcome(tracer):
     batches = []
     try:
         for batch in tracer.batches():
-            if isinstance(batch, FullBatch):
-                batches.append([batch.start_seq] + [
-                    list(getattr(batch, name)) for name in _FULL_SLOTS])
+            if isinstance(batch, StudyBatch):
+                batches.append([batch.start_seq, len(batch), batch.rows]
+                               + [list(getattr(batch.control, name))
+                                  for name in _CF_COLUMNS])
             else:
                 batches.append([list(getattr(batch, name))
                                 for name in _CF_COLUMNS])

@@ -356,8 +356,8 @@ class TestGoldenEquivalence:
 class TestSharedWork:
     def test_dataspec_shared_between_figure8_and_extensions(self,
                                                             monkeypatch):
-        """figure8 + extensions in one suite analyze each full-effects
-        stream exactly once."""
+        """figure8 + extensions in one suite analyze each study stream
+        exactly once."""
         calls = []
         original = DataSpeculationAnalyzer.analyze_batches
 
@@ -439,7 +439,7 @@ class TestWalkCounts:
     none."""
 
     #: Experiments whose results need no control-flow trace walk
-    #: (figure8 runs its own full-effects tracer).
+    #: (figure8 runs its own study tracer).
     TRACE_FREE = ("figure8",)
 
     @pytest.fixture(scope="class")

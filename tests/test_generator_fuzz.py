@@ -26,7 +26,7 @@ whole pipeline leans on:
    equals a real bare-stack walk (``tests/reference/cls_sweep.py``)
    at capacities 1 to 8;
 6. **the data-speculation study agrees with its reference** -- the
-   single-pass study over chunked full-effects columns equals the
+   single-pass study over chunked block rows equals the
    per-record two-pass study (``tests/reference/dataspec.py``) at CLS
    capacities 16 and 2.
 

@@ -525,6 +525,50 @@ class TestRunnerMetricsCLI:
         assert counters["dataspec.iterations"] == iterations
         assert iterations > 0
 
+    def test_dataspec_block_counters_match_reference(self, tmp_path,
+                                                      capsys):
+        """The study's block, exposed-read and memory-operation counters
+        on swim equal counts taken from the Machine-stepped reference
+        trace: blocks end at control instructions, an exposed read is
+        the first access to its register in its block, and every load
+        and store is one memory operation."""
+        from reference.tracer import step
+        from repro.cpu import Machine
+        from repro.experiments.figure8 import FULL_TRACE_LIMIT
+        from repro.isa.instructions import InstrKind
+
+        metrics = str(tmp_path / "run.json")
+        assert runner_main(["figure8", "--workloads", "swim",
+                            "--cache-dir", str(tmp_path / "cache"),
+                            "--metrics", metrics]) == 0
+        capsys.readouterr()
+        counters = load_manifest(metrics)["counters"]
+        machine = Machine(get("swim").program(1))
+        blocks = exposed = memory = 0
+        in_block = False
+        seen = set()
+        while (machine.instruction_count < FULL_TRACE_LIMIT
+               and not machine.halted):
+            (_, _, kind, _, _, rr1, _, rr2, _, wr, mra, _,
+             mwa) = step(machine)
+            in_block = True
+            for reg in (rr1, rr2):
+                if reg != -1 and reg not in seen:
+                    exposed += 1
+                    seen.add(reg)
+            seen.add(wr)
+            memory += (mra is not None) + (mwa is not None)
+            if kind != InstrKind.OTHER:
+                blocks += 1
+                in_block = False
+                seen = set()
+        blocks += in_block
+        assert (counters["dataspec.blocks"],
+                counters["dataspec.exposed_reads"],
+                counters["dataspec.memory_ops"]) \
+            == (blocks, exposed, memory)
+        assert blocks and exposed and memory
+
     def test_engine_simulate_span_per_computed_run(self, tmp_path,
                                                    capsys):
         """figure5 computes two infinite-TU runs per workload (the full

@@ -8,6 +8,9 @@ Each case either recomputes or fails with a clean error:
 - truncated or garbage ``results.sqlite``, ``store.sqlite`` and
   ``.cft`` files: derived results and traces are recomputed, the sweep
   store raises :class:`SweepStoreError`;
+- a truncated or garbage ``last-run-manifest.json`` only drops the
+  digest line from ``tools/trace_cache.py ls``, and a manifest write
+  that fails midway leaves the previous manifest whole;
 - a plain file where the cache directory should be only disables
   persistence;
 - a busy sweep store says it is busy, never that it is corrupt;
@@ -17,6 +20,8 @@ Read-only directories are not covered: the suite may run as root,
 which writes through any permission bits.
 """
 
+import importlib.util
+import json
 import os
 import re
 import shutil
@@ -30,6 +35,8 @@ import pytest
 
 import repro
 from repro.experiments.runner import main as runner_main
+from repro.obs import Collector, build_manifest, write_manifest
+from repro.obs.manifest import LAST_RUN_MANIFEST, events_path
 from repro.pipeline import derived
 from repro.pipeline.derived import DB_NAME, DerivedCache
 from repro.sweep import SweepSpec, SweepStore, SweepStoreError
@@ -247,6 +254,46 @@ class TestDamagedFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: sweep store ")
         assert "corrupt" in err and "sweeps clear" in err
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_manifest_only_drops_the_digest_line(self, tmp_path, capsys,
+                                                  damage):
+        cache_dir = str(tmp_path / "cache")
+        metrics = str(tmp_path / "run.json")
+        _prime(capsys, cache_dir)
+        assert _all(capsys, "--cache-dir", cache_dir,
+                    "--metrics", metrics)[0] == 0
+        spec = importlib.util.spec_from_file_location(
+            "trace_cache_tool", os.path.join(
+                os.path.dirname(os.path.dirname(os.path.abspath(
+                    __file__))), "tools", "trace_cache.py"))
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main(["ls", "--cache-dir", cache_dir]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        digest = [line for line in listed
+                  if line.startswith("last instrumented run")]
+        assert len(digest) == 1
+        DAMAGE[damage](os.path.join(cache_dir, LAST_RUN_MANIFEST))
+        assert tool.main(["ls", "--cache-dir", cache_dir]) == 0
+        assert capsys.readouterr().out.splitlines() \
+            == [line for line in listed if line not in digest]
+
+    def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path):
+        """A write that raises midway -- here, a counter JSON cannot
+        encode -- leaves the manifest and its event stream as they were,
+        with no temp file beside them."""
+        path = str(tmp_path / "run.json")
+        collector = Collector()
+        collector.add("pipeline.replays", 2)
+        manifest = build_manifest(collector, argv=["all"], command="run")
+        assert write_manifest(manifest, path) == [path, events_path(path)]
+        before = _files(str(tmp_path))
+        broken = json.loads(json.dumps(manifest))
+        broken["counters"]["pipeline.replays"] = object()
+        with pytest.raises(TypeError):
+            write_manifest(broken, path)
+        assert _files(str(tmp_path)) == before
 
 
 # ---------------------------------------------------------------------------

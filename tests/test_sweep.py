@@ -160,7 +160,7 @@ class TestSweepStore:
             assert store.spec_for(spec.sweep_id) == spec
             assert store.spec_for(spec.sweep_id[:6]) == spec
             assert store.latest_sweep_id() == spec.sweep_id
-            assert store.sweep_total(spec.sweep_id) == len(cells)
+            assert store.counts(spec.sweep_id)[0] == len(cells)
             row = {"cell_key": cells[0].key,
                    "trace_key": cells[0].trace_key,
                    "workload": "swim", "scale": 1,
@@ -302,7 +302,7 @@ class TestOrchestrator:
         with make_store(tmp_path) as store:
             stats = run_sweep(spec, store, dry_run=True)
             assert (stats.executed, stats.failed) == (0, 0)
-            assert store.sweep_total(spec.sweep_id) == 24
+            assert store.counts(spec.sweep_id)[0] == 24
             assert store.counts(spec.sweep_id) == (24, 0, 0)
 
     def test_interrupt_resume_runs_exactly_the_missing_cells(

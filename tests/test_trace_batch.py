@@ -581,23 +581,23 @@ class TestAnalysisFeedBatch:
             assert getattr(ref, field) == getattr(got, field), field
 
     def test_chunked_full_tracer_matches_trace_full(self):
+        """The study rows are ``trace_full``'s records grouped into
+        blocks, and the control columns are its control transfers."""
+        from repro.trace.batch import StudyBatch
         from repro.workloads import get
 
         program = get("li").program(1)
         limit = 20_000
         full = trace_full(program, max_instructions=limit)
         tracer = ChunkedFullTracer(program, limit, chunk_size=999)
-        rows = 0
-        for batch in tracer.batches():
-            for i in range(len(batch)):
-                rec = full.records[batch.start_seq + i]
-                assert (rec.pc, rec.kind, rec.taken) \
-                    == (batch.pcs[i], batch.kinds[i],
-                        bool(batch.takens[i]))
-                tg = batch.targets[i]
-                assert rec.target == (None if tg < 0 else tg)
-                rows += 1
-        assert rows == full.total_instructions
+        batches = list(tracer.batches())
+        expected = StudyBatch.from_records(full.records)
+        assert [row for batch in batches for row in batch.rows] \
+            == expected.rows
+        assert [rec for batch in batches
+                for rec in batch.control.iter_records()] \
+            == list(full.control_flow().iter_records())
+        assert sum(map(len, batches)) == full.total_instructions
         assert tracer.total_instructions == full.total_instructions
         assert tracer.halted == full.halted
 
@@ -605,32 +605,48 @@ class TestAnalysisFeedBatch:
                              [1, 7, ChunkedFullTracer.DEFAULT_CHUNK])
     @pytest.mark.parametrize("name", ["li", "go"])
     def test_chunked_full_tracer_effect_columns(self, name, chunk_size):
-        """Every effect slot matches the FullRecord effects, with the
-        register-0 reads and writes FullBatch documents as dropped."""
+        """Every block row holds exactly the effects of its
+        ``FullRecord`` instructions that the study reads: the first
+        access to each register, a read first, with its value; every
+        register touched; the loads and stores in order; the
+        terminator's token.  Register 0 never appears."""
         from repro.workloads import get
         program = get(name).program(1)
         limit = 5_000
-        full = trace_full(program, max_instructions=limit)
+        records = trace_full(program, max_instructions=limit).records
         tracer = ChunkedFullTracer(program, limit, chunk_size=chunk_size)
-        rows = 0
+        seq = 0
         for batch in tracer.batches():
-            assert batch.start_seq == rows
-            for i in range(len(batch)):
-                rec = full.records[rows]
-                reads = [(r, v) for r, v in ((batch.rr1[i], batch.rv1[i]),
-                                             (batch.rr2[i], batch.rv2[i]))
-                         if r != -1]
-                assert reads == [(r, v) for r, v in rec.reg_reads if r]
-                assert [r for r in (batch.wr[i],) if r != -1] \
-                    == [r for r, _ in rec.reg_writes if r]
-                mem_reads = ([] if batch.mra[i] is None
-                             else [(batch.mra[i], batch.mrv[i])])
-                assert mem_reads == list(rec.mem_reads)
-                assert batch.mrv[i] is None or batch.mra[i] is not None
-                assert [a for a in (batch.mwa[i],) if a is not None] \
-                    == [a for a, _ in rec.mem_writes]
-                rows += 1
-        assert rows == full.total_instructions
+            assert batch.start_seq == seq
+            assert len(batch) >= min(chunk_size, limit - seq)
+            for end, (exposed, touched, ops), data, token in batch.rows:
+                block = records[seq:end + 1]
+                assert all(rec.kind == 0 for rec in block[:-1])
+                first = {}
+                for rec in block:
+                    for reg, value in rec.reg_reads:
+                        first.setdefault(reg, ("read", value))
+                    for reg, _ in rec.reg_writes:
+                        first.setdefault(reg, ("write", None))
+                first.pop(0, None)
+                assert list(touched) == list(first)
+                assert list(zip(exposed, data)) == [
+                    (reg, value) for reg, (how, value) in first.items()
+                    if how == "read"]
+                memory = []
+                for rec in block:
+                    memory += [(rec.pc, addr, value)
+                               for addr, value in rec.mem_reads]
+                    memory += [(-1, addr) for addr, _ in rec.mem_writes]
+                rest = iter(data[len(exposed):])
+                assert [(pc, next(rest), next(rest)) if pc >= 0
+                        else (pc, next(rest)) for pc in ops] == memory
+                last = block[-1]
+                assert token == (None if last.kind == 0
+                                 else last.pc * 2 + last.taken)
+                seq = end + 1
+            assert seq == batch.start_seq + len(batch)
+        assert seq == tracer.total_instructions
 
 
 # ---------------------------------------------------------------------------

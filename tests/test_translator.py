@@ -1,9 +1,11 @@
 """The tiered tracing loop against the Machine-stepped reference.
 
 ``tests/reference/tracer.py`` steps :class:`repro.cpu.machine.Machine`
-and emits the columns both chunked tracers promise.  Every case here
+and emits what both chunked tracers promise: control-flow columns, and
+for the study tracer (``full``) the steps regrouped into one
+:class:`~repro.trace.batch.StudyBatch` row per block.  Every case here
 runs a tracer and the reference at one budget, chunk size and
-``allow_truncation``, and compares every batch column,
+``allow_truncation``, and compares every batch column and row,
 ``total_instructions`` and ``halted`` (or that both raise after the
 same batches).  ``HOT_ENTRIES`` is patched to 1 to translate every
 block on its first entry, and to 3 to mix tiers inside loops, as well
@@ -67,15 +69,33 @@ def test_budgets_ending_mid_block(monkeypatch, full):
     """Budgets whose last instruction is inside a hot block: the block
     runs on the per-instruction tier up to the budget."""
     program = get("li").program(1)
-    last_kinds = set()
+    last_tokens = set()
     for budget in (1001, 1002, 4097, 4099):
         batches, end = assert_matches_reference(
             monkeypatch, program, budget, full, chunk_size=7)
         assert end == (budget, False)
         if full:
-            last_kinds.add(batches[-1][2][-1])
+            last_tokens.add(batches[-1][2][-1][3])
     if full:   # some budget's last instruction is not a terminator
-        assert 0 in last_kinds
+        assert None in last_tokens
+
+
+@pytest.mark.parametrize("chunk_size", [5, 50])
+def test_block_split_across_chunk_seam(monkeypatch, chunk_size):
+    """A chunk seam inside a block: the study batch runs on to the
+    block's end, so a batch may cover more than ``chunk_size``
+    instructions but no row is ever cut in two."""
+    batches, _ = assert_matches_reference(
+        monkeypatch, get("swim").program(1), 5_000, True, chunk_size)
+    starts = [batch[0] for batch in batches]
+    lengths = [batch[1] for batch in batches]
+    assert starts == [sum(lengths[:i]) for i in range(len(batches))]
+    assert all(length >= chunk_size for length in lengths[:-1])
+    assert any(length > chunk_size for length in lengths)
+    rows = [row for batch in batches for row in batch[2]]
+    assert None not in [row[3] for row in rows[:-1]]
+    assert [row[0] for batch in batches for row in batch[2][-1:]] \
+        == [start + length - 1 for start, length in zip(starts, lengths)]
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["cf", "full"])
