@@ -12,7 +12,8 @@ from repro.core.speculation import make_policy, simulate_grid, \
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.dataspec.stats import DataSpecStats
-from repro.core.tables import POLICY_LRU, TableHitRatioSimulator
+from repro.core.tables import POLICY_LRU, TableHitRatioSimulator, \
+    TableRows
 from repro.obs import collector as obs
 from repro.pipeline.derived import derived_key
 from repro.timing import make_timing
@@ -198,6 +199,9 @@ class SpeculationPass(Analysis):
 #: ``ctx.shared`` key prefix for shared LET/LIT hit-ratio simulators.
 _TABLE_SIM_KEY = "table-sim"
 
+#: ``ctx.shared`` key of the workload's shared :class:`TableRows`.
+_TABLE_ROWS_KEY = ("table-rows",)
+
 
 def shared_table_sim(ctx, let_entries, lit_entries, policy=POLICY_LRU):
     """The :class:`TableHitRatioSimulator` of one table configuration
@@ -207,12 +211,15 @@ def shared_table_sim(ctx, let_entries, lit_entries, policy=POLICY_LRU):
     size-2/4 LRU pairs reappear in the replacement-policy ablation), so
     the simulator is memoized in ``ctx.shared``.  The first call
     restores its counters from the derived store, or replays it once
-    over ``ctx.index`` (a columnar walk) and persists them; the rest
-    are free.  Consumers only read the counters.
+    over ``ctx.index`` and persists them; the rest are free.  Every
+    configuration walks the workload's one :class:`TableRows`, built by
+    the first walk and kept in ``ctx.shared`` (not on the index, which
+    outlives the workload).  Consumers only read the counters.
     """
     def replayed():
         sim = TableHitRatioSimulator(let_entries, lit_entries, policy)
-        sim.ensure_replayed(ctx.index)
+        sim.ensure_replayed(
+            ctx.index, ctx.shared.setdefault(_TABLE_ROWS_KEY, TableRows()))
         return sim
 
     return derived_memo(

@@ -15,9 +15,18 @@ Entries are inserted when a loop execution starts.  An alternative
 *nesting-aware* replacement (section 2.3.2) inhibits an insertion that
 would evict a loop nested inside the inserting loop; the paper found it
 indistinguishable from LRU, and the ablation benchmark verifies that.
+
+The hit-ratio study walks :class:`TableRows`, not single events: most
+loop events are iteration starts, they never touch the LET, and a run
+of them within one execution touches the LIT once with a closed-form
+effect.  The per-event replay it must equal is
+``tests/reference/tables.py``.
 """
 
+from array import array
 from collections import OrderedDict
+from itertools import compress, islice
+from operator import ne, or_, sub
 
 from repro.core.detector import (
     EV_EXEC_END,
@@ -26,6 +35,7 @@ from repro.core.detector import (
     EventColumns,
 )
 from repro.core.events import ExecutionEnd, ExecutionStart
+from repro.obs import collector as obs
 
 POLICY_LRU = "lru"
 POLICY_NESTING_AWARE = "nesting-aware"
@@ -131,6 +141,57 @@ class NestingTracker:
         return self.nested_in.get(loop, ())
 
 
+class TableRows:
+    """The rows a :class:`TableHitRatioSimulator` walks: the loop
+    events of one index, with each maximal run of consecutive
+    iteration starts of one execution folded into one row.
+
+    Row columns: ``kinds`` (the ``EV_*`` code of the row's first
+    event), ``loops``, ``exec_ids``, ``firsts`` (the first event's
+    ``aux``: for an iteration run, its first iteration number) and
+    ``counts`` (events in the row; only an iteration run has more than
+    one).  A run's effect on the LIT has a closed form (see
+    :meth:`TableHitRatioSimulator.replay_columns`), and iteration
+    starts never touch the LET, so a walk costs one step per row.
+
+    A ``TableRows`` is empty until the first walk over an event list
+    fills it (so that walk pays for the build); every later walk handed
+    the same object reuses the rows.  One object serves one event list.
+    """
+
+    __slots__ = ("kinds", "loops", "exec_ids", "firsts", "counts")
+
+    def __init__(self):
+        self.kinds = None
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def build(self, cols):
+        """Fill the rows from :class:`~repro.core.detector.EventColumns`
+        *cols* unless already filled; returns ``self``."""
+        if self.kinds is not None:
+            return self
+        etypes = cols.etypes
+        exec_ids = cols.exec_ids
+        # A row starts at every event but one that continues the run of
+        # the event before it: both iteration starts (EV_ITERATION is
+        # 0) of one execution.
+        row_start = bytearray(b"\x01" if etypes else b"")
+        row_start.extend(map(
+            or_, map(or_, islice(etypes, 1, None), etypes),
+            map(ne, islice(exec_ids, 1, None), exec_ids)))
+        self.kinds = bytes(compress(etypes, row_start))
+        self.loops = array("q", compress(cols.loops, row_start))
+        self.exec_ids = array("q", compress(exec_ids, row_start))
+        self.firsts = array("q", compress(cols.auxs, row_start))
+        positions = array("q", compress(range(len(etypes)), row_start))
+        positions.append(len(etypes))
+        self.counts = array("q", map(sub, islice(positions, 1, None),
+                                     positions))
+        return self
+
+
 class TableHitRatioSimulator:
     """Replays detector events through a LET and a LIT, measuring the
     paper's hit ratios (Figure 4).
@@ -139,9 +200,11 @@ class TableHitRatioSimulator:
     executions completed since insertion.  LIT hit: at an iteration
     start, the loop is present with >= 2 iterations completed since
     insertion.  First iterations are never tested (they are undetected
-    until they finish).  The walk runs over the columnar event form
-    (:meth:`replay_columns`); the batch pipeline replays a finished
-    loop index once via :meth:`ensure_replayed`.
+    until they finish).  The walk runs over :class:`TableRows`, one
+    step per run of iteration starts (:meth:`replay_columns`); the
+    batch pipeline replays a finished loop index once via
+    :meth:`ensure_replayed`, sharing the index's rows across table
+    configurations.
     """
 
     def __init__(self, let_entries, lit_entries, policy=POLICY_LRU):
@@ -162,21 +225,33 @@ class TableHitRatioSimulator:
         """Replay an ordered loop-event list."""
         return self.replay_columns(EventColumns(events))
 
-    def ensure_replayed(self, index):
+    def ensure_replayed(self, index, rows=None):
         """Replay *index* exactly once, however many passes ask.
 
         Simulators are shared across analysis passes (``ctx.shared``);
         with the replay deferred to ``finish`` there is no single
         "owner" any more -- every consumer calls this before reading
         the counters, and only the first call pays for the walk.
+        *rows* is the index's :class:`TableRows`, shared by every
+        configuration that walks it (a fresh one when ``None``).
         """
         if self._replayed:
             return self
         self._replayed = True
-        return self.replay_columns(index.columns())
+        if rows is None:
+            rows = TableRows()
+        with obs.span("tables", let=self.let.capacity,
+                      lit=self.lit.capacity, policy=self.policy):
+            cols = index.columns()
+            self.replay_columns(cols, rows)
+        obs.add("tables.walks")
+        obs.add("tables.rows", len(rows))
+        obs.add("tables.events", len(cols.etypes))
+        return self
 
-    def replay_columns(self, cols):
-        """Replay a :class:`~repro.core.detector.EventColumns`.
+    def replay_columns(self, cols, rows=None):
+        """Replay a :class:`~repro.core.detector.EventColumns` over its
+        :class:`TableRows` *rows* (built here when ``None`` or empty).
 
         An ``ExecutionStart`` accesses the LET and inserts into both
         tables; the paired ``IterationStart(iteration=2)`` that follows
@@ -184,11 +259,16 @@ class TableHitRatioSimulator:
         Later iteration starts first complete the iteration that just
         finished.  An ``ExecutionEnd`` completes one iteration and one
         execution; a ``SingleIteration`` is a start and an end at once.
+
+        A run of *k* iteration starts from iteration *a* touches the
+        LIT once.  With the loop present at ``completed = c``, start
+        ``j`` (0-based) hits iff ``c + [a > 2] + j >= 2``, and the entry
+        ends at ``c + [a > 2] + k - 1``; with it absent, all *k* miss
+        (iteration starts never insert).
         """
-        etypes = cols.etypes
-        loops = cols.loops
-        exec_ids = cols.exec_ids
-        auxs = cols.auxs
+        if rows is None:
+            rows = TableRows()
+        rows.build(cols)
         nesting = self._nesting
         let = self.let
         lit = self.lit
@@ -198,41 +278,44 @@ class TableHitRatioSimulator:
         let_accesses = self.let_accesses
         lit_hits = self.lit_hits
         lit_accesses = self.lit_accesses
-        for i in range(len(etypes)):
-            etype = etypes[i]
-            loop = loops[i]
-            if etype == EV_ITERATION:
-                if auxs[i] > 2:
-                    entry = lit_entries.get(loop)
-                    if entry is not None:
-                        entry.completed += 1
-                lit_accesses += 1
+        for kind, loop, exec_id, first, count in zip(
+                rows.kinds, rows.loops, rows.exec_ids, rows.firsts,
+                rows.counts):
+            if kind == EV_ITERATION:
+                lit_accesses += count
                 entry = lit_entries.get(loop)
                 if entry is not None:
                     lit_entries.move_to_end(loop)
-                    if entry.completed >= 2:
-                        lit_hits += 1
-            elif etype == EV_EXEC_START:
+                    done = entry.completed + (first > 2)
+                    if done >= 2:
+                        lit_hits += count
+                    elif done + count > 2:
+                        lit_hits += done + count - 2
+                    entry.completed = done + count - 1
+            elif kind == EV_EXEC_START:
                 if nesting is not None:
                     nested_in = nesting.nested_in
                     for _, outer in nesting._active:
                         nested_in.setdefault(outer, set()).add(loop)
-                    nesting._active.append((exec_ids[i], loop))
+                    nesting._active.append((exec_id, loop))
                     nested = nested_in.get(loop, ())
                 else:
                     nested = None
                 let_accesses += 1
                 entry = let_entries.get(loop)
-                if entry is not None:
+                if entry is None:
+                    let.insert(loop, nested)
+                else:
                     let_entries.move_to_end(loop)
                     if entry.completed >= 2:
                         let_hits += 1
-                let.insert(loop, nested)
-                lit.insert(loop, nested)
-            elif etype == EV_EXEC_END:
+                if loop in lit_entries:
+                    lit_entries.move_to_end(loop)
+                else:
+                    lit.insert(loop, nested)
+            elif kind == EV_EXEC_END:
                 if nesting is not None:
                     active = nesting._active
-                    exec_id = exec_ids[i]
                     for k in range(len(active) - 1, -1, -1):
                         if active[k][0] == exec_id:
                             del active[k]
@@ -248,12 +331,16 @@ class TableHitRatioSimulator:
                     if nesting is not None else None
                 let_accesses += 1
                 entry = let_entries.get(loop)
-                if entry is not None:
+                if entry is None:
+                    let.insert(loop, nested)
+                else:
                     let_entries.move_to_end(loop)
                     if entry.completed >= 2:
                         let_hits += 1
-                let.insert(loop, nested)
-                lit.insert(loop, nested)
+                if loop in lit_entries:
+                    lit_entries.move_to_end(loop)
+                else:
+                    lit.insert(loop, nested)
                 entry = lit_entries.get(loop)
                 if entry is not None:
                     entry.completed += 1

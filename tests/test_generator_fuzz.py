@@ -28,7 +28,11 @@ whole pipeline leans on:
 6. **the data-speculation study agrees with its reference** -- the
    single-pass study over chunked block rows equals the
    per-record two-pass study (``tests/reference/dataspec.py``) at CLS
-   capacities 16 and 2.
+   capacities 16 and 2;
+7. **the LET/LIT row walk agrees with its reference** -- the table
+   simulator's walk over runs of iteration starts equals the
+   per-event replay (``tests/reference/tables.py``) at table sizes 2
+   and 4 under LRU and nesting-aware replacement.
 
 The sample stream is seeded from ``REPRO_FUZZ_SEED`` (default 2024),
 so a CI failure is reproduced locally by exporting the seed the
@@ -41,7 +45,12 @@ import os
 import pytest
 
 from repro.analysis import analyze_trace
-from repro.core import LoopDetector
+from repro.core import (
+    POLICY_LRU,
+    POLICY_NESTING_AWARE,
+    LoopDetector,
+    TableHitRatioSimulator,
+)
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.speculation import (
     SpeculationDisableTable,
@@ -57,6 +66,7 @@ from repro.workloads.synthetic import make_workload, random_profile
 from reference.cls_sweep import production_sweep, walked_cls_counts
 from reference import speculation as reference
 from reference.dataspec import reference_stats
+from reference.tables import EventTableReplay
 from reference.tracer import ReferenceTracer, outcome
 
 #: Sampled (profile, seed) grid: N profiles x M seeds.
@@ -211,3 +221,20 @@ def test_dataspec_study_matches_reference(profile, seed):
             .analyze_batches(tracer.batches(), "fuzz").state()
         assert got == expected, "CLS capacity %d (REPRO_FUZZ_SEED=%d)" \
             % (capacity, FUZZ_SEED)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("profile", PROFILES, ids=_ids(PROFILES))
+def test_table_rows_match_reference(profile, seed):
+    budget = min(profile.default_max_instructions, DIFFERENTIAL_BUDGET)
+    index = LoopDetector().run(trace_control_flow(
+        make_workload(profile, seed).program(), budget))
+    for policy in (POLICY_LRU, POLICY_NESTING_AWARE):
+        for size in (2, 4):
+            sim = TableHitRatioSimulator(size, size, policy)
+            sim.ensure_replayed(index)
+            ref = EventTableReplay(size, size, policy).replay(index.events)
+            assert (sim.counters(), sim.let.loops(), sim.lit.loops()) \
+                == (ref.counters(), ref.let.loops(), ref.lit.loops()), \
+                "%s size %d (REPRO_FUZZ_SEED=%d)" \
+                % (policy, size, FUZZ_SEED)

@@ -569,6 +569,35 @@ class TestRunnerMetricsCLI:
             == (blocks, exposed, memory)
         assert blocks and exposed and memory
 
+    def test_table_walk_counters(self, tmp_path, capsys):
+        """figure4 walks each of its four LRU sizes once per workload,
+        one step per table row; each walk covers all of its index's
+        events, and a warm rerun restores every counter and walks
+        none."""
+        cache = str(tmp_path / "cache")
+        metrics = str(tmp_path / "run.json")
+        args = ["figure4", "--workloads", "swim,go", "--cache-dir", cache,
+                "--metrics", metrics]
+        assert runner_main(args) == 0
+        capsys.readouterr()
+        manifest = load_manifest(metrics)
+        counters = manifest["counters"]
+        session = SimulationSession(workloads=("swim", "go"),
+                                    cache_dir=cache)
+        events = sum(len(session.index(name).events)
+                     for name in ("swim", "go"))
+        assert counters["tables.walks"] == 8
+        assert counters["tables.events"] == 4 * events
+        assert 0 < counters["tables.rows"] < counters["tables.events"]
+        assert sorted((span["attrs"]["let"], span["attrs"]["policy"])
+                      for span in manifest["spans"]
+                      if span["name"] == "tables") \
+            == sorted([(size, "lru") for size in (2, 4, 8, 16)] * 2)
+        assert runner_main(args) == 0
+        capsys.readouterr()
+        assert load_manifest(metrics)["counters"].get(
+            "tables.walks", 0) == 0
+
     def test_engine_simulate_span_per_computed_run(self, tmp_path,
                                                    capsys):
         """figure5 computes two infinite-TU runs per workload (the full

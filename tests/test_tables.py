@@ -4,15 +4,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    EndReason,
+    ExecutionEnd,
+    ExecutionStart,
+    IterationStart,
     LoopDetector,
     LoopHistoryTable,
     NestingTracker,
     POLICY_LRU,
     POLICY_NESTING_AWARE,
+    SingleIteration,
     TableHitRatioSimulator,
 )
+from repro.core.detector import EV_ITERATION, EventColumns
+from repro.core.tables import TableRows
 from repro.cpu import trace_control_flow
-from repro.lang import Assign, For, Module, Return, Var, compile_module
+from repro.lang import (
+    Assign,
+    CallExpr,
+    For,
+    Module,
+    Return,
+    Var,
+    compile_module,
+)
+from repro.pipeline import SimulationSession
+from repro.search.corpus import frontier_names
+from repro.workloads import get
+from repro.workloads.suite import SUITE_ORDER
 from reference.tables import EventTableReplay
 
 
@@ -113,6 +132,12 @@ def _events_for(program):
     return detector.events
 
 
+@pytest.fixture(scope="module")
+def loop_index():
+    return LoopDetector().run(trace_control_flow(
+        _nested_program(4, 5, repeats=6)))
+
+
 class TestHitRatioSimulator:
     def test_repeating_loop_hits_after_warmup(self):
         events = _events_for(_nested_program(4, 5, repeats=6))
@@ -167,31 +192,218 @@ class TestHitRatioSimulator:
         assert abs(lru.lit_hit_ratio - aware.lit_hit_ratio) < 0.35
 
 
-class TestReplayMatchesReference:
-    """The columnar replay against the per-event reference replay
-    (``tests/reference/tables.py``) on real workloads: counters, table
-    contents in LRU order, evictions and inhibited insertions."""
+def assert_matches_reference(events, capacity, policy):
+    """The row walk over *events* against the per-event reference:
+    counters, table contents in LRU order, each entry's ``completed``,
+    evictions and inhibited insertions.  Returns the simulator."""
+    sim = TableHitRatioSimulator(capacity, capacity, policy).replay(events)
+    ref = EventTableReplay(capacity, capacity, policy).replay(events)
+    assert sim.counters() == ref.counters()
+    for table, ref_table in ((sim.let, ref.let), (sim.lit, ref.lit)):
+        assert table.loops() == ref_table.loops()
+        assert [e.completed for e in table._entries.values()] \
+            == [e.completed for e in ref_table._entries.values()]
+        assert (table.evictions, table.inhibited_insertions) \
+            == (ref_table.evictions, ref_table.inhibited_insertions)
+    return sim
 
-    @pytest.fixture(scope="class", params=["swim", "go", "gcc"])
+
+def _index(name):
+    if name.startswith("frontier-"):
+        session = SimulationSession(workloads=(name,), cache_dir=None,
+                                    max_instructions=30_000)
+        return session.index(name)
+    return LoopDetector().run(get(name).cf_trace(1))
+
+
+class TestReplayMatchesReference:
+    """The row walk against the per-event reference replay
+    (``tests/reference/tables.py``) on every analog and the frontier
+    corpus, at sizes 1/2/4/16 under both policies."""
+
+    @pytest.fixture(scope="class",
+                    params=list(SUITE_ORDER) + frontier_names())
     def index(self, request):
-        from repro.workloads import get
-        return LoopDetector().run(get(request.param).cf_trace(1))
+        return _index(request.param)
 
     @pytest.mark.parametrize("policy", [POLICY_LRU, POLICY_NESTING_AWARE])
     @pytest.mark.parametrize("capacity", [1, 2, 4, 16])
     def test_columns_match_event_replay(self, index, policy, capacity):
-        sim = TableHitRatioSimulator(capacity, capacity, policy)
-        sim.replay_columns(index.columns())
-        ref = EventTableReplay(capacity, capacity, policy)
-        ref.replay(index.events)
-        assert sim.counters() == ref.counters()
+        sim = assert_matches_reference(index.events, capacity, policy)
         assert sim.let_accesses > 0 and sim.lit_accesses > 0
-        for table, ref_table in ((sim.let, ref.let), (sim.lit, ref.lit)):
-            assert table.loops() == ref_table.loops()
-            assert [e.completed for e in table._entries.values()] \
-                == [e.completed for e in ref_table._entries.values()]
-            assert (table.evictions, table.inhibited_insertions) \
-                == (ref_table.evictions, ref_table.inhibited_insertions)
+
+
+#: Hand-built loop events: ``(kind, loop, exec_id, n)`` with kind one of
+#: ``start`` (``n`` is the depth), ``iter`` (``n`` is the iteration
+#: number), ``end`` (``n`` is the iteration count) and ``single``.
+_EVENT_KINDS = {
+    "start": ExecutionStart,
+    "iter": IterationStart,
+    "single": SingleIteration,
+}
+
+
+def _events(script):
+    events = []
+    for seq, (kind, loop, exec_id, n) in enumerate(script):
+        if kind == "end":
+            events.append(ExecutionEnd(seq, loop, exec_id, n,
+                                       EndReason.NOT_TAKEN))
+        else:
+            events.append(_EVENT_KINDS[kind](seq, loop, exec_id, n))
+    return events
+
+
+def _execution(loop, exec_id, iterations, depth=0):
+    """One whole execution: its start, starts 2..n, its end."""
+    return ([("start", loop, exec_id, depth)]
+            + [("iter", loop, exec_id, i)
+               for i in range(2, iterations + 1)]
+            + [("end", loop, exec_id, iterations)])
+
+
+def _rows(events):
+    rows = TableRows().build(EventColumns(events))
+    return list(zip(rows.kinds, rows.loops, rows.firsts, rows.counts))
+
+
+class TestTableRows:
+    """Runs of iteration starts as single rows, each checked against the
+    per-event reference at LIT sizes 1 and 2 under both policies."""
+
+    POLICIES = [POLICY_LRU, POLICY_NESTING_AWARE]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_run_of_a_loop_absent_from_the_lit(self, capacity, policy):
+        # Outer loop 1 runs starts 3..5 after two inner executions of
+        # loops 2 and 3: at size 1 or 2 under LRU, loop 1 has been
+        # evicted, so its run misses three times and inserts nothing.
+        events = _events(
+            [("start", 1, 1, 0), ("iter", 1, 1, 2)]
+            + _execution(2, 2, 3, 1) + _execution(3, 3, 3, 1)
+            + [("iter", 1, 1, i) for i in (3, 4, 5)]
+            + [("end", 1, 1, 5)])
+        assert (EV_ITERATION, 1, 3, 3) in _rows(events)
+        sim = assert_matches_reference(events, capacity, policy)
+        if policy == POLICY_LRU:
+            assert 1 not in sim.lit
+            # No execution reaches a 4th start while present.
+            assert sim.lit_hits == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_run_from_iteration_two_and_resumed_run(self, capacity,
+                                                    policy):
+        # Loop 1: starts 2..4 (a run from a = 2, no completion before
+        # its first access), an inner execution, then starts 5..6 (a
+        # resumed run: its first access completes iteration 4 first).
+        events = _events(
+            [("start", 1, 1, 0)]
+            + [("iter", 1, 1, i) for i in (2, 3, 4)]
+            + _execution(2, 2, 2, 1)
+            + [("iter", 1, 1, i) for i in (5, 6)]
+            + [("end", 1, 1, 6)])
+        rows = _rows(events)
+        assert (EV_ITERATION, 1, 2, 3) in rows
+        assert (EV_ITERATION, 1, 5, 2) in rows
+        sim = assert_matches_reference(events, capacity, policy)
+        if capacity == 2:
+            # 4th start hits (completed 2), both resumed starts hit;
+            # loop 2's single start misses at completed 0.
+            assert sim.lit_hits == 3
+            assert sim.lit.lookup(1, touch=False).completed == 5
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_run_split_by_an_inner_single_iteration(self, capacity,
+                                                    policy):
+        events = _events(
+            [("start", 1, 1, 0), ("iter", 1, 1, 2), ("iter", 1, 1, 3),
+             ("single", 2, 2, 1), ("iter", 1, 1, 4), ("iter", 1, 1, 5),
+             ("end", 1, 1, 5)])
+        rows = _rows(events)
+        assert [row for row in rows if row[0] == EV_ITERATION] \
+            == [(EV_ITERATION, 1, 2, 2), (EV_ITERATION, 1, 4, 2)]
+        assert len(rows) == 5
+        assert_matches_reference(events, capacity, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_adjacent_starts_of_two_executions_are_two_rows(
+            self, capacity, policy):
+        # The detector always separates two executions' iteration
+        # starts with another event; a hand-built list need not.
+        events = _events(
+            [("start", 1, 1, 0), ("start", 2, 2, 1), ("iter", 1, 1, 2),
+             ("iter", 2, 2, 2), ("iter", 2, 2, 3), ("iter", 2, 2, 4),
+             ("iter", 2, 2, 5), ("end", 2, 2, 5), ("end", 1, 1, 2)])
+        assert [row for row in _rows(events) if row[0] == EV_ITERATION] \
+            == [(EV_ITERATION, 1, 2, 1), (EV_ITERATION, 2, 2, 4)]
+        assert_matches_reference(events, capacity, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_capacity_one(self, policy):
+        # One loop executed three times fits a 1-entry table: the LET
+        # hits on the third start and the LIT from each execution's
+        # 4th start (2nd in the third execution); a nested loop then
+        # contends for the single entry.
+        script = []
+        for exec_id in (1, 2, 3):
+            script += _execution(7, exec_id, 5)
+        script += ([("start", 8, 4, 0), ("iter", 8, 4, 2)]
+                   + _execution(9, 5, 4, 1)
+                   + [("iter", 8, 4, 3), ("iter", 8, 4, 4),
+                      ("end", 8, 4, 4)])
+        sim = assert_matches_reference(_events(script), 1, policy)
+        assert sim.let_hits >= 1 and sim.lit_hits >= 6
+
+    def test_empty_event_list(self):
+        rows = TableRows().build(EventColumns([]))
+        assert len(rows) == 0
+        sim = TableHitRatioSimulator(2, 2).replay([])
+        assert sim.counters() == [0, 0, 0, 0]
+
+    def test_rows_are_built_once_and_shared(self, loop_index):
+        rows = TableRows()
+        sims = [TableHitRatioSimulator(n, n).ensure_replayed(loop_index,
+                                                             rows)
+                for n in (2, 4)]
+        kinds = rows.kinds
+        assert len(rows) < len(loop_index.events)
+        sims.append(TableHitRatioSimulator(8, 8).ensure_replayed(
+            loop_index, rows))
+        assert rows.kinds is kinds
+        for sim, n in zip(sims, (2, 4, 8)):
+            assert sim.counters() == EventTableReplay(n, n).replay(
+                loop_index.events).counters()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 5), st.integers(1, 4),
+           st.integers(1, 4), st.sampled_from([1, 2, 4]),
+           st.sampled_from([POLICY_LRU, POLICY_NESTING_AWARE]))
+    def test_random_nests_match_reference(self, outer, inner, modulus,
+                                          calls, capacity, policy):
+        m = Module("t")
+        m.function("work", ["n"], [
+            Assign("a", 0),
+            For("k", 0, Var("n"), [Assign("a", Var("a") + Var("k"))]),
+            Return(Var("a")),
+        ])
+        m.function("main", [], [
+            Assign("x", 0),
+            For("i", 0, outer, [
+                For("j", 0, inner + Var("i") % modulus, [
+                    Assign("x", Var("x") + CallExpr("work", Var("j"))),
+                ]),
+                For("r", 0, calls, [
+                    Assign("x", Var("x") + CallExpr("work", Var("i"))),
+                ]),
+            ]),
+            Return(Var("x")),
+        ])
+        assert_matches_reference(_events_for(compile_module(m)),
+                                 capacity, policy)
 
 
 class TestNestingTracker:

@@ -147,10 +147,10 @@ class TestSerializationV3:
     @pytest.mark.parametrize("count", [1, 7, 65536])
     def test_chunk_payload_is_zlib_of_the_column_bytes(self, count,
                                                         tmp_path):
-        """A chunk's payload is ``zlib.compress`` of its concatenated
-        little-endian columns (the layout in ``repro.trace.io``), for
-        array columns and for the read-only views a decoded batch
-        carries alike."""
+        """A chunk's payload is ``zlib.compress`` at level 1 of its
+        concatenated little-endian columns (the layout in
+        ``repro.trace.io``), for array columns and for the read-only
+        views a decoded batch carries alike."""
         import zlib
         from array import array
 
@@ -163,7 +163,7 @@ class TestSerializationV3:
         raw = b"".join(column.tobytes() for column in (
             batch.seqs, batch.pcs, batch.kinds, batch.takens,
             batch.targets))
-        payload = zlib.compress(raw)
+        payload = zlib.compress(raw, 1)
         chunk = struct.pack("<II", count, len(payload)) + payload
 
         def written(batch):
