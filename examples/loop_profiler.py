@@ -1,10 +1,10 @@
 """Loop profiler: per-loop behaviour of a workload.
 
-Shows how to write a *custom* streaming analysis: a per-loop profile
-pass that folds each loop execution in as it ends, registered alongside
-the stock loop-statistics pass so both ride one replay through
-``SimulationSession.analyze`` -- the per-loop view behind the paper's
-Table 1 aggregates.
+Shows how to write a *custom* analysis: a per-loop profile pass that
+folds each loop execution of the workload's index in at its end,
+registered alongside the stock loop-statistics pass so both share one
+trace walk through ``SimulationSession.analyze`` -- the per-loop view
+behind the paper's Table 1 aggregates.
 
 Run:  python examples/loop_profiler.py [workload] [scale]
       python examples/loop_profiler.py compress
@@ -25,23 +25,22 @@ class PerLoopProfile(Analysis):
 
     def __init__(self):
         self.per_loop = None
-        self._ctx = None
 
-    def begin(self, ctx):
-        self._ctx = ctx
+    def finish(self, ctx):
         self.per_loop = defaultdict(lambda: {
             "executions": 0, "iterations": 0, "instructions": 0,
             "depth_max": 0})
-
-    def feed(self, event):
-        if type(event) not in (ExecutionEnd, SingleIteration):
-            return
-        rec = self._ctx.execution(event.exec_id)
-        entry = self.per_loop[rec.loop]
-        entry["executions"] += 1
-        entry["iterations"] += rec.iterations or 1
-        entry["instructions"] += sum(rec.iteration_lengths())
-        entry["depth_max"] = max(entry["depth_max"], rec.depth)
+        executions = ctx.index.executions
+        # Fold each execution in at its end, in stream order.
+        for event in ctx.index.events:
+            if type(event) not in (ExecutionEnd, SingleIteration):
+                continue
+            rec = executions[event.exec_id]
+            entry = self.per_loop[rec.loop]
+            entry["executions"] += 1
+            entry["iterations"] += rec.iterations or 1
+            entry["instructions"] += sum(rec.iteration_lengths())
+            entry["depth_max"] = max(entry["depth_max"], rec.depth)
 
     def result(self):
         return dict(self.per_loop)

@@ -1,13 +1,14 @@
-"""Composable streaming analyses over one event-stream replay.
+"""Composable analyses, finished once per workload.
 
 The public experiment API (see ``docs/ANALYSIS.md``): an
-:class:`Analysis` implements ``begin``/``feed``/``finish``/``result``,
-an :class:`AnalysisSuite` fans one workload replay out to every
-registered pass, and :meth:`SimulationSession.analyze(suite)
-<repro.pipeline.session.SimulationSession.analyze>` streams cached
-trace records through the canonical loop detector into the suite --
-exactly one replay per workload, however many experiments are
-registered.
+:class:`Analysis` implements ``finish``/``result`` and pulls what it
+needs from its :class:`WorkloadContext` (the lazily loaded trace, loop
+index and detector, the derived-store memo), an
+:class:`AnalysisSuite` finishes every registered pass per workload, and
+:meth:`SimulationSession.analyze(suite)
+<repro.pipeline.session.SimulationSession.analyze>` runs it over every
+workload -- at most one trace walk per workload, however many
+experiments are registered.
 """
 
 from repro.analysis.base import Analysis, WorkloadContext

@@ -1,123 +1,118 @@
-"""The streaming analysis protocol.
+"""The analysis protocol.
 
-The paper's premise is that loop behaviour can be extracted
-*incrementally from the dynamic instruction stream*; this package
-extends that idea to the whole experiment layer.  An :class:`Analysis`
-is one measurement pass over a workload's single event-stream replay:
+The paper's CLS finds loops incrementally from the dynamic instruction
+stream; the experiments built on it read the *completed* loop index
+(section 3's speculation reads future iteration boundaries from it).
+So an :class:`Analysis` is one measurement over a finished workload:
 the session (or the standalone :func:`~repro.analysis.driver.
-analyze_trace` driver) replays each workload's control-flow records
-through one canonical :class:`~repro.core.detector.LoopDetector` and
-fans the resulting loop events out to every registered pass, so *all*
-requested experiments ride one replay per workload.
+analyze_trace` driver) calls every registered pass's ``finish(ctx)``
+once per workload, and each pass pulls what it needs from its
+:class:`WorkloadContext`.
 
-Lifecycle, per workload::
+Lifecycle::
 
-    begin(ctx)                 # reset per-workload state
-    feed_batch(batch)          # every CF RecordBatch (only if wants_records)
-    feed(event)                # every loop event, incl. end-of-trace flush
-    finish(ctx)                # ctx.index now holds the completed LoopIndex
-    ...                        # next workload: begin(ctx) again
+    finish(ctx)                # once per workload, in workload order
+    ...
     result()                   # once, after every workload finished
 
-``feed`` must be incremental: it may keep per-workload accumulators but
-must not assume the full event list exists.  Passes that need the
-completed loop index as an oracle (the speculation engine reads future
-iteration boundaries) do their work in ``finish`` against ``ctx.index``
--- the single index shared by every pass, not a per-experiment copy.
-
-A workload whose passes neither want records (``wants_records``, read
-after ``begin``) nor override ``feed`` is not replayed at all: the
-session calls ``finish`` right after ``begin``, and ``ctx.index``
-resolves lazily on first read.  Passes whose results are already in
-the derived store therefore make a warm run a lookup.
-
-``abort(ctx)`` discards partial per-workload state: the session calls
-it when a cached trace proves corrupt mid-stream, then re-traces and
-calls ``begin`` again for the same workload.  Suite-level accumulators
-(sums across workloads) must therefore only be updated in ``finish``,
-never in ``feed``.
+``ctx.trace``, ``ctx.index`` and ``ctx.detector`` are lazy: the first
+read of any of them loads the workload's trace once and builds its
+canonical index from that same copy, so a pass that reads none of
+them -- every stock pass whose result sits in the derived store --
+makes its workload cost no walk at all.  Read them in ``finish``, and
+only on the path that needs them.
 """
+
+from repro.obs import collector as obs
+from repro.pipeline.derived import derived_key
+
+
+def memo_key(cls_capacity, parts):
+    """The derived-store key of the per-workload result named *parts*
+    under a CLS of *cls_capacity* entries (every analysis result is):
+    the parts, then ``/c<cls_capacity>``.  It is also the suffix a
+    sweep cell's key joins under its workload's trace key, so sweep
+    cells, search candidates and direct runs share one stored entry."""
+    return derived_key(*parts) + "/c%d" % cls_capacity
+
+
+#: Marks, in ``ctx.shared``, a derived entry a lookup found missing.
+_MISSING = object()
 
 
 class WorkloadContext:
-    """Everything a pass may need to know about the workload being
-    replayed.
+    """Everything a pass may need to know about one workload.
 
     ``total_instructions`` is known from the start (the trace header
-    carries it), so passes can size prefixes up front.  During a
-    replay, ``index`` is ``None`` until the replay completes; it is set
-    before ``finish``.  ``detector`` is the live canonical detector,
-    installed once ``begin`` has run -- :meth:`execution` resolves an
-    event's ``exec_id`` to its (mutable) execution record, which is
-    complete by the time that execution's end event is fed.
+    carries it), so reading it costs no walk.
 
-    When no pass needs the record or event stream the session skips
-    the replay and calls ``finish`` straight after ``begin``; ``index``
-    and ``detector`` are then *lazy* (:meth:`defer`): the first read of
-    either walks the trace, so a pass that reads them still gets the
-    canonical index, and one that does not costs no walk.
+    ``trace`` (the workload's :class:`~repro.trace.stream.CFTrace`),
+    ``detector`` (the canonical :class:`~repro.core.detector.
+    LoopDetector` after the whole trace) and ``index`` (its completed
+    :class:`~repro.core.detector.LoopIndex`) all come from *resolve*:
+    a callable returning the ``(trace, detector, index)`` triple, called
+    on the first read of any of the three (and again on the next read
+    if it raised).  Without a resolver the context has no record
+    stream, and reading any of them raises :class:`ValueError`
+    (``index`` may still be assigned directly).
 
     ``shared`` is a per-workload scratch dict for values several passes
     want to compute exactly once (e.g. the full-trace data-speculation
     statistics shared by figure8 and the extensions study).
 
-    ``timing`` is the session's default :class:`~repro.timing.base.
-    TimingModel` instance for this workload (``None`` means the ideal
-    model): speculation passes that are not given an explicit model
-    simulate under it, and record-fed models receive the replay's CF
-    records through it.  One instance per workload, shared by every
-    pass -- models are read-only during simulations.
+    ``timing`` is the session's default timing model for this workload:
+    a :mod:`repro.timing` spec string, a
+    :class:`~repro.timing.base.TimingModel` instance, or ``None`` (the
+    ideal model).  Passes resolve it through
+    :func:`~repro.analysis.passes.effective_timing`, which feeds a
+    record-fed model ``ctx.trace`` once.
 
     ``derived`` is the workload's persistent
     :class:`~repro.pipeline.derived.DerivedStore` (or ``None`` in
     cacheless sessions): deterministic expensive results keyed by
-    their parameters, surviving across sessions.  Passes treat a
-    missing store as a permanent cache miss.
+    their parameters, surviving across sessions (see :meth:`memo`).
     """
 
     __slots__ = ("name", "workload", "scale", "cls_capacity",
                  "total_instructions", "shared", "timing", "derived",
-                 "_detector", "_index", "_resolve")
+                 "_resolve", "_trace", "_detector", "_index")
 
     def __init__(self, name, total_instructions, workload=None, scale=1,
-                 cls_capacity=16, detector=None, timing=None,
-                 derived=None):
+                 cls_capacity=16, timing=None, derived=None,
+                 resolve=None):
         self.name = name
         self.workload = workload
         self.scale = scale
         self.cls_capacity = cls_capacity
         self.total_instructions = total_instructions
-        self._detector = detector
-        self._index = None
-        self._resolve = None
         self.shared = {}
         self.timing = timing
         self.derived = derived
-
-    def defer(self, resolve):
-        """Make ``index`` and ``detector`` lazy: the first read of
-        either calls ``resolve()`` for the ``(detector, index)`` pair.
-        The session does this when it skips a workload's replay."""
-        self._detector = self._index = None
         self._resolve = resolve
+        self._trace = self._detector = self._index = None
 
     def _resolved(self):
-        self._detector, self._index = self._resolve()
+        if self._resolve is None:
+            raise ValueError("workload %s has no record stream to read"
+                             % self.name)
+        self._trace, self._detector, self._index = self._resolve()
         self._resolve = None
 
     @property
+    def trace(self):
+        if self._trace is None:
+            self._resolved()
+        return self._trace
+
+    @property
     def detector(self):
-        if self._resolve is not None:
+        if self._detector is None:
             self._resolved()
         return self._detector
 
-    @detector.setter
-    def detector(self, detector):
-        self._detector = detector
-
     @property
     def index(self):
-        if self._resolve is not None:
+        if self._index is None:
             self._resolved()
         return self._index
 
@@ -125,10 +120,44 @@ class WorkloadContext:
     def index(self, index):
         self._index = index
 
-    def execution(self, exec_id):
-        """The live execution record behind *exec_id* (complete once its
-        :class:`~repro.core.events.ExecutionEnd` has been fed)."""
-        return self.detector.executions[exec_id]
+    def memo(self, parts, from_state, compute=None, to_state=None):
+        """This workload's result named *parts*, at most once per
+        workload.
+
+        Memoized in ``shared`` under ``tuple(parts)``, so every pass
+        asking shares one value (treat it as read-only); the first ask
+        restores it from ``derived`` under :func:`memo_key`
+        (``from_state``).  An entry ``from_state`` rejects (raising
+        ``KeyError``/``TypeError``/``ValueError``) is corrupt and is
+        recomputed like a missing one.  Each store lookup counts once
+        as ``derived.hits``, ``derived.misses`` or ``derived.corrupt``.
+        On a miss, ``compute()`` makes the value and
+        ``to_state(value)`` persists it.  Without *compute* the call is
+        a lookup that returns ``None`` on a miss, and a later call with
+        *compute* does not read the store again.
+        """
+        key = tuple(parts)
+        value = self.shared.get(key)
+        if value is None:
+            value = _MISSING
+            if self.derived is not None:
+                state = self.derived.get(memo_key(self.cls_capacity, key))
+                if state is None:
+                    obs.add("derived.misses")
+                else:
+                    try:
+                        value = from_state(state)
+                    except (KeyError, TypeError, ValueError):
+                        obs.add("derived.corrupt")
+                    else:
+                        obs.add("derived.hits")
+            self.shared[key] = value
+        if value is _MISSING and compute is not None:
+            value = self.shared[key] = compute()
+            if self.derived is not None:
+                self.derived.put(memo_key(self.cls_capacity, key),
+                                 to_state(value))
+        return None if value is _MISSING else value
 
     def __repr__(self):
         return ("WorkloadContext(%r, total=%d, scale=%d)"
@@ -136,49 +165,12 @@ class WorkloadContext:
 
 
 class Analysis:
-    """Base class for streaming analysis passes.
-
-    Subclasses override the lifecycle hooks they need; every hook has a
-    no-op default except :meth:`result` and :meth:`feed_batch`.  Set
-    :attr:`wants_records` and override :meth:`feed_batch` to receive
-    the raw control-flow records in addition to loop events (branch
-    predictors and CLS-capacity sweeps need the record stream; most
-    passes only need events).
-    """
-
-    #: True to receive every CF record through :meth:`feed_batch`.
-    #: Read per workload *after* :meth:`begin`, so a pass may clear it
-    #: there when it will not need this workload's records (e.g. its
-    #: result is already in ``ctx.derived``).
-    wants_records = False
-
-    def begin(self, ctx):
-        """Start a workload; must fully reset per-workload state."""
-
-    def feed_batch(self, batch):
-        """One :class:`~repro.trace.batch.RecordBatch` of control-flow
-        records (only called when ``wants_records``).
-
-        Read the columns directly (see ``docs/ANALYSIS.md``), or
-        ``batch.iter_records()`` for record tuples.  A batch is a pure
-        run of consecutive records; batch boundaries carry no meaning.
-        A pass that sets ``wants_records`` must override this.
-        """
-        raise NotImplementedError(
-            "%s sets wants_records but does not override feed_batch"
-            % type(self).__name__)
-
-    def feed(self, event):
-        """One loop event from the canonical detector."""
-
-    def abort(self, ctx):
-        """Discard partial state for the current workload; ``begin``
-        will be called again before any further feeding."""
+    """Base class for analysis passes: override :meth:`finish` (a no-op
+    by default) and :meth:`result`."""
 
     def finish(self, ctx):
-        """Workload replay complete (or skipped); ``ctx.index`` is
-        available -- read it only when needed, since in a skipped
-        replay the first read walks the trace."""
+        """One workload, in workload order: pull what the pass needs
+        from *ctx* (``ctx.index``, ``ctx.trace``, ``ctx.memo``)."""
 
     def result(self):
         """The pass's final product, after all workloads finished."""

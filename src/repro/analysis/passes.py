@@ -15,10 +15,9 @@ from repro.core.dataspec.stats import DataSpecStats
 from repro.core.tables import POLICY_LRU, TableHitRatioSimulator, \
     TableRows
 from repro.obs import collector as obs
-from repro.pipeline.derived import derived_key
 from repro.timing import make_timing
 
-from repro.analysis.base import Analysis
+from repro.analysis.base import Analysis, memo_key
 
 
 def effective_timing(ctx, timing=None):
@@ -26,86 +25,30 @@ def effective_timing(ctx, timing=None):
 
     An explicit *timing* (model instance or spec string) wins;
     otherwise the session-wide default ``ctx.timing`` applies.  Spec
-    strings resolve once per workload through ``ctx.shared`` so passes
-    naming the same spec share one instance; record-fed specs are
-    rejected here -- by the time a pass runs, the record stream has
-    gone by, so such models can only be configured session-wide
-    (``--timing`` / ``PipelineConfig.timing``), which feeds them
-    during the replay.  The ideal model canonicalizes to ``None`` --
-    the engine's default, and the timing-free memo parts of
-    :func:`simulate_parts`.
+    strings and the session-wide default resolve once per workload
+    through ``ctx.shared``, so passes naming the same spec share one
+    instance, and a record-fed model among them is fed ``ctx.trace``'s
+    batches right there, once per model per workload (a context with
+    no trace raises :class:`ValueError`).  The ideal model
+    canonicalizes to ``None`` -- the engine's default, and the
+    timing-free memo parts of :func:`simulate_parts`.
     """
     if timing is None:
         timing = ctx.timing
-    if isinstance(timing, str):
+    if isinstance(timing, str) or (timing is not None
+                                   and timing is ctx.timing):
         key = ("timing-model", timing)
         model = ctx.shared.get(key)
         if model is None:
             model = make_timing(timing)
             if model.wants_records:
-                raise ValueError(
-                    "timing model %r needs the record stream and "
-                    "cannot be created inside a pass; configure it "
-                    "session-wide (--timing / PipelineConfig.timing) "
-                    "so the replay feeds it" % timing)
+                for batch in ctx.trace.batches:
+                    model.feed_batch(batch)
             ctx.shared[key] = model
         timing = model
     if timing is not None and timing.key() == ("ideal",):
         return None
     return timing
-
-
-#: Marks, in ``ctx.shared``, a derived entry a lookup found missing.
-_MISSING = object()
-
-
-def memo_key(cls_capacity, parts):
-    """The derived-store key of the per-workload result named *parts*
-    under a CLS of *cls_capacity* entries (every analysis result is):
-    the parts, then ``/c<cls_capacity>``.  It is also the suffix a
-    sweep cell's key joins under its workload's trace key, so sweep
-    cells, search candidates and direct runs share one stored entry."""
-    return derived_key(*parts) + "/c%d" % cls_capacity
-
-
-def derived_memo(ctx, parts, from_state, compute=None, to_state=None):
-    """This workload's result named *parts*, at most once per workload.
-
-    Memoized in ``ctx.shared`` under ``tuple(parts)``, so every pass
-    asking shares one value (treat it as read-only); the first ask
-    restores it from ``ctx.derived`` under :func:`memo_key`
-    (``from_state``).  An entry ``from_state`` rejects (raising
-    ``KeyError``/``TypeError``/``ValueError``) is corrupt and is
-    recomputed like a missing one.  Each store lookup counts once as
-    ``derived.hits``, ``derived.misses`` or ``derived.corrupt``.  On a
-    miss, ``compute()`` makes the value and ``to_state(value)``
-    persists it.  Without *compute* the call is a lookup that returns
-    ``None`` on a miss -- what a pass's ``begin`` uses to decide
-    whether it needs this workload's records -- and a later call with
-    *compute* does not read the store again.
-    """
-    key = tuple(parts)
-    value = ctx.shared.get(key)
-    if value is None:
-        value = _MISSING
-        if ctx.derived is not None:
-            state = ctx.derived.get(memo_key(ctx.cls_capacity, key))
-            if state is None:
-                obs.add("derived.misses")
-            else:
-                try:
-                    value = from_state(state)
-                except (KeyError, TypeError, ValueError):
-                    obs.add("derived.corrupt")
-                else:
-                    obs.add("derived.hits")
-        ctx.shared[key] = value
-    if value is _MISSING and compute is not None:
-        value = ctx.shared[key] = compute()
-        if ctx.derived is not None:
-            ctx.derived.put(memo_key(ctx.cls_capacity, key),
-                            to_state(value))
-    return None if value is _MISSING else value
 
 
 #: The derived-store parts of a workload's loop statistics and
@@ -133,8 +76,8 @@ def shared_loop_statistics(ctx):
     derived store or computed over ``ctx.index`` and persisted; shared
     by every loop-statistics consumer (table1, characterize, sweep and
     search cells), so a cold workload computes them once."""
-    return derived_memo(
-        ctx, LOOPSTATS_PARTS, loopstats_from_state,
+    return ctx.memo(
+        LOOPSTATS_PARTS, loopstats_from_state,
         lambda: (compute_loop_statistics(ctx.index, ctx.name),
                  loop_coverage(ctx.index)),
         loopstats_state)
@@ -167,8 +110,8 @@ class SpeculationPass(Analysis):
 
     The engine is an *oracle*: at spawn time it reads the speculated
     iterations' future boundary sequence numbers from the loop index,
-    so it runs in ``finish`` against the completed ``ctx.index`` --
-    still one trace replay, with the event list shared by every pass.
+    so it runs in ``finish`` against the completed ``ctx.index``, the
+    one index every pass of the workload shares.
     ``num_tus=None`` selects the idealized infinite-TU study.
     """
 
@@ -222,8 +165,8 @@ def shared_table_sim(ctx, let_entries, lit_entries, policy=POLICY_LRU):
             ctx.index, ctx.shared.setdefault(_TABLE_ROWS_KEY, TableRows()))
         return sim
 
-    return derived_memo(
-        ctx, (_TABLE_SIM_KEY, let_entries, lit_entries, policy),
+    return ctx.memo(
+        (_TABLE_SIM_KEY, let_entries, lit_entries, policy),
         lambda counters: TableHitRatioSimulator.from_counters(
             let_entries, lit_entries, policy, counters),
         replayed, TableHitRatioSimulator.counters)
@@ -279,7 +222,7 @@ def shared_simulate_many(ctx, specs):
         timing = effective_timing(ctx, timing)
         key = simulate_parts(num_tus, policy, timing)
         result = None if key in pending else \
-            derived_memo(ctx, key, SpeculationResult.from_state)
+            ctx.memo(key, SpeculationResult.from_state)
         if result is None:
             if key not in pending:
                 missing.append((key, (num_tus, policy, timing)))
@@ -367,9 +310,9 @@ def shared_dataspec_stats(ctx, max_instructions):
         obs.add("dataspec.iterations", stats.total_iterations)
         return stats
 
-    return derived_memo(ctx, (_DATASPEC_KEY, max_instructions),
-                        DataSpecStats.from_state, analyzed,
-                        DataSpecStats.state)
+    return ctx.memo((_DATASPEC_KEY, max_instructions),
+                    DataSpecStats.from_state, analyzed,
+                    DataSpecStats.state)
 
 
 class DataSpecPass(Analysis):

@@ -228,10 +228,10 @@ class TableHitRatioSimulator:
     def ensure_replayed(self, index, rows=None):
         """Replay *index* exactly once, however many passes ask.
 
-        Simulators are shared across analysis passes (``ctx.shared``);
-        with the replay deferred to ``finish`` there is no single
-        "owner" any more -- every consumer calls this before reading
-        the counters, and only the first call pays for the walk.
+        Simulators are shared across analysis passes (``ctx.shared``),
+        so there is no single "owner": every consumer calls this before
+        reading the counters, and only the first call pays for the
+        walk.
         *rows* is the index's :class:`TableRows`, shared by every
         configuration that walks it (a fresh one when ``None``).
         """

@@ -8,24 +8,22 @@
 3. **CLS capacity** (section 2.2): how small a CLS starts dropping
    live loops (the paper argues 16 entries never overflow on SPEC95).
 
-All three ride the shared replay: the replacement sweep replays one
-table-simulator pair per (size, policy) over the finished loop index
-(a walk over the workload's table rows, where a run of iteration
-starts is one step; the rows and the LRU simulators are shared with
-figure4), and the CLS sweep holds the
-replay's record batches until finish -- no per-ablation trace
-re-replays.  There, a capacity the canonical loop index proves can
-never overflow (the canonical CLS never overflowed and no pushed
-execution is deeper than the capacity) takes the canonical counts
-without a walk; every other capacity walks the held batches once with
-a bare CLS.  Every per-workload count is persisted in the derived
-store; when all of a workload's counts are there, the pass wants no
-records and the workload needs no replay for it.
+All three read the workload's one loaded trace and index: the
+replacement sweep replays one table-simulator pair per (size, policy)
+over the finished loop index (a walk over the workload's table rows,
+where a run of iteration starts is one step; the rows and the LRU
+simulators are shared with figure4), and the CLS sweep walks
+``ctx.trace`` -- no per-ablation trace load.  There, a capacity the
+canonical loop index proves can never overflow (the canonical CLS
+never overflowed and no pushed execution is deeper than the capacity)
+takes the canonical counts without a walk; every other capacity walks
+the trace's batches once with a bare CLS.  Every per-workload count is
+persisted in the derived store; when all of a workload's counts are
+there, the pass reads no trace for it.
 """
 
 from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
-from repro.analysis.passes import derived_memo
 from repro.core.cls import CurrentLoopStack
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
 from repro.experiments.report import ExperimentResult, TimingMeta
@@ -74,30 +72,6 @@ class AblationsAnalysis(Analysis):
         self._waiting_timing = TimingMeta()
         # CLS sweep: capacity -> [overflow drops, executions]
         self._cls = {capacity: [0, 0] for capacity in capacities}
-        self._batches = []
-
-    def begin(self, ctx):
-        if "cls" in self.parts:
-            # The sweep asks how often each CLS size drops a live loop.
-            # The entry matching the session's own capacity is exactly
-            # the canonical detector, read from the context at finish;
-            # so are the sizes finish can prove never overflow.  Only
-            # finish knows which those are, so the record batches are
-            # held until then.  Counts already in the derived store
-            # need no walk, and with every count there this workload
-            # needs no records at all.
-            pending = [capacity for capacity in self.capacities
-                       if capacity != ctx.cls_capacity
-                       and derived_memo(ctx, _cls_parts(capacity),
-                                        _cls_counts) is None]
-            self.wants_records = bool(pending)
-            self._batches = []
-
-    def feed_batch(self, batch):
-        self._batches.append(batch)
-
-    def abort(self, ctx):
-        self._batches = []
 
     def finish(self, ctx):
         if "replacement" in self.parts:
@@ -118,13 +92,12 @@ class AblationsAnalysis(Analysis):
                                        round(incl.tpc_executing, 2)))
         if "cls" in self.parts:
             for capacity in self.capacities:
-                counts = derived_memo(
-                    ctx, _cls_parts(capacity), _cls_counts,
+                counts = ctx.memo(
+                    _cls_parts(capacity), _cls_counts,
                     lambda: self._cls_sweep_counts(ctx, capacity), list)
                 totals = self._cls[capacity]
                 totals[0] += counts[0]
                 totals[1] += counts[1]
-        self._batches = []
 
     def _cls_sweep_counts(self, ctx, capacity):
         """``[overflow drops, executions]`` of this workload's CLS of
@@ -138,7 +111,7 @@ class AblationsAnalysis(Analysis):
         ones: no drops, the same executions.  A single iteration
         reports depth ``len(entries) + 1`` but pushes nothing, so only
         pushed executions (``iterations != 1``) count.  Any other
-        capacity walks the held batches with a bare stack.
+        capacity walks ``ctx.trace`` with a bare stack.
         """
         if capacity == ctx.cls_capacity:
             return [ctx.detector.cls.overflow_count,
@@ -151,7 +124,7 @@ class AblationsAnalysis(Analysis):
             return [0, len(executions)]
         obs.add("cls.sweep_walks")
         stack = CurrentLoopStack(capacity=capacity)
-        for batch in self._batches:
+        for batch in ctx.trace.batches:
             stack.process_batch(batch)
         # flush() emits only ExecutionEnds: neither count moves.
         return [stack.overflow_count, stack.next_exec_id]

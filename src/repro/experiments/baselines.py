@@ -5,15 +5,13 @@ predictable -- the reason loops anchor thread speculation.  Reports
 bimodal (Smith-style, the paper's reference [8]) and gshare (two-level,
 reference [13]) accuracy split into closing vs other branches.
 
-Both predictors ride the shared record stream through one
-:class:`~repro.core.branchpred.BranchPredictionStream` per workload --
-one pass instead of the former two-passes-per-predictor replay.  The
-two reports persist in the derived store; a workload whose reports are
-there wants no records.
+Both predictors walk the workload's trace (``ctx.trace``) together
+through one :class:`~repro.core.branchpred.BranchPredictionStream`.
+The two reports persist in the derived store; a workload whose reports
+are there reads no trace.
 """
 
 from repro.analysis import Analysis, register_analysis
-from repro.analysis.passes import derived_memo
 from repro.core.branchpred import (
     BimodalPredictor,
     BranchPredictionReport,
@@ -43,37 +41,28 @@ def _reports_from_state(states):
             BranchPredictionReport.from_state(gshare))
 
 
+def _predicted(trace, name):
+    """The ``(bimodal, gshare)`` reports of one walk over *trace*."""
+    stream = BranchPredictionStream([
+        BimodalPredictor(BIMODAL_ENTRIES),
+        GSharePredictor(GSHARE_ENTRIES, GSHARE_HISTORY_BITS)])
+    for batch in trace.batches:
+        stream.feed_batch(batch)
+    return stream.reports(name)
+
+
 @register_analysis("baselines")
 class BaselinesAnalysis(Analysis):
-    wants_records = True
-
     def __init__(self):
         self._rows = []
         self._reports = {}
         self._totals = {"closing_c": 0, "closing_t": 0, "other_c": 0,
                         "other_t": 0, "gshare_c": 0, "gshare_t": 0}
-        self._stream = None
-
-    def begin(self, ctx):
-        cached = derived_memo(ctx, _REPORTS_PARTS, _reports_from_state)
-        self._stream = None if cached is not None else \
-            BranchPredictionStream([
-                BimodalPredictor(BIMODAL_ENTRIES),
-                GSharePredictor(GSHARE_ENTRIES, GSHARE_HISTORY_BITS)])
-        self.wants_records = self._stream is not None
-
-    def feed_batch(self, batch):
-        self._stream.feed_batch(batch)
-
-    def abort(self, ctx):
-        self._stream = None
 
     def finish(self, ctx):
-        stream = self._stream
-        bimodal, gshare = derived_memo(
-            ctx, _REPORTS_PARTS, _reports_from_state,
-            lambda: stream.reports(ctx.name), _reports_state)
-        self._stream = None
+        bimodal, gshare = ctx.memo(
+            _REPORTS_PARTS, _reports_from_state,
+            lambda: _predicted(ctx.trace, ctx.name), _reports_state)
         self._reports[ctx.name] = {"bimodal": bimodal, "gshare": gshare}
         self._rows.append((ctx.name,
                            round(100 * bimodal.closing_accuracy, 2),

@@ -18,7 +18,6 @@ both experiments costs one full trace per workload, not two.
 
 from repro.analysis import Analysis, effective_timing, \
     register_analysis, shared_dataspec_stats, shared_simulate
-from repro.analysis.passes import derived_memo
 from repro.core.speculation import SpeculationDisableTable, simulate
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
@@ -65,8 +64,7 @@ def guarded_simulate(ctx, num_tus):
                           timing=timing)
         return result, len(table)
 
-    return derived_memo(ctx, parts, guarded_from_state, simulated,
-                        guarded_state)
+    return ctx.memo(parts, guarded_from_state, simulated, guarded_state)
 
 
 @register_analysis("extensions")

@@ -12,7 +12,6 @@ already saw every record of the prefix.
 """
 
 from repro.analysis import Analysis, register_analysis
-from repro.analysis.passes import derived_memo
 from repro.core.speculation import simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult
@@ -23,8 +22,8 @@ def _infinite(ctx, parts, build_index):
     workload's derived store (the result is a pure function of the
     trace and the index parameters in *parts*); *build_index* is only
     called on a miss."""
-    return derived_memo(
-        ctx, parts, SpeculationResult.from_state,
+    return ctx.memo(
+        parts, SpeculationResult.from_state,
         lambda: simulate_infinite(build_index(), name=ctx.name),
         SpeculationResult.state)
 

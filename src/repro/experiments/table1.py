@@ -24,10 +24,8 @@ class Table1Analysis(Analysis):
         self._rows = []
         self._scale = None
 
-    def begin(self, ctx):
-        self._scale = ctx.scale
-
     def finish(self, ctx):
+        self._scale = ctx.scale
         stats, _ = shared_loop_statistics(ctx)
         self._by_name[ctx.name] = stats
         self._rows.append(stats.as_row())

@@ -1,12 +1,12 @@
-"""The simulation session: parallel, cache-backed streaming analysis.
+"""The simulation session: parallel, cache-backed analysis.
 
 :class:`SimulationSession` is the one way experiments obtain results,
 traces, and loop indexes.  Its primary entrypoint is :meth:`~
 SimulationSession.analyze`: one :class:`~repro.analysis.suite.
-AnalysisSuite` of streaming passes, fed from at most one record-stream
-replay per workload -- none when no pass needs the stream, as in a
-warm run served by the derived store (see ``docs/ANALYSIS.md``).
-Underneath, the pipeline
+AnalysisSuite` of passes, finished per workload over a context whose
+trace and index load lazily -- at most one trace walk per workload,
+none when no pass reads them, as in a warm run served by the derived
+store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
 
 1. fans workload tracing out across a ``ProcessPoolExecutor`` when
    ``config.jobs > 1``, absorbing results in the configured workload
@@ -17,22 +17,20 @@ Underneath, the pipeline
 3. moves every trace as :class:`~repro.trace.batch.RecordBatch`
    columns.  A freshly traced workload is kept as a
    :class:`~repro.trace.stream.CFTrace`, whether it was traced inline
-   or in a pool worker, and every source -- the in-memory columns, the
-   cache stream, a retrace after a corrupt cache entry -- feeds the
-   one replay loop (:func:`repro.analysis.driver.replay`).  No record
-   object is constructed between the interpreter (or the disk) and the
-   column loops.
+   or in a pool worker; a cached one is decoded once when a pass first
+   reads it, and a corrupt cache entry is retraced right there, before
+   any pass has seen a batch.  No record object is constructed between
+   the interpreter (or the disk) and the column loops.
 
-:meth:`index` and :meth:`indexes` serve loop indexes directly (the
-sweep and search path); :meth:`trace` holds a workload's trace in
-memory for direct use.
+:meth:`index` and :meth:`indexes` serve loop indexes directly, streaming
+a cached trace into the detector without holding it; :meth:`trace`
+holds a workload's trace in memory for direct use.
 """
 
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.analysis.driver import replay
 from repro.core.detector import LoopDetector
 from repro.obs import collector as obs
 from repro.pipeline import worker
@@ -51,7 +49,7 @@ class SessionStats:
     def __init__(self):
         self.traced = 0        #: workloads interpreted by this session
         self.cache_hits = 0    #: workloads served from the on-disk cache
-        self.replays = 0       #: trace walks: replays + index builds
+        self.replays = 0       #: trace walks: loads + index builds
 
     def __repr__(self):
         return ("SessionStats(traced=%d, cache_hits=%d, replays=%d)"
@@ -165,98 +163,81 @@ class SimulationSession:
 
     def _detect(self, name):
         """``(detector, index)`` of *name*, memoized: at most one walk
-        of the trace through a canonical detector (counted in
-        ``stats.replays``), shared by :meth:`index` and the lazy
-        ``ctx.index`` of a skipped replay."""
+        of the trace through a canonical detector, shared by
+        :meth:`index` and the contexts of :meth:`analyze`."""
         detected = self._detected.get(name)
         if detected is None:
-            def detect(header, batches, source):
-                detector = LoopDetector(
-                    cls_capacity=self.config.cls_capacity)
-                index = self._walk(
-                    name, batches, source,
-                    lambda batches: detector.run_batches(
-                        batches, header.total_instructions))
-                return detector, index
-            detected = self._detected[name] = self._consume(name, detect)
+            detected = self._detected[name] = self._walk(
+                name, self._run_detector)
         return detected
 
-    def _walk(self, name, batches, source, walk):
-        """``walk(batches)`` as one trace walk of *name*: counted in
-        ``stats.replays``, its batches tallied by an active collector,
-        inside a ``replay`` span."""
-        self.stats.replays += 1
-        collector = obs.active()
-        if collector is not None:
-            batches = _tally(batches, collector)
-        with obs.span("replay", workload=name, source=source):
-            return walk(batches)
+    def _load(self, name):
+        """``(trace, detector, index)`` of *name* for one workload's
+        analysis: one walk that loads the trace -- the in-memory
+        columns, else the cache stream decoded in full (so a corrupt
+        entry is retraced before any pass sees a batch) -- and builds
+        the memoized index from that same copy.  A decoded trace is
+        held only by the caller."""
+        def load(header, batches):
+            trace = CFTrace(header, list(batches))
+            detected = self._detected.get(name)
+            if detected is None:
+                detected = self._detected[name] = self._run_detector(
+                    header, trace.batches)
+            return (trace,) + detected
+        return self._walk(name, load)
+
+    def _run_detector(self, header, batches):
+        detector = LoopDetector(cls_capacity=self.config.cls_capacity)
+        return detector, detector.run_batches(
+            batches, header.total_instructions)
+
+    def _walk(self, name, walk):
+        """``walk(header, batches)`` over *name*'s trace as one trace
+        walk: counted in ``stats.replays``, its batches tallied by an
+        active collector, inside a ``replay`` span."""
+        def counted(header, batches, source):
+            self.stats.replays += 1
+            collector = obs.active()
+            if collector is not None:
+                batches = _tally(batches, collector)
+            with obs.span("replay", workload=name, source=source):
+                return walk(header, batches)
+        return self._consume(name, counted)
 
     def indexes(self):
         """``(name, index)`` for every workload, in configured order."""
         self.ensure_traced()
         return [(w.name, self.index(w.name)) for w in self._workloads]
 
-    # -- streaming analysis --------------------------------------------------
+    # -- analysis ------------------------------------------------------------
 
     def analyze(self, suite):
-        """Stream every workload at most once through *suite*.
+        """Finish every workload through *suite*.
 
         The single analysis entrypoint.  Per workload, the suite's
-        ``begin`` runs first; then, if any pass wants the record
-        stream, any pass overrides ``feed``, or a record-fed timing
-        model is configured, the trace's columns (in memory, streamed
-        from the cache, or freshly traced) are replayed exactly once
-        through the canonical :class:`LoopDetector`: the suite receives
-        every record and loop event as it happens and each pass's
-        ``finish`` sees the completed index.  Otherwise nothing needs
-        the stream, so ``finish`` runs straight away with
-        ``total_instructions`` from the trace header and ``ctx.index``
-        resolving lazily -- a warm run whose results all sit in the
-        derived store walks no trace at all.  ``stats.replays`` counts
-        the walks: at most one per workload, however many passes are
-        registered.
+        ``finish`` runs once over a context whose ``total_instructions``
+        comes from the trace header and whose ``trace``, ``index`` and
+        ``detector`` load lazily (:meth:`_load`): the first read loads
+        the trace once -- the in-memory columns, else the cache
+        stream decoded, else a fresh trace -- and builds the canonical
+        index from that copy.  A trace decoded only for this workload
+        is dropped when the workload finishes.  ``stats.replays``
+        counts the loads: at most one per workload, however many passes
+        are registered, and none when no pass reads the trace or index
+        (a warm run whose results all sit in the derived store).
 
         Returns ``suite.results()``.
         """
         self.ensure_traced()
         for workload in self._workloads:
-            self._analyze_one(workload, suite)
-        return suite.results()
-
-    def _analyze_one(self, workload, suite):
-        name = workload.name
-        ctx = self._context(workload, self._total_instructions(name))
-        suite.begin(ctx)
-        timing = ctx.timing
-        if not (suite.wants_records or suite.has_event_consumers
-                or (timing is not None and timing.wants_records)):
-            ctx.defer(lambda: self._detect(name))
+            name = workload.name
+            ctx = self._context(workload, self._total_instructions(name))
             with obs.span("finish", workload=name):
                 suite.finish(ctx)
             if ctx.derived is not None:
                 ctx.derived.flush()
-            return
-
-        contexts = [ctx]
-
-        def walk(header, batches, source):
-            ctx = contexts[-1]
-            detected = self._walk(
-                name, batches, source,
-                lambda batches: replay(suite, ctx, batches))
-            if ctx.derived is not None:
-                ctx.derived.flush()
-            return detected
-
-        def abort(header):
-            suite.abort(contexts[-1])
-            retry = self._context(workload, header.total_instructions)
-            contexts.append(retry)
-            suite.begin(retry)
-
-        detected = self._consume(name, walk, abort=abort)
-        self._detected.setdefault(name, detected)
+        return suite.results()
 
     def _total_instructions(self, name):
         """*name*'s instruction count, from the trace header alone."""
@@ -275,23 +256,18 @@ class SimulationSession:
 
     def _context(self, workload, total):
         from repro.analysis.base import WorkloadContext
-        from repro.timing import make_timing
 
-        # One timing-model instance per workload replay: record-fed
-        # models accumulate per-workload state, so they must never be
-        # shared across workloads (or survive an abort/retry).
-        timing = (make_timing(self.config.timing)
-                  if self.config.timing is not None else None)
+        name = workload.name
         derived = None
         if self._derived is not None:
             derived = self._derived.store(TraceCache.key(
-                workload.name, self.scale,
-                self.config.limit_for(workload),
-                self._fingerprint(workload.name)))
+                name, self.scale, self.config.limit_for(workload),
+                self._fingerprint(name)))
         return WorkloadContext(
-            workload.name, total, workload=workload, scale=self.scale,
-            cls_capacity=self.config.cls_capacity, timing=timing,
-            derived=derived)
+            name, total, workload=workload, scale=self.scale,
+            cls_capacity=self.config.cls_capacity,
+            timing=self.config.timing, derived=derived,
+            resolve=lambda: self._load(name))
 
     # -- pipeline ------------------------------------------------------------
 
@@ -390,17 +366,17 @@ class SimulationSession:
         except KeyError:
             return False
 
-    def _consume(self, name, consume, abort=None):
+    def _consume(self, name, consume):
         """``consume(header, batches, source)`` over *name*'s trace --
         the in-memory columns, else the cache stream, else a fresh
         inline trace -- and return its result; *source* names which
         (``"memory"``, ``"cache"``, ``"traced"``, ``"retraced"``).
 
         A cache entry truncated past its (valid) header raises mid-
-        stream; *abort(header)* then drops the partially fed state and
-        *consume* runs again over a fresh trace, which also overwrites
-        the entry.  Exceptions raised by *consume* itself are NOT
-        retried -- only the stream's own ValueError is wrapped.
+        stream; *consume* then runs again over a fresh trace, which
+        also overwrites the entry.  Exceptions raised by *consume*
+        itself are NOT retried -- only the stream's own ValueError is
+        wrapped.
         """
         trace = self._columns.get(name)
         if trace is not None:
@@ -413,8 +389,6 @@ class SimulationSession:
         try:
             return consume(header, _guard_stream(batches), "cache")
         except _CorruptStream:
-            if abort is not None:
-                abort(header)
             trace = self._trace_now(name)
             return consume(trace.header, trace.batches, "retraced")
 

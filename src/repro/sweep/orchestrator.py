@@ -18,9 +18,9 @@ Completed groups are checkpointed into the store *as they stream in*
   groups still executing.
 
 Workers price their cells through the same per-workload memo as the
-direct experiments (:func:`~repro.analysis.passes.derived_memo`, under
-the cell's own derived-store key), so a sweep following a ``runner
-sensitivity`` run -- or vice versa -- recomputes nothing.
+direct experiments (:meth:`~repro.analysis.base.WorkloadContext.memo`,
+under the cell's own derived-store key), so a sweep following a
+``runner sensitivity`` run -- or vice versa -- recomputes nothing.
 """
 
 import json
@@ -96,13 +96,12 @@ class _CellsPass(Analysis):
     def finish(self, ctx):
         from repro.analysis.passes import shared_loop_statistics, \
             shared_simulate_many
-        from repro.timing import make_timing
 
         outcomes = self.outcomes
 
         def simulated(cells):
             return shared_simulate_many(
-                ctx, [(tus, policy, make_timing(timing))
+                ctx, [(tus, policy, timing)
                       for _, _, timing, policy, tus in cells])
 
         sims = [cell for cell in self.descriptors if cell[1] == KIND_SIM]

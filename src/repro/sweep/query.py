@@ -112,8 +112,8 @@ class _StoredCells:
 
 
 def _unreadable(name, spec):
-    """The lazy index of a report context: reached only when a stored
-    result is one its analysis rejects."""
+    """The lazy trace and index of a report context: reached only when
+    a stored result is one its analysis rejects."""
     raise ValueError(
         "workload %s has an unreadable result blob in sweep %s; prune "
         "the store and resubmit the sweep" % (name, spec.sweep_id))
@@ -158,11 +158,10 @@ def sweep_report(store, spec):
     for name in spec.workloads:
         # Only the trace knows the instruction count; no swept
         # analysis reads it.
-        ctx = WorkloadContext(name, 0, scale=spec.scale,
-                              cls_capacity=spec.cls_capacity,
-                              derived=_StoredCells(stored[name]))
-        ctx.defer(lambda name=name: _unreadable(name, spec))
-        analysis.begin(ctx)
+        ctx = WorkloadContext(
+            name, 0, scale=spec.scale, cls_capacity=spec.cls_capacity,
+            derived=_StoredCells(stored[name]),
+            resolve=lambda name=name: _unreadable(name, spec))
         analysis.finish(ctx)
     result = analysis.result()
     return result if isinstance(result, list) else [result]

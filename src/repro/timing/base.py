@@ -20,8 +20,8 @@ A model answers two kinds of questions:
   prefix clocks), because the walk prices the stretch of events it
   skips in one call.  A model whose rates vary along the stream (the
   per-instruction-class cost table) sets :attr:`wants_records` and is
-  fed every control-flow record of the replay before the simulation
-  runs.
+  fed every control-flow record of the workload's trace before the
+  simulation runs.
 * **Overheads** — extra cycles charged at speculation events:
   :meth:`spawn_cost` when threads fork, :meth:`promote_cost` when a
   speculated thread is verified and promoted, :meth:`squash_cost` when
@@ -50,7 +50,7 @@ class TimingModel:
     name = "ideal"
 
     #: True when the model must see every CF record of the workload's
-    #: replay (via :meth:`feed_batch`) before simulations run.
+    #: trace (via :meth:`feed_batch`) before simulations run.
     wants_records = False
 
     def key(self):
@@ -59,7 +59,7 @@ class TimingModel:
         return ("ideal",)
 
     def feed_batch(self, batch):
-        """One :class:`~repro.trace.batch.RecordBatch` of the replay,
+        """One :class:`~repro.trace.batch.RecordBatch` of the trace,
         only called when :attr:`wants_records` is set; a model that
         sets it must override this."""
         raise NotImplementedError(

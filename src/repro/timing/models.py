@@ -125,9 +125,10 @@ class ClassCostTiming(TimingModel):
     """Position-dependent rates from a per-instruction-class cost table.
 
     The model is fed every control-flow record of the workload before
-    any simulation runs (the session does this when ``wants_records``
-    is set); straight-line instructions -- implicit in the ``seq`` gaps
-    between records -- cost ``other`` cycles each.  Advance costs are
+    any simulation runs (:func:`~repro.analysis.passes.
+    effective_timing` does this where the model is resolved);
+    straight-line instructions -- implicit in the ``seq`` gaps between
+    records -- cost ``other`` cycles each.  Advance costs are
     answered from a prefix-sum over the fed records, so the engine
     keeps its O(#events) walk with an O(log #records) lookup per
     event.
@@ -156,7 +157,10 @@ class ClassCostTiming(TimingModel):
         self._total_extra = 0
 
     def key(self):
-        return ("classcost",) + tuple(
+        # "fed": results priced from the fed record stream.  Sweep and
+        # search cells once stored ideal-machine values under the
+        # untagged key, so entries under it are never read again.
+        return ("classcost", "fed") + tuple(
             self._costs[int(kind)] for _, kind in _CLASS_PARAMS)
 
     def feed_batch(self, batch):

@@ -6,9 +6,9 @@ per-experiment replay style verbatim (``runner.indexes()`` + a fresh
 walk of the event history per experiment, speculation priced by the
 per-config reference engine); every experiment's rendered
 output under the single-pass :class:`AnalysisSuite` must be
-byte-identical to them.  Plus: the one-replay-per-workload guarantee,
-the corrupt-cache abort/restart path, and protocol edge cases (empty
-trace, zero detected loops).
+byte-identical to them.  Plus: the one-walk-per-workload guarantee,
+the corrupt-cache retrace path, and protocol edge cases (empty trace,
+zero detected loops).
 """
 
 import os
@@ -44,7 +44,6 @@ from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
 from repro.pipeline import PipelineConfig, SimulationSession
 from repro.trace.stream import CFTrace, clip
 
-from reference import cut
 from reference.dataspec import reference_stats
 from reference.speculation import simulate, simulate_infinite
 
@@ -394,9 +393,7 @@ class TestSharedWork:
         assert first.by_name == second.by_name
         assert first.coverage == second.coverage
 
-    def test_derived_memo_restores_computes_and_persists(self):
-        from repro.analysis.passes import derived_memo
-
+    def test_ctx_memo_restores_computes_and_persists(self):
         class Store:
             def __init__(self, entries):
                 self.entries = dict(entries)
@@ -415,21 +412,21 @@ class TestSharedWork:
         # A lookup miss, then a compute that does not re-read the store.
         store = Store({})
         ctx = WorkloadContext("w", 10, cls_capacity=8, derived=store)
-        assert derived_memo(ctx, ("x", 1), int) is None
-        assert derived_memo(ctx, ("x", 1), int, lambda: 5, str) == 5
-        assert derived_memo(ctx, ("x", 1), int, boom, str) == 5
+        assert ctx.memo(("x", 1), int) is None
+        assert ctx.memo(("x", 1), int, lambda: 5, str) == 5
+        assert ctx.memo(("x", 1), int, boom, str) == 5
         assert (store.gets, store.entries) == (1, {"x/1/c8": "5"})
         # A hit is restored once and shared; a malformed entry is a miss.
         store = Store({"x/1/c8": "3", "y/c8": "bad"})
         ctx = WorkloadContext("w", 10, cls_capacity=8, derived=store)
-        assert derived_memo(ctx, ("x", 1), int, boom, str) == 3
-        assert derived_memo(ctx, ("x", 1), int) == 3
-        assert derived_memo(ctx, ("y",), int, lambda: 7, str) == 7
+        assert ctx.memo(("x", 1), int, boom, str) == 3
+        assert ctx.memo(("x", 1), int) == 3
+        assert ctx.memo(("y",), int, lambda: 7, str) == 7
         assert store.gets == 2 and store.entries["y/c8"] == "7"
         # Without a store the value is still computed once per workload.
         ctx = WorkloadContext("w", 10)
-        assert derived_memo(ctx, ("x",), int, lambda: 9, str) == 9
-        assert derived_memo(ctx, ("x",), int, boom, str) == 9
+        assert ctx.memo(("x",), int, lambda: 9, str) == 9
+        assert ctx.memo(("x",), int, boom, str) == 9
 
 
 class TestWalkCounts:
@@ -525,53 +522,14 @@ class TestLifecycle:
         assert stats.executions == 0
         assert stats.total_instructions == trace.total_instructions
 
-    def test_abort_discards_partial_state(self):
-        from repro.workloads import get
-        workload = get("swim")
-        trace = workload.cf_trace(max_instructions=LIMIT)
-
-        def run_once(abort_midway):
-            suite, by_name = build_suite(["table1", "figure4",
-                                          "baselines"])
-            detector = LoopDetector(cls_capacity=16)
-            ctx = WorkloadContext("swim", trace.total_instructions,
-                                  workload=workload,
-                                  detector=detector)
-            suite.begin(ctx)
-            if abort_midway:
-                records = list(trace.iter_records())
-                for batch in cut(records[:len(records) // 2], 64):
-                    suite.feed_batch(batch)
-                    suite.feed_events(detector.feed_batch(batch))
-                suite.abort(ctx)
-                detector = LoopDetector(cls_capacity=16)
-                ctx = WorkloadContext("swim", trace.total_instructions,
-                                      workload=workload,
-                                      detector=detector)
-                suite.begin(ctx)
-            for batch in cut(trace.iter_records(), 64):
-                suite.feed_batch(batch)
-                suite.feed_events(detector.feed_batch(batch))
-            for event in detector.finish(trace.total_instructions):
-                suite.feed(event)
-            ctx.index = detector.index(trace.total_instructions)
-            suite.finish(ctx)
-            return [by_name[n].result() for n in ("table1", "figure4",
-                                                  "baselines")]
-
-        clean = run_once(abort_midway=False)
-        aborted = run_once(abort_midway=True)
-        for a, b in zip(clean, aborted):
-            assert a.rows == b.rows
-
     def test_analysis_valueerror_propagates_without_retrace(self):
-        """Only the cache stream's own corruption triggers the
-        abort-and-retrace path; a pass raising ValueError surfaces."""
+        """Only the cache stream's own corruption triggers a retrace;
+        a pass raising ValueError surfaces."""
 
         class Broken(Analysis):
             def finish(self, ctx):
-                # Reading the index makes the (otherwise skipped)
-                # workload walk its trace once before the pass fails.
+                # Reading the index makes the workload walk its trace
+                # once before the pass fails.
                 assert len(ctx.index.events) >= 0
                 raise ValueError("bad pass")
 
@@ -596,13 +554,22 @@ class TestLifecycle:
         session = SimulationSession(workloads=WORKLOADS,
                                     max_instructions=LIMIT,
                                     cache_dir=cache_dir)
-        suite, by_name = build_suite(["table1", "figure4"])
+        # baselines and ablations walk the trace's batches themselves.
+        names = ["table1", "figure4", "baselines", "ablations"]
+        suite, by_name = build_suite(names)
         session.analyze(suite)
         assert session.stats.traced == len(WORKLOADS)
         reference = make_session()
         assert by_name["table1"].result().rows \
             == ref_table1(reference).rows
         assert by_name["figure4"].result().rows == ref_figure4(reference)
+        clean, clean_by_name = build_suite(names[2:])
+        make_session().analyze(clean)
+        assert by_name["baselines"].result().rows \
+            == clean_by_name["baselines"].result().rows
+        for got, want in zip(by_name["ablations"].result(),
+                             clean_by_name["ablations"].result()):
+            assert got.rows == want.rows
 
 
 # ---------------------------------------------------------------------------
@@ -619,42 +586,6 @@ class TestAnalysisSuite:
         assert suite.names == ["stats", "LoopStatisticsPass"]
         with pytest.raises(KeyError):
             suite["nope"]
-
-    def test_wants_records_aggregates(self):
-        suite = AnalysisSuite([LoopStatisticsPass()])
-        assert not suite.wants_records
-
-        class Wants(Analysis):
-            wants_records = True
-
-            def result(self):
-                return None
-
-        suite.add(Wants())
-        assert suite.wants_records
-
-    def test_records_only_fan_out_to_consumers(self):
-        fed = []
-
-        class Wants(Analysis):
-            wants_records = True
-
-            def feed_batch(self, batch):
-                fed.extend(batch.iter_records())
-
-            def result(self):
-                return len(fed)
-
-        class DoesNot(Analysis):
-            def feed_batch(self, batch):
-                raise AssertionError("must not receive records")
-
-            def result(self):
-                return None
-
-        suite = AnalysisSuite([Wants(), DoesNot()])
-        analyze_trace(suite, loopless_trace(), name="line")
-        assert fed
 
     def test_results_in_registration_order(self):
         class Const(Analysis):

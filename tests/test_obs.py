@@ -391,14 +391,6 @@ class TestPipelineInstrumentation:
         assert collector.counters["kernel.taken_mask"] == 2
         assert collector.counters["kernel.backward_branch_mask"] == 1
 
-    def test_suite_untimed_without_collector(self):
-        from repro.experiments.runner import build_suite
-        suite, _ = build_suite(["table1"])
-        session = SimulationSession(workloads=("swim",),
-                                    cache_dir=None)
-        session.analyze(suite)
-        assert suite._feed_seconds is None
-
 
 # ---------------------------------------------------------------------------
 # The runner CLI surface.

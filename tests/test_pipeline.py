@@ -532,18 +532,12 @@ class TestWarmIsALookup:
         from repro.analysis import Analysis
 
         class CountsRecords(Analysis):
-            wants_records = True
-
             def __init__(self):
                 self.records = {}
-                self._name = None
 
-            def begin(self, ctx):
-                self._name = ctx.name
-                self.records[ctx.name] = 0
-
-            def feed_batch(self, batch):
-                self.records[self._name] += len(batch)
+            def finish(self, ctx):
+                self.records[ctx.name] = sum(
+                    len(batch) for batch in ctx.trace.batches)
 
             def result(self):
                 return None

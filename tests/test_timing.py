@@ -397,6 +397,27 @@ class TestSessionThreading:
         with pytest.raises(ValueError, match="record stream"):
             shared_simulate(ctx, 4, "str", timing="classcost:branch=4")
 
+    def test_record_fed_spec_in_sweep_cell_is_fed(self):
+        """A sweep or search cell naming a record-fed spec prices the
+        fed model: the session-wide run's TPC, not the ideal one."""
+        from repro.analysis import AnalysisSuite, SpeculationPass
+        from repro.pipeline import PipelineConfig, SimulationSession
+        from repro.sweep.orchestrator import run_workload_cells
+        from repro.sweep.spec import KIND_SIM
+
+        timing = "classcost:branch=5,jump=5"
+        _, rows = run_workload_cells("swim", 1, 20000, 16, None, [
+            ("ideal", KIND_SIM, "ideal", "str", 4),
+            ("costed", KIND_SIM, timing, "str", 4)])
+        tpc = {row["cell_key"]: row["tpc"] for row in rows}
+        session = SimulationSession(PipelineConfig(
+            workloads=("swim",), max_instructions=20000, cache_dir=None,
+            timing=timing))
+        wide = SpeculationPass(4, "str")
+        session.analyze(AnalysisSuite([wide]))
+        assert tpc["costed"] == wide.by_name["swim"].tpc
+        assert tpc["costed"] != tpc["ideal"]
+
     def test_extensions_attach_meta(self):
         from repro.experiments.runner import build_suite
         from repro.pipeline import PipelineConfig, SimulationSession

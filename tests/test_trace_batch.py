@@ -456,63 +456,23 @@ class TestDetectorBatchEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Batch-vs-record equivalence: the analysis feed protocol.
+# Batch-vs-record equivalence: the record consumers.
 # ---------------------------------------------------------------------------
 
 class TestAnalysisFeedBatch:
     def test_wants_records_without_feed_batch_raises(self, loop_trace):
-        # A pass or timing model with a per-record hook but no
-        # feed_batch errors instead of silently seeing no records.
-        from repro.analysis import Analysis, analyze_trace
+        # A timing model with a per-record hook but no feed_batch
+        # errors instead of silently seeing no records.
+        from repro.analysis import SpeculationPass, analyze_trace
         from repro.timing import TimingModel
-
-        class PerRecordPass(Analysis):
-            wants_records = True
-
-            def feed_record(self, record):
-                raise AssertionError("never called")
-
-            def result(self):
-                return None
 
         class PerRecordModel(TimingModel):
             name = "per-record"
             wants_records = True
 
-        with pytest.raises(NotImplementedError, match="PerRecordPass"):
-            analyze_trace([PerRecordPass()], loop_trace)
         with pytest.raises(NotImplementedError, match="PerRecordModel"):
-            analyze_trace([], loop_trace, timing=PerRecordModel())
-
-    def test_suite_fans_batches_to_record_consumers_only(self,
-                                                         loop_trace):
-        from repro.analysis import Analysis, AnalysisSuite
-
-        calls = []
-
-        class Wants(Analysis):
-            wants_records = True
-
-            def feed_batch(self, batch):
-                calls.append(("wants", len(batch)))
-
-            def result(self):
-                return None
-
-        class Ignores(Analysis):
-            def feed_batch(self, batch):    # must never be called
-                calls.append(("ignores", len(batch)))
-
-            def result(self):
-                return None
-
-        from repro.analysis.base import WorkloadContext
-        suite = AnalysisSuite([Wants(), Ignores()])
-        suite.begin(WorkloadContext("w", loop_trace.total_instructions))
-        for batch in cut(loop_trace.iter_records(), 9):
-            suite.feed_batch(batch)
-        assert calls and all(name == "wants" for name, _ in calls)
-        assert sum(n for _, n in calls) == len(list(loop_trace.iter_records()))
+            analyze_trace([SpeculationPass(4, "str")], loop_trace,
+                          timing=PerRecordModel())
 
     def test_branch_prediction_stream_equivalence(self):
         """The fused bimodal+gshare loop against two single-predictor
