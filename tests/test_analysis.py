@@ -522,6 +522,59 @@ class TestLifecycle:
         assert stats.executions == 0
         assert stats.total_instructions == trace.total_instructions
 
+    def test_context_resolves_once_on_first_read(self):
+        trace = loopless_trace()
+        detector = LoopDetector(cls_capacity=16)
+        index = detector.run(trace)
+        calls = []
+
+        def resolve():
+            calls.append(1)
+            return trace, detector, index
+
+        ctx = WorkloadContext("line", trace.total_instructions,
+                              resolve=resolve)
+        ctx.shared["x"] = 1
+        assert ctx.total_instructions == trace.total_instructions
+        assert calls == []          # nothing read yet: no walk
+        assert ctx.index is index
+        assert ctx.trace is trace
+        assert ctx.detector is detector
+        assert calls == [1]
+
+    def test_context_resolver_retried_after_it_raises(self):
+        """A resolver that raised (a corrupt cache entry, say) leaves
+        nothing behind: the next read calls it again."""
+        trace = loopless_trace()
+        detector = LoopDetector(cls_capacity=16)
+        index = detector.run(trace)
+        calls = []
+
+        def resolve():
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("corrupt")
+            return trace, detector, index
+
+        ctx = WorkloadContext("line", trace.total_instructions,
+                              resolve=resolve)
+        with pytest.raises(OSError, match="corrupt"):
+            ctx.trace
+        assert ctx.trace is trace
+        assert ctx.index is index
+        assert len(calls) == 2
+
+    def test_context_without_resolver_has_no_record_stream(self):
+        index = LoopDetector(cls_capacity=16).run(loopless_trace())
+        ctx = WorkloadContext("line", index.total_instructions)
+        for attr in ("trace", "detector", "index"):
+            with pytest.raises(ValueError, match="record stream"):
+                getattr(ctx, attr)
+        ctx.index = index           # an assigned index needs no stream
+        assert ctx.index is index
+        with pytest.raises(ValueError, match="record stream"):
+            ctx.trace
+
     def test_analysis_valueerror_propagates_without_retrace(self):
         """Only the cache stream's own corruption triggers a retrace;
         a pass raising ValueError surfaces."""

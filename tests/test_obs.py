@@ -354,6 +354,22 @@ class TestPipelineInstrumentation:
         assert any(name.startswith("analysis.finish_seconds.")
                    for name in collector.counters)
 
+    def test_suite_untimed_without_collector(self, monkeypatch):
+        import repro.analysis.suite as suite_module
+        from repro.experiments.runner import build_suite
+
+        class NoClock:
+            @staticmethod
+            def perf_counter():
+                raise AssertionError("an unobserved suite read the clock")
+
+        monkeypatch.setattr(suite_module, "time", NoClock)
+        suite, by_name = build_suite(["table1"])
+        session = SimulationSession(workloads=("swim",),
+                                    cache_dir=None)
+        session.analyze(suite)
+        assert by_name["table1"].result().row_for("swim")
+
     def test_pool_worker_merge_is_deterministic(self):
         def run_once():
             collector = obs.activate(Collector())

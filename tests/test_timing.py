@@ -435,6 +435,37 @@ class TestSessionThreading:
         assert 0 < sync.meta["overhead_cycles"] \
             < disable.meta["overhead_cycles"]
 
+    def test_record_fed_spec_fed_once_per_workload(self, monkeypatch):
+        """Passes naming one record-fed spec, or the session-wide
+        default, share one model fed the trace's batches once."""
+        from repro.analysis import WorkloadContext
+        from repro.analysis.passes import effective_timing
+        trace = build_trace(repeated_loop_module(5, 8))
+        index = LoopDetector(cls_capacity=16).run(trace)
+        fed = []
+        original = ClassCostTiming.feed_batch
+
+        def counting(model, batch):
+            fed.append(len(batch))
+            return original(model, batch)
+
+        monkeypatch.setattr(ClassCostTiming, "feed_batch", counting)
+        spec = "classcost:branch=4"
+        ctx = WorkloadContext("t", trace.total_instructions, timing=spec,
+                              resolve=lambda: (trace, None, index))
+        model = effective_timing(ctx, spec)
+        assert effective_timing(ctx, spec) is model
+        assert effective_timing(ctx) is model
+        assert sum(fed) == len(list(trace.iter_records()))
+        assert len(fed) == len(trace.batches)
+
+    def test_classcost_key_marks_fed_entries(self):
+        """Cells once stored ideal values under classcost keys; the
+        ``fed`` tag keeps every such entry from being read."""
+        key = make_timing("classcost:branch=5,jump=5").key()
+        assert key[:2] == ("classcost", "fed")
+        assert key != make_timing("classcost:branch=6,jump=5").key()
+
     def test_shared_simulate_keys_on_timing(self):
         from repro.analysis import WorkloadContext, shared_simulate
         index = build_index(repeated_loop_module(5, 8))
