@@ -15,12 +15,12 @@ Lifecycle::
     ...
     result()                   # once, after every workload finished
 
-``ctx.trace``, ``ctx.index`` and ``ctx.detector`` are lazy: the first
-read of any of them loads the workload's trace once and builds its
-canonical index from that same copy, so a pass that reads none of
-them -- every stock pass whose result sits in the derived store --
-makes its workload cost no walk at all.  Read them in ``finish``, and
-only on the path that needs them.
+``ctx.trace`` and ``ctx.index`` are lazy: the first read of either
+loads the workload's trace once and builds its canonical index from
+that same copy, so a pass that reads neither -- every stock pass whose
+result sits in the derived store -- makes its workload cost no walk at
+all.  Read them in ``finish``, and only on the path that needs them.
+Both live as long as the context: one workload's, never the session's.
 """
 
 from repro.obs import collector as obs
@@ -46,15 +46,14 @@ class WorkloadContext:
     ``total_instructions`` is known from the start (the trace header
     carries it), so reading it costs no walk.
 
-    ``trace`` (the workload's :class:`~repro.trace.stream.CFTrace`),
-    ``detector`` (the canonical :class:`~repro.core.detector.
-    LoopDetector` after the whole trace) and ``index`` (its completed
-    :class:`~repro.core.detector.LoopIndex`) all come from *resolve*:
-    a callable returning the ``(trace, detector, index)`` triple, called
-    on the first read of any of the three (and again on the next read
-    if it raised).  Without a resolver the context has no record
-    stream, and reading any of them raises :class:`ValueError`
-    (``index`` may still be assigned directly).
+    ``trace`` (the workload's :class:`~repro.trace.stream.CFTrace`)
+    and ``index`` (the canonical detector's completed
+    :class:`~repro.core.detector.LoopIndex` over it) come from
+    *resolve*: a callable returning the ``(trace, index)`` pair,
+    called on the first read of either (and again on the next read if
+    it raised).  Without a resolver the context has no record stream,
+    and reading either raises :class:`ValueError` (``index`` may still
+    be assigned directly).
 
     ``shared`` is a per-workload scratch dict for values several passes
     want to compute exactly once (e.g. the full-trace data-speculation
@@ -75,7 +74,7 @@ class WorkloadContext:
 
     __slots__ = ("name", "workload", "scale", "cls_capacity",
                  "total_instructions", "shared", "timing", "derived",
-                 "_resolve", "_trace", "_detector", "_index")
+                 "_resolve", "_trace", "_index")
 
     def __init__(self, name, total_instructions, workload=None, scale=1,
                  cls_capacity=16, timing=None, derived=None,
@@ -89,13 +88,13 @@ class WorkloadContext:
         self.timing = timing
         self.derived = derived
         self._resolve = resolve
-        self._trace = self._detector = self._index = None
+        self._trace = self._index = None
 
     def _resolved(self):
         if self._resolve is None:
             raise ValueError("workload %s has no record stream to read"
                              % self.name)
-        self._trace, self._detector, self._index = self._resolve()
+        self._trace, self._index = self._resolve()
         self._resolve = None
 
     @property
@@ -103,12 +102,6 @@ class WorkloadContext:
         if self._trace is None:
             self._resolved()
         return self._trace
-
-    @property
-    def detector(self):
-        if self._detector is None:
-            self._resolved()
-        return self._detector
 
     @property
     def index(self):

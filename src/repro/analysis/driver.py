@@ -21,7 +21,7 @@ def analyze_trace(analyses, trace, name="program", workload=None,
 
     *analyses* is an :class:`AnalysisSuite` or an iterable of passes;
     *trace* is a :class:`~repro.trace.stream.CFTrace`, which the
-    context's lazy ``trace``/``index``/``detector`` read.  *timing* is
+    context's lazy ``trace``/``index`` read.  *timing* is
     the default timing model for speculation passes (a spec string or
     :class:`~repro.timing.base.TimingModel` instance; a record-fed model
     is fed the trace's CF records).  Returns the list of each pass's
@@ -31,9 +31,7 @@ def analyze_trace(analyses, trace, name="program", workload=None,
         else AnalysisSuite(analyses)
 
     def resolve():
-        detector = LoopDetector(cls_capacity=cls_capacity)
-        return trace, detector, detector.run_batches(
-            trace.batches, trace.total_instructions)
+        return trace, LoopDetector(cls_capacity=cls_capacity).run(trace)
 
     ctx = WorkloadContext(
         name, trace.total_instructions, workload=workload, scale=scale,

@@ -25,6 +25,7 @@ there, the pass reads no trace for it.
 from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
 from repro.core.cls import CurrentLoopStack
+from repro.core.events import EndReason
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
 from repro.experiments.report import ExperimentResult, TimingMeta
 from repro.obs import collector as obs
@@ -112,12 +113,17 @@ class AblationsAnalysis(Analysis):
         reports depth ``len(entries) + 1`` but pushes nothing, so only
         pushed executions (``iterations != 1``) count.  Any other
         capacity walks ``ctx.trace`` with a bare stack.
+
+        Every canonical overflow ends exactly one execution, with
+        ``EndReason.OVERFLOW``, so the canonical drops are counted in
+        the index.
         """
-        if capacity == ctx.cls_capacity:
-            return [ctx.detector.cls.overflow_count,
-                    len(ctx.index.executions)]
         executions = ctx.index.executions
-        if ctx.detector.cls.overflow_count == 0 and all(
+        overflows = sum(1 for rec in executions.values()
+                        if rec.reason is EndReason.OVERFLOW)
+        if capacity == ctx.cls_capacity:
+            return [overflows, len(executions)]
+        if overflows == 0 and all(
                 rec.depth <= capacity for rec in executions.values()
                 if rec.iterations != 1):
             obs.add("cls.sweep_shortcuts")

@@ -23,16 +23,6 @@ def default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-traces")
 
 
-def _workload_names(workloads):
-    """Normalize a mixed list of names / Workload objects to names."""
-    if workloads is None:
-        return None
-    names = []
-    for w in workloads:
-        names.append(w if isinstance(w, str) else w.name)
-    return tuple(names)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Immutable description of one simulation session.
@@ -72,9 +62,6 @@ class PipelineConfig:
             raise ValueError("cls_capacity must be >= 1")
         if self.max_instructions is not None and self.max_instructions < 1:
             raise ValueError("max_instructions must be >= 1")
-        if self.workloads is not None:
-            object.__setattr__(self, "workloads",
-                               _workload_names(self.workloads))
 
     def limit_for(self, workload):
         """Effective instruction budget for *workload* (a Workload

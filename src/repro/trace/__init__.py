@@ -1,9 +1,8 @@
-"""Dynamic trace infrastructure (records, batches, statistics, IO)."""
+"""Dynamic trace infrastructure (records, batches, IO)."""
 
 from repro.trace.record import CFRecord, FullRecord
 from repro.trace.batch import NO_TARGET, RecordBatch, StudyBatch
 from repro.trace.stream import CFTrace, FullTrace, clip
-from repro.trace.stats import CFStats, basic_block_profile, collect_cf_stats
 from repro.trace.io import (
     BatchTraceWriter,
     TRACE_FORMAT_VERSION,
@@ -26,9 +25,6 @@ __all__ = [
     "CFTrace",
     "FullTrace",
     "clip",
-    "CFStats",
-    "basic_block_profile",
-    "collect_cf_stats",
     "BatchTraceWriter",
     "TRACE_FORMAT_VERSION",
     "TraceHeader",

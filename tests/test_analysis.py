@@ -2,8 +2,9 @@
 API.
 
 The reference implementations below replicate the seed's
-per-experiment replay style verbatim (``runner.indexes()`` + a fresh
-walk of the event history per experiment, speculation priced by the
+per-experiment replay style verbatim (every workload's trace and index,
+captured from one ``analyze`` by :func:`capture.load`, + a fresh walk
+of the event history per experiment, speculation priced by the
 per-config reference engine); every experiment's rendered
 output under the single-pass :class:`AnalysisSuite` must be
 byte-identical to them.  Plus: the one-walk-per-workload guarantee,
@@ -43,12 +44,17 @@ from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
 from repro.pipeline import PipelineConfig, SimulationSession
 from repro.trace.stream import CFTrace, clip
+from repro.workloads import get
 
+from capture import load
 from reference.dataspec import reference_stats
 from reference.speculation import simulate, simulate_infinite
 
 WORKLOADS = ("swim", "go")
 LIMIT = 40_000
+#: The scale and CLS capacity of :func:`make_session`'s config.
+SCALE = 1
+CLS_CAPACITY = 16
 
 
 def make_session():
@@ -60,19 +66,19 @@ def make_session():
 # Reference implementations: the seed's per-experiment replay style.
 # ---------------------------------------------------------------------------
 
-def ref_table1(runner):
+def ref_table1(loaded):
     rows = []
-    for name, index in runner.indexes():
+    for name, (_, index) in loaded.items():
         rows.append(compute_loop_statistics(index, name).as_row())
     return ExperimentResult("Table 1: Loop statistics",
                             LoopStatistics.ROW_HEADERS, rows)
 
 
-def ref_figure4(runner, sizes=(16, 8, 4, 2)):
+def ref_figure4(loaded, sizes=(16, 8, 4, 2)):
     rows = []
     for size in sizes:
         let_hits = let_accs = lit_hits = lit_accs = 0
-        for _name, index in runner.indexes():
+        for _trace, index in loaded.values():
             sim = TableHitRatioSimulator(size, size).replay(index.events)
             let_hits += sim.let_hits
             let_accs += sim.let_accesses
@@ -86,25 +92,24 @@ def ref_figure4(runner, sizes=(16, 8, 4, 2)):
     return rows
 
 
-def ref_figure5(runner):
+def ref_figure5(loaded):
     rows = []
-    for name, index in runner.indexes():
+    for name, (trace, index) in loaded.items():
         full = simulate_infinite(index, name=name)
-        trace = runner.trace(name)
         reduced_trace = clip(trace,
                              max(1, trace.total_instructions // 4))
         reduced_index = LoopDetector(
-            cls_capacity=runner.cls_capacity).run(reduced_trace)
+            cls_capacity=CLS_CAPACITY).run(reduced_trace)
         reduced = simulate_infinite(reduced_index, name=name)
         rows.append((name, round(full.tpc, 2), round(reduced.tpc, 2)))
     return rows
 
 
-def ref_figure6(runner, tu_counts=(2, 4, 8, 16)):
+def ref_figure6(loaded, tu_counts=(2, 4, 8, 16)):
     rows = []
     sums = {tus: 0.0 for tus in tu_counts}
     count = 0
-    for name, index in runner.indexes():
+    for name, (_, index) in loaded.items():
         row = [name]
         for tus in tu_counts:
             result = simulate(index, num_tus=tus, policy="str", name=name)
@@ -117,10 +122,10 @@ def ref_figure6(runner, tu_counts=(2, 4, 8, 16)):
     return rows
 
 
-def ref_figure7(runner, policies=("idle", "str", "str(1)", "str(2)",
+def ref_figure7(loaded, policies=("idle", "str", "str(1)", "str(2)",
                                   "str(3)"), tu_counts=(2, 4, 8, 16)):
     averages = {}
-    indexes = runner.indexes()
+    indexes = [(name, index) for name, (_, index) in loaded.items()]
     for policy in policies:
         for tus in tu_counts:
             total = 0.0
@@ -134,33 +139,34 @@ def ref_figure7(runner, policies=("idle", "str", "str(1)", "str(2)",
             for policy in policies]
 
 
-def ref_table2(runner):
+def ref_table2(loaded):
     return [simulate(index, num_tus=4, policy="str(3)",
                      name=name).as_table2_row()
-            for name, index in runner.indexes()]
+            for name, (_, index) in loaded.items()]
 
 
-def ref_figure8(runner):
+def ref_figure8(loaded):
     total = DataSpecStats("SUITE")
     rows = []
-    for workload in runner.workloads:
-        trace = workload.full_trace(runner.scale,
+    for name in loaded:
+        workload = get(name)
+        trace = workload.full_trace(SCALE,
                                     max_instructions=FULL_TRACE_LIMIT)
-        stats = reference_stats(trace, workload.name, runner.cls_capacity)
+        stats = reference_stats(trace, workload.name, CLS_CAPACITY)
         rows.append(stats.as_row())
         total.merge(stats)
     rows.insert(0, total.as_row())
     return rows
 
 
-def ref_ablations(runner):
+def ref_ablations(loaded):
     # 1. replacement policy
     replacement_rows = []
     for size in (2, 4):
         ratios = {}
         for policy in (POLICY_LRU, POLICY_NESTING_AWARE):
             let_h = let_a = lit_h = lit_a = 0
-            for _name, index in runner.indexes():
+            for _trace, index in loaded.values():
                 sim = TableHitRatioSimulator(size, size, policy)
                 sim.replay(index.events)
                 let_h += sim.let_hits
@@ -176,7 +182,7 @@ def ref_ablations(runner):
                                  round(100 * aware[1], 2)))
     # 2. waiting accounting
     waiting_rows = []
-    for name, index in runner.indexes():
+    for name, (_, index) in loaded.items():
         incl = simulate(index, num_tus=4, policy="str", name=name,
                         count_waiting=True)
         excl = simulate(index, num_tus=4, policy="str", name=name,
@@ -191,9 +197,9 @@ def ref_ablations(runner):
     cls_rows = []
     for capacity in (2, 4, 8, 16):
         overflowed = executions = 0
-        for workload in runner.workloads:
+        for trace, _index in loaded.values():
             detector = LoopDetector(cls_capacity=capacity)
-            index = detector.run(runner.trace(workload.name))
+            index = detector.run(trace)
             overflowed += detector.cls.overflow_count
             executions += len(index.executions)
         cls_rows.append((capacity, overflowed,
@@ -202,12 +208,11 @@ def ref_ablations(runner):
     return replacement_rows, waiting_rows, cls_rows
 
 
-def ref_baselines(runner):
+def ref_baselines(loaded):
     rows = []
     totals = {"closing_c": 0, "closing_t": 0, "other_c": 0, "other_t": 0,
               "gshare_c": 0, "gshare_t": 0}
-    for name, _index in runner.indexes():
-        trace = runner.trace(name)
+    for name, (trace, _index) in loaded.items():
         bimodal = measure_branch_prediction(trace, BimodalPredictor(),
                                             name)
         gshare = measure_branch_prediction(trace, GSharePredictor(), name)
@@ -232,9 +237,9 @@ def ref_baselines(runner):
     return rows
 
 
-def ref_extensions(runner):
+def ref_extensions(loaded):
     disable_rows = []
-    for name, index in runner.indexes():
+    for name, (_, index) in loaded.items():
         plain = simulate(index, num_tus=4, policy="str", name=name)
         table = SpeculationDisableTable(capacity=16, min_samples=5,
                                         hit_threshold=0.5)
@@ -249,13 +254,13 @@ def ref_extensions(runner):
     disable_rows.insert(0, ("AVG",) + avg + ("",))
 
     sync_rows = []
-    for workload in runner.workloads:
-        index = runner.index(workload.name)
+    for name, (_trace, index) in loaded.items():
+        workload = get(name)
         control = simulate(index, num_tus=4, policy="str",
                            name=workload.name)
-        trace = workload.full_trace(runner.scale,
+        trace = workload.full_trace(SCALE,
                                     max_instructions=FULL_TRACE_LIMIT)
-        data = reference_stats(trace, workload.name, runner.cls_capacity)
+        data = reference_stats(trace, workload.name, CLS_CAPACITY)
         sync_free_tpc = 1.0 + (control.tpc - 1.0) * data.all_data
         sync_rows.append((workload.name, round(control.tpc, 2),
                           round(100 * data.all_data, 2),
@@ -285,8 +290,8 @@ def single_pass():
 
 
 @pytest.fixture(scope="module")
-def reference_session():
-    return make_session()
+def reference_loaded():
+    return load(make_session())
 
 
 class TestGoldenEquivalence:
@@ -294,59 +299,59 @@ class TestGoldenEquivalence:
         session, _ = single_pass
         assert session.stats.replays == len(WORKLOADS)
 
-    def test_table1(self, single_pass, reference_session):
+    def test_table1(self, single_pass, reference_loaded):
         _, by_name = single_pass
         result = by_name["table1"].result()
-        assert result.rows == ref_table1(reference_session).rows
+        assert result.rows == ref_table1(reference_loaded).rows
         assert result.headers == LoopStatistics.ROW_HEADERS
 
-    def test_figure4(self, single_pass, reference_session):
+    def test_figure4(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["figure4"].result().rows \
-            == ref_figure4(reference_session)
+            == ref_figure4(reference_loaded)
 
-    def test_figure5(self, single_pass, reference_session):
+    def test_figure5(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["figure5"].result().rows \
-            == ref_figure5(reference_session)
+            == ref_figure5(reference_loaded)
 
-    def test_figure6(self, single_pass, reference_session):
+    def test_figure6(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["figure6"].result().rows \
-            == ref_figure6(reference_session)
+            == ref_figure6(reference_loaded)
 
-    def test_figure7(self, single_pass, reference_session):
+    def test_figure7(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["figure7"].result().rows \
-            == ref_figure7(reference_session)
+            == ref_figure7(reference_loaded)
 
-    def test_table2(self, single_pass, reference_session):
+    def test_table2(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["table2"].result().rows \
-            == ref_table2(reference_session)
+            == ref_table2(reference_loaded)
 
-    def test_figure8(self, single_pass, reference_session):
+    def test_figure8(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["figure8"].result().rows \
-            == ref_figure8(reference_session)
+            == ref_figure8(reference_loaded)
 
-    def test_ablations(self, single_pass, reference_session):
+    def test_ablations(self, single_pass, reference_loaded):
         _, by_name = single_pass
         replacement, waiting, cls_rows = \
-            ref_ablations(reference_session)
+            ref_ablations(reference_loaded)
         got = by_name["ablations"].result()
         assert got[0].rows == replacement
         assert got[1].rows == waiting
         assert got[2].rows == cls_rows
 
-    def test_baselines(self, single_pass, reference_session):
+    def test_baselines(self, single_pass, reference_loaded):
         _, by_name = single_pass
         assert by_name["baselines"].result().rows \
-            == ref_baselines(reference_session)
+            == ref_baselines(reference_loaded)
 
-    def test_extensions(self, single_pass, reference_session):
+    def test_extensions(self, single_pass, reference_loaded):
         _, by_name = single_pass
-        disable_rows, sync_rows = ref_extensions(reference_session)
+        disable_rows, sync_rows = ref_extensions(reference_loaded)
         got = by_name["extensions"].result()
         assert got[0].rows == disable_rows
         assert got[1].rows == sync_rows
@@ -524,13 +529,12 @@ class TestLifecycle:
 
     def test_context_resolves_once_on_first_read(self):
         trace = loopless_trace()
-        detector = LoopDetector(cls_capacity=16)
-        index = detector.run(trace)
+        index = LoopDetector(cls_capacity=16).run(trace)
         calls = []
 
         def resolve():
             calls.append(1)
-            return trace, detector, index
+            return trace, index
 
         ctx = WorkloadContext("line", trace.total_instructions,
                               resolve=resolve)
@@ -539,22 +543,20 @@ class TestLifecycle:
         assert calls == []          # nothing read yet: no walk
         assert ctx.index is index
         assert ctx.trace is trace
-        assert ctx.detector is detector
         assert calls == [1]
 
     def test_context_resolver_retried_after_it_raises(self):
         """A resolver that raised (a corrupt cache entry, say) leaves
         nothing behind: the next read calls it again."""
         trace = loopless_trace()
-        detector = LoopDetector(cls_capacity=16)
-        index = detector.run(trace)
+        index = LoopDetector(cls_capacity=16).run(trace)
         calls = []
 
         def resolve():
             calls.append(1)
             if len(calls) == 1:
                 raise OSError("corrupt")
-            return trace, detector, index
+            return trace, index
 
         ctx = WorkloadContext("line", trace.total_instructions,
                               resolve=resolve)
@@ -567,7 +569,7 @@ class TestLifecycle:
     def test_context_without_resolver_has_no_record_stream(self):
         index = LoopDetector(cls_capacity=16).run(loopless_trace())
         ctx = WorkloadContext("line", index.total_instructions)
-        for attr in ("trace", "detector", "index"):
+        for attr in ("trace", "index"):
             with pytest.raises(ValueError, match="record stream"):
                 getattr(ctx, attr)
         ctx.index = index           # an assigned index needs no stream
@@ -612,7 +614,7 @@ class TestLifecycle:
         suite, by_name = build_suite(names)
         session.analyze(suite)
         assert session.stats.traced == len(WORKLOADS)
-        reference = make_session()
+        reference = load(make_session())
         assert by_name["table1"].result().rows \
             == ref_table1(reference).rows
         assert by_name["figure4"].result().rows == ref_figure4(reference)

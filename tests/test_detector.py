@@ -337,3 +337,19 @@ class TestIndexPrefix:
             assert self._executions(got) == self._executions(walked), limit
             assert got.total_instructions == limit
             assert got.cls_capacity == capacity
+
+
+class TestOverflowIdentity:
+    """Every CLS overflow ends exactly one execution, with
+    ``EndReason.OVERFLOW``, so the loop index alone counts a CLS's
+    overflows (the CLS-capacity ablation relies on it)."""
+
+    @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
+    def test_overflow_executions_equal_overflow_count(self, name):
+        trace = get(name).cf_trace(1)
+        for capacity in (2, 4, 16):
+            detector = LoopDetector(cls_capacity=capacity)
+            index = detector.run(trace)
+            ended = sum(1 for rec in index.executions.values()
+                        if rec.reason is EndReason.OVERFLOW)
+            assert ended == detector.cls.overflow_count, capacity

@@ -21,6 +21,7 @@ from repro.search.corpus import frontier_names
 from repro.trace.io import dump_cf_batches, open_cf_batches
 from repro.workloads.suite import SUITE_ORDER
 
+from capture import load
 from reference.cls_sweep import production_sweep, walked_cls_counts
 
 
@@ -36,16 +37,6 @@ def full_runner():
 
 
 class TestRunnerInfrastructure:
-    def test_trace_cached(self, small_runner):
-        assert small_runner.trace("swim") is small_runner.trace("swim")
-
-    def test_index_cached(self, small_runner):
-        assert small_runner.index("go") is small_runner.index("go")
-
-    def test_unknown_workload(self, small_runner):
-        with pytest.raises(KeyError):
-            small_runner.trace("spice")
-
     def test_available_experiments_complete(self):
         names = set(available_experiments())
         assert names == {"table1", "figure4", "figure5", "figure6",
@@ -253,8 +244,8 @@ class TestCLSCapacityShortcut:
                                     cls_capacity=session_capacity)
         counts, (walks, shortcuts) = production_sweep(
             session.analyze, self.CAPACITIES)
-        for name in names:
-            batches = session.trace(name).batches
+        for name, (trace, _) in load(session).items():
+            batches = trace.batches
             for capacity in self.CAPACITIES:
                 key = (name, capacity)
                 if key not in walked:
@@ -325,11 +316,51 @@ class TestCLSCapacityShortcut:
         assert warm.stats.cache_hits == len(names)
         assert warm.stats.replays == len(names)
         assert walks > 0
-        for name in names:
-            batches = warm.trace(name).batches
+        for name, (trace, _) in load(warm).items():
+            batches = trace.batches
             for capacity in (2, 4):
                 assert counts[name, capacity] \
                     == walked_cls_counts(batches, capacity)
+
+
+class TestStoredClsSweep:
+    def test_stored_counts_equal_a_real_walk(self, tmp_path):
+        """A cold run's stored ``cls-sweep/cap<N>/c16`` entries -- the
+        session's own capacity included, whose drops the ablation
+        counts in the canonical loop index -- equal a bare walk."""
+        import json
+        import sqlite3
+
+        from repro.analysis import AnalysisSuite
+        from repro.experiments.ablations import AblationsAnalysis
+        from repro.pipeline import TraceCache
+        from repro.pipeline.cache import program_fingerprint
+        from repro.pipeline.derived import DB_NAME
+        from repro.workloads import get
+
+        budget = 20_000
+        cache_dir = str(tmp_path)
+        session = SimulationSession(cache_dir=cache_dir,
+                                    max_instructions=budget)
+        session.analyze(AnalysisSuite([AblationsAnalysis(
+            parts=("cls",))]))
+        conn = sqlite3.connect(os.path.join(cache_dir, "derived",
+                                            DB_NAME))
+        stored = {(trace_key, key): json.loads(value)
+                  for trace_key, key, value in conn.execute(
+                      "SELECT trace_key, key, value FROM derived "
+                      "WHERE key LIKE 'cls-sweep/%'")}
+        conn.close()
+        assert len(stored) == 4 * len(SUITE_ORDER)
+        for name, (trace, _) in load(session).items():
+            program = get(name).program(1)
+            trace_key = TraceCache.key(name, 1, budget,
+                                       program_fingerprint(program))
+            for capacity in (2, 4, 8, 16):
+                key = "cls-sweep/cap%d/c16" % capacity
+                assert stored[trace_key, key] \
+                    == walked_cls_counts(trace.batches, capacity), \
+                    (name, capacity)
 
 
 class TestReportRendering:

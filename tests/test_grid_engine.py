@@ -44,6 +44,7 @@ from repro.timing import make_timing
 from repro.timing.models import OverheadTiming
 from repro.workloads.suite import SUITE_ORDER
 
+from capture import load
 from reference import speculation as reference
 from reference.invariants import check_result
 
@@ -150,11 +151,11 @@ def assert_disable_matches(index, configs):
                 == ref_table.blocks_installed, where
 
 
-def fed_classcost(session, name, spec="classcost:branch=3,other=2"):
-    """A class-cost model fed *name*'s records, as the session feeds
+def fed_classcost(trace, spec="classcost:branch=3,other=2"):
+    """A class-cost model fed *trace*'s records, as the session feeds
     record-fed models before a run."""
     model = make_timing(spec)
-    for batch in session.trace(name).batches:
+    for batch in trace.batches:
         model.feed_batch(batch)
     return model
 
@@ -256,14 +257,14 @@ class TestMixedGrid:
 
 class TestAnalogWorkloads:
     @pytest.fixture(scope="class")
-    def session(self):
-        return SimulationSession(workloads=("swim", "go"),
-                                 cache_dir=None,
-                                 max_instructions=30_000)
+    def loaded(self):
+        return load(SimulationSession(workloads=("swim", "go"),
+                                      cache_dir=None,
+                                      max_instructions=30_000))
 
     @pytest.mark.parametrize("name", ("swim", "go"))
-    def test_grid_matches_independent(self, session, name):
-        index = session.index(name)
+    def test_grid_matches_independent(self, loaded, name):
+        _, index = loaded[name]
         configs = [(tus, policy, timing)
                    for policy, tus, timing in itertools.product(
                        ("idle", "str", "str(3)"), (2, 4),
@@ -284,15 +285,15 @@ class TestSensitivityShapedGrid:
     WORKLOADS = ("applu", "gcc", "tomcatv")
 
     @pytest.fixture(scope="class")
-    def session(self):
-        return SimulationSession(workloads=self.WORKLOADS,
-                                 cache_dir=None,
-                                 max_instructions=100_000)
+    def loaded(self):
+        return load(SimulationSession(workloads=self.WORKLOADS,
+                                      cache_dir=None,
+                                      max_instructions=100_000))
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_every_cell_fuses_and_matches_independent(self, session,
+    def test_every_cell_fuses_and_matches_independent(self, loaded,
                                                       name):
-        index = session.index(name)
+        _, index = loaded[name]
         configs = [(tus, policy, timing)
                    for policy, tus, timing in itertools.product(
                        self.POLICIES, self.TU_COUNTS, self.TIMINGS)]
@@ -324,22 +325,23 @@ class TestAnalogDifferential:
     BUDGET = 30_000
 
     @pytest.fixture(scope="class")
-    def session(self):
-        return SimulationSession(workloads=SUITE_ORDER, cache_dir=None,
-                                 max_instructions=self.BUDGET)
+    def loaded(self):
+        return load(SimulationSession(workloads=SUITE_ORDER,
+                                      cache_dir=None,
+                                      max_instructions=self.BUDGET))
 
     @pytest.mark.parametrize("count_waiting", (True, False),
                              ids=("waiting", "executing"))
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_fused_cells_match_engine_and_invariants(
-            self, session, name, count_waiting):
-        index = session.index(name)
+            self, loaded, name, count_waiting):
+        trace, index = loaded[name]
         pairs = list(itertools.product(self.TU_COUNTS, self.POLICIES))
         zero_cost = OverheadTiming()
         checked = [(tus, policy, timing)
                    for timing in (None, self.OVERHEAD, zero_cost)
                    for tus, policy in pairs]
-        positional = ("width:width=2", fed_classcost(session, name))
+        positional = ("width:width=2", fed_classcost(trace))
         configs = checked + [
             (tus, policy, timing)
             for timing in positional for tus, policy in pairs] + [
@@ -366,8 +368,8 @@ class TestAnalogDifferential:
                     (tus, policy, timing)
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_disable_table_runs_match_reference(self, session, name):
-        assert_disable_matches(session.index(name), [
+    def test_disable_table_runs_match_reference(self, loaded, name):
+        assert_disable_matches(loaded[name][1], [
             (tus, policy, timing)
             for policy, tus, timing in itertools.product(
                 ("idle", "str", "str(2)", "all"), (2, 4, 16),
@@ -379,16 +381,16 @@ class TestFrontierCorpus:
 
     @pytest.mark.parametrize("name", frontier_names())
     def test_grid_matches_independent(self, name):
-        session = SimulationSession(workloads=(name,), cache_dir=None,
-                                    max_instructions=30_000)
-        index = session.index(name)
+        trace, index = load(SimulationSession(
+            workloads=(name,), cache_dir=None,
+            max_instructions=30_000))[name]
         configs = [(2, "str", None), (4, "str(3)", "overhead:spawn=8"),
                    (4, "idle", "overhead:spawn=2,squash=4,promote=1"),
                    (1, "str", None), (4, "str(1)", None),
                    (2, "str(2)", "overhead:spawn=8,squash=4,promote=1"),
                    (4, "all", None), (None, "all", "overhead:spawn=8"),
                    (2, "idle", "width:width=2"),
-                   (4, "str(1)", fed_classcost(session, name))]
+                   (4, "str(1)", fed_classcost(trace))]
         assert_grid_matches(index, configs)
         assert_disable_matches(index, configs)
 

@@ -41,6 +41,8 @@ from repro.pipeline import SimulationSession
 from repro.trace import kernels
 from repro.workloads import get
 
+from capture import load
+
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools")
 
@@ -450,6 +452,7 @@ class TestRunnerMetricsCLI:
         assert counters["cache.bytes_written"] > 0
         assert manifest["gauges"]["kernels.backend"] in ("numpy",
                                                          "stdlib")
+        assert manifest["gauges"]["process.peak_rss_mb"] > 0
         assert manifest["span_coverage"] >= 0.9
         paths = [s["path"] for s in manifest["stages"]]
         assert "setup" in paths and "analyze" in paths
@@ -590,10 +593,9 @@ class TestRunnerMetricsCLI:
         capsys.readouterr()
         manifest = load_manifest(metrics)
         counters = manifest["counters"]
-        session = SimulationSession(workloads=("swim", "go"),
-                                    cache_dir=cache)
-        events = sum(len(session.index(name).events)
-                     for name in ("swim", "go"))
+        loaded = load(SimulationSession(workloads=("swim", "go"),
+                                        cache_dir=cache))
+        events = sum(len(index.events) for _, index in loaded.values())
         assert counters["tables.walks"] == 8
         assert counters["tables.events"] == 4 * events
         assert 0 < counters["tables.rows"] < counters["tables.events"]

@@ -18,6 +18,8 @@ from repro.pipeline import (
 from repro.pipeline import worker
 from repro.trace.io import TRACE_FORMAT_VERSION, dumps_cf_trace
 
+from capture import load
+
 WORKLOADS = ("swim", "go")
 LIMIT = 40_000
 
@@ -28,9 +30,9 @@ def config(**kwargs):
     return PipelineConfig(**kwargs)
 
 
-def trace_bytes(session):
-    return {name: dumps_cf_trace(session.trace(name))
-            for name in WORKLOADS}
+def trace_bytes(loaded):
+    return {name: dumps_cf_trace(trace)
+            for name, (trace, _) in loaded.items()}
 
 
 def index_shape(index):
@@ -55,39 +57,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(max_instructions=0)
 
-    def test_workload_objects_normalized_to_names(self):
-        from repro.workloads import get
-        cfg = PipelineConfig(workloads=(get("swim"), "go"))
-        assert cfg.workloads == ("swim", "go")
-
     def test_default_cache_dir_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "/tmp/elsewhere")
         assert default_cache_dir() == "/tmp/elsewhere"
 
 
 class TestSessionBasics:
-    def test_trace_and_index_memoized(self):
-        session = SimulationSession(config())
-        assert session.trace("swim") is session.trace("swim")
-        assert session.index("go") is session.index("go")
-
-    def test_unknown_workload(self):
-        session = SimulationSession(config())
-        with pytest.raises(KeyError):
-            session.trace("spice")
-        with pytest.raises(KeyError):
-            session.index("spice")
-
     def test_indexes_in_configured_order(self):
         session = SimulationSession(config(workloads=("go", "swim")))
-        assert [name for name, _ in session.indexes()] == ["go", "swim"]
+        assert list(load(session)) == ["go", "swim"]
 
     def test_kwargs_construction(self):
         session = SimulationSession(workloads=WORKLOADS,
                                     max_instructions=LIMIT)
-        assert session.max_instructions == LIMIT
+        assert session.config == config()
         with pytest.raises(TypeError):
             SimulationSession(config(), scale=2)
+
+    def test_unknown_workload(self):
+        with pytest.raises(KeyError):
+            SimulationSession(config(workloads=("swim", "spice")))
 
 
 class TestParallelEqualsSequential:
@@ -95,23 +84,24 @@ class TestParallelEqualsSequential:
         seq = SimulationSession(config(jobs=1))
         par = SimulationSession(config(
             jobs=4, cache_dir=str(tmp_path / "cache")))
-        seq_idx = dict(seq.indexes())
-        par_idx = dict(par.indexes())
-        assert trace_bytes(seq) == trace_bytes(par)
+        seq_loaded = load(seq)
+        par_loaded = load(par)
+        assert trace_bytes(seq_loaded) == trace_bytes(par_loaded)
         for name in WORKLOADS:
-            assert index_shape(seq_idx[name]) == index_shape(par_idx[name])
+            assert index_shape(seq_loaded[name][1]) \
+                == index_shape(par_loaded[name][1])
 
     def test_parallel_without_cache(self):
         par = SimulationSession(config(jobs=2))
         seq = SimulationSession(config(jobs=1))
-        assert trace_bytes(par) == trace_bytes(seq)
+        assert trace_bytes(load(par)) == trace_bytes(load(seq))
 
 
 class TestCache:
     def test_cache_hit_skips_tracing(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "cache")
         warm = SimulationSession(config(cache_dir=cache_dir))
-        warm.indexes()
+        warm_loaded = load(warm)
         assert warm.stats.traced == 2
         assert warm.stats.cache_hits == 0
 
@@ -120,28 +110,28 @@ class TestCache:
 
         monkeypatch.setattr(worker, "trace_workload", boom)
         hot = SimulationSession(config(cache_dir=cache_dir))
-        hot_idx = dict(hot.indexes())
+        hot_loaded = load(hot)
         assert hot.stats.traced == 0
         assert hot.stats.cache_hits == 2
-        assert trace_bytes(hot) == trace_bytes(warm)
-        warm_idx = dict(warm.indexes())
+        assert trace_bytes(hot_loaded) == trace_bytes(warm_loaded)
         for name in WORKLOADS:
-            assert index_shape(hot_idx[name]) == index_shape(warm_idx[name])
+            assert index_shape(hot_loaded[name][1]) \
+                == index_shape(warm_loaded[name][1])
 
     def test_cache_key_invalidates_on_scale_change(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        SimulationSession(config(cache_dir=cache_dir)).indexes()
+        SimulationSession(config(cache_dir=cache_dir)).ensure_traced()
         rescaled = SimulationSession(config(cache_dir=cache_dir, scale=2))
-        rescaled.indexes()
+        rescaled.ensure_traced()
         assert rescaled.stats.traced == 2
         assert rescaled.stats.cache_hits == 0
 
     def test_cache_key_invalidates_on_budget_change(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        SimulationSession(config(cache_dir=cache_dir)).indexes()
+        SimulationSession(config(cache_dir=cache_dir)).ensure_traced()
         rebudgeted = SimulationSession(config(
             cache_dir=cache_dir, max_instructions=LIMIT // 2))
-        rebudgeted.indexes()
+        rebudgeted.ensure_traced()
         assert rebudgeted.stats.traced == 2
 
     def test_key_embeds_format_version_and_fingerprint(self):
@@ -184,49 +174,47 @@ class TestCache:
         # Same name/scale/budget but different program content must not
         # hit: fake a changed program by perturbing the fingerprint.
         cache_dir = str(tmp_path / "cache")
-        SimulationSession(config(cache_dir=cache_dir)).indexes()
+        SimulationSession(config(cache_dir=cache_dir)).ensure_traced()
         from repro.pipeline import cache as cache_mod
         from repro.pipeline import session as session_mod
         real = cache_mod.program_fingerprint
         monkeypatch.setattr(session_mod, "program_fingerprint",
                             lambda program: real(program)[::-1])
         changed = SimulationSession(config(cache_dir=cache_dir))
-        changed.indexes()
+        changed.ensure_traced()
         assert changed.stats.traced == 2
         assert changed.stats.cache_hits == 0
 
     def test_corrupt_entry_is_a_miss_and_retraced(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         first = SimulationSession(config(cache_dir=cache_dir))
-        first.indexes()
+        first_loaded = load(first)
         # Truncate every cache entry mid-file.
         for entry in os.listdir(cache_dir):
             path = os.path.join(cache_dir, entry)
             data = open(path, "rb").read()
             open(path, "wb").write(data[:len(data) // 2])
         second = SimulationSession(config(cache_dir=cache_dir))
-        second_idx = dict(second.indexes())
+        second_loaded = load(second)
         assert second.stats.traced == 2
-        assert trace_bytes(second) == trace_bytes(first)
-        first_idx = dict(first.indexes())
+        assert trace_bytes(second_loaded) == trace_bytes(first_loaded)
         for name in WORKLOADS:
-            assert index_shape(second_idx[name]) \
-                == index_shape(first_idx[name])
+            assert index_shape(second_loaded[name][1]) \
+                == index_shape(first_loaded[name][1])
 
 
 class TestStreamingDetection:
     def test_streamed_index_matches_in_memory(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        SimulationSession(config(cache_dir=cache_dir)).indexes()
+        SimulationSession(config(cache_dir=cache_dir)).ensure_traced()
         streamed = SimulationSession(config(cache_dir=cache_dir))
-        # index() before trace() streams records from the cache ...
-        streamed_idx = {name: streamed.index(name) for name in WORKLOADS}
+        streamed_loaded = load(streamed)
         assert not streamed._columns, \
-            "streaming must not hold the trace"
-        inmem = SimulationSession(config())
+            "a trace decoded from the cache must die with its workload"
+        inmem = load(SimulationSession(config()))
         for name in WORKLOADS:
-            assert index_shape(streamed_idx[name]) \
-                == index_shape(inmem.index(name))
+            assert index_shape(streamed_loaded[name][1]) \
+                == index_shape(inmem[name][1])
 
 
 def columns_state(trace):
@@ -304,28 +292,31 @@ class TestWorker:
         def session(**kwargs):
             return SimulationSession(config(**kwargs))
 
+        def go_trace(session):
+            return load(session)["go"][0]
+
         memory = session()
         memory.ensure_traced()
         pooled = session(jobs=2)
         pooled.ensure_traced()          # both workloads, in the pool
-        cached = session(cache_dir=cache_dir)
+        cached = session(cache_dir=cache_dir, workloads=("go",))
         sources = {
             "pickle": pickle.loads(pickle.dumps(payload)),
             "trace_control_flow": trace_control_flow(
                 get("go").program(1), LIMIT),
             "columns": ChunkedCFTracer(get("go").program(1),
                                        LIMIT).columns(),
-            "session memory": memory.trace("go"),
-            "session cache": cached.trace("go"),
+            "session memory": go_trace(memory),
+            "session cache": go_trace(cached),
             "load_cf_trace": load_cf_trace(path),
             "loads_cf_trace": loads_cf_trace(dumps_cf_trace(payload)),
-            "pool jobs=2": pooled.trace("go"),
+            "pool jobs=2": go_trace(pooled),
         }
         assert (cached.stats.traced, cached.stats.cache_hits) == (0, 1)
         data = open(path, "rb").read()
         open(path, "wb").write(data[:len(data) // 2])
-        retraced = session(cache_dir=cache_dir)
-        sources["session retrace"] = retraced.trace("go")
+        retraced = session(cache_dir=cache_dir, workloads=("go",))
+        sources["session retrace"] = go_trace(retraced)
         assert retraced.stats.traced == 1
         assert columns_state(sources["pickle"]) == columns_state(payload)
         for label, trace in sources.items():
@@ -361,8 +352,8 @@ class TestColumnsEndToEnd:
 
     def _indexes(self, cache_dir):
         session = SimulationSession(config(cache_dir=cache_dir))
-        shapes = {name: index_shape(session.index(name))
-                  for name in WORKLOADS}
+        shapes = {name: index_shape(index)
+                  for name, (_, index) in load(session).items()}
         return shapes, session
 
     @staticmethod
@@ -408,33 +399,6 @@ class TestColumnsEndToEnd:
         indexes, session = self._indexes(str(tmp_path / "sweep"))
         assert indexes == warm_indexes
         assert self._stats(session) == (0, 2, 2)
-
-
-class TestUnregisteredWorkloads:
-    def test_session_accepts_unregistered_workload_objects(self):
-        from repro.workloads import get
-        from repro.workloads.base import Workload
-        swim = get("swim")
-        clone = Workload("swim-variant", swim.builder, "unregistered",
-                         swim.category, default_max_instructions=LIMIT)
-        runner = SimulationSession(PipelineConfig(cache_dir=None),
-                                   workload_objects=[clone])
-        assert runner.trace("swim-variant").total_instructions > 0
-        assert len(runner.index("swim-variant")) > 0
-
-    def test_session_traces_unregistered_inline_with_jobs(self, tmp_path):
-        from repro.workloads import get
-        from repro.workloads.base import Workload
-        swim = get("swim")
-        clone = Workload("swim-variant", swim.builder, "unregistered",
-                         swim.category, default_max_instructions=LIMIT)
-        session = SimulationSession(
-            PipelineConfig(jobs=4, max_instructions=LIMIT,
-                           cache_dir=str(tmp_path / "cache")),
-            workload_objects=[clone, get("go")])
-        names = [name for name, _ in session.indexes()]
-        assert names == ["swim-variant", "go"]
-        assert session.stats.traced == 2
 
 
 class TestWarmIsALookup:
@@ -499,34 +463,40 @@ class TestWarmIsALookup:
         assert (session.stats.traced, session.stats.cache_hits,
                 session.stats.replays) == (0, len(WORKLOADS), 0)
 
-    def test_finish_only_pass_reads_the_replays_index(self, primed):
-        from repro.analysis import Analysis
+    def test_indexes_die_with_their_workload(self, primed):
+        """A finish-only pass reads each workload's index, which
+        nothing keeps once its workload finished; a second ``analyze``
+        on the same session walks every trace again."""
+        import gc
+        import weakref
+
+        from repro.analysis import Analysis, AnalysisSuite
 
         class ReadsIndex(Analysis):
             def __init__(self):
+                self.refs = []
                 self.shapes = {}
-                self.executions = {}
 
             def finish(self, ctx):
+                self.refs.append(weakref.ref(ctx.index))
                 self.shapes[ctx.name] = index_shape(ctx.index)
-                self.executions[ctx.name] = len(ctx.detector.executions)
 
             def result(self):
                 return None
 
-        cache_dir, cold = primed
+        cache_dir, _ = primed
+        session = SimulationSession(config(cache_dir=cache_dir))
         reader = ReadsIndex()
-        warm, session = self._analyze(cache_dir, reader)
-        assert warm == cold
-        # One lazy walk per workload, served to the pass and memoized.
+        session.analyze(AnalysisSuite([reader]))
+        gc.collect()
+        assert len(reader.refs) == len(WORKLOADS)
+        assert all(ref() is None for ref in reader.refs)
         assert session.stats.replays == len(WORKLOADS)
-        reference = SimulationSession(config(cache_dir=None))
+        session.analyze(AnalysisSuite([ReadsIndex()]))
+        assert session.stats.replays == 2 * len(WORKLOADS)
+        reference = load(SimulationSession(config(cache_dir=None)))
         for name in WORKLOADS:
-            index = reference.index(name)
-            assert reader.shapes[name] == index_shape(index)
-            assert reader.executions[name] == len(index.executions)
-            assert session.index(name) is not None
-        assert session.stats.replays == len(WORKLOADS)
+            assert reader.shapes[name] == index_shape(reference[name][1])
 
     def test_record_consumer_still_gets_a_replay(self, primed):
         from repro.analysis import Analysis
@@ -547,10 +517,10 @@ class TestWarmIsALookup:
         warm, session = self._analyze(cache_dir, counter)
         assert warm == cold
         assert session.stats.replays == len(WORKLOADS)
+        reference = load(SimulationSession(config(cache_dir=None)))
         for name in WORKLOADS:
-            assert counter.records[name] == len(list(
-                SimulationSession(config(cache_dir=None))
-                .trace(name).iter_records()))
+            assert counter.records[name] \
+                == len(list(reference[name][0].iter_records()))
 
     @staticmethod
     def _corrupt_copy(cache_dir, copy, prefix, corrupt):

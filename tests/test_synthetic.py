@@ -25,6 +25,8 @@ from repro.workloads.synthetic import (
     synthetic_name,
 )
 
+from capture import load
+
 ALL_PROFILES = sorted(PROFILES)
 
 
@@ -416,6 +418,7 @@ class TestRegistryIntegration:
         inline = SimulationSession(PipelineConfig(
             workloads=names, cache_dir=None))
         pooled.ensure_traced()
+        pooled_loaded, inline_loaded = load(pooled), load(inline)
         for name in names:
-            assert list(pooled.trace(name).iter_records()) \
-                == list(inline.trace(name).iter_records())
+            assert list(pooled_loaded[name][0].iter_records()) \
+                == list(inline_loaded[name][0].iter_records())

@@ -32,6 +32,7 @@ from repro.pipeline import SimulationSession
 from repro.search.corpus import frontier_names
 from repro.workloads import get
 from repro.workloads.suite import SUITE_ORDER
+from capture import load
 from reference.tables import EventTableReplay
 
 
@@ -210,9 +211,8 @@ def assert_matches_reference(events, capacity, policy):
 
 def _index(name):
     if name.startswith("frontier-"):
-        session = SimulationSession(workloads=(name,), cache_dir=None,
-                                    max_instructions=30_000)
-        return session.index(name)
+        return load(SimulationSession(workloads=(name,), cache_dir=None,
+                                      max_instructions=30_000))[name][1]
     return LoopDetector().run(get(name).cf_trace(1))
 
 

@@ -452,7 +452,7 @@ class TestSessionThreading:
         monkeypatch.setattr(ClassCostTiming, "feed_batch", counting)
         spec = "classcost:branch=4"
         ctx = WorkloadContext("t", trace.total_instructions, timing=spec,
-                              resolve=lambda: (trace, None, index))
+                              resolve=lambda: (trace, index))
         model = effective_timing(ctx, spec)
         assert effective_timing(ctx, spec) is model
         assert effective_timing(ctx) is model

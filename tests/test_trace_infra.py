@@ -1,4 +1,4 @@
-"""Tests for trace containers, statistics, serialization and utilities."""
+"""Tests for trace containers, serialization and utilities."""
 
 import io
 
@@ -10,9 +10,7 @@ from repro.cpu import trace_control_flow
 from repro.trace import (
     CFRecord,
     CFTrace,
-    basic_block_profile,
     clip,
-    collect_cf_stats,
     dump_cf_trace,
     dumps_cf_trace,
     load_cf_trace,
@@ -90,27 +88,6 @@ class TestClipAndRuns:
     def test_clip_noop_when_longer(self, loop_trace):
         same = clip(loop_trace, loop_trace.total_instructions * 2)
         assert same is loop_trace
-
-
-class TestStats:
-    def test_counts_on_known_loop(self, loop_trace):
-        stats = collect_cf_stats(loop_trace)
-        assert stats.branch_count == 6          # 5 taken + 1 not taken
-        assert stats.taken_branches == 5
-        assert stats.backward_taken == 5
-        assert stats.unique_backward_targets == {1}
-        assert 0 < stats.taken_ratio < 1
-        assert stats.as_dict()["branches"] == 6
-
-    def test_basic_block_profile(self, loop_trace):
-        profile = basic_block_profile(loop_trace)
-        assert sum(profile.values()) == len(list(loop_trace.iter_records()))
-        assert all(size >= 1 for size in profile)
-
-    def test_control_density(self, loop_trace):
-        stats = collect_cf_stats(loop_trace)
-        assert stats.control_density \
-            == len(list(loop_trace.iter_records())) / loop_trace.total_instructions
 
 
 class TestSerialization:
