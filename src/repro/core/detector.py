@@ -42,23 +42,17 @@ class EventColumns:
     execution ends).  ``EndReason`` stays object-only; no simulation
     reads it.
 
-    Two derived structures make *sparse* walks possible:
-
-    * ``next_non_iteration[i]`` -- the first position ``>= i`` whose
-      event is not an :class:`~repro.core.events.IterationStart`
-      (``len(events)`` when there is none); and
-    * ``iteration_positions`` -- per ``exec_id``, the ascending
-      positions of its iteration starts
-      (:meth:`next_iteration_after` answers "this execution's next
-      iteration start after position i" by bisection).
-
-    A walker that knows nothing can happen at an iteration start (all
-    TUs busy, execution untracked) jumps straight to the next position
-    where something can.
+    ``iteration_positions`` makes *sparse* walks possible: per
+    ``exec_id``, the ascending positions of its iteration starts
+    (:meth:`next_iteration_after` answers "this execution's next
+    iteration start after position i" by bisection), so a walker that
+    knows nothing can happen at an iteration start (all TUs busy,
+    execution untracked) jumps straight to the next position where
+    something can.
     """
 
     __slots__ = ("etypes", "seqs", "loops", "exec_ids", "auxs",
-                 "next_non_iteration", "iteration_positions")
+                 "iteration_positions")
 
     def __init__(self, events):
         n = len(events)
@@ -92,19 +86,11 @@ class EventColumns:
                 auxs[i] = event.depth
             else:
                 raise TypeError("unknown loop event type %r" % etype)
-        next_non_iteration = array("q", bytes(8 * (n + 1)))
-        nxt = n
-        next_non_iteration[n] = n
-        for i in range(n - 1, -1, -1):
-            if etypes[i] != EV_ITERATION:
-                nxt = i
-            next_non_iteration[i] = nxt
         self.etypes = bytes(etypes)
         self.seqs = seqs
         self.loops = loops
         self.exec_ids = exec_ids
         self.auxs = auxs
-        self.next_non_iteration = next_non_iteration
         self.iteration_positions = iteration_positions
 
     def __len__(self):

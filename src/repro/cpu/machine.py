@@ -34,10 +34,12 @@ def _div(a, b):
 
 
 def _rem(a, b):
-    """Remainder consistent with :func:`_div`; x % 0 yields x."""
+    """Remainder consistent with :func:`_div`: ``abs(a) % abs(b)`` with
+    the sign of *a*; x % 0 yields x."""
     if b == 0:
         return a
-    return a - _div(a, b) * b
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
 
 
 # Packed opcode numbering used by the fast interpreter loops.  The order

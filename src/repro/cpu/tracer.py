@@ -41,8 +41,8 @@ from array import array
 
 from repro.cpu.machine import (
     BRANCH_CODES,
-    C_ADDI, C_CALL, C_HALT, C_JR, C_LD, C_LI, C_MAX, C_MV, C_NOP, C_RET,
-    C_SLTI, C_ST,
+    C_ADDI, C_ANDI, C_CALL, C_HALT, C_JR, C_LD, C_LI, C_MAX, C_MV, C_NOP,
+    C_REMI, C_RET, C_SLTI, C_ST,
     STACK_TOP,
     _ALU, _BRANCH, _IMM_TO_REG,
     packed_form, wrap64,
@@ -235,6 +235,18 @@ class _TieredTracer:
                     pc += 1
                 elif code == C_ST:
                     mem[regs[rs1] + imm] = regs[rs2]
+                    pc += 1
+                elif code == C_ANDI:
+                    if rd:
+                        regs[rd] = regs[rs1] & imm
+                    pc += 1
+                elif code == C_REMI and imm:
+                    # _rem by a nonzero constant, inline as in translated
+                    # blocks.
+                    if rd:
+                        v = regs[rs1]
+                        m = imm if imm > 0 else -imm
+                        regs[rd] = v % m if v >= 0 else -(-v % m)
                     pc += 1
                 elif code in BRANCH_CODES:
                     taken = 1 if branch[code](regs[rs1], regs[rs2]) else 0

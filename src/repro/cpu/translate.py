@@ -8,6 +8,8 @@ returns the next pc:
 
 * straight-line instructions become inline statements, with the same
   ``wrap64`` range checks as :class:`~repro.cpu.machine.Machine`;
+  ``divi``/``remi`` by a nonzero constant divide inline, and the
+  register forms call the Machine's ``_div``/``_rem``;
 * registers live in locals: one load per register read before it is
   written and one store per register written, register-0 reads are the
   literal ``0`` and register-0 writes are dropped;
@@ -28,9 +30,9 @@ import math
 from repro.cpu.machine import (
     BRANCH_CODES,
     C_ADD, C_AND, C_BEQ, C_BGE, C_BGT, C_BLE, C_BLT, C_BNE, C_CALL, C_DIV,
-    C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MIN, C_MUL, C_MV, C_OR,
-    C_REM, C_RET, C_SEQ, C_SLE, C_SLL, C_SLT, C_SLTI, C_SNE, C_SRA, C_SRL,
-    C_ST, C_SUB, C_XOR,
+    C_DIVI, C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MIN, C_MUL, C_MV,
+    C_OR, C_REM, C_REMI, C_RET, C_SEQ, C_SLE, C_SLL, C_SLT, C_SLTI, C_SNE,
+    C_SRA, C_SRL, C_ST, C_SUB, C_XOR,
     _IMM_TO_REG, _div, _rem, wrap64,
 )
 from repro.isa.instructions import InstrKind
@@ -60,6 +62,13 @@ _ALU_SOURCE = {
     C_SLT: "1 if {a} < {b} else 0", C_SLE: "1 if {a} <= {b} else 0",
     C_SEQ: "1 if {a} == {b} else 0", C_SNE: "1 if {a} != {b} else 0",
     C_MIN: "{a} if {a} <= {b} else {b}", C_MAX: "{b} if {b} > {a} else {a}",
+    # DIVI and REMI by a nonzero constant, keyed by the divisor's sign
+    # (true when negative), over its magnitude {b}: _div's truncating
+    # quotient and _rem's remainder without the call.
+    (C_DIVI, False): "{a} // {b} if {a} >= 0 else -(-{a} // {b})",
+    (C_DIVI, True): "-({a} // {b}) if {a} >= 0 else -{a} // {b}",
+    (C_REMI, False): "{a} % {b} if {a} >= 0 else -(-{a} % {b})",
+    (C_REMI, True): "{a} % {b} if {a} >= 0 else -(-{a} % {b})",
 }
 _WRAPPED = {C_ADD, C_SUB, C_MUL, C_SLL}
 _COMPARE = {C_BEQ: "==", C_BNE: "!=", C_BLT: "<", C_BGE: ">=",
@@ -148,8 +157,10 @@ class _Block:
             a = self.read(rs1)
             if code <= C_MAX:
                 form, b = code, self.read(rs2)
+            elif imm and code in (C_DIVI, C_REMI):
+                form, b = (code, imm < 0), abs(imm)
             else:
-                form, b = _IMM_TO_REG[code], str(imm)
+                form, b = _IMM_TO_REG[code], imm
             if rd:
                 self.write(rd, self.value(_ALU_SOURCE[form].format(a=a, b=b),
                                           form in _WRAPPED))

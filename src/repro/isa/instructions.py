@@ -108,6 +108,9 @@ BRANCH_OPS = frozenset({
     Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BLE, Opcode.BGT,
 })
 
+#: Opcodes that need a target or label.
+_TARGET_OPS = BRANCH_OPS | {Opcode.JMP, Opcode.CALL}
+
 _KIND_BY_OPCODE = {
     Opcode.JMP: InstrKind.JUMP,
     Opcode.JR: InstrKind.IJUMP,
@@ -147,13 +150,12 @@ class Instruction:
 
     def validate(self):
         """Raise :class:`IsaError` when operands are inconsistent."""
-        needs_target = self.op in BRANCH_OPS or self.op in (
-            Opcode.JMP, Opcode.CALL)
-        if needs_target and self.target is None and self.label is None:
+        if self.target is None and self.label is None \
+                and self.op in _TARGET_OPS:
             raise IsaError("%s requires a target or label" % self.op.value)
-        for reg in (self.rd, self.rs1, self.rs2):
-            if not 0 <= reg < 32:
-                raise IsaError("register out of range in %r" % (self,))
+        if not (0 <= self.rd < 32 and 0 <= self.rs1 < 32
+                and 0 <= self.rs2 < 32):
+            raise IsaError("register out of range in %r" % (self,))
         if not -(1 << 63) <= self.imm < 1 << 63:
             raise IsaError("immediate out of signed 64-bit range in %r"
                            % (self,))

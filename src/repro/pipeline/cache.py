@@ -48,13 +48,16 @@ def program_fingerprint(program):
 
 
 def _fingerprint(program):
-    h = hashlib.sha256()
-    h.update(b"entry=%d;" % program.entry)
-    for packed in packed_form(program):
-        h.update(repr(packed).encode("ascii"))
-    initial = program.data.initial
-    for addr in sorted(initial):
-        h.update(b"%d:%d;" % (addr, initial[addr]))
+    # The digest of the entry, every packed row's repr in program order
+    # and every ``addr:value;`` data word in address order.  Equal rows
+    # are shared, so each distinct row is repr'd once, and each part is
+    # hashed as one joined bytes object.
+    packed = packed_form(program)
+    reprs = {row: repr(row) for row in set(packed)}
+    h = hashlib.sha256(b"entry=%d;" % program.entry)
+    h.update("".join(map(reprs.__getitem__, packed)).encode("ascii"))
+    h.update(b"".join([b"%d:%d;" % word
+                       for word in sorted(program.data.initial.items())]))
     return h.hexdigest()[:16]
 
 

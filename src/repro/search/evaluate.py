@@ -159,28 +159,29 @@ def plan_candidate(name, settings, store=None):
     return CandidatePlan(name, cells, facts, missing, len(done))
 
 
-def finish_candidate(plan, rows, store=None):
+def finish_candidate(plan, rows, store=None, sweep=None):
     """Merge the computed *rows* of ``plan.missing`` into the plan's
-    facts, commit them, and price the metrics bundle; returns the
-    :class:`EvalOutcome`."""
+    facts, commit them -- with the plan's cells as members of the
+    *sweep* spec, when one is given, in the same transaction -- and
+    price the metrics bundle; returns the :class:`EvalOutcome`."""
     from repro.analysis.passes import loopstats_from_state
     from repro.sweep.orchestrator import base_row
 
     name = plan.name
     facts = plan.facts
     by_key = {cell.key: cell for cell in plan.cells}
-    if rows:
-        stored = []
-        for partial in rows:
-            base = base_row(by_key[partial["cell_key"]])
-            base.update(partial)
-            stored.append(base)
-            facts[partial["cell_key"]] = _row_facts(
-                partial["status"], partial["tpc"], partial["speedup"],
-                partial["hit_ratio"], partial["overhead_cycles"],
-                partial["detail"], partial["error"])
-        if store is not None:
-            store.put_cells(stored)
+    stored = []
+    for partial in rows:
+        base = base_row(by_key[partial["cell_key"]])
+        base.update(partial)
+        stored.append(base)
+        facts[partial["cell_key"]] = _row_facts(
+            partial["status"], partial["tpc"], partial["speedup"],
+            partial["hit_ratio"], partial["overhead_cycles"],
+            partial["detail"], partial["error"])
+    if store is not None:
+        store.put_cells(stored, sweep=None if sweep is None
+                        else (sweep, plan.keys))
 
     failed = [key for key in plan.keys
               if facts.get(key, {}).get("status") != "done"]
@@ -219,15 +220,18 @@ def finish_candidate(plan, rows, store=None):
 
 
 def evaluate_candidate(profile, gen_seed, settings, store=None,
-                       cache_dir=None):
+                       cache_dir=None, sweep=None):
     """Evaluate ``(profile, gen_seed)`` at *settings*; returns an
     :class:`EvalOutcome`.
 
     With a *store*, already-done cells are restored instead of
-    recomputed and fresh results are checkpointed back (one committed
-    transaction) before this returns -- interrupting a search after
-    any candidate loses nothing.  Without one, every cell computes
-    fresh (the golden frontier tests run this way).
+    recomputed and fresh results are checkpointed back before this
+    returns, together with the candidate's membership in the *sweep*
+    spec (the search's) when one is given: one committed transaction,
+    so interrupting a search after any candidate loses nothing and
+    never leaves cells without their membership.  Without a store,
+    every cell computes fresh (the golden frontier tests run this
+    way).
     """
     from repro.sweep.orchestrator import cell_descriptor, \
         run_workload_cells
@@ -241,4 +245,4 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
             name, settings.scale, settings.max_instructions,
             settings.cls_capacity, cache_dir,
             [cell_descriptor(cell) for cell in plan.missing])
-    return finish_candidate(plan, rows, store)
+    return finish_candidate(plan, rows, store, sweep)

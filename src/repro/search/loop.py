@@ -134,7 +134,8 @@ def run_search(spec, store=None, cache_dir=None, progress=None):
                           index=index):
                 outcome = evaluate_candidate(profile, gen_seed,
                                              spec.settings, store=store,
-                                             cache_dir=cache_dir)
+                                             cache_dir=cache_dir,
+                                             sweep=spec)
             stats.evaluated += 1
             stats.executed_cells += outcome.executed
             stats.restored_cells += outcome.restored
@@ -143,8 +144,6 @@ def run_search(spec, store=None, cache_dir=None, progress=None):
                 collector.add("search.candidates")
                 collector.add("search.cells_executed", outcome.executed)
                 collector.add("search.cells_restored", outcome.restored)
-            if store is not None:
-                store.record_sweep(spec, outcome.cell_keys)
             if outcome.metrics is None:
                 stats.failures += 1
                 obs.add("search.failures")

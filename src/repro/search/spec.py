@@ -51,7 +51,7 @@ class SearchSpec:
             raise ValueError("stall_limit must be an integer >= 1")
         objective.validate(self.settings)
 
-    #: duck-compat with SweepSpec for SweepStore.record_sweep
+    #: duck-compat with SweepSpec for SweepStore.record_sweep/put_cells
     @property
     def experiment(self):
         return SEARCH_EXPERIMENT

@@ -192,24 +192,39 @@ class SweepStore:
 
     # -- sweeps ------------------------------------------------------------
 
+    @contextlib.contextmanager
+    def _transaction(self):
+        """The connection, inside one transaction that commits when the
+        block ends and rolls back if it raises."""
+        with self._guard():
+            conn = self._connect()
+            try:
+                yield conn
+            except BaseException:
+                conn.rollback()
+                raise
+            conn.commit()
+
+    def _register(self, conn, spec, cell_keys):
+        """Upsert *spec*'s ``sweeps`` row and add *cell_keys* to its
+        membership, uncommitted."""
+        now = time.time()
+        conn.execute(
+            "INSERT INTO sweeps (sweep_id, experiment, spec, "
+            "created_at, updated_at) VALUES (?, ?, ?, ?, ?) "
+            "ON CONFLICT(sweep_id) DO UPDATE SET updated_at = ?",
+            (spec.sweep_id, spec.experiment, spec.to_json(), now, now,
+             now))
+        conn.executemany(
+            "INSERT OR IGNORE INTO sweep_cells (sweep_id, cell_key) "
+            "VALUES (?, ?)", [(spec.sweep_id, key) for key in cell_keys])
+
     def record_sweep(self, spec, cell_keys):
         """Register *spec* (idempotent) and its cell membership;
         returns the sweep id."""
-        sweep_id = spec.sweep_id
-        now = time.time()
-        with self._guard():
-            conn = self._connect()
-            conn.execute(
-                "INSERT INTO sweeps (sweep_id, experiment, spec, "
-                "created_at, updated_at) VALUES (?, ?, ?, ?, ?) "
-                "ON CONFLICT(sweep_id) DO UPDATE SET updated_at = ?",
-                (sweep_id, spec.experiment, spec.to_json(), now, now,
-                 now))
-            conn.executemany(
-                "INSERT OR IGNORE INTO sweep_cells (sweep_id, cell_key) "
-                "VALUES (?, ?)", [(sweep_id, key) for key in cell_keys])
-            conn.commit()
-        return sweep_id
+        with self._transaction() as conn:
+            self._register(conn, spec, cell_keys)
+        return spec.sweep_id
 
     def sweeps(self):
         """``(sweep_id, experiment, spec_json, created_at, updated_at)``
@@ -263,22 +278,26 @@ class SweepStore:
             (json.dumps(list(cell_keys)),)).fetchall()
         return {row[0] for row in rows}
 
-    def put_cells(self, rows):
+    def put_cells(self, rows, sweep=None):
         """Insert-or-replace *rows* (dicts keyed by
         :data:`CELL_FIELDS`) and commit -- this is the checkpoint the
-        orchestrator's resume guarantee rests on."""
-        if not rows:
+        orchestrator's resume guarantee rests on.  *sweep*, a
+        ``(spec, cell_keys)`` pair, is registered as by
+        :meth:`record_sweep` in the same transaction, so the cells
+        never land without their membership (even when *rows* is
+        empty)."""
+        if not rows and sweep is None:
             return
         now = time.time()
         payload = [tuple(row.get(f) for f in CELL_FIELDS) + (now,)
                    for row in rows]
         marks = ",".join("?" * (len(CELL_FIELDS) + 1))
-        with self._guard():
-            conn = self._connect()
+        with self._transaction() as conn:
             conn.executemany(
                 "INSERT OR REPLACE INTO cells (%s, updated_at) "
                 "VALUES (%s)" % (",".join(CELL_FIELDS), marks), payload)
-            conn.commit()
+            if sweep is not None:
+                self._register(conn, *sweep)
 
     def get_cells(self, cell_keys=None, sweep_id=None, workloads=None,
                   kinds=None, policies=None, tus=None, timings=None,

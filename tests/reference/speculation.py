@@ -50,6 +50,20 @@ def spawn_count(policy, idle_tus, last_covered, prediction, oracle_total):
     raise ValueError("no reference spawn rule for policy %r" % (policy,))
 
 
+
+def _next_non_iteration(etypes):
+    """Per position ``i`` (and ``len(etypes)``), the first position
+    ``>= i`` whose event is not an iteration start (``EV_ITERATION``,
+    0), or ``len(etypes)`` when there is none."""
+    n = len(etypes)
+    table = [n] * (n + 1)
+    nxt = n
+    for i in range(n - 1, -1, -1):
+        if etypes[i]:
+            nxt = i
+        table[i] = nxt
+    return table
+
 class SpecThread:
     """One speculative thread: a (possibly nonexistent) future iteration.
 
@@ -160,7 +174,7 @@ class ReferenceEngine:
         loops = cols.loops
         exec_ids = cols.exec_ids
         auxs = cols.auxs
-        next_non_iteration = cols.next_non_iteration
+        next_non_iteration = _next_non_iteration(etypes)
         next_iteration_after = cols.next_iteration_after
         n = len(etypes)
         threads = self._threads

@@ -203,6 +203,48 @@ class TestCache:
                 == index_shape(first_loaded[name][1])
 
 
+#: ``program_fingerprint`` of every analog at scale 1 and of the
+#: synthetic candidate ``baseline`` seed 1.  Trace-cache entries and
+#: sweep-store cell keys embed these digests: a change to them orphans
+#: every entry and cell filled before it.
+FINGERPRINTS = {
+    "applu": "6f832c82c75d0758",
+    "apsi": "45a0e31e56396363",
+    "compress": "1b28e0d78b7cc008",
+    "fpppp": "3e6145969e7b40a9",
+    "gcc": "ed196c0e6ffde708",
+    "go": "b55f826458eae8c4",
+    "hydro2d": "cdccdbedb8e28bbb",
+    "ijpeg": "77de9626bbbfa585",
+    "li": "fe024e2e8818c858",
+    "m88ksim": "50b4a1584577f53f",
+    "mgrid": "6853905c1439fd28",
+    "perl": "6f1daae6ad54af9a",
+    "su2cor": "bda4f75523267fc2",
+    "swim": "d1971fa2c48ebdf5",
+    "tomcatv": "17db87dc41492eac",
+    "turb3d": "f3663300c5d74106",
+    "vortex": "2edee5fedf1cf11b",
+    "wave5": "9d828d0ac01a37c0",
+    "synth-baseline-1": "27a0502eb72b1876",
+}
+
+
+class TestFingerprintPins:
+    @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+    def test_fingerprint_is_pinned(self, name):
+        from repro.pipeline.cache import program_fingerprint
+        from repro.workloads import get
+
+        assert program_fingerprint(get(name).program(1)) \
+            == FINGERPRINTS[name]
+
+    def test_every_analog_is_pinned(self):
+        from repro.workloads.suite import SUITE_ORDER
+
+        assert set(FINGERPRINTS) == set(SUITE_ORDER) | {"synth-baseline-1"}
+
+
 class TestStreamingDetection:
     def test_streamed_index_matches_in_memory(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -278,6 +278,102 @@ class TestSearchLoop:
         assert stats.failures == stats.evaluated > 0
 
 
+class _CountingConnection:
+    """A sqlite connection that counts its commits and rollbacks."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.commits = 0
+        self.rollbacks = 0
+
+    def commit(self):
+        self.commits += 1
+        self._conn.commit()
+
+    def rollback(self):
+        self.rollbacks += 1
+        self._conn.rollback()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def counting(store):
+    """Wrap *store*'s open connection in a :class:`_CountingConnection`."""
+    store._conn = _CountingConnection(store._connect())
+    return store._conn
+
+
+class TestCommitAtomicity:
+    """A search candidate's cells and its membership are one
+    transaction."""
+
+    def test_one_commit_per_evaluated_candidate(self, tmp_path,
+                                                cache_dir):
+        spec = SearchSpec(**TINY)
+        with make_store(tmp_path) as store:
+            for run in ("cold", "resubmitted"):
+                conn = counting(store)
+                _, stats = run_search(spec, store=store,
+                                      cache_dir=cache_dir)
+                assert stats.evaluated > 0
+                # the search's registration, then one per candidate
+                assert (conn.commits, conn.rollbacks) \
+                    == (1 + stats.evaluated, 0), run
+            assert stats.executed_cells == 0
+
+    def test_interrupt_leaves_whole_candidates(self, tmp_path,
+                                               cache_dir):
+        spec = SearchSpec(**TINY)
+        keys = []
+
+        def interrupt(index, outcome, score):
+            assert outcome.metrics is not None
+            keys.append(outcome.cell_keys)
+            if len(keys) == 2:
+                raise KeyboardInterrupt
+
+        with make_store(tmp_path) as store:
+            with pytest.raises(KeyboardInterrupt):
+                run_search(spec, store=store, cache_dir=cache_dir,
+                           progress=interrupt)
+            expected = set(keys[0]) | set(keys[1])
+            assert {row.cell_key for row in store.get_cells()} == expected
+            assert {row.cell_key for row in
+                    store.get_cells(sweep_id=spec.sweep_id)} == expected
+            assert store.prune(dry_run=True) == (0, 0)
+
+    def test_failed_membership_insert_leaves_no_cells(
+            self, tmp_path, cache_dir, monkeypatch):
+        import sqlite3
+
+        real = SweepStore._register
+
+        def fail_after_insert(self, conn, spec, cell_keys):
+            real(self, conn, spec, cell_keys)
+            if cell_keys:
+                raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(SweepStore, "_register", fail_after_insert)
+        spec = SearchSpec(**TINY)
+        profile = as_candidate(get_profile("baseline"))
+        with make_store(tmp_path) as store:
+            store.record_sweep(spec, ())
+            conn = counting(store)
+            with pytest.raises(SweepStoreError, match="is busy"):
+                evaluate_candidate(profile, 1, spec.settings, store=store,
+                                   cache_dir=cache_dir, sweep=spec)
+            assert (conn.commits, conn.rollbacks) == (0, 1)
+            assert store.counts() == (0, 0, 0)
+            assert store.counts(spec.sweep_id) == (0, 0, 0)
+            monkeypatch.undo()
+            outcome = evaluate_candidate(profile, 1, spec.settings,
+                                         store=store, cache_dir=cache_dir,
+                                         sweep=spec)
+            assert (outcome.executed, outcome.restored) == (7, 0)
+            assert store.counts(spec.sweep_id) == (7, 7, 0)
+
+
 class TestCorpus:
     def test_export_and_reload_round_trip(self, tmp_path, cache_dir):
         spec = SearchSpec(**dict(TINY, budget=4))

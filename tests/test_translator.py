@@ -12,10 +12,15 @@ block on its first entry, and to 3 to mix tiers inside loops, as well
 as left at its default.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from repro.cpu import Machine
 from repro.cpu import tracer as tracer_mod
-from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer
+from repro.cpu.machine import _div, _rem, packed_form
+from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer, _Columns
+from repro.cpu.translate import HELPERS, translate
 from repro.isa import assemble
 from repro.obs import collector as obs
 from repro.search.corpus import frontier_names
@@ -150,3 +155,107 @@ class TestTiers:
     def test_halt_block_never_translated(self, monkeypatch):
         monkeypatch.setattr(tracer_mod, "HOT_ENTRIES", 1)
         assert _counters(assemble("main:\n li t0, 1\n halt\n")) == (0, 2)
+
+
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
+#: The division edge cases: every dividend against every divisor.
+DIVISORS = (0, 1, -1, 2, -2, 867, -867, INT64_MIN, INT64_MAX)
+DIVIDENDS = (0, 1, -1, 866, -866, 868, -868, INT64_MIN, INT64_MAX)
+
+_DIVISION_OPS = {"div", "rem", "divi", "remi"}
+
+
+def _truncating(a, b):
+    """``(quotient, remainder)`` of *a* by *b*, rounded toward zero by
+    exact rational arithmetic; by zero it is ``(0, a)``."""
+    if b == 0:
+        return 0, a
+    q = int(Fraction(a, b))
+    return q, a - q * b
+
+
+def _division_program():
+    """Each (dividend, divisor) case in two blocks.  ``c<i>`` sets the
+    operands and divides them while they are literals of the block;
+    ``d<i>`` divides them again as registers loaded at its entry.  Each
+    block starts by reading the results of the one before it, so its
+    study row carries them as upward-exposed values."""
+    lines = ["main:", " jmp c0"]
+    cases = [(x, y) for x in DIVIDENDS for y in DIVISORS]
+    for i, (x, y) in enumerate(cases):
+        lines += [
+            "c%d:" % i, " add t0, s2, s3", " add t1, s4, s5",
+            " li s0, %d" % x, " li s1, %d" % y,
+            " div s6, s0, s1", " rem s7, s0, s1",
+            " divi s8, s0, %d" % y, " remi s9, s0, %d" % y,
+            " jmp d%d" % i,
+            "d%d:" % i, " add t2, s6, s7", " add t3, s8, s9",
+            " div s2, s0, s1", " rem s3, s0, s1",
+            " divi s4, s0, %d" % y, " remi s5, s0, %d" % y,
+            " jmp c%d" % (i + 1)]
+    lines += ["c%d:" % len(cases), " add t0, s2, s3", " add t1, s4, s5",
+              " halt"]
+    return assemble("\n".join(lines) + "\n"), len(cases)
+
+
+class TestDivision:
+    """``DIV``/``REM``/``DIVI``/``REMI`` on the edge cases: the helpers
+    and the Machine against exact rational division, and translated
+    blocks (``HOT_ENTRIES`` 1) and the per-instruction chain against
+    the Machine-stepped reference, with literal and register operands."""
+
+    def test_int64_min_by_minus_one_is_left_unwrapped(self):
+        assert _div(INT64_MIN, -1) == 1 << 63
+        assert _rem(INT64_MIN, -1) == 0
+
+    def test_helpers_divide_toward_zero(self):
+        for x in DIVIDENDS:
+            for y in DIVISORS:
+                assert (_div(x, y), _rem(x, y)) == _truncating(x, y), (x, y)
+
+    def test_machine_divides_toward_zero(self):
+        program, cases = _division_program()
+        machine = Machine(program)
+        checked = 0
+        while not machine.halted:
+            before = list(machine.regs)
+            instr = machine.step()
+            op = instr.op.value
+            if op in _DIVISION_OPS:
+                divisor = instr.imm if op.endswith("i") \
+                    else before[instr.rs2]
+                quotient, remainder = _truncating(before[instr.rs1],
+                                                  divisor)
+                expected = quotient if op.startswith("div") else remainder
+                assert machine.regs[instr.rd] == expected, (instr, before)
+                checked += 1
+        assert checked == 8 * cases
+
+    def test_tiers_match_the_reference(self, monkeypatch):
+        program, cases = _division_program()
+        for full in (False, True):
+            _, end = assert_matches_reference(monkeypatch, program,
+                                              100_000, full)
+            assert end == (16 * cases + 4, True)
+
+    def test_constant_divisor_is_inlined(self):
+        """A nonzero immediate divides inline; zero and the register
+        forms call the helpers."""
+        namespace = dict(_Columns().appenders, regs=[0] * 32, mem={},
+                         mem_get={}.get, **HELPERS)
+
+        def names(line):
+            packed = packed_form(assemble(
+                "main:\n%s\n jmp main\n halt\n" % line))
+            run, _ = translate(packed, 0, False, namespace)
+            return set(run.__code__.co_names)
+
+        for line in (" divi s4, s0, 3", " remi s5, s0, -3",
+                     " divi s4, s0, -1", " remi s5, s0, 1"):
+            assert not names(line) & {"_div", "_rem"}, line
+        assert "_div" in names(" divi s4, s0, 0")
+        assert "_rem" in names(" remi s5, s0, 0")
+        assert "_div" in names(" div s4, s0, s1")
+        assert "_rem" in names(" rem s5, s0, s1")
