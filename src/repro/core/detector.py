@@ -11,7 +11,6 @@ through the :class:`~repro.core.cls.CurrentLoopStack` and produces:
 """
 
 from array import array
-from bisect import bisect_right
 
 from repro.core.cls import CurrentLoopStack, DEFAULT_CAPACITY
 from repro.core.events import (
@@ -43,12 +42,11 @@ class EventColumns:
     reads it.
 
     ``iteration_positions`` makes *sparse* walks possible: per
-    ``exec_id``, the ascending positions of its iteration starts
-    (:meth:`next_iteration_after` answers "this execution's next
-    iteration start after position i" by bisection), so a walker that
-    knows nothing can happen at an iteration start (all TUs busy,
-    execution untracked) jumps straight to the next position where
-    something can.
+    ``exec_id``, the ascending positions of its iteration starts (a
+    bisection finds "this execution's next iteration start after
+    position i"), so a walker that knows nothing can happen at an
+    iteration start (all TUs busy, execution untracked) jumps straight
+    to the next position where something can.
     """
 
     __slots__ = ("etypes", "seqs", "loops", "exec_ids", "auxs",
@@ -95,17 +93,6 @@ class EventColumns:
 
     def __len__(self):
         return len(self.etypes)
-
-    def next_iteration_after(self, exec_id, position):
-        """The first iteration-start position of *exec_id* strictly
-        after *position*, or ``len(self)``."""
-        positions = self.iteration_positions.get(exec_id)
-        if positions is None:
-            return len(self.etypes)
-        k = bisect_right(positions, position)
-        if k == len(positions):
-            return len(self.etypes)
-        return positions[k]
 
 
 class LoopExecutionRecord:

@@ -9,8 +9,11 @@ columns (the mechanics are the paper's section 3, as listed in
 study price one.  The config-invariant tables are built in one pass
 over the event list, then each configuration walks the shared columns
 once, on its own, leaping wherever the tables prove nothing can happen
-to it.  ``tests/reference/speculation.py`` keeps a per-config engine
-that maintains its own tables event by event; the tests pin the walk
+to it.  The walk is one source template (:data:`_WALK_SOURCE`),
+compiled on first use into one function per policy kind, rate kind and
+disable setting, so each carries only its own family's tests.
+``tests/reference/speculation.py`` keeps a per-config engine that
+maintains its own tables event by event; the tests pin the walk
 against it.
 
 What the tables share
@@ -30,7 +33,14 @@ What the tables share
   starts whose stack is deeper than ``limit + 1``.  At an untracked
   iteration start with every TU busy, or where an STR-family
   prediction is already covered (:attr:`GridTables.may_spawn` is 0),
-  the walk leaps straight to the next event that can matter.
+  the walk leaps straight to the next event that can matter.  Where
+  the non-speculative position has reached the event's spawn horizon
+  (:attr:`GridTables.spawn_until`), an STR-family attempt would spawn
+  nothing, and the walk steps on without building it: at an untracked
+  event before advancing the clock, at a tracked one after its
+  promotion.  The STR(i) squash check walks the open stack only until
+  it has seen every speculated execution: all of them are open, so
+  all lie on the stack, and nothing further out can be squashed.
 
 What a configuration brings
 ---------------------------
@@ -58,6 +68,7 @@ What a configuration brings
   where nothing is resolved.
 """
 
+import re
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
@@ -79,8 +90,8 @@ __all__ = ["check_config", "grid_tables", "simulate_grid"]
 
 
 class GridTables(namedtuple("GridTables", (
-        "pred_known", "pred_count", "may_spawn", "end_pos", "start_pos",
-        "depth", "parent"))):
+        "pred_known", "pred_count", "may_spawn", "spawn_until", "end_pos",
+        "start_pos", "depth", "parent"))):
     """The config-invariant walk tables of one index (see
     :func:`grid_tables`).
 
@@ -96,7 +107,18 @@ class GridTables(namedtuple("GridTables", (
       covers iterations past ``last_covered``, which starts at the
       event's iteration number and only grows, so at every other
       iteration event of an untracked execution no configuration
-      spawns.
+      spawns;
+    * ``spawn_until[i]`` -- the spawn horizon of iteration event ``i``.
+      An STR-family attempt at position ``pos`` covers up to
+      ``last_covered = max(aux, min(total, bisect_right(iter_seqs,
+      pos) + 1))`` and spawns while that is below the prediction
+      ``p``, so for an untracked execution it spawns nothing exactly
+      when ``pos`` is at or past the horizon.  A tracked execution's
+      threads only raise ``last_covered``: past the horizon it spawns
+      nothing either.  The horizon is 0 where ``may_spawn[i]`` is 0;
+      ``iter_seqs[p - 2]``, the start of iteration ``p``, where ``p``
+      is known and at most the execution's iteration count; and
+      ``total_instructions + 1``, past every position, otherwise.
 
     Per ``exec_id``:
 
@@ -145,11 +167,15 @@ def grid_tables(index):
     loops = cols.loops
     exec_ids = cols.exec_ids
     auxs = cols.auxs
+    executions = index.executions
     n = len(etypes)
-    num_execs = len(index.executions)
+    num_execs = len(executions)
     pred_known = bytearray(n)
     pred_count = array("q", bytes(8 * n))
     may_spawn = bytearray(n)
+    spawn_until = array("q", bytes(8 * n))
+    beyond = index.total_instructions + 1
+    horizon_exec = horizon_count = horizon = -1
     end_pos = array("q", [n]) * num_execs
     start_pos = array("q", bytes(8 * num_execs))
     depth = array("q", bytes(8 * num_execs))
@@ -174,8 +200,22 @@ def grid_tables(index):
                 pred_count[i] = count
                 if count > auxs[i]:
                     may_spawn[i] = 1
+                    # An execution's events mostly share one
+                    # prediction, and so one horizon.
+                    if exec_ids[i] != horizon_exec \
+                            or count != horizon_count:
+                        horizon_exec = exec_ids[i]
+                        horizon_count = count
+                        rec = executions[horizon_exec]
+                        total = rec.iterations
+                        if total is None:
+                            total = len(rec.iter_seqs) + 1
+                        horizon = rec.iter_seqs[count - 2] \
+                            if count <= total else beyond
+                    spawn_until[i] = horizon
             else:
                 may_spawn[i] = 1
+                spawn_until[i] = beyond
         elif etype == 1:                        # EV_EXEC_START
             exec_id = exec_ids[i]
             if stack:
@@ -218,8 +258,8 @@ def grid_tables(index):
                         entry[2] -= 1
                 entry[0] = 1
                 entry[1] = stride
-    tables = GridTables(pred_known, pred_count, may_spawn, end_pos,
-                        start_pos, depth, parent)
+    tables = GridTables(pred_known, pred_count, may_spawn, spawn_until,
+                        end_pos, start_pos, depth, parent)
     index._grid_tables = (cols, tables)
     return tables
 
@@ -248,66 +288,63 @@ def check_config(num_tus, policy, timing):
     return num_tus, policy, make_timing(timing)
 
 
-def _run_fused(index, tables, num_tus, policy, model, name,
-               count_waiting=True, deep_starts=None, disable_table=None):
-    """One configuration (checked by :func:`check_config`) over the
-    shared tables of *index*.
-
-    *deep_starts* is :meth:`GridTables.deep_starts` of the policy's
-    nesting limit, computed here when not given.  Speculative threads
-    are ``(loop, exec_id, iteration, start_seq, end_seq, spawn_time,
-    spawn_seq)`` tuples.  Clock advances at skipped events telescope
-    into the next handled event.
-    """
+#: The walk of every configuration, as one template.  :func:`_walk`
+#: replaces each flag name with ``True``, ``False`` or a local of the
+#: walk, and compiles the result; CPython drops the branches a constant
+#: flag rules out, so a compiled walk tests only what its family needs:
+#:
+#: * ``PREDICTED`` -- the policy reads the LET prediction (``predicted``
+#:   in the IDLE/STR walk, which prices both);
+#: * ``NESTED`` -- the STR(i) squash rule;
+#: * ``ORACLE`` -- the ``all`` policy's actual remaining count;
+#: * ``POSITIONAL`` -- rates through ``model.cycles``/``model.progress``;
+#: * ``DISABLE`` -- a disable table's ``blocked``/``note`` hooks.
+#:
+#: Speculative threads are ``(loop, exec_id, iteration, start_seq,
+#: end_seq, spawn_time, spawn_seq)`` tuples.  Clock advances at skipped
+#: events telescope into the next handled event.  The walk returns its
+#: result and its work counts (:data:`_COUNTERS` order).
+_WALK_SOURCE = '''\
+def walk(index, tables, num_tus, policy, model, name, count_waiting,
+         deep_starts, disable_table):
     cols = index.columns()
     etypes = cols.etypes
     seqs = cols.seqs
     loops = cols.loops
     exec_ids = cols.exec_ids
     auxs = cols.auxs
-    next_iteration_after = cols.next_iteration_after
+    iteration_positions = cols.iteration_positions
     pred_known = tables.pred_known
     pred_count = tables.pred_count
     may_spawn = tables.may_spawn
     next_may_spawn = may_spawn.find
+    spawn_until = tables.spawn_until
     end_pos = tables.end_pos
     depth = tables.depth
     parent = tables.parent
     executions = index.executions
     total_instructions = index.total_instructions
-
-    mtype = type(model)
-    positional = (mtype.cycles is not TimingModel.cycles
-                  or mtype.progress is not TimingModel.progress)
+    predicted = type(policy) is not IdlePolicy
+    nesting_limit = policy.nesting_limit
+    if NESTED:
+        nest_bound = nesting_limit + 1
+        num_deep = len(deep_starts)
     cycles = model.cycles
     progress = model.progress
     spawn_c = model.spawn_cost(1)
     squash_c = model.squash_cost(1)
     promote_c = model.promote_cost()
-    if disable_table is not None:
+    if DISABLE:
         blocked = disable_table.blocked
         note = disable_table.note
-    else:
-        blocked = note = None
 
     result = SpeculationResult(
         name, num_tus if num_tus is not None else "inf", policy.name)
     result.total_instructions = total_instructions
     result.timing_name = model.name
-
-    nesting_limit = policy.nesting_limit
-    if nesting_limit is not None:
-        if deep_starts is None:
-            deep_starts = tables.deep_starts(nesting_limit)
-        nest_bound = nesting_limit + 1
-        num_deep = len(deep_starts)
-    oracle = type(policy) is OracleAllPolicy
-    # IDLE and the oracle never read a prediction, so every iteration
-    # start may spawn while a TU is idle.
-    unpredicted = oracle or type(policy) is IdlePolicy
     threads = {}
     threads_get = threads.get
-    budget = num_tus - 1 if num_tus is not None else float("inf")
+    budget = num_tus - 1 if num_tus is not None else INF
     spec_count = 0
     now = 0
     pos = 0
@@ -321,6 +358,9 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     credit_executing = 0
     instr_to_verif = 0
     resolved = 0
+    leaps = 0
+    horizon_skips = 0
+    attempts = 0
 
     n = len(etypes)
     i = 0
@@ -329,53 +369,68 @@ def _run_fused(index, tables, num_tus, policy, model, name,
         if etype == 0:                          # EV_ITERATION
             exec_id = exec_ids[i]
             tlist = threads_get(exec_id)
-            if tlist is None and (spec_count >= budget
-                                  or not (unpredicted or may_spawn[i])):
-                # Untracked, and either saturated or an STR-family
-                # no-spawn event: nothing can happen until a tracked
-                # execution's next iteration start (promotion) or its
-                # end (squash), until -- with an idle TU -- the next
-                # event where a spawn is possible, or -- for STR(i) --
-                # until the next execution start deep enough for the
-                # squash rule.  Untracked execution ends, single
-                # iterations and shallow starts in between are no-ops.
-                if spec_count >= budget:
-                    j = n
-                else:
-                    j = next_may_spawn(1, i + 1)
-                    if j < 0:
+            if tlist is None:
+                if spec_count >= budget or PREDICTED and not may_spawn[i]:
+                    # Saturated, or a prediction already covered:
+                    # nothing can happen until a tracked execution's
+                    # next iteration start (promotion) or its end
+                    # (squash), until -- with an idle TU -- the next
+                    # event where a spawn is possible, or -- for
+                    # STR(i) -- until the next execution start deep
+                    # enough for the squash rule.  Untracked execution
+                    # ends, single iterations and shallow starts in
+                    # between are no-ops.
+                    leaps += 1
+                    if spec_count >= budget:
                         j = n
-                if threads:
-                    for tracked in threads:
-                        k = next_iteration_after(tracked, i)
-                        if k < j:
-                            j = k
-                        k = end_pos[tracked]
-                        if k < j:
-                            j = k
-                    if nesting_limit is not None:
-                        k = bisect_right(deep_starts, i)
-                        if k < num_deep and deep_starts[k] < j:
-                            j = deep_starts[k]
-                i = j
-                continue
+                    else:
+                        j = next_may_spawn(1, i + 1)
+                        if j < 0:
+                            j = n
+                    if threads:
+                        for tracked in threads:
+                            # Its next iteration start, else its end.
+                            positions = iteration_positions[tracked]
+                            k = bisect_right(positions, i)
+                            k = positions[k] if k < len(positions) \\
+                                else end_pos[tracked]
+                            if k < j:
+                                j = k
+                        if NESTED:
+                            k = bisect_right(deep_starts, i)
+                            if k < num_deep and deep_starts[k] < j:
+                                j = deep_starts[k]
+                    i = j
+                    continue
+                if PREDICTED and pos >= spawn_until[i]:
+                    # The spawn horizon: the position has passed the
+                    # start of the predicted last iteration, so every
+                    # predicted iteration is covered and the attempt
+                    # would spawn nothing.  The next event may well
+                    # spawn, so this is a step, not a leap.
+                    horizon_skips += 1
+                    i += 1
+                    continue
             seq = seqs[i]
             if seq > pos:
-                now += cycles(pos, seq - pos) if positional else seq - pos
+                if POSITIONAL:
+                    now += cycles(pos, seq - pos)
+                else:
+                    now += seq - pos
                 pos = seq
             if tlist is not None and tlist[0][2] == auxs[i]:
-                thread = tlist.pop(0)
+                loop, _, _, start_seq, end_seq, spawn_time, spawn_seq = \
+                    tlist.pop(0)
                 if not tlist:
                     del threads[exec_id]
+                    tlist = None
                 spec_count -= 1
-                elapsed = now - thread[5]
-                start_seq = thread[3]
-                end_seq = thread[4]
+                elapsed = now - spawn_time
                 if end_seq is not None:
                     cap = end_seq - start_seq
                 else:
                     cap = total_instructions - start_seq
-                if positional:
+                if POSITIONAL:
                     executed = progress(elapsed, start_seq, cap)
                     credit_executing += cycles(start_seq, executed)
                 else:
@@ -386,36 +441,43 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                     pos = new_pos
                 promoted += 1
                 resolved += 1
-                instr_to_verif += seq - thread[6]
+                instr_to_verif += seq - spawn_seq
                 credit_waiting += elapsed
-                if note is not None:
-                    note(thread[0], True)
+                if DISABLE:
+                    note(loop, True)
                 if promote_c:
                     now += promote_c
                     overhead += promote_c
-            if spec_count < budget \
-                    and (blocked is None or not blocked(loops[i])):
+            if spec_count < budget \\
+                    and not (DISABLE and blocked(loops[i])):
+                if PREDICTED and pos >= spawn_until[i]:
+                    # Past the horizon a tracked execution spawns
+                    # nothing either: its threads only raise
+                    # last_covered.
+                    horizon_skips += 1
+                    i += 1
+                    continue
+                attempts += 1
                 idle = budget - spec_count
                 rec = executions[exec_id]
                 iter_seqs = rec.iter_seqs
                 total = rec.iterations
                 if total is None:
                     total = len(iter_seqs) + 1
-                tlist = threads_get(exec_id)
                 last_covered = tlist[-1][2] if tlist else auxs[i]
-                while last_covered < total \
+                while last_covered < total \\
                         and iter_seqs[last_covered - 1] <= pos:
                     last_covered += 1
-                if oracle:
+                if ORACLE:
                     count = total - last_covered
                     if count > idle:
                         count = idle
-                elif unpredicted or not pred_known[i]:
-                    count = idle
-                else:
+                elif PREDICTED and pred_known[i]:
                     count = pred_count[i] - last_covered
                     if count > idle:
                         count = idle
+                else:
+                    count = idle
                 if count > 0:
                     if spawn_c:
                         cost = spawn_c * count
@@ -427,73 +489,80 @@ def _run_fused(index, tables, num_tus, policy, model, name,
                     loop = loops[i]
                     for j in range(last_covered + 1,
                                    last_covered + 1 + count):
-                        if j <= total:
-                            start = iter_seqs[j - 2]
-                            end = iter_seqs[j - 1] if j < total else None
+                        if j < total:
+                            tlist.append((loop, exec_id, j, iter_seqs[j - 2],
+                                          iter_seqs[j - 1], now, seq))
+                        elif j == total:
+                            tlist.append((loop, exec_id, j, iter_seqs[j - 2],
+                                          None, now, seq))
                         else:
-                            start = None
-                            end = None
-                        tlist.append((loop, exec_id, j, start, end,
-                                      now, seq))
-                        threads_spawned += 1
+                            tlist.append((loop, exec_id, j, None, None,
+                                          now, seq))
+                    threads_spawned += count
                     spec_count += count
         elif etype == 2:                        # EV_EXEC_END
-            exec_id = exec_ids[i]
-            tlist = threads.pop(exec_id, None)
+            tlist = threads.pop(exec_ids[i], None)
             if tlist is not None:
                 seq = seqs[i]
                 if seq > pos:
-                    now += cycles(pos, seq - pos) if positional \
-                        else seq - pos
+                    if POSITIONAL:
+                        now += cycles(pos, seq - pos)
+                    else:
+                        now += seq - pos
                     pos = seq
                 for thread in tlist:
-                    squashed_misspec += 1
-                    resolved += 1
                     instr_to_verif += seq - thread[6]
-                    if note is not None:
+                    if DISABLE:
                         note(thread[0], False)
-                spec_count -= len(tlist)
+                squashed = len(tlist)
+                squashed_misspec += squashed
+                resolved += squashed
+                spec_count -= squashed
                 if squash_c:
-                    cost = squash_c * len(tlist)
+                    cost = squash_c * squashed
                     now += cost
                     overhead += cost
-        elif etype == 1 and nesting_limit is not None and threads \
-                and depth[exec_ids[i]] > nest_bound:   # EV_EXEC_START
-            # STR(i): squash the outermost speculated loop once more
-            # than nesting_limit non-speculated loops nest inside it.
-            # The open stack is this execution's parent chain, minus
-            # the executions already ended; walk it innermost first.
-            e = exec_ids[i]
-            left = depth[e]
-            unspeculated = 0
-            victim = None
-            while left:
-                if end_pos[e] > i:
-                    left -= 1
-                    tl = threads_get(e)
-                    if tl:
-                        victim = e
-                        nested_unspeculated = unspeculated
-                    else:
+        elif NESTED:
+            if etype == 1 and threads \\
+                    and depth[exec_ids[i]] > nest_bound:
+                # STR(i): squash the outermost speculated loop once
+                # more than nesting_limit non-speculated loops nest
+                # inside it.  The open stack is this execution's
+                # parent chain, minus the executions already ended;
+                # walk it innermost first.  Every tracked execution
+                # is open, so it is on the chain: once all of them
+                # are seen, the last one is the outermost.
+                e = exec_ids[i]
+                unspeculated = 0
+                unseen = len(threads)
+                while e >= 0:
+                    if e in threads:
+                        unseen -= 1
+                        if not unseen:
+                            break
+                    elif end_pos[e] > i:
                         unspeculated += 1
-                e = parent[e]
-            if victim is not None and nested_unspeculated > nesting_limit:
-                tl = threads.pop(victim)
-                seq = seqs[i]
-                for thread in tl:
-                    squashed_policy += 1
-                    resolved += 1
-                    instr_to_verif += seq - thread[6]
-                spec_count -= len(tl)
-                if squash_c:
-                    cost = squash_c * len(tl)
-                    now += cost
-                    overhead += cost
+                    e = parent[e]
+                if e >= 0 and unspeculated > nesting_limit:
+                    tlist = threads.pop(e)
+                    seq = seqs[i]
+                    for thread in tlist:
+                        instr_to_verif += seq - thread[6]
+                    squashed = len(tlist)
+                    squashed_policy += squashed
+                    resolved += squashed
+                    spec_count -= squashed
+                    if squash_c:
+                        cost = squash_c * squashed
+                        now += cost
+                        overhead += cost
         i += 1
 
     if total_instructions > pos:
-        now += cycles(pos, total_instructions - pos) if positional \
-            else total_instructions - pos
+        if POSITIONAL:
+            now += cycles(pos, total_instructions - pos)
+        else:
+            now += total_instructions - pos
     result.total_cycles = now
     result.overhead_cycles = overhead
     result.speculation_events = speculation_events
@@ -502,11 +571,83 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     result.squashed_misspec = squashed_misspec
     result.squashed_policy = squashed_policy
     result.credit_executing = credit_executing
-    result.credit_waiting = credit_waiting if count_waiting \
+    result.credit_waiting = credit_waiting if count_waiting \\
         else credit_executing
     result.instr_to_verif_total = instr_to_verif
     result.resolved = resolved
     result.unresolved_at_end = spec_count
+    return result, (horizon_skips, leaps, attempts, promoted)
+'''
+
+#: The policy kinds a walk is generated for, and the flag values each
+#: sets (see :data:`_WALK_SOURCE`).
+_KINDS = {
+    "idle/str": {"PREDICTED": "predicted", "NESTED": "False",
+                 "ORACLE": "False"},
+    "str(i)": {"PREDICTED": "True", "NESTED": "True", "ORACLE": "False"},
+    "all": {"PREDICTED": "False", "NESTED": "False", "ORACLE": "True"},
+}
+
+#: The walk's work counts, in the order a walk returns them.
+_COUNTERS = ("engine.horizon_skips", "engine.leaps", "engine.spawns",
+                 "engine.promotions")
+
+#: ``(kind, positional, disable)`` -> compiled walk, filled on first use.
+_WALKS = {}
+
+
+def _walk(kind, positional, disable):
+    """The walk of one policy kind, rate kind and disable setting,
+    compiled from :data:`_WALK_SOURCE` on first use."""
+    key = (kind, positional, disable)
+    walk = _WALKS.get(key)
+    if walk is None:
+        flags = dict(_KINDS[kind], POSITIONAL=str(positional),
+                     DISABLE=str(disable))
+        source = re.sub(r"\b(%s)\b" % "|".join(flags),
+                        lambda match: flags[match.group(1)], _WALK_SOURCE)
+        namespace = {"SpeculationResult": SpeculationResult,
+                     "IdlePolicy": IdlePolicy,
+                     "bisect_right": bisect_right, "INF": float("inf")}
+        exec(compile(source, "<walk %s%s%s>" % (
+            kind, " positional" if positional else "",
+            " disable" if disable else ""), "exec"), namespace)
+        walk = _WALKS[key] = namespace["walk"]
+    return walk
+
+
+def _run_fused(index, tables, num_tus, policy, model, name,
+               count_waiting=True, deep_starts=None, disable_table=None,
+               tally=None):
+    """One configuration (checked by :func:`check_config`) over the
+    shared tables of *index*, on the walk generated for its policy
+    kind, rate kind and disable setting.
+
+    *deep_starts* is :meth:`GridTables.deep_starts` of the policy's
+    nesting limit, computed here when not given.  The walk's work
+    counts are added into the list *tally* (:data:`_COUNTERS`
+    order), or to the active collector when *tally* is None.
+    """
+    if type(policy) is OracleAllPolicy:
+        kind = "all"
+    elif policy.nesting_limit is not None:
+        kind = "str(i)"
+        if deep_starts is None:
+            deep_starts = tables.deep_starts(policy.nesting_limit)
+    else:
+        kind = "idle/str"
+    mtype = type(model)
+    positional = (mtype.cycles is not TimingModel.cycles
+                  or mtype.progress is not TimingModel.progress)
+    walk = _walk(kind, positional, disable_table is not None)
+    result, counts = walk(index, tables, num_tus, policy, model, name,
+                          count_waiting, deep_starts, disable_table)
+    if tally is None:
+        for counter, count in zip(_COUNTERS, counts):
+            obs.add(counter, count)
+    else:
+        for slot, count in enumerate(counts):
+            tally[slot] += count
     return result
 
 
@@ -523,6 +664,7 @@ def simulate_grid(index, configs, name="workload", count_waiting=True):
     """
     configs = [check_config(*config) for config in configs]
     results = []
+    tally = [0] * len(_COUNTERS)
     with obs.span("engine.simulate_grid", workload=name,
                   configs=len(configs)):
         if configs:
@@ -534,7 +676,9 @@ def simulate_grid(index, configs, name="workload", count_waiting=True):
                     deep[limit] = tables.deep_starts(limit)
                 results.append(_run_fused(index, tables, num_tus, policy,
                                           model, name, count_waiting,
-                                          deep.get(limit)))
+                                          deep.get(limit), tally=tally))
     if configs:
         obs.add("engine.fused_cells", len(configs))
+        for counter, count in zip(_COUNTERS, tally):
+            obs.add(counter, count)
     return results

@@ -14,6 +14,8 @@ mechanics are the paper's section 3, as listed in
 :mod:`repro.core.speculation.engine`.
 """
 
+from bisect import bisect_right
+
 from repro.core.predictors import IterationCountPredictor
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.speculation.policies import (
@@ -50,6 +52,57 @@ def spawn_count(policy, idle_tus, last_covered, prediction, oracle_total):
     raise ValueError("no reference spawn rule for policy %r" % (policy,))
 
 
+def advance_covered(iter_seqs, total, covered, pos):
+    """The last iteration a spawn at position *pos* counts as covered:
+    *covered* (the execution's last speculated iteration, or the
+    current one), advanced one by one past every iteration whose start
+    the non-speculative position has already reached (after a long
+    promotion jump those are covered, not spawnable)."""
+    while covered < total and iter_seqs[covered - 1] <= pos:
+        covered += 1
+    return covered
+
+
+def spawn_horizon_mismatches(index, tables):
+    """Iteration events of *index* where the grid tables' spawn horizon
+    (``tables.spawn_until``) disagrees with :func:`advance_covered`.
+
+    Where ``may_spawn`` is 0 the horizon must be 0, and where no
+    prediction is known it must lie past every position.  At every
+    other iteration event an untracked STR-family spawn attempt spawns
+    nothing exactly when the covered iteration reaches the prediction;
+    that must hold exactly when ``pos >= spawn_until``, at the
+    positions where the answer can change: the horizon, the position
+    just before it and every iteration start of the event's execution
+    (positions never pass ``total_instructions``).  Returns ``(event
+    position, pos)`` pairs; empty when the horizon is exact.
+    """
+    cols = index.columns()
+    beyond = index.total_instructions + 1
+    mismatches = []
+    for i, etype in enumerate(cols.etypes):
+        if etype != 0:
+            continue
+        horizon = tables.spawn_until[i]
+        if not tables.may_spawn[i] or not tables.pred_known[i]:
+            if horizon != (beyond if tables.may_spawn[i] else 0):
+                mismatches.append((i, None))
+            continue
+        rec = index.executions[cols.exec_ids[i]]
+        total = rec.iterations if rec.iterations is not None \
+            else len(rec.iter_seqs) + 1
+        prediction = tables.pred_count[i]
+        covered = cols.auxs[i]
+        for pos in sorted({horizon - 1, horizon, *rec.iter_seqs}):
+            if pos > index.total_instructions:
+                break
+            # The covered iteration only grows with pos, so each scan
+            # resumes where the last one stopped.
+            covered = advance_covered(rec.iter_seqs, total, covered, pos)
+            if (covered >= prediction) != (pos >= horizon):
+                mismatches.append((i, pos))
+    return mismatches
+
 
 def _next_non_iteration(etypes):
     """Per position ``i`` (and ``len(etypes)``), the first position
@@ -63,6 +116,15 @@ def _next_non_iteration(etypes):
             nxt = i
         table[i] = nxt
     return table
+
+
+def _next_iteration_after(cols, exec_id, position):
+    """The first iteration-start position of *exec_id* strictly after
+    *position*, or ``len(cols)``."""
+    positions = cols.iteration_positions.get(exec_id, ())
+    k = bisect_right(positions, position)
+    return positions[k] if k < len(positions) else len(cols)
+
 
 class SpecThread:
     """One speculative thread: a (possibly nonexistent) future iteration.
@@ -175,7 +237,6 @@ class ReferenceEngine:
         exec_ids = cols.exec_ids
         auxs = cols.auxs
         next_non_iteration = _next_non_iteration(etypes)
-        next_iteration_after = cols.next_iteration_after
         n = len(etypes)
         threads = self._threads
         cycles = self._cycles
@@ -199,7 +260,7 @@ class ReferenceEngine:
                     # something can.
                     j = next_non_iteration[i + 1]
                     for tracked in threads:
-                        k = next_iteration_after(tracked, i)
+                        k = _next_iteration_after(cols, tracked, i)
                         if k < j:
                             j = k
                     i = j
@@ -309,12 +370,9 @@ class ReferenceEngine:
             else len(rec.iter_seqs) + 1
         iter_seqs = rec.iter_seqs
         threads = self._threads.get(exec_id)
-        last_covered = threads[-1].iteration if threads else iteration
-        # Iterations whose start the non-speculative position has already
-        # passed (after a long promotion jump) are covered, not spawnable.
-        while last_covered < total_iterations \
-                and iter_seqs[last_covered - 1] <= self._pos:
-            last_covered += 1
+        last_covered = advance_covered(
+            iter_seqs, total_iterations,
+            threads[-1].iteration if threads else iteration, self._pos)
 
         prediction = (None, None) if self._skip_prediction \
             else self._let_prediction(loop)

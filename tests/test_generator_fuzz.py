@@ -20,9 +20,11 @@ whole pipeline leans on:
 5. **the leaping walks agree with a full walk** -- the speculation
    walk equals its per-config reference
    (``tests/reference/speculation.py``) for IDLE, STR, STR(1..3) and
-   the ``all`` oracle at 2 and 4 TUs under the ideal, an overhead and
-   the width model, for the oracle at unlimited TUs, and with a
-   disable table; and the CLS-capacity sweep, shortcut or walked,
+   the ``all`` oracle at 2 and 4 TUs under the ideal, two overhead
+   models (spawns at 8 and 64 cycles) and the width model, for the
+   oracle at unlimited TUs, and with a disable table; the walk's spawn
+   horizon is exact at every iteration event; and the CLS-capacity
+   sweep, shortcut or walked,
    equals a real bare-stack walk (``tests/reference/cls_sweep.py``)
    at capacities 1 to 8;
 6. **the data-speculation study agrees with its reference** -- the
@@ -54,6 +56,7 @@ from repro.core import (
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.speculation import (
     SpeculationDisableTable,
+    grid_tables,
     simulate,
     simulate_grid,
 )
@@ -161,13 +164,16 @@ def test_tracers_match_reference(profile, seed, monkeypatch):
 
 
 #: Property 5's grid: every policy x 2 TU counts x the ideal machine,
-#: an overhead model and a positional one, plus the unlimited oracle.
+#: two overhead models and a positional one, plus the unlimited oracle.
+#: A costly spawn changes which attempts spawn, and so where the walk's
+#: spawn horizon skips them.
 LEAP_CONFIGS = [(tus, policy, timing)
                 for policy in ("idle", "str", "str(1)", "str(2)",
                                "str(3)", "all")
                 for tus in (2, 4)
                 for timing in (None, "overhead:spawn=8,squash=4,promote=1",
-                               "width:width=2")] + [(None, "all", None)]
+                               "overhead:spawn=64", "width:width=2")] \
+    + [(None, "all", None)]
 LEAP_CLS_CAPACITIES = tuple(range(1, 9))
 
 
@@ -178,6 +184,8 @@ def test_leaping_walks_match_full_walks(profile, seed):
     trace = trace_control_flow(make_workload(profile, seed).program(),
                                budget)
     index = LoopDetector().run(trace)
+    assert reference.spawn_horizon_mismatches(index, grid_tables(index)) \
+        == [], "spawn horizon (REPRO_FUZZ_SEED=%d)" % FUZZ_SEED
     grid = simulate_grid(index, LEAP_CONFIGS, name="fuzz")
     for (tus, policy, timing), got in zip(LEAP_CONFIGS, grid):
         ref = reference.simulate(index, num_tus=tus, policy=policy,

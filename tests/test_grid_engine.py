@@ -17,6 +17,9 @@ empty config lists).
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import LoopDetector
 from repro.core.speculation import (
     SpeculationDisableTable,
+    grid,
+    grid_tables,
     simulate,
     simulate_grid,
 )
@@ -375,6 +380,63 @@ class TestAnalogDifferential:
                 ("idle", "str", "str(2)", "all"), (2, 4, 16),
                 (None, self.OVERHEAD, "width:width=2"))])
 
+    @pytest.mark.parametrize("name", SUITE_ORDER)
+    def test_spawn_horizon_is_exact(self, loaded, name):
+        index = loaded[name][1]
+        assert reference.spawn_horizon_mismatches(
+            index, grid_tables(index)) == []
+
+
+class TestFullLengthDifferential:
+    """Three analogs at their default budget, where
+    :class:`TestAnalogDifferential` stops at 30,000 instructions: the
+    STR(i) cells that dominate the sweep grid's time at a cheap and a
+    costly spawn (which changes what each attempt spawns), and one
+    cell of every generated walk -- each policy kind, both rate kinds,
+    with and without a disable table -- on ijpeg.  The walk's work
+    counters must agree with the results they produced."""
+
+    WORKLOADS = ("ijpeg", "applu", "li")
+    STR_I = [(tus, policy, "overhead:spawn=%d" % cost)
+             for policy in ("str(1)", "str(3)") for cost in (1, 64)
+             for tus in (2, 16)]
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        return load(SimulationSession(workloads=self.WORKLOADS,
+                                      cache_dir=None))
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_str_i_cells_match_reference(self, loaded, name):
+        trace, index = loaded[name]
+        assert_grid_matches(index, self.STR_I + [
+            (4, "str(3)", fed_classcost(trace))])
+        assert_disable_matches(index, [(4, "str(3)", "overhead:spawn=1")])
+
+    def test_every_walk_matches_reference(self, loaded):
+        trace, index = loaded["ijpeg"]
+        configs = [(4, policy, timing)
+                   for policy in ("idle", "str", "str(3)", "all")
+                   for timing in ("overhead:spawn=1", fed_classcost(trace))]
+        assert_grid_matches(index, configs + [(None, "all", None)])
+        assert_disable_matches(index, configs[2:])
+
+    def test_work_counters_add_up(self, loaded):
+        index = loaded["ijpeg"][1]
+        configs = [cell for cell in self.STR_I if cell[1] == "str(3)"]
+        collector = activate(Collector())
+        try:
+            grid = simulate_grid(index, configs, name="ijpeg")
+        finally:
+            deactivate()
+        counters = collector.counters
+        assert counters["engine.horizon_skips"] > 0
+        assert counters["engine.promotions"] \
+            == sum(result.promoted for result in grid) > 0
+        assert counters["engine.spawns"] \
+            >= sum(result.speculation_events for result in grid)
+        assert counters["engine.leaps"] > 0
+
 
 class TestFrontierCorpus:
     """Every committed adversarial case through the walk."""
@@ -393,6 +455,37 @@ class TestFrontierCorpus:
                    (4, "str(1)", fed_classcost(trace))]
         assert_grid_matches(index, configs)
         assert_disable_matches(index, configs)
+        assert reference.spawn_horizon_mismatches(
+            index, grid_tables(index)) == []
+
+
+class TestGeneratedWalks:
+    """The per-family walks compile on first use, once each."""
+
+    def test_no_walk_compiles_at_import(self):
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path
+                   else src + os.pathsep + path)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.experiments.runner\n"
+             "from repro.core.speculation import grid\n"
+             "print(len(grid._WALKS))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0"]
+
+    def test_each_walk_compiles_once(self):
+        index = build_index(uniform_loop_module(20))
+        simulate_grid(index, [(4, "str(2)", "width:width=2")])
+        walk = grid._walk("str(i)", True, False)
+        simulate_grid(index, [(2, "str(3)", "width:width=3")])
+        assert grid._walk("str(i)", True, False) is walk
+        assert {key for key in grid._WALKS} <= {
+            (kind, positional, disable) for kind in grid._KINDS
+            for positional in (False, True) for disable in (False, True)}
 
 
 class TestRandomNests:
