@@ -403,7 +403,7 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                     i = j
                     continue
                 if PREDICTED and pos >= spawn_until[i]:
-                    # The spawn horizon: the position has passed the
+                    # The spawn horizon: the position has reached the
                     # start of the predicted last iteration, so every
                     # predicted iteration is covered and the attempt
                     # would spawn nothing.  The next event may well
@@ -413,10 +413,7 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                     continue
             seq = seqs[i]
             if seq > pos:
-                if POSITIONAL:
-                    now += cycles(pos, seq - pos)
-                else:
-                    now += seq - pos
+                now += cycles(pos, seq - pos) if POSITIONAL else seq - pos
                 pos = seq
             if tlist is not None and tlist[0][2] == auxs[i]:
                 loop, _, _, start_seq, end_seq, spawn_time, spawn_seq = \
@@ -505,10 +502,8 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
             if tlist is not None:
                 seq = seqs[i]
                 if seq > pos:
-                    if POSITIONAL:
-                        now += cycles(pos, seq - pos)
-                    else:
-                        now += seq - pos
+                    now += cycles(pos, seq - pos) if POSITIONAL \\
+                        else seq - pos
                     pos = seq
                 for thread in tlist:
                     instr_to_verif += seq - thread[6]
@@ -559,10 +554,8 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
         i += 1
 
     if total_instructions > pos:
-        if POSITIONAL:
-            now += cycles(pos, total_instructions - pos)
-        else:
-            now += total_instructions - pos
+        now += cycles(pos, total_instructions - pos) if POSITIONAL \\
+            else total_instructions - pos
     result.total_cycles = now
     result.overhead_cycles = overhead
     result.speculation_events = speculation_events

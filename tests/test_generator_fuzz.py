@@ -24,9 +24,8 @@ whole pipeline leans on:
    models (spawns at 8 and 64 cycles) and the width model, for the
    oracle at unlimited TUs, and with a disable table; the walk's spawn
    horizon is exact at every iteration event; and the CLS-capacity
-   sweep, shortcut or walked,
-   equals a real bare-stack walk (``tests/reference/cls_sweep.py``)
-   at capacities 1 to 8;
+   sweep, shortcut or walked, equals a real bare-stack walk
+   (``tests/reference/cls_sweep.py``) at capacities 1 to 8;
 6. **the data-speculation study agrees with its reference** -- the
    single-pass study over chunked block rows equals the
    per-record two-pass study (``tests/reference/dataspec.py``) at CLS

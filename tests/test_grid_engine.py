@@ -11,9 +11,12 @@ through the walk's positional seam), both waiting-credit settings,
 disable-table runs (blocked loops and per-loop outcome counts must
 match as well), every analog workload (with the result invariants of
 ``tests/reference/invariants.py`` checked on the ideal and overhead
-cells), the committed frontier corpus, random loop nests, and the
+cells; three of them also at full length, through every generated
+walk), the committed frontier corpus, random loop nests, and the
 degenerate shapes (loop-free indexes, zero-trip loops, single TU,
-empty config lists).
+empty config lists).  The spawn horizon of the grid tables must be
+exact against the reference's linear ``last_covered`` scan, and the
+walk's work counters must add up.
 """
 
 import itertools
