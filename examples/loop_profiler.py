@@ -14,7 +14,7 @@ import sys
 from collections import defaultdict
 
 from repro.analysis import Analysis, AnalysisSuite, LoopStatisticsPass
-from repro.core.events import ExecutionEnd, SingleIteration
+from repro.core.events import EV_EXEC_END, EV_SINGLE
 from repro.pipeline import SimulationSession
 from repro.util.fmt import format_table
 from repro.workloads import names
@@ -31,11 +31,12 @@ class PerLoopProfile(Analysis):
             "executions": 0, "iterations": 0, "instructions": 0,
             "depth_max": 0})
         executions = ctx.index.executions
+        cols = ctx.index.columns
         # Fold each execution in at its end, in stream order.
-        for event in ctx.index.events:
-            if type(event) not in (ExecutionEnd, SingleIteration):
+        for etype, exec_id in zip(cols.etypes, cols.exec_ids):
+            if etype != EV_EXEC_END and etype != EV_SINGLE:
                 continue
-            rec = executions[event.exec_id]
+            rec = executions[exec_id]
             entry = self.per_loop[rec.loop]
             entry["executions"] += 1
             entry["iterations"] += rec.iterations or 1

@@ -2,15 +2,8 @@
 speculation (Tubella & Gonzalez, HPCA 1998)."""
 
 from repro.core.cls import CLSEntry, CurrentLoopStack, DEFAULT_CAPACITY
-from repro.core.detector import LoopDetector, LoopExecutionRecord, LoopIndex
-from repro.core.events import (
-    EndReason,
-    ExecutionEnd,
-    ExecutionStart,
-    IterationStart,
-    LoopEvent,
-    SingleIteration,
-)
+from repro.core.detector import LoopDetector, LoopIndex
+from repro.core.events import EndReason, EventColumns, LoopExecutionRecord
 from repro.core.loopstats import LoopStatistics, \
     compute_loop_statistics, loop_coverage
 from repro.core.predictors import (
@@ -21,7 +14,6 @@ from repro.core.predictors import (
 )
 from repro.core.tables import (
     LoopHistoryTable,
-    NestingTracker,
     POLICY_LRU,
     POLICY_NESTING_AWARE,
     TableEntry,
@@ -36,11 +28,7 @@ __all__ = [
     "LoopExecutionRecord",
     "LoopIndex",
     "EndReason",
-    "ExecutionEnd",
-    "ExecutionStart",
-    "IterationStart",
-    "LoopEvent",
-    "SingleIteration",
+    "EventColumns",
     "LoopStatistics",
     "compute_loop_statistics",
     "loop_coverage",
@@ -49,7 +37,6 @@ __all__ = [
     "StridePredictor",
     "TwoBitCounter",
     "LoopHistoryTable",
-    "NestingTracker",
     "POLICY_LRU",
     "POLICY_NESTING_AWARE",
     "TableEntry",

@@ -17,18 +17,25 @@ on branches, jumps and returns exactly as the paper specifies:
 * on overflow the deepest (outermost) entry is dropped, penalizing the
   least common loops.
 
-The CLS emits :mod:`repro.core.events` objects; callers (detector,
-speculation engine, statistics collectors) consume those rather than
-re-deriving loop structure.
+The CLS writes every loop event it causes straight into its
+:class:`~repro.core.events.EventColumns` (``columns``) and keeps the
+matching :class:`~repro.core.events.LoopExecutionRecord` per execution
+(``executions``, in ``exec_id`` order) in the same step; callers
+(detector, speculation engine, statistics collectors) read those rather
+than re-deriving loop structure.
 """
+
+from array import array
 
 from repro.isa.instructions import InstrKind
 from repro.core.events import (
+    EV_EXEC_END,
+    EV_EXEC_START,
+    EV_ITERATION,
+    EV_SINGLE,
     EndReason,
-    ExecutionEnd,
-    ExecutionStart,
-    IterationStart,
-    SingleIteration,
+    EventColumns,
+    LoopExecutionRecord,
 )
 
 _K_BRANCH = int(InstrKind.BRANCH)
@@ -43,19 +50,18 @@ DEFAULT_CAPACITY = 16
 
 class CLSEntry:
     """One stacked loop: identifier ``t``, body upper bound ``b``, and
-    bookkeeping for the current execution."""
+    its current execution: ``exec_id``, the number of the iteration in
+    progress, its record and its iteration-start positions."""
 
-    __slots__ = ("t", "b", "exec_id", "iteration", "iter_start_seq",
-                 "exec_start_seq", "depth")
+    __slots__ = ("t", "b", "exec_id", "iteration", "record", "positions")
 
-    def __init__(self, t, b, exec_id, seq, depth):
+    def __init__(self, t, b, exec_id, record, positions):
         self.t = t
         self.b = b
         self.exec_id = exec_id
         self.iteration = 2          # detection == second iteration starting
-        self.iter_start_seq = seq
-        self.exec_start_seq = seq
-        self.depth = depth
+        self.record = record
+        self.positions = positions
 
     def contains(self, pc):
         return self.t <= pc <= self.b
@@ -69,8 +75,8 @@ class CurrentLoopStack:
     """The CLS plus event generation.
 
     Feed control-transfer records through :meth:`process_batch`; it
-    returns the loop events they caused.  Call :meth:`flush` once the
-    trace ends.
+    appends the loop events they cause to ``columns`` and returns their
+    positions.  Call :meth:`flush` once the trace ends.
     """
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
@@ -80,6 +86,8 @@ class CurrentLoopStack:
         self.entries = []           # index 0 = outermost, -1 = innermost
         self.next_exec_id = 0
         self.overflow_count = 0
+        self.columns = EventColumns()
+        self.executions = {}        # exec_id -> LoopExecutionRecord
 
     # -- introspection ---------------------------------------------------
 
@@ -95,14 +103,15 @@ class CurrentLoopStack:
 
     # -- main update rules -------------------------------------------------
 
-    def process_batch(self, batch, events=None):
+    def process_batch(self, batch):
         """Apply one :class:`~repro.trace.batch.RecordBatch` of control
-        transfers; returns the (possibly shared) list the batch's loop
-        events were appended to, in stream order.
+        transfers; returns the ``range`` of ``columns`` positions its
+        loop events were appended at, in stream order.
 
-        One fused scalar loop reads the columns directly and skips the
+        One fused scalar loop reads the columns directly, skips the
         common no-event cases -- calls, forward or missing targets with
-        nothing stacked -- without touching the per-rule methods.
+        nothing stacked -- and closes an innermost iteration in place,
+        without touching the per-rule methods.
         Calls never update the CLS: subroutine activations belong to
         the enclosing loop execution.  The CLS is deliberately *not*
         kernel-driven: its stack state makes per-record verdicts
@@ -110,9 +119,15 @@ class CurrentLoopStack:
         than this loop (see the note in :mod:`repro.trace.kernels`).
         A ``target`` of ``-1`` encodes ``None``.
         """
-        if events is None:
-            events = []
-        extend = events.extend
+        cols = self.columns
+        etypes = cols.etypes
+        start = len(etypes)
+        etype_append = etypes.append
+        seq_append = cols.seqs.append
+        loop_append = cols.loops.append
+        exec_append = cols.exec_ids.append
+        aux_append = cols.auxs.append
+        entries = self.entries      # the rules edit it in place
         k_branch = _K_BRANCH
         k_jump = _K_JUMP
         k_ijump = _K_IJUMP
@@ -121,97 +136,97 @@ class CurrentLoopStack:
                 batch.seqs, batch.pcs, batch.kinds, batch.takens,
                 batch.targets):
             if kind == k_branch:
-                if taken:
-                    if target < 0:
-                        continue
-                    if target > pc and not self.entries:
-                        continue
-                    evs = self._process_taken(seq, pc, target)
-                else:
-                    if target < 0 or target > pc:
-                        continue
-                    evs = self._process_not_taken(seq, pc, target)
+                if not taken:
+                    if target >= 0 and target <= pc:
+                        self._process_not_taken(seq, pc, target)
+                    continue
             elif kind == k_jump or kind == k_ijump:
-                if not taken or target < 0:
+                if not taken:
                     continue
-                if target > pc and not self.entries:
-                    continue
-                evs = self._process_taken(seq, pc, target)
             elif kind == k_ret:
-                if not self.entries:
-                    continue
-                evs = self._process_return(seq, pc)
+                if entries:
+                    self._process_return(seq, pc)
+                continue
             else:
                 continue        # calls, halt, and unknown kinds
-            if evs:
-                extend(evs)
-        return events
+            # A taken branch or jump.
+            if target < 0:
+                continue
+            if target > pc:
+                # A forward transfer: only the exit rule applies, and
+                # it ends only entries with t <= pc <= b < target.
+                # Most match none and skip the rule's rebuild.
+                for entry in entries:
+                    if entry.t <= pc <= entry.b < target:
+                        self._apply_exit_rule(seq, pc, target)
+                        break
+                continue
+            if entries:
+                top = entries[-1]
+                if top.t == target:
+                    # The innermost loop iterates unless the transfer
+                    # leaves an outer loop's body (the exit rule).
+                    for entry in entries:
+                        if target < entry.t <= pc <= entry.b:
+                            break
+                    else:
+                        if pc > top.b:
+                            top.b = pc
+                        iteration = top.iteration = top.iteration + 1
+                        top.positions.append(len(etypes))
+                        top.record.iter_seqs.append(seq)
+                        etype_append(EV_ITERATION)
+                        seq_append(seq)
+                        loop_append(target)
+                        exec_append(top.exec_id)
+                        aux_append(iteration)
+                        continue
+            self._process_backward(seq, pc, target)
+        return range(start, len(etypes))
 
     def flush(self, seq):
-        """End of trace: terminate every stacked execution."""
-        events = []
-        while self.entries:
-            entry = self.entries.pop()
-            events.append(self._end_event(seq, entry, EndReason.FLUSH))
-        return events
+        """End of trace: terminate every stacked execution; returns the
+        ``range`` of ``columns`` positions of their end events."""
+        start = len(self.columns)
+        entries = self.entries
+        while entries:
+            self._end(seq, entries.pop(), EndReason.FLUSH)
+        return range(start, len(self.columns))
 
     # -- rule implementations ---------------------------------------------
 
-    def _process_taken(self, seq, pc, target):
+    def _process_backward(self, seq, pc, target):
         entries = self.entries
-        # Quick reject: the exit rule ends only entries with
-        # t <= pc <= b that do not contain target, i.e. with b < target
-        # for a forward transfer and target < t for a backward one.
-        # Most transfers match no entry and skip the rule's rebuild.
-        if target > pc:
-            # Forward taken transfer: only the exit rule applies.
-            for entry in entries:
-                if entry.t <= pc <= entry.b < target:
-                    return self._apply_exit_rule(seq, pc, target)
-            return ()
+        # The exit rule ends only entries with target < t <= pc <= b;
+        # most backward transfers match none and skip its rebuild.
         for entry in entries:
             if target < entry.t <= pc <= entry.b:
+                exits = True
                 break
         else:
-            # Nothing exits: iterate the innermost loop, or push.
-            if entries and entries[-1].t == target:
-                entry = entries[-1]
-                if pc > entry.b:
-                    entry.b = pc
-                entry.iteration += 1
-                entry.iter_start_seq = seq
-                return [IterationStart(seq, target, entry.exec_id,
-                                       entry.iteration)]
-            if self._find(target) is None:
-                return self._push(seq, target, pc)
-        # Backward transfer: the loop-closing case.
+            exits = False
         index = self._find(target)
-        if index is not None:
-            events = []
-            # Everything nested above the iterating loop terminates.
-            while len(entries) - 1 > index:
-                inner = entries.pop()
-                events.append(self._end_event(seq, inner,
-                                              EndReason.OUTER))
-            entry = entries[index]
-            if pc > entry.b:
-                entry.b = pc
-            entry.iteration += 1
-            entry.iter_start_seq = seq
-            events.append(IterationStart(seq, entry.t, entry.exec_id,
-                                         entry.iteration))
-            # The exit rule still applies to the loops that remain
-            # stacked below: an overlapped loop whose body contains
-            # this branch but not its target terminates (definition
-            # rule ii; see Figure 2d's interleaved executions).
-            events.extend(self._apply_exit_rule(seq, pc, target,
-                                                skip=entry))
-            return events
-        # New loop: first apply the exit rule (this transfer may
-        # leave other loops' bodies), then push.
-        events = self._apply_exit_rule(seq, pc, target)
-        events.extend(self._push(seq, target, pc))
-        return events
+        if index is None:
+            # New loop: first apply the exit rule (this transfer may
+            # leave other loops' bodies), then push.
+            if exits:
+                self._apply_exit_rule(seq, pc, target)
+            self._push(seq, target, pc)
+            return
+        # The loop-closing case.  Everything nested above the
+        # iterating loop terminates.
+        while len(entries) - 1 > index:
+            self._end(seq, entries.pop(), EndReason.OUTER)
+        entry = entries[index]
+        if pc > entry.b:
+            entry.b = pc
+        self._iterate(seq, entry)
+        # The exit rule still applies to the loops that remain
+        # stacked below: an overlapped loop whose body contains
+        # this branch but not its target terminates (definition
+        # rule ii; see Figure 2d's interleaved executions).
+        if exits:
+            self._apply_exit_rule(seq, pc, target, skip=entry)
 
     def _process_not_taken(self, seq, pc, target):
         index = self._find(target)
@@ -220,79 +235,99 @@ class CurrentLoopStack:
             # reached the CLS.
             exec_id = self.next_exec_id
             self.next_exec_id += 1
-            return (SingleIteration(seq, target, exec_id,
-                                    len(self.entries) + 1),)
-        entry = self.entries[index]
+            depth = len(self.entries) + 1
+            record = LoopExecutionRecord(exec_id, target, seq, depth)
+            record.end_seq = seq
+            record.iterations = 1
+            self.executions[exec_id] = record
+            self.columns.append(EV_SINGLE, seq, target, exec_id, depth)
+            return
+        entries = self.entries
+        entry = entries[index]
         if entry.b > pc:
             # A backward branch inside the body but not at B; the loop
             # goes on.
-            return ()
-        events = []
-        while len(self.entries) - 1 > index:
-            inner = self.entries.pop()
-            events.append(self._end_event(seq, inner, EndReason.OUTER))
-        self.entries.pop()
-        events.append(self._end_event(seq, entry, EndReason.NOT_TAKEN))
-        return events
+            return
+        while len(entries) - 1 > index:
+            self._end(seq, entries.pop(), EndReason.OUTER)
+        entries.pop()
+        self._end(seq, entry, EndReason.NOT_TAKEN)
 
     def _process_return(self, seq, pc):
-        kept = []
-        events = []
         # Selective removal, innermost first in the emitted events.
-        removed = []
-        for entry in self.entries:
-            if entry.contains(pc):
-                removed.append(entry)
-            else:
-                kept.append(entry)
+        entries = self.entries
+        removed = [entry for entry in entries if entry.contains(pc)]
         if not removed:
-            return ()
-        self.entries = kept
+            return
+        entries[:] = [entry for entry in entries
+                      if not entry.contains(pc)]
         for entry in reversed(removed):
-            events.append(self._end_event(seq, entry, EndReason.RETURN))
-        return events
+            self._end(seq, entry, EndReason.RETURN)
 
     def _apply_exit_rule(self, seq, pc, target, skip=None):
         """Terminate loops whose body contains *pc* but not *target*."""
+        entries = self.entries
         kept = []
         removed = []
-        for entry in self.entries:
+        for entry in entries:
             if entry is not skip and entry.contains(pc) \
                     and not entry.contains(target):
                 removed.append(entry)
             else:
                 kept.append(entry)
         if not removed:
-            return []
-        self.entries = kept
-        return [self._end_event(seq, entry, EndReason.EXIT)
-                for entry in reversed(removed)]
+            return
+        entries[:] = kept
+        for entry in reversed(removed):
+            self._end(seq, entry, EndReason.EXIT)
 
     def _push(self, seq, target, pc):
-        events = []
-        if len(self.entries) >= self.capacity:
-            deepest = self.entries.pop(0)
+        entries = self.entries
+        if len(entries) >= self.capacity:
             self.overflow_count += 1
-            events.append(self._end_event(seq, deepest, EndReason.OVERFLOW))
+            self._end(seq, entries.pop(0), EndReason.OVERFLOW)
         exec_id = self.next_exec_id
-        self.next_exec_id += 1
-        depth = len(self.entries) + 1
-        entry = CLSEntry(target, pc, exec_id, seq, depth)
-        self.entries.append(entry)
-        events.append(ExecutionStart(seq, target, exec_id, depth))
-        events.append(IterationStart(seq, target, exec_id, 2))
-        return events
+        self.next_exec_id = exec_id + 1
+        depth = len(entries) + 1
+        cols = self.columns
+        position = len(cols.etypes)
+        record = self.executions[exec_id] = LoopExecutionRecord(
+            exec_id, target, seq, depth)
+        record.iter_seqs.append(seq)
+        positions = cols.iteration_positions[exec_id] = \
+            array("q", (position + 1,))
+        entries.append(CLSEntry(target, pc, exec_id, record, positions))
+        # The execution start and its first detected iteration (2).
+        cols.etypes.extend((EV_EXEC_START, EV_ITERATION))
+        cols.seqs.extend((seq, seq))
+        cols.loops.extend((target, target))
+        cols.exec_ids.extend((exec_id, exec_id))
+        cols.auxs.extend((depth, 2))
 
     # -- helpers -----------------------------------------------------------
 
     def _find(self, target):
         """Innermost entry index with identifier *target*, or None."""
-        for index in range(len(self.entries) - 1, -1, -1):
-            if self.entries[index].t == target:
+        entries = self.entries
+        for index in range(len(entries) - 1, -1, -1):
+            if entries[index].t == target:
                 return index
         return None
 
-    @staticmethod
-    def _end_event(seq, entry, reason):
-        return ExecutionEnd(seq, entry.t, entry.exec_id, entry.iteration,
-                            reason)
+    def _iterate(self, seq, entry):
+        """Start *entry*'s next iteration at *seq*."""
+        entry.iteration += 1
+        cols = self.columns
+        entry.positions.append(len(cols))
+        entry.record.iter_seqs.append(seq)
+        cols.append(EV_ITERATION, seq, entry.t, entry.exec_id,
+                    entry.iteration)
+
+    def _end(self, seq, entry, reason):
+        """End *entry*'s execution at *seq* (already off the stack)."""
+        record = entry.record
+        record.end_seq = seq
+        record.iterations = entry.iteration
+        record.reason = reason
+        self.columns.append(EV_EXEC_END, seq, entry.t, entry.exec_id,
+                            entry.iteration)

@@ -20,7 +20,7 @@ updated on every iteration.
 """
 
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from repro.core.detector import LoopDetector
 from repro.core.dataspec.paths import (
@@ -29,7 +29,7 @@ from repro.core.dataspec.paths import (
     _HASH_MASK,
     PathProfile,
 )
-from repro.core.events import ExecutionEnd, IterationStart
+from repro.core.events import EV_EXEC_END, EV_ITERATION
 from repro.isa.registers import NUM_REGISTERS
 from repro.obs import collector as obs
 from repro.trace.batch import StudyBatch
@@ -183,7 +183,7 @@ class _Tracker:
 
 
 _start_of = attrgetter("start")
-_seq_of = attrgetter("seq")
+_seq_of = itemgetter(1)
 
 
 def _score(bucket, histories, t):
@@ -296,6 +296,7 @@ class DataSpeculationAnalyzer:
         """
         detector = LoopDetector(cls_capacity=self.cls_capacity)
         detect = detector.feed_batch
+        cols = detector.columns
         profile = PathProfile()
         record_path = profile.record
         buckets = {}                  # (loop, path digest) -> stats
@@ -311,17 +312,22 @@ class DataSpeculationAnalyzer:
         instructions = blocks = exposed_reads = memory_ops = 0
         branches = 0
 
+        def loop_events(positions):
+            """``(etype, seq, loop, exec_id)`` of the loop events at
+            *positions*, a range the detector just appended."""
+            lo, hi = positions.start, positions.stop
+            return zip(cols.etypes[lo:hi], cols.seqs[lo:hi],
+                       cols.loops[lo:hi], cols.exec_ids[lo:hi])
+
         def apply(events):
             """Apply loop events in order, scoring every iteration
             they end; returns the new ``live``."""
-            for event in events:
-                etype = type(event)
-                if etype is IterationStart:
-                    old = trackers.get(event.exec_id)
-                    trackers[event.exec_id] = _Tracker(
-                        event.loop, event.seq, branches)
-                elif etype is ExecutionEnd:
-                    old = trackers.pop(event.exec_id, None)
+            for etype, seq, loop, exec_id in events:
+                if etype == EV_ITERATION:
+                    old = trackers.get(exec_id)
+                    trackers[exec_id] = _Tracker(loop, seq, branches)
+                elif etype == EV_EXEC_END:
+                    old = trackers.pop(exec_id, None)
                 else:
                     continue
                 if old is None:
@@ -342,7 +348,7 @@ class DataSpeculationAnalyzer:
             rows = batch.rows
             instructions += len(batch)
             blocks += len(rows)
-            events = groupby(detect(batch.control), _seq_of)
+            events = groupby(loop_events(detect(batch.control)), _seq_of)
             next_seq, group = next(events, (-1, None))
             for end, (exposed, touched, ops), data, token in rows:
                 i = len(exposed)
@@ -384,7 +390,7 @@ class DataSpeculationAnalyzer:
                     live = apply(group)
                     newest = live[0].start if live else -2
                     next_seq, group = next(events, (-1, None))
-        apply(detector.finish(instructions))
+        apply(loop_events(detector.finish(instructions)))
         obs.add("dataspec.blocks", blocks)
         obs.add("dataspec.exposed_reads", exposed_reads)
         obs.add("dataspec.memory_ops", memory_ops)

@@ -17,7 +17,7 @@ class LoopStatistics:
     """Aggregated Table-1 row for one workload.
 
     Accumulates incrementally: call :meth:`observe` with each completed
-    :class:`~repro.core.detector.LoopExecutionRecord` as its execution
+    :class:`~repro.core.events.LoopExecutionRecord` as its execution
     ends, then :meth:`finalize` once the stream is exhausted.
     :func:`compute_loop_statistics` does both over a finished index.
     """

@@ -122,11 +122,10 @@ class GridTables(namedtuple("GridTables", (
 
     Per ``exec_id``:
 
-    * ``end_pos`` -- the position of its
-      :class:`~repro.core.events.ExecutionEnd` (``len(events)`` if it
-      never ends);
+    * ``end_pos`` -- the position of its execution end
+      (``len(events)`` if it never ends);
     * ``start_pos``/``depth``/``parent`` -- the position of its
-      :class:`~repro.core.events.ExecutionStart`, the depth of the
+      execution start, the depth of the
       open-execution stack right after it, and the execution on top
       of that stack just before it (``-1`` if none).  ``depth`` is 0
       for single iterations, which push nothing.
@@ -159,7 +158,7 @@ def grid_tables(index):
     Execution ids index the per-execution arrays: the detector numbers
     executions densely from 0.
     """
-    cols = index.columns()
+    cols = index.columns
     cached = getattr(index, "_grid_tables", None)
     if cached is not None and cached[0] is cols:
         return cached[1]
@@ -307,7 +306,7 @@ def check_config(num_tus, policy, timing):
 _WALK_SOURCE = '''\
 def walk(index, tables, num_tus, policy, model, name, count_waiting,
          deep_starts, disable_table):
-    cols = index.columns()
+    cols = index.columns
     etypes = cols.etypes
     seqs = cols.seqs
     loops = cols.loops

@@ -28,13 +28,7 @@ from collections import OrderedDict
 from itertools import compress, islice
 from operator import ne, or_, sub
 
-from repro.core.detector import (
-    EV_EXEC_END,
-    EV_EXEC_START,
-    EV_ITERATION,
-    EventColumns,
-)
-from repro.core.events import ExecutionEnd, ExecutionStart
+from repro.core.events import EV_EXEC_END, EV_EXEC_START, EV_ITERATION
 from repro.obs import collector as obs
 
 POLICY_LRU = "lru"
@@ -117,30 +111,6 @@ class LoopHistoryTable:
         return list(self._entries)
 
 
-class NestingTracker:
-    """Reconstructs, from detector events, which loops have historically
-    been observed nested inside each loop (for the nesting-aware policy).
-    """
-
-    def __init__(self):
-        self._active = []          # (exec_id, loop), outermost first
-        self.nested_in = {}        # loop -> set of inner loop ids
-
-    def on_event(self, event):
-        if type(event) is ExecutionStart:
-            for _, outer_loop in self._active:
-                self.nested_in.setdefault(outer_loop, set()).add(event.loop)
-            self._active.append((event.exec_id, event.loop))
-        elif type(event) is ExecutionEnd:
-            for index in range(len(self._active) - 1, -1, -1):
-                if self._active[index][0] == event.exec_id:
-                    del self._active[index]
-                    break
-
-    def nested_inside(self, loop):
-        return self.nested_in.get(loop, ())
-
-
 class TableRows:
     """The rows a :class:`TableHitRatioSimulator` walks: the loop
     events of one index, with each maximal run of consecutive
@@ -168,7 +138,7 @@ class TableRows:
         return len(self.kinds)
 
     def build(self, cols):
-        """Fill the rows from :class:`~repro.core.detector.EventColumns`
+        """Fill the rows from :class:`~repro.core.events.EventColumns`
         *cols* unless already filled; returns ``self``."""
         if self.kinds is not None:
             return self
@@ -211,8 +181,11 @@ class TableHitRatioSimulator:
         self.let = LoopHistoryTable(let_entries, policy)
         self.lit = LoopHistoryTable(lit_entries, policy)
         self.policy = policy
-        self._nesting = NestingTracker() if policy == POLICY_NESTING_AWARE \
-            else None
+        # Nesting-aware replacement only: the loops seen nested inside
+        # each loop, and the open executions, outermost first.
+        aware = policy == POLICY_NESTING_AWARE
+        self._nested_in = {} if aware else None
+        self._active = [] if aware else None
         self.let_hits = 0
         self.let_accesses = 0
         self.lit_hits = 0
@@ -221,9 +194,10 @@ class TableHitRatioSimulator:
 
     # -- event plumbing -----------------------------------------------------
 
-    def replay(self, events):
-        """Replay an ordered loop-event list."""
-        return self.replay_columns(EventColumns(events))
+    def replay(self, cols):
+        """Replay a loop-event list given as
+        :class:`~repro.core.events.EventColumns`."""
+        return self.replay_columns(cols)
 
     def ensure_replayed(self, index, rows=None):
         """Replay *index* exactly once, however many passes ask.
@@ -242,7 +216,7 @@ class TableHitRatioSimulator:
             rows = TableRows()
         with obs.span("tables", let=self.let.capacity,
                       lit=self.lit.capacity, policy=self.policy):
-            cols = index.columns()
+            cols = index.columns
             self.replay_columns(cols, rows)
         obs.add("tables.walks")
         obs.add("tables.rows", len(rows))
@@ -250,7 +224,7 @@ class TableHitRatioSimulator:
         return self
 
     def replay_columns(self, cols, rows=None):
-        """Replay a :class:`~repro.core.detector.EventColumns` over its
+        """Replay a :class:`~repro.core.events.EventColumns` over its
         :class:`TableRows` *rows* (built here when ``None`` or empty).
 
         An ``ExecutionStart`` accesses the LET and inserts into both
@@ -269,7 +243,8 @@ class TableHitRatioSimulator:
         if rows is None:
             rows = TableRows()
         rows.build(cols)
-        nesting = self._nesting
+        nested_in = self._nested_in
+        active = self._active
         let = self.let
         lit = self.lit
         let_entries = let._entries
@@ -293,11 +268,10 @@ class TableHitRatioSimulator:
                         lit_hits += done + count - 2
                     entry.completed = done + count - 1
             elif kind == EV_EXEC_START:
-                if nesting is not None:
-                    nested_in = nesting.nested_in
-                    for _, outer in nesting._active:
+                if nested_in is not None:
+                    for _, outer in active:
                         nested_in.setdefault(outer, set()).add(loop)
-                    nesting._active.append((exec_id, loop))
+                    active.append((exec_id, loop))
                     nested = nested_in.get(loop, ())
                 else:
                     nested = None
@@ -314,8 +288,7 @@ class TableHitRatioSimulator:
                 else:
                     lit.insert(loop, nested)
             elif kind == EV_EXEC_END:
-                if nesting is not None:
-                    active = nesting._active
+                if active is not None:
                     for k in range(len(active) - 1, -1, -1):
                         if active[k][0] == exec_id:
                             del active[k]
@@ -327,8 +300,8 @@ class TableHitRatioSimulator:
                 if entry is not None:
                     entry.completed += 1
             else:                   # EV_SINGLE
-                nested = nesting.nested_in.get(loop, ()) \
-                    if nesting is not None else None
+                nested = nested_in.get(loop, ()) \
+                    if nested_in is not None else None
                 let_accesses += 1
                 entry = let_entries.get(loop)
                 if entry is None:

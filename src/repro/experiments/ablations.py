@@ -17,7 +17,8 @@ simulators are shared with figure4), and the CLS sweep walks
 canonical loop index proves can never overflow (the canonical CLS
 never overflowed and no pushed execution is deeper than the capacity)
 takes the canonical counts without a walk; every other capacity walks
-the trace's batches once with a bare CLS.  Every per-workload count is
+the trace's batches once with a CLS of its own (one ``cls.sweep`` span
+each).  Every per-workload count is
 persisted in the derived store; when all of a workload's counts are
 there, the pass reads no trace for it.
 """
@@ -112,7 +113,7 @@ class AblationsAnalysis(Analysis):
         ones: no drops, the same executions.  A single iteration
         reports depth ``len(entries) + 1`` but pushes nothing, so only
         pushed executions (``iterations != 1``) count.  Any other
-        capacity walks ``ctx.trace`` with a bare stack.
+        capacity walks ``ctx.trace`` with a fresh stack.
 
         Every canonical overflow ends exactly one execution, with
         ``EndReason.OVERFLOW``, so the canonical drops are counted in
@@ -129,10 +130,11 @@ class AblationsAnalysis(Analysis):
             obs.add("cls.sweep_shortcuts")
             return [0, len(executions)]
         obs.add("cls.sweep_walks")
-        stack = CurrentLoopStack(capacity=capacity)
-        for batch in ctx.trace.batches:
-            stack.process_batch(batch)
-        # flush() emits only ExecutionEnds: neither count moves.
+        with obs.span("cls.sweep", workload=ctx.name, capacity=capacity):
+            stack = CurrentLoopStack(capacity=capacity)
+            for batch in ctx.trace.batches:
+                stack.process_batch(batch)
+        # A flush only ends executions: neither count moves.
         return [stack.overflow_count, stack.next_exec_id]
 
     # -- the three tables ---------------------------------------------------

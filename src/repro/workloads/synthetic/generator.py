@@ -356,6 +356,10 @@ class _Generator:
             return [For(var, 0, trips[level], body)]
 
         nest_body = build_level(0, scope)
+        # A recursive closure is a reference cycle through its own cell;
+        # dropping it lets refcounting free this generator and its
+        # module instead of leaving both to the cyclic collector.
+        del build_level
         if reps > 1:
             nest_body = [For("step", 0, reps, nest_body)]
         name = "nest%d" % index

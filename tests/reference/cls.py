@@ -10,14 +10,15 @@ produced, so tests can pin ``process_batch`` against it event for
 event.
 """
 
-from repro.core.events import (
-    EndReason,
+from repro.core.events import EndReason
+from repro.isa.instructions import InstrKind
+
+from reference.events import (
     ExecutionEnd,
     ExecutionStart,
     IterationStart,
     SingleIteration,
 )
-from repro.isa.instructions import InstrKind
 
 BRANCH = int(InstrKind.BRANCH)
 JUMP = int(InstrKind.JUMP)

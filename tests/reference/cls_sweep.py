@@ -6,7 +6,7 @@ reads the production sweep's per-workload counts.
 
 from repro.analysis import AnalysisSuite
 from repro.core.cls import CurrentLoopStack
-from repro.core.events import ExecutionStart, SingleIteration
+from repro.core.events import EV_EXEC_START, EV_SINGLE
 from repro.experiments.ablations import AblationsAnalysis
 from repro.obs.collector import Collector, activate, deactivate
 
@@ -16,10 +16,10 @@ def walked_cls_counts(batches, capacity):
     entries walked over *batches*."""
     stack = CurrentLoopStack(capacity=capacity)
     executions = 0
+    etypes = stack.columns.etypes
     for batch in batches:
-        for event in stack.process_batch(batch):
-            if type(event) is ExecutionStart \
-                    or type(event) is SingleIteration:
+        for i in stack.process_batch(batch):
+            if etypes[i] == EV_EXEC_START or etypes[i] == EV_SINGLE:
                 executions += 1
     return [stack.overflow_count, executions]
 

@@ -18,10 +18,10 @@ from repro.core.dataspec.paths import (
     PathProfile,
 )
 from repro.core.dataspec.stats import DataSpecStats
-from repro.core.events import ExecutionEnd, IterationStart
 from repro.core.predictors import LastPlusStride
 
 from reference.cls import ReferenceCLS
+from reference.events import ExecutionEnd, IterationStart
 
 
 class PathSignature:

@@ -77,7 +77,7 @@ def spawn_horizon_mismatches(index, tables):
     (positions never pass ``total_instructions``).  Returns ``(event
     position, pos)`` pairs; empty when the horizon is exact.
     """
-    cols = index.columns()
+    cols = index.columns
     beyond = index.total_instructions + 1
     mismatches = []
     for i, etype in enumerate(cols.etypes):
@@ -227,7 +227,7 @@ class ReferenceEngine:
         event's :meth:`~repro.timing.base.TimingModel.cycles` call.
         """
         self.begin(index, name)
-        self._run_columns(index.columns())
+        self._run_columns(index.columns)
         return self.finish()
 
     def _run_columns(self, cols):

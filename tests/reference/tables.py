@@ -1,25 +1,49 @@
 """Per-event LET/LIT replay: the reference for
 :meth:`repro.core.tables.TableHitRatioSimulator.replay_columns`.
 
-One loop event at a time, through the public table API
+One loop event at a time (the objects of ``reference/events.py``),
+through the public table API
 (:class:`~repro.core.tables.LoopHistoryTable` lookups and inserts,
-:class:`~repro.core.tables.NestingTracker` for the nesting-aware
-policy), with the paper's hit criteria spelled out per event type
-(section 2.3.1).
+:class:`NestingTracker` for the nesting-aware policy), with the
+paper's hit criteria spelled out per event type (section 2.3.1).
 """
 
-from repro.core.events import (
+from repro.core.tables import (
+    POLICY_LRU,
+    POLICY_NESTING_AWARE,
+    LoopHistoryTable,
+)
+
+from reference.events import (
     ExecutionEnd,
     ExecutionStart,
     IterationStart,
     SingleIteration,
 )
-from repro.core.tables import (
-    POLICY_LRU,
-    POLICY_NESTING_AWARE,
-    LoopHistoryTable,
-    NestingTracker,
-)
+
+
+class NestingTracker:
+    """Reconstructs, from detector events, which loops have historically
+    been observed nested inside each loop (for the nesting-aware policy).
+    """
+
+    def __init__(self):
+        self._active = []          # (exec_id, loop), outermost first
+        self.nested_in = {}        # loop -> set of inner loop ids
+
+    def on_event(self, event):
+        if type(event) is ExecutionStart:
+            for _, outer_loop in self._active:
+                self.nested_in.setdefault(outer_loop, set()).add(event.loop)
+            self._active.append((event.exec_id, event.loop))
+        elif type(event) is ExecutionEnd:
+            for index in range(len(self._active) - 1, -1, -1):
+                if self._active[index][0] == event.exec_id:
+                    del self._active[index]
+                    break
+
+    def nested_inside(self, loop):
+        return self.nested_in.get(loop, ())
 
 
 class EventTableReplay:

@@ -79,7 +79,7 @@ def ref_figure4(loaded, sizes=(16, 8, 4, 2)):
     for size in sizes:
         let_hits = let_accs = lit_hits = lit_accs = 0
         for _trace, index in loaded.values():
-            sim = TableHitRatioSimulator(size, size).replay(index.events)
+            sim = TableHitRatioSimulator(size, size).replay(index.columns)
             let_hits += sim.let_hits
             let_accs += sim.let_accesses
             lit_hits += sim.lit_hits
@@ -168,7 +168,7 @@ def ref_ablations(loaded):
             let_h = let_a = lit_h = lit_a = 0
             for _trace, index in loaded.values():
                 sim = TableHitRatioSimulator(size, size, policy)
-                sim.replay(index.events)
+                sim.replay(index.columns)
                 let_h += sim.let_hits
                 let_a += sim.let_accesses
                 lit_h += sim.lit_hits
@@ -585,7 +585,7 @@ class TestLifecycle:
             def finish(self, ctx):
                 # Reading the index makes the workload walk its trace
                 # once before the pass fails.
-                assert len(ctx.index.events) >= 0
+                assert len(ctx.index.columns) >= 0
                 raise ValueError("bad pass")
 
             def result(self):

@@ -4,16 +4,17 @@ recursive-subroutine folding case."""
 
 import pytest
 
-from repro.core import (
-    CurrentLoopStack,
-    EndReason,
+from repro.core import CurrentLoopStack, EndReason
+from repro.isa import InstrKind
+from repro.trace import CFRecord, RecordBatch
+
+from reference.events import (
     ExecutionEnd,
     ExecutionStart,
     IterationStart,
     SingleIteration,
+    from_columns,
 )
-from repro.isa import InstrKind
-from repro.trace import CFRecord, RecordBatch
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -23,7 +24,8 @@ RET = int(InstrKind.RET)
 
 class Feeder:
     """Feeds synthetic control transfers, each as a one-record batch,
-    with automatic sequence numbers."""
+    with automatic sequence numbers; reads the rows each one appends
+    back as event objects."""
 
     def __init__(self, cls=None):
         self.cls = cls if cls is not None else CurrentLoopStack()
@@ -32,8 +34,9 @@ class Feeder:
 
     def step(self, pc, kind, taken, target, gap=1):
         self.seq += gap
-        events = self.cls.process_batch(RecordBatch.from_records(
-            [CFRecord(self.seq, pc, kind, taken, target)]))
+        events = self._read(self.cls.process_batch(
+            RecordBatch.from_records(
+                [CFRecord(self.seq, pc, kind, taken, target)])))
         self.events.extend(events)
         return events
 
@@ -50,9 +53,13 @@ class Feeder:
         return self.step(pc, RET, True, target, gap)
 
     def flush(self):
-        events = self.cls.flush(self.seq + 1)
+        events = self._read(self.cls.flush(self.seq + 1))
         self.events.extend(events)
         return events
+
+    def _read(self, positions):
+        return from_columns(self.cls.columns, self.cls.executions,
+                            positions)
 
     def of_type(self, etype):
         return [e for e in self.events if type(e) is etype]

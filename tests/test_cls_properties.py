@@ -3,15 +3,17 @@ sequences, and detector/event-stream consistency."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    CurrentLoopStack,
+from repro.core import CurrentLoopStack
+from repro.isa import InstrKind
+from repro.trace import CFRecord, RecordBatch
+
+from reference.events import (
     ExecutionEnd,
     ExecutionStart,
     IterationStart,
     SingleIteration,
+    from_columns,
 )
-from repro.isa import InstrKind
-from repro.trace import CFRecord, RecordBatch
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -29,14 +31,19 @@ _transfer = st.tuples(
 
 
 def drive(cls, transfers):
-    """Feed *transfers* one-record batch at a time; returns the events."""
-    events = []
+    """Feed *transfers* one-record batch at a time; returns the events
+    as objects."""
     for seq, (pc, kind, taken, target) in enumerate(transfers):
         if kind in (JMP, CALL, RET):
             taken = True
         cls.process_batch(RecordBatch.from_records(
-            [CFRecord(seq, pc, kind, taken, target)]), events)
-    return events
+            [CFRecord(seq, pc, kind, taken, target)]))
+    return from_columns(cls.columns, cls.executions)
+
+
+def flush(cls, seq):
+    """Flush *cls* at *seq*; returns the flush events as objects."""
+    return from_columns(cls.columns, cls.executions, cls.flush(seq))
 
 
 class TestCLSInvariants:
@@ -63,7 +70,7 @@ class TestCLSInvariants:
     def test_every_start_eventually_ends(self, transfers):
         cls = CurrentLoopStack()
         events = drive(cls, transfers)
-        events.extend(cls.flush(len(transfers)))
+        events.extend(flush(cls, len(transfers)))
         started = [e.exec_id for e in events
                    if isinstance(e, ExecutionStart)]
         ended = [e.exec_id for e in events if isinstance(e, ExecutionEnd)]
@@ -74,7 +81,7 @@ class TestCLSInvariants:
     def test_exec_ids_unique(self, transfers):
         cls = CurrentLoopStack()
         events = drive(cls, transfers)
-        events.extend(cls.flush(len(transfers)))
+        events.extend(flush(cls, len(transfers)))
         ids = [e.exec_id for e in events
                if isinstance(e, (ExecutionStart, SingleIteration))]
         assert len(ids) == len(set(ids))
@@ -84,7 +91,7 @@ class TestCLSInvariants:
     def test_iterations_monotone_per_execution(self, transfers):
         cls = CurrentLoopStack()
         events = drive(cls, transfers)
-        events.extend(cls.flush(len(transfers)))
+        events.extend(flush(cls, len(transfers)))
         last_iteration = {}
         for event in events:
             if isinstance(event, IterationStart):
@@ -101,7 +108,7 @@ class TestCLSInvariants:
     def test_event_seqs_nondecreasing(self, transfers):
         cls = CurrentLoopStack()
         events = drive(cls, transfers)
-        events.extend(cls.flush(len(transfers)))
+        events.extend(flush(cls, len(transfers)))
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)
 

@@ -1,49 +1,83 @@
-"""The production CLS against its per-record reference.
+"""The production CLS and detector against the per-record reference.
 
 ``tests/reference/cls.py`` transcribes the six CLS rules of the
 :mod:`repro.core.cls` docstring literally, visiting the exit rule on
-every taken transfer.  ``CurrentLoopStack.process_batch`` skips
-transfers the rules prove change nothing; it must still emit the
-reference's events, in order and field for field, and count the same
-overflows.  Coverage: every analog and every
-frontier case at CLS capacities 16, 2 and 1, and arbitrary transfer
-sequences from the CLS property tests' strategy.
+every taken transfer, and emits event objects.  The production
+:class:`~repro.core.cls.CurrentLoopStack` skips transfers the rules
+prove change nothing and writes its events straight into
+:class:`~repro.core.events.EventColumns` and execution records.  Both
+must equal the reference's events converted by
+``tests/reference/events.py``: every column, the iteration positions,
+every record field (``iter_seqs``, ``end_seq``, ``iterations``,
+``reason``, ``depth``) and the overflow count.  Each
+``LoopDetector.feed_batch``/``finish`` call returns exactly the range
+of rows it appended.
+
+Coverage: every analog and every frontier case at CLS capacities 16,
+4, 2 and 1, the generator fuzz samples (``REPRO_FUZZ_SEED``) at 16, 4
+and 2, and arbitrary transfer sequences from the CLS property tests'
+strategy.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cls import CurrentLoopStack
+from repro.core.detector import LoopDetector
+from repro.cpu import trace_control_flow
 from repro.search.corpus import frontier_names
 from repro.trace.record import CFRecord
 from repro.workloads import SUITE_ORDER, get
+from repro.workloads.synthetic import make_workload
 
 from reference import cut
 from reference.cls import reference_events
+from reference.events import (
+    columns_state,
+    records_state,
+    to_columns,
+    to_records,
+)
 from test_cls_properties import BR, CALL, JMP, RET, _transfer
+from test_generator_fuzz import (
+    DIFFERENTIAL_BUDGET,
+    FUZZ_SEED,
+    PROFILES,
+    SEEDS,
+    _ids,
+)
 
 #: Instructions traced per program, which bounds the per-record
 #: reference's share of the suite's time.
 BUDGET = 100_000
-CAPACITIES = (16, 2, 1)
+CAPACITIES = (16, 4, 2, 1)
+FUZZ_CAPACITIES = (16, 4, 2)
 
 
-def _reprs(events):
-    return [repr(event) for event in events]
+def detect(batches, total, capacity):
+    """A detector of *capacity* walked over *batches* and finished at
+    *total*, checking that every call returns the rows it appended."""
+    detector = LoopDetector(cls_capacity=capacity)
+    cols = detector.columns
+    for batch in batches:
+        before = len(cols)
+        appended = detector.feed_batch(batch)
+        assert appended == range(before, len(cols))
+    before = len(cols)
+    appended = detector.finish(total)
+    assert appended == range(before, len(cols))
+    return detector
 
 
-def assert_matches_reference(records, total, capacity):
+def assert_matches_reference(records, total, capacity, context=""):
     expected, overflows = reference_events(records, capacity, total)
-    expected = _reprs(expected)
-
-    stack = CurrentLoopStack(capacity)
-    events = []
-    for batch in cut(records, 97):
-        stack.process_batch(batch, events)
-    events.extend(stack.flush(total))
-    assert _reprs(events) == expected, \
-        "process_batch, capacity %d" % capacity
-    assert stack.overflow_count == overflows
+    detector = detect(cut(records, 97), total, capacity)
+    index = detector.index(total)
+    where = "capacity %d%s" % (capacity, context)
+    assert columns_state(index.columns) \
+        == columns_state(to_columns(expected)), where
+    assert records_state(index.executions) \
+        == records_state(to_records(expected)), where
+    assert detector.cls.overflow_count == overflows, where
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES)
@@ -54,6 +88,19 @@ def test_workload_events_match_reference(name, capacity):
     assert records
     assert_matches_reference(records, trace.total_instructions,
                              capacity)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("profile", PROFILES, ids=_ids(PROFILES))
+def test_fuzz_sample_events_match_reference(profile, seed):
+    budget = min(profile.default_max_instructions, DIFFERENTIAL_BUDGET)
+    trace = trace_control_flow(make_workload(profile, seed).program(),
+                               budget)
+    records = list(trace.iter_records())
+    for capacity in FUZZ_CAPACITIES:
+        assert_matches_reference(records, trace.total_instructions,
+                                 capacity,
+                                 " (REPRO_FUZZ_SEED=%d)" % FUZZ_SEED)
 
 
 #: The same transfers over a dozen pcs, so branches land on loop heads
@@ -76,4 +123,3 @@ def test_arbitrary_transfers_match_reference(transfers, capacity):
             taken = True
         records.append(CFRecord(seq, pc, kind, taken, target))
     assert_matches_reference(records, len(records), capacity)
-

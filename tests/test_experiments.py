@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis import analyze_trace
 from repro.core.cls import CurrentLoopStack
-from repro.core.events import SingleIteration
 from repro.cpu import trace_control_flow
 from repro.experiments import SimulationSession
 from repro.experiments.runner import available_experiments, run_experiment
@@ -23,6 +22,7 @@ from repro.workloads.suite import SUITE_ORDER
 
 from capture import load
 from reference.cls_sweep import production_sweep, walked_cls_counts
+from reference.events import SingleIteration, from_columns
 
 
 @pytest.fixture(scope="module")
@@ -273,9 +273,9 @@ class TestCLSCapacityShortcut:
             lambda suite: analyze_trace(suite, trace, name="t"), (1,))
         batches = trace.batches
         stack = CurrentLoopStack(capacity=16)
-        events = []
         for batch in batches:
-            stack.process_batch(batch, events)
+            stack.process_batch(batch)
+        events = from_columns(stack.columns, stack.executions)
         singles = [e.depth for e in events
                    if type(e) is SingleIteration]
         assert singles and max(singles) == 2

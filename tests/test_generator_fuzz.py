@@ -68,6 +68,7 @@ from repro.workloads.synthetic import make_workload, random_profile
 from reference.cls_sweep import production_sweep, walked_cls_counts
 from reference import speculation as reference
 from reference.dataspec import reference_stats
+from reference.events import index_events
 from reference.tables import EventTableReplay
 from reference.tracer import ReferenceTracer, outcome
 
@@ -240,7 +241,8 @@ def test_table_rows_match_reference(profile, seed):
         for size in (2, 4):
             sim = TableHitRatioSimulator(size, size, policy)
             sim.ensure_replayed(index)
-            ref = EventTableReplay(size, size, policy).replay(index.events)
+            ref = EventTableReplay(size, size, policy).replay(
+                index_events(index))
             assert (sim.counters(), sim.let.loops(), sim.lit.loops()) \
                 == (ref.counters(), ref.let.loops(), ref.lit.loops()), \
                 "%s size %d (REPRO_FUZZ_SEED=%d)" \

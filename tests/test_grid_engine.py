@@ -140,7 +140,7 @@ def _outcomes(table, loops):
 def assert_disable_matches(index, configs):
     """Disable-table runs of *configs*: the result, the blocked loops
     and every loop's outcome counts equal the reference's."""
-    loops = set(index.columns().loops)
+    loops = set(index.columns.loops)
     for tus, policy, timing in configs:
         for got_table, ref_table in zip(_disable_tables(),
                                         _disable_tables()):

@@ -493,17 +493,22 @@ class TestRunnerMetricsCLI:
                                                    capsys):
         """A cold ablations run counts, per workload and swept CLS
         capacity (2, 4, 8; 16 is the canonical detector), whether the
-        canonical index answered it or a bare stack walked: swim nests
+        canonical index answered it or a stack walked: swim nests
         2 deep, so all three take the shortcut; go nests 7 deep and
-        walks capacities 2 and 4."""
+        walks capacities 2 and 4, each walk in a ``cls.sweep`` span
+        tagged with its workload and capacity."""
         metrics = str(tmp_path / "run.json")
         assert runner_main(["ablations", "--workloads", "swim,go",
                             "--cache-dir", str(tmp_path / "cache"),
                             "--metrics", metrics]) == 0
         capsys.readouterr()
-        counters = load_manifest(metrics)["counters"]
+        manifest = load_manifest(metrics)
+        counters = manifest["counters"]
         assert counters["cls.sweep_shortcuts"] == 3 + 1
         assert counters["cls.sweep_walks"] == 2
+        assert [(span["attrs"]["workload"], span["attrs"]["capacity"])
+                for span in manifest["spans"]
+                if span["name"] == "cls.sweep"] == [("go", 2), ("go", 4)]
 
     def test_dataspec_span_and_counters(self, tmp_path, capsys):
         """A cold figure8 run computes one study per workload, each in
@@ -595,7 +600,7 @@ class TestRunnerMetricsCLI:
         counters = manifest["counters"]
         loaded = load(SimulationSession(workloads=("swim", "go"),
                                         cache_dir=cache))
-        events = sum(len(index.events) for _, index in loaded.values())
+        events = sum(len(index.columns) for _, index in loaded.values())
         assert counters["tables.walks"] == 8
         assert counters["tables.events"] == 4 * events
         assert 0 < counters["tables.rows"] < counters["tables.events"]

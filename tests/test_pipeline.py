@@ -36,7 +36,7 @@ def trace_bytes(loaded):
 
 
 def index_shape(index):
-    return (len(index), len(index.events), index.total_instructions,
+    return (len(index), len(index.columns), index.total_instructions,
             sorted((r.exec_id, r.loop, r.start_seq, r.end_seq,
                     r.iterations, tuple(r.iter_seqs))
                    for r in index.executions.values()))

@@ -5,18 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     EndReason,
-    ExecutionEnd,
-    ExecutionStart,
-    IterationStart,
     LoopDetector,
     LoopHistoryTable,
-    NestingTracker,
     POLICY_LRU,
     POLICY_NESTING_AWARE,
-    SingleIteration,
     TableHitRatioSimulator,
 )
-from repro.core.detector import EV_ITERATION, EventColumns
+from repro.core.events import EV_ITERATION, EventColumns
 from repro.core.tables import TableRows
 from repro.cpu import trace_control_flow
 from repro.lang import (
@@ -33,7 +28,15 @@ from repro.search.corpus import frontier_names
 from repro.workloads import get
 from repro.workloads.suite import SUITE_ORDER
 from capture import load
-from reference.tables import EventTableReplay
+from reference.events import (
+    ExecutionEnd,
+    ExecutionStart,
+    IterationStart,
+    SingleIteration,
+    index_events,
+    to_columns,
+)
+from reference.tables import EventTableReplay, NestingTracker
 
 
 class TestLoopHistoryTable:
@@ -126,11 +129,12 @@ def _nested_program(outer_trips, inner_trips, repeats=3):
     return compile_module(m)
 
 
+def _columns_for(program):
+    return LoopDetector().run(trace_control_flow(program)).columns
+
+
 def _events_for(program):
-    trace = trace_control_flow(program)
-    detector = LoopDetector()
-    detector.run(trace)
-    return detector.events
+    return index_events(LoopDetector().run(trace_control_flow(program)))
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +145,8 @@ def loop_index():
 
 class TestHitRatioSimulator:
     def test_repeating_loop_hits_after_warmup(self):
-        events = _events_for(_nested_program(4, 5, repeats=6))
-        sim = TableHitRatioSimulator(16, 16).replay(events)
+        cols = _columns_for(_nested_program(4, 5, repeats=6))
+        sim = TableHitRatioSimulator(16, 16).replay(cols)
         # Plenty of repetition: both tables should see strong hit ratios.
         assert sim.let_hit_ratio > 0.5
         assert sim.lit_hit_ratio > 0.7
@@ -155,21 +159,21 @@ class TestHitRatioSimulator:
         for k in range(6):
             stmts.append(For("i%d" % k, 0, 4, [Assign("x", Var("i%d" % k))]))
         m.function("main", [], stmts + [Return(0)])
-        events = _events_for(compile_module(m))
-        small = TableHitRatioSimulator(1, 1).replay(events)
-        big = TableHitRatioSimulator(16, 16).replay(events)
+        cols = _columns_for(compile_module(m))
+        small = TableHitRatioSimulator(1, 1).replay(cols)
+        big = TableHitRatioSimulator(16, 16).replay(cols)
         assert small.let_hit_ratio <= big.let_hit_ratio
         assert small.lit_hit_ratio <= big.lit_hit_ratio
 
     def test_hit_ratio_monotone_in_table_size(self):
-        events = _events_for(_nested_program(3, 4, repeats=5))
-        ratios = [TableHitRatioSimulator(n, n).replay(events).lit_hit_ratio
+        cols = _columns_for(_nested_program(3, 4, repeats=5))
+        ratios = [TableHitRatioSimulator(n, n).replay(cols).lit_hit_ratio
                   for n in (1, 2, 4, 8, 16)]
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
     def test_single_execution_loop_misses_let(self):
-        events = _events_for(_nested_program(3, 4, repeats=1))
-        sim = TableHitRatioSimulator(16, 16).replay(events)
+        cols = _columns_for(_nested_program(3, 4, repeats=1))
+        sim = TableHitRatioSimulator(16, 16).replay(cols)
         # The outer loops execute once: their LET accesses cannot hit.
         assert sim.let_hit_ratio < 1.0
 
@@ -179,15 +183,15 @@ class TestHitRatioSimulator:
         m = Module("t")
         m.function("main", [], [
             For("i", 0, 10, [Assign("x", Var("i"))]), Return(0)])
-        events = _events_for(compile_module(m))
-        sim = TableHitRatioSimulator(4, 4).replay(events)
+        cols = _columns_for(compile_module(m))
+        sim = TableHitRatioSimulator(4, 4).replay(cols)
         assert sim.lit_accesses == 9
 
     def test_nesting_aware_close_to_lru(self):
-        events = _events_for(_nested_program(4, 5, repeats=6))
-        lru = TableHitRatioSimulator(2, 2, POLICY_LRU).replay(events)
+        cols = _columns_for(_nested_program(4, 5, repeats=6))
+        lru = TableHitRatioSimulator(2, 2, POLICY_LRU).replay(cols)
         aware = TableHitRatioSimulator(
-            2, 2, POLICY_NESTING_AWARE).replay(events)
+            2, 2, POLICY_NESTING_AWARE).replay(cols)
         # Paper section 2.3.2: the improvement is negligible; at least it
         # must not be drastically different on well-nested workloads.
         assert abs(lru.lit_hit_ratio - aware.lit_hit_ratio) < 0.35
@@ -197,7 +201,8 @@ def assert_matches_reference(events, capacity, policy):
     """The row walk over *events* against the per-event reference:
     counters, table contents in LRU order, each entry's ``completed``,
     evictions and inhibited insertions.  Returns the simulator."""
-    sim = TableHitRatioSimulator(capacity, capacity, policy).replay(events)
+    sim = TableHitRatioSimulator(capacity, capacity, policy).replay(
+        to_columns(events))
     ref = EventTableReplay(capacity, capacity, policy).replay(events)
     assert sim.counters() == ref.counters()
     for table, ref_table in ((sim.let, ref.let), (sim.lit, ref.lit)):
@@ -229,7 +234,8 @@ class TestReplayMatchesReference:
     @pytest.mark.parametrize("policy", [POLICY_LRU, POLICY_NESTING_AWARE])
     @pytest.mark.parametrize("capacity", [1, 2, 4, 16])
     def test_columns_match_event_replay(self, index, policy, capacity):
-        sim = assert_matches_reference(index.events, capacity, policy)
+        sim = assert_matches_reference(index_events(index), capacity,
+                                       policy)
         assert sim.let_accesses > 0 and sim.lit_accesses > 0
 
 
@@ -263,7 +269,7 @@ def _execution(loop, exec_id, iterations, depth=0):
 
 
 def _rows(events):
-    rows = TableRows().build(EventColumns(events))
+    rows = TableRows().build(to_columns(events))
     return list(zip(rows.kinds, rows.loops, rows.firsts, rows.counts))
 
 
@@ -359,9 +365,9 @@ class TestTableRows:
         assert sim.let_hits >= 1 and sim.lit_hits >= 6
 
     def test_empty_event_list(self):
-        rows = TableRows().build(EventColumns([]))
+        rows = TableRows().build(EventColumns())
         assert len(rows) == 0
-        sim = TableHitRatioSimulator(2, 2).replay([])
+        sim = TableHitRatioSimulator(2, 2).replay(EventColumns())
         assert sim.counters() == [0, 0, 0, 0]
 
     def test_rows_are_built_once_and_shared(self, loop_index):
@@ -370,13 +376,13 @@ class TestTableRows:
                                                              rows)
                 for n in (2, 4)]
         kinds = rows.kinds
-        assert len(rows) < len(loop_index.events)
+        assert len(rows) < len(loop_index.columns)
         sims.append(TableHitRatioSimulator(8, 8).ensure_replayed(
             loop_index, rows))
         assert rows.kinds is kinds
         for sim, n in zip(sims, (2, 4, 8)):
             assert sim.counters() == EventTableReplay(n, n).replay(
-                loop_index.events).counters()
+                index_events(loop_index)).counters()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 5), st.integers(1, 4),

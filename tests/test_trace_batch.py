@@ -41,6 +41,7 @@ from repro.trace import (
 
 from reference import cut
 from reference.cls import ReferenceCLS, reference_events
+from reference.events import from_columns, index_events
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -422,13 +423,16 @@ class TestDetectorBatchEquivalence:
             expected.extend(ref.step(rec.seq, rec.pc, rec.kind,
                                      rec.taken, rec.target))
         stack = CurrentLoopStack(capacity=4)
-        got = stack.process_batch(RecordBatch.from_records(records))
+        got = from_columns(stack.columns, stack.executions,
+                           stack.process_batch(
+                               RecordBatch.from_records(records)))
         assert event_reprs(got) == event_reprs(expected)
         assert stack.current_loops() == [entry.t for entry in ref.stack]
         assert stack.overflow_count == ref.overflow_count
         assert stack.next_exec_id == ref.next_exec_id
-        assert event_reprs(stack.flush(999)) \
-            == event_reprs(ref.flush(999))
+        flushed = from_columns(stack.columns, stack.executions,
+                               stack.flush(999))
+        assert event_reprs(flushed) == event_reprs(ref.flush(999))
 
     @settings(max_examples=15)
     @given(random_records(), st.integers(1, 7))
@@ -439,8 +443,8 @@ class TestDetectorBatchEquivalence:
         idx1 = one.run_batches(cut(records, 1), total)
         sized = LoopDetector(cls_capacity=4)
         idx2 = sized.run_batches(cut(records, size), total)
-        assert event_reprs(one.events) == event_reprs(expected)
-        assert event_reprs(sized.events) == event_reprs(expected)
+        assert event_reprs(index_events(idx1)) == event_reprs(expected)
+        assert event_reprs(index_events(idx2)) == event_reprs(expected)
         assert index_shape(idx1) == index_shape(idx2)
 
     def test_real_workload_equivalence(self):
@@ -451,7 +455,8 @@ class TestDetectorBatchEquivalence:
         d2 = LoopDetector()
         idx2 = d2.run_batches(cut(trace.iter_records(), 4096),
                               trace.total_instructions)
-        assert event_reprs(d1.events) == event_reprs(d2.events)
+        assert event_reprs(index_events(idx1)) \
+            == event_reprs(index_events(idx2))
         assert index_shape(idx1) == index_shape(idx2)
 
 
