@@ -1,10 +1,11 @@
 """Loop profiler: per-loop behaviour of a workload.
 
 Shows how to write a *custom* analysis: a per-loop profile pass that
-folds each loop execution of the workload's index in at its end,
-registered alongside the stock loop-statistics pass so both share one
-trace walk through ``SimulationSession.analyze`` -- the per-loop view
-behind the paper's Table 1 aggregates.
+folds in each loop execution of the workload's index at its end row,
+reading the rest off its start row, registered alongside the stock
+loop-statistics pass so both share one trace walk through
+``SimulationSession.analyze`` -- the per-loop view behind the paper's
+Table 1 aggregates.
 
 Run:  python examples/loop_profiler.py [workload] [scale]
       python examples/loop_profiler.py compress
@@ -30,18 +31,23 @@ class PerLoopProfile(Analysis):
         self.per_loop = defaultdict(lambda: {
             "executions": 0, "iterations": 0, "instructions": 0,
             "depth_max": 0})
-        executions = ctx.index.executions
         cols = ctx.index.columns
-        # Fold each execution in at its end, in stream order.
-        for etype, exec_id in zip(cols.etypes, cols.exec_ids):
+        # Fold each execution in at its end row, in stream order.  Its
+        # start row holds its loop, start seq and depth; the end row its
+        # end seq and iteration count (an execution end's aux; a single
+        # iteration starts and ends on one row).
+        for end, (etype, exec_id) in enumerate(zip(cols.etypes,
+                                                   cols.exec_ids)):
             if etype != EV_EXEC_END and etype != EV_SINGLE:
                 continue
-            rec = executions[exec_id]
-            entry = self.per_loop[rec.loop]
+            start = cols.start_rows[exec_id]
+            entry = self.per_loop[cols.loops[start]]
             entry["executions"] += 1
-            entry["iterations"] += rec.iterations or 1
-            entry["instructions"] += sum(rec.iteration_lengths())
-            entry["depth_max"] = max(entry["depth_max"], rec.depth)
+            entry["iterations"] += \
+                cols.auxs[end] if etype == EV_EXEC_END else 1
+            # Its detected iterations run from its start to its end.
+            entry["instructions"] += cols.seqs[end] - cols.seqs[start]
+            entry["depth_max"] = max(entry["depth_max"], cols.auxs[start])
 
     def result(self):
         return dict(self.per_loop)

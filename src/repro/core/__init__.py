@@ -3,7 +3,7 @@ speculation (Tubella & Gonzalez, HPCA 1998)."""
 
 from repro.core.cls import CLSEntry, CurrentLoopStack, DEFAULT_CAPACITY
 from repro.core.detector import LoopDetector, LoopIndex
-from repro.core.events import EndReason, EventColumns, LoopExecutionRecord
+from repro.core.events import EndReason, EventColumns
 from repro.core.loopstats import LoopStatistics, \
     compute_loop_statistics, loop_coverage
 from repro.core.predictors import (
@@ -25,7 +25,6 @@ __all__ = [
     "CurrentLoopStack",
     "DEFAULT_CAPACITY",
     "LoopDetector",
-    "LoopExecutionRecord",
     "LoopIndex",
     "EndReason",
     "EventColumns",

@@ -18,11 +18,11 @@ on branches, jumps and returns exactly as the paper specifies:
   least common loops.
 
 The CLS writes every loop event it causes straight into its
-:class:`~repro.core.events.EventColumns` (``columns``) and keeps the
-matching :class:`~repro.core.events.LoopExecutionRecord` per execution
-(``executions``, in ``exec_id`` order) in the same step; callers
-(detector, speculation engine, statistics collectors) read those rather
-than re-deriving loop structure.
+:class:`~repro.core.events.EventColumns` (``columns``): the event row,
+and at a push, a single iteration or an end the execution's start row,
+end row and end reason.  Callers (detector, speculation engine,
+statistics collectors) read those columns rather than re-deriving loop
+structure.
 """
 
 from array import array
@@ -35,7 +35,6 @@ from repro.core.events import (
     EV_SINGLE,
     EndReason,
     EventColumns,
-    LoopExecutionRecord,
 )
 
 _K_BRANCH = int(InstrKind.BRANCH)
@@ -51,16 +50,15 @@ DEFAULT_CAPACITY = 16
 class CLSEntry:
     """One stacked loop: identifier ``t``, body upper bound ``b``, and
     its current execution: ``exec_id``, the number of the iteration in
-    progress, its record and its iteration-start positions."""
+    progress and its iteration-start positions."""
 
-    __slots__ = ("t", "b", "exec_id", "iteration", "record", "positions")
+    __slots__ = ("t", "b", "exec_id", "iteration", "positions")
 
-    def __init__(self, t, b, exec_id, record, positions):
+    def __init__(self, t, b, exec_id, positions):
         self.t = t
         self.b = b
         self.exec_id = exec_id
         self.iteration = 2          # detection == second iteration starting
-        self.record = record
         self.positions = positions
 
     def contains(self, pc):
@@ -87,7 +85,6 @@ class CurrentLoopStack:
         self.next_exec_id = 0
         self.overflow_count = 0
         self.columns = EventColumns()
-        self.executions = {}        # exec_id -> LoopExecutionRecord
 
     # -- introspection ---------------------------------------------------
 
@@ -174,7 +171,6 @@ class CurrentLoopStack:
                             top.b = pc
                         iteration = top.iteration = top.iteration + 1
                         top.positions.append(len(etypes))
-                        top.record.iter_seqs.append(seq)
                         etype_append(EV_ITERATION)
                         seq_append(seq)
                         loop_append(target)
@@ -235,12 +231,13 @@ class CurrentLoopStack:
             # reached the CLS.
             exec_id = self.next_exec_id
             self.next_exec_id += 1
-            depth = len(self.entries) + 1
-            record = LoopExecutionRecord(exec_id, target, seq, depth)
-            record.end_seq = seq
-            record.iterations = 1
-            self.executions[exec_id] = record
-            self.columns.append(EV_SINGLE, seq, target, exec_id, depth)
+            cols = self.columns
+            position = len(cols.etypes)
+            cols.start_rows.append(position)
+            cols.end_rows.append(position)
+            cols.end_reasons.append(0)
+            cols.append(EV_SINGLE, seq, target, exec_id,
+                        len(self.entries) + 1)
             return
         entries = self.entries
         entry = entries[index]
@@ -291,12 +288,12 @@ class CurrentLoopStack:
         depth = len(entries) + 1
         cols = self.columns
         position = len(cols.etypes)
-        record = self.executions[exec_id] = LoopExecutionRecord(
-            exec_id, target, seq, depth)
-        record.iter_seqs.append(seq)
+        cols.start_rows.append(position)
+        cols.end_rows.append(-1)
+        cols.end_reasons.append(0)
         positions = cols.iteration_positions[exec_id] = \
             array("q", (position + 1,))
-        entries.append(CLSEntry(target, pc, exec_id, record, positions))
+        entries.append(CLSEntry(target, pc, exec_id, positions))
         # The execution start and its first detected iteration (2).
         cols.etypes.extend((EV_EXEC_START, EV_ITERATION))
         cols.seqs.extend((seq, seq))
@@ -319,15 +316,13 @@ class CurrentLoopStack:
         entry.iteration += 1
         cols = self.columns
         entry.positions.append(len(cols))
-        entry.record.iter_seqs.append(seq)
         cols.append(EV_ITERATION, seq, entry.t, entry.exec_id,
                     entry.iteration)
 
     def _end(self, seq, entry, reason):
         """End *entry*'s execution at *seq* (already off the stack)."""
-        record = entry.record
-        record.end_seq = seq
-        record.iterations = entry.iteration
-        record.reason = reason
-        self.columns.append(EV_EXEC_END, seq, entry.t, entry.exec_id,
-                            entry.iteration)
+        cols = self.columns
+        exec_id = entry.exec_id
+        cols.end_rows[exec_id] = len(cols.etypes)
+        cols.end_reasons[exec_id] = reason
+        cols.append(EV_EXEC_END, seq, entry.t, exec_id, entry.iteration)

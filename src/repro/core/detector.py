@@ -2,35 +2,26 @@
 
 :class:`LoopDetector` replays a :class:`~repro.trace.stream.CFTrace`
 through the :class:`~repro.core.cls.CurrentLoopStack`, which writes a
-:class:`LoopIndex`:
-
-* the totally ordered loop events as
-  :class:`~repro.core.events.EventColumns` (the single source of loop
-  truth for every experiment), and
-* one :class:`~repro.core.events.LoopExecutionRecord` per execution,
-  with iteration boundary sequence numbers, which the
-  thread-speculation engine uses as its oracle for what each
-  speculative thread would execute.
+:class:`LoopIndex`: the totally ordered loop events, with each
+execution's start row, end row and end reason, as
+:class:`~repro.core.events.EventColumns` -- the single source of loop
+truth for every experiment.  The thread-speculation engine reads
+iteration boundaries from them (``seqs`` at an execution's iteration
+positions) as its oracle for what each speculative thread would
+execute.
 """
 
 from bisect import bisect_left
 
 from repro.core.cls import CurrentLoopStack, DEFAULT_CAPACITY
-from repro.core.events import (
-    EV_EXEC_END,
-    EndReason,
-    EventColumns,
-    LoopExecutionRecord,
-)
+from repro.core.events import EV_EXEC_END, EndReason, EventColumns
 
 
 class LoopIndex:
-    """All loop executions of a trace, ordered by start sequence, and
-    the event columns that produced them."""
+    """The event columns of a finished trace: every loop execution, in
+    start order, has a start row and an end row."""
 
-    def __init__(self, executions, columns, total_instructions,
-                 cls_capacity):
-        self.executions = executions          # exec_id -> record
+    def __init__(self, columns, total_instructions, cls_capacity):
         self.columns = columns                # EventColumns
         self.total_instructions = total_instructions
         self.cls_capacity = cls_capacity
@@ -45,8 +36,8 @@ class LoopIndex:
         execution still open, innermost (latest pushed, so highest
         ``exec_id``) first, with its iteration count: one undetected
         first iteration plus one per iteration start.  Executions that
-        ended before *limit* share their records and iteration
-        positions with this index.
+        ended before *limit* share their iteration positions with this
+        index.
         """
         cols = self.columns
         cut = bisect_left(cols.seqs, limit)     # seqs never decrease
@@ -56,44 +47,35 @@ class LoopIndex:
         out.loops = cols.loops[:cut]
         out.exec_ids = cols.exec_ids[:cut]
         out.auxs = cols.auxs[:cut]
+        # exec_ids follow start rows.
+        started = bisect_left(cols.start_rows, cut)
+        out.start_rows = cols.start_rows[:started]
+        end_rows = out.end_rows = cols.end_rows[:started]
+        end_reasons = out.end_reasons = cols.end_reasons[:started]
         positions_of = cols.iteration_positions
         out_positions = out.iteration_positions
-        executions = {}
         still_open = []
-        for exec_id, rec in self.executions.items():
-            if rec.start_seq >= limit:          # exec_ids follow seqs
-                break
+        for exec_id in range(started):
             positions = positions_of.get(exec_id)
-            if rec.end_seq is not None and rec.end_seq < limit:
-                executions[exec_id] = rec
+            if end_rows[exec_id] < cut:
                 if positions is not None:
                     out_positions[exec_id] = positions
                 continue
-            part = LoopExecutionRecord(exec_id, rec.loop, rec.start_seq,
-                                       rec.depth)
-            part.iter_seqs = rec.iter_seqs[
-                :bisect_left(rec.iter_seqs, limit)]
-            executions[exec_id] = part
             out_positions[exec_id] = positions[
                 :bisect_left(positions, cut)]
-            still_open.append(part)
-        for rec in reversed(still_open):
-            rec.end_seq = limit
-            rec.iterations = 1 + len(rec.iter_seqs)
-            rec.reason = EndReason.FLUSH
-            out.append(EV_EXEC_END, limit, rec.loop, rec.exec_id,
-                       rec.iterations)
-        return LoopIndex(executions, out, limit, self.cls_capacity)
-
-    def execution(self, exec_id):
-        return self.executions[exec_id]
-
-    def loops(self):
-        """Set of distinct loop identifiers (target addresses)."""
-        return {rec.loop for rec in self.executions.values()}
+            still_open.append(exec_id)
+        loops = out.loops
+        start_rows = out.start_rows
+        for exec_id in reversed(still_open):
+            end_rows[exec_id] = len(out.etypes)
+            end_reasons[exec_id] = EndReason.FLUSH
+            out.append(EV_EXEC_END, limit, loops[start_rows[exec_id]],
+                       exec_id, 1 + len(out_positions[exec_id]))
+        return LoopIndex(out, limit, self.cls_capacity)
 
     def __len__(self):
-        return len(self.executions)
+        """The number of loop executions."""
+        return len(self.columns.start_rows)
 
 
 class LoopDetector:
@@ -102,7 +84,6 @@ class LoopDetector:
     def __init__(self, cls_capacity=DEFAULT_CAPACITY):
         self.cls = CurrentLoopStack(capacity=cls_capacity)
         self.columns = self.cls.columns
-        self.executions = self.cls.executions
 
     # -- streaming interface ----------------------------------------------
 
@@ -136,5 +117,7 @@ class LoopDetector:
         return self.index(total_instructions)
 
     def index(self, total_instructions):
-        return LoopIndex(self.executions, self.columns, total_instructions,
+        """The :class:`LoopIndex` of the columns; call it after
+        :meth:`finish`, which ends every execution still open."""
+        return LoopIndex(self.columns, total_instructions,
                          self.cls.capacity)

@@ -14,9 +14,9 @@ refer to the dynamic instruction index of the control transfer that
 * an execution end sits on the terminating instruction (not-taken
   closing branch, exiting branch/jump, return, ...).
 
-The CLS writes the events straight into :class:`EventColumns` and
-keeps one :class:`LoopExecutionRecord` per execution beside them;
-there is no per-event object.
+The CLS writes the events straight into :class:`EventColumns`, the one
+store of loop executions: there is no per-event or per-execution
+object.
 """
 
 import enum
@@ -29,38 +29,49 @@ EV_EXEC_END = 2
 EV_SINGLE = 3
 
 
-class EndReason(enum.Enum):
-    """Why a loop execution terminated (or was abandoned)."""
+class EndReason(enum.IntEnum):
+    """Why a loop execution terminated (or was abandoned); the code
+    :attr:`EventColumns.end_reasons` holds (0 is no reason: a single
+    iteration, or an execution not yet ended)."""
 
-    NOT_TAKEN = "not-taken-closing-branch"   # paper rule (i)
-    EXIT = "exit-branch"                     # paper rule (ii)
-    RETURN = "return"                        # paper rule (iii)
-    OUTER = "outer-loop-event"               # popped when an outer loop
-    #                                          iterated or terminated
-    OVERFLOW = "cls-overflow"                # deepest entry dropped
-    FLUSH = "end-of-trace"                   # trace exhausted
+    NOT_TAKEN = 1       # paper rule (i): not-taken closing branch
+    EXIT = 2            # paper rule (ii): exit branch
+    RETURN = 3          # paper rule (iii): return
+    OUTER = 4           # popped when an outer loop iterated or ended
+    OVERFLOW = 5        # CLS overflow: the deepest entry dropped
+    FLUSH = 6           # end of trace
 
 
 class EventColumns:
     """The loop-event list of a trace as parallel columns.
 
-    ``etypes`` holds each event's ``EV_*`` code, ``seqs``/``loops``/
-    ``exec_ids`` its sequence number, loop (target address T) and
-    execution, and ``auxs`` the type-specific field: the iteration
-    number of an iteration start (2 for an execution's first detected
-    one), the 1-based CLS depth of an execution start or a single
-    iteration (for a single iteration, the depth it would have had),
-    and the iteration count of an execution end.  An end's
-    :class:`EndReason` lives on its execution's record.
+    Per event row: ``etypes`` holds its ``EV_*`` code, ``seqs``/
+    ``loops``/``exec_ids`` its sequence number, loop (target address
+    T) and execution, and ``auxs`` the type-specific field: the
+    iteration number of an iteration start (2 for an execution's first
+    detected one), the 1-based CLS depth of an execution start or a
+    single iteration (for a single iteration, the depth it would have
+    had), and the iteration count of an execution end.
+
+    Per execution, indexed by ``exec_id`` (dense from 0, in start
+    order): ``start_rows`` holds the row of its execution start (its
+    ``EV_SINGLE`` row for a single iteration), ``end_rows`` the row of
+    its execution end (the same ``EV_SINGLE`` row; -1 while it is
+    open) and ``end_reasons`` its :class:`EndReason` code.  So an
+    execution's loop, start seq and depth are the start row's
+    ``loops``/``seqs``/``auxs``, its end seq is the end row's ``seqs``
+    and its iteration count the end row's ``auxs`` (1 for a single
+    iteration).
 
     ``iteration_positions`` maps each pushed execution's ``exec_id`` to
-    the ascending positions of its iteration starts, so a walker that
-    knows nothing can happen at an iteration start (all TUs busy,
-    execution untracked) bisects straight to the next position where
-    something can.
+    the ascending rows of its iteration starts: iteration ``k + 2``
+    began at ``seqs[positions[k]]``.  A walker that knows nothing can
+    happen at an iteration start (all TUs busy, execution untracked)
+    bisects straight to the next row where something can.
     """
 
     __slots__ = ("etypes", "seqs", "loops", "exec_ids", "auxs",
+                 "start_rows", "end_rows", "end_reasons",
                  "iteration_positions")
 
     def __init__(self):
@@ -69,10 +80,13 @@ class EventColumns:
         self.loops = array("q")
         self.exec_ids = array("q")
         self.auxs = array("q")
+        self.start_rows = array("q")
+        self.end_rows = array("q")
+        self.end_reasons = bytearray()
         self.iteration_positions = {}
 
     def append(self, etype, seq, loop, exec_id, aux):
-        """Append one event row (iteration positions not included)."""
+        """Append one event row (no per-execution column included)."""
         self.etypes.append(etype)
         self.seqs.append(seq)
         self.loops.append(loop)
@@ -81,44 +95,3 @@ class EventColumns:
 
     def __len__(self):
         return len(self.etypes)
-
-
-class LoopExecutionRecord:
-    """One detected loop execution.
-
-    ``iter_seqs[k]`` is the sequence number at which iteration ``k + 2``
-    began (detection starts at the second iteration); ``end_seq`` is the
-    terminating instruction.  A single-iteration execution has no
-    ``iter_seqs``, ``start_seq == end_seq`` and no ``reason``.
-    """
-
-    __slots__ = ("exec_id", "loop", "start_seq", "iter_seqs", "end_seq",
-                 "iterations", "reason", "depth")
-
-    def __init__(self, exec_id, loop, start_seq, depth):
-        self.exec_id = exec_id
-        self.loop = loop
-        self.start_seq = start_seq
-        self.iter_seqs = []
-        self.end_seq = None
-        self.iterations = None
-        self.reason = None
-        self.depth = depth
-
-    @property
-    def detected_iterations(self):
-        """Iterations observable by hardware (excludes the undetected
-        first iteration of multi-iteration executions)."""
-        return len(self.iter_seqs)
-
-    def iteration_lengths(self):
-        """Instruction counts of fully delimited iterations."""
-        bounds = list(self.iter_seqs)
-        if self.end_seq is not None:
-            bounds.append(self.end_seq)
-        return [b - a for a, b in zip(bounds, bounds[1:])]
-
-    def __repr__(self):
-        return ("LoopExecutionRecord(exec=%d, loop=%d, iters=%r, "
-                "reason=%r)" % (self.exec_id, self.loop, self.iterations,
-                                self.reason))

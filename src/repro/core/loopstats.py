@@ -12,21 +12,19 @@ first iterations (they are known retrospectively) and single-iteration
 executions.
 """
 
+from repro.core.events import EV_ITERATION, EV_SINGLE
+
 
 class LoopStatistics:
-    """Aggregated Table-1 row for one workload.
-
-    Accumulates incrementally: call :meth:`observe` with each completed
-    :class:`~repro.core.events.LoopExecutionRecord` as its execution
-    ends, then :meth:`finalize` once the stream is exhausted.
-    :func:`compute_loop_statistics` does both over a finished index.
-    """
+    """Aggregated Table-1 row for one workload: the counters
+    :func:`compute_loop_statistics` reads off a finished index's event
+    columns, or :meth:`from_state` restores."""
 
     __slots__ = ("name", "total_instructions", "static_loops", "executions",
                  "iterations", "measured_iterations",
                  "measured_iteration_instructions", "nesting_sum",
                  "max_nesting", "single_iteration_executions",
-                 "overflow_drops", "observed_loops")
+                 "overflow_drops")
 
     def __init__(self, name="workload"):
         self.name = name
@@ -40,29 +38,6 @@ class LoopStatistics:
         self.max_nesting = 0
         self.single_iteration_executions = 0
         self.overflow_drops = 0
-        self.observed_loops = set()
-
-    def observe(self, rec):
-        """Fold one completed execution record into the aggregates."""
-        self.observed_loops.add(rec.loop)
-        self.executions += 1
-        iterations = rec.iterations if rec.iterations is not None else \
-            rec.detected_iterations + 1
-        self.iterations += iterations
-        if iterations == 1:
-            self.single_iteration_executions += 1
-        lengths = rec.iteration_lengths()
-        self.measured_iterations += len(lengths)
-        self.measured_iteration_instructions += sum(lengths)
-        self.nesting_sum += rec.depth
-        if rec.depth > self.max_nesting:
-            self.max_nesting = rec.depth
-        return self
-
-    def finalize(self):
-        """Derive the counts that need the whole stream; returns self."""
-        self.static_loops = len(self.observed_loops)
-        return self
 
     @property
     def iterations_per_execution(self):
@@ -85,8 +60,7 @@ class LoopStatistics:
 
     # -- persistence -------------------------------------------------------
 
-    #: Scalar counters persisted by :meth:`state` (``observed_loops``
-    #: is folded into ``static_loops`` by :meth:`finalize` first).
+    #: Scalar counters persisted by :meth:`state`.
     STATE_FIELDS = ("name", "total_instructions", "static_loops",
                     "executions", "iterations", "measured_iterations",
                     "measured_iteration_instructions", "nesting_sum",
@@ -95,8 +69,7 @@ class LoopStatistics:
 
     def state(self):
         """Every counter as a JSON-serializable dict -- the exact
-        inverse of :meth:`from_state`.  Call :meth:`finalize` first:
-        the loop-identity set itself is not persisted, only its size."""
+        inverse of :meth:`from_state`."""
         return {field: getattr(self, field)
                 for field in self.STATE_FIELDS}
 
@@ -107,9 +80,7 @@ class LoopStatistics:
         Raises ``KeyError``/``TypeError`` on malformed input and
         ``ValueError`` on counters no index can produce (a negative
         count, or more loops or single-iteration executions than
-        executions); derived caches treat any of them as a miss.  The
-        restored object is finalized: ``observed_loops`` is empty and
-        ``static_loops`` is authoritative.
+        executions); derived caches treat any of them as a miss.
         """
         stats = cls(state["name"])
         for field in cls.STATE_FIELDS:
@@ -145,13 +116,34 @@ class LoopStatistics:
 
 
 def compute_loop_statistics(index, name="workload"):
-    """Aggregate a :class:`~repro.core.detector.LoopIndex` into a
-    :class:`LoopStatistics`."""
+    """Aggregate a finished :class:`~repro.core.detector.LoopIndex` into
+    a :class:`LoopStatistics`, reading its event columns.
+
+    Every execution has one undetected first iteration and one per
+    iteration-start row, and its detected iterations are the measured
+    ones: they run from its first iteration start, at its start seq,
+    to its end, so their instructions telescope into ``end seq - start
+    seq`` (0 for a single iteration).  Every row's loop is its
+    execution's, so the static loops are the distinct ``loops``.
+    """
+    cols = index.columns
+    seqs = cols.seqs
+    starts = cols.start_rows
+    depths = [cols.auxs[row] for row in starts]
+    detected = cols.etypes.count(EV_ITERATION)
     stats = LoopStatistics(name)
     stats.total_instructions = index.total_instructions
-    for rec in index.executions.values():
-        stats.observe(rec)
-    return stats.finalize()
+    stats.static_loops = len(set(cols.loops))
+    stats.executions = len(starts)
+    stats.iterations = stats.executions + detected
+    stats.single_iteration_executions = cols.etypes.count(EV_SINGLE)
+    stats.measured_iterations = detected
+    stats.measured_iteration_instructions = \
+        sum(map(seqs.__getitem__, cols.end_rows)) \
+        - sum(map(seqs.__getitem__, starts))
+    stats.nesting_sum = sum(depths)
+    stats.max_nesting = max(depths, default=0)
+    return stats
 
 
 def loop_coverage(index):
@@ -166,7 +158,10 @@ def loop_coverage(index):
     """
     if not index.total_instructions:
         return 0.0
-    covered = sum(rec.end_seq - rec.start_seq
-                  for rec in index.executions.values()
-                  if rec.depth == 1 and rec.end_seq is not None)
+    cols = index.columns
+    seqs = cols.seqs
+    auxs = cols.auxs
+    covered = sum(seqs[end] - seqs[start]
+                  for start, end in zip(cols.start_rows, cols.end_rows)
+                  if auxs[start] == 1)
     return min(1.0, covered / index.total_instructions)

@@ -26,7 +26,8 @@ What the tables share
   (:func:`grid_tables`) and every configuration reads the columns.
 * **The nesting stack.**  The open-execution stack at each execution
   start is also a function of the event list alone, so STR(i) reads
-  it from the tables (depth and parent per execution).
+  it from the columns (the start row's depth) and the tables (the
+  parent per execution).
 * **Irrelevant events.**  A configuration is only affected by
   iteration starts that can spawn, by the iterations and ends of
   executions it is speculating, and -- for STR(i) -- by execution
@@ -72,7 +73,6 @@ import re
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import compress
 
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.speculation.policies import (
@@ -90,8 +90,8 @@ __all__ = ["check_config", "grid_tables", "simulate_grid"]
 
 
 class GridTables(namedtuple("GridTables", (
-        "pred_known", "pred_count", "may_spawn", "spawn_until", "end_pos",
-        "start_pos", "depth", "parent"))):
+        "pred_known", "pred_count", "may_spawn", "spawn_until",
+        "parent"))):
     """The config-invariant walk tables of one index (see
     :func:`grid_tables`).
 
@@ -109,44 +109,42 @@ class GridTables(namedtuple("GridTables", (
       iteration event of an untracked execution no configuration
       spawns;
     * ``spawn_until[i]`` -- the spawn horizon of iteration event ``i``.
-      An STR-family attempt at position ``pos`` covers up to
-      ``last_covered = max(aux, min(total, bisect_right(iter_seqs,
-      pos) + 1))`` and spawns while that is below the prediction
+      With ``positions`` the execution's iteration positions, an
+      STR-family attempt at position ``pos`` covers up to
+      ``last_covered = max(aux, min(total, k + 1))``, where ``k``
+      counts the iteration starts ``seqs[positions[...]]`` at or
+      before ``pos``, and spawns while that is below the prediction
       ``p``, so for an untracked execution it spawns nothing exactly
       when ``pos`` is at or past the horizon.  A tracked execution's
       threads only raise ``last_covered``: past the horizon it spawns
       nothing either.  The horizon is 0 where ``may_spawn[i]`` is 0;
-      ``iter_seqs[p - 2]``, the start of iteration ``p``, where ``p``
-      is known and at most the execution's iteration count; and
+      ``seqs[positions[p - 2]]``, the start of iteration ``p``, where
+      ``p`` is known and at most the execution's iteration count; and
       ``total_instructions + 1``, past every position, otherwise.
 
-    Per ``exec_id``:
-
-    * ``end_pos`` -- the position of its execution end
-      (``len(events)`` if it never ends);
-    * ``start_pos``/``depth``/``parent`` -- the position of its
-      execution start, the depth of the
-      open-execution stack right after it, and the execution on top
-      of that stack just before it (``-1`` if none).  ``depth`` is 0
-      for single iterations, which push nothing.
-
-    The open-execution stack at an execution start is a function of
-    the event list alone, so STR(i) walks never maintain one: the
-    stack at start ``i`` of execution ``e`` is ``e`` and its
-    ``parent`` chain, keeping the executions still open at ``i``.
+    Per ``exec_id``, ``parent`` is the execution on top of the
+    open-execution stack just before its execution start (``-1`` if
+    none, and for single iterations, which push nothing).  The stack
+    at an execution start is a function of the event list alone, so
+    STR(i) walks never maintain one: the stack at start ``i`` of
+    execution ``e`` is ``e`` and its ``parent`` chain, keeping the
+    executions still open at ``i``, and its depth is ``auxs[i]``.
     """
 
     __slots__ = ()
 
-    def deep_starts(self, limit):
-        """Ascending positions of the execution starts whose stack is
-        deeper than ``limit + 1``: the only starts at which the STR(i)
-        squash rule (at least one speculated loop with more than
-        *limit* unspeculated loops nested inside) can act.  Execution
-        ids follow event order, so ``start_pos`` ascends."""
-        bound = limit + 1
-        return list(compress(self.start_pos,
-                             [d > bound for d in self.depth]))
+
+def _deep_starts(cols, limit):
+    """Ascending rows of the execution starts of *cols* whose stack is
+    deeper than ``limit + 1``: the only starts at which the STR(i)
+    squash rule (at least one speculated loop with more than *limit*
+    unspeculated loops nested inside) can act.  Execution ids follow
+    event order, so start rows ascend."""
+    bound = limit + 1
+    etypes = cols.etypes
+    auxs = cols.auxs
+    return [row for row in cols.start_rows
+            if auxs[row] > bound and etypes[row] == 1]  # EV_EXEC_START
 
 
 def grid_tables(index):
@@ -163,22 +161,20 @@ def grid_tables(index):
     if cached is not None and cached[0] is cols:
         return cached[1]
     etypes = cols.etypes
+    seqs = cols.seqs
     loops = cols.loops
     exec_ids = cols.exec_ids
     auxs = cols.auxs
-    executions = index.executions
+    end_rows = cols.end_rows
+    iteration_positions = cols.iteration_positions
     n = len(etypes)
-    num_execs = len(executions)
     pred_known = bytearray(n)
     pred_count = array("q", bytes(8 * n))
     may_spawn = bytearray(n)
     spawn_until = array("q", bytes(8 * n))
     beyond = index.total_instructions + 1
     horizon_exec = horizon_count = horizon = -1
-    end_pos = array("q", [n]) * num_execs
-    start_pos = array("q", bytes(8 * num_execs))
-    depth = array("q", bytes(8 * num_execs))
-    parent = array("q", [-1]) * num_execs
+    parent = array("q", [-1]) * len(cols.start_rows)
     stack = []
     # loop -> [last count, stride, confidence]: the inlined form of
     # LoopHistoryTable + IterationCountPredictor for an unbounded
@@ -205,12 +201,10 @@ def grid_tables(index):
                             or count != horizon_count:
                         horizon_exec = exec_ids[i]
                         horizon_count = count
-                        rec = executions[horizon_exec]
-                        total = rec.iterations
-                        if total is None:
-                            total = len(rec.iter_seqs) + 1
-                        horizon = rec.iter_seqs[count - 2] \
-                            if count <= total else beyond
+                        positions = iteration_positions[horizon_exec]
+                        horizon = seqs[positions[count - 2]] \
+                            if count <= auxs[end_rows[horizon_exec]] \
+                            else beyond
                     spawn_until[i] = horizon
             else:
                 may_spawn[i] = 1
@@ -220,11 +214,8 @@ def grid_tables(index):
             if stack:
                 parent[exec_id] = stack[-1]
             stack.append(exec_id)
-            start_pos[exec_id] = i
-            depth[exec_id] = len(stack)
         elif etype == 2:                        # EV_EXEC_END
             exec_id = exec_ids[i]
-            end_pos[exec_id] = i
             if stack[-1] == exec_id:
                 stack.pop()
             else:
@@ -258,7 +249,7 @@ def grid_tables(index):
                 entry[0] = 1
                 entry[1] = stride
     tables = GridTables(pred_known, pred_count, may_spawn, spawn_until,
-                        end_pos, start_pos, depth, parent)
+                        parent)
     index._grid_tables = (cols, tables)
     return tables
 
@@ -299,8 +290,10 @@ def check_config(num_tus, policy, timing):
 #: * ``POSITIONAL`` -- rates through ``model.cycles``/``model.progress``;
 #: * ``DISABLE`` -- a disable table's ``blocked``/``note`` hooks.
 #:
-#: Speculative threads are ``(loop, exec_id, iteration, start_seq,
-#: end_seq, spawn_time, spawn_seq)`` tuples.  Clock advances at skipped
+#: Speculative threads are ``(iteration, end_seq, spawn_time,
+#: spawn_seq)`` tuples, kept per execution: their loop is the
+#: execution's, and a thread is promoted only at its iteration's start
+#: event, whose seq is the iteration's start.  Clock advances at skipped
 #: events telescope into the next handled event.  The walk returns its
 #: result and its work counts (:data:`_COUNTERS` order).
 _WALK_SOURCE = '''\
@@ -312,16 +305,14 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
     loops = cols.loops
     exec_ids = cols.exec_ids
     auxs = cols.auxs
+    end_rows = cols.end_rows
     iteration_positions = cols.iteration_positions
     pred_known = tables.pred_known
     pred_count = tables.pred_count
     may_spawn = tables.may_spawn
     next_may_spawn = may_spawn.find
     spawn_until = tables.spawn_until
-    end_pos = tables.end_pos
-    depth = tables.depth
     parent = tables.parent
-    executions = index.executions
     total_instructions = index.total_instructions
     predicted = type(policy) is not IdlePolicy
     nesting_limit = policy.nesting_limit
@@ -392,7 +383,7 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                             positions = iteration_positions[tracked]
                             k = bisect_right(positions, i)
                             k = positions[k] if k < len(positions) \\
-                                else end_pos[tracked]
+                                else end_rows[tracked]
                             if k < j:
                                 j = k
                         if NESTED:
@@ -414,25 +405,24 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
             if seq > pos:
                 now += cycles(pos, seq - pos) if POSITIONAL else seq - pos
                 pos = seq
-            if tlist is not None and tlist[0][2] == auxs[i]:
-                loop, _, _, start_seq, end_seq, spawn_time, spawn_seq = \
-                    tlist.pop(0)
+            if tlist is not None and tlist[0][0] == auxs[i]:
+                _, end_seq, spawn_time, spawn_seq = tlist.pop(0)
                 if not tlist:
                     del threads[exec_id]
                     tlist = None
                 spec_count -= 1
                 elapsed = now - spawn_time
                 if end_seq is not None:
-                    cap = end_seq - start_seq
+                    cap = end_seq - seq
                 else:
-                    cap = total_instructions - start_seq
+                    cap = total_instructions - seq
                 if POSITIONAL:
-                    executed = progress(elapsed, start_seq, cap)
-                    credit_executing += cycles(start_seq, executed)
+                    executed = progress(elapsed, seq, cap)
+                    credit_executing += cycles(seq, executed)
                 else:
                     executed = elapsed if elapsed < cap else cap
                     credit_executing += executed
-                new_pos = start_seq + executed
+                new_pos = seq + executed
                 if new_pos > pos:
                     pos = new_pos
                 promoted += 1
@@ -440,7 +430,7 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                 instr_to_verif += seq - spawn_seq
                 credit_waiting += elapsed
                 if DISABLE:
-                    note(loop, True)
+                    note(loops[i], True)
                 if promote_c:
                     now += promote_c
                     overhead += promote_c
@@ -455,14 +445,11 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                     continue
                 attempts += 1
                 idle = budget - spec_count
-                rec = executions[exec_id]
-                iter_seqs = rec.iter_seqs
-                total = rec.iterations
-                if total is None:
-                    total = len(iter_seqs) + 1
-                last_covered = tlist[-1][2] if tlist else auxs[i]
+                positions = iteration_positions[exec_id]
+                total = auxs[end_rows[exec_id]]
+                last_covered = tlist[-1][0] if tlist else auxs[i]
                 while last_covered < total \\
-                        and iter_seqs[last_covered - 1] <= pos:
+                        and seqs[positions[last_covered - 1]] <= pos:
                     last_covered += 1
                 if ORACLE:
                     count = total - last_covered
@@ -482,18 +469,10 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                     speculation_events += 1
                     if tlist is None:
                         tlist = threads[exec_id] = []
-                    loop = loops[i]
                     for j in range(last_covered + 1,
                                    last_covered + 1 + count):
-                        if j < total:
-                            tlist.append((loop, exec_id, j, iter_seqs[j - 2],
-                                          iter_seqs[j - 1], now, seq))
-                        elif j == total:
-                            tlist.append((loop, exec_id, j, iter_seqs[j - 2],
-                                          None, now, seq))
-                        else:
-                            tlist.append((loop, exec_id, j, None, None,
-                                          now, seq))
+                        tlist.append((j, seqs[positions[j - 1]]
+                                      if j < total else None, now, seq))
                     threads_spawned += count
                     spec_count += count
         elif etype == 2:                        # EV_EXEC_END
@@ -504,10 +483,12 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                     now += cycles(pos, seq - pos) if POSITIONAL \\
                         else seq - pos
                     pos = seq
+                if DISABLE:
+                    loop = loops[i]
                 for thread in tlist:
-                    instr_to_verif += seq - thread[6]
+                    instr_to_verif += seq - thread[3]
                     if DISABLE:
-                        note(thread[0], False)
+                        note(loop, False)
                 squashed = len(tlist)
                 squashed_misspec += squashed
                 resolved += squashed
@@ -517,8 +498,7 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                     now += cost
                     overhead += cost
         elif NESTED:
-            if etype == 1 and threads \\
-                    and depth[exec_ids[i]] > nest_bound:
+            if etype == 1 and threads and auxs[i] > nest_bound:
                 # STR(i): squash the outermost speculated loop once
                 # more than nesting_limit non-speculated loops nest
                 # inside it.  The open stack is this execution's
@@ -534,14 +514,14 @@ def walk(index, tables, num_tus, policy, model, name, count_waiting,
                         unseen -= 1
                         if not unseen:
                             break
-                    elif end_pos[e] > i:
+                    elif end_rows[e] > i:
                         unspeculated += 1
                     e = parent[e]
                 if e >= 0 and unspeculated > nesting_limit:
                     tlist = threads.pop(e)
                     seq = seqs[i]
                     for thread in tlist:
-                        instr_to_verif += seq - thread[6]
+                        instr_to_verif += seq - thread[3]
                     squashed = len(tlist)
                     squashed_policy += squashed
                     resolved += squashed
@@ -615,7 +595,7 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     shared tables of *index*, on the walk generated for its policy
     kind, rate kind and disable setting.
 
-    *deep_starts* is :meth:`GridTables.deep_starts` of the policy's
+    *deep_starts* is :func:`_deep_starts` of the policy's
     nesting limit, computed here when not given.  The walk's work
     counts are added into the list *tally* (:data:`_COUNTERS`
     order), or to the active collector when *tally* is None.
@@ -625,7 +605,7 @@ def _run_fused(index, tables, num_tus, policy, model, name,
     elif policy.nesting_limit is not None:
         kind = "str(i)"
         if deep_starts is None:
-            deep_starts = tables.deep_starts(policy.nesting_limit)
+            deep_starts = _deep_starts(index.columns, policy.nesting_limit)
     else:
         kind = "idle/str"
     mtype = type(model)
@@ -665,7 +645,7 @@ def simulate_grid(index, configs, name="workload", count_waiting=True):
             for num_tus, policy, model in configs:
                 limit = policy.nesting_limit
                 if limit is not None and limit not in deep:
-                    deep[limit] = tables.deep_starts(limit)
+                    deep[limit] = _deep_starts(index.columns, limit)
                 results.append(_run_fused(index, tables, num_tus, policy,
                                           model, name, count_waiting,
                                           deep.get(limit), tally=tally))

@@ -26,7 +26,7 @@ there, the pass reads no trace for it.
 from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
 from repro.core.cls import CurrentLoopStack
-from repro.core.events import EndReason
+from repro.core.events import EV_EXEC_START, EndReason
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
 from repro.experiments.report import ExperimentResult, TimingMeta
 from repro.obs import collector as obs
@@ -112,23 +112,27 @@ class AblationsAnalysis(Analysis):
         executions reached depth c + 1, the counts are the canonical
         ones: no drops, the same executions.  A single iteration
         reports depth ``len(entries) + 1`` but pushes nothing, so only
-        pushed executions (``iterations != 1``) count.  Any other
+        pushed executions count.  Any other
         capacity walks ``ctx.trace`` with a fresh stack.
 
         Every canonical overflow ends exactly one execution, with
         ``EndReason.OVERFLOW``, so the canonical drops are counted in
-        the index.
+        the index's ``end_reasons``; its pushed executions are the ones
+        whose start row is an execution start, and their depth is that
+        row's ``aux``.
         """
-        executions = ctx.index.executions
-        overflows = sum(1 for rec in executions.values()
-                        if rec.reason is EndReason.OVERFLOW)
+        cols = ctx.index.columns
+        overflows = cols.end_reasons.count(EndReason.OVERFLOW)
+        executions = len(cols.start_rows)
         if capacity == ctx.cls_capacity:
-            return [overflows, len(executions)]
+            return [overflows, executions]
+        etypes = cols.etypes
+        auxs = cols.auxs
         if overflows == 0 and all(
-                rec.depth <= capacity for rec in executions.values()
-                if rec.iterations != 1):
+                auxs[row] <= capacity for row in cols.start_rows
+                if etypes[row] == EV_EXEC_START):
             obs.add("cls.sweep_shortcuts")
-            return [0, len(executions)]
+            return [0, executions]
         obs.add("cls.sweep_walks")
         with obs.span("cls.sweep", workload=ctx.name, capacity=capacity):
             stack = CurrentLoopStack(capacity=capacity)

@@ -128,33 +128,38 @@ class _FunctionCompiler:
     # -- locals ----------------------------------------------------------
 
     def _collect_locals(self):
+        # Statements in source order, walked with an explicit stack of
+        # iterators: a recursive closure would hold itself, and so this
+        # compiler, in a reference cycle.
         names = list(self.function.params)
         seen = set(names)
-
-        def visit(stmts):
-            for stmt in stmts:
+        module_globals = self.module.globals
+        stack = [iter(self.function.body)]
+        while stack:
+            for stmt in stack[-1]:
                 if isinstance(stmt, ast.Assign):
-                    if stmt.name not in self.module.globals \
+                    if stmt.name not in module_globals \
                             and stmt.name not in seen:
                         seen.add(stmt.name)
                         names.append(stmt.name)
                 elif isinstance(stmt, ast.For):
-                    if stmt.var in self.module.globals:
+                    if stmt.var in module_globals:
                         raise LangError(
                             "loop variable %r shadows a global" % stmt.var)
                     if stmt.var not in seen:
                         seen.add(stmt.var)
                         names.append(stmt.var)
-                    visit(stmt.body)
+                    stack.append(iter(stmt.body))
+                    break
                 elif isinstance(stmt, ast.If):
-                    visit(stmt.then)
-                    visit(stmt.orelse)
-                elif isinstance(stmt, (ast.While,)):
-                    visit(stmt.body)
-                elif isinstance(stmt, ast.DoWhile):
-                    visit(stmt.body)
-
-        visit(self.function.body)
+                    stack.append(iter(stmt.orelse))
+                    stack.append(iter(stmt.then))
+                    break
+                elif isinstance(stmt, (ast.While, ast.DoWhile)):
+                    stack.append(iter(stmt.body))
+                    break
+            else:
+                stack.pop()
         for offset, name in enumerate(names):
             self.slots[name] = 2 + offset
 

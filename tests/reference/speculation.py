@@ -27,6 +27,8 @@ from repro.core.speculation.policies import (
 from repro.core.tables import LoopHistoryTable
 from repro.timing import make_timing
 
+from reference.events import index_records
+
 
 def spawn_count(policy, idle_tus, last_covered, prediction, oracle_total):
     """How many further iterations *policy* speculates (section 3.1.2).
@@ -78,6 +80,7 @@ def spawn_horizon_mismatches(index, tables):
     position, pos)`` pairs; empty when the horizon is exact.
     """
     cols = index.columns
+    executions = index_records(index)
     beyond = index.total_instructions + 1
     mismatches = []
     for i, etype in enumerate(cols.etypes):
@@ -88,9 +91,8 @@ def spawn_horizon_mismatches(index, tables):
             if horizon != (beyond if tables.may_spawn[i] else 0):
                 mismatches.append((i, None))
             continue
-        rec = index.executions[cols.exec_ids[i]]
-        total = rec.iterations if rec.iterations is not None \
-            else len(rec.iter_seqs) + 1
+        rec = executions[cols.exec_ids[i]]
+        total = rec.iterations
         prediction = tables.pred_count[i]
         covered = cols.auxs[i]
         for pos in sorted({horizon - 1, horizon, *rec.iter_seqs}):
@@ -185,7 +187,7 @@ class ReferenceEngine:
         :class:`~repro.core.detector.LoopIndex` *index* (the engine is
         an oracle: spawns read future boundary seqs from it)."""
         self._index = index
-        self._executions = index.executions
+        self._executions = index_records(index)
         self._result = SpeculationResult(
             name, self.num_tus if self.num_tus is not None else "inf",
             self.policy.name)
@@ -365,9 +367,7 @@ class ReferenceEngine:
                 and self.disable_table.blocked(loop):
             return
         rec = self._executions[exec_id]
-        total_iterations = rec.iterations \
-            if rec.iterations is not None \
-            else len(rec.iter_seqs) + 1
+        total_iterations = rec.iterations
         iter_seqs = rec.iter_seqs
         threads = self._threads.get(exec_id)
         last_covered = advance_covered(

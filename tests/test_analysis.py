@@ -201,7 +201,7 @@ def ref_ablations(loaded):
             detector = LoopDetector(cls_capacity=capacity)
             index = detector.run(trace)
             overflowed += detector.cls.overflow_count
-            executions += len(index.executions)
+            executions += len(index)
         cls_rows.append((capacity, overflowed,
                          round(100.0 * overflowed / executions, 3)
                          if executions else 0.0))

@@ -58,8 +58,7 @@ class Feeder:
         return events
 
     def _read(self, positions):
-        return from_columns(self.cls.columns, self.cls.executions,
-                            positions)
+        return from_columns(self.cls.columns, positions)
 
     def of_type(self, etype):
         return [e for e in self.events if type(e) is etype]

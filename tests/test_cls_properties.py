@@ -38,12 +38,12 @@ def drive(cls, transfers):
             taken = True
         cls.process_batch(RecordBatch.from_records(
             [CFRecord(seq, pc, kind, taken, target)]))
-    return from_columns(cls.columns, cls.executions)
+    return from_columns(cls.columns)
 
 
 def flush(cls, seq):
     """Flush *cls* at *seq*; returns the flush events as objects."""
-    return from_columns(cls.columns, cls.executions, cls.flush(seq))
+    return from_columns(cls.columns, cls.flush(seq))
 
 
 class TestCLSInvariants:

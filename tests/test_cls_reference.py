@@ -5,11 +5,15 @@
 every taken transfer, and emits event objects.  The production
 :class:`~repro.core.cls.CurrentLoopStack` skips transfers the rules
 prove change nothing and writes its events straight into
-:class:`~repro.core.events.EventColumns` and execution records.  Both
-must equal the reference's events converted by
-``tests/reference/events.py``: every column, the iteration positions,
-every record field (``iter_seqs``, ``end_seq``, ``iterations``,
-``reason``, ``depth``) and the overflow count.  Each
+:class:`~repro.core.events.EventColumns`, per-execution start rows,
+end rows and end reasons included.  Both must equal the reference's
+events converted by ``tests/reference/events.py``: every column, the
+iteration positions, every field of the execution records
+``column_records`` reads off the production columns (``loop``,
+``start_seq``, ``iter_seqs``, ``end_seq``, ``iterations``, ``reason``,
+``depth``) and the overflow count.  The Table-1 statistics and the
+loop coverage read off the columns must equal the per-record fold of
+``tests/reference/loopstats.py`` over the reference's records.  Each
 ``LoopDetector.feed_batch``/``finish`` call returns exactly the range
 of rows it appended.
 
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.detector import LoopDetector
+from repro.core.loopstats import compute_loop_statistics, loop_coverage
 from repro.cpu import trace_control_flow
 from repro.search.corpus import frontier_names
 from repro.trace.record import CFRecord
@@ -33,10 +38,12 @@ from reference import cut
 from reference.cls import reference_events
 from reference.events import (
     columns_state,
+    index_records,
     records_state,
     to_columns,
     to_records,
 )
+from reference.loopstats import reference_coverage, reference_statistics
 from test_cls_properties import BR, CALL, JMP, RET, _transfer
 from test_generator_fuzz import (
     DIFFERENTIAL_BUDGET,
@@ -75,8 +82,12 @@ def assert_matches_reference(records, total, capacity, context=""):
     where = "capacity %d%s" % (capacity, context)
     assert columns_state(index.columns) \
         == columns_state(to_columns(expected)), where
-    assert records_state(index.executions) \
-        == records_state(to_records(expected)), where
+    records = to_records(expected)
+    assert records_state(index_records(index)) \
+        == records_state(records), where
+    assert compute_loop_statistics(index, "w").state() \
+        == reference_statistics(records, total, "w").state(), where
+    assert loop_coverage(index) == reference_coverage(records, total), where
     assert detector.cls.overflow_count == overflows, where
 
 

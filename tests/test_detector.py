@@ -9,6 +9,7 @@ from repro.core import (
     LoopDetector,
     compute_loop_statistics,
 )
+from repro.core.events import EV_EXEC_END, EV_EXEC_START, EV_SINGLE
 from repro.cpu import trace_control_flow
 from repro.lang import (
     Assign,
@@ -28,7 +29,7 @@ from repro.search.corpus import frontier_names
 from repro.workloads import SUITE_ORDER, get
 
 from reference import cut
-from reference.events import columns_state, records_state
+from reference.events import columns_state, index_records, records_state
 
 
 def detect(module, cls_capacity=16):
@@ -38,7 +39,7 @@ def detect(module, cls_capacity=16):
 
 
 def single_loop_records(index):
-    return sorted(index.executions.values(), key=lambda r: r.start_seq)
+    return sorted(index_records(index).values(), key=lambda r: r.start_seq)
 
 
 class TestSimplePrograms:
@@ -80,7 +81,7 @@ class TestSimplePrograms:
         inner = [r for r in recs if r.iterations == 4]
         assert len(outer) == 1
         assert len(inner) == 5                 # one execution per outer iter
-        assert len(index.loops()) == 2
+        assert len({r.loop for r in recs}) == 2
         # The first inner execution predates the outer loop's detection
         # (the outer is only detected at its first closing branch), so it
         # records depth 1; all later ones nest at depth 2.
@@ -107,7 +108,7 @@ class TestSimplePrograms:
             Return(0),
         ])
         index = detect(m)
-        assert len(index.executions) == 0
+        assert len(index) == 0
 
     def test_break_exit_reason(self):
         m = Module("t")
@@ -180,9 +181,8 @@ class TestSimplePrograms:
         ])
         m.function("main", [], [Return(CallExpr("r", 4))])
         index = detect(m)
-        loop_ids = index.loops()
-        assert len(loop_ids) == 1
         recs = single_loop_records(index)
+        assert len({r.loop for r in recs}) == 1
         assert len(recs) == 4
         assert all(r.iterations == 3 for r in recs)
 
@@ -295,8 +295,8 @@ class TestIterableInput:
         assert len(from_iter) == len(from_trace)
         assert columns_state(from_iter.columns) \
             == columns_state(from_trace.columns)
-        assert records_state(from_iter.executions) \
-            == records_state(from_trace.executions)
+        assert records_state(index_records(from_iter)) \
+            == records_state(index_records(from_trace))
         assert from_iter.total_instructions \
             == from_trace.total_instructions
 
@@ -309,12 +309,33 @@ class TestIterableInput:
                                trace.total_instructions)
 
 
+def assert_every_execution_ends(index):
+    """Every execution of *index* has an end row after its start row:
+    an execution end of that execution carrying a reason, or, for a
+    single iteration, its own ``EV_SINGLE`` row.  The speculation walk
+    and the statistics read iteration counts and end seqs there."""
+    cols = index.columns
+    assert len(cols.start_rows) == len(cols.end_rows) \
+        == len(cols.end_reasons) == len(index)
+    for exec_id, (start, end, reason) in enumerate(zip(
+            cols.start_rows, cols.end_rows, cols.end_reasons)):
+        assert 0 <= start <= end < len(cols), exec_id
+        assert cols.exec_ids[start] == cols.exec_ids[end] == exec_id
+        if cols.etypes[start] == EV_SINGLE:
+            assert (end, reason) == (start, 0), exec_id
+        else:
+            assert cols.etypes[start] == EV_EXEC_START, exec_id
+            assert cols.etypes[end] == EV_EXEC_END, exec_id
+            assert reason in set(EndReason), exec_id
+
+
 class TestIndexPrefix:
     """``LoopIndex.prefix(limit)`` equals a real walk of the records
     with ``seq < limit`` finished at *limit*: every column, the
     iteration positions and every execution record, on every analog
     and frontier case, at limits on and next to a batch seam; the
-    canonical index is left as it was."""
+    canonical index is left as it was, and in it and in every prefix
+    every execution has an end row."""
 
     @pytest.mark.parametrize("capacity", (16, 2))
     @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
@@ -325,8 +346,9 @@ class TestIndexPrefix:
         batches = cut(records, len(records) // 3 + 1)
         canonical = LoopDetector(cls_capacity=capacity).run_batches(
             batches, total)
+        assert_every_execution_ends(canonical)
         before = (columns_state(canonical.columns),
-                  records_state(canonical.executions))
+                  records_state(index_records(canonical)))
         seam = batches[1].seqs[0]
         for limit in (1, seam, seam + 1, total // 4, total // 2 + 7,
                       total):
@@ -338,12 +360,13 @@ class TestIndexPrefix:
             got = canonical.prefix(limit)
             assert columns_state(got.columns) \
                 == columns_state(walked.columns), limit
-            assert records_state(got.executions) \
-                == records_state(walked.executions), limit
+            assert records_state(index_records(got)) \
+                == records_state(index_records(walked)), limit
+            assert_every_execution_ends(got)
             assert got.total_instructions == limit
             assert got.cls_capacity == capacity
         assert (columns_state(canonical.columns),
-                records_state(canonical.executions)) == before
+                records_state(index_records(canonical))) == before
 
 
 class TestOverflowIdentity:
@@ -357,6 +380,6 @@ class TestOverflowIdentity:
         for capacity in (2, 4, 16):
             detector = LoopDetector(cls_capacity=capacity)
             index = detector.run(trace)
-            ended = sum(1 for rec in index.executions.values()
+            ended = sum(1 for rec in index_records(index).values()
                         if rec.reason is EndReason.OVERFLOW)
             assert ended == detector.cls.overflow_count, capacity

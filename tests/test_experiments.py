@@ -275,7 +275,7 @@ class TestCLSCapacityShortcut:
         stack = CurrentLoopStack(capacity=16)
         for batch in batches:
             stack.process_batch(batch)
-        events = from_columns(stack.columns, stack.executions)
+        events = from_columns(stack.columns)
         singles = [e.depth for e in events
                    if type(e) is SingleIteration]
         assert singles and max(singles) == 2

@@ -21,7 +21,7 @@ from repro.core.tables import TableHitRatioSimulator
 from repro.trace import RecordBatch, dump_cf_trace, \
     dumps_cf_trace, kernels, loads_cf_trace, open_cf_batches
 from reference import cut
-from reference.events import index_events
+from reference.events import index_events, index_records
 from reference.tables import EventTableReplay
 
 LOOP_SRC = """
@@ -52,7 +52,7 @@ def event_reprs(index):
 def index_shape(index):
     return sorted((r.exec_id, r.loop, r.start_seq, tuple(r.iter_seqs),
                    r.end_seq, r.iterations, r.reason, r.depth)
-                  for r in index.executions.values())
+                  for r in index_records(index).values())
 
 
 # ---------------------------------------------------------------------------

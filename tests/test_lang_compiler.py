@@ -1,6 +1,8 @@
 """Tests for the mini-language compiler: compiled programs must compute
 the same results as a Python evaluation of the same algorithm."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,8 @@ from repro.lang import (
     While,
     compile_module,
 )
+from repro.lang.compiler import _FunctionCompiler
+from repro.workloads.synthetic import PROFILES, generate_module
 
 
 def run_main(module, max_instructions=2_000_000):
@@ -379,3 +383,40 @@ class TestErrors:
         m.function("main", [], [Return(Index("ghost", 0))])
         with pytest.raises(LangError):
             compile_module(m)
+
+
+class TestNoCyclicGarbage:
+    """Compiling leaves no compiler in a reference cycle: each one is
+    freed by reference counting, not kept until the cyclic collector
+    runs (a recursive closure in the locals walk used to hold it)."""
+
+    def test_compiled_candidates_leave_no_compiler_garbage(self):
+        profile = next(iter(PROFILES.values()))
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for seed in range(5):
+                compile_module(generate_module(profile, seed))
+            gc.collect()
+            kinds = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[:]
+        assert "_FunctionCompiler" not in kinds
+
+    def test_locals_keep_source_order(self):
+        m = Module("t")
+        m.function("main", ["p"], [
+            Assign("a", 1),
+            If(Var("a"), [Assign("b", 2), While(Var("b"), [
+                Assign("c", 3), Assign("b", 0)])],
+               [Assign("d", 4)]),
+            For("i", 0, 2, [DoWhile([Assign("e", 5)], Const(0))]),
+            Assign("f", Var("a") + Var("b") + Var("c") + Var("d")
+                   + Var("e")),
+            Return(Var("f")),
+        ])
+        compiler = _FunctionCompiler(None, m, m.functions["main"])
+        assert list(compiler.slots) == ["p", "a", "b", "c", "d", "i",
+                                        "e", "f"]

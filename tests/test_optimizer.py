@@ -24,6 +24,8 @@ from repro.lang import (
 )
 from repro.lang.optimizer import optimization_report, optimize_module
 
+from reference.events import index_records
+
 
 def run(module):
     machine = Machine(compile_module(module))
@@ -161,7 +163,7 @@ class TestLoopPreservation:
         optimized = optimize_module(m)
         index = LoopDetector().run(
             trace_control_flow(compile_module(optimized)))
-        recs = list(index.executions.values())
+        recs = list(index_records(index).values())
         assert len(recs) == 1
         assert recs[0].iterations == 12
 

@@ -19,6 +19,7 @@ from repro.pipeline import worker
 from repro.trace.io import TRACE_FORMAT_VERSION, dumps_cf_trace
 
 from capture import load
+from reference.events import index_records
 
 WORKLOADS = ("swim", "go")
 LIMIT = 40_000
@@ -39,7 +40,7 @@ def index_shape(index):
     return (len(index), len(index.columns), index.total_instructions,
             sorted((r.exec_id, r.loop, r.start_seq, r.end_seq,
                     r.iterations, tuple(r.iter_seqs))
-                   for r in index.executions.values()))
+                   for r in index_records(index).values()))
 
 
 class TestConfig:

@@ -26,6 +26,8 @@ from repro.lang import (
     compile_module,
 )
 
+from reference.events import index_records
+
 
 def build_index(module, cls_capacity=16):
     trace = trace_control_flow(compile_module(module), 3_000_000)
@@ -282,7 +284,7 @@ class TestHandComputedScenario:
         result = simulate(index, num_tus=4, policy="idle")
         iteration_events = sum(
             rec.detected_iterations
-            for rec in index.executions.values())
+            for rec in index_records(index).values())
         assert result.speculation_events <= iteration_events
 
 

@@ -29,6 +29,7 @@ from repro.timing import (
 from repro.trace.record import CFRecord
 
 from reference import cut
+from reference.events import index_records
 
 
 def build_trace(module):
@@ -229,7 +230,7 @@ class TestEngineOverheads:
         index = build_index(uniform_loop_module(60))
         iter_len = max(
             max(rec.iteration_lengths() or [0])
-            for rec in index.executions.values())
+            for rec in index_records(index).values())
         cost = 4 * iter_len
         result = simulate(index, num_tus=4, policy="idle",
                           timing="overhead:spawn=%d" % cost)

@@ -41,7 +41,7 @@ from repro.trace import (
 
 from reference import cut
 from reference.cls import ReferenceCLS, reference_events
-from reference.events import from_columns, index_events
+from reference.events import from_columns, index_events, index_records
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -409,7 +409,7 @@ def event_reprs(events):
 def index_shape(index):
     return sorted((r.exec_id, r.loop, r.start_seq, tuple(r.iter_seqs),
                    r.end_seq, r.iterations, r.reason, r.depth)
-                  for r in index.executions.values())
+                  for r in index_records(index).values())
 
 
 class TestDetectorBatchEquivalence:
@@ -423,15 +423,13 @@ class TestDetectorBatchEquivalence:
             expected.extend(ref.step(rec.seq, rec.pc, rec.kind,
                                      rec.taken, rec.target))
         stack = CurrentLoopStack(capacity=4)
-        got = from_columns(stack.columns, stack.executions,
-                           stack.process_batch(
-                               RecordBatch.from_records(records)))
+        got = from_columns(stack.columns, stack.process_batch(
+            RecordBatch.from_records(records)))
         assert event_reprs(got) == event_reprs(expected)
         assert stack.current_loops() == [entry.t for entry in ref.stack]
         assert stack.overflow_count == ref.overflow_count
         assert stack.next_exec_id == ref.next_exec_id
-        flushed = from_columns(stack.columns, stack.executions,
-                               stack.flush(999))
+        flushed = from_columns(stack.columns, stack.flush(999))
         assert event_reprs(flushed) == event_reprs(ref.flush(999))
 
     @settings(max_examples=15)

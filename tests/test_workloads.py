@@ -7,6 +7,8 @@ from repro.core import compute_loop_statistics
 from repro.cpu import trace_control_flow
 from repro.workloads import SUITE_ORDER, get, suite
 
+from reference.events import index_records
+
 
 @pytest.fixture(scope="module")
 def stats_by_name():
@@ -158,7 +160,7 @@ class TestControlCharacter:
         for workload in suite():
             detector = LoopDetector(cls_capacity=16)
             index = detector.run(workload.cf_trace(scale=1))
-            flushed = [r for r in index.executions.values()
+            flushed = [r for r in index_records(index).values()
                        if r.reason is EndReason.FLUSH]
             # Structured programs: at most the outermost loops linger
             # when the budget truncates; a halted trace drains fully.
