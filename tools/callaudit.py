@@ -19,11 +19,8 @@ Usage::
 
     python tools/callaudit.py                     # report to stdout
     python tools/callaudit.py --output audit.txt
-    python tools/callaudit.py --command "table1 --workloads swim"
 
-Each ``--command`` replaces the default set with the runner argv it
-gives (split on whitespace; repeatable).  ``{tmp}`` in a command is the
-temporary directory.  The report lists nothing that this tool cannot
+The report lists nothing that this tool cannot
 map to a function definition: code compiled at run time (the
 speculation walks, translated blocks) has no ``src/`` file.
 """
@@ -54,12 +51,12 @@ COMMANDS = (
 )
 
 
-def defined_functions(src_root=SRC_ROOT):
+def defined_functions():
     """``(path, first line) -> (qualified name, line count)`` of every
-    function and method under *src_root*.  The first line is the one a
+    function and method under ``src/``.  The first line is the one a
     code object reports: the first decorator's, if any."""
     functions = {}
-    for directory, _, files in os.walk(src_root):
+    for directory, _, files in os.walk(SRC_ROOT):
         for name in sorted(files):
             if not name.endswith(".py"):
                 continue
@@ -121,12 +118,12 @@ def called_code(commands, tmp):
     return called, statuses
 
 
-def audit(commands=COMMANDS, src_root=SRC_ROOT):
+def audit(commands=COMMANDS):
     """``(uncalled, functions, statuses)``: the sorted ``(path, first
-    line, name, lines)`` of every function under *src_root* that
+    line, name, lines)`` of every function under ``src/`` that
     *commands* never call, every function found, and the commands'
     exit codes."""
-    functions = defined_functions(src_root)
+    functions = defined_functions()
     tmp = tempfile.mkdtemp(prefix="callaudit-")
     try:
         called, statuses = called_code(commands, tmp)
@@ -138,10 +135,10 @@ def audit(commands=COMMANDS, src_root=SRC_ROOT):
     return uncalled, functions, statuses
 
 
-def render(uncalled, functions, commands, statuses, src_root=SRC_ROOT):
+def render(uncalled, functions, commands, statuses):
     """The text report: a summary, then each file's uncalled functions,
     files with the most uncalled lines first."""
-    base = os.path.dirname(os.path.realpath(src_root))
+    base = os.path.dirname(os.path.realpath(SRC_ROOT))
     by_file = {}
     for path, first, name, lines in uncalled:
         by_file.setdefault(os.path.relpath(path, base), []).append(
@@ -167,17 +164,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="List src/ functions a production command set "
                     "never calls.")
-    parser.add_argument("--command", action="append", metavar="ARGS",
-                        help="runner argv to run instead of the default "
-                             "set ({tmp} is the temp dir; repeatable)")
     parser.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")
     args = parser.parse_args(argv)
-    commands = tuple(args.command) if args.command else COMMANDS
     if SRC_ROOT not in sys.path:
         sys.path.insert(0, SRC_ROOT)
-    uncalled, functions, statuses = audit(commands)
-    report = render(uncalled, functions, commands, statuses)
+    uncalled, functions, statuses = audit()
+    report = render(uncalled, functions, COMMANDS, statuses)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
