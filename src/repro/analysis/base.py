@@ -109,10 +109,6 @@ class WorkloadContext:
             self._resolved()
         return self._index
 
-    @index.setter
-    def index(self, index):
-        self._index = index
-
     def memo(self, parts, from_state, compute=None, to_state=None):
         """This workload's result named *parts*, at most once per
         workload.
@@ -152,18 +148,12 @@ class WorkloadContext:
                                  to_state(value))
         return None if value is _MISSING else value
 
-    def __repr__(self):
-        return ("WorkloadContext(%r, total=%d, scale=%d)"
-                % (self.name, self.total_instructions, self.scale))
-
 
 class Analysis:
-    """Base class for analysis passes: override :meth:`finish` (a no-op
-    by default) and :meth:`result`."""
-
-    def finish(self, ctx):
-        """One workload, in workload order: pull what the pass needs
-        from *ctx* (``ctx.index``, ``ctx.trace``, ``ctx.memo``)."""
+    """Base class for analysis passes.  A pass defines ``finish(ctx)``
+    -- one workload, in workload order: it pulls what it needs from
+    *ctx* (``ctx.index``, ``ctx.trace``, ``ctx.memo``) -- and
+    :meth:`result`."""
 
     def result(self):
         """The pass's final product, after all workloads finished."""

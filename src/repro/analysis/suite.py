@@ -25,25 +25,6 @@ class AnalysisSuite:
         self._names.append(name)
         return analysis
 
-    @property
-    def analyses(self):
-        return list(self._analyses)
-
-    @property
-    def names(self):
-        return list(self._names)
-
-    def __len__(self):
-        return len(self._analyses)
-
-    def __getitem__(self, name):
-        """The first pass registered under *name*."""
-        try:
-            return self._analyses[self._names.index(name)]
-        except ValueError:
-            raise KeyError("no analysis named %r in this suite"
-                           % name) from None
-
     def finish(self, ctx):
         """Every pass's ``finish(ctx)``, in registration order; while a
         collector is active each pass's seconds add to

@@ -6,12 +6,6 @@ from repro.core.detector import LoopDetector, LoopIndex
 from repro.core.events import EndReason, EventColumns
 from repro.core.loopstats import LoopStatistics, \
     compute_loop_statistics, loop_coverage
-from repro.core.predictors import (
-    IterationCountPredictor,
-    LastPlusStride,
-    StridePredictor,
-    TwoBitCounter,
-)
 from repro.core.tables import (
     LoopHistoryTable,
     POLICY_LRU,
@@ -31,10 +25,6 @@ __all__ = [
     "LoopStatistics",
     "compute_loop_statistics",
     "loop_coverage",
-    "IterationCountPredictor",
-    "LastPlusStride",
-    "StridePredictor",
-    "TwoBitCounter",
     "LoopHistoryTable",
     "POLICY_LRU",
     "POLICY_NESTING_AWARE",

@@ -126,11 +126,6 @@ class BranchPredictionReport:
             raise ValueError("branch-prediction counters out of range")
         return report
 
-    def __repr__(self):
-        return ("BranchPredictionReport(%s: closing=%.1f%%, other=%.1f%%)"
-                % (self.name, 100 * self.closing_accuracy,
-                   100 * self.other_accuracy))
-
 
 def closing_branch_pcs(cf_trace):
     """Static pcs of loop-closing branches: conditional backward

@@ -64,10 +64,6 @@ class CLSEntry:
     def contains(self, pc):
         return self.t <= pc <= self.b
 
-    def __repr__(self):
-        return "CLSEntry(T=%d, B=%d, exec=%d, iter=%d)" % (
-            self.t, self.b, self.exec_id, self.iteration)
-
 
 class CurrentLoopStack:
     """The CLS plus event generation.
@@ -85,18 +81,6 @@ class CurrentLoopStack:
         self.next_exec_id = 0
         self.overflow_count = 0
         self.columns = EventColumns()
-
-    # -- introspection ---------------------------------------------------
-
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def top(self):
-        return self.entries[-1] if self.entries else None
-
-    def current_loops(self):
-        return [entry.t for entry in self.entries]
 
     # -- main update rules -------------------------------------------------
 

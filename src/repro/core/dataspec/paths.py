@@ -38,24 +38,5 @@ class PathProfile:
         per_loop = self.counts.get(loop, {})
         return sum(per_loop.values())
 
-    def coverage(self, loop):
-        """Fraction of the loop's iterations on its most frequent path."""
-        per_loop = self.counts.get(loop)
-        if not per_loop:
-            return 0.0
-        return max(per_loop.values()) / sum(per_loop.values())
-
     def total_iterations(self):
         return sum(self.iterations(loop) for loop in self.counts)
-
-    def total_most_frequent(self):
-        return sum(max(per_loop.values())
-                   for per_loop in self.counts.values() if per_loop)
-
-    def overall_coverage(self):
-        """Share of *all* iterations covered by their loop's most
-        frequent path (the paper's ~85% statistic)."""
-        total = self.total_iterations()
-        if not total:
-            return 0.0
-        return self.total_most_frequent() / total

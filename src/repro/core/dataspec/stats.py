@@ -11,12 +11,11 @@ its address and value kept so each can be stride-predicted.
 
 When an iteration ends it is scored at once against its loop's
 histories, predicting each live-in as ``last value + stride of the last
-two iterations`` (:class:`~repro.core.predictors.LastPlusStride`,
-unbounded LIT/LET capacity as the paper assumes for these figures), and
-the histories are updated from it.  The scores accumulate per
-``(loop, path)``; at the end each loop contributes only the bucket of
-its most frequent path (the paper's methodology), while history was
-updated on every iteration.
+two iterations`` (unbounded LIT/LET capacity as the paper assumes for
+these figures), and the histories are updated from it.  The scores
+accumulate per ``(loop, path)``; at the end each loop contributes only
+the bucket of its most frequent path (the paper's methodology), while
+history was updated on every iteration.
 """
 
 from itertools import groupby
@@ -155,12 +154,6 @@ class DataSpecStats:
                 pct(self.lm_pred), pct(self.all_lr), pct(self.all_lm),
                 pct(self.all_data))
 
-    def __repr__(self):
-        return ("DataSpecStats(%s: same_path=%.1f%%, lr=%.1f%%, "
-                "lm=%.1f%%, all_data=%.1f%%)"
-                % (self.name, 100 * self.same_path, 100 * self.lr_pred,
-                   100 * self.lm_pred, 100 * self.all_data))
-
 
 class _Tracker:
     """One in-flight iteration: its start, its path hash so far, and
@@ -191,9 +184,8 @@ def _score(bucket, histories, t):
     last-plus-stride *histories* into the :class:`DataSpecStats`
     *bucket*, then fold them in.
 
-    Each history is ``[last, prev]``; a prediction needs both
-    (:class:`~repro.core.predictors.LastPlusStride`).  Scoring before
-    updating is per key, so one loop over the live-ins does both.
+    Each history is ``[last, prev]``; a prediction needs both.  Scoring
+    before updating is per key, so one loop over the live-ins does both.
     """
     regs, values, addrs = histories
     bucket.evaluated_iterations += 1

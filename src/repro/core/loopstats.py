@@ -23,8 +23,7 @@ class LoopStatistics:
     __slots__ = ("name", "total_instructions", "static_loops", "executions",
                  "iterations", "measured_iterations",
                  "measured_iteration_instructions", "nesting_sum",
-                 "max_nesting", "single_iteration_executions",
-                 "overflow_drops")
+                 "max_nesting", "single_iteration_executions")
 
     def __init__(self, name="workload"):
         self.name = name
@@ -37,7 +36,6 @@ class LoopStatistics:
         self.nesting_sum = 0
         self.max_nesting = 0
         self.single_iteration_executions = 0
-        self.overflow_drops = 0
 
     @property
     def iterations_per_execution(self):
@@ -64,8 +62,7 @@ class LoopStatistics:
     STATE_FIELDS = ("name", "total_instructions", "static_loops",
                     "executions", "iterations", "measured_iterations",
                     "measured_iteration_instructions", "nesting_sum",
-                    "max_nesting", "single_iteration_executions",
-                    "overflow_drops")
+                    "max_nesting", "single_iteration_executions")
 
     def state(self):
         """Every counter as a JSON-serializable dict -- the exact
@@ -105,14 +102,6 @@ class LoopStatistics:
 
     ROW_HEADERS = ("program", "#instr", "#loops", "#iter/exec",
                    "#instr/iter", "avg. nl", "max. nl")
-
-    def __repr__(self):
-        return ("LoopStatistics(%s: loops=%d, iter/exec=%.2f, "
-                "instr/iter=%.2f, nl=%.2f/%d)"
-                % (self.name, self.static_loops,
-                   self.iterations_per_execution,
-                   self.instructions_per_iteration,
-                   self.average_nesting, self.max_nesting))
 
 
 def compute_loop_statistics(index, name="workload"):

@@ -68,11 +68,5 @@ class SpeculationDisableTable:
         the walk skips it at events where no spawn is possible)."""
         return self._blocked.lookup(loop, touch=False) is not None
 
-    def stats_for(self, loop):
-        return self._stats.get(loop)
-
-    def blocked_loops(self):
-        return self._blocked.loops()
-
     def __len__(self):
         return len(self._blocked)

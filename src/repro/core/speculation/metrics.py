@@ -103,27 +103,6 @@ class SpeculationResult:
                 round(self.avg_instr_to_verification, 2),
                 round(self.tpc, 2))
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "num_tus": self.num_tus,
-            "policy": self.policy_name,
-            "timing": self.timing_name,
-            "overhead_cycles": self.overhead_cycles,
-            "total_cycles": self.total_cycles,
-            "total_instructions": self.total_instructions,
-            "speculation_events": self.speculation_events,
-            "threads_spawned": self.threads_spawned,
-            "promoted": self.promoted,
-            "squashed_misspec": self.squashed_misspec,
-            "squashed_policy": self.squashed_policy,
-            "hit_ratio": self.hit_ratio,
-            "threads_per_speculation": self.threads_per_speculation,
-            "avg_instr_to_verification": self.avg_instr_to_verification,
-            "tpc": self.tpc,
-            "tpc_executing": self.tpc_executing,
-        }
-
     # -- persistence -------------------------------------------------------
 
     def state(self):
@@ -152,8 +131,3 @@ class SpeculationResult:
                     raise ValueError("negative counter %r" % field)
             setattr(result, field, value)
         return result
-
-    def __repr__(self):
-        return ("SpeculationResult(%s, %s TUs, %s: tpc=%.2f, hit=%.1f%%)"
-                % (self.name, self.num_tus, self.policy_name, self.tpc,
-                   100 * self.hit_ratio))

@@ -47,10 +47,6 @@ class TableEntry:
         self.completed = 0
         self.payload = None
 
-    def __repr__(self):
-        return "TableEntry(loop=%d, completed=%d)" % (self.loop,
-                                                      self.completed)
-
 
 class LoopHistoryTable:
     """An associative loop table with LRU or nesting-aware replacement.
@@ -106,9 +102,6 @@ class LoopHistoryTable:
         entry = TableEntry(loop)
         self._entries[loop] = entry
         return entry
-
-    def loops(self):
-        return list(self._entries)
 
 
 class TableRows:

@@ -23,6 +23,3 @@ class Memory:
         """Return *count* words starting at *base* as a list."""
         get = self.cells.get
         return [get(base + i, 0) for i in range(count)]
-
-    def __len__(self):
-        return len(self.cells)

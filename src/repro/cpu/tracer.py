@@ -357,11 +357,8 @@ class ChunkedCFTracer(_TieredTracer):
 
     def batches(self):
         """Generate :class:`~repro.trace.batch.RecordBatch` columns of
-        at most ``chunk_size`` records, in execution order.
-
-        The loop appends directly to the batch columns: no
-        :class:`~repro.trace.record.CFRecord` is constructed between
-        the machine and a batch consumer.
+        at most ``chunk_size`` records, in execution order; the loop
+        appends directly to the batch columns.
         """
         return self._run(study=False)
 

@@ -5,8 +5,8 @@ Every experiment is a registered streaming
 :meth:`SimulationSession.analyze
 <repro.pipeline.session.SimulationSession.analyze>` feeds any number of
 them from one event-stream replay per workload, and
-:func:`repro.experiments.runner.run_experiment` runs one by name.  The
-command line entry point is ``python -m repro.experiments.runner``;
+:func:`repro.experiments.runner.build_suite` builds a suite by name.
+The command line entry point is ``python -m repro.experiments.runner``;
 each module is also runnable directly, e.g. ``python -m
 repro.experiments.table1 --jobs 4``.  This package does not import the
 runner, so ``python -m`` executes it fresh.

@@ -37,9 +37,6 @@ CLS_CAPACITIES = (2, 4, 8, 16)
 WAITING_NUM_TUS = 4
 
 
-ALL_PARTS = ("replacement", "waiting", "cls")
-
-
 def _cls_parts(capacity):
     """The derived-store parts of one CLS size's sweep counts."""
     return ("cls-sweep", "cap%d" % capacity)
@@ -56,13 +53,7 @@ def _cls_counts(counts):
 @register_analysis("ablations")
 class AblationsAnalysis(Analysis):
     def __init__(self, sizes=REPLACEMENT_SIZES,
-                 capacities=CLS_CAPACITIES, num_tus=WAITING_NUM_TUS,
-                 parts=ALL_PARTS):
-        unknown = set(parts) - set(ALL_PARTS)
-        if unknown:
-            raise ValueError("unknown ablation parts: %s"
-                             % ", ".join(sorted(unknown)))
-        self.parts = tuple(parts)
+                 capacities=CLS_CAPACITIES, num_tus=WAITING_NUM_TUS):
         self.sizes = sizes
         self.capacities = capacities
         self.num_tus = num_tus
@@ -76,30 +67,27 @@ class AblationsAnalysis(Analysis):
         self._cls = {capacity: [0, 0] for capacity in capacities}
 
     def finish(self, ctx):
-        if "replacement" in self.parts:
-            # Table simulators are shared per configuration across the
-            # suite (figure4 sweeps the same LRU sizes).
-            for (size, policy), totals in self._replacement.items():
-                sim = shared_table_sim(ctx, size, size, policy)
-                totals[0] += sim.let_hits
-                totals[1] += sim.let_accesses
-                totals[2] += sim.lit_hits
-                totals[3] += sim.lit_accesses
-        if "waiting" in self.parts:
-            # One run answers both accountings: with count_waiting=False
-            # the engine reports tpc == tpc_executing of the same run.
-            incl = self._waiting_timing.fold(
-                shared_simulate(ctx, self.num_tus, "str"))
-            self._waiting_rows.append((ctx.name, round(incl.tpc, 2),
-                                       round(incl.tpc_executing, 2)))
-        if "cls" in self.parts:
-            for capacity in self.capacities:
-                counts = ctx.memo(
-                    _cls_parts(capacity), _cls_counts,
-                    lambda: self._cls_sweep_counts(ctx, capacity), list)
-                totals = self._cls[capacity]
-                totals[0] += counts[0]
-                totals[1] += counts[1]
+        # Table simulators are shared per configuration across the
+        # suite (figure4 sweeps the same LRU sizes).
+        for (size, policy), totals in self._replacement.items():
+            sim = shared_table_sim(ctx, size, size, policy)
+            totals[0] += sim.let_hits
+            totals[1] += sim.let_accesses
+            totals[2] += sim.lit_hits
+            totals[3] += sim.lit_accesses
+        # One run answers both accountings: with count_waiting=False
+        # the engine reports tpc == tpc_executing of the same run.
+        incl = self._waiting_timing.fold(
+            shared_simulate(ctx, self.num_tus, "str"))
+        self._waiting_rows.append((ctx.name, round(incl.tpc, 2),
+                                   round(incl.tpc_executing, 2)))
+        for capacity in self.capacities:
+            counts = ctx.memo(
+                _cls_parts(capacity), _cls_counts,
+                lambda: self._cls_sweep_counts(ctx, capacity), list)
+            totals = self._cls[capacity]
+            totals[0] += counts[0]
+            totals[1] += counts[1]
 
     def _cls_sweep_counts(self, ctx, capacity):
         """``[overflow drops, executions]`` of this workload's CLS of
@@ -121,9 +109,10 @@ class AblationsAnalysis(Analysis):
         whose start row is an execution start, and their depth is that
         row's ``aux``.
         """
-        cols = ctx.index.columns
+        index = ctx.index
+        cols = index.columns
         overflows = cols.end_reasons.count(EndReason.OVERFLOW)
-        executions = len(cols.start_rows)
+        executions = len(index)
         if capacity == ctx.cls_capacity:
             return [overflows, executions]
         etypes = cols.etypes
@@ -197,13 +186,8 @@ class AblationsAnalysis(Analysis):
         )
 
     def result(self):
-        tables = {
-            "replacement": self.replacement_result,
-            "waiting": self.waiting_result,
-            "cls": self.cls_capacity_result,
-        }
-        return [tables[part]() for part in ALL_PARTS
-                if part in self.parts]
+        return [self.replacement_result(), self.waiting_result(),
+                self.cls_capacity_result()]
 
 
 if __name__ == "__main__":

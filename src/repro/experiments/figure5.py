@@ -35,7 +35,7 @@ class Figure5Analysis(Analysis):
         self._series = {}
 
     def finish(self, ctx):
-        # clip() semantics: a quarter prefix, at least one instruction,
+        # A quarter prefix of the trace, at least one instruction,
         # never longer than the trace itself.
         limit = min(max(1, ctx.total_instructions // 4),
                     ctx.total_instructions)

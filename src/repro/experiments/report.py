@@ -35,17 +35,6 @@ class ExperimentResult:
                 "%s=%s" % (k, v) for k, v in self.meta.items())
         return text
 
-    def row_for(self, key):
-        """First row whose first column equals *key*."""
-        for row in self.rows:
-            if row[0] == key:
-                return row
-        raise KeyError("no row %r in %s" % (key, self.name))
-
-    def column(self, header):
-        idx = self.headers.index(header)
-        return [row[idx] for row in self.rows]
-
     def to_csv(self):
         """Render as CSV (for spreadsheets / plotting scripts)."""
         def cell(value):
@@ -60,11 +49,6 @@ class ExperimentResult:
         for key, value in self.meta.items():
             lines.append("# %s=%s" % (key, value))
         return "\n".join(lines) + "\n"
-
-    def save_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-        return path
 
     def to_json(self, indent=2):
         """Render name/headers/rows/notes (and ``meta``, when present)
@@ -82,15 +66,6 @@ class ExperimentResult:
         if self.meta:
             payload["meta"] = dict(self.meta)
         return json.dumps(payload, indent=indent)
-
-    def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-        return path
-
-    def __repr__(self):
-        return "ExperimentResult(%r, %d rows)" % (self.name,
-                                                  len(self.rows))
 
 
 class TimingMeta:

@@ -153,17 +153,6 @@ def build_suite(selected, overrides=None):
     return suite, by_name
 
 
-def run_experiment(name, session, **kwargs):
-    """Run one experiment over *session*; returns its result(s).
-
-    *kwargs* are the experiment's constructor overrides (see
-    :func:`build_suite`).  To run several experiments, build one suite
-    and ``analyze`` once instead.
-    """
-    suite, _ = build_suite([name], {name: kwargs})
-    return session.analyze(suite)[0]
-
-
 def experiment_main(experiment, argv=None):
     """CLI entry point for one experiment module (``--jobs`` etc. all
     apply); used by each module's ``main()``."""

@@ -12,8 +12,8 @@ Public surface:
 
 * :class:`Instruction`, :class:`Opcode`, :class:`InstrKind` -- instruction
   representation and classification.
-* :class:`Program` -- an assembled program (instructions + labels + data).
-* :func:`assemble` -- text assembly front end.
+* :class:`Program` -- a program (instructions + labels + data), built
+  by the :mod:`repro.lang` compiler.
 * :data:`registers` helpers -- symbolic register names and conventions.
 """
 
@@ -38,11 +38,9 @@ from repro.isa.registers import (
     REG_SCRATCH0,
     REG_SCRATCH1,
     register_name,
-    parse_register,
 )
 from repro.isa.program import Program, DataSegment
-from repro.isa.assembler import assemble
-from repro.isa.errors import IsaError, AssemblerError, ProgramError
+from repro.isa.errors import IsaError, ProgramError
 
 __all__ = [
     "InstrKind",
@@ -63,11 +61,8 @@ __all__ = [
     "REG_SCRATCH0",
     "REG_SCRATCH1",
     "register_name",
-    "parse_register",
     "Program",
     "DataSegment",
-    "assemble",
     "IsaError",
-    "AssemblerError",
     "ProgramError",
 ]

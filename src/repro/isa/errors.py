@@ -5,15 +5,5 @@ class IsaError(Exception):
     """Base class for all ISA-level errors."""
 
 
-class AssemblerError(IsaError):
-    """Raised when text assembly cannot be parsed or resolved."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line
-
-
 class ProgramError(IsaError):
     """Raised when a :class:`~repro.isa.program.Program` is malformed."""

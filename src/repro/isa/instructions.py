@@ -24,13 +24,9 @@ class InstrKind(enum.IntEnum):
     RET = 5      # subroutine return
     HALT = 6     # stops the machine
 
-    @property
-    def is_control(self):
-        return self is not InstrKind.OTHER
-
 
 class Opcode(str, enum.Enum):
-    """All opcodes understood by the interpreter and the assembler."""
+    """All opcodes the interpreter runs."""
 
     # Three-register ALU operations.
     ADD = "add"
@@ -144,10 +140,6 @@ class Instruction:
         self.label = label
         self.kind = _KIND_BY_OPCODE.get(op, InstrKind.OTHER)
 
-    @property
-    def is_control(self):
-        return self.kind is not InstrKind.OTHER
-
     def validate(self):
         """Raise :class:`IsaError` when operands are inconsistent."""
         if self.target is None and self.label is None \
@@ -193,15 +185,3 @@ class Instruction:
         if op is Opcode.JR:
             return "jr %s" % register_name(self.rs1)
         return op.value
-
-    def __eq__(self, other):
-        if not isinstance(other, Instruction):
-            return NotImplemented
-        return (self.op, self.rd, self.rs1, self.rs2, self.imm,
-                self.target, self.label) == (
-                    other.op, other.rd, other.rs1, other.rs2, other.imm,
-                    other.target, other.label)
-
-    def __hash__(self):
-        return hash((self.op, self.rd, self.rs1, self.rs2, self.imm,
-                     self.target, self.label))

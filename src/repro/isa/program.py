@@ -47,10 +47,6 @@ class DataSegment:
         except KeyError:
             raise ProgramError("unknown data symbol %r" % name) from None
 
-    @property
-    def size(self):
-        return self._next - self.base
-
 
 class Program:
     """An assembled program ready to run on :class:`repro.cpu.Machine`."""
@@ -132,29 +128,3 @@ class Program:
         self._memo = {}
         self._finalized = True
         return self
-
-    def listing(self):
-        """Return a human-readable disassembly with labels."""
-        by_addr = {}
-        for name, addr in self.labels.items():
-            by_addr.setdefault(addr, []).append(name)
-        lines = []
-        for pc, instr in enumerate(self.instructions):
-            for name in sorted(by_addr.get(pc, ())):
-                lines.append("%s:" % name)
-            lines.append("  %4d  %s" % (pc, instr.render()))
-        return "\n".join(lines)
-
-    def static_backward_targets(self):
-        """Set of targets of static backward control transfers.
-
-        This is the static counterpart of the paper's loop identifier set:
-        every loop identifier the detector may discover is the target of
-        some backward branch or jump.
-        """
-        self.finalize()
-        targets = set()
-        for pc, instr in enumerate(self.instructions):
-            if instr.target is not None and instr.target <= pc:
-                targets.add(instr.target)
-        return targets

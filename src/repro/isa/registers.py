@@ -16,7 +16,7 @@ index  name      role
 5-9    a1..a5    further arguments
 10-19  t0..t9    expression temporaries (caller saved)
 20-29  s0..s9    saved registers (callee saved)
-30-31  x0..x1    assembler/compiler scratch
+30-31  x0..x1    compiler scratch
 ====== ========= ==========================================
 """
 
@@ -49,28 +49,6 @@ _SPECIAL_NAMES = {
     REG_FP: "fp",
 }
 
-_NAME_TO_INDEX = {}
-
-
-def _build_name_table():
-    for idx, name in _SPECIAL_NAMES.items():
-        _NAME_TO_INDEX[name] = idx
-    for pos, idx in enumerate(ARG_REGISTERS):
-        _NAME_TO_INDEX["a%d" % pos] = idx
-    _NAME_TO_INDEX["rv"] = REG_RV
-    for pos, idx in enumerate(TEMP_REGISTERS):
-        _NAME_TO_INDEX["t%d" % pos] = idx
-    for pos, idx in enumerate(SAVED_REGISTERS):
-        _NAME_TO_INDEX["s%d" % pos] = idx
-    _NAME_TO_INDEX["x0"] = REG_SCRATCH0
-    _NAME_TO_INDEX["x1"] = REG_SCRATCH1
-    for idx in range(NUM_REGISTERS):
-        _NAME_TO_INDEX["r%d" % idx] = idx
-
-
-_build_name_table()
-
-
 def register_name(index):
     """Return the canonical symbolic name of register *index*."""
     if not 0 <= index < NUM_REGISTERS:
@@ -88,11 +66,3 @@ def register_name(index):
     if index == REG_SCRATCH0:
         return "x0"
     return "x1"
-
-
-def parse_register(text):
-    """Parse a register name (``r7``, ``sp``, ``t3``, ...) to its index."""
-    try:
-        return _NAME_TO_INDEX[text.strip().lower()]
-    except KeyError:
-        raise IsaError("unknown register name: %r" % (text,)) from None

@@ -45,7 +45,7 @@ from repro.lang.ast import (
 from repro.lang.compiler import MAX_PARAMS, compile_module
 from repro.lang.inspect import ModuleStats, module_stats
 from repro.lang.optimizer import optimize_module
-from repro.lang.parser import compile_source, parse_module
+from repro.lang.parser import parse_module
 
 __all__ = [
     "AddrOf",
@@ -76,7 +76,6 @@ __all__ = [
     "While",
     "as_expr",
     "compile_module",
-    "compile_source",
     "module_stats",
     "optimize_module",
     "parse_module",

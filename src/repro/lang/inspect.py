@@ -29,11 +29,6 @@ class ModuleStats:
         self.max_syntactic_nesting = 0   #: deepest loop-in-loop chain
         self.call_targets = set()        #: distinct callee names
 
-    def __repr__(self):
-        return ("ModuleStats(loops=%d, branches=%d, calls=%d, "
-                "max_nest=%d)" % (self.loops, self.branches, self.calls,
-                                  self.max_syntactic_nesting))
-
 
 _LOOP_TYPES = (ast.For, ast.While, ast.DoWhile)
 

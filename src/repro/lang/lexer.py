@@ -34,10 +34,6 @@ class Token:
         self.line = line
         self.column = column
 
-    def __repr__(self):
-        return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line,
-                                         self.column)
-
 
 KEYWORDS = frozenset({
     "func", "var", "global", "array", "return", "if", "else", "while",

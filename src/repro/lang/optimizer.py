@@ -209,10 +209,3 @@ class Optimizer:
 def optimize_module(module):
     """Return an optimized copy of *module* (the input is not mutated)."""
     return Optimizer().module(module)
-
-
-def optimization_report(module):
-    """Optimize and return ``(optimized_module, optimizer)`` for
-    inspection of what was rewritten."""
-    optimizer = Optimizer()
-    return optimizer.module(module), optimizer

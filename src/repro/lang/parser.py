@@ -378,9 +378,3 @@ class _Parser:
 def parse_module(source, name="module"):
     """Parse mini-language *source* text into a Module."""
     return _Parser(tokenize(source)).parse_module(name)
-
-
-def compile_source(source, name="module"):
-    """Text straight to a finalized ISA program."""
-    from repro.lang.compiler import compile_module
-    return compile_module(parse_module(source, name))

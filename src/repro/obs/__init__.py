@@ -1,8 +1,8 @@
 """Zero-dependency runtime observability for the whole stack.
 
-Instrumented code talks to this package through four module functions
--- :func:`span`, :func:`add`, :func:`gauge`, :func:`point` -- which
-are near-free no-ops unless a :class:`Collector` has been activated
+Instrumented code talks to this package through three module
+functions -- :func:`span`, :func:`add`, :func:`point` -- which are
+near-free no-ops unless a :class:`Collector` has been activated
 (``runner --metrics/--timeline/--profile-run`` does that through
 :class:`~repro.obs.runtime.RunObserver`).  See
 ``docs/OBSERVABILITY.md`` for the span/counter naming conventions,
@@ -29,7 +29,6 @@ from repro.obs.collector import (
     active,
     add,
     deactivate,
-    gauge,
     point,
     span,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "build_manifest",
     "deactivate",
     "events_path",
-    "gauge",
     "load_manifest",
     "point",
     "render_timeline",

@@ -20,8 +20,8 @@ Event kinds:
 * **counters** -- monotonically accumulated numbers
   (``obs.add("replay.records", 4096)``); floats are fine (the analysis
   suite accumulates per-pass feed seconds here).
-* **gauges** -- last-write-wins scalars (``obs.gauge(
-  "kernels.backend", "stdlib")``).
+* **gauges** -- last-write-wins scalars
+  (``collector.gauge("kernels.backend", "stdlib")``).
 * **points** -- timestamped samples for trajectories
   (``obs.point("search.score", 0.41, candidate=name)``).
 
@@ -103,13 +103,6 @@ def add(name, value=1):
     collector = _ACTIVE
     if collector is not None:
         collector.add(name, value)
-
-
-def gauge(name, value):
-    """Set gauge *name* to *value* (no-op when disabled)."""
-    collector = _ACTIVE
-    if collector is not None:
-        collector.gauge(name, value)
 
 
 def point(name, value, **attrs):

@@ -51,10 +51,6 @@ class SessionStats:
         self.cache_hits = 0    #: workloads served from the on-disk cache
         self.replays = 0       #: trace walks: one per loaded workload
 
-    def __repr__(self):
-        return ("SessionStats(traced=%d, cache_hits=%d, replays=%d)"
-                % (self.traced, self.cache_hits, self.replays))
-
 
 class _CorruptStream(Exception):
     """A cached batch stream raised ValueError mid-iteration."""

@@ -116,34 +116,21 @@ class EvalSettings:
 class Objective:
     """One way of scoring how adversarial a candidate workload is.
 
-    Subclasses (or instances built with the constructor hooks) define
-    :meth:`score` and :meth:`frontier`; ``property_text`` is the
-    human-readable statement of the frontier property, rendered into
-    reports, corpus files, and docs.
+    Subclasses define ``score(metrics, settings)`` (a scalar; higher
+    is more adversarial) and ``frontier(metrics, settings)`` (whether
+    *metrics* satisfy the pinned frontier property);
+    ``property_text`` is the human-readable statement of that
+    property, rendered into reports, corpus files, and docs.
     """
 
-    def __init__(self, name, description, score_fn, frontier_fn,
-                 property_text):
+    def __init__(self, name, description, property_text):
         self.name = name
         self.description = description
-        self._score = score_fn
-        self._frontier = frontier_fn
         self.property_text = property_text
 
     def validate(self, settings):
         """Reject *settings* this objective cannot be computed under;
         the default accepts everything."""
-
-    def score(self, metrics, settings):
-        """Scalar score of *metrics*; higher = more adversarial."""
-        return self._score(metrics, settings)
-
-    def frontier(self, metrics, settings):
-        """Whether *metrics* satisfy the pinned frontier property."""
-        return self._frontier(metrics, settings)
-
-    def __repr__(self):
-        return "Objective(%r)" % self.name
 
 
 class _InversionObjective(Objective):
@@ -152,7 +139,6 @@ class _InversionObjective(Objective):
             "tpc-inversion",
             "speculation pays on the ideal machine but loses under "
             "the overhead timing model",
-            None, None,
             "ideal speedup > 1.0 and overhead speedup < 1.0 at the "
             "evaluated policy/TU configuration")
 
@@ -181,7 +167,6 @@ class _CoverageObjective(Objective):
             "coverage-collapse",
             "loop detector coverage collapses below the paper's "
             "57-99% band",
-            None, None,
             "loop coverage < %.2f" % COVERAGE_COLLAPSE_BELOW)
 
     def score(self, metrics, settings):
@@ -197,7 +182,6 @@ class _DivergenceObjective(Objective):
             "policy-divergence",
             "spawning policies disagree maximally (ideal-machine TPC "
             "spread at fixed TUs)",
-            None, None,
             "TPC spread across policies >= %.2f on the ideal machine"
             % POLICY_SPREAD_AT_LEAST)
 

@@ -70,30 +70,6 @@ class SearchSpec:
         return json.dumps(payload, sort_keys=True,
                           separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text):
-        """The exact inverse of :meth:`to_json`."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError("unreadable search spec: %s" % exc) \
-                from None
-        if not isinstance(payload, dict) \
-                or payload.get("experiment") != SEARCH_EXPERIMENT:
-            raise ValueError("not a search spec")
-        try:
-            return cls(
-                objective=payload["objective"],
-                budget=payload["budget"],
-                seed=payload["seed"],
-                top_k=payload["top_k"],
-                stall_limit=payload["stall_limit"],
-                settings=EvalSettings.from_dict(payload["settings"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError("unreadable search spec: %s" % exc) \
-                from None
-
     @property
     def sweep_id(self):
         """Content digest of the run: same spec, same id, always."""

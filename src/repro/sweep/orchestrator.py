@@ -46,12 +46,6 @@ class SweepRunStats:
         self.failed = 0             #: stored as failed rows this run
         self.checkpoints = 0        #: store commits performed
 
-    def __repr__(self):
-        return ("SweepRunStats(%s: planned=%d, skipped=%d, "
-                "executed=%d, failed=%d)"
-                % (self.sweep_id, self.planned, self.skipped,
-                   self.executed, self.failed))
-
 
 def cell_descriptor(cell):
     """The picklable ``(key, kind, timing, policy, tus)`` tuple a

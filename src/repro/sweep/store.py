@@ -118,11 +118,6 @@ class CellRow:
             return {}
         return payload if isinstance(payload, dict) else {}
 
-    def __repr__(self):
-        return ("CellRow(%s %s %s policy=%s tus=%s %s)"
-                % (self.workload, self.kind, self.timing, self.policy,
-                   self.tus, self.status))
-
 
 def default_store_dir():
     """The sweep store used when no ``--store`` is given."""

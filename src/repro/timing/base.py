@@ -94,6 +94,3 @@ class TimingModel:
         """Cycles charged when *count* threads are squashed at once;
         linear in *count*."""
         return 0
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, self.name)

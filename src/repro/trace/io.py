@@ -28,9 +28,9 @@ either bit-exact or rejected.
 One writer (:class:`BatchTraceWriter`, driven by
 :func:`dump_cf_batches`) and one chunk walker (:func:`_batches_v3`)
 serve every path.  :func:`open_cf_batches` streams a file's batches;
-:func:`load_cf_trace` and :func:`loads_cf_trace` read a whole file or
-buffer into a :class:`~repro.trace.stream.CFTrace` (header plus batch
-list), and :func:`dump_cf_trace` writes one back, one chunk per batch.
+:func:`load_cf_trace` reads a whole file into a
+:class:`~repro.trace.stream.CFTrace` (header plus batch list), and
+:func:`dump_cf_trace` writes one back, one chunk per batch.
 
 Full traces are not serialized (they are cheap to regenerate at the
 scales the data-speculation study uses, and enormous on disk).
@@ -83,8 +83,7 @@ class TraceHeader(NamedTuple):
 # -- binary v3 primitives ----------------------------------------------------
 
 class _BufferReader:
-    """Minimal binary file facade over a bytes-like buffer (an mmap'd
-    trace file, plain ``bytes``).
+    """Minimal binary file facade over an mmap'd trace file.
 
     ``read`` returns **zero-copy** :class:`memoryview` slices, so the
     v3 reader's framing fields and compressed chunk payloads are never
@@ -329,10 +328,6 @@ class BatchTraceWriter:
         fh.write(_META_STRUCT.pack(total_instructions,
                                    1 if halted else 0, self._count))
 
-    @property
-    def records_written(self):
-        return self._count
-
 
 def dump_cf_batches(source, batches, path_or_file):
     """Write *batches* as one v3 trace to a path (atomically) or a
@@ -416,25 +411,3 @@ def open_cf_batches(path):
         fh.close()
         raise
     return header, _closing(fh, _batches_v3(fh, header))
-
-
-# -- string/bytes helpers ----------------------------------------------------
-
-def dumps_cf_trace(trace):
-    """Serialize to v3 ``bytes`` -- the round-trip helper for tests."""
-    buf = io.BytesIO()
-    dump_cf_trace(trace, buf)
-    return buf.getvalue()
-
-
-def loads_cf_trace(data):
-    """Inverse of :func:`dumps_cf_trace`: a
-    :class:`~repro.trace.stream.CFTrace` from a v3 trace in any
-    bytes-like buffer (``bytes``, ``memoryview``).  The buffer is
-    parsed zero-copy, and no view of *data* outlives the call: each
-    batch owns its decompressed columns."""
-    reader = _BufferReader(data)
-    try:
-        return _load(reader)
-    finally:
-        reader.close()

@@ -1,60 +1,14 @@
-"""Dynamic trace records.
+"""Full trace records.
 
-Two granularities are produced by :mod:`repro.cpu.tracer`:
-
-* **Control-flow traces** (:class:`CFRecord`) carry one record per executed
-  control-transfer instruction.  Straight-line instructions are implicit:
-  between two consecutive records the machine executed exactly
-  ``next.seq - prev.seq - 1`` non-control instructions.  This is all the
-  loop detector and the thread-speculation engine need, and it keeps
-  million-instruction traces affordable.
-* **Full traces** (:class:`FullRecord`) carry one record per executed
-  instruction including register and memory accesses with their values;
-  the data-speculation study (paper section 4) consumes these.
-
-Both are named tuples so they stay cheap to allocate while remaining
-self-describing.
+A control-flow trace is columns (:mod:`repro.trace.batch`).  A full
+trace (:func:`repro.cpu.tracer.trace_full`) carries one
+:class:`FullRecord` per executed instruction, with its register and
+memory accesses and their values; the data-speculation study (paper
+section 4) reads these grouped into block rows
+(:meth:`repro.trace.batch.StudyBatch.from_records`).
 """
 
 from typing import NamedTuple, Optional, Tuple
-
-from repro.isa.instructions import InstrKind
-
-
-class CFRecord(NamedTuple):
-    """One executed control-transfer instruction."""
-
-    seq: int                 #: global dynamic instruction index (0-based)
-    pc: int                  #: instruction address
-    kind: int                #: :class:`InstrKind` value
-    taken: bool              #: True for taken branches and all jumps
-    target: Optional[int]    #: destination when taken (None for halt)
-
-    @property
-    def fallthrough(self):
-        """Address executed next when the transfer is not taken."""
-        return self.pc + 1
-
-    @property
-    def next_pc(self):
-        return self.target if self.taken else self.pc + 1
-
-    @property
-    def is_backward(self):
-        """Backward transfer per the paper: target at or before the pc.
-
-        Direction is a static property of the transfer -- a not-taken
-        backward branch is still backward (the CLS uses exactly this to
-        detect loop exits at B).  Only the halt record, which has no
-        target, is never backward.
-        """
-        return self.target is not None and self.target <= self.pc
-
-    def describe(self):
-        return "#%d pc=%d %s %s-> %s" % (
-            self.seq, self.pc, InstrKind(self.kind).name,
-            "taken " if self.taken else "not-taken ",
-            self.target)
 
 
 class FullRecord(NamedTuple):
@@ -69,8 +23,3 @@ class FullRecord(NamedTuple):
     reg_writes: Tuple         #: tuple of (register index, value written)
     mem_reads: Tuple          #: tuple of (address, value read)
     mem_writes: Tuple         #: tuple of (address, value written)
-
-    def as_cf(self):
-        """Project to a :class:`CFRecord` (valid only for control kinds)."""
-        return CFRecord(self.seq, self.pc, self.kind, self.taken,
-                        self.target)

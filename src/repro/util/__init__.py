@@ -1,6 +1,6 @@
 """Small shared utilities (formatting, RNG)."""
 
-from repro.util.fmt import format_table, format_percent
+from repro.util.fmt import format_table
 from repro.util.rng import Xorshift64
 
-__all__ = ["format_table", "format_percent", "Xorshift64"]
+__all__ = ["format_table", "Xorshift64"]

@@ -1,11 +1,6 @@
 """Plain-text table rendering for experiment reports."""
 
 
-def format_percent(value, digits=2):
-    """Render a [0, 1] fraction as a percentage string."""
-    return "%.*f%%" % (digits, 100.0 * value)
-
-
 def _render_cell(value):
     if isinstance(value, float):
         return "%.2f" % value

@@ -8,8 +8,6 @@ or grid/time steps) without changing the loop *shape*, standing in for
 the paper's whole-run vs 10^9-instruction-prefix distinction.
 """
 
-from repro.core.detector import LoopDetector
-from repro.cpu import ChunkedCFTracer, trace_control_flow, trace_full
 from repro.lang.compiler import compile_module
 
 
@@ -36,22 +34,6 @@ class Workload:
             self._program_cache[scale] = compile_module(
                 self.build_module(scale))
         return self._program_cache[scale]
-
-    def cf_trace(self, scale=1, max_instructions=None):
-        limit = max_instructions or self.default_max_instructions
-        return trace_control_flow(self.program(scale), limit)
-
-    def full_trace(self, scale=1, max_instructions=None):
-        limit = max_instructions or self.default_max_instructions
-        return trace_full(self.program(scale), limit)
-
-    def loop_index(self, scale=1, cls_capacity=16, max_instructions=None):
-        limit = max_instructions or self.default_max_instructions
-        return LoopDetector(cls_capacity=cls_capacity).run(
-            ChunkedCFTracer(self.program(scale), limit).columns())
-
-    def __repr__(self):
-        return "Workload(%r, %s)" % (self.name, self.category)
 
 
 _REGISTRY = {}

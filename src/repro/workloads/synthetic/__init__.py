@@ -11,7 +11,7 @@ analysis suite consume them unchanged::
 
     from repro.workloads import get
     w = get("synth-deep-nest-7")        # resolved + registered lazily
-    index = w.loop_index()
+    program = w.program()
 
 Name resolution is deterministic and side-effect free beyond registry
 insertion, so pooled tracer processes resolve the same names to

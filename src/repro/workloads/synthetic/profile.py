@@ -17,9 +17,9 @@ failures always name the offending field *and* the offending value
 (``nesting_depth[1]=(0, 4): ...``), so a rejected hand-written or
 mutated profile is diagnosable from the message alone.
 
-Profiles round-trip through plain dicts and canonical JSON
-(:meth:`WorkloadProfile.to_json` / :meth:`WorkloadProfile.from_json`);
-:func:`profile_digest` hashes that canonical form minus the name,
+Profiles round-trip through plain dicts (:meth:`WorkloadProfile.to_dict`
+/ :meth:`WorkloadProfile.from_dict`); :func:`profile_digest` hashes
+their canonical JSON minus the name,
 which is how the adversarial search (:mod:`repro.search`) derives
 content-addressed names for mutated candidate profiles.
 """
@@ -167,10 +167,6 @@ class WorkloadProfile:
             raise ProfileValidationError(
                 "category", self.category, "must be 'int' or 'fp'")
 
-    @property
-    def max_nesting(self):
-        return max(depth for depth, _ in self.nesting_depth)
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self):
@@ -227,22 +223,6 @@ class WorkloadProfile:
             raise ValueError("malformed profile payload: %s" % exc) \
                 from None
         return cls(**kwargs)
-
-    def to_json(self):
-        """Canonical JSON (sorted keys, no whitespace variance)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text):
-        """The inverse of :meth:`to_json`; raises
-        :class:`ValueError` on unreadable input."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError("unreadable profile JSON: %s" % exc) \
-                from None
-        return cls.from_dict(payload)
 
 
 def profile_digest(profile):

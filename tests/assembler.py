@@ -1,6 +1,8 @@
-"""Text assembler.
+"""Text assembler for tests: hand-written programs in a few lines.
 
-Accepts a conventional line-oriented syntax::
+Production builds programs through :mod:`repro.lang`; tests that need
+a precise instruction sequence write it as text.  Accepts a
+conventional line-oriented syntax::
 
     ; comment
     .data table 8 = 1 2 3 4 5 6 7 8
@@ -26,7 +28,7 @@ absolute integers.
 
 import re
 
-from repro.isa.errors import AssemblerError
+from repro.isa.errors import IsaError
 from repro.isa.instructions import (
     ALU_IMM_OPS,
     ALU_OPS,
@@ -35,10 +37,36 @@ from repro.isa.instructions import (
     Opcode,
 )
 from repro.isa.program import Program
-from repro.isa.registers import parse_register
+from repro.isa.registers import ARG_REGISTERS, NUM_REGISTERS, register_name
 
 _MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
+
+#: Every register name: ``r<n>``, the canonical names, and ``a0`` for
+#: the first argument register (canonically ``rv``).
+_REGISTERS = {"r%d" % index: index for index in range(NUM_REGISTERS)}
+_REGISTERS.update((register_name(index), index)
+                  for index in range(NUM_REGISTERS))
+_REGISTERS.update(("a%d" % pos, index)
+                  for pos, index in enumerate(ARG_REGISTERS))
+
+
+class AssemblerError(IsaError):
+    """Raised when text assembly cannot be parsed or resolved."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = "line %d: %s" % (line, message)
+        super().__init__(message)
+        self.line = line
+
+
+def parse_register(text):
+    """Parse a register name (``r7``, ``sp``, ``t3``, ...) to its index."""
+    try:
+        return _REGISTERS[text.strip().lower()]
+    except KeyError:
+        raise IsaError("unknown register name: %r" % (text,)) from None
 
 
 def _split_operands(rest):

@@ -6,11 +6,12 @@ Nothing under ``src/`` imports this package.  :func:`cut` places the
 batch seams that the batch-equivalence tests feed through.
 """
 
-from repro.trace.batch import RecordBatch
+from records import batch_of, slice_batch
 
 
 def cut(records, size):
-    """*records* (CFRecords) as one batch cut by
-    :meth:`RecordBatch.slice` into batches of at most *size* rows."""
-    batch = RecordBatch.from_records(records)
-    return [batch.slice(i, i + size) for i in range(0, len(batch), size)]
+    """*records* (CFRecords) as one batch cut into zero-copy batches
+    of at most *size* rows."""
+    batch = batch_of(records)
+    return [slice_batch(batch, i, i + size)
+            for i in range(0, len(batch), size)]

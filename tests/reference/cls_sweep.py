@@ -7,7 +7,8 @@ reads the production sweep's per-workload counts.
 from repro.analysis import AnalysisSuite
 from repro.core.cls import CurrentLoopStack
 from repro.core.events import EV_EXEC_START, EV_SINGLE
-from repro.experiments.ablations import AblationsAnalysis
+from repro.experiments.ablations import AblationsAnalysis, _cls_counts, \
+    _cls_parts
 from repro.obs.collector import Collector, activate, deactivate
 
 
@@ -25,11 +26,19 @@ def walked_cls_counts(batches, capacity):
 
 
 class _RecordingSweep(AblationsAnalysis):
-    """The CLS sweep alone, keeping each workload's counts."""
+    """The ablation's CLS sweep alone, keeping each workload's counts."""
 
     def __init__(self, capacities):
-        super().__init__(capacities=capacities, parts=("cls",))
+        super().__init__(capacities=capacities)
         self.counts = {}
+
+    def finish(self, ctx):
+        for capacity in self.capacities:
+            ctx.memo(_cls_parts(capacity), _cls_counts,
+                     lambda: self._cls_sweep_counts(ctx, capacity), list)
+
+    def result(self):
+        return self.counts
 
     def _cls_sweep_counts(self, ctx, capacity):
         counts = super()._cls_sweep_counts(ctx, capacity)

@@ -18,10 +18,10 @@ from repro.core.dataspec.paths import (
     PathProfile,
 )
 from repro.core.dataspec.stats import DataSpecStats
-from repro.core.predictors import LastPlusStride
 
 from reference.cls import ReferenceCLS
 from reference.events import ExecutionEnd, IterationStart
+from reference.predictors import LastPlusStride
 
 
 class PathSignature:
@@ -141,7 +141,8 @@ def evaluate(observations_by_loop, profile, name):
     """Pass 2: score each loop's most-frequent-path iterations."""
     stats = DataSpecStats(name)
     stats.total_iterations = profile.total_iterations()
-    stats.mfp_iterations = profile.total_most_frequent()
+    stats.mfp_iterations = sum(max(per_loop.values())
+                               for per_loop in profile.counts.values())
     for loop, observations in observations_by_loop.items():
         mfp = profile.most_frequent(loop)
         reg_hist = {}            # reg -> LastPlusStride

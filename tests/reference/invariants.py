@@ -1,4 +1,12 @@
-"""Invariants every speculation result obeys, stated once.
+"""Invariants every control-flow trace and every speculation result
+obeys, stated once.
+
+:func:`check_trace` raises ``ValueError`` when a control-flow trace
+breaks one of its invariants: sequence numbers strictly increase, every
+record's ``seq`` is below ``total_instructions``, and consecutive
+records are linked by straight-line execution (the instructions
+between two records are exactly the pcs falling through from the
+first record's successor to the second record's pc).
 
 :func:`check_result` returns the invariants a
 :class:`~repro.core.speculation.metrics.SpeculationResult` violates
@@ -17,8 +25,11 @@
   costs are all 0 equals it in every field but ``timing_name``.
 """
 
+from repro.isa.instructions import InstrKind
 from repro.timing import make_timing
 from repro.timing.models import OverheadTiming
+
+from records import iter_records
 
 
 def _costs(model):
@@ -61,3 +72,23 @@ def check_result(result, timing=None, ideal=None):
                               % sorted(k for k in got
                                        if got[k] != want[k]))
     return violations
+
+
+def check_trace(trace):
+    """``True`` when control-flow *trace* obeys its invariants; raises
+    ``ValueError`` naming the first record that breaks one."""
+    halt = int(InstrKind.HALT)
+    prev = None
+    for rec in iter_records(trace):
+        if rec.seq >= trace.total_instructions:
+            raise ValueError("record %r beyond trace length" % (rec,))
+        if prev is not None:
+            if rec.seq <= prev.seq:
+                raise ValueError("non-monotonic seq at %r" % (rec,))
+            if prev.kind != halt \
+                    and rec.pc - prev.next_pc != rec.seq - prev.seq - 1:
+                raise ValueError(
+                    "straight-line gap mismatch between %r and %r"
+                    % (prev, rec))
+        prev = rec
+    return True

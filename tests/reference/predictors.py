@@ -1,4 +1,5 @@
-"""Prediction primitives used by the LET/LIT and the speculation policies.
+"""Prediction primitives of the reference LET and data-speculation
+study (:mod:`reference.speculation`, :mod:`reference.dataspec`).
 
 The paper uses stride predictors guarded by two-bit saturating confidence
 counters for (a) loop iteration counts (LET) and (b) live-in register and
@@ -30,9 +31,6 @@ class TwoBitCounter:
     def is_confident(self):
         return self.state >= self.threshold
 
-    def __repr__(self):
-        return "TwoBitCounter(%d)" % self.state
-
 
 class StridePredictor:
     """Last-value-plus-stride prediction with two-bit confidence.
@@ -42,13 +40,12 @@ class StridePredictor:
     confidence counter tracks whether the recent stride repeats.
     """
 
-    __slots__ = ("last", "stride", "confidence", "observations")
+    __slots__ = ("last", "stride", "confidence")
 
     def __init__(self):
         self.last = None
         self.stride = None
         self.confidence = TwoBitCounter()
-        self.observations = 0
 
     def update(self, value):
         if self.last is not None:
@@ -60,15 +57,10 @@ class StridePredictor:
                     self.confidence.decrement()
             self.stride = stride
         self.last = value
-        self.observations += 1
-
-    @property
-    def has_stride(self):
-        return self.stride is not None
 
     @property
     def is_confident(self):
-        return self.has_stride and self.confidence.is_confident
+        return self.stride is not None and self.confidence.is_confident
 
     def predict(self):
         """Next value: last + stride when a stride exists, else last."""
@@ -77,10 +69,6 @@ class StridePredictor:
         if self.stride is None:
             return self.last
         return self.last + self.stride
-
-    def __repr__(self):
-        return "StridePredictor(last=%r, stride=%r, conf=%d)" % (
-            self.last, self.stride, self.confidence.state)
 
 
 class IterationCountPredictor:
@@ -107,10 +95,6 @@ class IterationCountPredictor:
         if sp.is_confident:
             return sp.last + sp.stride, "stride"
         return sp.last, "last"
-
-    @property
-    def executions_seen(self):
-        return self._stride.observations
 
 
 class LastPlusStride:

@@ -16,7 +16,6 @@ mechanics are the paper's section 3, as listed in
 
 from bisect import bisect_right
 
-from repro.core.predictors import IterationCountPredictor
 from repro.core.speculation.metrics import SpeculationResult
 from repro.core.speculation.policies import (
     IdlePolicy,
@@ -28,6 +27,7 @@ from repro.core.tables import LoopHistoryTable
 from repro.timing import make_timing
 
 from reference.events import index_records
+from reference.predictors import IterationCountPredictor
 
 
 def spawn_count(policy, idle_tus, last_covered, prediction, oracle_total):

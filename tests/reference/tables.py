@@ -22,6 +22,19 @@ from reference.events import (
 )
 
 
+def table_loops(table):
+    """The loops a :class:`~repro.core.tables.LoopHistoryTable` holds,
+    least recently used first."""
+    return list(table._entries)
+
+
+def blocked_loops(table):
+    """The loops a
+    :class:`~repro.core.speculation.disable.SpeculationDisableTable`
+    blocks, least recently used first."""
+    return table_loops(table._blocked)
+
+
 class NestingTracker:
     """Reconstructs, from detector events, which loops have historically
     been observed nested inside each loop (for the nesting-aware policy).

@@ -17,7 +17,6 @@ trace that exceeds its budget with ``allow_truncation=False`` raises
 """
 
 import operator
-from array import array
 
 from repro.cpu import Machine
 from repro.cpu.tracer import TraceBudgetExceeded
@@ -28,7 +27,9 @@ from repro.isa.instructions import (
     InstrKind,
     Opcode,
 )
-from repro.trace.batch import NO_TARGET, RecordBatch, StudyBatch
+from repro.trace.batch import NO_TARGET, StudyBatch
+
+from records import batch_of
 
 _COMPARE = {
     Opcode.BEQ: operator.eq, Opcode.BNE: operator.ne,
@@ -133,12 +134,6 @@ class ReferenceTracer:
         self.total_instructions = None
         self.halted = None
 
-    @staticmethod
-    def _control(rows):
-        columns = list(zip(*rows)) or [()] * 5
-        return RecordBatch(*(array(code, column) for code, column
-                             in zip("qqbbq", columns[:5])))
-
     def batches(self):
         return self._study() if self.full else self._control_flow()
 
@@ -149,14 +144,14 @@ class ReferenceTracer:
         while (machine.instruction_count < self.max_instructions
                and not machine.halted):
             if len(rows) >= chunk:
-                yield self._control(rows[:chunk])
+                yield batch_of(rows[:chunk])
                 del rows[:chunk]
             row = step(machine)
             if row[2] != InstrKind.OTHER:
                 rows.append(row)
         self._finish(machine)
         if rows:
-            yield self._control(rows)
+            yield batch_of(rows)
 
     def _study(self):
         machine = Machine(self.program)
@@ -181,7 +176,7 @@ class ReferenceTracer:
                                     blocks)
 
     def _study_batch(self, start, stop, blocks):
-        return StudyBatch(start, stop - start, self._control(
+        return StudyBatch(start, stop - start, batch_of(
             [block[-1] for block in blocks
              if block[-1][2] != InstrKind.OTHER]),
             [study_row(block) for block in blocks])

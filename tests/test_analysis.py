@@ -43,10 +43,10 @@ from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
 from repro.pipeline import PipelineConfig, SimulationSession
-from repro.trace.stream import CFTrace, clip
 from repro.workloads import get
 
-from capture import load
+from capture import load, row_for, workload_full_trace
+from records import clip, trace_of
 from reference.dataspec import reference_stats
 from reference.speculation import simulate, simulate_infinite
 
@@ -150,7 +150,7 @@ def ref_figure8(loaded):
     rows = []
     for name in loaded:
         workload = get(name)
-        trace = workload.full_trace(SCALE,
+        trace = workload_full_trace(workload, SCALE,
                                     max_instructions=FULL_TRACE_LIMIT)
         stats = reference_stats(trace, workload.name, CLS_CAPACITY)
         rows.append(stats.as_row())
@@ -258,7 +258,7 @@ def ref_extensions(loaded):
         workload = get(name)
         control = simulate(index, num_tus=4, policy="str",
                            name=workload.name)
-        trace = workload.full_trace(SCALE,
+        trace = workload_full_trace(workload, SCALE,
                                     max_instructions=FULL_TRACE_LIMIT)
         data = reference_stats(trace, workload.name, CLS_CAPACITY)
         sync_free_tpc = 1.0 + (control.tpc - 1.0) * data.all_data
@@ -487,7 +487,7 @@ class TestWalkCounts:
 # ---------------------------------------------------------------------------
 
 def empty_trace():
-    return CFTrace.from_records([], 0, False, "empty")
+    return trace_of([], 0, False, "empty")
 
 
 def loopless_trace():
@@ -515,7 +515,7 @@ class TestLifecycle:
             == [("empty", 0, 0, 0.0, 0.0, 0.0, 0)]
         for row in by_name["figure4"].result().rows:
             assert row[1:] == (0.0, 0.0)
-        assert by_name["figure6"].result().row_for("empty")[1:] \
+        assert row_for(by_name["figure6"].result(), "empty")[1:] \
             == (1.0, 1.0, 1.0, 1.0)
 
     def test_zero_detected_loops(self):
@@ -572,7 +572,7 @@ class TestLifecycle:
         for attr in ("trace", "index"):
             with pytest.raises(ValueError, match="record stream"):
                 getattr(ctx, attr)
-        ctx.index = index           # an assigned index needs no stream
+        ctx._index = index          # an assigned index needs no stream
         assert ctx.index is index
         with pytest.raises(ValueError, match="record stream"):
             ctx.trace
@@ -632,20 +632,20 @@ class TestLifecycle:
 # ---------------------------------------------------------------------------
 
 class TestAnalysisSuite:
-    def test_named_registration_and_lookup(self):
+    def test_named_registration(self):
         suite = AnalysisSuite()
         stats = suite.add(LoopStatisticsPass(), name="stats")
         default = suite.add(LoopStatisticsPass())
-        assert suite["stats"] is stats
-        assert suite["LoopStatisticsPass"] is default
-        assert suite.names == ["stats", "LoopStatisticsPass"]
-        with pytest.raises(KeyError):
-            suite["nope"]
+        assert suite._analyses == [stats, default]
+        assert suite._names == ["stats", "LoopStatisticsPass"]
 
     def test_results_in_registration_order(self):
         class Const(Analysis):
             def __init__(self, value):
                 self.value = value
+
+            def finish(self, ctx):
+                pass
 
             def result(self):
                 return self.value

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.isa import AssemblerError, InstrKind, Opcode, assemble
+from repro.isa import InstrKind, Opcode
+
+from assembler import AssemblerError, assemble
 
 GOOD = """
 ; a tiny counted loop
@@ -95,14 +97,3 @@ class TestAssembleErrors:
     def test_bad_data_directive(self):
         with pytest.raises(AssemblerError):
             assemble(".data onlyname\nmain:\n  halt\n")
-
-
-class TestProgramHelpers:
-    def test_listing_contains_labels(self):
-        listing = assemble(GOOD).listing()
-        assert "main:" in listing and "loop:" in listing
-
-    def test_static_backward_targets(self):
-        program = assemble(GOOD)
-        assert program.static_backward_targets() \
-            == {program.address_of("loop")}

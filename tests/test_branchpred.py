@@ -12,8 +12,10 @@ from repro.core.branchpred import (
 from repro.cpu import trace_control_flow
 from repro.lang import Assign, For, If, Module, Return, Var, \
     compile_module
-from repro.trace import CFRecord, CFTrace
 from repro.isa import InstrKind
+
+from capture import workload_trace
+from records import CFRecord, trace_of
 
 BR = int(InstrKind.BRANCH)
 
@@ -22,7 +24,7 @@ def branch_trace(sequence):
     """Build a CF trace of conditional branches from (pc, taken, target)."""
     records = [CFRecord(i, pc, BR, taken, target)
                for i, (pc, taken, target) in enumerate(sequence)]
-    return CFTrace.from_records(records, len(sequence), True, "synthetic")
+    return trace_of(records, len(sequence), True, "synthetic")
 
 
 class TestBimodal:
@@ -116,13 +118,12 @@ class TestMeasurement:
         report = measure_branch_prediction(branch_trace([]),
                                            BimodalPredictor())
         assert report.overall_accuracy == 0.0
-        assert isinstance(repr(report), str)
 
     def test_suite_premise_on_regular_workload(self):
         # The paper's premise on a regular workload: closing branches
         # are nearly perfectly predictable.
         from repro.workloads import get
-        trace = get("swim").cf_trace(scale=1)
+        trace = workload_trace(get("swim"), scale=1)
         report = measure_branch_prediction(trace, BimodalPredictor(),
                                            "swim")
         assert report.closing_accuracy > 0.95
@@ -130,7 +131,7 @@ class TestMeasurement:
 
     def test_branchy_workload_closers_still_decent(self):
         from repro.workloads import get
-        trace = get("gcc").cf_trace(scale=1)
+        trace = workload_trace(get("gcc"), scale=1)
         report = measure_branch_prediction(trace, BimodalPredictor(),
                                            "gcc")
         assert report.closing_accuracy > 0.8

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import CurrentLoopStack, EndReason
 from repro.isa import InstrKind
-from repro.trace import CFRecord, RecordBatch
 
+from records import batch_of
 from reference.events import (
     ExecutionEnd,
     ExecutionStart,
@@ -35,8 +35,7 @@ class Feeder:
     def step(self, pc, kind, taken, target, gap=1):
         self.seq += gap
         events = self._read(self.cls.process_batch(
-            RecordBatch.from_records(
-                [CFRecord(self.seq, pc, kind, taken, target)])))
+            batch_of([(self.seq, pc, kind, taken, target)])))
         self.events.extend(events)
         return events
 
@@ -56,6 +55,10 @@ class Feeder:
         events = self._read(self.cls.flush(self.seq + 1))
         self.events.extend(events)
         return events
+
+    def loops(self):
+        """The stacked loop identifiers, outermost first."""
+        return [entry.t for entry in self.cls.entries]
 
     def _read(self, positions):
         return from_columns(self.cls.columns, positions)
@@ -80,7 +83,7 @@ class TestSimpleLoop:
         assert len(ends) == 1
         assert ends[0].iterations == 4
         assert ends[0].reason is EndReason.NOT_TAKEN
-        assert len(f.cls) == 0
+        assert len(f.cls.entries) == 0
 
     def test_first_iteration_undetected(self):
         f = Feeder()
@@ -95,7 +98,7 @@ class TestSimpleLoop:
         events = f.branch(20, 10, taken=False)
         assert len(events) == 1
         assert type(events[0]) is SingleIteration
-        assert len(f.cls) == 0
+        assert len(f.cls.entries) == 0
 
     def test_not_taken_inner_backward_branch_no_action(self):
         f = Feeder()
@@ -103,14 +106,14 @@ class TestSimpleLoop:
         # A not-taken backward branch to 10 at pc 15 (< B): continue.
         events = f.branch(15, 10, taken=False)
         assert events == []
-        assert len(f.cls) == 1
+        assert len(f.cls.entries) == 1
 
     def test_b_field_updated_by_higher_closing_branch(self):
         f = Feeder()
         f.branch(20, 10, taken=True)
-        assert f.cls.top.b == 20
+        assert f.cls.entries[-1].b == 20
         f.branch(25, 10, taken=True)         # second closer, higher address
-        assert f.cls.top.b == 25
+        assert f.cls.entries[-1].b == 25
         # Not-taken at the *old* B no longer terminates (B=25 > 20)?
         # Careful: rule is B <= PC terminates; pc=20 < 25 -> continue.
         events = f.branch(20, 10, taken=False)
@@ -125,7 +128,7 @@ class TestSimpleLoop:
         events = f.branch(15, 50, taken=True)    # break out of [10, 20]
         assert len(events) == 1
         assert events[0].reason is EndReason.EXIT
-        assert len(f.cls) == 0
+        assert len(f.cls.entries) == 0
 
     def test_exit_via_forward_jump(self):
         f = Feeder()
@@ -137,27 +140,27 @@ class TestSimpleLoop:
         f = Feeder()
         f.branch(20, 10, taken=True)
         assert f.branch(12, 18, taken=True) == []    # stays inside [10,20]
-        assert len(f.cls) == 1
+        assert len(f.cls.entries) == 1
 
     def test_exit_via_return(self):
         f = Feeder()
         f.branch(20, 10, taken=True)
         events = f.ret(15)
         assert events and events[0].reason is EndReason.RETURN
-        assert len(f.cls) == 0
+        assert len(f.cls.entries) == 0
 
     def test_return_outside_body_keeps_loop(self):
         f = Feeder()
         f.branch(20, 10, taken=True)
         assert f.ret(40) == []
-        assert len(f.cls) == 1
+        assert len(f.cls.entries) == 1
 
     def test_calls_never_touch_cls(self):
         f = Feeder()
         f.branch(20, 10, taken=True)
         assert f.call(15, 100) == []
         assert f.call(15, 5) == []        # even a backward call
-        assert len(f.cls) == 1
+        assert len(f.cls.entries) == 1
 
 
 class TestNestedLoops:
@@ -177,7 +180,7 @@ class TestNestedLoops:
         inner_end = f.of_type(ExecutionEnd)[0]
         assert inner_end.loop == 20
         assert inner_end.iterations == 3
-        assert f.cls.current_loops() == [10]
+        assert f.loops() == [10]
 
     def test_second_outer_iteration_renews_inner_execution(self):
         f = Feeder()
@@ -186,7 +189,7 @@ class TestNestedLoops:
         starts = f.of_type(ExecutionStart)
         assert [e.loop for e in starts] == [20, 10, 20]
         assert starts[0].exec_id != starts[2].exec_id
-        assert f.cls.current_loops() == [10, 20]
+        assert f.loops() == [10, 20]
 
     def test_new_outer_push_leaves_disjoint_inner_stacked(self):
         f = Feeder()
@@ -196,7 +199,7 @@ class TestNestedLoops:
         # entry stays (it will be cleaned up by a later outer event).
         events = f.branch(40, 10, taken=True)
         assert not [e for e in events if type(e) is ExecutionEnd]
-        assert f.cls.current_loops() == [20, 10]
+        assert f.loops() == [20, 10]
 
     def test_outer_not_taken_close_pops_inner_first(self):
         f = Feeder()
@@ -221,7 +224,7 @@ class TestNestedLoops:
         f.branch(30, 20, taken=True)        # inner [20, 30]
         events = f.ret(35)                  # inside outer, outside inner
         assert [e.loop for e in events] == [10]
-        assert f.cls.current_loops() == [20]
+        assert f.loops() == [20]
 
 
 class TestOverlappedLoops:
@@ -242,7 +245,7 @@ class TestOverlappedLoops:
         events = f.branch(30, 10, taken=True)
         ends = [e for e in events if type(e) is ExecutionEnd]
         assert [(e.loop, e.reason) for e in ends] == [(20, EndReason.EXIT)]
-        assert f.cls.current_loops() == [10]
+        assert f.loops() == [10]
         f.branch(30, 10, taken=False)     # loop 10 ends again
         f.branch(40, 20, taken=True)      # a second execution of loop 20
         starts = [e.loop for e in f.of_type(ExecutionStart)]
@@ -256,7 +259,7 @@ class TestOverlappedLoops:
         # Loop 10 established by a closer outside loop 20's body, so
         # both coexist: stack holds [20, 10].
         f.branch(45, 10, taken=True)
-        assert f.cls.current_loops() == [20, 10]
+        assert f.loops() == [20, 10]
         # Loop 10 iterates via a closer at pc=30, *inside* [20, 40]:
         # loop 10 iterates and loop 20's execution terminates (rule ii).
         events = f.branch(30, 10, taken=True)
@@ -264,7 +267,7 @@ class TestOverlappedLoops:
         ends = [e for e in events if type(e) is ExecutionEnd]
         assert [e.loop for e in iters] == [10]
         assert [(e.loop, e.reason) for e in ends] == [(20, EndReason.EXIT)]
-        assert f.cls.current_loops() == [10]
+        assert f.loops() == [10]
 
 
 class TestRecursionFolding:
@@ -284,13 +287,13 @@ class TestRecursionFolding:
         assert ends[0].reason is EndReason.OUTER
         iters = [e for e in events if type(e) is IterationStart]
         assert len(iters) == 1 and iters[0].loop == 10
-        assert f.cls.current_loops() == [10]
+        assert f.loops() == [10]
 
     def test_same_loop_not_duplicated_in_cls(self):
         f = Feeder()
         f.branch(30, 10, taken=True)
         f.branch(30, 10, taken=True)
-        assert f.cls.current_loops() == [10]
+        assert f.loops() == [10]
         assert len(f.of_type(ExecutionStart)) == 1
 
 
@@ -303,7 +306,7 @@ class TestCapacityAndFlush:
         overflow = [e for e in events if type(e) is ExecutionEnd]
         assert [e.loop for e in overflow] == [90]
         assert overflow[0].reason is EndReason.OVERFLOW
-        assert f.cls.current_loops() == [70, 50]
+        assert f.loops() == [70, 50]
         assert f.cls.overflow_count == 1
 
     def test_flush_terminates_all(self):
@@ -313,7 +316,7 @@ class TestCapacityAndFlush:
         events = f.flush()
         assert [e.loop for e in events] == [20, 10]
         assert all(e.reason is EndReason.FLUSH for e in events)
-        assert len(f.cls) == 0
+        assert len(f.cls.entries) == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

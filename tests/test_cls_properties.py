@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CurrentLoopStack
 from repro.isa import InstrKind
-from repro.trace import CFRecord, RecordBatch
 
+from records import CFRecord, batch_of
 from reference.events import (
     ExecutionEnd,
     ExecutionStart,
@@ -36,7 +36,7 @@ def drive(cls, transfers):
     for seq, (pc, kind, taken, target) in enumerate(transfers):
         if kind in (JMP, CALL, RET):
             taken = True
-        cls.process_batch(RecordBatch.from_records(
+        cls.process_batch(batch_of(
             [CFRecord(seq, pc, kind, taken, target)]))
     return from_columns(cls.columns)
 
@@ -52,7 +52,7 @@ class TestCLSInvariants:
     def test_capacity_never_exceeded(self, transfers):
         cls = CurrentLoopStack(capacity=4)
         drive(cls, transfers)
-        assert len(cls) <= 4
+        assert len(cls.entries) <= 4
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_transfer, max_size=120))

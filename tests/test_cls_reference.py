@@ -30,10 +30,11 @@ from repro.core.detector import LoopDetector
 from repro.core.loopstats import compute_loop_statistics, loop_coverage
 from repro.cpu import trace_control_flow
 from repro.search.corpus import frontier_names
-from repro.trace.record import CFRecord
 from repro.workloads import SUITE_ORDER, get
 from repro.workloads.synthetic import make_workload
 
+from capture import workload_trace
+from records import CFRecord, iter_records
 from reference import cut
 from reference.cls import reference_events
 from reference.events import (
@@ -94,8 +95,8 @@ def assert_matches_reference(records, total, capacity, context=""):
 @pytest.mark.parametrize("capacity", CAPACITIES)
 @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
 def test_workload_events_match_reference(name, capacity):
-    trace = get(name).cf_trace(1, BUDGET)
-    records = list(trace.iter_records())
+    trace = workload_trace(get(name), 1, BUDGET)
+    records = list(iter_records(trace))
     assert records
     assert_matches_reference(records, trace.total_instructions,
                              capacity)
@@ -107,7 +108,7 @@ def test_fuzz_sample_events_match_reference(profile, seed):
     budget = min(profile.default_max_instructions, DIFFERENTIAL_BUDGET)
     trace = trace_control_flow(make_workload(profile, seed).program(),
                                budget)
-    records = list(trace.iter_records())
+    records = list(iter_records(trace))
     for capacity in FUZZ_CAPACITIES:
         assert_matches_reference(records, trace.total_instructions,
                                  capacity,

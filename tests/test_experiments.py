@@ -14,13 +14,14 @@ from repro.analysis import analyze_trace
 from repro.core.cls import CurrentLoopStack
 from repro.cpu import trace_control_flow
 from repro.experiments import SimulationSession
-from repro.experiments.runner import available_experiments, run_experiment
+from repro.experiments.runner import available_experiments
 from repro.lang import Assign, For, Module, Return, Var, compile_module
 from repro.search.corpus import frontier_names
 from repro.trace.io import dump_cf_batches, open_cf_batches
 from repro.workloads.suite import SUITE_ORDER
 
-from capture import load
+from capture import load, row_for, run_experiment
+from records import slice_batch
 from reference.cls_sweep import production_sweep, walked_cls_counts
 from reference.events import SingleIteration, from_columns
 
@@ -74,8 +75,8 @@ class TestTable1:
         result = run_experiment("table1", small_runner)
         assert len(result.rows) == 2
         assert "Table 1" in result.render()
-        swim_row = result.row_for("swim")
-        go_row = result.row_for("go")
+        swim_row = row_for(result, "swim")
+        go_row = row_for(result, "go")
         # swim: long regular loops; go: short irregular ones.
         assert swim_row[3] > 10 * go_row[3]
 
@@ -111,7 +112,7 @@ class TestFigure5:
 
     def test_regular_code_far_more_ideal_tlp(self, small_runner):
         result = run_experiment("figure5", small_runner)
-        assert result.row_for("swim")[1] > result.row_for("go")[1]
+        assert row_for(result, "swim")[1] > row_for(result, "go")[1]
 
 
 class TestFigure6:
@@ -160,7 +161,7 @@ class TestTable2:
 
     def test_regular_beats_irregular(self, small_runner):
         result = run_experiment("table2", small_runner)
-        assert result.row_for("swim")[5] > result.row_for("go")[5]
+        assert row_for(result, "swim")[5] > row_for(result, "go")[5]
 
 
 class TestFigure8:
@@ -176,7 +177,7 @@ class TestFigure8:
 
     def test_qualitative_ordering(self, small_runner):
         result = run_experiment("figure8", small_runner)
-        suite_row = result.row_for("SUITE")
+        suite_row = row_for(result, "SUITE")
         _, _same, lr, lm, all_lr, all_lm, all_data = suite_row
         assert lr > lm              # registers predict better than memory
         assert all_lr >= all_lm     # and per-iteration all-correct too
@@ -184,30 +185,30 @@ class TestFigure8:
 
     def test_regular_code_has_stable_paths(self, small_runner):
         result = run_experiment("figure8", small_runner)
-        assert result.row_for("swim")[1] > result.row_for("go")[1]
+        assert row_for(result, "swim")[1] > row_for(result, "go")[1]
 
 
 class TestAblations:
-    def test_all_three_ablations_run(self, small_runner):
-        results = run_experiment("ablations", small_runner)
-        assert len(results) == 3
+    @pytest.fixture(scope="class")
+    def ablations(self, small_runner):
+        return run_experiment("ablations", small_runner)
 
-    def test_nesting_aware_close_to_lru(self, small_runner):
-        result = run_experiment("ablations", small_runner,
-                                parts=("replacement",))[0]
+    def test_all_three_ablations_run(self, ablations):
+        assert len(ablations) == 3
+
+    def test_nesting_aware_close_to_lru(self, ablations):
+        result = ablations[0]
         for _size, let_lru, let_aware, lit_lru, lit_aware in result.rows:
             assert abs(let_lru - let_aware) < 25
             assert abs(lit_lru - lit_aware) < 25
 
-    def test_waiting_tpc_upper_bounds_executing(self, small_runner):
-        result = run_experiment("ablations", small_runner,
-                                parts=("waiting",))[0]
+    def test_waiting_tpc_upper_bounds_executing(self, ablations):
+        result = ablations[1]
         for _name, incl, excl in result.rows:
             assert excl <= incl + 1e-9
 
-    def test_cls_overflow_decreases_with_capacity(self, small_runner):
-        result = run_experiment("ablations", small_runner,
-                                parts=("cls",))[0]
+    def test_cls_overflow_decreases_with_capacity(self, ablations):
+        result = ablations[2]
         drops = [row[1] for row in result.rows]
         assert all(a >= b for a, b in zip(drops, drops[1:]))
         assert drops[-1] == 0        # 16 entries never overflow
@@ -304,7 +305,7 @@ class TestCLSCapacityShortcut:
             # Rewrite each entry in 97-record chunks.
             path = os.path.join(cache_dir, path)
             header, stream = open_cf_batches(path)
-            small = [batch.slice(start, min(start + 97, len(batch)))
+            small = [slice_batch(batch, start, min(start + 97, len(batch)))
                      for batch in stream
                      for start in range(0, len(batch), 97)]
             dump_cf_batches(header, small, path)
@@ -342,8 +343,7 @@ class TestStoredClsSweep:
         cache_dir = str(tmp_path)
         session = SimulationSession(cache_dir=cache_dir,
                                     max_instructions=budget)
-        session.analyze(AnalysisSuite([AblationsAnalysis(
-            parts=("cls",))]))
+        session.analyze(AnalysisSuite([AblationsAnalysis()]))
         conn = sqlite3.connect(os.path.join(cache_dir, "derived",
                                             DB_NAME))
         stored = {(trace_key, key): json.loads(value)
@@ -373,11 +373,11 @@ class TestReportRendering:
     def test_row_for_missing_key(self, small_runner):
         result = run_experiment("table1", small_runner)
         with pytest.raises(KeyError):
-            result.row_for("spice")
+            row_for(result, "spice")
 
-    def test_column_accessor(self, small_runner):
+    def test_program_column(self, small_runner):
         result = run_experiment("table1", small_runner)
-        assert result.column("program") == ["swim", "go"]
+        assert [row[0] for row in result.rows] == ["swim", "go"]
 
 
 class TestExperimentSelection:

@@ -65,11 +65,13 @@ from repro.pipeline.cache import TraceCache, program_fingerprint
 from repro.util.rng import Xorshift64
 from repro.workloads.synthetic import make_workload, random_profile
 
-from reference.cls_sweep import production_sweep, walked_cls_counts
+from capture import workload_trace
 from reference import speculation as reference
+from reference.cls_sweep import production_sweep, walked_cls_counts
 from reference.dataspec import reference_stats
 from reference.events import index_events
-from reference.tables import EventTableReplay
+from reference.invariants import check_trace
+from reference.tables import EventTableReplay, blocked_loops, table_loops
 from reference.tracer import ReferenceTracer, outcome
 
 #: Sampled (profile, seed) grid: N profiles x M seeds.
@@ -104,13 +106,13 @@ def test_sample_stream_is_seeded():
 @pytest.mark.parametrize("profile", PROFILES, ids=_ids(PROFILES))
 def test_halts_within_budget(profile, seed):
     workload = make_workload(profile, seed)
-    trace = workload.cf_trace()
+    trace = workload_trace(workload)
     assert trace.halted, \
         "%s seed %d did not halt within %d instructions " \
         "(REPRO_FUZZ_SEED=%d)" \
         % (profile.name, seed, profile.default_max_instructions,
            FUZZ_SEED)
-    assert trace.validate()
+    assert check_trace(trace)
     assert trace.total_instructions < profile.default_max_instructions
 
 
@@ -201,8 +203,8 @@ def test_leaping_walks_match_full_walks(profile, seed):
         ref = reference.simulate(index, num_tus=tus, policy=policy,
                                  name="fuzz", timing=timing,
                                  disable_table=tables[1])
-        assert (got.state(), tables[0].blocked_loops()) \
-            == (ref.state(), tables[1].blocked_loops()), \
+        assert (got.state(), blocked_loops(tables[0])) \
+            == (ref.state(), blocked_loops(tables[1])), \
             "disable table, %s at %s TUs, %s (REPRO_FUZZ_SEED=%d)" \
             % (policy, tus, timing, FUZZ_SEED)
     counts, _ = production_sweep(
@@ -243,7 +245,9 @@ def test_table_rows_match_reference(profile, seed):
             sim.ensure_replayed(index)
             ref = EventTableReplay(size, size, policy).replay(
                 index_events(index))
-            assert (sim.counters(), sim.let.loops(), sim.lit.loops()) \
-                == (ref.counters(), ref.let.loops(), ref.lit.loops()), \
+            assert (sim.counters(), table_loops(sim.let),
+                    table_loops(sim.lit)) \
+                == (ref.counters(), table_loops(ref.let),
+                    table_loops(ref.lit)), \
                 "%s size %d (REPRO_FUZZ_SEED=%d)" \
                 % (policy, size, FUZZ_SEED)

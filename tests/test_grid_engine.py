@@ -55,6 +55,7 @@ from repro.workloads.suite import SUITE_ORDER
 from capture import load
 from reference import speculation as reference
 from reference.invariants import check_result
+from reference.tables import blocked_loops
 
 #: Every policy the walk accepts and every timing model family (width
 #: and class-cost price positionally).
@@ -131,7 +132,7 @@ def _disable_tables():
 def _outcomes(table, loops):
     outcomes = {}
     for loop in loops:
-        stats = table.stats_for(loop)
+        stats = table._stats.get(loop)
         if stats is not None:
             outcomes[loop] = (stats.correct, stats.wrong)
     return outcomes
@@ -151,8 +152,8 @@ def assert_disable_matches(index, configs):
                                      disable_table=ref_table)
             where = (tus, policy, timing, ref_table.min_samples)
             assert got.state() == ref.state(), where
-            assert got_table.blocked_loops() \
-                == ref_table.blocked_loops(), where
+            assert blocked_loops(got_table) \
+                == blocked_loops(ref_table), where
             assert _outcomes(got_table, loops) \
                 == _outcomes(ref_table, loops), where
             assert got_table.blocks_installed \

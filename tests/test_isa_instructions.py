@@ -30,12 +30,6 @@ class TestInstrKind:
         for op in list(ALU_OPS) + list(ALU_IMM_OPS):
             assert Instruction(op, rd=1, rs1=2, rs2=3).kind is InstrKind.OTHER
 
-    def test_is_control_property(self):
-        assert not InstrKind.OTHER.is_control
-        for kind in InstrKind:
-            if kind is not InstrKind.OTHER:
-                assert kind.is_control
-
 
 class TestInstructionValidation:
     def test_branch_without_target_rejected(self):
@@ -83,10 +77,3 @@ class TestRendering:
         text = Instruction(Opcode.BLT, rs1=10, rs2=11, label="top").render()
         assert text == "blt t0, t1, top"
 
-    def test_equality_and_hash(self):
-        a = Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)
-        b = Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)
-        c = Instruction(Opcode.SUB, rd=1, rs1=2, rs2=3)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != c

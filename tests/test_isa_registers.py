@@ -13,9 +13,10 @@ from repro.isa import (
     SAVED_REGISTERS,
     TEMP_REGISTERS,
     IsaError,
-    parse_register,
     register_name,
 )
+
+from assembler import parse_register
 
 
 def test_register_name_round_trips():

@@ -11,15 +11,17 @@ import os
 
 import pytest
 
-from repro.isa import assemble
 from repro.cpu import trace_control_flow
 from repro.core.branchpred import BimodalPredictor, \
     BranchPredictionStream, GSharePredictor
 from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
-from repro.trace import RecordBatch, dump_cf_trace, \
-    dumps_cf_trace, kernels, loads_cf_trace, open_cf_batches
+from repro.trace import RecordBatch, dump_cf_trace, kernels, \
+    open_cf_batches
+
+from assembler import assemble
+from records import batch_of, dumps, iter_records, loads, slice_batch
 from reference import cut
 from reference.events import index_events, index_records
 from reference.tables import EventTableReplay
@@ -61,12 +63,12 @@ def index_shape(index):
 
 class TestBatchBoundaries:
     def test_empty_batch_is_inert(self):
-        empty = RecordBatch.empty()
+        empty = batch_of([])
         detector = LoopDetector()
         assert len(detector.feed_batch(empty)) == 0
         cls = CurrentLoopStack()
         assert len(cls.process_batch(empty)) == 0
-        assert cls.current_loops() == []
+        assert cls.entries == []
         stream = BranchPredictionStream(
             [BimodalPredictor(), GSharePredictor()])
         stream.feed_batch(empty)
@@ -80,7 +82,7 @@ class TestBatchBoundaries:
         idx_one = one.run(loop_trace)
         single = LoopDetector()
         idx_single = single.run_batches(
-            cut(loop_trace.iter_records(), 1),
+            cut(iter_records(loop_trace), 1),
             loop_trace.total_instructions)
         assert event_reprs(idx_one) == event_reprs(idx_single)
         assert index_shape(idx_one) == index_shape(idx_single)
@@ -88,16 +90,16 @@ class TestBatchBoundaries:
     def test_loop_boundary_at_every_batch_seam(self, loop_trace):
         """Splitting the stream at any position -- including mid-loop
         and exactly on a closing back-edge -- must not change events."""
-        records = list(loop_trace.iter_records())
+        records = list(iter_records(loop_trace))
         total = loop_trace.total_instructions
         reference = LoopDetector()
         ref_index = reference.run(loop_trace)
-        full = RecordBatch.from_records(records)
+        full = batch_of(records)
         for split in range(len(records) + 1):
             d = LoopDetector()
             idx = d.run_batches(
-                (b for b in (full.slice(0, split),
-                             full.slice(split, len(records)))
+                (b for b in (slice_batch(full, 0, split),
+                             slice_batch(full, split, len(records)))
                  if len(b)), total)
             assert event_reprs(idx) == event_reprs(ref_index)
             assert index_shape(idx) == index_shape(ref_index)
@@ -112,7 +114,7 @@ class TestBatchBoundaries:
         with open(path, "w+b") as fh:
             writer = BatchTraceWriter(fh, loop_trace.program_name)
             # 7 records per chunk: every chunk seam lands mid-loop.
-            for batch in cut(loop_trace.iter_records(), 7):
+            for batch in cut(iter_records(loop_trace), 7):
                 writer.write_batch(batch)
             writer.close(loop_trace.total_instructions,
                          loop_trace.halted)
@@ -252,7 +254,7 @@ class TestStateRoundTrips:
         result = simulate(index, num_tus=4, policy="str", name="w")
         restored = SpeculationResult.from_state(
             json.loads(json.dumps(result.state())))
-        assert restored.as_dict() == result.as_dict()
+        assert restored.state() == result.state()
         assert restored.tpc == result.tpc
 
     def test_speculation_result_rejects_malformed(self):
@@ -285,6 +287,17 @@ class TestStateRoundTrips:
                               good["executions"] + 1)):
             with pytest.raises(ValueError):
                 LoopStatistics.from_state(dict(good, **{field: value}))
+
+    def test_loop_statistics_ignore_a_stored_overflow_drops(self):
+        """Stores written before ``overflow_drops`` left the state hold
+        it as 0; such a state restores equal to one without it."""
+        from repro.core.loopstats import LoopStatistics
+
+        fresh = LoopStatistics("w")
+        old = dict(fresh.state(), overflow_drops=0)
+        restored = LoopStatistics.from_state(old)
+        assert restored.state() == fresh.state()
+        assert "overflow_drops" not in restored.state()
 
     def test_dataspec_stats_round_trips(self):
         from repro.core.dataspec.stats import DataSpecStats
@@ -400,7 +413,7 @@ class TestStateRoundTrips:
                           disable_table=table)
         state = json.loads(json.dumps(guarded_state((result, len(table)))))
         restored, blocked = guarded_from_state(state)
-        assert restored.as_dict() == result.as_dict()
+        assert restored.state() == result.state()
         assert blocked == len(table)
         state["blocked"] = "1"
         with pytest.raises(TypeError):
@@ -435,15 +448,15 @@ class TestMappedReads:
         dump_cf_trace(loop_trace, path)
         header, batches = open_cf_batches(path)
         records = [rec for batch in batches
-                   for rec in batch.iter_records()]
-        assert records == list(loop_trace.iter_records())
+                   for rec in iter_records(batch)]
+        assert records == list(iter_records(loop_trace))
         assert header.records == len(records)
 
     def test_loads_accepts_memoryview(self, loop_trace):
-        payload = dumps_cf_trace(loop_trace)
-        a = loads_cf_trace(payload)
-        b = loads_cf_trace(memoryview(payload))
-        assert list(a.iter_records()) == list(b.iter_records())
+        payload = dumps(loop_trace)
+        a = loads(payload)
+        b = loads(memoryview(payload))
+        assert list(iter_records(a)) == list(iter_records(b))
         assert a.total_instructions == b.total_instructions
 
     def test_truncated_mapped_file_raises(self, loop_trace, tmp_path):
@@ -490,5 +503,5 @@ class TestSharedMemoryPayload:
         _, ref = worker.trace_workload("swim", 1, 5_000, None)
         assert trace.header == ref.header
         assert all(isinstance(b, RecordBatch) for b in trace.batches)
-        assert list(trace.iter_records()) == list(ref.iter_records())
+        assert list(iter_records(trace)) == list(iter_records(ref))
         assert shm_entries() <= before

@@ -32,6 +32,8 @@ from repro.lang import (
 from repro.lang.compiler import _FunctionCompiler
 from repro.workloads.synthetic import PROFILES, generate_module
 
+from records import iter_records
+
 
 def run_main(module, max_instructions=2_000_000):
     """Compile, run, and return (machine, memory-view helper)."""
@@ -313,7 +315,7 @@ class TestLoopShape:
         program = compile_module(m)
         trace = trace_control_flow(program)
         from repro.isa import InstrKind
-        backward_taken = [r for r in trace.iter_records()
+        backward_taken = [r for r in iter_records(trace)
                           if r.is_backward and r.taken
                           and r.kind == int(InstrKind.BRANCH)]
         # One backward closing branch; with true rotation the guard runs
@@ -330,7 +332,7 @@ class TestLoopShape:
         ])
         trace = trace_control_flow(compile_module(m))
         from repro.isa import InstrKind
-        taken = [r for r in trace.iter_records()
+        taken = [r for r in iter_records(trace)
                  if r.is_backward and r.taken
                  and r.kind == int(InstrKind.BRANCH)]
         assert len(taken) == 6      # trips - 1 with a rotated guard

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Machine
+from repro.lang.compiler import compile_module
 from repro.lang.lexer import LexerError, tokenize
-from repro.lang.parser import ParseError, compile_source, parse_module
+from repro.lang.parser import ParseError, parse_module
 
 
 def run_source(source):
-    machine = Machine(compile_source(source))
+    machine = Machine(compile_module(parse_module(source)))
     machine.run(max_instructions=2_000_000)
     return machine.regs[4]
 

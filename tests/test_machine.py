@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cpu import Machine, STACK_TOP, wrap64
-from repro.isa import ProgramError, assemble
+from repro.isa import ProgramError
+
+from assembler import assemble
 
 
 def run(source):

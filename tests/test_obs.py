@@ -41,7 +41,7 @@ from repro.pipeline import SimulationSession
 from repro.trace import kernels
 from repro.workloads import get
 
-from capture import load
+from capture import load, row_for, workload_trace
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools")
@@ -129,7 +129,6 @@ class TestCollector:
         with span:
             pass
         obs.add("counter")
-        obs.gauge("gauge", 1)
         obs.point("point", 2)
         # Nothing recorded anywhere: there is no collector to look at.
         assert obs.active() is None
@@ -138,12 +137,10 @@ class TestCollector:
         collector = obs.activate(Collector(clock=FakeClock()))
         with obs.span("stage"):
             obs.add("n", 2)
-        obs.gauge("g", "x")
         obs.point("p", 1.5)
         obs.deactivate()
         assert [s["name"] for s in collector.spans] == ["stage"]
         assert collector.counters == {"n": 2}
-        assert collector.gauges == {"g": "x"}
         assert len(collector.points) == 1
 
     def test_export_absorb_reparents_and_merges(self):
@@ -370,7 +367,7 @@ class TestPipelineInstrumentation:
         session = SimulationSession(workloads=("swim",),
                                     cache_dir=None)
         session.analyze(suite)
-        assert by_name["table1"].result().row_for("swim")
+        assert row_for(by_name["table1"].result(), "swim")
 
     def test_pool_worker_merge_is_deterministic(self):
         def run_once():
@@ -396,7 +393,7 @@ class TestPipelineInstrumentation:
         assert all(s["attrs"]["mode"] == "pool" for s in trace)
 
     def test_kernel_counters_gated_on_collector(self):
-        trace = get("swim").cf_trace(1, max_instructions=5000)
+        trace = workload_trace(get("swim"), 1, max_instructions=5000)
         batch = trace.batches[0]
         kernels.taken_mask(batch)       # no collector: no error
         collector = obs.activate(Collector())

@@ -22,9 +22,16 @@ from repro.lang import (
     While,
     compile_module,
 )
-from repro.lang.optimizer import optimization_report, optimize_module
+from repro.lang.optimizer import Optimizer, optimize_module
 
 from reference.events import index_records
+
+
+def optimization_report(module):
+    """``(optimized module, optimizer)``, to inspect what was
+    rewritten."""
+    optimizer = Optimizer()
+    return optimizer.module(module), optimizer
 
 
 def run(module):

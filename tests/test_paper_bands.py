@@ -6,10 +6,15 @@ These tests are the contract behind EXPERIMENTS.md: if a workload is
 retuned, they catch shape drift immediately.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.core import compute_loop_statistics
-from repro.workloads import get, suite
+from repro.core import LoopDetector, compute_loop_statistics
+from repro.cpu import trace_control_flow
+from repro.workloads import suite
 
 #: name -> (paper iter/exec, paper avg nesting, paper max nesting)
 PAPER_TABLE1 = {
@@ -34,9 +39,17 @@ PAPER_TABLE1 = {
 }
 
 
+def loop_index(workload):
+    """*workload*'s loop index at scale 1 over its own budget.  This
+    module imports nothing from ``tests/``: loopbench loads it by path
+    for ``PAPER_TABLE1``."""
+    return LoopDetector().run(trace_control_flow(
+        workload.program(1), workload.default_max_instructions))
+
+
 @pytest.fixture(scope="module")
 def stats_by_name():
-    return {w.name: compute_loop_statistics(w.loop_index(scale=1), w.name)
+    return {w.name: compute_loop_statistics(loop_index(w), w.name)
             for w in suite()}
 
 
@@ -77,7 +90,7 @@ def test_headline_tpc_bands():
     accepts -40%/+50%)."""
     from repro.core.speculation import simulate
     paper = {2: 1.65, 4: 2.6, 8: 4.0, 16: 6.2}
-    indexes = [w.loop_index(scale=1) for w in suite()]
+    indexes = [loop_index(w) for w in suite()]
     for tus, target in paper.items():
         avg = sum(simulate(i, num_tus=tus, policy="str").tpc
                   for i in indexes) / len(indexes)
@@ -91,7 +104,7 @@ def test_table2_hit_ratio_band():
     from repro.core.speculation import simulate
     hit = {}
     for workload in suite():
-        index = workload.loop_index(scale=1)
+        index = loop_index(workload)
         hit[workload.name] = simulate(index, num_tus=4,
                                       policy="str(3)").hit_ratio
     assert min(hit.values()) > 0.40
@@ -100,3 +113,21 @@ def test_table2_hit_ratio_band():
     irregular = ("go", "apsi")
     assert min(hit[n] for n in regular) \
         > max(hit[n] for n in irregular) - 0.05
+
+
+def test_loads_with_only_src_importable(tmp_path):
+    """loopbench reads ``PAPER_TABLE1`` by loading this file by path
+    from a checkout where only ``src/`` is importable."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location("
+            "'paper_bands', sys.argv[1])\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "assert len(module.PAPER_TABLE1) == 18\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code, os.path.abspath(__file__)],
+        cwd=str(tmp_path), env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

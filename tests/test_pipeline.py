@@ -16,9 +16,10 @@ from repro.pipeline import (
     default_cache_dir,
 )
 from repro.pipeline import worker
-from repro.trace.io import TRACE_FORMAT_VERSION, dumps_cf_trace
+from repro.trace.io import TRACE_FORMAT_VERSION
 
 from capture import load
+from records import dumps, iter_records, loads
 from reference.events import index_records
 
 WORKLOADS = ("swim", "go")
@@ -32,7 +33,7 @@ def config(**kwargs):
 
 
 def trace_bytes(loaded):
-    return {name: dumps_cf_trace(trace)
+    return {name: dumps(trace)
             for name, (trace, _) in loaded.items()}
 
 
@@ -143,7 +144,7 @@ class TestCache:
         assert key != TraceCache.key("swim", 1, LIMIT, "bbbb")
 
     def test_program_fingerprint_tracks_content(self):
-        from repro.isa import assemble
+        from assembler import assemble
         from repro.pipeline.cache import program_fingerprint
         src_a = "main:\n    li t0, 1\n    halt\n"
         src_b = "main:\n    li t0, 2\n    halt\n"
@@ -319,7 +320,7 @@ class TestWorker:
         entry."""
         import pickle
         from repro.cpu import ChunkedCFTracer, trace_control_flow
-        from repro.trace.io import load_cf_trace, loads_cf_trace
+        from repro.trace.io import load_cf_trace
         from repro.workloads import get
 
         cache_dir = str(tmp_path / "cache")
@@ -328,7 +329,7 @@ class TestWorker:
         header = payload.header
         assert header.total_instructions == LIMIT or header.halted
         assert header.records == sum(len(b) for b in payload.batches)
-        records = list(payload.iter_records())
+        records = list(iter_records(payload))
         (entry,) = os.listdir(cache_dir)
         path = os.path.join(cache_dir, entry)
 
@@ -352,7 +353,7 @@ class TestWorker:
             "session memory": go_trace(memory),
             "session cache": go_trace(cached),
             "load_cf_trace": load_cf_trace(path),
-            "loads_cf_trace": loads_cf_trace(dumps_cf_trace(payload)),
+            "loads": loads(dumps(payload)),
             "pool jobs=2": go_trace(pooled),
         }
         assert (cached.stats.traced, cached.stats.cache_hits) == (0, 1)
@@ -364,7 +365,7 @@ class TestWorker:
         assert columns_state(sources["pickle"]) == columns_state(payload)
         for label, trace in sources.items():
             assert trace.header == header, label
-            assert list(trace.iter_records()) == records, label
+            assert list(iter_records(trace)) == records, label
 
     def test_inline_worker_keeps_columns(self, tmp_path):
         from repro.trace.batch import RecordBatch
@@ -406,17 +407,14 @@ class TestColumnsEndToEnd:
 
     def _forbid_record_decoding(self, monkeypatch):
         import repro.cpu
-        import repro.workloads.base
         from repro.core.detector import LoopDetector
         from repro.cpu import tracer
-        from repro.trace.batch import RecordBatch
 
         def boom(*args, **kwargs):
             raise AssertionError("a column path decoded records")
 
-        monkeypatch.setattr(RecordBatch, "iter_records", boom)
         monkeypatch.setattr(LoopDetector, "run", boom)
-        for module in (tracer, repro.cpu, repro.workloads.base):
+        for module in (tracer, repro.cpu):
             monkeypatch.setattr(module, "trace_control_flow", boom)
 
     def test_cold_paths_never_decode_records(self, tmp_path, monkeypatch):
@@ -563,7 +561,7 @@ class TestWarmIsALookup:
         reference = load(SimulationSession(config(cache_dir=None)))
         for name in WORKLOADS:
             assert counter.records[name] \
-                == len(list(reference[name][0].iter_records()))
+                == len(list(iter_records(reference[name][0])))
 
     @staticmethod
     def _corrupt_copy(cache_dir, copy, prefix, corrupt):

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core import (
+from reference.predictors import (
     IterationCountPredictor,
     LastPlusStride,
     StridePredictor,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.report import ExperimentResult
+from repro.experiments.runner import _emit
 
 
 @pytest.fixture()
@@ -21,14 +22,6 @@ class TestRender:
         assert "swim" in text
         assert "note: a note" in text
 
-    def test_row_for_and_column(self, result):
-        assert result.row_for("swim") == ("swim", 1.5)
-        assert result.column("value") == [1.5, 2.5]
-        with pytest.raises(KeyError):
-            result.row_for("missing")
-        with pytest.raises(ValueError):
-            result.column("missing")
-
 
 class TestCsv:
     def test_csv_round_trip_shape(self, result):
@@ -39,10 +32,11 @@ class TestCsv:
         assert rows[1] == ["swim", "1.5"]
         assert rows[2] == ["go, jr", "2.5"]    # comma quoted correctly
 
-    def test_save_csv(self, result, tmp_path):
-        path = tmp_path / "out.csv"
-        result.save_csv(str(path))
+    def test_save_csv(self, result, tmp_path, capsys):
+        _emit("demo", [result], "csv", str(tmp_path))
+        path = tmp_path / "demo.csv"
         assert path.read_text().startswith("program,value")
+        assert capsys.readouterr().out == "wrote %s\n" % path
 
     def test_json_round_trip(self, result):
         import json
@@ -55,13 +49,20 @@ class TestCsv:
 
     def test_save_json(self, result, tmp_path):
         import json
-        path = tmp_path / "out.json"
-        result.save_json(str(path))
+        _emit("demo", [result], "json", str(tmp_path))
+        path = tmp_path / "demo.json"
         assert json.loads(path.read_text())["name"] == "Demo"
+
+    def test_save_numbers_each_result(self, result, tmp_path):
+        _emit("demo", [result, result], "text", str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["demo-1.txt", "demo-2.txt"]
+        assert (tmp_path / "demo-2.txt").read_text() \
+            == result.render() + "\n"
 
     def test_real_experiment_csv(self):
         from repro.experiments import SimulationSession
-        from repro.experiments.runner import run_experiment
+        from capture import run_experiment
         runner = SimulationSession(workloads=("mgrid",), cache_dir=None)
         csv_text = run_experiment("table1", runner).to_csv()
         assert csv_text.splitlines()[0].startswith("program,")

@@ -58,7 +58,7 @@ class TestObjectives:
             get_objective("spice")
 
     def test_duplicate_registration_rejected(self):
-        clone = Objective("coverage-collapse", "", None, None, "")
+        clone = Objective("coverage-collapse", "", "")
         with pytest.raises(ValueError, match="already registered"):
             register_objective(clone)
 
@@ -111,8 +111,10 @@ class TestObjectives:
 class TestSearchSpec:
     def test_json_round_trip(self):
         spec = SearchSpec(**TINY)
-        assert SearchSpec.from_json(spec.to_json()) == spec
-        assert spec.experiment == "search"
+        payload = json.loads(spec.to_json())
+        assert payload.pop("experiment") == spec.experiment == "search"
+        payload["settings"] = EvalSettings.from_dict(payload["settings"])
+        assert SearchSpec(**payload) == spec
 
     def test_id_is_content_derived(self):
         a = SearchSpec(**TINY)
@@ -120,12 +122,6 @@ class TestSearchSpec:
         c = SearchSpec(**dict(TINY, seed=8))
         assert a.sweep_id == b.sweep_id
         assert a.sweep_id != c.sweep_id
-
-    def test_rejects_non_search_payloads(self):
-        with pytest.raises(ValueError, match="not a search spec"):
-            SearchSpec.from_json(json.dumps({"experiment": "sweep"}))
-        with pytest.raises(ValueError, match="unreadable"):
-            SearchSpec.from_json("{nope")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="budget"):

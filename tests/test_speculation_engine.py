@@ -251,7 +251,7 @@ class TestMetricsShape:
         row = result.as_table2_row()
         assert row[0] == "demo"
         assert len(row) == len(result.TABLE2_HEADERS)
-        assert result.as_dict()["policy"] == "STR(3)"
+        assert result.policy_name == "STR(3)"
 
     def test_instr_to_verification_positive_when_resolved(self):
         index = build_index(repeated_loop_module(6, 10))

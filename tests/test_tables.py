@@ -27,7 +27,7 @@ from repro.pipeline import SimulationSession
 from repro.search.corpus import frontier_names
 from repro.workloads import get
 from repro.workloads.suite import SUITE_ORDER
-from capture import load
+from capture import load, workload_trace
 from reference.events import (
     ExecutionEnd,
     ExecutionStart,
@@ -36,7 +36,8 @@ from reference.events import (
     index_events,
     to_columns,
 )
-from reference.tables import EventTableReplay, NestingTracker
+from reference.tables import EventTableReplay, NestingTracker, \
+    table_loops
 
 
 class TestLoopHistoryTable:
@@ -114,7 +115,7 @@ class TestLoopHistoryTable:
         t = LoopHistoryTable(capacity=3)
         for loop in loops:
             t.insert(loop)
-            victim = t.loops()[0]     # LRU head: evicted next
+            victim = table_loops(t)[0]     # LRU head: evicted next
             if len(t) > 1:
                 assert victim != loop
 
@@ -206,7 +207,7 @@ def assert_matches_reference(events, capacity, policy):
     ref = EventTableReplay(capacity, capacity, policy).replay(events)
     assert sim.counters() == ref.counters()
     for table, ref_table in ((sim.let, ref.let), (sim.lit, ref.lit)):
-        assert table.loops() == ref_table.loops()
+        assert table_loops(table) == table_loops(ref_table)
         assert [e.completed for e in table._entries.values()] \
             == [e.completed for e in ref_table._entries.values()]
         assert (table.evictions, table.inhibited_insertions) \
@@ -218,7 +219,7 @@ def _index(name):
     if name.startswith("frontier-"):
         return load(SimulationSession(workloads=(name,), cache_dir=None,
                                       max_instructions=30_000))[name][1]
-    return LoopDetector().run(get(name).cf_trace(1))
+    return LoopDetector().run(workload_trace(get(name), 1))
 
 
 class TestReplayMatchesReference:

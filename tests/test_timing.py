@@ -26,8 +26,9 @@ from repro.timing import (
     register_timing,
     timing_names,
 )
-from repro.trace.record import CFRecord
 
+from capture import row_for
+from records import CFRecord, iter_records
 from reference import cut
 from reference.events import index_records
 
@@ -304,9 +305,6 @@ class TestEngineOverheads:
         result = simulate(index, num_tus=4)
         assert result.timing_name == "ideal"
         assert result.overhead_cycles == 0
-        data = result.as_dict()
-        assert data["timing"] == "ideal"
-        assert data["overhead_cycles"] == 0
 
 
 class TestClassCostEndToEnd:
@@ -317,7 +315,7 @@ class TestClassCostEndToEnd:
         index = LoopDetector().run(trace)
         model = ClassCostTiming(branch=2, jump=2, ijump=2, call=2,
                                 ret=2, halt=2, other=2)
-        feed_records(model, list(trace.iter_records()))
+        feed_records(model, list(iter_records(trace)))
         total = trace.total_instructions
         assert model.cycles(0, total) == 2 * total
         ideal = simulate(index, num_tus=4, policy="str")
@@ -329,12 +327,12 @@ class TestClassCostEndToEnd:
         trace = build_trace(repeated_loop_module(5, 8))
         index = LoopDetector().run(trace)
         model = ClassCostTiming(branch=5, call=5, ret=5)
-        feed_records(model, list(trace.iter_records()))
+        feed_records(model, list(iter_records(trace)))
         costs = {int(InstrKind.BRANCH): 5, int(InstrKind.CALL): 5,
                  int(InstrKind.RET): 5}
         total = trace.total_instructions
         assert model.cycles(0, total) == record_cycles(
-            list(trace.iter_records()), 0, total, costs, 1)
+            list(iter_records(trace)), 0, total, costs, 1)
         ideal = simulate(index, num_tus=4, policy="str")
         costed = simulate(index, num_tus=4, policy="str", timing=model)
         assert costed.total_cycles > ideal.total_cycles
@@ -394,7 +392,7 @@ class TestSessionThreading:
         from repro.analysis import WorkloadContext, shared_simulate
         index = build_index(repeated_loop_module(5, 8))
         ctx = WorkloadContext("t", index.total_instructions)
-        ctx.index = index
+        ctx._index = index
         with pytest.raises(ValueError, match="record stream"):
             shared_simulate(ctx, 4, "str", timing="classcost:branch=4")
 
@@ -457,7 +455,7 @@ class TestSessionThreading:
         model = effective_timing(ctx, spec)
         assert effective_timing(ctx, spec) is model
         assert effective_timing(ctx) is model
-        assert sum(fed) == len(list(trace.iter_records()))
+        assert sum(fed) == len(list(iter_records(trace)))
         assert len(fed) == len(trace.batches)
 
     def test_classcost_key_marks_fed_entries(self):
@@ -471,7 +469,7 @@ class TestSessionThreading:
         from repro.analysis import WorkloadContext, shared_simulate
         index = build_index(repeated_loop_module(5, 8))
         ctx = WorkloadContext("t", index.total_instructions)
-        ctx.index = index
+        ctx._index = index
         a = shared_simulate(ctx, 4, "str")
         b = shared_simulate(ctx, 4, "str", timing="ideal")
         assert a is b       # ideal canonicalizes onto the default key
@@ -523,7 +521,7 @@ class TestSensitivityExperiment:
         fig6 = results[0]
         tpc_table = results[1][0]
         for name in ("swim", "go"):
-            fig6_tpc = fig6.row_for(name)[2]          # 4 TUs column
+            fig6_tpc = row_for(fig6, name)[2]          # 4 TUs column
             sens_row = [r for r in tpc_table.rows if r[0] == name][0]
             assert sens_row[3] == fig6_tpc
         # The zero point shares the exact simulation object.

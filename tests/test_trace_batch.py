@@ -16,7 +16,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import InstrKind, assemble
+from repro.isa import InstrKind
 from repro.cpu.tracer import (
     ChunkedCFTracer,
     ChunkedFullTracer,
@@ -28,17 +28,26 @@ from repro.core.detector import LoopDetector
 from repro.trace import (
     TRACE_FORMAT_VERSION,
     BatchTraceWriter,
-    CFRecord,
-    CFTrace,
     RecordBatch,
     dump_cf_trace,
-    dumps_cf_trace,
     load_cf_trace,
-    loads_cf_trace,
     open_cf_batches,
     read_cf_header,
 )
 
+from assembler import assemble
+from capture import workload_full_trace, workload_trace
+from records import (
+    CFRecord,
+    batch_of,
+    control_flow,
+    dumps,
+    iter_records,
+    loads,
+    prefix,
+    slice_batch,
+    trace_of,
+)
 from reference import cut
 from reference.cls import ReferenceCLS, reference_events
 from reference.events import from_columns, index_events, index_records
@@ -94,43 +103,39 @@ class TestRecordBatch:
     @settings(max_examples=30)
     @given(random_records())
     def test_from_records_round_trips(self, records):
-        batch = RecordBatch.from_records(records)
+        batch = batch_of(records)
         assert len(batch) == len(records)
-        assert list(batch.iter_records()) == records
-        assert list(batch) == records
-        for i, rec in enumerate(records):
-            assert batch.record(i) == rec
+        assert list(iter_records(batch)) == records
 
     def test_column_length_mismatch_rejected(self):
-        good = RecordBatch.from_records(
+        good = batch_of(
             [CFRecord(0, 1, BR, True, 0), CFRecord(2, 3, BR, False, 1)])
         with pytest.raises(ValueError, match="columns"):
             RecordBatch(good.seqs, good.pcs, good.kinds, good.takens,
                         good.targets[:1])
 
     def test_slice_is_zero_copy(self, loop_trace):
-        batch = RecordBatch.from_records(list(loop_trace.iter_records()))
-        part = batch.slice(3, 9)
-        assert list(part.iter_records()) == list(loop_trace.iter_records())[3:9]
+        batch = batch_of(list(iter_records(loop_trace)))
+        part = slice_batch(batch, 3, 9)
+        assert list(iter_records(part)) == list(iter_records(loop_trace))[3:9]
         assert isinstance(part.seqs, memoryview)
         assert part.seqs.obj is batch.seqs       # shares storage
 
     def test_prefix_splits_on_seq(self, loop_trace):
-        batch = RecordBatch.from_records(list(loop_trace.iter_records()))
-        limit = list(loop_trace.iter_records())[7].seq
-        prefix = batch.prefix(limit)
-        assert list(prefix.iter_records()) \
-            == [r for r in list(loop_trace.iter_records()) if r.seq < limit]
-        # Everything qualifies: same object, no copy at all.
-        assert batch.prefix(10 ** 9) is batch
+        batch = batch_of(list(iter_records(loop_trace)))
+        limit = list(iter_records(loop_trace))[7].seq
+        head = prefix(batch, limit)
+        assert list(iter_records(head)) \
+            == [r for r in list(iter_records(loop_trace)) if r.seq < limit]
+        assert len(prefix(batch, 10 ** 9)) == len(batch)
 
     def test_tracer_chunks_partition_without_empties(self, loop_trace):
         trace = ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=4).columns()
         assert all(1 <= len(b) <= 4 for b in trace.batches)
-        assert list(trace.iter_records()) \
-            == list(loop_trace.iter_records())
+        assert list(iter_records(trace)) \
+            == list(iter_records(loop_trace))
         assert trace.header == loop_trace.header
-        assert CFTrace.from_records([], 0, False).batches == []
+        assert trace_of([], 0, False).batches == []
         with pytest.raises(ValueError):
             ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=0)
 
@@ -141,7 +146,7 @@ class TestRecordBatch:
 
 class TestSerializationV3:
     def test_default_format_is_binary_v3(self, loop_trace):
-        data = dumps_cf_trace(loop_trace)
+        data = dumps(loop_trace)
         assert isinstance(data, bytes)
         assert data.startswith(b"CFT3")
 
@@ -187,10 +192,9 @@ class TestSerializationV3:
     @settings(max_examples=30)
     @given(random_records())
     def test_round_trip_random_records(self, records):
-        trace = CFTrace.from_records(records, 2 * len(records) + 5, False,
-                                     "rand")
-        clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert list(clone.iter_records()) == records
+        trace = trace_of(records, 2 * len(records) + 5, False, "rand")
+        clone = loads(dumps(trace))
+        assert list(iter_records(clone)) == records
         assert clone.total_instructions == trace.total_instructions
         assert clone.halted == trace.halted
         assert clone.program_name == trace.program_name
@@ -198,21 +202,21 @@ class TestSerializationV3:
     def test_round_trip_i64_extremes(self):
         records = [CFRecord(0, 2 ** 63 - 1, BR, True, 0),
                    CFRecord(2 ** 62, 3, HALT, False, None)]
-        trace = CFTrace.from_records(records, 2 ** 62 + 1, True, "extremes")
-        assert list(loads_cf_trace(dumps_cf_trace(trace)).iter_records()) \
+        trace = trace_of(records, 2 ** 62 + 1, True, "extremes")
+        assert list(iter_records(loads(dumps(trace)))) \
             == records
 
     def test_empty_trace_round_trips(self):
-        trace = CFTrace.from_records([], 0, False, "empty")
-        clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert list(clone.iter_records()) == []
+        trace = trace_of([], 0, False, "empty")
+        clone = loads(dumps(trace))
+        assert list(iter_records(clone)) == []
         assert clone.total_instructions == 0
 
     def test_header_read(self, loop_trace):
-        data = dumps_cf_trace(loop_trace)
+        data = dumps(loop_trace)
         header = read_cf_header(io.BytesIO(data))
         assert header.version == 3
-        assert header.records == len(list(loop_trace.iter_records()))
+        assert header.records == len(list(iter_records(loop_trace)))
         assert header.total_instructions == loop_trace.total_instructions
         assert header.program_name == loop_trace.program_name
 
@@ -220,34 +224,33 @@ class TestSerializationV3:
                                               tmp_path):
         path = str(tmp_path / "t.cft")
         dump_cf_trace(loop_trace, path)            # default: v3
-        assert list(load_cf_trace(path).iter_records()) == list(loop_trace.iter_records())
+        assert list(iter_records(load_cf_trace(path))) \
+            == list(iter_records(loop_trace))
         header, batches = open_cf_batches(path)
         assert header.version == 3
-        assert [r for b in batches for r in b.iter_records()] \
-            == list(loop_trace.iter_records())
+        assert [r for b in batches for r in iter_records(b)] \
+            == list(iter_records(loop_trace))
 
     def test_streaming_writer_backpatches_header(self, loop_trace,
                                                  tmp_path):
         path = str(tmp_path / "s.cft")
         with open(path, "wb") as fh:
             writer = BatchTraceWriter(fh, loop_trace.program_name)
-            for rec in list(loop_trace.iter_records()):          # one at a time
-                writer.write_batch(RecordBatch.from_records([rec]))
-            assert writer.records_written == len(list(loop_trace.iter_records()))
+            for rec in iter_records(loop_trace):        # one at a time
+                writer.write_batch(batch_of([rec]))
             writer.close(loop_trace.total_instructions,
                          loop_trace.halted)
         clone = load_cf_trace(path)
-        assert list(clone.iter_records()) == list(loop_trace.iter_records())
-        assert clone.total_instructions == loop_trace.total_instructions
-        assert clone.halted == loop_trace.halted
+        assert clone.header == loop_trace.header
+        assert list(iter_records(clone)) == list(iter_records(loop_trace))
 
     def test_unclosed_streaming_writer_rejected(self, loop_trace,
                                                 tmp_path):
         path = str(tmp_path / "u.cft")
         with open(path, "wb") as fh:
             writer = BatchTraceWriter(fh, "unfinished")
-            writer.write_batch(RecordBatch.from_records(
-                list(loop_trace.iter_records())))
+            writer.write_batch(batch_of(
+                list(iter_records(loop_trace))))
             # no close(): header still holds the -1 placeholders
         with pytest.raises(ValueError, match="never finalized"):
             load_cf_trace(path)
@@ -257,22 +260,22 @@ class TestCorruptV3Files:
     """A v3 file is either bit-exact or rejected."""
 
     def _data(self, loop_trace):
-        return dumps_cf_trace(loop_trace)
+        return dumps(loop_trace)
 
     def test_bad_magic_rejected(self, loop_trace):
         data = b"XXT3" + self._data(loop_trace)[4:]
         with pytest.raises(ValueError, match="magic"):
-            loads_cf_trace(data)
+            loads(data)
 
     def test_truncated_chunk_rejected(self, loop_trace):
         data = self._data(loop_trace)
         with pytest.raises(ValueError,
                            match="truncated|tampered|corrupt"):
-            loads_cf_trace(data[:len(data) - 9])
+            loads(data[:len(data) - 9])
 
     def test_truncated_header_rejected(self, loop_trace):
         with pytest.raises(ValueError, match="short read"):
-            loads_cf_trace(self._data(loop_trace)[:10])
+            loads(self._data(loop_trace)[:10])
 
     def test_record_count_mismatch_rejected(self, loop_trace):
         data = bytearray(self._data(loop_trace))
@@ -280,21 +283,21 @@ class TestCorruptV3Files:
         name_len = struct.unpack_from("<H", data, 4)[0]
         offset = 4 + 2 + name_len + 8 + 1
         declared = struct.unpack_from("<q", data, offset)[0]
-        assert declared == len(list(loop_trace.iter_records()))
+        assert declared == len(list(iter_records(loop_trace)))
         struct.pack_into("<q", data, offset, declared + 1)
         with pytest.raises(ValueError, match="declares"):
-            loads_cf_trace(bytes(data))
+            loads(bytes(data))
 
     def test_trailing_garbage_rejected(self, loop_trace):
         with pytest.raises(ValueError, match="trailing garbage"):
-            loads_cf_trace(self._data(loop_trace) + b"\x00")
+            loads(self._data(loop_trace) + b"\x00")
 
     def test_corrupt_payload_rejected(self, loop_trace):
         data = bytearray(self._data(loop_trace))
         data[-20] ^= 0xFF                # inside the zlib payload
         with pytest.raises(ValueError,
                            match="corrupt|declares|truncated"):
-            loads_cf_trace(bytes(data))
+            loads(bytes(data))
 
     def test_decompression_bomb_rejected_without_inflating(self):
         """A tampered chunk that inflates far past its declared record
@@ -302,10 +305,10 @@ class TestCorruptV3Files:
         into memory."""
         import zlib
 
-        trace = CFTrace.from_records([CFRecord(0, 5, HALT, False, None)], 1,
+        trace = trace_of([CFRecord(0, 5, HALT, False, None)], 1,
                                      True,
                         "bomb")
-        data = bytearray(dumps_cf_trace(trace))
+        data = bytearray(dumps(trace))
         name_len = struct.unpack_from("<H", data, 4)[0]
         chunk_off = 4 + 2 + name_len + 17
         bomb = zlib.compress(b"\x00" * 1_000_000)
@@ -314,16 +317,16 @@ class TestCorruptV3Files:
                                                          len(bomb))
                    + bomb + struct.pack("<I", 0xFFFFFFFF))
         with pytest.raises(ValueError, match="declares"):
-            loads_cf_trace(patched)
+            loads(patched)
 
     def test_oversized_payload_length_rejected(self, loop_trace):
-        data = bytearray(dumps_cf_trace(loop_trace))
+        data = bytearray(dumps(loop_trace))
         name_len = struct.unpack_from("<H", data, 4)[0]
         chunk_off = 4 + 2 + name_len + 17
         # Keep the record count, declare an absurd payload length.
         struct.pack_into("<I", data, chunk_off + 4, 0xF0000000)
         with pytest.raises(ValueError, match="payload length"):
-            loads_cf_trace(bytes(data))
+            loads(bytes(data))
 
     def test_streaming_reader_raises_mid_stream(self, loop_trace,
                                                 tmp_path):
@@ -355,7 +358,7 @@ class TestFixtureMatrix:
     @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_fixture_loads(self, version):
         trace = load_cf_trace(self._path(version))
-        assert len(list(trace.iter_records())) == self.EXPECTED_RECORDS
+        assert len(list(iter_records(trace))) == self.EXPECTED_RECORDS
         assert trace.total_instructions == self.EXPECTED_TOTAL
         assert trace.halted
         assert trace.program_name == "fixture-loop"
@@ -364,8 +367,8 @@ class TestFixtureMatrix:
     def test_all_versions_decode_identically(self, version, loop_trace):
         """Every fixture decodes to the records a fresh trace of the
         fixture program produces."""
-        assert list(load_cf_trace(self._path(version)).iter_records()) \
-            == list(loop_trace.iter_records())
+        assert list(iter_records(load_cf_trace(self._path(version)))) \
+            == list(iter_records(loop_trace))
 
     @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_headers_agree(self, version):
@@ -376,8 +379,8 @@ class TestFixtureMatrix:
     @pytest.mark.parametrize("version", READABLE_VERSIONS)
     def test_streaming_matches_fixture(self, version):
         header, batches = open_cf_batches(self._path(version))
-        assert [r for b in batches for r in b.iter_records()] \
-            == list(load_cf_trace(self._path(version)).iter_records())
+        assert [r for b in batches for r in iter_records(b)] \
+            == list(iter_records(load_cf_trace(self._path(version))))
 
     def test_nothing_writes_v1_by_default(self, loop_trace, tmp_path):
         """Only v3 is written: the module writer and the cache both
@@ -387,7 +390,7 @@ class TestFixtureMatrix:
         path = str(tmp_path / "default.cft")
         dump_cf_trace(loop_trace, path)
         assert open(path, "rb").read(4) == b"CFT3"
-        assert isinstance(dumps_cf_trace(loop_trace), bytes)
+        assert isinstance(dumps(loop_trace), bytes)
 
         cache = TraceCache(str(tmp_path / "cache"))
         program = assemble(LOOP_SRC)
@@ -395,7 +398,8 @@ class TestFixtureMatrix:
         stored = cache.store(ChunkedCFTracer(program).columns(), "fixture",
                              1, 1000, fp)
         assert open(stored, "rb").read(4) == b"CFT3"
-        assert list(load_cf_trace(stored).iter_records()) == list(loop_trace.iter_records())
+        assert list(iter_records(load_cf_trace(stored))) \
+            == list(iter_records(loop_trace))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +428,10 @@ class TestDetectorBatchEquivalence:
                                      rec.taken, rec.target))
         stack = CurrentLoopStack(capacity=4)
         got = from_columns(stack.columns, stack.process_batch(
-            RecordBatch.from_records(records)))
+            batch_of(records)))
         assert event_reprs(got) == event_reprs(expected)
-        assert stack.current_loops() == [entry.t for entry in ref.stack]
+        assert [entry.t for entry in stack.entries] \
+            == [entry.t for entry in ref.stack]
         assert stack.overflow_count == ref.overflow_count
         assert stack.next_exec_id == ref.next_exec_id
         flushed = from_columns(stack.columns, stack.flush(999))
@@ -447,11 +452,11 @@ class TestDetectorBatchEquivalence:
 
     def test_real_workload_equivalence(self):
         from repro.workloads import get
-        trace = get("go").cf_trace(1, max_instructions=30_000)
+        trace = workload_trace(get("go"), 1, max_instructions=30_000)
         d1 = LoopDetector()
         idx1 = d1.run(trace)
         d2 = LoopDetector()
-        idx2 = d2.run_batches(cut(trace.iter_records(), 4096),
+        idx2 = d2.run_batches(cut(iter_records(trace), 4096),
                               trace.total_instructions)
         assert event_reprs(index_events(idx1)) \
             == event_reprs(index_events(idx2))
@@ -488,13 +493,13 @@ class TestAnalysisFeedBatch:
         from repro.workloads import get
 
         for name in ("swim", "go", "gcc"):
-            trace = get(name).cf_trace(1)
+            trace = workload_trace(get(name), 1)
             fused = BranchPredictionStream(
                 [BimodalPredictor(), GSharePredictor()])
             bimodal = BranchPredictionStream([BimodalPredictor()])
             gshare = BranchPredictionStream([GSharePredictor()])
             assert fused._fused_pair and not bimodal._fused_pair
-            for batch in cut(trace.iter_records(), 1000):
+            for batch in cut(iter_records(trace), 1000):
                 for stream in (fused, bimodal, gshare):
                     stream.feed_batch(batch)
             singles = bimodal.reports(name) + gshare.reports(name)
@@ -506,12 +511,12 @@ class TestAnalysisFeedBatch:
         from repro.timing import make_timing
 
         batched = make_timing("classcost:branch=3,other=2")
-        for batch in cut(loop_trace.iter_records(), 5):
+        for batch in cut(iter_records(loop_trace), 5):
             batched.feed_batch(batch)
         # Expected: the class cost of each record's instruction, and 2
         # for each straight-line one, summed from position 0.
         branch = int(InstrKind.BRANCH)
-        kinds = {rec.seq: rec.kind for rec in list(loop_trace.iter_records())}
+        kinds = {rec.seq: rec.kind for rec in list(iter_records(loop_trace))}
         total = loop_trace.total_instructions
         prefix = [0]
         for seq in range(total):
@@ -532,7 +537,7 @@ class TestAnalysisFeedBatch:
         limit = 30_000
         analyzer = DataSpeculationAnalyzer()
         ref = reference_stats(
-            workload.full_trace(1, max_instructions=limit), "c")
+            workload_full_trace(workload, 1, max_instructions=limit), "c")
         tracer = ChunkedFullTracer(workload.program(1), limit,
                                    chunk_size=777)
         got = analyzer.analyze_batches(tracer.batches(), "c")
@@ -558,8 +563,8 @@ class TestAnalysisFeedBatch:
         assert [row for batch in batches for row in batch.rows] \
             == expected.rows
         assert [rec for batch in batches
-                for rec in batch.control.iter_records()] \
-            == list(full.control_flow().iter_records())
+                for rec in iter_records(batch.control)] \
+            == list(iter_records(control_flow(full)))
         assert sum(map(len, batches)) == full.total_instructions
         assert tracer.total_instructions == full.total_instructions
         assert tracer.halted == full.halted
@@ -619,8 +624,8 @@ class TestAnalysisFeedBatch:
 class TestTracerBatches:
     def test_batches_match_trace_control_flow(self, loop_trace):
         tracer = ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=4)
-        records = [r for b in tracer.batches() for r in b.iter_records()]
-        assert records == list(loop_trace.iter_records())
+        records = [r for b in tracer.batches() for r in iter_records(b)]
+        assert records == list(iter_records(loop_trace))
         assert tracer.total_instructions == loop_trace.total_instructions
         assert tracer.halted == loop_trace.halted
 
@@ -658,10 +663,10 @@ class TestIsBackwardRegression:
         from itertools import compress
         from repro.trace.kernels import backward_branch_mask
         streamed = []
-        for batch in cut(loop_trace.iter_records(), 5):
-            streamed.extend(compress(batch.iter_records(),
+        for batch in cut(iter_records(loop_trace), 5):
+            streamed.extend(compress(iter_records(batch),
                                      backward_branch_mask(batch)))
-        backward = [rec for rec in list(loop_trace.iter_records())
+        backward = [rec for rec in list(iter_records(loop_trace))
                     if rec.kind == BR and rec.is_backward]
         assert backward == streamed
         assert backward        # the loop fixture has closing branches

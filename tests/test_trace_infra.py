@@ -5,20 +5,15 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import InstrKind, assemble
+from repro.isa import InstrKind
 from repro.cpu import trace_control_flow
-from repro.trace import (
-    CFRecord,
-    CFTrace,
-    clip,
-    dump_cf_trace,
-    dumps_cf_trace,
-    load_cf_trace,
-    loads_cf_trace,
-)
+from repro.trace import dump_cf_trace, load_cf_trace
+
+from assembler import assemble
+from records import CFRecord, clip, dumps, iter_records, loads, trace_of
+from reference.invariants import check_trace
 
 BR = int(InstrKind.BRANCH)
-JMP = int(InstrKind.JUMP)
 
 LOOP_SRC = """
 main:
@@ -42,38 +37,36 @@ class TestCFRecord:
         not_taken = CFRecord(0, 10, BR, False, 3)
         assert taken.next_pc == 3
         assert not_taken.next_pc == 11
-        assert not_taken.fallthrough == 11
 
     def test_is_backward(self):
         assert CFRecord(0, 10, BR, True, 3).is_backward
         assert CFRecord(0, 10, BR, True, 10).is_backward
         assert not CFRecord(0, 10, BR, True, 30).is_backward
-
-    def test_describe(self):
-        text = CFRecord(5, 10, BR, True, 3).describe()
-        assert "pc=10" in text and "taken" in text
+        assert CFRecord(0, 10, BR, False, 3).is_backward
+        assert not CFRecord(0, 10, int(InstrKind.HALT), False,
+                            None).is_backward
 
 
 class TestValidation:
     def test_valid_trace_passes(self, loop_trace):
-        assert loop_trace.validate()
+        assert check_trace(loop_trace)
 
     def test_non_monotonic_seq_rejected(self):
         records = [CFRecord(5, 10, BR, True, 10),
                    CFRecord(5, 10, BR, True, 10)]
         with pytest.raises(ValueError):
-            CFTrace.from_records(records, 10, True).validate()
+            check_trace(trace_of(records, 10, True))
 
     def test_straight_line_gap_mismatch_rejected(self):
         records = [CFRecord(0, 10, BR, False, 5),
                    CFRecord(3, 99, BR, False, 5)]   # gap says pc 13
         with pytest.raises(ValueError):
-            CFTrace.from_records(records, 10, True).validate()
+            check_trace(trace_of(records, 10, True))
 
     def test_record_beyond_length_rejected(self):
         records = [CFRecord(12, 10, BR, True, 10)]
         with pytest.raises(ValueError):
-            CFTrace.from_records(records, 10, True).validate()
+            check_trace(trace_of(records, 10, True))
 
 
 class TestClipAndRuns:
@@ -83,7 +76,12 @@ class TestClipAndRuns:
             == loop_trace.total_instructions // 2
         assert not half.halted
         assert all(r.seq < half.total_instructions
-                   for r in half.iter_records())
+                   for r in iter_records(half))
+
+    def test_clip_header_counts_kept_records(self, loop_trace):
+        half = clip(loop_trace, loop_trace.total_instructions // 2)
+        assert half.header.records == len(list(iter_records(half))) > 0
+        assert check_trace(half)
 
     def test_clip_noop_when_longer(self, loop_trace):
         same = clip(loop_trace, loop_trace.total_instructions * 2)
@@ -92,10 +90,10 @@ class TestClipAndRuns:
 
 class TestSerialization:
     def test_string_round_trip(self, loop_trace):
-        text = dumps_cf_trace(loop_trace)
-        clone = loads_cf_trace(text)
-        assert list(clone.iter_records()) \
-            == list(loop_trace.iter_records())
+        text = dumps(loop_trace)
+        clone = loads(text)
+        assert list(iter_records(clone)) \
+            == list(iter_records(loop_trace))
         assert clone.total_instructions == loop_trace.total_instructions
         assert clone.halted == loop_trace.halted
         assert clone.program_name == loop_trace.program_name
@@ -104,16 +102,16 @@ class TestSerialization:
         path = tmp_path / "trace.cft"
         dump_cf_trace(loop_trace, str(path))
         clone = load_cf_trace(str(path))
-        assert list(clone.iter_records()) \
-            == list(loop_trace.iter_records())
+        assert list(iter_records(clone)) \
+            == list(iter_records(loop_trace))
 
     def test_file_object_round_trip(self, loop_trace):
         buf = io.BytesIO()               # the default format is binary
         dump_cf_trace(loop_trace, buf)
         buf.seek(0)
         clone = load_cf_trace(buf)
-        assert list(clone.iter_records()) \
-            == list(loop_trace.iter_records())
+        assert list(iter_records(clone)) \
+            == list(iter_records(loop_trace))
 
     def test_text_file_object_rejected_for_v3(self, loop_trace):
         with pytest.raises(TypeError, match="binary"):
@@ -121,13 +119,13 @@ class TestSerialization:
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
-            loads_cf_trace(b"#wrong v9\n")
+            loads(b"#wrong v9\n")
 
     def test_none_target_round_trips(self):
-        trace = CFTrace.from_records([CFRecord(0, 5, int(InstrKind.HALT),
-                                               False, None)], 1, True, "t")
-        clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert next(clone.iter_records()).target is None
+        trace = trace_of([CFRecord(0, 5, int(InstrKind.HALT), False, None)],
+                         1, True, "t")
+        clone = loads(dumps(trace))
+        assert next(iter_records(clone)).target is None
 
     @settings(max_examples=25)
     @given(st.lists(st.tuples(st.integers(0, 1000),
@@ -136,10 +134,9 @@ class TestSerialization:
     def test_round_trip_random_records(self, raw):
         records = [CFRecord(seq, pc, BR, taken, target)
                    for seq, (pc, taken, target) in enumerate(raw)]
-        trace = CFTrace.from_records(records, len(records) + 1, False,
-                                     "rand")
-        clone = loads_cf_trace(dumps_cf_trace(trace))
-        assert list(clone.iter_records()) == records
+        trace = trace_of(records, len(records) + 1, False, "rand")
+        clone = loads(dumps(trace))
+        assert list(iter_records(clone)) == records
 
 
 class TestFormattingUtilities:
@@ -157,11 +154,6 @@ class TestFormattingUtilities:
         from repro.util.fmt import format_table
         with pytest.raises(ValueError):
             format_table(("a", "b"), [(1,)])
-
-    def test_format_percent(self):
-        from repro.util.fmt import format_percent
-        assert format_percent(0.5) == "50.00%"
-        assert format_percent(1.0, digits=0) == "100%"
 
     def test_xorshift_deterministic(self):
         from repro.util.rng import Xorshift64
@@ -211,7 +203,7 @@ class TestLegacyTextRejected:
             lambda: load_cf_trace(io.StringIO(text)),
             lambda: read_cf_header(str(path)),
             lambda: open_cf_batches(str(path)),
-            lambda: loads_cf_trace(text.encode()),
+            lambda: loads(text.encode()),
         ]
         for read in readers:
             with pytest.raises(ValueError, match="not a v3"):

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Machine, trace_control_flow, trace_full
 from repro.cpu.tracer import TraceBudgetExceeded
-from repro.isa import InstrKind, Instruction, Opcode, Program, assemble
-from repro.trace import CFRecord
+from repro.isa import InstrKind, Instruction, Opcode, Program
+
+from assembler import assemble
+from records import CFRecord, control_flow, iter_records
+from reference.invariants import check_trace
 
 LOOP_SRC = """
 .data table 8 = 3 1 4 1 5 9 2 6
@@ -32,7 +35,7 @@ def machine_cf_records(program, budget=100000):
     while not machine.halted and seq < budget:
         pc_before = machine.pc
         instr = machine.step()
-        if instr.is_control:
+        if instr.kind is not InstrKind.OTHER:
             if instr.kind is InstrKind.BRANCH:
                 taken = machine.pc != pc_before + 1
                 records.append(CFRecord(seq, pc_before,
@@ -53,13 +56,13 @@ class TestControlFlowTrace:
         program = assemble(LOOP_SRC)
         expected, count = machine_cf_records(program)
         trace = trace_control_flow(program)
-        assert list(trace.iter_records()) == expected
+        assert list(iter_records(trace)) == expected
         assert trace.total_instructions == count
         assert trace.halted
 
     def test_trace_validates(self):
         trace = trace_control_flow(assemble(LOOP_SRC))
-        assert trace.validate()
+        assert check_trace(trace)
 
     def test_truncation_flag(self):
         program = assemble("main:\n  jmp main\n  halt\n")
@@ -75,7 +78,7 @@ class TestControlFlowTrace:
 
     def test_backward_records_iterator(self):
         trace = trace_control_flow(assemble(LOOP_SRC))
-        backwards = [r for r in trace.iter_records() if r.is_backward]
+        backwards = [r for r in iter_records(trace) if r.is_backward]
         # 8 executions of the closing branch (7 taken + 1 not taken).
         assert len(backwards) == 8
         assert sum(1 for r in backwards if r.taken) == 7
@@ -91,15 +94,15 @@ class TestFullTrace:
 
     def test_projection_matches_cf_trace(self):
         program = assemble(LOOP_SRC)
-        assert list(trace_full(program).control_flow().iter_records()) \
-            == list(trace_control_flow(program).iter_records())
+        assert list(iter_records(control_flow(trace_full(program)))) \
+            == list(iter_records(trace_control_flow(program)))
 
     def test_final_register_state_matches_machine(self):
         program = assemble(LOOP_SRC)
         machine = Machine(program)
         machine.run()
         final = {}
-        for rec in trace_full(program):
+        for rec in trace_full(program).records:
             for reg, value in rec.reg_writes:
                 if reg:
                     final[reg] = value
@@ -109,7 +112,8 @@ class TestFullTrace:
     def test_memory_writes_recorded(self):
         program = assemble(
             "main:\n  li t0, 500\n  li t1, 9\n  st t1, 2(t0)\n  halt\n")
-        writes = [w for rec in trace_full(program) for w in rec.mem_writes]
+        writes = [w for rec in trace_full(program).records
+                  for w in rec.mem_writes]
         assert writes == [(502, 9)]
 
 
@@ -205,7 +209,7 @@ class TestDifferential:
         trace = trace_full(program, max_instructions=100000)
         assert trace.total_instructions == machine.instruction_count
         final = {}
-        for rec in trace:
+        for rec in trace.records:
             for reg, value in rec.reg_writes:
                 if reg:
                     final[reg] = value
@@ -217,9 +221,9 @@ class TestDifferential:
     def test_cf_and_full_traces_consistent(self, program):
         cf = trace_control_flow(program, max_instructions=100000)
         full = trace_full(program, max_instructions=100000)
-        assert list(full.control_flow().iter_records()) \
-            == list(cf.iter_records())
-        cf.validate()
+        assert list(iter_records(control_flow(full))) \
+            == list(iter_records(cf))
+        check_trace(cf)
 
 
 class TestTranslatedDifferential:
@@ -267,7 +271,7 @@ class TestChunkedTracer:
             records = []
             for batch in tracer.batches():
                 assert 0 < len(batch) <= chunk_size
-                records.extend(batch.iter_records())
+                records.extend(iter_records(batch))
             assert records == expected, chunk_size
             assert tracer.total_instructions == count
             assert tracer.halted is False

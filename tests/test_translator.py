@@ -21,12 +21,12 @@ from repro.cpu import tracer as tracer_mod
 from repro.cpu.machine import _div, _rem, packed_form
 from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer, _Columns
 from repro.cpu.translate import HELPERS, translate
-from repro.isa import assemble
 from repro.obs import collector as obs
 from repro.search.corpus import frontier_names
 from repro.workloads import get
 from repro.workloads.suite import SUITE_ORDER
 
+from assembler import assemble
 from reference.tracer import ReferenceTracer, outcome
 
 #: Translation thresholds every case runs at.

@@ -7,6 +7,9 @@ from repro.core import compute_loop_statistics
 from repro.cpu import trace_control_flow
 from repro.workloads import SUITE_ORDER, get, suite
 
+from capture import workload_index, workload_trace
+from records import iter_records
+from reference.invariants import check_trace
 from reference.events import index_records
 
 
@@ -15,7 +18,7 @@ def stats_by_name():
     """Loop statistics for the full suite at scale 1 (computed once)."""
     result = {}
     for workload in suite():
-        index = workload.loop_index(scale=1)
+        index = workload_index(workload, scale=1)
         result[workload.name] = compute_loop_statistics(index,
                                                         workload.name)
     return result
@@ -29,21 +32,21 @@ class TestSuiteBasics:
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_halts_within_budget(self, name):
         workload = get(name)
-        trace = workload.cf_trace(scale=1)
+        trace = workload_trace(workload, scale=1)
         assert trace.halted, "%s did not halt" % name
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_trace_is_valid(self, name):
-        trace = get(name).cf_trace(scale=1)
-        assert trace.validate()
+        trace = workload_trace(get(name), scale=1)
+        assert check_trace(trace)
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_deterministic(self, name):
         workload = get(name)
-        a = workload.cf_trace(scale=1)
-        b = workload.cf_trace(scale=1)
+        a = workload_trace(workload, scale=1)
+        b = workload_trace(workload, scale=1)
         assert a.total_instructions == b.total_instructions
-        a, b = list(a.iter_records()), list(b.iter_records())
+        a, b = list(iter_records(a)), list(iter_records(b))
         assert a[:100] == b[:100]
         assert a[-100:] == b[-100:]
 
@@ -57,8 +60,8 @@ class TestSuiteBasics:
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_scale_increases_work(self, name):
         workload = get(name)
-        small = workload.cf_trace(scale=1).total_instructions
-        big = workload.cf_trace(
+        small = workload_trace(workload, scale=1).total_instructions
+        big = workload_trace(workload, 
             scale=2, max_instructions=20_000_000).total_instructions
         assert big > 1.5 * small
 
@@ -122,7 +125,7 @@ class TestControlCharacter:
     @pytest.mark.parametrize("name", ("gcc", "go", "perl", "li"))
     def test_integer_codes_are_branchy(self, name):
         # Every record is one control transfer.
-        trace = get(name).cf_trace(scale=1)
+        trace = workload_trace(get(name), scale=1)
         transfers = sum(len(batch) for batch in trace.batches)
         assert transfers / trace.total_instructions > 0.07
 
@@ -131,7 +134,7 @@ class TestControlCharacter:
         from repro.isa import InstrKind
         branch = int(InstrKind.BRANCH)
         taken = branches = 0
-        for batch in get(name).cf_trace(scale=1).batches:
+        for batch in workload_trace(get(name), scale=1).batches:
             for kind, was_taken in zip(batch.kinds, batch.takens):
                 if kind == branch:
                     branches += 1
@@ -140,10 +143,10 @@ class TestControlCharacter:
 
     def test_go_uses_recursion(self):
         from repro.isa import InstrKind
-        trace = get("go").cf_trace(scale=1)
-        calls = sum(1 for r in trace.iter_records()
+        trace = workload_trace(get("go"), scale=1)
+        calls = sum(1 for r in iter_records(trace)
                     if r.kind == int(InstrKind.CALL))
-        rets = sum(1 for r in trace.iter_records()
+        rets = sum(1 for r in iter_records(trace)
                    if r.kind == int(InstrKind.RET))
         assert calls > 1000
         assert calls == rets
@@ -152,14 +155,14 @@ class TestControlCharacter:
         from repro.core import LoopDetector
         for workload in suite():
             detector = LoopDetector(cls_capacity=16)
-            detector.run(workload.cf_trace(scale=1))
+            detector.run(workload_trace(workload, scale=1))
             assert detector.cls.overflow_count == 0, workload.name
 
     def test_cls_drains_before_halt(self):
         from repro.core import EndReason, LoopDetector
         for workload in suite():
             detector = LoopDetector(cls_capacity=16)
-            index = detector.run(workload.cf_trace(scale=1))
+            index = detector.run(workload_trace(workload, scale=1))
             flushed = [r for r in index_records(index).values()
                        if r.reason is EndReason.FLUSH]
             # Structured programs: at most the outermost loops linger

@@ -1,28 +1,36 @@
 #!/usr/bin/env python3
-"""List the ``src/`` functions a production command set never calls.
+"""Check that production calls every ``src/`` function the allow-list
+does not excuse.
 
-Runs each command of a set through ``repro.experiments.runner.main``
-in this process, in a fresh temporary directory (trace cache, derived
-store and sweep stores all start empty, so every run is cold), under a
+Runs each command of the production set (:data:`COMMANDS`) in this
+process, all under one fresh temporary directory (trace caches,
+derived stores and sweep stores start empty; later commands see what
+earlier ones left, so a warm rerun is warm), with a
 ``sys.setprofile`` hook that records the code object of every Python
-call.  Then it parses every module under ``src/repro`` and prints each
-function or method whose code never ran, with its file, first line and
-line count, grouped by file, largest files first.
+call.  A command is a ``runner`` argv, a module entry point
+(``-m <module> ...``) or a script of the repository with its arguments
+(an example or a tool); the last two run through :mod:`runpy`.  Then
+it parses every module under ``src/repro``, lists each function or
+method whose code never ran (file, first line, line count; grouped by
+file, largest first) and compares that list with the committed
+allow-list, ``tools/callaudit_allow.txt``.
 
-The default set (:data:`COMMANDS`) is a cold ``runner all --workloads
-swim,go``, one tiny sensitivity sweep and one tiny search.  It is a
-sample of production, not all of it: a function it lists may still run
-on an error path, under a flag the set does not pass, or from a tool
-or an example.
+The allow-list has one ``path:qualname  reason`` line per function
+production may leave uncalled, *path* relative to ``src/``, *reason*
+one of :data:`REASONS`.  The tool exits 1, naming each entry, when an
+uncalled function is not on the list, or when a listed one is no
+longer uncalled (it ran, or it is gone): a stale entry.
 
 Usage::
 
     python tools/callaudit.py                     # report to stdout
     python tools/callaudit.py --output audit.txt
 
-The report lists nothing that this tool cannot
-map to a function definition: code compiled at run time (the
-speculation walks, translated blocks) has no ``src/`` file.
+The report lists nothing that this tool cannot map to a function
+definition: code compiled at run time (the speculation walks,
+translated blocks) has no ``src/`` file.  Calls made while
+``--profile-run`` profiles a run are invisible (cProfile holds the
+profile hook then); the hook is re-installed before every command.
 """
 
 import argparse
@@ -30,6 +38,7 @@ import ast
 import contextlib
 import io
 import os
+import runpy
 import shutil
 import sys
 import tempfile
@@ -37,17 +46,71 @@ import threading
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
+ALLOW_LIST = os.path.join(REPO_ROOT, "tools", "callaudit_allow.txt")
 
-#: The production command set: runner argv lists; ``{tmp}`` is the
-#: run's temporary directory.  ``--jobs 1`` keeps tracing in this
-#: process, where the hook sees it.
+#: Why production may leave a function uncalled.
+REASONS = (
+    "error path",
+    "wrapped by loopbench/layers.py",
+    "test reference",
+    "rare command",
+)
+
+_SWIM_GO = "--workloads swim,go --cache-dir {tmp}/cache"
+_SWEEP = ("sweep sensitivity --workloads swim,go --max-instructions 20000"
+          " --spawn-cost 0,8 --tus 2,4 --store {tmp}/sweeps"
+          " --cache-dir {tmp}/cache")
+_SEARCH = ("search --budget 4 --max-instructions 20000"
+           " --store {tmp}/search-store --cache-dir {tmp}/search-cache")
+
+#: The production command set; ``{tmp}`` is the run's temporary
+#: directory.  Runner commands but one keep the default ``--jobs 1``,
+#: so tracing runs in this process, where the hook sees it; the pool
+#: run records only what the parent process calls.
 COMMANDS = (
-    "all --workloads swim,go --jobs 1 --cache-dir {tmp}/cache",
-    "sweep sensitivity --workloads swim,go --max-instructions 20000"
-    " --spawn-cost 0,8 --tus 2,4 --jobs 1 --store {tmp}/sweeps"
+    "--list",
+    "all %s --metrics {tmp}/cold.json --timeline" % _SWIM_GO,
+    "all %s --metrics {tmp}/warm.json --timeline" % _SWIM_GO,
+    "all --max-instructions 20000 --no-cache --format json",
+    "characterize --count 2 --max-instructions 20000"
     " --cache-dir {tmp}/cache",
-    "search --objective tpc-inversion --budget 4 --seed 1"
-    " --store {tmp}/search-store --cache-dir {tmp}/search-cache",
+    "sensitivity --workloads swim --max-instructions 20000"
+    " --spawn-cost 0,8 --tus 2,4 --cache-dir {tmp}/cache",
+    "table2 %s --timing width:width=2" % _SWIM_GO,
+    "all %s --timing classcost:branch=2,call=4" % _SWIM_GO,
+    "figure6 %s --format csv --output-dir {tmp}/figure6" % _SWIM_GO,
+    "-m repro.experiments.figure6 %s" % _SWIM_GO,
+    "table1 --workloads swim --max-instructions 20000 --no-cache"
+    " --profile-run 5",
+    _SWEEP,
+    _SWEEP,
+    "query --store {tmp}/sweeps --list",
+    "query --store {tmp}/sweeps --report",
+    "query --store {tmp}/sweeps --group-by policy",
+    "query --store {tmp}/sweeps --kind loopstats --format csv",
+    "query --store {tmp}/sweeps --workloads swim --policies str --tus 4"
+    " --format json",
+    _SEARCH + " --objective tpc-inversion --seed 1"
+    " --metrics {tmp}/search.json",
+    _SEARCH + " --objective coverage-collapse --seed 2",
+    "search --objective policy-divergence --budget 3 --seed 3"
+    " --max-instructions 20000 --no-store --no-cache"
+    " --export-dir {tmp}/export",
+    "search --list",
+    "examples/quickstart.py",
+    "examples/custom_program.py",
+    "examples/loop_profiler.py compress",
+    "examples/policy_explorer.py mgrid",
+    "examples/value_prediction.py swim",
+    "table1 --workloads swim,go --max-instructions 20000 --no-cache"
+    " --jobs 2 --metrics {tmp}/pool.json",
+    "tools/obs_report.py {tmp}/cold.json --diff {tmp}/warm.json",
+    "tools/trace_cache.py ls --cache-dir {tmp}/cache",
+    "tools/trace_cache.py prune --max-bytes 20000 --cache-dir {tmp}/cache",
+    "tools/trace_cache.py sweeps ls --store {tmp}/sweeps",
+    "tools/trace_cache.py sweeps prune --store {tmp}/sweeps",
+    "tools/trace_cache.py sweeps clear --store {tmp}/sweeps",
+    "tools/trace_cache.py clear --cache-dir {tmp}/cache",
 )
 
 
@@ -82,6 +145,25 @@ def _collect(node, prefix, path, functions):
             _collect(child, prefix, path, functions)
 
 
+def _run(command, tmp):
+    """Run one command; its exit code."""
+    argv = command.format(tmp=tmp).split()
+    if argv[0] == "-m" or argv[0].endswith(".py"):
+        saved = sys.argv
+        try:
+            if argv[0] == "-m":
+                sys.argv = argv[1:]
+                runpy.run_module(argv[1], run_name="__main__")
+            else:
+                sys.argv = [os.path.join(REPO_ROOT, argv[0])] + argv[1:]
+                runpy.run_path(sys.argv[0], run_name="__main__")
+        finally:
+            sys.argv = saved
+        return 0
+    from repro.experiments.runner import main
+    return main(argv) or 0
+
+
 def called_code(commands, tmp):
     """The ``(path, first line)`` of every code object called while
     *commands* run (stdout and stderr swallowed), and the commands'
@@ -96,18 +178,18 @@ def called_code(commands, tmp):
 
     statuses = []
     sink = io.StringIO()
-    threading.setprofile(hook)
-    sys.setprofile(hook)
     try:
-        from repro.experiments.runner import main
         for command in commands:
-            argv = command.format(tmp=tmp).split()
+            # A profiled command (--profile-run) replaces the hook and
+            # leaves none behind: install it afresh every time.
+            threading.setprofile(hook)
+            sys.setprofile(hook)
             with contextlib.redirect_stdout(sink), \
                     contextlib.redirect_stderr(sink):
                 try:
-                    statuses.append(main(argv) or 0)
+                    statuses.append(_run(command, tmp))
                 except SystemExit as exit_:
-                    statuses.append(exit_.code)
+                    statuses.append(exit_.code or 0)
             sink.seek(0)
             sink.truncate()
     finally:
@@ -135,6 +217,41 @@ def audit(commands=COMMANDS):
     return uncalled, functions, statuses
 
 
+def entry(path, name):
+    """The allow-list key of function *name* in file *path*."""
+    return "%s:%s" % (os.path.relpath(path, os.path.realpath(SRC_ROOT))
+                      .replace(os.sep, "/"), name)
+
+
+def read_allow_list(lines):
+    """``entry -> reason`` from allow-list *lines* (``#`` comments and
+    blank lines skipped).  Raises ``ValueError`` naming a line whose
+    reason is not one of :data:`REASONS`, or a repeated entry."""
+    allowed = {}
+    for number, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, reason = line.partition(" ")
+        reason = reason.strip()
+        if reason not in REASONS:
+            raise ValueError("allow-list line %d: %r needs a reason, one "
+                             "of: %s" % (number, key, "; ".join(REASONS)))
+        if key in allowed:
+            raise ValueError("allow-list line %d: %r is listed twice"
+                             % (number, key))
+        allowed[key] = reason
+    return allowed
+
+
+def compare(uncalled, allowed):
+    """``(unexcused, stale)``: the sorted entries of *uncalled* (as
+    from :func:`audit`) that *allowed* does not list, and the sorted
+    allowed entries that are not uncalled."""
+    listed = {entry(path, name) for path, _, name, _ in uncalled}
+    return sorted(listed - set(allowed)), sorted(set(allowed) - listed)
+
+
 def render(uncalled, functions, commands, statuses):
     """The text report: a summary, then each file's uncalled functions,
     files with the most uncalled lines first."""
@@ -147,7 +264,7 @@ def render(uncalled, functions, commands, statuses):
     out = ["call audit: %d of %d src/ functions never called (%d lines)"
            % (len(uncalled), len(functions), total_lines)]
     for command, status in zip(commands, statuses):
-        out.append("  runner %s  -> exit %s" % (command, status))
+        out.append("  %s  -> exit %s" % (command, status))
     for path, rows in sorted(by_file.items(),
                              key=lambda item: (-sum(r[2] for r in item[1]),
                                                item[0])):
@@ -162,13 +279,15 @@ def render(uncalled, functions, commands, statuses):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="List src/ functions a production command set "
-                    "never calls.")
+        description="Check that the production command set calls every "
+                    "src/ function the allow-list does not excuse.")
     parser.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")
     args = parser.parse_args(argv)
     if SRC_ROOT not in sys.path:
         sys.path.insert(0, SRC_ROOT)
+    with open(ALLOW_LIST, encoding="utf-8") as handle:
+        allowed = read_allow_list(handle)
     uncalled, functions, statuses = audit()
     report = render(uncalled, functions, COMMANDS, statuses)
     if args.output:
@@ -176,7 +295,18 @@ def main(argv=None):
             handle.write(report)
     else:
         sys.stdout.write(report)
-    return 0
+    unexcused, stale = compare(uncalled, allowed)
+    for key in unexcused:
+        print("callaudit: %s is never called and not on the allow-list"
+              % key, file=sys.stderr)
+    for key in stale:
+        print("callaudit: stale allow-list entry %s: it is called or gone"
+              % key, file=sys.stderr)
+    failed = [(c, s) for c, s in zip(COMMANDS, statuses) if s != 0]
+    for command, status in failed:
+        print("callaudit: %r exited %s" % (command, status),
+              file=sys.stderr)
+    return 1 if unexcused or stale or failed else 0
 
 
 if __name__ == "__main__":
