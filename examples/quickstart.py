@@ -11,8 +11,7 @@ Run:  python examples/quickstart.py
 from repro.analysis import LoopStatisticsPass, SpeculationPass, \
     analyze_trace
 from repro.cpu import trace_control_flow
-from repro.lang import Assign, For, Index, Module, Return, Store, Var, \
-    compile_module
+from repro.lang import For, Index, Module, Return, Store, Var, compile_module
 
 TU_COUNTS = (2, 4, 8)
 

@@ -87,12 +87,9 @@ class RunObserver:
     def record_session(self, session):
         """Mirror a finished session's :class:`~repro.pipeline.session.
         SessionStats` into counters (the manifest's source of truth for
-        cache hit/miss and replay totals), tag the kernel backend and
-        gauge the process's peak resident set so far
-        (``process.peak_rss_mb``)."""
+        cache hit/miss and replay totals) and tag the kernel backend."""
         if self.collector is None:
             return
-        import resource
         from repro.trace.kernels import backend
 
         stats = session.stats
@@ -100,13 +97,11 @@ class RunObserver:
         self.collector.add("pipeline.cache_hits", stats.cache_hits)
         self.collector.add("pipeline.traced", stats.traced)
         self.collector.gauge("kernels.backend", backend())
-        # ru_maxrss is in KiB on Linux (bytes on macOS).
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        self.collector.gauge("process.peak_rss_mb", round(
-            peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1))
 
     def finalize(self, extra_meta=None, stream=None):
-        """Build the manifest, write artifacts, print opt-in reports.
+        """Gauge the process's peak resident set so far
+        (``process.peak_rss_mb``), build the manifest, write artifacts
+        and print opt-in reports.
 
         Called once, after the run's results were emitted (so the
         timeline/cProfile sections land after them, exactly where
@@ -118,9 +113,15 @@ class RunObserver:
         if self._activated:
             deactivate()
             self._activated = False
+        import resource
         from repro.obs.manifest import LAST_RUN_MANIFEST, \
             build_manifest, write_manifest
         from repro.obs.timeline import render_timeline
+
+        # ru_maxrss is in KiB on Linux (bytes on macOS).
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.collector.gauge("process.peak_rss_mb", round(
+            peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1))
 
         out = sys.stdout if stream is None else stream
         self.manifest = build_manifest(self.collector, argv=self.argv,

@@ -198,7 +198,9 @@ class DerivedCache:
         """``work(connection)``, or ``None`` when the database fails: a
         corrupt or other-version one counts one ``derived.corrupt`` and
         is deleted (the next call creates it afresh); a busy or
-        unwritable one disables persistence."""
+        unwritable one (or a corrupt one that cannot be deleted)
+        disables persistence and counts one ``derived.disabled.busy``
+        or ``derived.disabled.unwritable``."""
         try:
             if self._conn is None:
                 if self._disabled:
@@ -213,13 +215,15 @@ class DerivedCache:
         except (OSError, sqlite3.Error) as exc:
             kind = failure_kind(exc)
         self.close()
-        self._disabled = kind not in ("corrupt", "version")
-        if not self._disabled:
+        if kind in ("corrupt", "version"):
             obs.add("derived.corrupt")
             try:
                 os.unlink(self.path)
+                return None
             except OSError:
-                self._disabled = True
+                kind = "unwritable"
+        self._disabled = True
+        obs.add("derived.disabled." + kind)
         return None
 
     def read(self, trace_key):

@@ -7,9 +7,11 @@ whose trace and index load lazily -- at most one trace walk per
 workload, none when no pass reads them, as in a warm run served by the
 derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
 
-1. fans workload tracing out across a ``ProcessPoolExecutor`` when
-   ``config.jobs > 1``, absorbing results in the configured workload
-   order so output is deterministic regardless of completion order;
+1. traces a workload missing from the cache when its turn comes, or,
+   when ``config.jobs > 1``, fans that tracing out across a
+   ``ProcessPoolExecutor`` up front, absorbing results in the
+   configured workload order so output is deterministic regardless of
+   completion order;
 2. persists traces through the content-keyed on-disk
    :class:`~repro.pipeline.cache.TraceCache`, so a warm session skips
    interpretation entirely; and
@@ -21,11 +23,16 @@ derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
    any pass has seen a batch.  No record object is constructed between
    the interpreter (or the disk) and the column loops.
 
-The session keeps only traces it interpreted itself (so a cacheless
-session never traces a workload twice).  A workload's loop index --
-and a trace decoded from the cache for it -- lives in that workload's
-context and dies with it: nothing needs two workloads' indexes at once,
-and a second :meth:`~SimulationSession.analyze` walks each trace again.
+A serial run with a cache holds one workload's trace at a time.  A
+trace the session interpreted lives until its workload finished, and
+then stays only if the cache does not hold it: without a cache (or
+with an unwritable one) the session keeps what it traced, so it never
+traces a workload twice; with one, a later read decodes the entry.
+:meth:`~SimulationSession.ensure_traced` likewise keeps no trace the
+cache holds.  A workload's loop index -- and a trace decoded from the
+cache for it -- lives in that workload's context and dies with it:
+nothing needs two workloads' indexes at once, and a second
+:meth:`~SimulationSession.analyze` walks each trace again.
 """
 
 import os
@@ -108,7 +115,7 @@ class SimulationSession:
                        if config.cache_dir is not None else None)
         self._derived = (DerivedCache(config.cache_dir)
                          if config.cache_dir is not None else None)
-        self._columns = {}  # name -> CFTrace this session interpreted
+        self._columns = {}  # name -> CFTrace interpreted; see _release
         self._sources = {}   # name -> "cache" | "traced", first touch
 
     @property
@@ -132,20 +139,34 @@ class SimulationSession:
         when no pass reads the trace or index (a warm run whose results
         all sit in the derived store).
 
+        With ``config.jobs == 1`` a workload missing from the cache is
+        traced when its turn comes; with more jobs the missing ones are
+        traced up front in a process pool.  Either way, once a
+        workload finished, the session drops its trace if the cache
+        holds it (:meth:`_release`).
+
         Returns ``suite.results()``.
         """
-        self.ensure_traced()
+        self._trace_pooled()
         for workload in self._workloads:
-            name = workload.name
-            ctx = self._context(workload, self._total_instructions(name))
-            with obs.span("finish", workload=name):
-                suite.finish(ctx)
-            if ctx.derived is not None:
-                ctx.derived.flush()
+            self._finish(workload, suite)
         return suite.results()
 
+    def _finish(self, workload, suite):
+        """Run *suite*'s ``finish`` over *workload*'s context, flush its
+        derived store and release its trace; the context dies here."""
+        name = workload.name
+        ctx = self._context(workload, self._total_instructions(name))
+        with obs.span("finish", workload=name):
+            suite.finish(ctx)
+        if ctx.derived is not None:
+            ctx.derived.flush()
+        self._release(name)
+
     def _total_instructions(self, name):
-        """*name*'s instruction count, from the trace header alone."""
+        """*name*'s instruction count, from the trace header alone: the
+        in-memory trace's, else the cache entry's (a cache hit), else a
+        fresh inline trace's."""
         trace = self._columns.get(name)
         if trace is not None:
             return trace.total_instructions
@@ -154,6 +175,8 @@ class SimulationSession:
             header = self._cache.header(*self._entry(name))
         if header is None:
             header = self._trace_now(name).header
+        else:
+            self._mark(name, cached=True)
         return header.total_instructions
 
     def _context(self, workload, total):
@@ -195,49 +218,56 @@ class SimulationSession:
 
     def ensure_traced(self):
         """Trace every workload that is neither in memory nor in the
-        cache, fanning out across ``config.jobs`` processes."""
-        missing = []
-        for name, workload in self._by_name.items():
-            if name in self._columns:
-                continue
-            if self._cache is not None \
-                    and self._cache.has(*self._entry(name)):
-                self._mark(name, cached=True)
-                continue
-            missing.append((name, self.config.limit_for(workload)))
-        if not missing:
+        cache, fanning out across ``config.jobs`` processes.  Only
+        traces the cache cannot hold stay in memory."""
+        self._trace_pooled()
+        for name in self._by_name:
+            self._total_instructions(name)
+            self._release(name)
+
+    def _trace_pooled(self):
+        """With ``config.jobs > 1``, trace in a process pool every
+        workload that is neither in memory nor in the cache, when more
+        than one is, and keep them in memory (until each workload's
+        :meth:`_release`); the rest trace inline when first read."""
+        if self.config.jobs <= 1:
             return
-        pooled = missing if self.config.jobs > 1 and len(missing) > 1 \
-            else []
-        results = {}
-        if pooled:
-            cache_dir = self.config.cache_dir
-            collector = obs.active()
-            observe = collector is not None
-            with ProcessPoolExecutor(
-                    max_workers=min(self.config.jobs,
-                                    len(pooled))) as pool:
-                futures = [
-                    pool.submit(worker.trace_workload, name,
-                                self.config.scale, limit, cache_dir,
-                                observe=observe)
-                    for name, limit in pooled]
-                # Futures are drained in submission order (the
-                # configured workload order), so worker obs events
-                # merge deterministically however tracing interleaved.
-                for future in futures:
-                    name, trace, *events = future.result()
-                    results[name] = trace
-                    if events and events[0] and collector is not None:
-                        collector.absorb(events[0], workload=name)
-        # Absorb in configured order so memoization and any downstream
-        # iteration see a deterministic sequence.
-        for name, _ in missing:
-            if name in results:
+        missing = [
+            (name, self.config.limit_for(workload))
+            for name, workload in self._by_name.items()
+            if name not in self._columns
+            and not (self._cache is not None
+                     and self._cache.has(*self._entry(name)))]
+        if len(missing) < 2:
+            return
+        cache_dir = self.config.cache_dir
+        collector = obs.active()
+        observe = collector is not None
+        with ProcessPoolExecutor(
+                max_workers=min(self.config.jobs, len(missing))) as pool:
+            futures = [
+                pool.submit(worker.trace_workload, name,
+                            self.config.scale, limit, cache_dir,
+                            observe=observe)
+                for name, limit in missing]
+            # Futures are drained in submission order (the configured
+            # workload order), so worker obs events merge
+            # deterministically however tracing interleaved.
+            for future in futures:
+                name, trace, *events = future.result()
                 self._mark(name, cached=False)
-                self._columns[name] = results[name]
-            else:
-                self._trace_now(name)
+                self._columns[name] = trace
+                if events and events[0] and collector is not None:
+                    collector.absorb(events[0], workload=name)
+
+    def _release(self, name):
+        """Drop *name*'s in-memory trace when the cache holds it: a
+        later read decodes the entry.  A trace the cache does not hold
+        (no cache, or an unwritable one) stays, so the session never
+        interprets a workload twice."""
+        if name in self._columns and self._cache is not None \
+                and self._cache.has(*self._entry(name)):
+            del self._columns[name]
 
     # -- internals -----------------------------------------------------------
 

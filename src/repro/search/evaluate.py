@@ -1,16 +1,19 @@
 """Candidate evaluation: one profile+seed through the whole pipeline.
 
 :func:`evaluate_candidate` registers the candidate as an ordinary
-synthetic workload, expands the evaluation into content-keyed cells
-through the sweep subsystem's own cell helper
-(:func:`~repro.sweep.spec.add_workload_cells`), restores whatever
-the sweep store already holds, and executes only the missing cells
-through the sweep orchestrator's own per-workload worker
+synthetic workload for the length of its evaluation, expands the
+evaluation into content-keyed cells through the sweep subsystem's own
+cell helper (:func:`~repro.sweep.spec.add_workload_cells`), restores
+whatever the sweep store already holds, and executes only the missing
+cells through the sweep orchestrator's own per-workload worker
 (:func:`~repro.sweep.orchestrator.run_workload_cells`) -- trace cache
 and derived store included.  The search is therefore a new *front end*
 on the PR 1-7 machinery, not a parallel evaluation stack: a candidate
 the store has seen (in a previous search, a sweep, or a direct run
-whose keys overlap) costs zero simulation work.
+whose keys overlap) costs zero simulation work.  Once the candidate's
+cells are committed (or its evaluation raised) it leaves the registry
+again, compiled program included, so a search holds one candidate's
+program at a time however large its budget.
 
 Every candidate is priced into one uniform metrics bundle
 (:class:`CandidateMetrics`): loop statistics + coverage, and one
@@ -231,18 +234,21 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
     so interrupting a search after any candidate loses nothing and
     never leaves cells without their membership.  Without a store,
     every cell computes fresh (the golden frontier tests run this
-    way).
+    way).  The candidate's workload is registered only inside this
+    call (:func:`~repro.workloads.base.scoped_registry`).
     """
     from repro.sweep.orchestrator import cell_descriptor, \
         run_workload_cells
+    from repro.workloads.base import scoped_registry
     from repro.workloads.synthetic import ensure_profile_workload
 
-    name = ensure_profile_workload(profile, gen_seed)
-    plan = plan_candidate(name, settings, store)
-    rows = []
-    if plan.missing:
-        _, rows = run_workload_cells(
-            name, settings.scale, settings.max_instructions,
-            settings.cls_capacity, cache_dir,
-            [cell_descriptor(cell) for cell in plan.missing])
-    return finish_candidate(plan, rows, store, sweep)
+    with scoped_registry():
+        name = ensure_profile_workload(profile, gen_seed)
+        plan = plan_candidate(name, settings, store)
+        rows = []
+        if plan.missing:
+            _, rows = run_workload_cells(
+                name, settings.scale, settings.max_instructions,
+                settings.cls_capacity, cache_dir,
+                [cell_descriptor(cell) for cell in plan.missing])
+        return finish_candidate(plan, rows, store, sweep)

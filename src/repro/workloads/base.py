@@ -8,6 +8,8 @@ or grid/time steps) without changing the loop *shape*, standing in for
 the paper's whole-run vs 10^9-instruction-prefix distinction.
 """
 
+import contextlib
+
 from repro.lang.compiler import compile_module
 
 
@@ -68,6 +70,23 @@ def register_workload(workload):
                          % workload.name)
     _REGISTRY[workload.name] = workload
     return workload
+
+
+@contextlib.contextmanager
+def scoped_registry():
+    """Forget, on leaving the block, every workload registered inside
+    it -- with its compiled programs -- whether the block returns or
+    raises.  Names registered before the block stay.
+
+    The adversarial search evaluates each candidate inside one scope,
+    so the registry never holds more than one candidate at a time.
+    """
+    before = set(_REGISTRY)
+    try:
+        yield
+    finally:
+        for name in set(_REGISTRY) - before:
+            del _REGISTRY[name]
 
 
 def get(name):

@@ -6,7 +6,7 @@ bit-reproducible and independent of the host RNG.  Host-side
 :class:`~repro.util.rng.Xorshift64` seeds initial data arrays only.
 """
 
-from repro.lang import Assign, CallExpr, Const, Function, Return, Var
+from repro.lang import Assign, CallExpr, Return, Var
 from repro.util.rng import Xorshift64
 
 #: Classic 31-bit LCG constants (Park-Miller style, power-of-two modulus

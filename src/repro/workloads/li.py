@@ -11,7 +11,6 @@ activations contain small walking loops.
 from repro.lang import (
     Assign,
     CallExpr,
-    ExprStmt,
     For,
     If,
     Index,

@@ -10,7 +10,6 @@ simulator, exactly the paper's structure.
 
 from repro.lang import (
     Assign,
-    Break,
     For,
     If,
     Index,

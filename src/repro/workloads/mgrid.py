@@ -6,8 +6,8 @@ large iteration bodies.  The analog runs V-cycles over a three-level
 level, restriction down and prolongation up.
 """
 
-from repro.lang import Assign, CallExpr, ExprStmt, For, Index, Module, \
-    Return, Store, Var
+from repro.lang import CallExpr, ExprStmt, For, Index, Module, Return, \
+    Store, Var
 from repro.workloads.base import register
 from repro.workloads.common import table_init
 

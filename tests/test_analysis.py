@@ -42,7 +42,7 @@ from repro.core.tables import (
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
-from repro.pipeline import PipelineConfig, SimulationSession
+from repro.pipeline import SimulationSession
 from repro.workloads import get
 
 from capture import load, row_for, workload_full_trace

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.branchpred import (
     BimodalPredictor,
-    BranchPredictionReport,
     GSharePredictor,
     closing_branch_pcs,
     measure_branch_prediction,

@@ -13,7 +13,6 @@ from repro.lang import (
     Index,
     Module,
     Return,
-    Store,
     Var,
     compile_module,
 )

@@ -16,7 +16,6 @@ from repro.lang import (
     Break,
     CallExpr,
     DoWhile,
-    ExprStmt,
     For,
     If,
     Module,

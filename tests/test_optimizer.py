@@ -1,6 +1,5 @@
 """Tests for the AST optimizer: semantics preserved, work removed."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Machine
@@ -16,7 +15,6 @@ from repro.lang import (
     Index,
     Module,
     Return,
-    Store,
     UnaryOp,
     Var,
     While,

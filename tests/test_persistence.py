@@ -13,7 +13,9 @@ Each case either recomputes or fails with a clean error:
   that fails midway leaves the previous manifest whole;
 - a plain file where the cache directory should be only disables
   persistence;
-- a busy sweep store says it is busy, never that it is corrupt;
+- a busy sweep store says it is busy, never that it is corrupt, and a
+  busy or unwritable derived database counts the persistence it gave
+  up (``derived.disabled.busy``/``.unwritable``);
 - concurrent runners on one fresh cache agree and leave it warm.
 
 Read-only directories are not covered: the suite may run as root,
@@ -36,6 +38,7 @@ import pytest
 import repro
 from repro.experiments.runner import main as runner_main
 from repro.obs import Collector, build_manifest, write_manifest
+from repro.obs import collector as obs
 from repro.obs.manifest import LAST_RUN_MANIFEST, events_path
 from repro.pipeline import derived
 from repro.pipeline.derived import DB_NAME, DerivedCache
@@ -369,18 +372,82 @@ class TestBlockedAndShared:
             holder.close()
         assert DerivedCache(root).read("t") == {"k": 1}
 
+    def test_busy_derived_database_is_counted(self, tmp_path, capsys,
+                                              expected, monkeypatch):
+        """A run whose derived database another connection holds
+        locked prints the same results and counts the persistence it
+        gave up once, as ``derived.disabled.busy``."""
+        cache_dir = str(tmp_path / "cache")
+        _prime(capsys, cache_dir)
+        monkeypatch.setattr(derived, "BUSY_TIMEOUT", 0.05)
+        metrics = str(tmp_path / "run.json")
+        holder = sqlite3.connect(os.path.join(cache_dir, "derived",
+                                              DB_NAME),
+                                 isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            code, out, _ = _all(capsys, "--cache-dir", cache_dir,
+                                "--metrics", metrics)
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert (code, out) == (0, expected)
+        assert _disabled_counters([metrics]) \
+            == {metrics: {"derived.disabled.busy": 1}}
+
+    def test_unwritable_derived_database_is_counted(self, tmp_path):
+        blocker = tmp_path / "cache"
+        blocker.write_text("a file where the cache directory should be")
+        collector = obs.activate(Collector())
+        try:
+            store = DerivedCache(str(blocker)).store("t")
+            assert store.get("k") is None
+            store.put("k", 1)
+            store.flush()               # skipped, not an error
+        finally:
+            obs.deactivate()
+        assert {name: value for name, value in collector.counters.items()
+                if name.startswith("derived.disabled.")} \
+            == {"derived.disabled.unwritable": 1}
+
     def test_concurrent_runners_agree_and_leave_the_cache_warm(
             self, tmp_path, capsys, expected):
         cache_dir = str(tmp_path / "cache")
         args = ["-m", "repro.experiments.runner", "all", "--workloads",
                 WORKLOADS, "--max-instructions", LIMIT, "--format", "csv",
                 "--cache-dir", cache_dir]
-        children = [_spawn(args) for _ in range(3)]
+        # Each runner's manifest says whether it gave up persisting its
+        # derived results (a busy store), the usual reason a warm rerun
+        # would still walk traces.
+        manifests = [str(tmp_path / ("runner-%d.json" % i))
+                     for i in range(3)]
+        children = [_spawn(args + ["--metrics", path])
+                    for path in manifests]
         for child in children:
             out, _ = child.communicate(timeout=300)
             assert child.returncode == 0
             assert "".join(line for line in out.splitlines(True)
                            if not line.startswith("[")) == expected
-        assert _all(capsys, "--cache-dir", cache_dir) == (0, expected, 0)
+        disabled = "derived persistence given up, per runner: %r" \
+            % _disabled_counters(manifests)
+        assert _all(capsys, "--cache-dir", cache_dir) \
+            == (0, expected, 0), disabled
         assert sorted(os.listdir(os.path.join(cache_dir, "derived"))) \
-            == [DB_NAME]
+            == [DB_NAME], disabled
+
+
+def _disabled_counters(manifests):
+    """``{manifest path: {counter: value}}`` of the
+    ``derived.disabled.*`` counters in each run manifest (an unreadable
+    manifest maps to its error)."""
+    found = {}
+    for path in manifests:
+        try:
+            with open(path) as fh:
+                counters = json.load(fh)["counters"]
+        except (OSError, ValueError, KeyError) as exc:
+            found[path] = repr(exc)
+            continue
+        found[path] = {name: value for name, value in counters.items()
+                       if name.startswith("derived.disabled.")}
+    return found

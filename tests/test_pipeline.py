@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.analysis import Analysis, AnalysisSuite
 from repro.pipeline import (
     PipelineConfig,
     SimulationSession,
@@ -307,7 +308,9 @@ class TestWorker:
         session.ensure_traced()
         assert shm_entries() <= before
         assert session.stats.traced == 2
-        assert columns_state(session._columns["go"]) \
+        # A trace the cache holds is not kept in memory.
+        assert bool(session._columns) is not cached
+        assert columns_state(load(session)["go"][0]) \
             == columns_state(by_name[1])
         assert_v3_entries(cache("pool"), WORKLOADS)
 
@@ -440,6 +443,102 @@ class TestColumnsEndToEnd:
         indexes, session = self._indexes(str(tmp_path / "sweep"))
         assert indexes == warm_indexes
         assert self._stats(session) == (0, 2, 2)
+
+
+class TestOneTraceAtATime:
+    """A session drops a trace the cache holds once its workload
+    finished, so a cold run holds one workload's trace at a time; a
+    cacheless session keeps what it traced and never traces twice."""
+
+    NAMES = ("swim", "go", "compress")
+
+    class WatchesTraces(Analysis):
+        """A pass that reads each workload's trace and notes, at every
+        ``finish``, which earlier workloads' trace columns are still
+        alive (a weak reference to each trace's first ``seqs``
+        column: the columns are the trace's memory)."""
+
+        def __init__(self):
+            self.refs = {}
+            self.alive = {}
+
+        def finish(self, ctx):
+            import gc
+            import weakref
+
+            gc.collect()
+            self.alive[ctx.name] = [name for name, ref in self.refs.items()
+                                    if ref() is not None]
+            self.refs[ctx.name] = weakref.ref(ctx.trace.batches[0].seqs)
+
+        def result(self):
+            return self.alive
+
+    def _analyze(self, session):
+        (alive,) = session.analyze(AnalysisSuite([self.WatchesTraces()]))
+        return alive
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_run_holds_one_trace(self, tmp_path, jobs):
+        session = SimulationSession(config(
+            workloads=self.NAMES, jobs=jobs,
+            cache_dir=str(tmp_path / "cache")))
+        alive = self._analyze(session)
+        assert alive == {name: [] for name in self.NAMES}
+        assert not session._columns
+        stats = session.stats
+        assert (stats.traced, stats.cache_hits, stats.replays) \
+            == (len(self.NAMES), 0, len(self.NAMES))
+
+    def test_cacheless_session_traces_each_workload_once(
+            self, monkeypatch):
+        traced = []
+        real = worker.trace_workload
+
+        def counting(workload, *args, **kwargs):
+            traced.append(getattr(workload, "name", workload))
+            return real(workload, *args, **kwargs)
+
+        monkeypatch.setattr(worker, "trace_workload", counting)
+        session = SimulationSession(config(workloads=self.NAMES))
+        first = load(session)
+        second = load(session)
+        assert sorted(traced) == sorted(self.NAMES)
+        assert set(session._columns) == set(self.NAMES)
+        assert trace_bytes(first) == trace_bytes(second)
+        stats = session.stats
+        assert (stats.traced, stats.cache_hits, stats.replays) \
+            == (len(self.NAMES), 0, 2 * len(self.NAMES))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ensure_traced_keeps_what_the_cache_cannot_hold(
+            self, tmp_path, jobs):
+        cached = SimulationSession(config(
+            jobs=jobs, cache_dir=str(tmp_path / "cache")))
+        cached.ensure_traced()
+        assert cached.stats.traced == len(WORKLOADS)
+        assert not cached._columns
+        cacheless = SimulationSession(config(jobs=jobs))
+        cacheless.ensure_traced()
+        assert set(cacheless._columns) == set(WORKLOADS)
+
+    def test_header_from_the_cache_is_one_hit(self, tmp_path):
+        """Reading a cached header counts a cache hit, reading the
+        trace too counts no second one, and an interpreted workload
+        read back from the cache stays one ``traced``."""
+        cache_dir = str(tmp_path / "cache")
+        cold = SimulationSession(config(cache_dir=cache_dir))
+        cold.ensure_traced()
+        load(cold)
+        assert (cold.stats.traced, cold.stats.cache_hits,
+                cold.stats.replays) == (len(WORKLOADS), 0, len(WORKLOADS))
+        warm = SimulationSession(config(cache_dir=cache_dir))
+        warm.ensure_traced()
+        assert (warm.stats.traced, warm.stats.cache_hits,
+                warm.stats.replays) == (0, len(WORKLOADS), 0)
+        load(warm)
+        assert (warm.stats.traced, warm.stats.cache_hits,
+                warm.stats.replays) == (0, len(WORKLOADS), len(WORKLOADS))
 
 
 class TestWarmIsALookup:

@@ -8,7 +8,6 @@ repeat evaluations price against warm traces.
 """
 
 import json
-import os
 
 import pytest
 
@@ -28,9 +27,7 @@ from repro.search.loop import _loop_seed
 from repro.search.objectives import COVERAGE_COLLAPSE_BELOW, \
     Objective, register_objective
 from repro.sweep import SweepStore, SweepStoreError
-from repro.util.rng import Xorshift64
-from repro.workloads.synthetic import as_candidate, get_profile, \
-    random_profile
+from repro.workloads.synthetic import as_candidate, get_profile
 
 #: Small, fast search every loop test reuses.
 TINY = dict(objective="coverage-collapse", budget=6, seed=7,
@@ -368,6 +365,102 @@ class TestCommitAtomicity:
                                          sweep=spec)
             assert (outcome.executed, outcome.restored) == (7, 0)
             assert store.counts(spec.sweep_id) == (7, 7, 0)
+
+
+#: A small-trace search with memo hits (seed 10 proposes evaluated
+#: candidates again within ten steps).
+SMALL = dict(objective="coverage-collapse", budget=10, seed=10,
+             stall_limit=3,
+             settings=EvalSettings(max_instructions=20_000))
+
+
+def registry():
+    from repro.workloads import base
+    return dict(base._REGISTRY)
+
+
+class TestRegistryBound:
+    """A candidate is registered only while it is evaluated: a search
+    leaves the workload registry exactly as it found it."""
+
+    def test_cold_resubmitted_and_memo_hits(self, tmp_path):
+        spec = SearchSpec(**SMALL)
+        before = registry()
+        with make_store(tmp_path) as store:
+            _, cold = run_search(spec, store=store,
+                                 cache_dir=str(tmp_path / "cache"))
+            assert cold.memo_hits > 0 and cold.executed_cells > 0
+            assert registry() == before
+            _, resubmitted = run_search(spec, store=store,
+                                        cache_dir=str(tmp_path / "cache"))
+            assert resubmitted.executed_cells == 0
+            assert resubmitted.restored_cells == cold.executed_cells
+            assert registry() == before
+
+    def test_progress_raising_mid_search(self):
+        spec = SearchSpec(**dict(SMALL, seed=13))
+        before = registry()
+        calls = []
+
+        def interrupt(index, outcome, score):
+            calls.append(index)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_search(spec, cache_dir=None, progress=interrupt)
+        assert len(calls) == 3
+        assert registry() == before
+
+    def test_only_what_the_evaluation_added_leaves(self, monkeypatch):
+        from repro.sweep import orchestrator
+        from repro.workloads.synthetic import ensure_profile_workload
+
+        settings = SMALL["settings"]
+        kept = as_candidate(get_profile("baseline"))
+        name = ensure_profile_workload(kept, 3)
+        before = registry()
+        assert evaluate_candidate(kept, 3, settings).metrics is not None
+        assert registry() == before and name in before
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(orchestrator, "run_workload_cells", boom)
+        fresh = as_candidate(get_profile("deep-nest"))
+        with pytest.raises(RuntimeError, match="injected"):
+            evaluate_candidate(fresh, 3, settings)
+        assert registry() == before
+
+    def test_retained_memory_does_not_grow_with_the_budget(self,
+                                                            tmp_path):
+        """What a search leaves allocated once it returned is the same
+        for budgets 6 and 18; a search that kept its candidates would
+        retain about 0.2 MB per extra candidate at this trace size
+        (2.5 MB for the 12)."""
+        import gc
+        import tracemalloc
+
+        def retained(budget, seed, label):
+            spec = SearchSpec(**dict(
+                SMALL, budget=budget, seed=seed,
+                settings=EvalSettings(max_instructions=5_000)))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                with make_store(tmp_path, label) as store:
+                    run_search(spec, store=store,
+                               cache_dir=str(tmp_path / label))
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+
+        retained(2, 1, "warm-up")      # imports and first-use caches
+        small = retained(6, 11, "six")
+        large = retained(18, 12, "eighteen")
+        assert abs(large - small) < 256 * 1024, (small, large)
 
 
 class TestCorpus:

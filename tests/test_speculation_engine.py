@@ -18,11 +18,9 @@ from repro.lang import (
     Assign,
     CallExpr,
     For,
-    If,
     Module,
     Return,
     Var,
-    While,
     compile_module,
 )
 

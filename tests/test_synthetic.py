@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core import compute_loop_statistics, loop_coverage
-from repro.lang import LangError, compile_module, module_stats
+from repro.lang import compile_module, module_stats
 from repro.pipeline import PipelineConfig, SimulationSession
 from repro.pipeline.cache import TraceCache, program_fingerprint
 from repro.util.rng import Xorshift64

@@ -4,7 +4,6 @@ the loop-shape signature it claims (Table 1 fidelity)."""
 import pytest
 
 from repro.core import compute_loop_statistics
-from repro.cpu import trace_control_flow
 from repro.workloads import SUITE_ORDER, get, suite
 
 from capture import workload_index, workload_trace
