@@ -16,23 +16,20 @@ derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
    :class:`~repro.pipeline.cache.TraceCache`, so a warm session skips
    interpretation entirely; and
 3. moves every trace as :class:`~repro.trace.batch.RecordBatch`
-   columns.  A freshly traced workload is kept as a
-   :class:`~repro.trace.stream.CFTrace`, whether it was traced inline
-   or in a pool worker; a cached one is decoded once when a pass first
-   reads it, and a corrupt cache entry is retraced right there, before
-   any pass has seen a batch.  No record object is constructed between
-   the interpreter (or the disk) and the column loops.
+   columns: a fresh :class:`~repro.trace.stream.CFTrace` from the
+   interpreter (inline or in a pool worker), or the cache entry
+   decoded in full when a pass first reads it -- a corrupt entry is
+   retraced right there, before any pass has seen a batch.  No record
+   object is constructed between the interpreter (or the disk) and the
+   column loops.
 
-A serial run with a cache holds one workload's trace at a time.  A
-trace the session interpreted lives until its workload finished, and
-then stays only if the cache does not hold it: without a cache (or
-with an unwritable one) the session keeps what it traced, so it never
-traces a workload twice; with one, a later read decodes the entry.
-:meth:`~SimulationSession.ensure_traced` likewise keeps no trace the
-cache holds.  A workload's loop index -- and a trace decoded from the
-cache for it -- lives in that workload's context and dies with it:
-nothing needs two workloads' indexes at once, and a second
-:meth:`~SimulationSession.analyze` walks each trace again.
+A trace lives until its workload finished, and no longer: it goes into
+that workload's context with its loop index and dies with it, so a run
+holds one workload's trace at a time.  The session itself keeps none.
+The one exception is pooled tracing without a cache: a trace the cache
+cannot hold waits in the session until its workload's turn.  A second
+:meth:`~SimulationSession.analyze` reads each trace again -- from the
+cache, or, without one, by tracing again.
 """
 
 import os
@@ -59,44 +56,12 @@ class SessionStats:
         self.replays = 0       #: trace walks: one per loaded workload
 
 
-class _CorruptStream(Exception):
-    """A cached batch stream raised ValueError mid-iteration."""
-
-
-def _tally(batches, collector):
-    """Re-yield *batches*, adding their count and total length to the
-    ``replay.batches``/``replay.records`` counters once exhausted."""
-    n_batches = n_records = 0
-    for batch in batches:
-        n_batches += 1
-        n_records += len(batch)
-        yield batch
-    collector.add("replay.batches", n_batches)
-    collector.add("replay.records", n_records)
-
-
-def _guard_stream(batches):
-    """Re-raise the *iterator's* ValueError as :class:`_CorruptStream`
-    so truncation is distinguishable from an analysis pass raising
-    ValueError of its own."""
-    iterator = iter(batches)
-    while True:
-        try:
-            batch = next(iterator)
-        except StopIteration:
-            return
-        except ValueError as exc:
-            raise _CorruptStream() from exc
-        yield batch
-
-
 class SimulationSession:
     """Cache-backed, optionally parallel analysis session.
 
     Construct from a frozen :class:`~repro.pipeline.config.
     PipelineConfig` (or its keyword arguments).  :meth:`analyze` is the
-    entrypoint; :meth:`ensure_traced` only traces what is neither in
-    memory nor in the cache.
+    entrypoint; :meth:`ensure_traced` only fills the cache.
     """
 
     def __init__(self, config=None, **kwargs):
@@ -115,7 +80,6 @@ class SimulationSession:
                        if config.cache_dir is not None else None)
         self._derived = (DerivedCache(config.cache_dir)
                          if config.cache_dir is not None else None)
-        self._columns = {}  # name -> CFTrace interpreted; see _release
         self._sources = {}   # name -> "cache" | "traced", first touch
 
     @property
@@ -131,55 +95,51 @@ class SimulationSession:
         ``finish`` runs once over a context whose ``total_instructions``
         comes from the trace header and whose ``trace`` and ``index``
         load lazily (:meth:`_load`): the first read loads the trace
-        once -- the in-memory columns, else the cache stream decoded,
-        else a fresh trace -- and builds the canonical index from that
-        copy.  Both are dropped with the context when the workload
-        finishes.  ``stats.replays`` counts the loads: at most one per
-        workload and call, however many passes are registered, and none
-        when no pass reads the trace or index (a warm run whose results
-        all sit in the derived store).
+        once -- the fresh trace the workload's first touch produced,
+        else the cache entry decoded -- and builds the canonical index
+        from it.  Both die with the context when the workload finishes.
+        ``stats.replays`` counts the loads: at most one per workload
+        and call, however many passes are registered, and none when no
+        pass reads the trace or index (a warm run whose results all sit
+        in the derived store).
 
         With ``config.jobs == 1`` a workload missing from the cache is
         traced when its turn comes; with more jobs the missing ones are
-        traced up front in a process pool.  Either way, once a
-        workload finished, the session drops its trace if the cache
-        holds it (:meth:`_release`).
+        traced up front in a process pool (:meth:`_trace_pooled`).
 
         Returns ``suite.results()``.
         """
-        self._trace_pooled()
+        waiting = self._trace_pooled()
         for workload in self._workloads:
-            self._finish(workload, suite)
+            self._finish(workload, suite, waiting.pop(workload.name, None))
         return suite.results()
 
-    def _finish(self, workload, suite):
-        """Run *suite*'s ``finish`` over *workload*'s context, flush its
-        derived store and release its trace; the context dies here."""
+    def _finish(self, workload, suite, trace):
+        """Run *suite*'s ``finish`` over *workload*'s context and flush
+        its derived store; the context, and any trace, dies here."""
         name = workload.name
-        ctx = self._context(workload, self._total_instructions(name))
+        header, trace = self._first_touch(name, trace)
+        ctx = self._context(workload, header.total_instructions, trace)
         with obs.span("finish", workload=name):
             suite.finish(ctx)
         if ctx.derived is not None:
             ctx.derived.flush()
-        self._release(name)
 
-    def _total_instructions(self, name):
-        """*name*'s instruction count, from the trace header alone: the
-        in-memory trace's, else the cache entry's (a cache hit), else a
-        fresh inline trace's."""
-        trace = self._columns.get(name)
+    def _first_touch(self, name, trace):
+        """*name*'s ``(header, trace or None)``: *trace*, a pooled one
+        handed over, else the cache entry's header (a cache hit, no
+        trace), else a fresh inline trace."""
         if trace is not None:
-            return trace.total_instructions
-        header = None
+            return trace.header, trace
         if self._cache is not None:
             header = self._cache.header(*self._entry(name))
-        if header is None:
-            header = self._trace_now(name).header
-        else:
-            self._mark(name, cached=True)
-        return header.total_instructions
+            if header is not None:
+                self._mark(name, cached=True)
+                return header, None
+        trace = self._trace_now(name)
+        return trace.header, trace
 
-    def _context(self, workload, total):
+    def _context(self, workload, total, trace):
         from repro.analysis.base import WorkloadContext
 
         name = workload.name
@@ -191,58 +151,80 @@ class SimulationSession:
             name, total, workload=workload, scale=self.config.scale,
             cls_capacity=self.config.cls_capacity,
             timing=self.config.timing, derived=derived,
-            resolve=lambda: self._load(name))
+            resolve=lambda: self._load(name, trace))
 
-    def _load(self, name):
+    def _load(self, name, trace):
         """``(trace, index)`` of *name* for one workload's analysis: one
         trace walk (counted in ``stats.replays``, tallied by an active
-        collector, inside a ``replay`` span) that loads the trace --
-        the in-memory columns, else the cache stream decoded in full,
-        so a corrupt entry is retraced before any pass sees a batch --
-        and runs a fresh canonical detector over that copy.  Nothing
-        here keeps either: they die with the workload's context."""
-        def load(header, batches, source):
-            self.stats.replays += 1
-            collector = obs.active()
-            if collector is not None:
-                batches = _tally(batches, collector)
-            with obs.span("replay", workload=name, source=source):
-                trace = CFTrace(header, list(batches))
-                detector = LoopDetector(
-                    cls_capacity=self.config.cls_capacity)
-                return trace, detector.run_batches(
-                    trace.batches, header.total_instructions)
-        return self._consume(name, load)
+        collector, inside a ``replay`` span) that decodes the cache
+        entry in full unless *trace* was handed over -- a corrupt entry
+        is retraced before any pass sees a batch -- and runs a fresh
+        canonical detector over it.  Nothing here keeps either: they
+        die with the workload's context."""
+        self.stats.replays += 1
+        source = "cache" if trace is None else "memory"
+        with obs.span("replay", workload=name, source=source):
+            if trace is None:
+                trace = self._decode(name)
+            obs.add("replay.batches", len(trace.batches))
+            obs.add("replay.records", sum(map(len, trace.batches)))
+            detector = LoopDetector(cls_capacity=self.config.cls_capacity)
+            return trace, detector.run_batches(
+                trace.batches, trace.header.total_instructions)
+
+    def _decode(self, name):
+        """*name*'s cache entry as a :class:`CFTrace`, or a fresh trace
+        when the entry is gone or turns out corrupt past its header
+        (which also overwrites the entry; the failed walk counts as a
+        replay of its own)."""
+        entry = self._entry(name)
+        stream = self._cache.open_batches(*entry)
+        if stream is not None:
+            if obs.active() is not None:
+                try:
+                    obs.add("cache.bytes_read",
+                            os.path.getsize(self._cache.path(*entry)))
+                except OSError:
+                    pass
+            header, batches = stream
+            try:
+                return CFTrace(header, list(batches))
+            except ValueError:
+                self.stats.replays += 1     # the walk that failed
+        return self._trace_now(name)
 
     # -- pipeline ------------------------------------------------------------
 
     def ensure_traced(self):
-        """Trace every workload that is neither in memory nor in the
-        cache, fanning out across ``config.jobs`` processes.  Only
-        traces the cache cannot hold stay in memory."""
-        self._trace_pooled()
+        """Fill the cache with every workload it lacks, fanning out
+        across ``config.jobs`` processes; keep no trace.  Raises
+        :class:`ValueError` on a session without a cache, where the
+        traces would only be discarded."""
+        if self._cache is None:
+            raise ValueError("ensure_traced() fills the trace cache; "
+                             "this session has none")
+        waiting = self._trace_pooled()
         for name in self._by_name:
-            self._total_instructions(name)
-            self._release(name)
+            self._first_touch(name, waiting.pop(name, None))
 
     def _trace_pooled(self):
         """With ``config.jobs > 1``, trace in a process pool every
-        workload that is neither in memory nor in the cache, when more
-        than one is, and keep them in memory (until each workload's
-        :meth:`_release`); the rest trace inline when first read."""
+        workload the cache lacks, when more than one does; the rest
+        trace inline at their turn.  Returns ``{name: trace}`` of the
+        traces the cache does not hold afterwards (no cache, or an
+        unwritable one): each waits for its workload's turn.  A trace
+        the cache holds is dropped as soon as it arrives."""
         if self.config.jobs <= 1:
-            return
-        missing = [
-            (name, self.config.limit_for(workload))
-            for name, workload in self._by_name.items()
-            if name not in self._columns
-            and not (self._cache is not None
-                     and self._cache.has(*self._entry(name)))]
+            return {}
+        missing = [(name, self.config.limit_for(workload))
+                   for name, workload in self._by_name.items()
+                   if not self._cached(name)]
         if len(missing) < 2:
-            return
+            return {}
         cache_dir = self.config.cache_dir
         collector = obs.active()
         observe = collector is not None
+        waiting = {}
         with ProcessPoolExecutor(
                 max_workers=min(self.config.jobs, len(missing))) as pool:
             futures = [
@@ -252,22 +234,18 @@ class SimulationSession:
                 for name, limit in missing]
             # Futures are drained in submission order (the configured
             # workload order), so worker obs events merge
-            # deterministically however tracing interleaved.
-            for future in futures:
-                name, trace, *events = future.result()
+            # deterministically however tracing interleaved.  Each
+            # future, and the trace unless it waits, is dropped once
+            # drained, not when the next result arrives.
+            while futures:
+                name, trace, *events = futures.pop(0).result()
                 self._mark(name, cached=False)
-                self._columns[name] = trace
                 if events and events[0] and collector is not None:
                     collector.absorb(events[0], workload=name)
-
-    def _release(self, name):
-        """Drop *name*'s in-memory trace when the cache holds it: a
-        later read decodes the entry.  A trace the cache does not hold
-        (no cache, or an unwritable one) stays, so the session never
-        interprets a workload twice."""
-        if name in self._columns and self._cache is not None \
-                and self._cache.has(*self._entry(name)):
-            del self._columns[name]
+                if not self._cached(name):
+                    waiting[name] = trace
+                del trace
+        return waiting
 
     # -- internals -----------------------------------------------------------
 
@@ -286,6 +264,11 @@ class SimulationSession:
                 self.stats.cache_hits -= 1
             self.stats.traced += 1
 
+    def _cached(self, name):
+        """True when the cache holds a loadable entry for *name*."""
+        return self._cache is not None and self._cache.has(
+            *self._entry(name))
+
     def _entry(self, name):
         """*name*'s cache coordinates ``(name, scale, limit,
         fingerprint)``; the fingerprint is computed once."""
@@ -297,58 +280,13 @@ class SimulationSession:
         return (name, self.config.scale,
                 self.config.limit_for(workload), fingerprint)
 
-    def _consume(self, name, consume):
-        """``consume(header, batches, source)`` over *name*'s trace --
-        the in-memory columns, else the cache stream, else a fresh
-        inline trace -- and return its result; *source* names which
-        (``"memory"``, ``"cache"``, ``"traced"``, ``"retraced"``).
-
-        A cache entry truncated past its (valid) header raises mid-
-        stream; *consume* then runs again over a fresh trace, which
-        also overwrites the entry.  Exceptions raised by *consume*
-        itself are NOT retried -- only the stream's own ValueError is
-        wrapped.
-        """
-        trace = self._columns.get(name)
-        if trace is not None:
-            return consume(trace.header, trace.batches, "memory")
-        stream = self._open_cached(name)
-        if stream is None:
-            trace = self._trace_now(name)
-            return consume(trace.header, trace.batches, "traced")
-        header, batches = stream
-        try:
-            return consume(header, _guard_stream(batches), "cache")
-        except _CorruptStream:
-            trace = self._trace_now(name)
-            return consume(trace.header, trace.batches, "retraced")
-
-    def _open_cached(self, name):
-        """The cache's ``(header, batch_iterator)`` for *name*, or
-        ``None`` on a miss (or without a cache)."""
-        if self._cache is None:
-            return None
-        entry = self._entry(name)
-        stream = self._cache.open_batches(*entry)
-        if stream is None:
-            return None
-        self._mark(name, cached=True)
-        if obs.active() is not None:
-            try:
-                obs.add("cache.bytes_read",
-                        os.path.getsize(self._cache.path(*entry)))
-            except OSError:
-                pass
-        return stream
-
     def _trace_now(self, name):
-        """Trace inline through the shared worker entry point and keep
-        the trace in memory (written to the cache too, if any)."""
+        """Trace inline through the shared worker entry point (written
+        to the cache too, if any) and return the trace."""
         self._mark(name, cached=False)
         workload = self._by_name[name]
         with obs.span("trace", workload=name, mode="inline"):
             _, trace = worker.trace_workload(
                 workload, self.config.scale,
                 self.config.limit_for(workload), self.config.cache_dir)
-        self._columns[name] = trace
         return trace

@@ -14,6 +14,8 @@ when there is one.  Inline callers pass the Workload object itself
 (which also supports unregistered workloads); pooled callers pass the
 workload *name*, resolved through the registry in the child, and the
 trace comes back over the pool's result pipe as an ordinary pickle.
+Either way the session hands the trace to its workload's context, or
+drops it when the cache holds it and the workload's turn has not come.
 """
 
 from repro.cpu.tracer import ChunkedCFTracer

@@ -16,14 +16,12 @@ column chunks that map one-to-one onto
 
 Each chunk's concatenated column bytes are zlib-compressed (the 64-bit
 columns are mostly zero bytes, so the cache stays small while decoding
-stays a C-speed ``decompress`` straight into zero-copy column views;
-files opened by path are additionally memory-mapped so the compressed
-payloads are never copied out of the page cache).  ``records`` in the
-header is the declared total; the end marker must be followed by
-end-of-file.  Readers raise :class:`ValueError` on a bad magic (which
-includes the retired v1/v2 text formats), a truncated or undecodable
-chunk, a record-count mismatch, or trailing garbage -- a v3 file is
-either bit-exact or rejected.
+stays a C-speed ``decompress`` straight into zero-copy column views).
+``records`` in the header is the declared total; the end marker must
+be followed by end-of-file.  Readers raise :class:`ValueError` on a
+bad magic (which includes the retired v1/v2 text formats), a truncated
+or undecodable chunk, a record-count mismatch, or trailing garbage --
+a v3 file is either bit-exact or rejected.
 
 One writer (:class:`BatchTraceWriter`, driven by
 :func:`dump_cf_batches`) and one chunk walker (:func:`_batches_v3`)
@@ -37,8 +35,6 @@ scales the data-speculation study uses, and enormous on disk).
 """
 
 import contextlib
-import io
-import mmap
 import os
 import struct
 import sys
@@ -82,60 +78,6 @@ class TraceHeader(NamedTuple):
 
 # -- binary v3 primitives ----------------------------------------------------
 
-class _BufferReader:
-    """Minimal binary file facade over an mmap'd trace file.
-
-    ``read`` returns **zero-copy** :class:`memoryview` slices, so the
-    v3 reader's framing fields and compressed chunk payloads are never
-    copied out of the underlying buffer; ``close`` releases the view
-    and any owned backing resources (mapping, file handle).  Only the
-    surface the v3 reader uses is implemented.
-    """
-
-    __slots__ = ("_view", "_pos", "_mm", "_fh")
-
-    def __init__(self, buf, mm=None, fh=None):
-        self._view = memoryview(buf)
-        self._pos = 0
-        self._mm = mm
-        self._fh = fh
-
-    def read(self, n):
-        view = self._view
-        if view is None:
-            return b""
-        data = view[self._pos:self._pos + n]
-        self._pos += len(data)
-        return data
-
-    def close(self):
-        view, self._view = self._view, None
-        if view is not None:
-            view.release()
-        mm, self._mm = self._mm, None
-        if mm is not None:
-            try:
-                mm.close()
-            except BufferError:
-                # A still-referenced slice pins the mapping; it closes
-                # with the last view.
-                pass
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
-
-
-def _mmap_reader(fh):
-    """A zero-copy :class:`_BufferReader` over *fh*'s mapped contents,
-    or ``None`` when the file cannot be mapped (empty file, pipe,
-    exotic filesystem) -- callers fall back to plain reads."""
-    try:
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError, io.UnsupportedOperation):
-        return None
-    return _BufferReader(mm, mm=mm, fh=fh)
-
-
 def _exactly(fh, n, what):
     data = fh.read(n)
     if len(data) != n:
@@ -147,13 +89,11 @@ def _exactly(fh, n, what):
 def _read_header_v3(fh):
     magic = fh.read(len(MAGIC_V3))
     if magic != MAGIC_V3:
-        if not isinstance(magic, str):      # text-mode file objects
-            magic = bytes(magic)
         raise ValueError("not a v3 cftrace file (bad magic %r)"
                          % (magic,))
     (name_len,) = _NAME_STRUCT.unpack(_exactly(fh, _NAME_STRUCT.size,
                                                "header"))
-    name = bytes(_exactly(fh, name_len, "header")).decode(
+    name = _exactly(fh, name_len, "header").decode(
         "utf-8", errors="replace")
     total, halted, records = _META_STRUCT.unpack(
         _exactly(fh, _META_STRUCT.size, "header"))
@@ -393,19 +333,12 @@ def open_cf_batches(path):
     The iterator yields :class:`~repro.trace.batch.RecordBatch` without
     holding the whole trace in memory, validates the declared record
     count (raising :class:`ValueError` on truncation mid-stream), and
-    closes the file when exhausted or garbage-collected.
-
-    The file is **memory-mapped**: framing fields and compressed
-    payloads are read as zero-copy views of the page cache, and each
-    chunk decompresses straight into the batch's column views (see
-    :func:`_read_chunk_v3`) -- the warm-cache replay path allocates one
-    payload buffer per chunk and nothing else.
+    closes the file when exhausted or garbage-collected.  Each chunk
+    decompresses straight into the batch's column views (see
+    :func:`_read_chunk_v3`).
     """
     fh = open(path, "rb")
     try:
-        mapped = _mmap_reader(fh)
-        if mapped is not None:
-            fh = mapped
         header = _read_header_v3(fh)
     except BaseException:
         fh.close()

@@ -2,7 +2,7 @@
 
 Batch fast-path boundary cases (empty/single-record batches, loop
 boundaries mid-batch, loops spanning chunk seams), the derived-results
-store, result-state round trips, idempotent table replay, the mmap'd
+store, result-state round trips, idempotent table replay, the
 zero-copy v3 reader, and trace payloads from pool workers.
 """
 
@@ -439,10 +439,10 @@ class TestEnsureReplayed:
 
 
 # ---------------------------------------------------------------------------
-# mmap'd zero-copy v3 reads.
+# Zero-copy v3 reads from a path.
 # ---------------------------------------------------------------------------
 
-class TestMappedReads:
+class TestPathReads:
     def test_path_reads_match_records(self, loop_trace, tmp_path):
         path = str(tmp_path / "t.cft")
         dump_cf_trace(loop_trace, path)

@@ -375,7 +375,7 @@ class TestPipelineInstrumentation:
             try:
                 session = SimulationSession(workloads=("swim", "go"),
                                             jobs=2, cache_dir=None)
-                session.ensure_traced()
+                load(session)
             finally:
                 obs.deactivate()
             return collector

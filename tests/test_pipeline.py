@@ -254,8 +254,8 @@ class TestStreamingDetection:
         SimulationSession(config(cache_dir=cache_dir)).ensure_traced()
         streamed = SimulationSession(config(cache_dir=cache_dir))
         streamed_loaded = load(streamed)
-        assert not streamed._columns, \
-            "a trace decoded from the cache must die with its workload"
+        assert (streamed.stats.traced, streamed.stats.cache_hits) \
+            == (0, len(WORKLOADS))
         inmem = load(SimulationSession(config()))
         for name in WORKLOADS:
             assert index_shape(streamed_loaded[name][1]) \
@@ -305,13 +305,10 @@ class TestWorker:
         before = shm_entries()
         session = SimulationSession(config(jobs=2,
                                            cache_dir=cache("pool")))
-        session.ensure_traced()
+        loaded = load(session)
         assert shm_entries() <= before
         assert session.stats.traced == 2
-        # A trace the cache holds is not kept in memory.
-        assert bool(session._columns) is not cached
-        assert columns_state(load(session)["go"][0]) \
-            == columns_state(by_name[1])
+        assert columns_state(loaded["go"][0]) == columns_state(by_name[1])
         assert_v3_entries(cache("pool"), WORKLOADS)
 
     def test_worker_payload_roundtrip(self, tmp_path):
@@ -343,9 +340,7 @@ class TestWorker:
             return load(session)["go"][0]
 
         memory = session()
-        memory.ensure_traced()
-        pooled = session(jobs=2)
-        pooled.ensure_traced()          # both workloads, in the pool
+        pooled = session(jobs=2)        # both workloads, in the pool
         cached = session(cache_dir=cache_dir, workloads=("go",))
         sources = {
             "pickle": pickle.loads(pickle.dumps(payload)),
@@ -446,9 +441,11 @@ class TestColumnsEndToEnd:
 
 
 class TestOneTraceAtATime:
-    """A session drops a trace the cache holds once its workload
-    finished, so a cold run holds one workload's trace at a time; a
-    cacheless session keeps what it traced and never traces twice."""
+    """A trace lives until its workload finished, and no longer: with
+    or without a cache, serial or pooled, no earlier workload's trace
+    is alive when a later one finishes, and none is once ``analyze``
+    returns.  A cacheless session keeps nothing, so a second
+    ``analyze`` traces again."""
 
     NAMES = ("swim", "go", "compress")
 
@@ -463,35 +460,37 @@ class TestOneTraceAtATime:
             self.alive = {}
 
         def finish(self, ctx):
-            import gc
             import weakref
 
-            gc.collect()
-            self.alive[ctx.name] = [name for name, ref in self.refs.items()
-                                    if ref() is not None]
+            self.alive[ctx.name] = self.living()
             self.refs[ctx.name] = weakref.ref(ctx.trace.batches[0].seqs)
+
+        def living(self):
+            import gc
+
+            gc.collect()
+            return [name for name, ref in self.refs.items()
+                    if ref() is not None]
 
         def result(self):
             return self.alive
 
-    def _analyze(self, session):
-        (alive,) = session.analyze(AnalysisSuite([self.WatchesTraces()]))
-        return alive
-
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "cache"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_cold_run_holds_one_trace(self, tmp_path, jobs):
+    def test_a_trace_dies_with_its_workload(self, tmp_path, jobs, cached):
         session = SimulationSession(config(
             workloads=self.NAMES, jobs=jobs,
-            cache_dir=str(tmp_path / "cache")))
-        alive = self._analyze(session)
+            cache_dir=str(tmp_path / "cache") if cached else None))
+        watch = self.WatchesTraces()
+        (alive,) = session.analyze(AnalysisSuite([watch]))
         assert alive == {name: [] for name in self.NAMES}
-        assert not session._columns
+        assert watch.living() == []
         stats = session.stats
         assert (stats.traced, stats.cache_hits, stats.replays) \
             == (len(self.NAMES), 0, len(self.NAMES))
 
-    def test_cacheless_session_traces_each_workload_once(
-            self, monkeypatch):
+    def test_cacheless_second_analyze_traces_again(self, monkeypatch):
         traced = []
         real = worker.trace_workload
 
@@ -503,24 +502,31 @@ class TestOneTraceAtATime:
         session = SimulationSession(config(workloads=self.NAMES))
         first = load(session)
         second = load(session)
-        assert sorted(traced) == sorted(self.NAMES)
-        assert set(session._columns) == set(self.NAMES)
+        assert traced == list(self.NAMES) * 2
         assert trace_bytes(first) == trace_bytes(second)
         stats = session.stats
         assert (stats.traced, stats.cache_hits, stats.replays) \
             == (len(self.NAMES), 0, 2 * len(self.NAMES))
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_ensure_traced_keeps_what_the_cache_cannot_hold(
-            self, tmp_path, jobs):
-        cached = SimulationSession(config(
-            jobs=jobs, cache_dir=str(tmp_path / "cache")))
+    def test_ensure_traced_only_fills_a_cache(self, tmp_path, monkeypatch,
+                                              jobs):
+        cache_dir = str(tmp_path / "cache")
+        cached = SimulationSession(config(jobs=jobs, cache_dir=cache_dir))
         cached.ensure_traced()
         assert cached.stats.traced == len(WORKLOADS)
-        assert not cached._columns
+        assert sorted(entry.split("-")[0]
+                      for entry in os.listdir(cache_dir)
+                      if entry.endswith(".cft")) == sorted(WORKLOADS)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a cacheless ensure_traced() traced")
+
+        monkeypatch.setattr(worker, "trace_workload", boom)
         cacheless = SimulationSession(config(jobs=jobs))
-        cacheless.ensure_traced()
-        assert set(cacheless._columns) == set(WORKLOADS)
+        with pytest.raises(ValueError, match="has none"):
+            cacheless.ensure_traced()
+        assert cacheless.stats.traced == 0
 
     def test_header_from_the_cache_is_one_hit(self, tmp_path):
         """Reading a cached header counts a cache hit, reading the

@@ -64,9 +64,10 @@ _SEARCH = ("search --budget 4 --max-instructions 20000"
            " --store {tmp}/search-store --cache-dir {tmp}/search-cache")
 
 #: The production command set; ``{tmp}`` is the run's temporary
-#: directory.  Runner commands but one keep the default ``--jobs 1``,
+#: directory.  Runner commands but two keep the default ``--jobs 1``,
 #: so tracing runs in this process, where the hook sees it; the pool
-#: run records only what the parent process calls.
+#: runs (one cacheless, one cold cached) record only what the parent
+#: process calls.
 COMMANDS = (
     "--list",
     "all %s --metrics {tmp}/cold.json --timeline" % _SWIM_GO,
@@ -104,6 +105,8 @@ COMMANDS = (
     "examples/value_prediction.py swim",
     "table1 --workloads swim,go --max-instructions 20000 --no-cache"
     " --jobs 2 --metrics {tmp}/pool.json",
+    "table1 --workloads swim,go --max-instructions 20000"
+    " --cache-dir {tmp}/pool-cache --jobs 2",
     "tools/obs_report.py {tmp}/cold.json --diff {tmp}/warm.json",
     "tools/trace_cache.py ls --cache-dir {tmp}/cache",
     "tools/trace_cache.py prune --max-bytes 20000 --cache-dir {tmp}/cache",
