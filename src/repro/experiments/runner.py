@@ -7,8 +7,9 @@ AnalysisSuite` and calls :meth:`SimulationSession.analyze
 <repro.pipeline.session.SimulationSession.analyze>` exactly once --
 one event-stream replay per workload feeds *all* selected experiments,
 however many are requested.  Tracing still fans out across ``--jobs``
-processes and persists in the content-keyed on-disk cache
-(``--cache-dir``, on by default; disable with ``--no-cache``).
+processes, which fill the content-keyed on-disk cache (``--cache-dir``,
+on by default; ``--no-cache`` disables it and allows ``--jobs 1``
+only).
 
 Usage::
 

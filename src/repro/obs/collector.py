@@ -30,8 +30,8 @@ their own (:func:`Collector.export` is picklable) and the parent
 merges the export with :meth:`Collector.absorb` -- worker spans become
 children of the parent's current span and worker counters accumulate
 into the parent's.  Merging in a deterministic order (the session
-absorbs results in configured workload order) keeps manifests
-deterministic modulo timing values.
+absorbs each pool task's export in configured workload order) keeps
+manifests deterministic modulo timing values.
 
 Collectors are single-threaded by design: every producer in this
 codebase is either the main thread or a worker *process* with a

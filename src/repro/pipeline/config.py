@@ -3,8 +3,9 @@
 A :class:`PipelineConfig` pins everything that determines a session's
 results — workload subset, scale, CLS capacity, instruction budget —
 plus the execution knobs (process count, cache location) that must not
-change them.  It is hashable and picklable so it can cross process
-boundaries and key memoization tables.
+change them.  More than one process needs the cache, the only way pool
+workers hand traces to the session.  It is hashable and picklable so
+it can cross process boundaries and key memoization tables.
 """
 
 import os
@@ -31,7 +32,8 @@ class PipelineConfig:
     full 18-workload suite in table order); ``max_instructions=None``
     uses each workload's own default budget.  ``cache_dir=None``
     disables the on-disk trace cache.  ``jobs`` is the number of tracer
-    processes; 1 traces inline in the calling process.  ``timing`` is a
+    processes; 1 traces inline in the calling process, and more need a
+    ``cache_dir``, which the pool fills.  ``timing`` is a
     :mod:`repro.timing` spec string (``"overhead:spawn=8"``) selecting
     the default timing model speculation passes simulate under;
     ``None`` is the paper's ideal machine.  Timing never affects
@@ -58,6 +60,10 @@ class PipelineConfig:
             raise ValueError("scale must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.jobs > 1 and self.cache_dir is None:
+            raise ValueError("jobs > 1 needs the trace cache, through "
+                             "which pool workers hand traces over "
+                             "(drop --no-cache or use --jobs 1)")
         if self.cls_capacity < 1:
             raise ValueError("cls_capacity must be >= 1")
         if self.max_instructions is not None and self.max_instructions < 1:

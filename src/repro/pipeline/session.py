@@ -7,29 +7,29 @@ whose trace and index load lazily -- at most one trace walk per
 workload, none when no pass reads them, as in a warm run served by the
 derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
 
-1. traces a workload missing from the cache when its turn comes, or,
-   when ``config.jobs > 1``, fans that tracing out across a
-   ``ProcessPoolExecutor`` up front, absorbing results in the
-   configured workload order so output is deterministic regardless of
-   completion order;
-2. persists traces through the content-keyed on-disk
-   :class:`~repro.pipeline.cache.TraceCache`, so a warm session skips
-   interpretation entirely; and
+1. with ``config.jobs > 1``, first fills the trace cache in a
+   ``ProcessPoolExecutor`` (:meth:`~SimulationSession.ensure_traced`):
+   each pool task traces one workload into the cache and hands back
+   nothing but its obs events, absorbed in the configured workload
+   order so output is deterministic regardless of completion order;
+2. then finishes every workload serially: its first touch reads the
+   cache entry's header, or traces it inline (written to the
+   content-keyed :class:`~repro.pipeline.cache.TraceCache` too, so a
+   warm session skips interpretation entirely); and
 3. moves every trace as :class:`~repro.trace.batch.RecordBatch`
    columns: a fresh :class:`~repro.trace.stream.CFTrace` from the
-   interpreter (inline or in a pool worker), or the cache entry
-   decoded in full when a pass first reads it -- a corrupt entry is
-   retraced right there, before any pass has seen a batch.  No record
-   object is constructed between the interpreter (or the disk) and the
-   column loops.
+   inline interpreter, or the cache entry decoded in full when a pass
+   first reads it -- a corrupt entry is retraced right there, before
+   any pass has seen a batch.  No record object is constructed between
+   the interpreter (or the disk) and the column loops.
 
-A trace lives until its workload finished, and no longer: it goes into
-that workload's context with its loop index and dies with it, so a run
-holds one workload's trace at a time.  The session itself keeps none.
-The one exception is pooled tracing without a cache: a trace the cache
-cannot hold waits in the session until its workload's turn.  A second
-:meth:`~SimulationSession.analyze` reads each trace again -- from the
-cache, or, without one, by tracing again.
+No trace crosses a process boundary: the cache is the only hand-over
+from a pool worker.  A trace lives until its workload finished, and no
+longer: it goes into that workload's context with its loop index and
+dies with it, so a run holds one workload's trace at a time.  The
+session itself keeps none, so a second :meth:`~SimulationSession.
+analyze` reads each trace again -- from the cache, or, without one, by
+tracing again.
 """
 
 import os
@@ -75,7 +75,6 @@ class SimulationSession:
         self._workloads = (suite() if config.workloads is None
                            else [get(name) for name in config.workloads])
         self._by_name = {w.name: w for w in self._workloads}
-        self._fingerprints = {}
         self._cache = (TraceCache(config.cache_dir)
                        if config.cache_dir is not None else None)
         self._derived = (DerivedCache(config.cache_dir)
@@ -103,34 +102,32 @@ class SimulationSession:
         pass reads the trace or index (a warm run whose results all sit
         in the derived store).
 
-        With ``config.jobs == 1`` a workload missing from the cache is
-        traced when its turn comes; with more jobs the missing ones are
-        traced up front in a process pool (:meth:`_trace_pooled`).
+        With ``config.jobs > 1`` the cache is filled in a process pool
+        first (:meth:`ensure_traced`); then a workload missing from the
+        cache is traced when its turn comes.
 
         Returns ``suite.results()``.
         """
-        waiting = self._trace_pooled()
+        if self.config.jobs > 1:
+            self.ensure_traced()
         for workload in self._workloads:
-            self._finish(workload, suite, waiting.pop(workload.name, None))
+            self._finish(workload, suite)
         return suite.results()
 
-    def _finish(self, workload, suite, trace):
+    def _finish(self, workload, suite):
         """Run *suite*'s ``finish`` over *workload*'s context and flush
         its derived store; the context, and any trace, dies here."""
         name = workload.name
-        header, trace = self._first_touch(name, trace)
+        header, trace = self._first_touch(name)
         ctx = self._context(workload, header.total_instructions, trace)
         with obs.span("finish", workload=name):
             suite.finish(ctx)
         if ctx.derived is not None:
             ctx.derived.flush()
 
-    def _first_touch(self, name, trace):
-        """*name*'s ``(header, trace or None)``: *trace*, a pooled one
-        handed over, else the cache entry's header (a cache hit, no
-        trace), else a fresh inline trace."""
-        if trace is not None:
-            return trace.header, trace
+    def _first_touch(self, name):
+        """*name*'s ``(header, trace or None)``: the cache entry's
+        header (a cache hit, no trace), else a fresh inline trace."""
         if self._cache is not None:
             header = self._cache.header(*self._entry(name))
             if header is not None:
@@ -157,10 +154,10 @@ class SimulationSession:
         """``(trace, index)`` of *name* for one workload's analysis: one
         trace walk (counted in ``stats.replays``, tallied by an active
         collector, inside a ``replay`` span) that decodes the cache
-        entry in full unless *trace* was handed over -- a corrupt entry
-        is retraced before any pass sees a batch -- and runs a fresh
-        canonical detector over it.  Nothing here keeps either: they
-        die with the workload's context."""
+        entry in full unless the first touch traced *trace* inline -- a
+        corrupt entry is retraced before any pass sees a batch -- and
+        runs a fresh canonical detector over it.  Nothing here keeps
+        either: they die with the workload's context."""
         self.stats.replays += 1
         source = "cache" if trace is None else "memory"
         with obs.span("replay", workload=name, source=source):
@@ -196,56 +193,43 @@ class SimulationSession:
     # -- pipeline ------------------------------------------------------------
 
     def ensure_traced(self):
-        """Fill the cache with every workload it lacks, fanning out
-        across ``config.jobs`` processes; keep no trace.  Raises
-        :class:`ValueError` on a session without a cache, where the
-        traces would only be discarded."""
+        """Fill the cache with every workload it lacks; keep no trace.
+        With ``config.jobs > 1`` and more than one workload missing,
+        each is traced by one pool task (:func:`~repro.pipeline.worker.
+        trace_into_cache`), else inline.  Raises :class:`ValueError` on
+        a session without a cache, where the traces would only be
+        discarded."""
         if self._cache is None:
             raise ValueError("ensure_traced() fills the trace cache; "
                              "this session has none")
-        waiting = self._trace_pooled()
+        missing = []
         for name in self._by_name:
-            self._first_touch(name, waiting.pop(name, None))
-
-    def _trace_pooled(self):
-        """With ``config.jobs > 1``, trace in a process pool every
-        workload the cache lacks, when more than one does; the rest
-        trace inline at their turn.  Returns ``{name: trace}`` of the
-        traces the cache does not hold afterwards (no cache, or an
-        unwritable one): each waits for its workload's turn.  A trace
-        the cache holds is dropped as soon as it arrives."""
-        if self.config.jobs <= 1:
-            return {}
-        missing = [(name, self.config.limit_for(workload))
-                   for name, workload in self._by_name.items()
-                   if not self._cached(name)]
-        if len(missing) < 2:
-            return {}
-        cache_dir = self.config.cache_dir
+            if self._cache.has(*self._entry(name)):
+                self._mark(name, cached=True)
+            else:
+                missing.append(name)
+        if self.config.jobs <= 1 or len(missing) < 2:
+            for name in missing:
+                self._trace_now(name)
+            return
         collector = obs.active()
-        observe = collector is not None
-        waiting = {}
         with ProcessPoolExecutor(
                 max_workers=min(self.config.jobs, len(missing))) as pool:
             futures = [
-                pool.submit(worker.trace_workload, name,
-                            self.config.scale, limit, cache_dir,
-                            observe=observe)
-                for name, limit in missing]
-            # Futures are drained in submission order (the configured
-            # workload order), so worker obs events merge
-            # deterministically however tracing interleaved.  Each
-            # future, and the trace unless it waits, is dropped once
-            # drained, not when the next result arrives.
-            while futures:
-                name, trace, *events = futures.pop(0).result()
+                pool.submit(worker.trace_into_cache, name,
+                            self.config.scale,
+                            self.config.limit_for(self._by_name[name]),
+                            self.config.cache_dir,
+                            observe=collector is not None)
+                for name in missing]
+            # Drained in submission order (the configured workload
+            # order), so worker obs events merge deterministically
+            # however tracing interleaved.
+            for future in futures:
+                name, events = future.result()
                 self._mark(name, cached=False)
-                if events and events[0] and collector is not None:
-                    collector.absorb(events[0], workload=name)
-                if not self._cached(name):
-                    waiting[name] = trace
-                del trace
-        return waiting
+                if events:
+                    collector.absorb(events, workload=name)
 
     # -- internals -----------------------------------------------------------
 
@@ -264,21 +248,12 @@ class SimulationSession:
                 self.stats.cache_hits -= 1
             self.stats.traced += 1
 
-    def _cached(self, name):
-        """True when the cache holds a loadable entry for *name*."""
-        return self._cache is not None and self._cache.has(
-            *self._entry(name))
-
     def _entry(self, name):
         """*name*'s cache coordinates ``(name, scale, limit,
-        fingerprint)``; the fingerprint is computed once."""
+        fingerprint)``."""
         workload = self._by_name[name]
-        fingerprint = self._fingerprints.get(name)
-        if fingerprint is None:
-            fingerprint = self._fingerprints[name] = program_fingerprint(
-                workload.program(self.config.scale))
-        return (name, self.config.scale,
-                self.config.limit_for(workload), fingerprint)
+        return (name, self.config.scale, self.config.limit_for(workload),
+                program_fingerprint(workload.program(self.config.scale)))
 
     def _trace_now(self, name):
         """Trace inline through the shared worker entry point (written

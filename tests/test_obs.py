@@ -369,18 +369,19 @@ class TestPipelineInstrumentation:
         session.analyze(suite)
         assert row_for(by_name["table1"].result(), "swim")
 
-    def test_pool_worker_merge_is_deterministic(self):
-        def run_once():
+    def test_pool_worker_merge_is_deterministic(self, tmp_path):
+        def run_once(cache):
             collector = obs.activate(Collector())
             try:
-                session = SimulationSession(workloads=("swim", "go"),
-                                            jobs=2, cache_dir=None)
+                session = SimulationSession(
+                    workloads=("swim", "go"), jobs=2,
+                    cache_dir=str(tmp_path / cache))     # cold: pooled
                 load(session)
             finally:
                 obs.deactivate()
             return collector
 
-        first, second = run_once(), run_once()
+        first, second = run_once("first"), run_once("second")
 
         def skeleton(collector):
             return [(s["name"], s["attrs"].get("workload"),

@@ -94,10 +94,47 @@ class TestParallelEqualsSequential:
             assert index_shape(seq_loaded[name][1]) \
                 == index_shape(par_loaded[name][1])
 
-    def test_parallel_without_cache(self):
-        par = SimulationSession(config(jobs=2))
-        seq = SimulationSession(config(jobs=1))
-        assert trace_bytes(load(par)) == trace_bytes(load(seq))
+    def test_parallel_without_cache(self, capsys):
+        """Pool workers hand traces over through the cache only, so a
+        cacheless pooled config is refused -- as a one-line CLI error,
+        not a traceback."""
+        from repro.experiments.runner import main
+
+        with pytest.raises(ValueError, match="jobs > 1 needs"):
+            config(jobs=2)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--workloads", "swim", "--no-cache",
+                  "--jobs", "2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "jobs > 1 needs" in errors[0]
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_cache_traces_each_workload_once(self, tmp_path):
+        """A pooled run whose cache cannot be written (``cache_dir`` is
+        a regular file) traces again inline at each workload's turn:
+        the same results, and each workload one ``traced``."""
+        from repro.experiments.runner import build_suite
+
+        blocked = tmp_path / "blocked"
+        blocked.write_text("not a directory")
+
+        def rendered(**kwargs):
+            session = SimulationSession(config(**kwargs))
+            suite, _ = build_suite(["table1", "figure4"])
+            tables = [table.render() for result in session.analyze(suite)
+                      for table in (result if isinstance(result, list)
+                                    else [result])]
+            return tables, session.stats
+
+        pooled, stats = rendered(jobs=2, cache_dir=str(blocked))
+        serial, _ = rendered()
+        assert pooled == serial
+        assert (stats.traced, stats.cache_hits) == (len(WORKLOADS), 0)
+        assert blocked.read_text() == "not a directory"
 
 
 class TestCache:
@@ -277,9 +314,12 @@ class TestWorker:
     @pytest.mark.parametrize("cached", [False, True],
                              ids=["no-cache", "cache"])
     def test_one_return_shape(self, tmp_path, cached):
-        """Names and Workload objects, inline and pooled, all come back
-        as a ``CFTrace`` of the same columns; a cache gets a v3 entry,
-        and no shared-memory segment is left behind."""
+        """Names and Workload objects traced inline come back as a
+        ``CFTrace`` of the same columns; a cache gets a v3 entry.  The
+        pool task returns no trace: ``(name, None)`` without a
+        collector, its cache entry decoding to the same columns, and
+        no shared-memory segment is left behind."""
+        from repro.trace.io import load_cf_trace
         from repro.workloads import get
 
         def cache(label):
@@ -302,22 +342,29 @@ class TestWorker:
         assert_v3_entries(cache("name"), ["go"])
         assert_v3_entries(cache("object"), ["go"])
 
+        task_cache = str(tmp_path / "task")
+        assert worker.trace_into_cache("go", 1, LIMIT, task_cache) \
+            == ("go", None)
+        (entry,) = os.listdir(task_cache)
+        assert columns_state(load_cf_trace(
+            os.path.join(task_cache, entry))) == columns_state(by_name[1])
+
         before = shm_entries()
         session = SimulationSession(config(jobs=2,
-                                           cache_dir=cache("pool")))
+                                           cache_dir=str(tmp_path / "pool")))
         loaded = load(session)
         assert shm_entries() <= before
         assert session.stats.traced == 2
         assert columns_state(loaded["go"][0]) == columns_state(by_name[1])
-        assert_v3_entries(cache("pool"), WORKLOADS)
+        assert_v3_entries(str(tmp_path / "pool"), WORKLOADS)
 
     def test_worker_payload_roundtrip(self, tmp_path):
-        """The worker's trace survives the pickle the pool's result pipe
-        applies, record for record -- and every other source of the same
-        trace gives an equal header and equal records: the tracer, the
-        v3 readers, a pool worker under ``jobs=2``, and the session from
-        memory, from the cache and after retracing a truncated cache
-        entry."""
+        """The worker's trace survives a pickle, record for record --
+        and every other source of the same trace gives an equal header
+        and equal records: the tracer, the v3 readers, the cache entry
+        a pool task wrote under ``jobs=2`` (the task itself returns no
+        trace), and the session from memory, from the cache and after
+        retracing a truncated cache entry."""
         import pickle
         from repro.cpu import ChunkedCFTracer, trace_control_flow
         from repro.trace.io import load_cf_trace
@@ -340,7 +387,8 @@ class TestWorker:
             return load(session)["go"][0]
 
         memory = session()
-        pooled = session(jobs=2)        # both workloads, in the pool
+        pooled = session(jobs=2,        # both workloads, in the pool
+                         cache_dir=str(tmp_path / "pool"))
         cached = session(cache_dir=cache_dir, workloads=("go",))
         sources = {
             "pickle": pickle.loads(pickle.dumps(payload)),
@@ -355,6 +403,7 @@ class TestWorker:
             "pool jobs=2": go_trace(pooled),
         }
         assert (cached.stats.traced, cached.stats.cache_hits) == (0, 1)
+        assert (pooled.stats.traced, pooled.stats.cache_hits) == (2, 0)
         data = open(path, "rb").read()
         open(path, "wb").write(data[:len(data) // 2])
         retraced = session(cache_dir=cache_dir, workloads=("go",))
@@ -445,7 +494,7 @@ class TestOneTraceAtATime:
     or without a cache, serial or pooled, no earlier workload's trace
     is alive when a later one finishes, and none is once ``analyze``
     returns.  A cacheless session keeps nothing, so a second
-    ``analyze`` traces again."""
+    ``analyze`` traces again; a pooled one needs a cache."""
 
     NAMES = ("swim", "go", "compress")
 
@@ -479,9 +528,14 @@ class TestOneTraceAtATime:
                              ids=["no-cache", "cache"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_trace_dies_with_its_workload(self, tmp_path, jobs, cached):
-        session = SimulationSession(config(
-            workloads=self.NAMES, jobs=jobs,
-            cache_dir=str(tmp_path / "cache") if cached else None))
+        settings = dict(workloads=self.NAMES, jobs=jobs,
+                        cache_dir=str(tmp_path / "cache") if cached
+                        else None)
+        if jobs > 1 and not cached:
+            with pytest.raises(ValueError, match="jobs > 1 needs"):
+                config(**settings)
+            return
+        session = SimulationSession(config(**settings))
         watch = self.WatchesTraces()
         (alive,) = session.analyze(AnalysisSuite([watch]))
         assert alive == {name: [] for name in self.NAMES}
@@ -523,6 +577,10 @@ class TestOneTraceAtATime:
             raise AssertionError("a cacheless ensure_traced() traced")
 
         monkeypatch.setattr(worker, "trace_workload", boom)
+        if jobs > 1:
+            with pytest.raises(ValueError, match="jobs > 1 needs"):
+                config(jobs=jobs)
+            return
         cacheless = SimulationSession(config(jobs=jobs))
         with pytest.raises(ValueError, match="has none"):
             cacheless.ensure_traced()

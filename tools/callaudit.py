@@ -65,9 +65,9 @@ _SEARCH = ("search --budget 4 --max-instructions 20000"
 
 #: The production command set; ``{tmp}`` is the run's temporary
 #: directory.  Runner commands but two keep the default ``--jobs 1``,
-#: so tracing runs in this process, where the hook sees it; the pool
-#: runs (one cacheless, one cold cached) record only what the parent
-#: process calls.
+#: so tracing runs in this process, where the hook sees it; the two
+#: cold pool runs (one observed) record only what the parent process
+#: calls.
 COMMANDS = (
     "--list",
     "all %s --metrics {tmp}/cold.json --timeline" % _SWIM_GO,
@@ -103,8 +103,9 @@ COMMANDS = (
     "examples/loop_profiler.py compress",
     "examples/policy_explorer.py mgrid",
     "examples/value_prediction.py swim",
-    "table1 --workloads swim,go --max-instructions 20000 --no-cache"
-    " --jobs 2 --metrics {tmp}/pool.json",
+    "table1 --workloads swim,go --max-instructions 20000"
+    " --cache-dir {tmp}/pool-metrics-cache --jobs 2"
+    " --metrics {tmp}/pool.json",
     "table1 --workloads swim,go --max-instructions 20000"
     " --cache-dir {tmp}/pool-cache --jobs 2",
     "tools/obs_report.py {tmp}/cold.json --diff {tmp}/warm.json",
