@@ -25,13 +25,13 @@ Event kinds:
 * **points** -- timestamped samples for trajectories
   (``obs.point("search.score", 0.41, candidate=name)``).
 
-Process-pool workers cannot share the parent's collector; they run
-their own (:func:`Collector.export` is picklable) and the parent
-merges the export with :meth:`Collector.absorb` -- worker spans become
-children of the parent's current span and worker counters accumulate
-into the parent's.  Merging in a deterministic order (the session
-absorbs each pool task's export in configured workload order) keeps
-manifests deterministic modulo timing values.
+Process-pool workers cannot share the parent's collector; each pool
+task runs under its own (:func:`in_worker`) and the parent merges the
+export with :meth:`Collector.absorb` -- worker spans become children
+of the parent's current span and worker counters accumulate into the
+parent's.  Merging in a deterministic order (the session absorbs each
+pool task's export in configured workload order) keeps manifests
+deterministic modulo timing values.
 
 Collectors are single-threaded by design: every producer in this
 codebase is either the main thread or a worker *process* with a
@@ -42,7 +42,7 @@ import time
 
 __all__ = [
     "Collector", "Span", "activate", "active", "add", "deactivate",
-    "gauge", "point", "span",
+    "gauge", "in_worker", "point", "span",
 ]
 
 _ACTIVE = None
@@ -72,6 +72,20 @@ def deactivate():
     global _ACTIVE
     collector, _ACTIVE = _ACTIVE, None
     return collector
+
+
+def in_worker(observe, task, *args):
+    """Run pool task ``task(*args)``, under a worker-local collector
+    when *observe*; returns ``(result, events)``, *events* that
+    collector's :meth:`Collector.export` or ``None``.  The collector a
+    forked worker inherits is a dead copy, and is dropped first."""
+    deactivate()
+    collector = activate(Collector()) if observe else None
+    try:
+        result = task(*args)
+    finally:
+        deactivate()
+    return result, collector.export() if observe else None
 
 
 class _NullSpan:

@@ -196,8 +196,9 @@ class SimulationSession:
         """Fill the cache with every workload it lacks; keep no trace.
         With ``config.jobs > 1`` and more than one workload missing,
         each is traced by one pool task (:func:`~repro.pipeline.worker.
-        trace_into_cache`), else inline.  Raises :class:`ValueError` on
-        a session without a cache, where the traces would only be
+        trace_into_cache`), else inline.  Fills nothing when the cache
+        directory cannot be created, and raises :class:`ValueError` on
+        a session without a cache: either way the traces would only be
         discarded."""
         if self._cache is None:
             raise ValueError("ensure_traced() fills the trace cache; "
@@ -208,6 +209,10 @@ class SimulationSession:
                 self._mark(name, cached=True)
             else:
                 missing.append(name)
+        try:
+            os.makedirs(self.config.cache_dir, exist_ok=True)
+        except OSError:
+            return
         if self.config.jobs <= 1 or len(missing) < 2:
             for name in missing:
                 self._trace_now(name)

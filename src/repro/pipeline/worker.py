@@ -47,17 +47,10 @@ def trace_into_cache(name, scale, max_instructions, cache_dir,
     """Pool task: trace workload *name* into the cache under
     *cache_dir*.  Returns ``(name, events)``: *events* is ``None``, or
     with ``observe=True`` (the parent session has an active obs
-    collector) the :meth:`~repro.obs.collector.Collector.export` of a
-    worker-local collector the tracing ran under, for the parent to
-    :meth:`~repro.obs.collector.Collector.absorb`."""
-    # Under the fork start method the child inherits the parent's
-    # active collector; it is a dead copy here -- drop it, and observe
-    # through a worker-local one when the parent does.
-    obs.deactivate()
-    collector = obs.activate(obs.Collector()) if observe else None
-    try:
+    collector) the export of the worker-local collector the tracing
+    ran under (:func:`~repro.obs.collector.in_worker`)."""
+    def trace():
         with obs.span("trace", workload=name, mode="pool"):
             trace_workload(name, scale, max_instructions, cache_dir)
-    finally:
-        obs.deactivate()
-    return name, collector.export() if observe else None
+
+    return name, obs.in_worker(observe, trace)[1]

@@ -10,10 +10,12 @@ cells through the sweep orchestrator's own per-workload worker
 and derived store included.  The search is therefore a new *front end*
 on the PR 1-7 machinery, not a parallel evaluation stack: a candidate
 the store has seen (in a previous search, a sweep, or a direct run
-whose keys overlap) costs zero simulation work.  Once the candidate's
-cells are committed (or its evaluation raised) it leaves the registry
-again, compiled program included, so a search holds one candidate's
-program at a time however large its budget.
+whose keys overlap) costs zero simulation work, and one whose workload
+cannot be traced or indexed fails as sweep cells do (``failed`` rows,
+retried on resubmission).  Once the candidate's cells are committed
+(or its evaluation raised) it leaves the registry again, compiled
+program included, so a search holds one candidate's program at a time
+however large its budget.
 
 Every candidate is priced into one uniform metrics bundle
 (:class:`CandidateMetrics`): loop statistics + coverage, and one
@@ -25,6 +27,7 @@ so cells are shared across objectives too.
 import json
 
 from repro.sweep.spec import KIND_LOOPSTATS, add_workload_cells
+from repro.sweep.store import CELL_FIELDS
 
 #: The two timing legs every policy is simulated under.
 LEG_IDEAL = "ideal"
@@ -115,100 +118,79 @@ def candidate_cells(name, settings):
     return cells
 
 
-def _row_facts(status, tpc, speedup, hit_ratio, overhead_cycles,
-               detail, error):
-    return {"status": status, "tpc": tpc, "speedup": speedup,
-            "hit_ratio": hit_ratio, "overhead_cycles": overhead_cycles,
-            "detail": detail, "error": error}
-
-
 class CandidatePlan:
     """The parent-side half of one evaluation: the candidate's cell
-    list, the facts the store already held, and the cells still to
+    list, the rows the store already held, and the cells still to
     compute.
 
     :func:`plan_candidate` builds it, :func:`evaluate_candidate`
     computes ``missing`` through :func:`~repro.sweep.orchestrator.
-    run_workload_cells`, and :func:`finish_candidate` merges the rows
-    back, commits them, and assembles the :class:`EvalOutcome` --
-    keeping the store I/O apart from the simulation work.
+    run_workload_cells`, and :func:`finish_candidate` commits the
+    fresh rows and assembles the :class:`EvalOutcome` -- keeping the
+    store I/O apart from the simulation work.
     """
 
-    __slots__ = ("name", "cells", "keys", "facts", "missing",
-                 "restored")
+    __slots__ = ("name", "cells", "keys", "rows", "missing")
 
-    def __init__(self, name, cells, facts, missing, restored):
+    def __init__(self, name, cells, rows, missing):
         self.name = name
         self.cells = cells
         self.keys = [cell.key for cell in cells]
-        self.facts = facts
+        self.rows = rows
         self.missing = missing
-        self.restored = restored
 
 
 def plan_candidate(name, settings, store=None):
     """Expand candidate *name* into cells and restore what *store*
-    already holds; returns a :class:`CandidatePlan`."""
+    already holds; returns a :class:`CandidatePlan`, its ``rows``
+    keyed by cell key in the worker's row form."""
     cells = candidate_cells(name, settings)
-    keys = [cell.key for cell in cells]
-    done = store.done_keys(keys) if store is not None else set()
-    facts = {}
+    done = (store.done_keys([cell.key for cell in cells])
+            if store is not None else set())
+    rows = {}
     if done:
         for row in store.get_cells(cell_keys=sorted(done)):
-            facts[row.cell_key] = _row_facts(
-                row.status, row.tpc, row.speedup, row.hit_ratio,
-                row.overhead_cycles, row.detail, row.error)
+            rows[row.cell_key] = {f: getattr(row, f) for f in CELL_FIELDS}
     missing = [cell for cell in cells if cell.key not in done]
-    return CandidatePlan(name, cells, facts, missing, len(done))
+    return CandidatePlan(name, cells, rows, missing)
 
 
 def finish_candidate(plan, rows, store=None, sweep=None):
-    """Merge the computed *rows* of ``plan.missing`` into the plan's
-    facts, commit them -- with the plan's cells as members of the
-    *sweep* spec, when one is given, in the same transaction -- and
-    price the metrics bundle; returns the :class:`EvalOutcome`."""
-    from repro.analysis.passes import loopstats_from_state
-    from repro.sweep.orchestrator import base_row
-
-    name = plan.name
-    facts = plan.facts
-    by_key = {cell.key: cell for cell in plan.cells}
-    stored = []
-    for partial in rows:
-        base = base_row(by_key[partial["cell_key"]])
-        base.update(partial)
-        stored.append(base)
-        facts[partial["cell_key"]] = _row_facts(
-            partial["status"], partial["tpc"], partial["speedup"],
-            partial["hit_ratio"], partial["overhead_cycles"],
-            partial["detail"], partial["error"])
+    """Commit the fresh *rows* of ``plan.missing`` -- with the plan's
+    cells as members of the *sweep* spec, when one is given, in the
+    same transaction -- and price the metrics bundle from them and the
+    restored rows; returns the :class:`EvalOutcome`."""
     if store is not None:
-        store.put_cells(stored, sweep=None if sweep is None
+        store.put_cells(rows, sweep=None if sweep is None
                         else (sweep, plan.keys))
+    by_key = dict(plan.rows)
+    by_key.update((row["cell_key"], row) for row in rows)
+    metrics, error = _priced(plan.name, plan.cells, by_key)
+    return EvalOutcome(plan.name, metrics, len(plan.missing),
+                       len(plan.cells) - len(plan.missing), error,
+                       plan.keys)
 
-    failed = [key for key in plan.keys
-              if facts.get(key, {}).get("status") != "done"]
-    if failed:
-        first = facts.get(failed[0], {})
-        return EvalOutcome(name, None, len(plan.missing),
-                           plan.restored,
-                           first.get("error") or "cell missing",
-                           plan.keys)
 
+def _priced(name, cells, rows):
+    """``(CandidateMetrics, None)`` from the *rows* (by cell key) of
+    candidate *name*'s *cells*, or ``(None, error)``."""
+    from repro.analysis.passes import loopstats_from_state
+
+    for cell in cells:
+        row = rows.get(cell.key)
+        if row is None or row["status"] != "done":
+            return None, row["error"] if row else "cell missing"
     sims = {}
-    for cell in plan.cells:
-        fact = facts[cell.key]
+    for cell in cells:
+        row = rows[cell.key]
         if cell.kind == KIND_LOOPSTATS:
             try:
                 stats, coverage = loopstats_from_state(
-                    json.loads(fact["detail"]))
+                    json.loads(row["detail"]))
             except (KeyError, TypeError, ValueError):
-                return EvalOutcome(name, None, len(plan.missing),
-                                   plan.restored,
-                                   "unreadable loopstats cell",
-                                   plan.keys)
+                return None, "unreadable loopstats cell"
         else:
-            value = {f: fact[f] for f in SIM_FIELDS}
+            value = {f: row[f] for f in SIM_FIELDS}
             if cell.timing == "ideal":
                 # An overhead timing that collapses onto the ideal
                 # machine has no cell of its own: both legs alias.
@@ -216,10 +198,8 @@ def finish_candidate(plan, rows, store=None, sweep=None):
                 sims.setdefault((cell.policy, LEG_OVERHEAD), value)
             else:
                 sims[(cell.policy, LEG_OVERHEAD)] = value
-    metrics = CandidateMetrics(name, coverage, stats.total_instructions,
-                               sims)
-    return EvalOutcome(name, metrics, len(plan.missing),
-                       plan.restored, None, plan.keys)
+    return CandidateMetrics(name, coverage, stats.total_instructions,
+                            sims), None
 
 
 def evaluate_candidate(profile, gen_seed, settings, store=None,
@@ -237,18 +217,13 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
     way).  The candidate's workload is registered only inside this
     call (:func:`~repro.workloads.base.scoped_registry`).
     """
-    from repro.sweep.orchestrator import cell_descriptor, \
-        run_workload_cells
+    from repro.sweep.orchestrator import run_workload_cells
     from repro.workloads.base import scoped_registry
     from repro.workloads.synthetic import ensure_profile_workload
 
     with scoped_registry():
         name = ensure_profile_workload(profile, gen_seed)
         plan = plan_candidate(name, settings, store)
-        rows = []
-        if plan.missing:
-            _, rows = run_workload_cells(
-                name, settings.scale, settings.max_instructions,
-                settings.cls_capacity, cache_dir,
-                [cell_descriptor(cell) for cell in plan.missing])
+        rows = (run_workload_cells(plan.missing, cache_dir)
+                if plan.missing else [])
         return finish_candidate(plan, rows, store, sweep)

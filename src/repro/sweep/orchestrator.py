@@ -5,14 +5,17 @@ content-keyed cells, asks the store which are already done, and shards
 only the missing ones across a process pool -- grouped by workload, so
 each worker performs one index build per workload (served from the
 trace cache when warm) however many cells that workload contributes.
-Completed groups are checkpointed into the store *as they stream in*
-(one committed transaction each), which is the whole resume story:
+A worker (:func:`run_workload_cells`) returns each cell's finished
+store row, and completed groups are checkpointed into the store
+unchanged *as they stream in* (one committed transaction each), which
+is the whole resume story:
 
 * interrupt mid-sweep, rerun the same spec, and only the cells missing
   from the store execute (a completed sweep reruns as 0 cells);
 * a cell that raises is recorded as a ``failed`` row -- with the error
-  message -- and the sweep carries on; failed rows are retried on the
-  next submission;
+  message -- and the sweep carries on; so is every cell of a workload
+  whose tracing or index build raises, or whose pool task died.
+  Failed rows are retried on the next submission;
 * ``KeyboardInterrupt`` drains any already-finished worker results
   into the store before propagating, so Ctrl-C loses at most the
   groups still executing.
@@ -30,6 +33,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
 from repro.analysis.base import Analysis
 from repro.obs import collector as obs
 from repro.sweep.spec import KIND_LOOPSTATS, KIND_SIM, expand_cells
+from repro.sweep.store import CELL_FIELDS
 
 
 class SweepRunStats:
@@ -47,22 +51,18 @@ class SweepRunStats:
         self.checkpoints = 0        #: store commits performed
 
 
-def cell_descriptor(cell):
-    """The picklable ``(key, kind, timing, policy, tus)`` tuple a
-    worker needs to execute one cell (:func:`run_workload_cells`)."""
-    return (cell.key, cell.kind, cell.timing, cell.policy, cell.tus)
+def _row(cell, status="done", **metrics):
+    """*cell*'s store row, a :data:`~repro.sweep.store.CELL_FIELDS`
+    dict; a cell's coordinates share the column names."""
+    row = {field: getattr(cell, field, None) for field in CELL_FIELDS}
+    row.update(metrics, cell_key=cell.key, status=status)
+    return row
 
 
-def base_row(cell):
-    """The store columns a cell fixes before it runs; a worker's
-    result row completes them."""
-    return {
-        "cell_key": cell.key, "trace_key": cell.trace_key,
-        "workload": cell.workload, "scale": cell.scale,
-        "max_instructions": cell.max_instructions,
-        "cls_capacity": cell.cls_capacity, "kind": cell.kind,
-        "timing": cell.timing, "policy": cell.policy, "tus": cell.tus,
-    }
+def _failed_row(cell, exc):
+    """*cell*'s ``failed`` row, naming the exception *exc*."""
+    return _row(cell, "failed",
+                error="%s: %s" % (type(exc).__name__, exc))
 
 
 def _attempt(compute):
@@ -80,11 +80,12 @@ class _CellsPass(Analysis):
     :class:`~repro.core.speculation.metrics.SpeculationResult`, or the
     ``(LoopStatistics, coverage)`` pair -- or to the exception
     computing it raised.  Every value comes from the per-workload memo,
-    so derived-store hits cost no index build.
+    so derived-store hits cost no index build.  An index build that
+    raises propagates, failing every cell of the workload.
     """
 
-    def __init__(self, descriptors):
-        self.descriptors = descriptors
+    def __init__(self, cells):
+        self.cells = cells
         self.outcomes = {}
 
     def finish(self, ctx):
@@ -95,75 +96,77 @@ class _CellsPass(Analysis):
 
         def simulated(cells):
             return shared_simulate_many(
-                ctx, [(tus, policy, timing)
-                      for _, _, timing, policy, tus in cells])
+                ctx, [(cell.tus, cell.policy, cell.timing)
+                      for cell in cells])
 
-        sims = [cell for cell in self.descriptors if cell[1] == KIND_SIM]
+        sims = [cell for cell in self.cells if cell.kind == KIND_SIM]
         try:
-            outcomes.update(zip([cell[0] for cell in sims],
+            outcomes.update(zip([cell.key for cell in sims],
                                 simulated(sims)))
         except Exception:
-            # An index build that raises fails the whole workload (the
-            # caller records that); anything else is retried one cell
-            # at a time, so only a bad cell fails.
+            # An index build that raises fails the whole workload;
+            # anything else is retried one cell at a time, so only a
+            # bad cell fails.
             ctx.index
             for cell in sims:
-                outcomes[cell[0]] = _attempt(
+                outcomes[cell.key] = _attempt(
                     lambda: simulated([cell])[0])
-        for key, kind, _, _, _ in self.descriptors:
-            if kind == KIND_LOOPSTATS:
-                outcomes[key] = _attempt(
+        for cell in self.cells:
+            if cell.kind == KIND_LOOPSTATS:
+                outcomes[cell.key] = _attempt(
                     lambda: shared_loop_statistics(ctx))
-            elif kind != KIND_SIM:
-                outcomes[key] = ValueError("unknown cell kind %r" % kind)
+            elif cell.kind != KIND_SIM:
+                outcomes[cell.key] = ValueError(
+                    "unknown cell kind %r" % cell.kind)
 
     def result(self):
         return self.outcomes
 
 
-def run_workload_cells(name, scale, max_instructions, cls_capacity,
-                       cache_dir, descriptors):
-    """Execute every cell of one workload; returns result row dicts.
+def run_workload_cells(cells, cache_dir):
+    """Execute *cells*, all of one workload; returns their store rows.
 
-    Module-level so the process pool can pickle it.  The cells are one
-    pass of a single-workload :meth:`~repro.pipeline.session.
-    SimulationSession.analyze`: each is restored from the derived store
-    (when *cache_dir* is set), and only if some cell misses is the loop
-    index built, once, with the missing simulations priced in one fused
-    :func:`~repro.core.speculation.grid.simulate_grid` call and
-    persisted.  A cell that raises becomes a ``failed`` row; an index
-    build that raises fails every cell of the workload (the caller
-    records that).
+    Module-level so the process pool can pickle it.  The session
+    coordinates come from the cells, and the cells are one pass of a
+    single-workload :meth:`~repro.pipeline.session.SimulationSession.
+    analyze`: each is restored from the derived store (when
+    *cache_dir* is set), and only if some cell misses is the loop
+    index built, once, with the missing simulations priced in one
+    fused :func:`~repro.core.speculation.grid.simulate_grid` call and
+    persisted.  Every cell gets one complete
+    :data:`~repro.sweep.store.CELL_FIELDS` row, in *cells* order: a
+    cell that raises gets a ``failed`` row, and so does every cell
+    when a per-workload stage (tracing, the index build) raises.
     """
     from repro.analysis import AnalysisSuite
     from repro.analysis.passes import loopstats_state
     from repro.pipeline import PipelineConfig, SimulationSession
 
-    cells = _CellsPass(descriptors)
-    SimulationSession(PipelineConfig(
-        workloads=(name,), scale=scale,
-        max_instructions=max_instructions, cls_capacity=cls_capacity,
-        cache_dir=cache_dir)).analyze(AnalysisSuite([cells]))
+    first = cells[0]
+    priced = _CellsPass(cells)
+    try:
+        SimulationSession(PipelineConfig(
+            workloads=(first.workload,), scale=first.scale,
+            max_instructions=first.max_instructions,
+            cls_capacity=first.cls_capacity,
+            cache_dir=cache_dir)).analyze(AnalysisSuite([priced]))
+    except Exception as exc:
+        return [_failed_row(cell, exc) for cell in cells]
     rows = []
-    for key, kind, _, _, _ in descriptors:
-        row = {"cell_key": key, "status": "done", "error": None,
-               "tpc": None, "hit_ratio": None, "speedup": None,
-               "overhead_cycles": None, "detail": None}
-        value = cells.outcomes[key]
+    for cell in cells:
+        value = priced.outcomes[cell.key]
         if isinstance(value, Exception):
-            row["status"] = "failed"
-            row["error"] = "%s: %s" % (type(value).__name__, value)
-        elif kind == KIND_SIM:
-            row.update(
-                tpc=value.tpc, hit_ratio=value.hit_ratio,
+            rows.append(_failed_row(cell, value))
+        elif cell.kind == KIND_SIM:
+            rows.append(_row(
+                cell, tpc=value.tpc, hit_ratio=value.hit_ratio,
                 speedup=value.speedup_bound,
                 overhead_cycles=value.overhead_cycles,
-                detail=json.dumps(value.state(), sort_keys=True))
+                detail=json.dumps(value.state(), sort_keys=True)))
         else:
-            row["detail"] = json.dumps(loopstats_state(value),
-                                       sort_keys=True)
-        rows.append(row)
-    return name, rows
+            rows.append(_row(cell, detail=json.dumps(
+                loopstats_state(value), sort_keys=True)))
+    return rows
 
 
 def run_sweep(spec, store, jobs=1, cache_dir=None, progress=None,
@@ -181,7 +184,9 @@ def run_sweep(spec, store, jobs=1, cache_dir=None, progress=None,
     interrupt loses at most the groups still in flight.
 
     With an obs collector active the whole run is a ``sweep`` span,
-    each store commit a ``sweep.checkpoint`` child span, and the run's
+    each store commit a ``sweep.checkpoint`` child span -- holding, in
+    a pooled run, the events of the task whose rows it commits
+    (:func:`~repro.obs.collector.in_worker`) -- and the run's
     plan/skip/execute/fail/checkpoint tallies land in the
     ``sweep.cells_*`` / ``sweep.checkpoints`` counters.
     """
@@ -210,66 +215,31 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run):
     # Shard by workload: one task per workload keeps the expensive part
     # (index build) amortized across that workload's whole cell set.
     groups = {}
-    order = []
     for cell in missing:
-        if cell.workload not in groups:
-            groups[cell.workload] = []
-            order.append(cell.workload)
-        groups[cell.workload].append(cell)
-    by_cell = {c.key: c for c in missing}
+        groups.setdefault(cell.workload, []).append(cell)
 
-    def commit(name, rows):
+    def commit(name, rows, events=None):
         with obs.span("sweep.checkpoint", workload=name, rows=len(rows)):
+            if events:
+                obs.active().absorb(events, workload=name)
             store.put_cells(rows)
+        failed = sum(row["status"] != "done" for row in rows)
+        stats.failed += failed
+        stats.executed += len(rows) - failed
         stats.checkpoints += 1
         if progress is not None:
             progress(name, stats.executed + stats.failed, len(missing))
 
-    def absorb(name, result_rows):
-        rows = []
-        for partial in result_rows:
-            row = base_row(by_cell[partial["cell_key"]])
-            row.update(partial)
-            rows.append(row)
-            if partial["status"] == "failed":
-                stats.failed += 1
-            else:
-                stats.executed += 1
-        commit(name, rows)
-
-    def task_args(name):
-        return (name, spec.scale, spec.max_instructions,
-                spec.cls_capacity, cache_dir,
-                [cell_descriptor(c) for c in groups[name]])
-
-    def fail_group(name, exc):
-        rows = []
-        for cell in groups[name]:
-            row = base_row(cell)
-            row.update(status="failed", tpc=None, hit_ratio=None,
-                       speedup=None, overhead_cycles=None, detail=None,
-                       error="%s: %s" % (type(exc).__name__, exc))
-            rows.append(row)
-            stats.failed += 1
-        commit(name, rows)
-
-    if jobs <= 1 or len(order) <= 1:
-        for name in order:
-            try:
-                _, rows = run_workload_cells(*task_args(name))
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                # Index build (or another per-workload stage) died:
-                # record every cell of the group as failed.
-                fail_group(name, exc)
-            else:
-                absorb(name, rows)
+    if jobs <= 1 or len(groups) <= 1:
+        for name, group in groups.items():
+            commit(name, run_workload_cells(group, cache_dir))
         return stats
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(order))) as pool:
-        futures = {pool.submit(run_workload_cells, *task_args(name)):
-                   name for name in order}
+    observe = obs.active() is not None
+    with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+        futures = {pool.submit(obs.in_worker, observe, run_workload_cells,
+                               group, cache_dir): name
+                   for name, group in groups.items()}
         pending = set(futures)
         try:
             while pending:
@@ -278,24 +248,21 @@ def _run_sweep(spec, store, jobs, cache_dir, progress, dry_run):
                 for future in finished:
                     name = futures[future]
                     try:
-                        _, rows = future.result()
+                        rows, events = future.result()
                     except Exception as exc:
-                        fail_group(name, exc)
-                    else:
-                        absorb(name, rows)
+                        # The task itself died (a broken pool).
+                        rows, events = [_failed_row(cell, exc)
+                                        for cell in groups[name]], None
+                    commit(name, rows, events)
         except KeyboardInterrupt:
             # Flush whatever already finished, then propagate; the
             # CLI turns this into exit code 130.
             for future in pending:
                 future.cancel()
-            for future in [f for f in pending if f.done()
-                           and not f.cancelled()]:
-                name = futures[future]
-                try:
-                    _, rows = future.result()
-                except Exception:
-                    continue
-                absorb(name, rows)
+            for future in pending:
+                if future.done() and not future.cancelled() \
+                        and future.exception() is None:
+                    commit(futures[future], *future.result())
             pool.shutdown(wait=False, cancel_futures=True)
             raise
     return stats

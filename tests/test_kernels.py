@@ -2,8 +2,8 @@
 
 Batch fast-path boundary cases (empty/single-record batches, loop
 boundaries mid-batch, loops spanning chunk seams), the derived-results
-store, result-state round trips, idempotent table replay, the
-zero-copy v3 reader, and trace payloads from pool workers.
+store, result-state round trips, idempotent table replay, and the
+zero-copy v3 reader.
 """
 
 import json
@@ -17,8 +17,7 @@ from repro.core.branchpred import BimodalPredictor, \
 from repro.core.cls import CurrentLoopStack
 from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
-from repro.trace import RecordBatch, dump_cf_trace, kernels, \
-    open_cf_batches
+from repro.trace import dump_cf_trace, kernels, open_cf_batches
 
 from assembler import assemble
 from records import batch_of, dumps, iter_records, loads, slice_batch
@@ -478,30 +477,3 @@ class TestPathReads:
         header, batches = open_cf_batches(path)
         with pytest.raises(ValueError, match="trailing"):
             list(batches)
-
-
-# ---------------------------------------------------------------------------
-# Pool worker payloads.
-# ---------------------------------------------------------------------------
-
-class TestSharedMemoryPayload:
-    def test_shared_payload_round_trips_and_unlinks(self):
-        """A trace shipped back from a real pool process equals the
-        inline one, and the transport leaves no shared-memory segment."""
-        from concurrent.futures import ProcessPoolExecutor
-        from repro.pipeline import worker
-
-        def shm_entries():
-            return set(os.listdir("/dev/shm")) \
-                if os.path.isdir("/dev/shm") else set()
-
-        before = shm_entries()
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            name, trace = pool.submit(
-                worker.trace_workload, "swim", 1, 5_000, None).result()
-        assert name == "swim"
-        _, ref = worker.trace_workload("swim", 1, 5_000, None)
-        assert trace.header == ref.header
-        assert all(isinstance(b, RecordBatch) for b in trace.batches)
-        assert list(iter_records(trace)) == list(iter_records(ref))
-        assert shm_entries() <= before

@@ -693,6 +693,43 @@ class TestSweepMetricsCLI:
         assert resumed["sweep.cells_resumed"] == planned
         assert resumed["sweep.cells_executed"] == 0
 
+    def test_pooled_manifest_counts_the_workers(self, tmp_path,
+                                                capsys):
+        """A ``--jobs 2`` sweep's manifest holds what its pool tasks
+        did: the ``derived.*``, ``engine.*`` and ``replay.*`` counters
+        of ``--jobs 1``, and the worker spans under the checkpoint
+        span of their workload."""
+        def manifest(jobs):
+            run = str(tmp_path / ("jobs%d" % jobs))
+            args = ["sweep", "sensitivity", "--workloads", "swim,go",
+                    "--max-instructions", "5000", "--spawn-cost", "0,8",
+                    "--tus", "2,4", "--store", run + "/store",
+                    "--cache-dir", run + "/cache", "--jobs", str(jobs),
+                    "--metrics", run + "/sweep.json"]
+            assert runner_main(args) == 0
+            capsys.readouterr()
+            return load_manifest(run + "/sweep.json")
+
+        def worker_counters(loaded):
+            return {name: value
+                    for name, value in loaded["counters"].items()
+                    if name.split(".")[0] in ("derived", "engine",
+                                              "replay")}
+
+        serial, pooled = manifest(1), manifest(2)
+        assert worker_counters(serial)["derived.misses"] == 24
+        assert worker_counters(pooled) == worker_counters(serial)
+        spans = {span["id"]: span for span in pooled["spans"]}
+        finishes = [span for span in spans.values()
+                    if span["name"] == "finish"]
+        assert sorted(s["attrs"]["workload"] for s in finishes) \
+            == ["go", "swim"]
+        for span in finishes:
+            parent = spans[span["parent"]]
+            assert parent["name"] == "sweep.checkpoint"
+            assert parent["attrs"]["workload"] \
+                == span["attrs"]["workload"]
+
     def test_progress_line_only_on_tty(self, tmp_path, capsys,
                                        monkeypatch):
         store = str(tmp_path / "store")

@@ -115,9 +115,11 @@ class TestParallelEqualsSequential:
 
     def test_unwritable_cache_traces_each_workload_once(self, tmp_path):
         """A pooled run whose cache cannot be written (``cache_dir`` is
-        a regular file) traces again inline at each workload's turn:
-        the same results, and each workload one ``traced``."""
+        a regular file) fans out nothing and traces inline at each
+        workload's turn: the same results, and each workload one
+        ``traced`` and one ``trace`` span."""
         from repro.experiments.runner import build_suite
+        from repro.obs import collector as obs
 
         blocked = tmp_path / "blocked"
         blocked.write_text("not a directory")
@@ -130,10 +132,18 @@ class TestParallelEqualsSequential:
                                     else [result])]
             return tables, session.stats
 
-        pooled, stats = rendered(jobs=2, cache_dir=str(blocked))
+        collector = obs.activate(obs.Collector())
+        try:
+            pooled, stats = rendered(jobs=2, cache_dir=str(blocked))
+        finally:
+            obs.deactivate()
         serial, _ = rendered()
         assert pooled == serial
         assert (stats.traced, stats.cache_hits) == (len(WORKLOADS), 0)
+        traced = [span["attrs"] for span in collector.spans
+                  if span["name"] == "trace"]
+        assert traced == [{"workload": name, "mode": "inline"}
+                          for name in WORKLOADS]
         assert blocked.read_text() == "not a directory"
 
 

@@ -271,6 +271,51 @@ class TestSearchLoop:
         assert stats.failures == stats.evaluated > 0
 
 
+    def test_failed_index_build_is_a_failed_candidate(
+            self, tmp_path, monkeypatch):
+        """A candidate whose index build raises does not abort the
+        search: it counts as a failure, its rows are stored
+        ``failed``, and a resubmitted search retries it."""
+        from repro.core.detector import LoopDetector
+
+        real = LoopDetector.run_batches
+        broken = [True]
+        outcomes = []
+
+        def run_batches(self, *args, **kwargs):
+            if broken:
+                raise RuntimeError("index died")
+            return real(self, *args, **kwargs)
+
+        def record(index, outcome, score):
+            outcomes.append(outcome)
+            broken.clear()      # only the first candidate fails
+
+        monkeypatch.setattr(LoopDetector, "run_batches", run_batches)
+        spec = SearchSpec(**dict(TINY, budget=3))
+        cache = str(tmp_path / "cache")
+        with make_store(tmp_path) as store:
+            _, stats = run_search(spec, store=store, cache_dir=cache,
+                                  progress=record)
+            first = outcomes[0]
+            assert stats.failures == 1 and stats.evaluated > 1
+            assert first.metrics is None
+            assert first.error == "RuntimeError: index died"
+            failed = store.get_cells(status="failed")
+            assert sorted(r.cell_key for r in failed) \
+                == sorted(first.cell_keys)
+            assert all(r.error == first.error for r in failed)
+
+            del outcomes[:]
+            _, again = run_search(spec, store=store, cache_dir=cache,
+                                  progress=record)
+            assert again.failures == 0
+            assert outcomes[0].name == first.name
+            assert outcomes[0].executed == len(first.cell_keys)
+            assert outcomes[0].metrics is not None
+            assert store.get_cells(status="failed") == []
+
+
 class _CountingConnection:
     """A sqlite connection that counts its commits and rollbacks."""
 

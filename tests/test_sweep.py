@@ -19,7 +19,7 @@ from repro.experiments.runner import main as runner_main
 from repro.sweep import SweepSpec, SweepStore, SweepStoreError, \
     expand_cells, run_sweep, sweep_report
 from repro.sweep.spec import KIND_LOOPSTATS, KIND_SIM, SWEEP_EXPERIMENTS
-from repro.sweep.store import DB_NAME, SWEEP_SCHEMA_VERSION
+from repro.sweep.store import CELL_FIELDS, DB_NAME, SWEEP_SCHEMA_VERSION
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -452,6 +452,69 @@ class TestOrchestrator:
         with make_store(tmp_path) as store:
             with pytest.raises(ValueError, match="prune the store"):
                 sweep_report(store, spec)
+
+
+class TestWorkloadCells:
+    """``run_workload_cells`` returns each cell's complete store row,
+    the form the sweep and the search commit unchanged."""
+
+    def cells(self):
+        return expand_cells(SweepSpec(**dict(GRID, workloads=("swim",))))
+
+    def assert_rows_of(self, rows, cells):
+        assert [row["cell_key"] for row in rows] == [c.key for c in cells]
+        for row, cell in zip(rows, cells):
+            assert tuple(row) == CELL_FIELDS
+            assert (row["workload"], row["kind"], row["timing"],
+                    row["policy"], row["tus"], row["max_instructions"]) \
+                == (cell.workload, cell.kind, cell.timing, cell.policy,
+                    cell.tus, cell.max_instructions)
+
+    def test_one_complete_row_per_cell(self):
+        """Done cells carry their metrics; a cell that raises (an
+        impossible TU count) is one ``failed`` row among done ones."""
+        import dataclasses
+
+        from repro.sweep.orchestrator import run_workload_cells
+
+        cells = self.cells()
+        bad = dataclasses.replace(cells[-1], key=cells[-1].key + "/bad",
+                                  tus=0)
+        cells.insert(1, bad)
+        rows = run_workload_cells(cells, None)
+        self.assert_rows_of(rows, cells)
+        assert [row["status"] for row in rows].count("failed") == 1
+        failed = rows[1]
+        assert failed["status"] == "failed"
+        assert failed["error"] == "ValueError: num_tus must be >= 1 or None"
+        assert (failed["tpc"], failed["detail"]) == (None, None)
+        for row in rows[:1] + rows[2:]:
+            assert row["status"] == "done" and row["error"] is None
+            assert json.loads(row["detail"])
+            assert (row["tpc"] is None) == (row["kind"] == KIND_LOOPSTATS)
+
+    @pytest.mark.parametrize("target", ["index", "trace"])
+    def test_workload_stage_failure_fails_every_cell(self, monkeypatch,
+                                                     target):
+        """An index build or a trace that raises gives a ``failed`` row
+        for every cell of the workload, built inside the worker."""
+        from repro.core.detector import LoopDetector
+        from repro.pipeline import worker
+        from repro.sweep.orchestrator import run_workload_cells
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("%s died" % target)
+
+        if target == "index":
+            monkeypatch.setattr(LoopDetector, "run_batches", boom)
+        else:
+            monkeypatch.setattr(worker, "trace_workload", boom)
+        cells = self.cells()
+        rows = run_workload_cells(cells, None)
+        self.assert_rows_of(rows, cells)
+        assert all(row["status"] == "failed"
+                   and row["error"] == "RuntimeError: %s died" % target
+                   and row["detail"] is None for row in rows)
 
 
 def _row_facts(store):

@@ -402,20 +402,21 @@ class TestSessionThreading:
         from repro.analysis import AnalysisSuite, SpeculationPass
         from repro.pipeline import PipelineConfig, SimulationSession
         from repro.sweep.orchestrator import run_workload_cells
-        from repro.sweep.spec import KIND_SIM
+        from repro.sweep.spec import add_workload_cells
 
         timing = "classcost:branch=5,jump=5"
-        _, rows = run_workload_cells("swim", 1, 20000, 16, None, [
-            ("ideal", KIND_SIM, "ideal", "str", 4),
-            ("costed", KIND_SIM, timing, "str", 4)])
-        tpc = {row["cell_key"]: row["tpc"] for row in rows}
+        cells = []
+        add_workload_cells(cells, set(), "swim", 1, 20000, 16, [
+            ("str", 4, "ideal", None), ("str", 4, timing, None)])
+        tpc = {row["timing"]: row["tpc"]
+               for row in run_workload_cells(cells, None)}
         session = SimulationSession(PipelineConfig(
             workloads=("swim",), max_instructions=20000, cache_dir=None,
             timing=timing))
         wide = SpeculationPass(4, "str")
         session.analyze(AnalysisSuite([wide]))
-        assert tpc["costed"] == wide.by_name["swim"].tpc
-        assert tpc["costed"] != tpc["ideal"]
+        assert tpc[timing] == wide.by_name["swim"].tpc
+        assert tpc[timing] != tpc["ideal"]
 
     def test_extensions_attach_meta(self):
         from repro.experiments.runner import build_suite
