@@ -23,10 +23,6 @@ from repro.analysis.passes import (
     shared_simulate_many,
     shared_table_sim,
 )
-from repro.analysis.registry import (
-    make_analysis,
-    register_analysis,
-)
 from repro.analysis.suite import AnalysisSuite
 
 __all__ = [
@@ -38,8 +34,6 @@ __all__ = [
     "WorkloadContext",
     "analyze_trace",
     "effective_timing",
-    "make_analysis",
-    "register_analysis",
     "shared_dataspec_stats",
     "shared_simulate",
     "shared_simulate_many",

@@ -23,8 +23,7 @@ persisted in the derived store; when all of a workload's counts are
 there, the pass reads no trace for it.
 """
 
-from repro.analysis import Analysis, register_analysis, \
-    shared_simulate, shared_table_sim
+from repro.analysis import Analysis, shared_simulate, shared_table_sim
 from repro.core.cls import CurrentLoopStack
 from repro.core.events import EV_EXEC_START, EndReason
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
@@ -50,7 +49,6 @@ def _cls_counts(counts):
     return counts
 
 
-@register_analysis("ablations")
 class AblationsAnalysis(Analysis):
     def __init__(self, sizes=REPLACEMENT_SIZES,
                  capacities=CLS_CAPACITIES, num_tus=WAITING_NUM_TUS):
@@ -188,10 +186,3 @@ class AblationsAnalysis(Analysis):
     def result(self):
         return [self.replacement_result(), self.waiting_result(),
                 self.cls_capacity_result()]
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("ablations"))

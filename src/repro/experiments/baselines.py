@@ -11,7 +11,7 @@ The two reports persist in the derived store; a workload whose reports
 are there reads no trace.
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.core.branchpred import (
     BimodalPredictor,
     BranchPredictionReport,
@@ -51,7 +51,6 @@ def _predicted(trace, name):
     return stream.reports(name)
 
 
-@register_analysis("baselines")
 class BaselinesAnalysis(Analysis):
     def __init__(self):
         self._rows = []
@@ -101,10 +100,3 @@ class BaselinesAnalysis(Analysis):
                    "highly predictable"],
             extra={"reports": self._reports},
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("baselines"))

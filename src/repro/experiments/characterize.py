@@ -22,7 +22,7 @@ e.g. table1 or figure6 to the same run re-uses the statistics and
 simulations, and a warm run restores them from the derived store).
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.analysis.passes import policy_axis, shared_loop_statistics, \
     shared_simulate_sims
 from repro.experiments.report import ExperimentResult, TimingMeta
@@ -65,7 +65,6 @@ def summarize(samples):
     )
 
 
-@register_analysis("characterize")
 class CharacterizeAnalysis(Analysis):
     """Per-workload characterization + cross-workload distributions.
 
@@ -149,10 +148,3 @@ class CharacterizeAnalysis(Analysis):
                                for k, v in self._samples.items()}},
         )
         return [per_workload, summary]
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("characterize"))

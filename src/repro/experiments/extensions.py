@@ -17,7 +17,7 @@ both experiments costs one full trace per workload, not two.
 """
 
 from repro.analysis import Analysis, effective_timing, \
-    register_analysis, shared_dataspec_stats, shared_simulate
+    shared_dataspec_stats, shared_simulate
 from repro.core.speculation import SpeculationDisableTable, simulate
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.figure8 import FULL_TRACE_LIMIT
@@ -67,7 +67,6 @@ def guarded_simulate(ctx, num_tus):
     return ctx.memo(parts, guarded_from_state, simulated, guarded_state)
 
 
-@register_analysis("extensions")
 class ExtensionsAnalysis(Analysis):
     def __init__(self, num_tus=4, full_trace_limit=FULL_TRACE_LIMIT):
         self.num_tus = num_tus
@@ -137,10 +136,3 @@ class ExtensionsAnalysis(Analysis):
 
     def result(self):
         return [self.disable_table_result(), self.sync_free_result()]
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("extensions"))

@@ -14,13 +14,12 @@ workload, built by the first walk: a run of consecutive iteration
 starts is one row, whose LIT effect has a closed form.
 """
 
-from repro.analysis import Analysis, register_analysis, shared_table_sim
+from repro.analysis import Analysis, shared_table_sim
 from repro.experiments.report import ExperimentResult
 
 TABLE_SIZES = (16, 8, 4, 2)
 
 
-@register_analysis("figure4")
 class Figure4Analysis(Analysis):
     def __init__(self, table_sizes=TABLE_SIZES):
         self.table_sizes = table_sizes
@@ -63,10 +62,3 @@ class Figure4Analysis(Analysis):
                    "LET ~92.0%"],
             extra={"per_size": per_size},
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("figure4"))

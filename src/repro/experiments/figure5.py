@@ -11,7 +11,7 @@ canonical one (:meth:`~repro.core.detector.LoopIndex.prefix`), which
 already saw every record of the prefix.
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.core.speculation import simulate_infinite
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult
@@ -28,7 +28,6 @@ def _infinite(ctx, parts, build_index):
         SpeculationResult.state)
 
 
-@register_analysis("figure5")
 class Figure5Analysis(Analysis):
     def __init__(self):
         self._rows = []
@@ -55,10 +54,3 @@ class Figure5Analysis(Analysis):
                    "like the full run justifies reduced evaluations"],
             extra={"series": self._series},
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("figure5"))

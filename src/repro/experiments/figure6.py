@@ -4,7 +4,7 @@ The paper's headline numbers: suite-average TPC of 1.65 / 2.6 / 4 / 6.2
 for 2 / 4 / 8 / 16 thread units.
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.analysis.passes import int_axis, shared_simulate_sims
 from repro.experiments.report import ExperimentResult, TimingMeta
 
@@ -14,7 +14,6 @@ TU_COUNTS = (2, 4, 8, 16)
 POLICY = "str"
 
 
-@register_analysis("figure6")
 class Figure6Analysis(Analysis):
     #: No per-workload loop statistics, only :attr:`sims`.
     loopstats = False
@@ -52,10 +51,3 @@ class Figure6Analysis(Analysis):
             extra={"results": self._results},
             meta=self._timing.as_meta(),
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("figure6"))

@@ -6,7 +6,7 @@ STR(i) favours inner loops, which matters once data dependences are
 considered -- the paper recommends STR(3)).
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.analysis.passes import int_axis, policy_axis, \
     shared_simulate_sims
 from repro.experiments.report import ExperimentResult, TimingMeta
@@ -15,7 +15,6 @@ TU_COUNTS = (2, 4, 8, 16)
 POLICIES = ("idle", "str", "str(1)", "str(2)", "str(3)")
 
 
-@register_analysis("figure7")
 class Figure7Analysis(Analysis):
     #: No per-workload loop statistics, only :attr:`sims`.
     loopstats = False
@@ -56,10 +55,3 @@ class Figure7Analysis(Analysis):
             extra={"averages": averages},
             meta=self._timing.as_meta(),
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("figure7"))

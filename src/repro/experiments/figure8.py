@@ -10,8 +10,7 @@ extensions experiment runs in the same suite, the trace is generated
 and analyzed once, not twice.
 """
 
-from repro.analysis import Analysis, register_analysis, \
-    shared_dataspec_stats
+from repro.analysis import Analysis, shared_dataspec_stats
 from repro.core.dataspec import DataSpecStats
 from repro.experiments.report import ExperimentResult
 
@@ -20,7 +19,6 @@ from repro.experiments.report import ExperimentResult
 FULL_TRACE_LIMIT = 150_000
 
 
-@register_analysis("figure8")
 class Figure8Analysis(Analysis):
     def __init__(self, full_trace_limit=FULL_TRACE_LIMIT):
         self.full_trace_limit = full_trace_limit
@@ -52,10 +50,3 @@ class Figure8Analysis(Analysis):
             ],
             extra={"per_bench": self._per_bench, "suite": self._total},
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("figure8"))

@@ -1,9 +1,9 @@
 """Experiment command-line entry point over the simulation pipeline.
 
-Every experiment is a registered streaming
-:class:`~repro.analysis.base.Analysis`; the runner composes the
-requested ones into a single :class:`~repro.analysis.suite.
-AnalysisSuite` and calls :meth:`SimulationSession.analyze
+Every experiment is a streaming :class:`~repro.analysis.base.Analysis`
+named in :data:`EXPERIMENTS`; the runner composes the requested ones
+into a single :class:`~repro.analysis.suite.AnalysisSuite` and calls
+:meth:`SimulationSession.analyze
 <repro.pipeline.session.SimulationSession.analyze>` exactly once --
 one event-stream replay per workload feeds *all* selected experiments,
 however many are requested.  Tracing still fans out across ``--jobs``
@@ -50,9 +50,8 @@ the paper's ideal machine).  ``sensitivity`` sweeps its own overhead
 models and ignores ``--timing``.
 
 ``all`` composes with explicit names (``table1 all`` runs table1 first,
-then the rest); duplicates run once.  Each experiment module is also
-directly runnable with the same flags, e.g. ``python -m
-repro.experiments.table1 --jobs 4``.
+then the rest); duplicates run once.  The runner is the only command
+line entry point; an experiment module only defines its analysis.
 """
 
 import argparse
@@ -60,25 +59,40 @@ import os
 import sys
 import time
 
-from repro.analysis import AnalysisSuite, make_analysis
+from repro.analysis import AnalysisSuite
+from repro.experiments.ablations import AblationsAnalysis
+from repro.experiments.baselines import BaselinesAnalysis
+from repro.experiments.characterize import CharacterizeAnalysis
+from repro.experiments.extensions import ExtensionsAnalysis
+from repro.experiments.figure4 import Figure4Analysis
+from repro.experiments.figure5 import Figure5Analysis
+from repro.experiments.figure6 import Figure6Analysis
+from repro.experiments.figure7 import Figure7Analysis
+from repro.experiments.figure8 import Figure8Analysis
+from repro.experiments.sensitivity import SensitivityAnalysis
+from repro.experiments.table1 import Table1Analysis
+from repro.experiments.table2 import Table2Analysis
 from repro.pipeline import PipelineConfig, SimulationSession, \
     default_cache_dir
 from repro.workloads import SUITE_ORDER, get as get_workload, \
     names as workload_names
 
-#: Paper order of the experiments (the order ``all`` runs them in).
-EXPERIMENT_ORDER = (
-    "table1",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "table2",
-    "figure8",
-    "ablations",
-    "baselines",
-    "extensions",
-)
+#: Every experiment's analysis class by name: the paper's tables and
+#: figures in paper order (what ``all`` runs), then the extras.
+EXPERIMENTS = {
+    "table1": Table1Analysis,
+    "figure4": Figure4Analysis,
+    "figure5": Figure5Analysis,
+    "figure6": Figure6Analysis,
+    "figure7": Figure7Analysis,
+    "table2": Table2Analysis,
+    "figure8": Figure8Analysis,
+    "ablations": AblationsAnalysis,
+    "baselines": BaselinesAnalysis,
+    "extensions": ExtensionsAnalysis,
+    "characterize": CharacterizeAnalysis,
+    "sensitivity": SensitivityAnalysis,
+}
 
 #: Experiments beyond the paper's tables/figures.  Selectable by name
 #: but never part of ``all`` (the characterization sweep targets
@@ -86,32 +100,15 @@ EXPERIMENT_ORDER = (
 #: the paper's idealized timing).
 EXTRA_EXPERIMENTS = ("characterize", "sensitivity")
 
+#: Paper order of the experiments (the order ``all`` runs them in).
+EXPERIMENT_ORDER = tuple(name for name in EXPERIMENTS
+                         if name not in EXTRA_EXPERIMENTS)
+
 
 def available_experiments():
-    """Name -> analysis factory for every paper experiment, in paper
-    order (the ``all`` expansion; see :func:`extra_experiments`)."""
-    # Importing the modules registers their analyses.
-    from repro.experiments import (  # noqa: F401
-        ablations,
-        baselines,
-        extensions,
-        figure4,
-        figure5,
-        figure6,
-        figure7,
-        figure8,
-        table1,
-        table2,
-    )
-    from repro.analysis.registry import _REGISTRY
-    return {name: _REGISTRY[name] for name in EXPERIMENT_ORDER}
-
-
-def extra_experiments():
-    """Name -> analysis factory for the non-paper experiments."""
-    from repro.experiments import characterize, sensitivity  # noqa: F401
-    from repro.analysis.registry import _REGISTRY
-    return {name: _REGISTRY[name] for name in EXTRA_EXPERIMENTS}
+    """Name -> analysis class for every paper experiment, in paper
+    order (the ``all`` expansion)."""
+    return {name: EXPERIMENTS[name] for name in EXPERIMENT_ORDER}
 
 
 def select_experiments(requested, available, extras=()):
@@ -136,29 +133,20 @@ def select_experiments(requested, available, extras=()):
 
 
 def build_suite(selected, overrides=None):
-    """An :class:`AnalysisSuite` with one registered pass per selected
-    experiment; returns ``(suite, {name: analysis})``.
+    """An :class:`AnalysisSuite` with one pass per selected experiment,
+    built from :data:`EXPERIMENTS`; returns ``(suite, {name:
+    analysis})``.
 
     *overrides* maps experiment names to constructor keyword arguments
     (the runner uses it to hand the sensitivity sweep its CLI-selected
     cost and TU lists).
     """
-    available_experiments()   # ensure registration
-    extra_experiments()
     suite = AnalysisSuite()
     by_name = {}
     for name in selected:
         kwargs = overrides.get(name, {}) if overrides else {}
-        by_name[name] = suite.add(make_analysis(name, **kwargs),
-                                  name=name)
+        by_name[name] = suite.add(EXPERIMENTS[name](**kwargs), name=name)
     return suite, by_name
-
-
-def experiment_main(experiment, argv=None):
-    """CLI entry point for one experiment module (``--jobs`` etc. all
-    apply); used by each module's ``main()``."""
-    return main([experiment] + list(sys.argv[1:] if argv is None
-                                    else argv))
 
 
 def _parse_workloads(spec, parser):
@@ -213,53 +201,25 @@ def _synthetic_sweep(args, selected, parser):
     return tuple(names)
 
 
-def _parse_int_list(option, spec, parser):
-    """Comma-separated non-negative integers, as for ``--spawn-cost``."""
-    try:
-        values = tuple(int(v.strip()) for v in spec.split(",")
-                       if v.strip())
-    except ValueError:
-        parser.error("%s expects comma-separated integers, got %r"
-                     % (option, spec))
-    if not values:
-        parser.error("%s selected nothing" % option)
-    return values
-
-
 def _sensitivity_overrides(args, selected, parser):
-    """Constructor kwargs for the sensitivity sweep, or ``{}``.
+    """Constructor kwargs for the sensitivity sweep, or ``{}``; its
+    flags parse as ``runner sweep sensitivity`` parses them
+    (:func:`repro.sweep.cli.axis_values`).
 
     Sweep flags given without the sensitivity experiment are rejected
     rather than silently ignored.
     """
-    flags = (("--spawn-cost", args.spawn_cost),
-             ("--tus", args.tus),
-             ("--policies", args.policies),
-             ("--squash-cost", args.squash_cost),
-             ("--promote-cost", args.promote_cost))
-    given = [name for name, value in flags if value is not None]
-    if "sensitivity" not in selected:
-        if given:
-            parser.error("%s appl%s to the sensitivity experiment only"
-                         % (", ".join(given),
-                            "ies" if len(given) == 1 else "y"))
-        return {}
-    kwargs = {}
-    if args.spawn_cost is not None:
-        kwargs["spawn_costs"] = _parse_int_list(
-            "--spawn-cost", args.spawn_cost, parser)
-    if args.tus is not None:
-        kwargs["tu_counts"] = _parse_int_list("--tus", args.tus, parser)
-    if args.policies is not None:
-        # The analysis validates them (build_suite reports the error).
-        kwargs["policies"] = tuple(p.strip()
-                                   for p in args.policies.split(",")
-                                   if p.strip())
-    if args.squash_cost is not None:
-        kwargs["squash_cost"] = args.squash_cost
-    if args.promote_cost is not None:
-        kwargs["promote_cost"] = args.promote_cost
-    return {"sensitivity": kwargs}
+    from repro.sweep.cli import AXIS_FLAGS, axis_values
+
+    if "sensitivity" in selected:
+        return {"sensitivity": axis_values(args, parser)}
+    given = [flag for flag, dest, _ in AXIS_FLAGS
+             if getattr(args, dest, None) is not None]
+    if given:
+        parser.error("%s appl%s to the sensitivity experiment only"
+                     % (", ".join(given),
+                        "ies" if len(given) == 1 else "y"))
+    return {}
 
 
 def _emit(name, results, fmt, output_dir):
@@ -384,9 +344,7 @@ def _main(argv):
 
     if args.list or not args.experiments:
         print("available experiments:")
-        for name in experiments:
-            print("  %s" % name)
-        for name in EXTRA_EXPERIMENTS:
+        for name in EXPERIMENTS:
             print("  %s" % name)
         print("available workloads:")
         for name in SUITE_ORDER:

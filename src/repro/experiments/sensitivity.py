@@ -24,7 +24,7 @@ exactly; with fixed verification-side costs the whole sweep -- the
 zero point included -- runs under those overheads.
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.analysis.passes import int_axis, policy_axis, \
     shared_simulate_sims
 from repro.experiments.report import ExperimentResult
@@ -56,7 +56,6 @@ def break_even(costs, speedups):
     return ">%d" % costs[-1]
 
 
-@register_analysis("sensitivity")
 class SensitivityAnalysis(Analysis):
     """Returns a list of two tables: TPC per swept configuration and
     break-even spawn cost per (workload, policy, TU count)."""
@@ -132,10 +131,3 @@ class SensitivityAnalysis(Analysis):
                    overhead_note],
         )
         return [tpc, even]
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("sensitivity"))

@@ -8,13 +8,12 @@ restored from the derived store, or aggregated over the completed loop
 index and shared with every other loop-statistics consumer.
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.analysis.passes import shared_loop_statistics
 from repro.core.loopstats import LoopStatistics
 from repro.experiments.report import ExperimentResult
 
 
-@register_analysis("table1")
 class Table1Analysis(Analysis):
     """Thin declarative wrapper: per-workload loop statistics,
     rendered in the paper's Table 1 shape."""
@@ -44,10 +43,3 @@ class Table1Analysis(Analysis):
             ],
             extra={"stats": self._by_name},
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("table1"))

@@ -5,7 +5,7 @@ speculation, hit ratio, instructions from speculation to verification,
 and TPC.
 """
 
-from repro.analysis import Analysis, register_analysis
+from repro.analysis import Analysis
 from repro.analysis.passes import shared_simulate_sims
 from repro.core.speculation.metrics import SpeculationResult
 from repro.experiments.report import ExperimentResult, TimingMeta
@@ -15,7 +15,6 @@ NUM_TUS = 4
 POLICY = "str(3)"
 
 
-@register_analysis("table2")
 class Table2Analysis(Analysis):
     #: No per-workload loop statistics, only :attr:`sims`.
     loopstats = False
@@ -45,10 +44,3 @@ class Table2Analysis(Analysis):
             extra={"results": self._results},
             meta=self._timing.as_meta(),
         )
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.experiments.runner import experiment_main
-    sys.exit(experiment_main("table2"))

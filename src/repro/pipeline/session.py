@@ -7,11 +7,11 @@ whose trace and index load lazily -- at most one trace walk per
 workload, none when no pass reads them, as in a warm run served by the
 derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
 
-1. with ``config.jobs > 1``, first fills the trace cache in a
-   ``ProcessPoolExecutor`` (:meth:`~SimulationSession.ensure_traced`):
-   each pool task traces one workload into the cache and hands back
-   nothing but its obs events, absorbed in the configured workload
-   order so output is deterministic regardless of completion order;
+1. with ``config.jobs > 1`` and two or more workloads missing from the
+   cache, first fills it in a ``ProcessPoolExecutor``: each pool task
+   traces one workload into the cache and hands back nothing but its
+   obs events, absorbed in the configured workload order so output is
+   deterministic regardless of completion order;
 2. then finishes every workload serially: its first touch reads the
    cache entry's header, or traces it inline (written to the
    content-keyed :class:`~repro.pipeline.cache.TraceCache` too, so a
@@ -102,14 +102,16 @@ class SimulationSession:
         pass reads the trace or index (a warm run whose results all sit
         in the derived store).
 
-        With ``config.jobs > 1`` the cache is filled in a process pool
-        first (:meth:`ensure_traced`); then a workload missing from the
-        cache is traced when its turn comes.
+        With ``config.jobs > 1`` and two or more workloads missing
+        from the cache, they are traced in a process pool first (as
+        :meth:`ensure_traced` does); a workload still missing is traced
+        when its turn comes, so a lone miss is analyzed from the fresh
+        trace rather than decoded back from the cache.
 
         Returns ``suite.results()``.
         """
         if self.config.jobs > 1:
-            self.ensure_traced()
+            self._trace_pooled()
         for workload in self._workloads:
             self._finish(workload, suite)
         return suite.results()
@@ -203,6 +205,14 @@ class SimulationSession:
         if self._cache is None:
             raise ValueError("ensure_traced() fills the trace cache; "
                              "this session has none")
+        for name in self._trace_pooled():
+            self._trace_now(name)
+
+    def _trace_pooled(self):
+        """With ``config.jobs > 1`` and more than one workload missing
+        from the cache, trace each in one pool task.  Returns the names
+        left to trace inline: none when the cache directory cannot be
+        created, since the cache could not keep them."""
         missing = []
         for name in self._by_name:
             if self._cache.has(*self._entry(name)):
@@ -212,11 +222,9 @@ class SimulationSession:
         try:
             os.makedirs(self.config.cache_dir, exist_ok=True)
         except OSError:
-            return
+            return []
         if self.config.jobs <= 1 or len(missing) < 2:
-            for name in missing:
-                self._trace_now(name)
-            return
+            return missing
         collector = obs.active()
         with ProcessPoolExecutor(
                 max_workers=min(self.config.jobs, len(missing))) as pool:
@@ -235,6 +243,7 @@ class SimulationSession:
                 self._mark(name, cached=False)
                 if events:
                     collector.absorb(events, workload=name)
+        return []
 
     # -- internals -----------------------------------------------------------
 

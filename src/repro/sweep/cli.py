@@ -40,8 +40,22 @@ def _parse_names(option, spec, parser):
     return names
 
 
-#: Grid flags: ``(flag, argparse dest, spec axis)``.
-_AXIS_FLAGS = (
+def _parse_int_list(option, spec, parser):
+    """Comma-separated non-negative integers, as for ``--spawn-cost``."""
+    try:
+        values = tuple(int(v.strip()) for v in spec.split(",")
+                       if v.strip())
+    except ValueError:
+        parser.error("%s expects comma-separated integers, got %r"
+                     % (option, spec))
+    if not values:
+        parser.error("%s selected nothing" % option)
+    return values
+
+
+#: Grid flags: ``(flag, argparse dest, spec axis)``.  The direct
+#: runner's sensitivity flags are the sensitivity axes' rows.
+AXIS_FLAGS = (
     ("--spawn-cost", "spawn_cost", "spawn_costs"),
     ("--squash-cost", "squash_cost", "squash_cost"),
     ("--promote-cost", "promote_cost", "promote_cost"),
@@ -51,18 +65,34 @@ _AXIS_FLAGS = (
 )
 
 
+def axis_values(args, parser):
+    """``axis -> value`` of every :data:`AXIS_FLAGS` flag set in *args*,
+    parsed from its command-line text."""
+    values = {}
+    for flag, dest, axis in AXIS_FLAGS:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if axis == "policies":
+            value = _parse_names(flag, value, parser)
+        elif axis in ("spawn_costs", "tu_counts"):
+            value = _parse_int_list(flag, value, parser)
+        values[axis] = value
+    return values
+
+
 def _build_spec(args, parser):
-    """The spec for this submission; workloads and integer lists follow
-    the direct runner's rules, and axes no flag sets take the
-    experiment's own defaults, so a sweep and its direct run agree."""
-    from repro.experiments.runner import _parse_int_list, \
-        _parse_workloads, _synthetic_sweep
+    """The spec for this submission; workloads follow the direct
+    runner's rules, and axes no flag sets take the experiment's own
+    defaults, so a sweep and its direct run agree."""
+    from repro.experiments.runner import _parse_workloads, \
+        _synthetic_sweep
     from repro.workloads import SUITE_ORDER
 
     experiment = args.experiment
     axes = EXPERIMENT_AXES[experiment]
     misplaced = {}
-    for flag, dest, axis in _AXIS_FLAGS:
+    for flag, dest, axis in AXIS_FLAGS:
         if getattr(args, dest) is not None and axis not in axes:
             owners = "/".join(name for name in SWEEP_EXPERIMENTS
                               if axis in EXPERIMENT_AXES[name])
@@ -77,15 +107,7 @@ def _build_spec(args, parser):
         workloads = (tuple(SUITE_ORDER) if args.workloads is None
                      else _parse_workloads(args.workloads, parser))
     values = default_axes(experiment)
-    for flag, dest, axis in _AXIS_FLAGS:
-        value = getattr(args, dest)
-        if value is None:
-            continue
-        if axis == "policies":
-            value = _parse_names(flag, value, parser)
-        elif axis in ("spawn_costs", "tu_counts"):
-            value = _parse_int_list(flag, value, parser)
-        values[axis] = value
+    values.update(axis_values(args, parser))
     try:
         return SweepSpec(experiment=experiment, workloads=workloads,
                          scale=args.scale,
@@ -221,7 +243,7 @@ def sweep_main(argv=None):
 
 def query_main(argv=None):
     """Entry point of ``runner query ...``."""
-    from repro.experiments.runner import _emit, _parse_int_list
+    from repro.experiments.runner import _emit
     from repro.sweep.query import GROUP_KEYS, cell_listing, \
         grouped_listing, sweep_overview, sweep_report
 

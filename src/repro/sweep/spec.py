@@ -8,7 +8,7 @@ same rules the direct experiments apply, and serializes to canonical
 JSON -- the digest of that JSON is the **sweep id**, so resubmitting
 the same grid always maps onto the same sweep.
 
-The experiment itself is its registered analysis
+The experiment itself is its analysis
 (:meth:`SweepSpec.analysis`): :func:`expand_cells` plans one
 :class:`Cell` per simulation the analysis prices per workload (its
 ``sims``), plus the workload's loop statistics when the analysis
@@ -55,12 +55,9 @@ KIND_LOOPSTATS = "loopstats"
 
 
 def _make_analysis(experiment, **axes):
-    from repro.analysis import make_analysis
-    # Importing the experiment modules registers their analyses.
-    from repro.experiments import characterize, figure6, figure7, \
-        sensitivity, table2  # noqa: F401
+    from repro.experiments.runner import EXPERIMENTS
 
-    return make_analysis(experiment, **axes)
+    return EXPERIMENTS[experiment](**axes)
 
 
 def default_axes(experiment):
@@ -178,7 +175,8 @@ class SweepSpec:
         return digest.hexdigest()[:16]
 
     def analysis(self):
-        """A fresh instance of the experiment's registered analysis,
+        """A fresh instance of the experiment's analysis class (the
+        runner's :data:`~repro.experiments.runner.EXPERIMENTS` entry),
         built from this spec's axes: the one description of what the
         sweep prices and how its report renders."""
         return _make_analysis(

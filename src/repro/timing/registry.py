@@ -1,8 +1,8 @@
 """Registry mapping timing-model names to factories.
 
-Mirrors :mod:`repro.analysis.registry`: built-ins register at import
-time, third-party models plug into the runner CLI by registering a
-factory -- no engine or runner changes needed::
+Built-ins register at import time; third-party models plug into the
+runner CLI by registering a factory -- no engine or runner changes
+needed::
 
     @register_timing("mymodel", params=("latency",))
     def make_mymodel(latency=0):

@@ -69,6 +69,16 @@ class TestRunnerInfrastructure:
         assert result.returncode == 0, result.stderr
         assert "table1" in result.stdout
 
+    def test_sweep_analyses_come_from_the_runner_table(self):
+        """A sweep prices and reports through the same class the
+        direct run builds: the runner's one table of experiments."""
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.sweep.spec import SWEEP_EXPERIMENTS, SweepSpec
+
+        for name in SWEEP_EXPERIMENTS:
+            spec = SweepSpec(experiment=name, workloads=("swim",))
+            assert isinstance(spec.analysis(), EXPERIMENTS[name]), name
+
 
 class TestTable1:
     def test_rows_and_render(self, small_runner):

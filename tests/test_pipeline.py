@@ -146,6 +146,43 @@ class TestParallelEqualsSequential:
                           for name in WORKLOADS]
         assert blocked.read_text() == "not a directory"
 
+    def test_lone_miss_is_analyzed_from_memory(self, tmp_path):
+        """At ``jobs=2`` the pool fans out for two or more cache misses
+        only: a lone miss is traced at its workload's turn and analyzed
+        from that fresh trace, never decoded back from the cache."""
+        from repro.experiments.runner import build_suite
+        from repro.obs import collector as obs
+
+        def observed(cache_dir, **kwargs):
+            session = SimulationSession(config(
+                cache_dir=str(tmp_path / cache_dir), **kwargs))
+            suite, _ = build_suite(["table1"])
+            collector = obs.activate(obs.Collector())
+            try:
+                session.analyze(suite)
+            finally:
+                obs.deactivate()
+            return session.stats, collector
+
+        def attrs(collector, name):
+            return [span["attrs"] for span in collector.spans
+                    if span["name"] == name]
+
+        # swim is cached; go is the one miss.
+        observed("lone", workloads=("swim",))
+        stats, collector = observed("lone", jobs=2)
+        assert (stats.traced, stats.cache_hits) == (1, 1)
+        assert attrs(collector, "trace") \
+            == [{"workload": "go", "mode": "inline"}]
+        assert attrs(collector, "replay") \
+            == [{"workload": "go", "source": "memory"}]
+        assert "cache.bytes_read" not in collector.counters
+
+        stats, collector = observed("both", jobs=2)
+        assert stats.traced == len(WORKLOADS)
+        assert [span["workload"] for span in attrs(collector, "trace")
+                if span["mode"] == "pool"] == list(WORKLOADS)
+
 
 class TestCache:
     def test_cache_hit_skips_tracing(self, tmp_path, monkeypatch):

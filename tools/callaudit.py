@@ -7,9 +7,9 @@ process, all under one fresh temporary directory (trace caches,
 derived stores and sweep stores start empty; later commands see what
 earlier ones left, so a warm rerun is warm), with a
 ``sys.setprofile`` hook that records the code object of every Python
-call.  A command is a ``runner`` argv, a module entry point
-(``-m <module> ...``) or a script of the repository with its arguments
-(an example or a tool); the last two run through :mod:`runpy`.  Then
+call.  A command is a ``runner`` argv or a script of the repository with
+its arguments (an example or a tool), which runs through
+:mod:`runpy`.  Then
 it parses every module under ``src/repro``, lists each function or
 method whose code never ran (file, first line, line count; grouped by
 file, largest first) and compares that list with the committed
@@ -80,7 +80,6 @@ COMMANDS = (
     "table2 %s --timing width:width=2" % _SWIM_GO,
     "all %s --timing classcost:branch=2,call=4" % _SWIM_GO,
     "figure6 %s --format csv --output-dir {tmp}/figure6" % _SWIM_GO,
-    "-m repro.experiments.figure6 %s" % _SWIM_GO,
     "table1 --workloads swim --max-instructions 20000 --no-cache"
     " --profile-run 5",
     _SWEEP,
@@ -152,15 +151,11 @@ def _collect(node, prefix, path, functions):
 def _run(command, tmp):
     """Run one command; its exit code."""
     argv = command.format(tmp=tmp).split()
-    if argv[0] == "-m" or argv[0].endswith(".py"):
+    if argv[0].endswith(".py"):
         saved = sys.argv
         try:
-            if argv[0] == "-m":
-                sys.argv = argv[1:]
-                runpy.run_module(argv[1], run_name="__main__")
-            else:
-                sys.argv = [os.path.join(REPO_ROOT, argv[0])] + argv[1:]
-                runpy.run_path(sys.argv[0], run_name="__main__")
+            sys.argv = [os.path.join(REPO_ROOT, argv[0])] + argv[1:]
+            runpy.run_path(sys.argv[0], run_name="__main__")
         finally:
             sys.argv = saved
         return 0
@@ -172,7 +167,7 @@ def called_code(commands, tmp):
     """The ``(path, first line)`` of every code object called while
     *commands* run (stdout and stderr swallowed), and the commands'
     exit codes.  The runner is imported under the hook, so functions
-    called at import time (registrations) count as called."""
+    called at import time count as called."""
     seen = set()
     add = seen.add
 
