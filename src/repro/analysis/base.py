@@ -15,12 +15,15 @@ Lifecycle::
     ...
     result()                   # once, after every workload finished
 
-``ctx.trace`` and ``ctx.index`` are lazy: the first read of either
-loads the workload's trace once and builds its canonical index from
-that same copy, so a pass that reads neither -- every stock pass whose
-result sits in the derived store -- makes its workload cost no walk at
-all.  Read them in ``finish``, and only on the path that needs them.
-Both live as long as the context: one workload's, never the session's.
+``ctx.trace`` and ``ctx.index`` are lazy and load apart: the index
+comes from the trace cache when it holds one, and the trace is decoded
+only when a pass reads it -- or when the index must be built, from
+that same copy.  So a workload costs at most one trace walk, a pass
+that reads only the index of a cached workload costs none, and a pass
+that reads neither -- every stock pass whose result sits in the
+derived store -- costs no read at all.  Read them in ``finish``, and
+only on the path that needs them.  Both live as long as the context:
+one workload's, never the session's.
 """
 
 from repro.obs import collector as obs
@@ -49,11 +52,13 @@ class WorkloadContext:
     ``trace`` (the workload's :class:`~repro.trace.stream.CFTrace`)
     and ``index`` (the canonical detector's completed
     :class:`~repro.core.detector.LoopIndex` over it) come from
-    *resolve*: a callable returning the ``(trace, index)`` pair,
-    called on the first read of either (and again on the next read if
-    it raised).  Without a resolver the context has no record stream,
-    and reading either raises :class:`ValueError` (``index`` may still
-    be assigned directly).
+    *load_trace* and *load_index*: callables taking the context,
+    each called on the first read of its attribute (and again on the
+    next read if it raised).  A *load_index* that builds the index
+    reads ``ctx.trace``, so the trace it walks is the one passes see.
+    Without a loader the context has no record stream, and reading
+    that attribute raises :class:`ValueError` (``_index`` may still be
+    assigned directly).
 
     ``shared`` is a per-workload scratch dict for values several passes
     want to compute exactly once (e.g. the full-trace data-speculation
@@ -74,11 +79,11 @@ class WorkloadContext:
 
     __slots__ = ("name", "workload", "scale", "cls_capacity",
                  "total_instructions", "shared", "timing", "derived",
-                 "_resolve", "_trace", "_index")
+                 "_load_trace", "_load_index", "_trace", "_index")
 
     def __init__(self, name, total_instructions, workload=None, scale=1,
                  cls_capacity=16, timing=None, derived=None,
-                 resolve=None):
+                 load_trace=None, load_index=None):
         self.name = name
         self.workload = workload
         self.scale = scale
@@ -87,26 +92,28 @@ class WorkloadContext:
         self.shared = {}
         self.timing = timing
         self.derived = derived
-        self._resolve = resolve
+        self._load_trace = load_trace
+        self._load_index = load_index
         self._trace = self._index = None
 
-    def _resolved(self):
-        if self._resolve is None:
+    def _resolved(self, load):
+        if load is None:
             raise ValueError("workload %s has no record stream to read"
                              % self.name)
-        self._trace, self._index = self._resolve()
-        self._resolve = None
+        return load(self)
 
     @property
     def trace(self):
         if self._trace is None:
-            self._resolved()
+            self._trace = self._resolved(self._load_trace)
+            self._load_trace = None
         return self._trace
 
     @property
     def index(self):
         if self._index is None:
-            self._resolved()
+            self._index = self._resolved(self._load_index)
+            self._load_index = None
         return self._index
 
     def memo(self, parts, from_state, compute=None, to_state=None):

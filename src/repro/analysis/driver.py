@@ -30,12 +30,12 @@ def analyze_trace(analyses, trace, name="program", workload=None,
     suite = analyses if isinstance(analyses, AnalysisSuite) \
         else AnalysisSuite(analyses)
 
-    def resolve():
-        return trace, LoopDetector(cls_capacity=cls_capacity).run(trace)
-
     ctx = WorkloadContext(
         name, trace.total_instructions, workload=workload, scale=scale,
-        cls_capacity=cls_capacity, timing=timing, resolve=resolve)
+        cls_capacity=cls_capacity, timing=timing,
+        load_trace=lambda ctx: trace,
+        load_index=lambda ctx: LoopDetector(
+            cls_capacity=cls_capacity).run(ctx.trace))
     with obs.span("finish", workload=name):
         suite.finish(ctx)
     return suite.results()

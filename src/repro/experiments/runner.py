@@ -249,22 +249,35 @@ def main(argv=None):
     directly.  ``KeyboardInterrupt`` exits 130 everywhere -- the sweep
     orchestrator checkpoints finished cells before the interrupt
     propagates here, so an interrupted sweep resumes where it left off.
+    A reader that closes standard output early (``| head``) ends the
+    run quietly with exit status 141, as a shell reports a pipeline
+    writer killed by ``SIGPIPE``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] == "sweep":
-            from repro.sweep.cli import sweep_main
-            return sweep_main(argv[1:])
-        if argv and argv[0] == "query":
-            from repro.sweep.cli import query_main
-            return query_main(argv[1:])
-        if argv and argv[0] == "search":
-            from repro.search.cli import search_main
-            return search_main(argv[1:])
-        return _main(argv)
+        try:
+            if argv and argv[0] == "sweep":
+                from repro.sweep.cli import sweep_main
+                return sweep_main(argv[1:])
+            if argv and argv[0] == "query":
+                from repro.sweep.cli import query_main
+                return query_main(argv[1:])
+            if argv and argv[0] == "search":
+                from repro.search.cli import search_main
+                return search_main(argv[1:])
+            return _main(argv)
+        finally:
+            sys.stdout.flush()
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the interpreter's own flush at
+        # exit has nowhere to fail either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _main(argv):

@@ -22,6 +22,17 @@ canonicalizes all-zero costs), so its simulations are shared with
 figure6/figure7/table2 when run together and reproduce their numbers
 exactly; with fixed verification-side costs the whole sweep -- the
 zero point included -- runs under those overheads.
+
+Read the break-even table, not TPC, for "does speculation still pay".
+Speedup (instructions per cycle of forward progress) never rises with
+spawn cost.  TPC can: it credits the cycles a correct thread waits for
+verification, and spawn stalls lengthen those waits.  li under STR(3)
+at 16 TUs reads TPC 2.22 at spawn cost 0 and 11.10 at 64 while its
+speedup falls from 1.88 to 0.44 (break-even 30.9).  Over the 18
+analogs on spawn costs 0-64 x TUs 2-16 x IDLE/STR/STR(3), TPC rises in
+206 of 1,512 adjacent spawn-cost pairs and speedup in none
+(``tests/test_timing.py`` pins the speedup order on li, ijpeg and
+applu).
 """
 
 from repro.analysis import Analysis

@@ -19,7 +19,8 @@ store reads its trace key's rows in one query, and :meth:`DerivedStore.
 flush` writes only its own new entries in one ``INSERT OR REPLACE``
 transaction, so concurrent runners never drop each other's keys.  A
 corrupt or other-version database reads as empty, counts one
-``derived.corrupt`` and is replaced; a busy or unwritable one skips
+``derived.corrupt`` and is replaced; a busy one is waited for twice
+(:data:`BUSY_TIMEOUT` each), and one still busy, or unwritable, skips
 persistence.  Sessions constructed with ``cache_dir=None`` have no
 derived store: every consumer treats it as a permanent miss.
 :func:`open_database` also connects the sweep store
@@ -194,13 +195,16 @@ class DerivedCache:
             self._conn.close()
             self._conn = None
 
-    def _run(self, work):
+    def _run(self, work, retry=True):
         """``work(connection)``, or ``None`` when the database fails: a
-        corrupt or other-version one counts one ``derived.corrupt`` and
-        is deleted (the next call creates it afresh); a busy or
-        unwritable one (or a corrupt one that cannot be deleted)
-        disables persistence and counts one ``derived.disabled.busy``
-        or ``derived.disabled.unwritable``."""
+        busy one is tried once more on a fresh connection (waiting
+        :data:`BUSY_TIMEOUT` again), so a concurrent runner's long
+        write delays this one's rather than dropping it; a corrupt or
+        other-version one counts one ``derived.corrupt`` and is
+        deleted (the next call creates it afresh); one still busy, or
+        unwritable (or corrupt and not deletable), disables persistence
+        and counts one ``derived.disabled.busy`` or
+        ``derived.disabled.unwritable``."""
         try:
             if self._conn is None:
                 if self._disabled:
@@ -215,6 +219,8 @@ class DerivedCache:
         except (OSError, sqlite3.Error) as exc:
             kind = failure_kind(exc)
         self.close()
+        if kind == "busy" and retry:
+            return self._run(work, retry=False)
         if kind in ("corrupt", "version"):
             obs.add("derived.corrupt")
             try:

@@ -3,8 +3,9 @@
 :class:`SimulationSession` is the one way experiments obtain results:
 :meth:`~SimulationSession.analyze` runs one :class:`~repro.analysis.
 suite.AnalysisSuite` of passes, finished per workload over a context
-whose trace and index load lazily -- at most one trace walk per
-workload, none when no pass reads them, as in a warm run served by the
+whose trace and index load lazily and apart -- at most one trace
+walk per workload, none when every pass reads at most the index and
+the cache holds it, and no read at all in a warm run served by the
 derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
 
 1. with ``config.jobs > 1`` and two or more workloads missing from the
@@ -21,15 +22,18 @@ derived store (see ``docs/ANALYSIS.md``).  Underneath, the pipeline
    inline interpreter, or the cache entry decoded in full when a pass
    first reads it -- a corrupt entry is retraced right there, before
    any pass has seen a batch.  No record object is constructed between
-   the interpreter (or the disk) and the column loops.
+   the interpreter (or the disk) and the column loops; and
+4. reads each workload's loop index from the cache's index entry when
+   a pass first asks for it, or builds it from the trace and stores
+   the entry (:meth:`~repro.pipeline.cache.TraceCache.load_index`).
 
 No trace crosses a process boundary: the cache is the only hand-over
 from a pool worker.  A trace lives until its workload finished, and no
 longer: it goes into that workload's context with its loop index and
 dies with it, so a run holds one workload's trace at a time.  The
 session itself keeps none, so a second :meth:`~SimulationSession.
-analyze` reads each trace again -- from the cache, or, without one, by
-tracing again.
+analyze` reads each trace (or index) again -- from the cache, or,
+without one, by tracing again.
 """
 
 import os
@@ -48,12 +52,18 @@ from repro.workloads import get, suite
 class SessionStats:
     """Counters for what a session actually did (test/bench hooks)."""
 
-    __slots__ = ("traced", "cache_hits", "replays")
+    __slots__ = ("traced", "cache_hits", "replays", "index_hits")
 
     def __init__(self):
         self.traced = 0        #: workloads interpreted by this session
         self.cache_hits = 0    #: workloads served from the on-disk cache
-        self.replays = 0       #: trace walks: one per loaded workload
+        self.replays = 0       #: trace walks: one per loaded trace
+        self.index_hits = 0    #: loop indexes read from the cache
+
+    def __repr__(self):
+        return "SessionStats(%s)" % ", ".join(
+            "%s=%d" % (name, getattr(self, name))
+            for name in self.__slots__)
 
 
 class SimulationSession:
@@ -93,14 +103,18 @@ class SimulationSession:
         The single analysis entrypoint.  Per workload, the suite's
         ``finish`` runs once over a context whose ``total_instructions``
         comes from the trace header and whose ``trace`` and ``index``
-        load lazily (:meth:`_load`): the first read loads the trace
-        once -- the fresh trace the workload's first touch produced,
-        else the cache entry decoded -- and builds the canonical index
-        from it.  Both die with the context when the workload finishes.
-        ``stats.replays`` counts the loads: at most one per workload
-        and call, however many passes are registered, and none when no
-        pass reads the trace or index (a warm run whose results all sit
-        in the derived store).
+        load lazily and apart: the first read of ``trace``
+        (:meth:`_load_trace`) loads it once -- the fresh trace the
+        workload's first touch produced, else the cache entry decoded
+        -- and the first read of ``index`` (:meth:`_load_index`) reads
+        the cache's index entry, or builds the canonical index from
+        ``trace`` and stores it.  Both die with the context when the
+        workload finishes.  ``stats.replays`` counts the trace loads:
+        at most one per workload and call, however many passes are
+        registered, and none when no pass reads the trace and the
+        index comes from the cache (``stats.index_hits``) or is not
+        read at all (a warm run whose results all sit in the derived
+        store).
 
         With ``config.jobs > 1`` and two or more workloads missing
         from the cache, they are traced in a process pool first (as
@@ -150,16 +164,16 @@ class SimulationSession:
             name, total, workload=workload, scale=self.config.scale,
             cls_capacity=self.config.cls_capacity,
             timing=self.config.timing, derived=derived,
-            resolve=lambda: self._load(name, trace))
+            load_trace=lambda ctx: self._load_trace(name, trace),
+            load_index=lambda ctx: self._load_index(name, ctx))
 
-    def _load(self, name, trace):
-        """``(trace, index)`` of *name* for one workload's analysis: one
-        trace walk (counted in ``stats.replays``, tallied by an active
-        collector, inside a ``replay`` span) that decodes the cache
-        entry in full unless the first touch traced *trace* inline -- a
-        corrupt entry is retraced before any pass sees a batch -- and
-        runs a fresh canonical detector over it.  Nothing here keeps
-        either: they die with the workload's context."""
+    def _load_trace(self, name, trace):
+        """*name*'s trace for one workload's analysis: one trace walk
+        (counted in ``stats.replays``, tallied by an active collector,
+        inside a ``replay`` span) that decodes the cache entry in full
+        unless the first touch traced *trace* inline -- a corrupt entry
+        is retraced before any pass sees a batch.  Nothing here keeps
+        it: it dies with the workload's context."""
         self.stats.replays += 1
         source = "cache" if trace is None else "memory"
         with obs.span("replay", workload=name, source=source):
@@ -167,9 +181,30 @@ class SimulationSession:
                 trace = self._decode(name)
             obs.add("replay.batches", len(trace.batches))
             obs.add("replay.records", sum(map(len, trace.batches)))
-            detector = LoopDetector(cls_capacity=self.config.cls_capacity)
-            return trace, detector.run_batches(
+        return trace
+
+    def _load_index(self, name, ctx):
+        """*name*'s canonical loop index, inside an ``index`` span: the
+        cache's index entry when it holds a usable one (counted in
+        ``stats.index_hits`` and ``cache.index_hits``; no trace walk),
+        else a fresh detector run over ``ctx.trace``, stored as the
+        entry."""
+        capacity = self.config.cls_capacity
+        if self._cache is not None:
+            with obs.span("index", workload=name, source="cache"):
+                index = self._cache.load_index(capacity,
+                                               *self._entry(name))
+            if index is not None:
+                self.stats.index_hits += 1
+                obs.add("cache.index_hits")
+                return index
+        trace = ctx.trace
+        with obs.span("index", workload=name, source="build"):
+            index = LoopDetector(cls_capacity=capacity).run_batches(
                 trace.batches, trace.header.total_instructions)
+            if self._cache is not None:
+                self._cache.store_index(index, *self._entry(name))
+        return index
 
     def _decode(self, name):
         """*name*'s cache entry as a :class:`CFTrace`, or a fresh trace

@@ -111,12 +111,16 @@ class _StoredCells:
         return None if row is None else row.detail_json
 
 
-def _unreadable(name, spec):
-    """The lazy trace and index of a report context: reached only when
-    a stored result is one its analysis rejects."""
-    raise ValueError(
-        "workload %s has an unreadable result blob in sweep %s; prune "
-        "the store and resubmit the sweep" % (name, spec.sweep_id))
+def _unreadable(spec):
+    """The trace and index loader of a report context over *spec*'s
+    cells: reached only when a stored result is one its analysis
+    rejects."""
+    def load(ctx):
+        raise ValueError(
+            "workload %s has an unreadable result blob in sweep %s; "
+            "prune the store and resubmit the sweep"
+            % (ctx.name, spec.sweep_id))
+    return load
 
 
 def _complete_cells(store, spec):
@@ -155,13 +159,14 @@ def sweep_report(store, spec):
             rows[cell.key]
 
     analysis = spec.analysis()
+    unreadable = _unreadable(spec)
     for name in spec.workloads:
         # Only the trace knows the instruction count; no swept
         # analysis reads it.
         ctx = WorkloadContext(
             name, 0, scale=spec.scale, cls_capacity=spec.cls_capacity,
             derived=_StoredCells(stored[name]),
-            resolve=lambda name=name: _unreadable(name, spec))
+            load_trace=unreadable, load_index=unreadable)
         analysis.finish(ctx)
     result = analysis.result()
     return result if isinstance(result, list) else [result]

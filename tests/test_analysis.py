@@ -43,6 +43,7 @@ from repro.experiments.figure8 import FULL_TRACE_LIMIT
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import EXPERIMENT_ORDER, build_suite
 from repro.pipeline import SimulationSession
+from repro.pipeline.cache import INDEX_SUFFIX
 from repro.workloads import get
 
 from capture import load, row_for, workload_full_trace
@@ -444,6 +445,14 @@ class TestWalkCounts:
     #: (figure8 runs its own study tracer).
     TRACE_FREE = ("figure8",)
 
+    #: ``(replays, index hits)`` of each experiment that does not read
+    #: the index alone, over a cache that holds the indexes: figure8
+    #: reads neither, the baselines' predictors read only the records,
+    #: and the CLS-capacity ablation walks the records of the one
+    #: workload (go) where its no-overflow shortcut does not apply.
+    INDEXED = {"figure8": (0, 0), "baselines": (len(WORKLOADS), 0),
+               "ablations": (1, len(WORKLOADS))}
+
     @pytest.fixture(scope="class")
     def trace_cache(self, tmp_path_factory):
         cache_dir = str(tmp_path_factory.mktemp("walks"))
@@ -451,6 +460,22 @@ class TestWalkCounts:
         session.ensure_traced()
         assert session.stats.traced == len(WORKLOADS)
         return cache_dir
+
+    @pytest.fixture(scope="class")
+    def index_cache(self, tmp_path_factory):
+        """A trace cache that also holds every workload's index."""
+        cache_dir = str(tmp_path_factory.mktemp("indexed"))
+        session = self._session(cache_dir)
+        session.analyze(build_suite(["table1"])[0])
+        assert (session.stats.traced, session.stats.replays) \
+            == (len(WORKLOADS), len(WORKLOADS))
+        return cache_dir
+
+    @staticmethod
+    def _drop_indexes(cache_dir):
+        for name in os.listdir(cache_dir):
+            if name.endswith(INDEX_SUFFIX):
+                os.unlink(os.path.join(cache_dir, name))
 
     @staticmethod
     def _session(cache_dir):
@@ -472,8 +497,23 @@ class TestWalkCounts:
     @pytest.mark.parametrize("name", EXPERIMENT_ORDER)
     def test_each_experiment_alone_walks_each_workload_once(
             self, trace_cache, name):
+        """Without index entries every experiment but figure8 walks
+        each workload once (and stores its index)."""
+        self._drop_indexes(trace_cache)
         expected = 0 if name in self.TRACE_FREE else len(WORKLOADS)
         assert self._analyze(trace_cache, [name]) == expected
+
+    @pytest.mark.parametrize("name", EXPERIMENT_ORDER)
+    def test_stored_indexes_leave_only_record_walks(self, index_cache,
+                                                    name):
+        """With the indexes stored, an experiment that reads only the
+        index walks no trace: it reads each workload's index entry."""
+        shutil.rmtree(os.path.join(index_cache, "derived"),
+                      ignore_errors=True)
+        session = self._session(index_cache)
+        session.analyze(build_suite([name])[0])
+        assert (session.stats.replays, session.stats.index_hits) \
+            == self.INDEXED.get(name, (0, len(WORKLOADS)))
 
     def test_full_suite_walks_once_then_looks_up(self, trace_cache):
         assert self._analyze(trace_cache, EXPERIMENT_ORDER) \
@@ -532,34 +572,60 @@ class TestLifecycle:
         index = LoopDetector(cls_capacity=16).run(trace)
         calls = []
 
-        def resolve():
-            calls.append(1)
-            return trace, index
+        def load_trace(ctx):
+            calls.append("trace")
+            return trace
+
+        def load_index(ctx):
+            calls.append("index")
+            return index
 
         ctx = WorkloadContext("line", trace.total_instructions,
-                              resolve=resolve)
+                              load_trace=load_trace, load_index=load_index)
         ctx.shared["x"] = 1
         assert ctx.total_instructions == trace.total_instructions
         assert calls == []          # nothing read yet: no walk
         assert ctx.index is index
+        assert calls == ["index"]   # the index alone loads no trace
+        assert ctx.index is index
         assert ctx.trace is trace
-        assert calls == [1]
+        assert ctx.trace is trace
+        assert calls == ["index", "trace"]
+
+    def test_context_index_built_from_the_context_trace(self):
+        """An index loader that builds reads ``ctx.trace``: one trace
+        load serves both attributes."""
+        trace = loopless_trace()
+        calls = []
+
+        def load_trace(ctx):
+            calls.append("trace")
+            return trace
+
+        ctx = WorkloadContext(
+            "line", trace.total_instructions, load_trace=load_trace,
+            load_index=lambda ctx: LoopDetector(cls_capacity=16).run(
+                ctx.trace))
+        assert len(ctx.index) == 0
+        assert ctx.trace is trace
+        assert calls == ["trace"]
 
     def test_context_resolver_retried_after_it_raises(self):
-        """A resolver that raised (a corrupt cache entry, say) leaves
+        """A loader that raised (a corrupt cache entry, say) leaves
         nothing behind: the next read calls it again."""
         trace = loopless_trace()
         index = LoopDetector(cls_capacity=16).run(trace)
         calls = []
 
-        def resolve():
+        def load_trace(ctx):
             calls.append(1)
             if len(calls) == 1:
                 raise OSError("corrupt")
-            return trace, index
+            return trace
 
         ctx = WorkloadContext("line", trace.total_instructions,
-                              resolve=resolve)
+                              load_trace=load_trace,
+                              load_index=lambda ctx: index)
         with pytest.raises(OSError, match="corrupt"):
             ctx.trace
         assert ctx.trace is trace

@@ -69,6 +69,41 @@ class TestRunnerInfrastructure:
         assert result.returncode == 0, result.stderr
         assert "table1" in result.stdout
 
+    def test_reader_closing_early_ends_the_run_quietly(self):
+        """``runner ... | head -1``: once the reader has closed the pipe
+        the runner exits 141 without a ``BrokenPipeError`` traceback.
+        The pipe is shrunk to one page, below the run's output, so the
+        runner is still writing when the reader closes."""
+        import fcntl
+        import subprocess
+        import sys
+
+        import repro
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs F_SETPIPE_SZ to shrink the pipe")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path
+                   else src + os.pathsep + path)
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.runner", "all",
+             "--workloads", "swim,go", "--max-instructions", "20000",
+             "--no-cache", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb", buffering=0) as reader:
+            first = b""
+            while not first.endswith(b"\n"):
+                byte = reader.read(1)
+                assert byte, "the runner printed no line"
+                first += byte
+        _, err = child.communicate(timeout=300)
+        assert first.strip()
+        assert b"Traceback" not in err and b"BrokenPipe" not in err, err
+        assert child.returncode == 141
+
     def test_sweep_analyses_come_from_the_runner_table(self):
         """A sweep prices and reports through the same class the
         direct run builds: the runner's one table of experiments."""

@@ -13,10 +13,12 @@ Each case either recomputes or fails with a clean error:
   that fails midway leaves the previous manifest whole;
 - a plain file where the cache directory should be only disables
   persistence;
-- a busy sweep store says it is busy, never that it is corrupt, and a
-  busy or unwritable derived database counts the persistence it gave
-  up (``derived.disabled.busy``/``.unwritable``);
-- concurrent runners on one fresh cache agree and leave it warm.
+- a busy sweep store says it is busy, never that it is corrupt; a
+  derived database locked past one busy timeout is waited for once
+  more, and one still busy, or unwritable, counts the persistence it
+  gave up (``derived.disabled.busy``/``.unwritable``);
+- concurrent runners on one fresh cache agree, on their results and on
+  the loop index entries they race to write, and leave it warm.
 
 Read-only directories are not covered: the suite may run as root,
 which writes through any permission bits.
@@ -36,11 +38,13 @@ import time
 import pytest
 
 import repro
+from repro.analysis import Analysis, AnalysisSuite
 from repro.experiments.runner import main as runner_main
 from repro.obs import Collector, build_manifest, write_manifest
 from repro.obs import collector as obs
 from repro.obs.manifest import LAST_RUN_MANIFEST, events_path
 from repro.pipeline import derived
+from repro.pipeline import SimulationSession
 from repro.pipeline.derived import DB_NAME, DerivedCache
 from repro.sweep import SweepSpec, SweepStore, SweepStoreError
 from repro.trace import load_cf_trace
@@ -434,6 +438,76 @@ class TestBlockedAndShared:
             == (0, expected, 0), disabled
         assert sorted(os.listdir(os.path.join(cache_dir, "derived"))) \
             == [DB_NAME], disabled
+        # Every runner stored each workload's index; whichever wrote
+        # last, the entry is the detector's index, and a rerun that
+        # needs the indexes reads each one instead of walking a trace.
+        reader = _IndexReader()
+        session = SimulationSession(
+            workloads=tuple(WORKLOADS.split(",")),
+            max_instructions=int(LIMIT), cache_dir=cache_dir)
+        session.analyze(AnalysisSuite([reader]))
+        assert (session.stats.replays, session.stats.index_hits) \
+            == (0, 2)
+        fresh = _IndexReader()
+        SimulationSession(workloads=tuple(WORKLOADS.split(",")),
+                          max_instructions=int(LIMIT),
+                          cache_dir=None).analyze(AnalysisSuite([fresh]))
+        assert reader.fields == fresh.fields
+
+    def test_busy_read_waits_a_second_timeout(self, tmp_path,
+                                              monkeypatch):
+        """A derived database locked past one :data:`BUSY_TIMEOUT` is
+        tried once more on a fresh connection, so another runner's
+        long write delays this one's entries instead of dropping
+        them."""
+        import threading
+
+        monkeypatch.setattr(derived, "BUSY_TIMEOUT", 1.0)
+        root = str(tmp_path)
+        first = DerivedCache(root).store("t")
+        first.put("k", 1)
+        first.flush()
+        first.cache.close()
+        holder = sqlite3.connect(os.path.join(root, "derived", DB_NAME),
+                                 isolation_level=None,
+                                 check_same_thread=False)
+        holder.execute("BEGIN EXCLUSIVE")
+        # Released inside the second wait: after the first timeout
+        # (1.0 s), before the second ends (about 2.0 s).
+        release = threading.Timer(1.5, holder.execute, ("ROLLBACK",))
+        collector = obs.activate(Collector())
+        try:
+            release.start()
+            store = DerivedCache(root).store("t")
+            assert store.get("k") == 1
+            store.put("k2", 2)
+            store.flush()
+            store.cache.close()
+        finally:
+            obs.deactivate()
+            release.join()
+            holder.close()
+        assert DerivedCache(root).read("t") == {"k": 1, "k2": 2}
+        assert not [name for name in collector.counters
+                    if name.startswith("derived.disabled.")]
+
+
+class _IndexReader(Analysis):
+    """Keeps every workload's loop index as comparable fields."""
+
+    def __init__(self):
+        self.fields = {}
+
+    def finish(self, ctx):
+        cols = ctx.index.columns
+        self.fields[ctx.name] = (
+            ctx.index.total_instructions, bytes(cols.etypes),
+            cols.seqs, cols.loops, cols.exec_ids, cols.auxs,
+            cols.start_rows, cols.end_rows, bytes(cols.end_reasons),
+            list(cols.iteration_positions.items()))
+
+    def result(self):
+        return self.fields
 
 
 def _disabled_counters(manifests):

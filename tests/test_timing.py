@@ -452,7 +452,8 @@ class TestSessionThreading:
         monkeypatch.setattr(ClassCostTiming, "feed_batch", counting)
         spec = "classcost:branch=4"
         ctx = WorkloadContext("t", trace.total_instructions, timing=spec,
-                              resolve=lambda: (trace, index))
+                              load_trace=lambda ctx: trace,
+                              load_index=lambda ctx: index)
         model = effective_timing(ctx, spec)
         assert effective_timing(ctx, spec) is model
         assert effective_timing(ctx) is model
@@ -553,6 +554,32 @@ class TestSensitivityExperiment:
         for key, speedups in tpc_table.extra["speedups"].items():
             assert all(a >= b - 1e-9
                        for a, b in zip(speedups, speedups[1:])), key
+
+    def test_speedup_never_rises_with_spawn_cost(self):
+        """On the sweep-grid axes (spawn costs 0-64, TUs 2-16, IDLE,
+        STR and STR(3)) speedup never rises with spawn cost, while TPC
+        may: it credits the cycles a correct thread waits for
+        verification, and spawn stalls add to them (li under STR(3) at
+        16 TUs: TPC 2.22 at spawn cost 0, 11.10 at 64)."""
+        from repro.analysis import AnalysisSuite
+        from repro.experiments.sensitivity import SensitivityAnalysis
+        from repro.pipeline import PipelineConfig, SimulationSession
+        workloads = ("li", "ijpeg", "applu")
+        costs = (0, 1, 2, 4, 8, 16, 32, 64)
+        session = SimulationSession(PipelineConfig(
+            workloads=workloads, cache_dir=None))
+        analysis = SensitivityAnalysis(spawn_costs=costs,
+                                       tu_counts=(2, 4, 8, 16),
+                                       policies=("idle", "str", "str(3)"))
+        session.analyze(AnalysisSuite([analysis]))
+        tpc_table, _ = analysis.result()
+        speedups = tpc_table.extra["speedups"]
+        assert len(speedups) == len(workloads) * 3 * 4
+        for key, series in speedups.items():
+            assert all(a >= b for a, b in zip(series, series[1:])), key
+        li = [row for row in tpc_table.rows
+              if row[:3] == ("li", "STR(3)", 16)]
+        assert [li[0][3], li[0][-1]] == [2.22, 11.1]
 
     def test_ideal_zero_point_note_is_conditional(self):
         from repro.experiments.sensitivity import SensitivityAnalysis

@@ -781,6 +781,115 @@ class TestTraceCacheTool:
         assert not os.path.exists(derived)
         assert replays() == "1"
 
+    def _populate_indexes(self, root, loop_trace):
+        """Trace ``a`` with two current index entries (CLS 16 and 2),
+        a stale one (another detector digest) and a corrupt one (CLS
+        4); plus an index of trace ``gone``, which has no entry."""
+        from repro.pipeline.cache import (
+            INDEX_FORMAT_VERSION,
+            index_digest,
+            write_index,
+        )
+
+        os.makedirs(root, exist_ok=True)
+        dump_cf_trace(loop_trace, os.path.join(root, "a-v3-x.cft"))
+
+        def index_name(trace_key, capacity, digest=None):
+            return "%s.c%d-i%d-%s.lix" % (trace_key, capacity,
+                                          INDEX_FORMAT_VERSION,
+                                          digest or index_digest())
+
+        for trace_key, capacity, digest in (("a-v3-x", 16, None),
+                                            ("a-v3-x", 2, None),
+                                            ("a-v3-x", 16, "0" * 12),
+                                            ("gone-v3-x", 16, None)):
+            index = LoopDetector(cls_capacity=capacity).run(loop_trace)
+            with open(os.path.join(root, index_name(
+                    trace_key, capacity, digest)), "wb") as fh:
+                write_index(index, fh)
+        with open(os.path.join(root, index_name("a-v3-x", 4)),
+                  "wb") as fh:
+            fh.write(b"LIDX garbage")
+        return {"ok": [index_name("a-v3-x", 16), index_name("a-v3-x", 2)],
+                "stale": [index_name("a-v3-x", 16, "0" * 12)],
+                "corrupt": [index_name("a-v3-x", 4)],
+                "orphan": [index_name("gone-v3-x", 16)]}
+
+    def test_ls_lists_each_index_beside_its_trace(self, tmp_path,
+                                                  loop_trace, capsys):
+        tool = self._tool()
+        root = str(tmp_path / "cache")
+        names = self._populate_indexes(root, loop_trace)
+        assert tool.main(["ls", "--cache-dir", root]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines
+                if ".cft" in line or ".lix" in line]
+        # The trace, then its indexes by capacity, then the orphan.
+        assert [row[0] for row in rows] == [
+            "a-v3-x.cft", "+", "+", "+", "+", names["orphan"][0]]
+        by_suffix = {row[1]: row[-1] for row in rows if row[0] == "+"}
+        for status in ("ok", "stale", "corrupt"):
+            for name in names[status]:
+                assert by_suffix[name[len("a-v3-x"):]] == status
+        assert rows[-1][-1] == "orphan"
+        assert "1 entry" in lines[-1] and "5 loop index entries" in lines[-1]
+
+    @pytest.mark.parametrize("dry_run", [True, False],
+                             ids=["dry-run", "prune"])
+    def test_prune_drops_dead_indexes(self, tmp_path, loop_trace, capsys,
+                                      dry_run):
+        """An index that is corrupt, stale or whose trace is gone is
+        pruned; ``--dry-run`` reports the same and deletes nothing."""
+        tool = self._tool()
+        root = str(tmp_path / "cache")
+        names = self._populate_indexes(root, loop_trace)
+        before = sorted(os.listdir(root))
+        argv = ["prune", "--cache-dir", root]
+        assert tool.main(argv + ["--dry-run"] if dry_run else argv) == 0
+        out = capsys.readouterr().out
+        dead = names["stale"] + names["corrupt"] + names["orphan"]
+        for name in dead:
+            assert name in out
+        for name in names["ok"]:
+            assert name not in out
+        if dry_run:
+            assert sorted(os.listdir(root)) == before
+            assert "would prune 3 entries" in out
+        else:
+            assert sorted(os.listdir(root)) \
+                == sorted(["a-v3-x.cft"] + names["ok"])
+
+    def test_pruned_trace_takes_its_indexes(self, tmp_path, loop_trace,
+                                            capsys):
+        tool = self._tool()
+        root = str(tmp_path / "cache")
+        names = self._populate_indexes(root, loop_trace)
+        trace_bytes = os.path.getsize(os.path.join(root, "a-v3-x.cft"))
+        # The budget counts a trace with its indexes: the trace alone
+        # fits, so it goes.
+        assert tool.main(["prune", "--cache-dir", root, "--max-bytes",
+                          str(trace_bytes)]) == 0
+        out = capsys.readouterr().out
+        for name in names["ok"]:
+            assert "removing %s (trace removed" % name in out
+        assert os.listdir(root) == []
+
+    @pytest.mark.parametrize("dry_run", [True, False],
+                             ids=["dry-run", "clear"])
+    def test_clear_removes_traces_and_indexes(self, tmp_path, loop_trace,
+                                              capsys, dry_run):
+        tool = self._tool()
+        root = str(tmp_path / "cache")
+        names = self._populate_indexes(root, loop_trace)
+        before = sorted(os.listdir(root))
+        argv = ["clear", "--cache-dir", root]
+        assert tool.main(argv + ["--dry-run"] if dry_run else argv) == 0
+        out = capsys.readouterr().out
+        for status in names:
+            for name in names[status]:
+                assert name in out
+        assert sorted(os.listdir(root)) == (before if dry_run else [])
+
     def test_max_bytes_rejected_outside_prune(self, tmp_path):
         tool = self._tool()
         with pytest.raises(SystemExit):

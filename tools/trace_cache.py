@@ -15,17 +15,23 @@ inspectable and bounded::
 
 ``ls`` prints one row per entry with its format version, record count,
 total instructions, compressed (on-disk) and uncompressed (decoded
-column bytes) sizes, and the compression ratio.  ``prune`` deletes
-corrupt entries -- anything without a valid v3 header, which includes
-files from the retired v1/v2 text formats -- then, if ``--max-bytes``
-is given, the oldest remaining entries until the cache fits the
-budget.  Deleting an entry also deletes the results stored under its
-key (its rows in ``derived/results.sqlite``, see
-:mod:`repro.pipeline.derived`), so no result outlives its trace.
-``clear`` deletes every entry and the whole ``derived/`` store.  All
-commands honour ``--cache-dir`` and the
-``REPRO_TRACE_CACHE`` environment variable, defaulting to the
-pipeline's default cache location.
+column bytes) sizes, and the compression ratio, each followed by one
+row per loop index entry stored beside it (``+ .c<capacity>-...``,
+format ``index``: its event rows, instructions and size); an index
+whose trace is gone is listed last as ``orphan``, one this build no
+longer reads (another format version or detector) as ``stale``.
+``prune`` deletes corrupt entries -- anything without a valid v3
+header, which includes files from the retired v1/v2 text formats --
+then, if ``--max-bytes`` is given, the oldest remaining entries until
+the cache (traces and indexes) fits the budget; it also deletes every
+index entry that is corrupt, stale, or whose trace is gone.  Deleting
+an entry also deletes the results stored under its key (its rows in
+``derived/results.sqlite``, see :mod:`repro.pipeline.derived`) and its
+index entries, so nothing outlives its trace.  ``clear`` deletes every
+entry, every index entry and the whole ``derived/`` store.  All
+commands honour ``--cache-dir`` and the ``REPRO_TRACE_CACHE``
+environment variable, defaulting to the pipeline's default cache
+location; ``--dry-run`` reports what ``prune``/``clear`` would delete.
 
 ``sweeps`` manages the sweep result store (:mod:`repro.sweep.store`,
 ``--store`` / ``REPRO_SWEEP_STORE``) the same way: ``sweeps ls`` lists
@@ -43,6 +49,11 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from repro.pipeline.cache import (                            # noqa: E402
+    INDEX_SUFFIX,
+    parse_index_name,
+    read_index,
+)
 from repro.pipeline.config import default_cache_dir          # noqa: E402
 from repro.pipeline.derived import DerivedCache               # noqa: E402
 from repro.trace.io import read_cf_header                     # noqa: E402
@@ -81,6 +92,11 @@ class Entry:
             self.total = header.total_instructions
 
     @property
+    def key(self):
+        """The trace key the file name holds."""
+        return self.name[:-len(".cft")]
+
+    @property
     def status(self):
         return "ok" if self.error is None else "corrupt"
 
@@ -101,6 +117,34 @@ class Entry:
         return self.size / raw
 
 
+class IndexEntry:
+    """One loop index entry file (see :mod:`repro.pipeline.cache`):
+    its trace key and CLS capacity from its name, and its status --
+    ``ok``, ``stale`` (this build reads another format version or
+    detector), ``corrupt`` (unreadable) or ``orphan`` (its trace is
+    gone, set by :func:`scan_indexes`)."""
+
+    __slots__ = ("path", "name", "size", "trace_key", "capacity",
+                 "events", "total", "status")
+
+    def __init__(self, path, stat, parsed):
+        self.path = path
+        self.name = os.path.basename(path)
+        self.size = stat.st_size
+        self.trace_key, self.capacity, current = parsed
+        self.events = self.total = None
+        self.status = "ok" if current else "stale"
+        if current:
+            try:
+                with open(path, "rb") as fh:
+                    index = read_index(fh)
+            except (OSError, ValueError):
+                self.status = "corrupt"
+            else:
+                self.events = len(index.columns)
+                self.total = index.total_instructions
+
+
 def scan(root):
     """Every ``*.cft`` entry under *root*, oldest first."""
     if not os.path.isdir(root):
@@ -110,6 +154,28 @@ def scan(root):
                    for item in it if item.name.endswith(".cft")]
     entries.sort(key=lambda e: e.mtime)
     return entries
+
+
+def scan_indexes(root, entries):
+    """``{trace key: [IndexEntry, ...]}`` of every index entry under
+    *root*, by capacity; an index whose trace is not among *entries*
+    is marked ``orphan``."""
+    if not os.path.isdir(root):
+        return {}
+    traces = {entry.key for entry in entries}
+    found = {}
+    with os.scandir(root) as it:
+        for item in it:
+            parsed = (parse_index_name(item.name)
+                      if item.name.endswith(INDEX_SUFFIX) else None)
+            if parsed is not None:
+                index = IndexEntry(item.path, item.stat(), parsed)
+                if index.trace_key not in traces:
+                    index.status = "orphan"
+                found.setdefault(index.trace_key, []).append(index)
+    for indexes in found.values():
+        indexes.sort(key=lambda index: (index.capacity, index.name))
+    return found
 
 
 def _fmt_count(value):
@@ -142,18 +208,31 @@ def _last_run_summary(directory, names):
                ", ".join(parts)))
 
 
+def _index_row(index, name):
+    """An ``ls`` row of *index*, shown as *name*."""
+    return (name, "index", _fmt_count(index.events),
+            _fmt_count(index.total), index.size, "-", "-", index.status)
+
+
 def cmd_ls(root, _args):
     entries = scan(root)
-    if not entries:
+    indexes = scan_indexes(root, entries)
+    if not entries and not indexes:
         print("trace cache %s is empty" % root)
         return 0
-    rows = [(e.name, "v%s" % (e.version if e.version is not None
-                              else "?"),
-             _fmt_count(e.records), _fmt_count(e.total), e.size,
-             _fmt_count(e.raw_bytes),
-             "?" if e.ratio is None else "%.3f" % e.ratio,
-             e.status)
-            for e in sorted(entries, key=lambda e: e.name)]
+    rows = []
+    for e in sorted(entries, key=lambda e: e.name):
+        rows.append((e.name, "v%s" % (e.version if e.version is not None
+                                      else "?"),
+                     _fmt_count(e.records), _fmt_count(e.total), e.size,
+                     _fmt_count(e.raw_bytes),
+                     "?" if e.ratio is None else "%.3f" % e.ratio,
+                     e.status))
+        rows.extend(_index_row(index, "+ " + index.name[len(e.key):])
+                    for index in indexes.get(e.key, ()))
+    orphans = [index for key in sorted(indexes)
+               for index in indexes[key] if index.status == "orphan"]
+    rows.extend(_index_row(index, index.name) for index in orphans)
     print(format_table(
         ("entry", "fmt", "records", "instructions", "compressed",
          "uncompressed", "ratio", "status"),
@@ -167,11 +246,18 @@ def cmd_ls(root, _args):
     if raw_total:
         summary += (", %d decoded (ratio %.3f)"
                     % (raw_total, total / raw_total))
+    all_indexes = [index for found in indexes.values() for index in found]
+    if all_indexes:
+        summary += ("; %d loop index entr%s, %d bytes"
+                    % (len(all_indexes),
+                       "y" if len(all_indexes) == 1 else "ies",
+                       sum(index.size for index in all_indexes)))
     print(summary)
     last = _last_run_summary(root, (
         ("pipeline.cache_hits", "cache hits"),
         ("pipeline.traced", "misses (traced)"),
         ("pipeline.replays", "replays"),
+        ("cache.index_hits", "index hits"),
         ("cache.bytes_read", "bytes read"),
         ("cache.bytes_written", "bytes written")))
     if last is not None:
@@ -180,9 +266,9 @@ def cmd_ls(root, _args):
 
 
 def _unlink(entry, reason, dry_run, derived=None):
-    """Delete *entry* and, given the cache's
-    :class:`~repro.pipeline.derived.DerivedCache`, the derived results
-    stored under its key."""
+    """Delete *entry* (a trace or an index entry) and, given the
+    cache's :class:`~repro.pipeline.derived.DerivedCache`, the derived
+    results stored under a trace's key."""
     verb = "would remove" if dry_run else "removing"
     print("%s %s (%s, %d bytes)" % (verb, entry.name, reason, entry.size))
     if not dry_run:
@@ -192,29 +278,51 @@ def _unlink(entry, reason, dry_run, derived=None):
             print("  failed: %s" % exc)
             return False
         if derived is not None and os.path.exists(derived.path):
-            derived.drop(entry.name[:-len(".cft")])
+            derived.drop(entry.key)
     return True
 
 
 def cmd_prune(root, args):
     entries = scan(root)
+    indexes = scan_indexes(root, entries)
     kept = []
     removed = 0
     derived = DerivedCache(root)
+
+    def drop(entry, reason):
+        nonlocal removed
+        if not _unlink(entry, reason, args.dry_run, derived):
+            return False
+        removed += 1
+        for index in indexes.pop(entry.key, ()):
+            if _unlink(index, "trace removed", args.dry_run):
+                removed += 1
+        return True
+
     for entry in entries:
         if entry.status != "ok":
-            if _unlink(entry, entry.status, args.dry_run, derived):
-                removed += 1
-            continue
-        kept.append(entry)
-    remaining = sum(e.size for e in kept)
+            drop(entry, entry.status)
+        else:
+            kept.append(entry)
+    for found in indexes.values():
+        for index in list(found):
+            if index.status != "ok":
+                if _unlink(index, index.status, args.dry_run):
+                    removed += 1
+                found.remove(index)
+
+    def size(entry):
+        return entry.size + sum(index.size
+                                for index in indexes.get(entry.key, ()))
+
+    remaining = sum(map(size, kept))
     if args.max_bytes is not None:
         for entry in kept:              # oldest first
             if remaining <= args.max_bytes:
                 break
-            if _unlink(entry, "over budget", args.dry_run, derived):
-                remaining -= entry.size
-                removed += 1
+            held = size(entry)
+            if drop(entry, "over budget"):
+                remaining -= held
     derived.close()
     verb = "would prune" if args.dry_run else "pruned"
     print("%s %d entr%s" % (verb, removed,
@@ -228,7 +336,9 @@ def cmd_prune(root, args):
 
 def cmd_clear(root, args):
     entries = scan(root)
-    removed = sum(1 for entry in entries
+    indexes = [index for found in scan_indexes(root, entries).values()
+               for index in found]
+    removed = sum(1 for entry in entries + indexes
                   if _unlink(entry, "clear", args.dry_run))
     verb = "would remove" if args.dry_run else "removed"
     print("%s %d entr%s from %s"
