@@ -122,9 +122,12 @@ def search_main(argv=None):
     parser.add_argument("--no-store", action="store_true",
                         help="run without checkpointing (every cell "
                              "recomputes; resume disabled)")
-    parser.add_argument("--cache-dir", default=default_cache_dir())
+    parser.add_argument("--cache-dir", default=default_cache_dir(),
+                        help="trace/derived cache, used only with "
+                             "--no-store (default %(default)s)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the trace/derived caches")
+                        help="disable the trace/derived caches "
+                             "(matters only with --no-store)")
     parser.add_argument("--export-dir", default=None, metavar="DIR",
                         help="export frontier-satisfying winners as "
                              "corpus case files into DIR")
@@ -162,6 +165,8 @@ def search_main(argv=None):
 
     from repro.obs import RunObserver
 
+    # The search uses the trace cache only without a store, so the
+    # manifest copy goes to whichever of the two the run wrote.
     store = None if args.no_store else SweepStore(args.store)
     cache_dir = None if args.no_cache else args.cache_dir
     observer = RunObserver(
@@ -169,7 +174,7 @@ def search_main(argv=None):
         argv=["runner", "search"]
         + list(sys.argv[1:] if argv is None else argv),
         command="search",
-        copy_dirs=(None if args.no_store else args.store, cache_dir))
+        copy_dirs=(args.store,) if store is not None else (cache_dir,))
 
     def progress(index, outcome, score):
         print("[%d/%d] %s score=%s cells: %d run, %d restored"

@@ -6,16 +6,24 @@ evaluation into content-keyed cells through the sweep subsystem's own
 cell helper (:func:`~repro.sweep.spec.add_workload_cells`), restores
 whatever the sweep store already holds, and executes only the missing
 cells through the sweep orchestrator's own per-workload worker
-(:func:`~repro.sweep.orchestrator.run_workload_cells`) -- trace cache
-and derived store included.  The search is therefore a new *front end*
-on the PR 1-7 machinery, not a parallel evaluation stack: a candidate
-the store has seen (in a previous search, a sweep, or a direct run
-whose keys overlap) costs zero simulation work, and one whose workload
-cannot be traced or indexed fails as sweep cells do (``failed`` rows,
-retried on resubmission).  Once the candidate's cells are committed
-(or its evaluation raised) it leaves the registry again, compiled
-program included, so a search holds one candidate's program at a time
-however large its budget.
+(:func:`~repro.sweep.orchestrator.run_workload_cells`).  The search is
+therefore a new *front end* on the sweep machinery, not a parallel
+evaluation stack: a candidate the store has seen (in a previous search
+or a sweep whose keys overlap) costs zero simulation work, and one
+whose workload cannot be traced or indexed fails as sweep cells do
+(``failed`` rows, retried on resubmission).  Once the candidate's
+cells are committed (or its evaluation raised) it leaves the registry
+again, compiled program included, so a search holds one candidate's
+program at a time however large its budget.
+
+Each result is persisted exactly once.  With a sweep store, the store
+is the search's only memo: the missing cells are priced from an
+in-memory trace, and nothing lands in the trace cache, its loop
+indexes or the derived store -- a candidate's name is a content
+digest registered only for its evaluation, so no later run would read
+those files back.  Without a store (``--no-store``) the trace cache
+and derived store under *cache_dir* are the only memo, so they are
+kept.
 
 Every candidate is priced into one uniform metrics bundle
 (:class:`CandidateMetrics`): loop statistics + coverage, and one
@@ -212,7 +220,11 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
     returns, together with the candidate's membership in the *sweep*
     spec (the search's) when one is given: one committed transaction,
     so interrupting a search after any candidate loses nothing and
-    never leaves cells without their membership.  Without a store,
+    never leaves cells without their membership.  The missing cells
+    are then priced without a trace cache: *cache_dir* is ignored, so
+    the store holds the candidate's only copy.  Without a store, the
+    cells are priced through the trace cache and derived store under
+    *cache_dir* (when given), which then serve a rerun; with neither,
     every cell computes fresh (the golden frontier tests run this
     way).  The candidate's workload is registered only inside this
     call (:func:`~repro.workloads.base.scoped_registry`).
@@ -224,6 +236,7 @@ def evaluate_candidate(profile, gen_seed, settings, store=None,
     with scoped_registry():
         name = ensure_profile_workload(profile, gen_seed)
         plan = plan_candidate(name, settings, store)
-        rows = (run_workload_cells(plan.missing, cache_dir)
-                if plan.missing else [])
+        rows = (run_workload_cells(
+            plan.missing, cache_dir if store is None else None)
+            if plan.missing else [])
         return finish_candidate(plan, rows, store, sweep)

@@ -105,7 +105,11 @@ def run_search(spec, store=None, cache_dir=None, progress=None):
     ``winners`` is the deduplicated top-``spec.top_k`` candidate list,
     best first (ties broken by discovery order).  *store* is a
     :class:`~repro.sweep.store.SweepStore` used both as the resume
-    checkpoint and as a cross-run result cache; *progress*, when
+    checkpoint and as a cross-run result cache, and then the search's
+    only persistent output: *cache_dir* (the trace cache and derived
+    store) is used only when *store* is ``None``, as the memo a
+    storeless rerun reads back (:func:`~repro.search.evaluate.
+    evaluate_candidate`).  *progress*, when
     given, is called as ``progress(index, outcome, score)`` after
     every evaluation (an exception it raises aborts the search --
     the fault-injection tests interrupt runs this way).

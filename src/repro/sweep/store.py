@@ -131,7 +131,9 @@ def default_store_dir():
 class SweepStore:
     """The sweep database under *root* (a directory).
 
-    Opens lazily; every sqlite-level failure surfaces as
+    Opens lazily, and only a write creates the database: reading a
+    store that does not exist returns nothing and leaves no file or
+    directory behind.  Every sqlite-level failure surfaces as
     :class:`SweepStoreError` with the path in the message.  Use as a
     context manager or call :meth:`close` explicitly.
     """
@@ -143,8 +145,14 @@ class SweepStore:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _connect(self):
+    def _connect(self, create=True):
+        """The open connection; ``None`` when *create* is false and the
+        database does not exist (a file where the store directory
+        should be still fails, as unwritable)."""
         if self._conn is None:
+            if not create and not os.path.exists(self.path) \
+                    and not os.path.isfile(self.root):
+                return None
             with self._guard():
                 os.makedirs(self.root, exist_ok=True)
                 self._conn = open_database(self.path,
@@ -175,15 +183,18 @@ class SweepStore:
             self._conn = None
 
     def __enter__(self):
-        self._connect()
         return self
 
     def __exit__(self, *exc_info):
         self.close()
 
-    def _execute(self, sql, params=()):
+    def _query(self, sql, params=()):
+        """The rows of the read-only *sql*; none when the database does
+        not exist."""
         with self._guard():
-            return self._connect().execute(sql, params)
+            conn = self._connect(create=False)
+            return [] if conn is None \
+                else conn.execute(sql, params).fetchall()
 
     # -- sweeps ------------------------------------------------------------
 
@@ -224,9 +235,9 @@ class SweepStore:
     def sweeps(self):
         """``(sweep_id, experiment, spec_json, created_at, updated_at)``
         rows, most recently updated last."""
-        return self._execute(
+        return self._query(
             "SELECT sweep_id, experiment, spec, created_at, updated_at "
-            "FROM sweeps ORDER BY updated_at, sweep_id").fetchall()
+            "FROM sweeps ORDER BY updated_at, sweep_id")
 
     def spec_for(self, sweep_id):
         """The stored :class:`~repro.sweep.spec.SweepSpec` of
@@ -234,9 +245,9 @@ class SweepStore:
         :class:`SweepStoreError` when absent or ambiguous."""
         from repro.sweep.spec import SweepSpec
 
-        rows = self._execute(
+        rows = self._query(
             "SELECT sweep_id, spec FROM sweeps WHERE sweep_id LIKE ? "
-            "ORDER BY sweep_id", (sweep_id + "%",)).fetchall()
+            "ORDER BY sweep_id", (sweep_id + "%",))
         if not rows:
             raise SweepStoreError("no sweep %r in %s"
                                   % (sweep_id, self.path))
@@ -267,10 +278,10 @@ class SweepStore:
     def done_keys(self, cell_keys):
         """The subset of *cell_keys* already stored with status
         ``done`` (failed rows are retried, so they do not count)."""
-        rows = self._execute(
+        rows = self._query(
             "SELECT cell_key FROM cells WHERE status = 'done' AND cell_key "
             "IN (SELECT value FROM json_each(?))",
-            (json.dumps(list(cell_keys)),)).fetchall()
+            (json.dumps(list(cell_keys)),))
         return {row[0] for row in rows}
 
     def put_cells(self, rows, sweep=None):
@@ -322,28 +333,27 @@ class SweepStore:
             sql += " WHERE " + " AND ".join(where)
         sql += (" ORDER BY workload, kind, timing, policy, tus,"
                 " cell_key")
-        return [CellRow(row) for row in
-                self._execute(sql, params).fetchall()]
+        return [CellRow(row) for row in self._query(sql, params)]
 
     def counts(self, sweep_id=None):
         """``(total, done, failed)`` cell counts, optionally scoped to
         one sweep's membership (then ``total`` counts every cell its
         grid names, stored or not)."""
         if sweep_id is None:
-            row = self._execute(
+            rows = self._query(
                 "SELECT COUNT(*), "
                 "SUM(CASE WHEN status = 'done' THEN 1 ELSE 0 END), "
                 "SUM(CASE WHEN status = 'failed' THEN 1 ELSE 0 END) "
-                "FROM cells").fetchone()
+                "FROM cells")
         else:
-            row = self._execute(
+            rows = self._query(
                 "SELECT COUNT(s.cell_key), "
                 "SUM(CASE WHEN c.status = 'done' THEN 1 ELSE 0 END), "
                 "SUM(CASE WHEN c.status = 'failed' THEN 1 ELSE 0 END) "
                 "FROM sweep_cells s LEFT JOIN cells c "
                 "ON s.cell_key = c.cell_key WHERE s.sweep_id = ?",
-                (sweep_id,)).fetchone()
-        total, done, failed = row
+                (sweep_id,))
+        total, done, failed = rows[0] if rows else (0, 0, 0)
         return (total or 0, done or 0, failed or 0)
 
     # -- maintenance -------------------------------------------------------
@@ -351,9 +361,12 @@ class SweepStore:
     def prune(self, dry_run=False):
         """Drop failed cells and cells no sweep references; returns
         ``(failed_removed, orphaned_removed)``; *dry_run* counts
-        them in a transaction it rolls back."""
+        them in a transaction it rolls back.  A store that does not
+        exist has nothing to prune and is not created."""
         with self._guard():
-            conn = self._connect()
+            conn = self._connect(create=False)
+            if conn is None:
+                return 0, 0
             failed = conn.execute(
                 "DELETE FROM cells WHERE status = 'failed'").rowcount
             orphaned = conn.execute(

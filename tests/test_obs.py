@@ -810,6 +810,31 @@ class TestSearchMetrics:
         assert manifest["counters"]["search.candidates"] \
             == manifest["meta"]["evaluated"]
 
+    def test_sweeps_ls_shows_search_counters(self, tmp_path, capsys):
+        """``sweeps ls`` digests a search's manifest with the search
+        counters, not the (absent) sweep ones; the unused trace cache
+        gets no copy of it."""
+        store = str(tmp_path / "store")
+        cache = str(tmp_path / "cache")
+        metrics = str(tmp_path / "search.json")
+        assert runner_main([
+            "search", "--objective", "coverage-collapse",
+            "--budget", "3", "--seed", "7", "--stall", "2",
+            "--store", store, "--cache-dir", cache,
+            "--metrics", metrics]) == 0
+        capsys.readouterr()
+        counters = load_manifest(metrics)["counters"]
+        assert counters["search.cells_executed"] > 0
+        tool = load_tool("trace_cache.py")
+        assert tool.main(["sweeps", "ls", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert ("last instrumented run (search): candidates %d, "
+                "memo hits %d, cells executed %d, cells restored 0, "
+                "failures 0" % (counters["search.candidates"],
+                                counters.get("search.memo_hits", 0),
+                                counters["search.cells_executed"])) in out
+        assert not os.path.exists(cache)
+
 
 # ---------------------------------------------------------------------------
 # Tools: obs_report.

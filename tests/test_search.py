@@ -3,8 +3,10 @@ evaluation, the hill climber's determinism and resume guarantees, the
 corpus export/resolve round trip, and the ``runner search`` CLI.
 
 The search tests run tiny budgets (mutation bounds keep candidates
-around 10^5 traced instructions) with a module-scoped trace cache, so
-repeat evaluations price against warm traces.
+around 10^5 traced instructions).  A search with a sweep store keeps
+its results only in that store, so its cells price from in-memory
+traces; the module-scoped trace cache serves the storeless tests,
+whose repeat evaluations price against warm traces and derived rows.
 """
 
 import json
@@ -36,7 +38,8 @@ TINY = dict(objective="coverage-collapse", budget=6, seed=7,
 
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
-    """One warm trace/derived cache shared by the whole module."""
+    """One warm trace/derived cache shared by the storeless tests (a
+    search with a store ignores it)."""
     return str(tmp_path_factory.mktemp("search-cache"))
 
 
@@ -242,6 +245,56 @@ class TestSearchLoop:
                 == whole.executed_cells - survived
             assert [(w.name, w.score) for w in winners] \
                 == [(w.name, w.score) for w in baseline]
+
+    def test_store_search_writes_nothing_to_the_cache(self, tmp_path,
+                                                      capsys):
+        """With a store, the store is the search's only output: the
+        cache directory gets no trace, index, derived row or manifest,
+        and the results equal a storeless search's."""
+        import os
+
+        spec = SearchSpec(**SMALL)
+        cache = str(tmp_path / "cache")
+        with make_store(tmp_path) as store:
+            stored, stats = run_search(spec, store=store,
+                                       cache_dir=cache)
+        assert stats.executed_cells > 0
+        fresh, _ = run_search(spec, store=None, cache_dir=None)
+        assert [(w.name, w.score, w.metrics.to_dict()) for w in stored] \
+            == [(w.name, w.score, w.metrics.to_dict()) for w in fresh]
+        assert stored
+        assert runner_main([
+            "search", "--objective", spec.objective, "--budget", "2",
+            "--seed", "7", "--max-instructions", "20000",
+            "--store", str(tmp_path / "cli-store"), "--cache-dir", cache,
+            "--metrics", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        left = [os.path.join(top, name)
+                for top, dirs, files in os.walk(cache)
+                for name in dirs + files]
+        assert left == []
+
+    def test_storeless_rerun_reads_the_derived_store(self, tmp_path):
+        """Without a store the cache is the search's memo: a rerun
+        restores every cell from the derived store and simulates
+        nothing."""
+        from repro.obs import Collector
+        from repro.obs import collector as obs
+
+        spec = SearchSpec(**SMALL)
+        cache = str(tmp_path / "cache")
+        run_search(spec, store=None, cache_dir=cache)
+        collector = obs.activate(Collector())
+        try:
+            _, stats = run_search(spec, store=None, cache_dir=cache)
+        finally:
+            obs.deactivate()
+        assert stats.executed_cells > 0
+        assert collector.counters["derived.hits"] \
+            == stats.executed_cells
+        assert "derived.misses" not in collector.counters
+        assert not [span for span in collector.spans
+                    if span["name"] == "engine.simulate_grid"]
 
     def test_search_run_is_not_a_resumable_sweep(self, tmp_path,
                                                  cache_dir):

@@ -805,10 +805,21 @@ class TestSweepsTool:
         assert not os.path.exists(os.path.join(root, DB_NAME))
 
     def test_ls_empty_store(self, tmp_path, capsys):
+        """Reading a store that does not exist prints an empty answer
+        and creates nothing: no directory, no ``store.sqlite``."""
         tool = self._tool()
         root = str(tmp_path / "store")
         assert tool.main(["sweeps", "ls", "--store", root]) == 0
         assert "is empty" in capsys.readouterr().out
+        assert os.listdir(str(tmp_path)) == []
+        assert tool.main(["sweeps", "prune", "--store", root,
+                          "--dry-run"]) == 0
+        assert "would prune 0 failed cell(s), 0 orphaned cell(s)" \
+            in capsys.readouterr().out
+        assert os.listdir(str(tmp_path)) == []
+        assert runner_main(["query", "--store", root]) == 0
+        assert "Sweep cells (0)" in capsys.readouterr().out
+        assert os.listdir(str(tmp_path)) == []
 
     def test_sweeps_requires_an_action(self, tmp_path, capsys):
         tool = self._tool()

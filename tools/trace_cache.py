@@ -182,13 +182,14 @@ def _fmt_count(value):
     return "?" if value is None else "%d" % value
 
 
-def _last_run_summary(directory, names):
+def _last_run_summary(directory, names, by_command=None):
     """The one-line counter digest of the ``last-run-manifest.json``
     an instrumented run (``--metrics``) dropped into *directory*, or
     ``None`` when there is no readable manifest.
 
     *names* maps counter names to printed labels, in print order;
-    counters the manifest lacks render as 0.
+    *by_command* maps a manifest's ``meta.command`` to the *names* its
+    runs print instead.  Counters the manifest lacks render as 0.
     """
     from repro.obs.manifest import LAST_RUN_MANIFEST, ManifestError, \
         load_manifest
@@ -201,11 +202,12 @@ def _last_run_summary(directory, names):
     except (OSError, ValueError, ManifestError):
         return None     # corrupt digest: no summary beats a crash
     counters = manifest.get("counters", {})
+    command = manifest.get("meta", {}).get("command", "?")
+    names = (by_command or {}).get(command, names)
     parts = ["%s %s" % (label, _fmt_count(counters.get(name, 0)))
              for name, label in names]
     return ("last instrumented run (%s): %s"
-            % (manifest.get("meta", {}).get("command", "?"),
-               ", ".join(parts)))
+            % (command, ", ".join(parts)))
 
 
 def _index_row(index, name):
@@ -363,7 +365,12 @@ def cmd_sweeps_ls(store, _args):
         ("sweep.cells_resumed", "resumed"),
         ("sweep.cells_executed", "executed"),
         ("sweep.cells_failed", "failed"),
-        ("sweep.checkpoints", "checkpoints")))
+        ("sweep.checkpoints", "checkpoints")), by_command={"search": (
+            ("search.candidates", "candidates"),
+            ("search.memo_hits", "memo hits"),
+            ("search.cells_executed", "cells executed"),
+            ("search.cells_restored", "cells restored"),
+            ("search.failures", "failures"))})
     if last is not None:
         print(last)
     return 0
